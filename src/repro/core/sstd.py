@@ -24,9 +24,11 @@ Truth Discovery job in the distributed framework (:mod:`repro.system`).
 
 from __future__ import annotations
 
+import bisect
 import collections
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -50,6 +52,10 @@ __all__ = [
     "batch_fit_decode",
     "states_to_truth",
 ]
+
+#: Histogram bounds of ``sstd.stream.retrain_rows`` (claims refitted by
+#: one streaming tick's batched fit).
+RETRAIN_ROW_BUCKETS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 500.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,6 +132,12 @@ class ClaimDecodeResult:
     #: so streaming callers can keep filtering incrementally after a
     #: batched fit.
     hmm: GaussianHMM | None = field(default=None, compare=False, repr=False)
+    #: Last scaled forward row of the fit's own forward pass, shape
+    #: ``(K,)`` (None on the fallback paths): the filter state a
+    #: streaming caller resumes from, so it never re-runs the pass.
+    filter_state: np.ndarray | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 def _sign_fallback(
@@ -285,6 +297,7 @@ def batch_fit_decode(
             estimates=estimates,
             used_hmm=True,
             hmm=hmm,
+            filter_state=alpha[row, length - 1].copy(),
         )
     if obs.enabled:
         obs.tracer.record_span(
@@ -412,16 +425,58 @@ class SSTD:
         return estimates
 
 
+@dataclass(slots=True)
+class _ClaimStream:
+    """Mutable streaming state of one claim (see :class:`StreamingSSTD`)."""
+
+    claim_id: str
+    window: SlidingWindowACS
+    times: list[float] = field(default_factory=list)
+    values: list[float] = field(default_factory=list)
+    #: Non-NaN entries of ``values``, kept in step with append and trim.
+    informative: int = 0
+    ticks: int = 0
+    latest: TruthEstimate | None = None
+    #: Model of the last successful refit and the forward-filter vector
+    #: it has been advanced to; set together, None before the first fit.
+    hmm: GaussianHMM | None = None
+    alpha: np.ndarray | None = None
+
+
 class StreamingSSTD:
     """Streaming API: push reports, poll truth estimates as time advances.
 
-    Maintains one sliding-window ACS accumulator per claim and an
-    observation buffer; every ``retrain_every`` grid ticks the per-claim
-    HMM is re-trained (warm-started from its current parameters, a few
-    EM iterations) on the buffered sequence and the state re-decoded.
-    Between retrains, each tick advances an *incremental* forward filter
-    — one normalized alpha update — so the steady-state cost is O(1) per
-    claim per tick and O(1) per pushed report.
+    Maintains one sliding-window ACS accumulator and one bounded
+    observation buffer per claim.  Claims decompose independently
+    (paper Section III-E), so :meth:`tick` treats them as one stack and
+    runs three phases:
+
+    1. **Append and split.**  Every claim's buffer gets this tick's ACS
+       value; the claim is then *due for retrain* (its own tick count —
+       counted from the claim's first tick — hits a multiple of
+       ``retrain_every`` and the buffer holds ``min_observations``
+       informative values), *filtering* (it has a model), or on *cold
+       start* (sign rule on the newest informative ACS value).
+    2. **One stacked refit.**  All due claims go through a single
+       :func:`batch_fit_decode` call.  The kernel is row-deterministic
+       and freezes rows individually, so each claim's fit is
+       bit-identical to fitting it alone; the fit re-initializes
+       emission parameters from the buffer's quantiles (a stale model
+       after a truth transition would otherwise take many EM rounds to
+       drag its means across zero).  The claim's filter is re-seeded
+       from the last row of the forward pass that call already ran.  A
+       claim whose refit takes the sign fallback keeps its previous
+       model and filter state.
+    3. **One stacked filter step.**  Every filtering claim advances its
+       normalized forward vector in one ``(N, K)`` step
+       (:meth:`repro.hmm.batch.BatchGaussianHMM.filter_step`).
+
+    Cost: a push is O(1) amortized.  A tick without retrains is O(1)
+    per claim — one window read, one append, one estimate — plus a
+    constant number of numpy calls for the whole filter stack.  A tick
+    with M due claims adds *one* fit: ``em_max_iter`` forward-backward
+    sweeps over at most ``max_buffer`` time steps, each step one
+    ``(M, K)`` operation, so its interpreter cost does not grow with M.
     """
 
     name = "SSTD"
@@ -446,130 +501,145 @@ class StreamingSSTD:
         )
         self.retrain_every = retrain_every
         self.max_buffer = max_buffer
-        self._windows: dict[str, SlidingWindowACS] = {}
-        self._times: dict[str, list[float]] = collections.defaultdict(list)
-        self._values: dict[str, list[float]] = collections.defaultdict(list)
-        self._models: dict[str, ClaimTruthModel] = {}
-        self._latest: dict[str, TruthEstimate] = {}
-        self._ticks: dict[str, int] = collections.defaultdict(int)
-        self._alphas: dict[str, np.ndarray] = {}
+        self._claims: dict[str, _ClaimStream] = {}
+        #: The values of ``_claims`` sorted by claim id (the tick order).
+        self._ordered: list[_ClaimStream] = []
 
     @property
     def claim_ids(self) -> list[str]:
-        return sorted(self._windows)
+        return [claim.claim_id for claim in self._ordered]
 
     def push(self, report: Report) -> None:
         """Ingest one report (timestamps non-decreasing per claim)."""
-        window = self._windows.get(report.claim_id)
-        if window is None:
-            window = SlidingWindowACS(
-                self.config.acs.window,
-                self.config.acs.weights,
-                normalize=self.config.acs.normalize,
-                empty_is_missing=self.config.acs.empty_is_missing,
+        claim = self._claims.get(report.claim_id)
+        if claim is None:
+            claim = _ClaimStream(
+                report.claim_id,
+                SlidingWindowACS(
+                    self.config.acs.window,
+                    self.config.acs.weights,
+                    normalize=self.config.acs.normalize,
+                    empty_is_missing=self.config.acs.empty_is_missing,
+                ),
             )
-            self._windows[report.claim_id] = window
-            self._models[report.claim_id] = ClaimTruthModel(
-                report.claim_id, self.config
+            self._claims[report.claim_id] = claim
+            bisect.insort(
+                self._ordered, claim, key=operator.attrgetter("claim_id")
             )
-        window.push(report)
+        claim.window.push(report)
 
     def tick(self, now: float) -> list[TruthEstimate]:
         """Advance the observation grid to ``now`` for every claim.
 
         Appends one ACS observation per claim, retrains/decodes as
-        scheduled, and returns the current truth estimate of every claim.
+        scheduled, and returns the current truth estimate of every claim
+        in claim-id order.
         """
-        estimates: list[TruthEstimate] = []
-        for claim_id in self.claim_ids:
-            estimate = self._tick_claim(claim_id, now)
-            if estimate is not None:
-                estimates.append(estimate)
-        return estimates
+        due: list[_ClaimStream] = []
+        filtering: list[_ClaimStream] = []
+        for claim in self._ordered:
+            if self._append(claim, now):
+                due.append(claim)
+            elif claim.hmm is not None:
+                filtering.append(claim)
+            else:
+                claim.latest = self._cold_start(claim, now)
+        if due:
+            self._refit(due)
+        if filtering:
+            self._filter(filtering, now)
+        obs = get_obs()
+        if obs.enabled:
+            if due:
+                obs.metrics.observe(
+                    "sstd.stream.retrain_rows",
+                    float(len(due)),
+                    bounds=RETRAIN_ROW_BUCKETS,
+                )
+            obs.metrics.inc("sstd.stream.filter_rows", len(filtering))
+        return [claim.latest for claim in self._ordered]
 
-    def _tick_claim(self, claim_id: str, now: float) -> TruthEstimate | None:
-        value = self._windows[claim_id].value_at(now)
-        times = self._times[claim_id]
-        values = self._values[claim_id]
-        times.append(now)
-        values.append(value)
-        if len(times) > self.max_buffer:
+    def _append(self, claim: _ClaimStream, now: float) -> bool:
+        """Buffer this tick's ACS value; True when a refit is due."""
+        value = claim.window.value_at(now)
+        claim.times.append(now)
+        claim.values.append(value)
+        if not math.isnan(value):
+            claim.informative += 1
+        if len(claim.times) > self.max_buffer:
             # Trim in blocks so the amortized cost per tick stays O(1).
             drop = max(1, self.max_buffer // 5)
-            del times[:drop]
-            del values[:drop]
-        self._ticks[claim_id] += 1
-
-        model = self._models[claim_id]
-        retrain_due = self._ticks[claim_id] % self.retrain_every == 0
-        informative = sum(1 for v in values if not math.isnan(v))
-        enough = informative >= self.config.min_observations
-
-        if retrain_due and enough:
-            result = self._retrain(model, times, values)
-            estimate = result.estimates[-1] if result.estimates else None
-            if model.hmm is not None:
-                # Re-seed the incremental filter from the fresh fit.
-                alpha, _, _ = model.hmm._forward(
-                    model.hmm._emission_probabilities(np.asarray(values))
-                )
-                self._alphas[claim_id] = alpha[-1]
-        elif model.hmm is not None:
-            alpha = self._advance_filter(claim_id, model.hmm, value)
-            state = int(np.argmax(alpha))
-            truth = states_to_truth(model.hmm, np.array([state]))[0]
-            estimate = TruthEstimate(
-                claim_id=claim_id, timestamp=now, value=truth
+            claim.informative -= sum(
+                1 for v in claim.values[:drop] if not math.isnan(v)
             )
-        else:
-            # Cold start: sign rule on the newest informative ACS value.
-            previous = self._latest.get(claim_id)
-            if not math.isnan(value):
-                truth = TruthValue.TRUE if value > 0 else TruthValue.FALSE
-            elif previous is not None:
-                truth = previous.value
-            else:
-                truth = TruthValue.FALSE
-            estimate = TruthEstimate(
-                claim_id=claim_id, timestamp=now, value=truth
-            )
-        if estimate is not None:
-            self._latest[claim_id] = estimate
-        return estimate
-
-    def _retrain(
-        self, model: ClaimTruthModel, times: list[float], values: list[float]
-    ) -> ClaimDecodeResult:
-        """Refit the claim HMM on the (bounded) buffer and re-decode.
-
-        The fit re-initializes emission parameters from the buffer's
-        quantiles: a stale model after a truth transition would otherwise
-        take many EM rounds to drag its means across zero.
-        """
-        return model.fit_decode(np.asarray(times), np.asarray(values))
-
-    def _advance_filter(
-        self, claim_id: str, hmm: GaussianHMM, observation: float
-    ) -> np.ndarray:
-        """One normalized forward-filter step (O(1) per tick)."""
-        alpha = self._alphas.get(claim_id)
-        if alpha is None:
-            alpha = hmm.startprob.copy()
-        emission = hmm._emission_probabilities(
-            np.asarray([observation])
-        )[0]
-        alpha = (alpha @ hmm.transmat) * emission
-        total = alpha.sum()
-        if total <= 0:
-            alpha = np.full(hmm.n_states, 1.0 / hmm.n_states)
-        else:
-            alpha = alpha / total
-        contracts.assert_probability_simplex(
-            alpha, f"forward filter of claim {claim_id}"
+            del claim.times[:drop]
+            del claim.values[:drop]
+        claim.ticks += 1
+        return (
+            claim.ticks % self.retrain_every == 0
+            and claim.informative >= self.config.min_observations
         )
-        self._alphas[claim_id] = alpha
-        return alpha
+
+    def _cold_start(self, claim: _ClaimStream, now: float) -> TruthEstimate:
+        """Sign rule on the newest informative ACS value."""
+        value = claim.values[-1]
+        if not math.isnan(value):
+            truth = TruthValue.TRUE if value > 0 else TruthValue.FALSE
+        elif claim.latest is not None:
+            truth = claim.latest.value
+        else:
+            truth = TruthValue.FALSE
+        return TruthEstimate(
+            claim_id=claim.claim_id, timestamp=now, value=truth
+        )
+
+    def _refit(self, due: list[_ClaimStream]) -> None:
+        """Refit every due claim on its buffer in one batched call."""
+        results = batch_fit_decode(
+            [
+                (
+                    claim.claim_id,
+                    np.asarray(claim.times),
+                    np.asarray(claim.values),
+                )
+                for claim in due
+            ],
+            self.config,
+        )
+        for claim, result in zip(due, results):
+            claim.latest = result.estimates[-1]
+            if result.hmm is not None:
+                claim.hmm = result.hmm
+                claim.alpha = result.filter_state
+
+    def _filter(self, filtering: list[_ClaimStream], now: float) -> None:
+        """Advance every modelled claim's forward filter by one step."""
+        bank = BatchGaussianHMM(
+            len(filtering),
+            n_states=filtering[0].hmm.n_states,
+            transmat=np.stack([claim.hmm.transmat for claim in filtering]),
+            means=np.stack([claim.hmm.means for claim in filtering]),
+            variances=np.stack([claim.hmm.variances for claim in filtering]),
+            kernel=self.config.kernel,
+        )
+        alphas = bank.filter_step(
+            np.stack([claim.alpha for claim in filtering]),
+            np.array([claim.values[-1] for claim in filtering]),
+        )
+        states = np.argmax(alphas, axis=1)
+        asserted = bank.means[np.arange(len(filtering)), states] > 0
+        for claim, alpha, positive in zip(filtering, alphas, asserted):
+            claim.alpha = alpha
+            claim.latest = TruthEstimate(
+                claim_id=claim.claim_id,
+                timestamp=now,
+                value=TruthValue.TRUE if positive else TruthValue.FALSE,
+            )
 
     def latest(self) -> Mapping[str, TruthEstimate]:
         """Most recent estimate per claim."""
-        return dict(self._latest)
+        return {
+            claim.claim_id: claim.latest
+            for claim in self._ordered
+            if claim.latest is not None
+        }

@@ -255,6 +255,29 @@ class BatchGaussianHMM:
         log_likelihoods = masked_row_sums(log_mask_zero(scales), lengths)
         return alpha, scales, log_likelihoods
 
+    def filter_step(
+        self, alpha: np.ndarray, observations: np.ndarray
+    ) -> np.ndarray:
+        """Advance N independent forward filters by one observation each.
+
+        ``alpha`` is the ``(N, K)`` stack of current filter vectors and
+        ``observations`` the ``(N,)`` newest value per row (NaN =
+        missing); returns the next normalized ``(N, K)`` stack.  This is
+        :meth:`forward`'s own time step — same contraction, same per-row
+        normalization, a row whose total is not positive restarting from
+        the uniform vector.  A single step has no time loop to fuse, so
+        it is plain numpy on every kernel backend.
+        """
+        observations = np.asarray(observations, dtype=float)
+        emissions = self.emission_probabilities(observations[:, None])[:, 0, :]
+        stepped = normalize_rows(
+            np.einsum("nk,nkj->nj", alpha, self.transmat) * emissions
+        )
+        contracts.assert_probability_simplex(
+            stepped, "batch forward filter step"
+        )
+        return stepped
+
     def backward(
         self,
         emissions: np.ndarray,

@@ -1,0 +1,311 @@
+"""The stacked streaming tick against the per-claim engine it replaced.
+
+``StreamingSSTD.tick`` refits every due claim in one batched call and
+advances every modelled claim's filter in one ``(N, K)`` step.  The
+reference below is the per-claim engine written out in full — an N = 1
+:meth:`ClaimTruthModel.fit_decode` per due claim, a scalar forward pass
+to re-seed the filter, the scalar filter formula — sharing nothing with
+the production tick but the public fit entry point, and every estimate
+must come out equal, ``confidence`` included.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import repro.core.sstd as sstd_module
+from repro.core.acs import ACSConfig, SlidingWindowACS
+from repro.core.sstd import ClaimTruthModel, SSTDConfig, StreamingSSTD
+from repro.core.types import Attitude, Report, TruthEstimate, TruthValue
+from repro.hmm.batch import BatchGaussianHMM
+from repro.hmm.utils import normal_densities
+from repro.obs import Observability, using
+
+#: Window == step: a tick's ACS value is exactly the one report (if any)
+#: pushed since the previous tick, so a test dictates the sequence.
+CONFIG = SSTDConfig(acs=ACSConfig(window=1.0, step=1.0), min_observations=3)
+
+
+def report_for(claim_id: str, tick: int, value: float) -> Report:
+    """The report that makes ``claim_id``'s ACS at ``tick`` equal ``value``."""
+    return Report(
+        "s",
+        claim_id,
+        tick - 0.5,
+        attitude=Attitude.AGREE if value > 0 else Attitude.DISAGREE,
+        independence=abs(value),
+    )
+
+
+def run_ticks(engine, streams: dict[str, list[float | None]]):
+    """Feed ``streams`` (per-claim value per tick, None = no report).
+
+    A claim joins the engine at its first report.  Returns the estimate
+    list of every tick.
+    """
+    n_ticks = max(len(values) for values in streams.values())
+    ticks = []
+    for tick in range(1, n_ticks + 1):
+        for claim_id, values in streams.items():
+            if tick <= len(values) and values[tick - 1] is not None:
+                engine.push(report_for(claim_id, tick, values[tick - 1]))
+        ticks.append(engine.tick(float(tick)))
+    return ticks
+
+
+def _emission(hmm, value: float) -> np.ndarray:
+    if math.isnan(value):
+        return np.ones(hmm.n_states)
+    return normal_densities(np.array([value]), hmm.means, hmm.variances)[0]
+
+
+def _normalized(alpha: np.ndarray) -> np.ndarray:
+    total = alpha.sum()
+    if total <= 0:
+        return np.full(alpha.size, 1.0 / alpha.size)
+    return alpha / total
+
+
+def scalar_filter_step(hmm, alpha: np.ndarray, value: float) -> np.ndarray:
+    return _normalized((alpha @ hmm.transmat) * _emission(hmm, value))
+
+
+def scalar_forward_last(hmm, values: list[float]) -> np.ndarray:
+    alpha = _normalized(hmm.startprob * _emission(hmm, values[0]))
+    for value in values[1:]:
+        alpha = scalar_filter_step(hmm, alpha, value)
+    return alpha
+
+
+class PerClaimReference:
+    """One claim at a time: N = 1 refits, scalar re-seed, scalar filter."""
+
+    def __init__(self, config, retrain_every, max_buffer, retrain_max_iter):
+        self.config = dataclasses.replace(
+            config, em_max_iter=min(config.em_max_iter, retrain_max_iter)
+        )
+        self.retrain_every = retrain_every
+        self.max_buffer = max_buffer
+        self.windows: dict[str, SlidingWindowACS] = {}
+        self.times: dict[str, list[float]] = {}
+        self.values: dict[str, list[float]] = {}
+        self.ticks: dict[str, int] = {}
+        self.models: dict[str, ClaimTruthModel] = {}
+        self.alphas: dict[str, np.ndarray] = {}
+        self.latest: dict[str, TruthEstimate] = {}
+
+    def push(self, report: Report) -> None:
+        if report.claim_id not in self.windows:
+            acs = self.config.acs
+            self.windows[report.claim_id] = SlidingWindowACS(
+                acs.window,
+                acs.weights,
+                normalize=acs.normalize,
+                empty_is_missing=acs.empty_is_missing,
+            )
+            self.times[report.claim_id] = []
+            self.values[report.claim_id] = []
+            self.ticks[report.claim_id] = 0
+            self.models[report.claim_id] = ClaimTruthModel(
+                report.claim_id, self.config
+            )
+        self.windows[report.claim_id].push(report)
+
+    def tick(self, now: float) -> list[TruthEstimate]:
+        return [self._tick_claim(c, now) for c in sorted(self.windows)]
+
+    def _tick_claim(self, claim_id: str, now: float) -> TruthEstimate:
+        value = self.windows[claim_id].value_at(now)
+        times, values = self.times[claim_id], self.values[claim_id]
+        times.append(now)
+        values.append(value)
+        if len(times) > self.max_buffer:
+            drop = max(1, self.max_buffer // 5)
+            del times[:drop]
+            del values[:drop]
+        self.ticks[claim_id] += 1
+        model = self.models[claim_id]
+        informative = sum(1 for v in values if not math.isnan(v))
+        if (
+            self.ticks[claim_id] % self.retrain_every == 0
+            and informative >= self.config.min_observations
+        ):
+            result = model.fit_decode(np.asarray(times), np.asarray(values))
+            estimate = result.estimates[-1]
+            if result.hmm is not None:
+                self.alphas[claim_id] = scalar_forward_last(model.hmm, values)
+        elif model.hmm is not None:
+            alpha = scalar_filter_step(
+                model.hmm, self.alphas[claim_id], value
+            )
+            self.alphas[claim_id] = alpha
+            mean = model.hmm.means[int(np.argmax(alpha))]
+            estimate = TruthEstimate(
+                claim_id, now, TruthValue.TRUE if mean > 0 else TruthValue.FALSE
+            )
+        else:
+            previous = self.latest.get(claim_id)
+            if not math.isnan(value):
+                truth = TruthValue.TRUE if value > 0 else TruthValue.FALSE
+            else:
+                truth = previous.value if previous else TruthValue.FALSE
+            estimate = TruthEstimate(claim_id, now, truth)
+        self.latest[claim_id] = estimate
+        return estimate
+
+
+VARIED = [-0.9, 0.5, -0.3, 0.8, -0.6]
+ACS_VALUES = st.sampled_from([None, None, -0.9, -0.6, -0.3, 0.2, 0.5, 0.8])
+CLAIM_STREAM = st.builds(
+    lambda join, first, rest: [None] * join + [first] + rest,
+    st.integers(0, 8),
+    ACS_VALUES.filter(lambda value: value is not None),
+    st.lists(ACS_VALUES, min_size=8, max_size=40),
+)
+
+
+class TestDifferential:
+    # On ticks 15 and 20 the first claim's trimmed buffer is constant:
+    # its refit takes the sign fallback inside a batch whose other row
+    # fits, and its earlier model keeps filtering afterwards.
+    @example(
+        streams=[VARIED + [0.5] * 17, VARIED * 4],
+        retrain_every=5,
+        max_buffer=6,
+    )
+    @settings(max_examples=20, deadline=None)
+    @given(
+        streams=st.lists(CLAIM_STREAM, min_size=1, max_size=3),
+        retrain_every=st.sampled_from([1, 5, 20]),
+        max_buffer=st.sampled_from([6, 15, 360]),
+    )
+    def test_tick_equals_per_claim_engine(
+        self, streams, retrain_every, max_buffer
+    ):
+        # Reverse the ids so arrival order differs from sorted order.
+        named = {f"c{len(streams) - k}": s for k, s in enumerate(streams)}
+        engine = StreamingSSTD(
+            CONFIG, retrain_every, max_buffer, retrain_max_iter=4
+        )
+        reference = PerClaimReference(
+            CONFIG, retrain_every, max_buffer, retrain_max_iter=4
+        )
+        assert run_ticks(engine, named) == run_ticks(reference, named)
+        assert engine.latest() == reference.latest
+        for claim_id, values in reference.values.items():
+            state = engine._claims[claim_id]
+            assert state.values == pytest.approx(values, nan_ok=True)
+            assert state.informative == sum(
+                1 for v in values if not math.isnan(v)
+            )
+
+
+@pytest.fixture
+def fit_rows(monkeypatch):
+    """Row count of every ``BatchGaussianHMM.fit`` call made in the test."""
+    rows: list[int] = []
+    original = BatchGaussianHMM.fit
+
+    def spy(self, observations, *args, **kwargs):
+        rows.append(len(observations))
+        return original(self, observations, *args, **kwargs)
+
+    monkeypatch.setattr(BatchGaussianHMM, "fit", spy)
+    return rows
+
+
+class TestOneFitPerTick:
+    def test_due_claims_share_one_fit(self, fit_rows):
+        streams = {f"c{k}": VARIED[k:] + VARIED[:k] for k in range(4)}
+        recorder = Observability()
+        with using(recorder):
+            engine = StreamingSSTD(CONFIG, retrain_every=5)
+            run_ticks(engine, streams)
+        assert fit_rows == [4]
+        (span,) = [
+            event
+            for event in recorder.tracer.events()
+            if event.name == "sstd.batch_fit"
+        ]
+        assert dict(span.attrs)["n_claims"] == 4
+        snapshot = recorder.metrics.snapshot()
+        retrain_rows = snapshot.histogram("sstd.stream.retrain_rows")
+        assert (retrain_rows.count, retrain_rows.total) == (1, 4.0)
+        assert snapshot.counter("sstd.stream.filter_rows") == 0.0
+
+    def test_filter_rows_counts_modelled_claims(self):
+        streams = {"a": VARIED + [0.5, 0.5], "b": VARIED + [-0.3]}
+        recorder = Observability()
+        with using(recorder):
+            run_ticks(StreamingSSTD(CONFIG, retrain_every=5), streams)
+        # Ticks 6 and 7 each filter both claims (b's window is empty on 7).
+        assert recorder.metrics.snapshot().counter(
+            "sstd.stream.filter_rows"
+        ) == 4.0
+
+    def test_schedule_counts_from_each_claims_first_tick(self, monkeypatch):
+        fits: list[tuple[float, list[str]]] = []
+        original = sstd_module.batch_fit_decode
+
+        def spy(items, config):
+            fits.append((items[0][1][-1], [claim_id for claim_id, _, _ in items]))
+            return original(items, config)
+
+        monkeypatch.setattr(sstd_module, "batch_fit_decode", spy)
+        cycle = VARIED * 4
+        # "late" is first seen on tick 4, "early" and "b" on tick 1.
+        streams = {"early": cycle, "late": [None] * 3 + cycle[:17], "b": cycle}
+        run_ticks(StreamingSSTD(CONFIG, retrain_every=5), streams)
+        assert fits == [
+            (5.0, ["b", "early"]),
+            (8.0, ["late"]),
+            (10.0, ["b", "early"]),
+            (13.0, ["late"]),
+            (15.0, ["b", "early"]),
+            (18.0, ["late"]),
+            (20.0, ["b", "early"]),
+        ]
+
+
+class TestEdgePaths:
+    def test_no_claims(self):
+        engine = StreamingSSTD(CONFIG)
+        assert engine.tick(1.0) == []
+        assert engine.latest() == {}
+        assert engine.claim_ids == []
+
+    def test_all_due_claims_degenerate(self, fit_rows):
+        streams = {"up": [0.5] * 5, "down": [-0.3] * 5}
+        ticks = run_ticks(StreamingSSTD(CONFIG, retrain_every=5), streams)
+        assert fit_rows == []
+        assert ticks[-1] == [
+            TruthEstimate("down", 5.0, TruthValue.FALSE),
+            TruthEstimate("up", 5.0, TruthValue.TRUE),
+        ]
+
+    def test_sign_fallback_keeps_model_and_filter(self, fit_rows):
+        engine = StreamingSSTD(CONFIG, retrain_every=5, max_buffer=5)
+        run_ticks(engine, {"c": VARIED + [0.5] * 4})
+        state = engine._claims["c"]
+        hmm, alpha = state.hmm, state.alpha.copy()
+        assert hmm is not None
+        # Tick 10 is due, and the trimmed buffer is constant by now.
+        engine.push(report_for("c", 10, 0.5))
+        (estimate,) = engine.tick(10.0)
+        assert fit_rows == [1]
+        assert estimate == TruthEstimate("c", 10.0, TruthValue.TRUE)
+        assert state.values == pytest.approx([0.5] * 5)
+        assert state.hmm is hmm
+        assert state.alpha.tolist() == alpha.tolist()
+
+    def test_claim_ids_sorted_and_fresh(self):
+        engine = StreamingSSTD(CONFIG)
+        for claim_id in ("m", "z", "a"):
+            engine.push(report_for(claim_id, 1, 0.5))
+        ids = engine.claim_ids
+        assert ids == ["a", "m", "z"]
+        ids.clear()
+        assert [e.claim_id for e in engine.tick(1.0)] == ["a", "m", "z"]

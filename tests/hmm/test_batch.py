@@ -276,6 +276,34 @@ class TestInference:
             ref = kernel.extract(row).filter_states(seq)
             assert filtered[row, : int(lengths[row])].tolist() == ref.tolist()
 
+    def test_filter_step_is_the_forward_time_step(self):
+        rng = np.random.default_rng(23)
+        observations = rng.normal(0.0, 1.0, size=(4, 12))
+        observations[rng.random(observations.shape) < 0.2] = np.nan
+        kernel = BatchGaussianHMM(
+            4,
+            2,
+            means=rng.normal(0.0, 1.0, size=(4, 2)),
+            variances=rng.uniform(0.2, 1.0, size=(4, 2)),
+            transmat=np.array([[0.9, 0.1], [0.2, 0.8]]),
+        )
+        emissions = kernel.emission_probabilities(observations)
+        alpha, _, _ = kernel.forward(emissions, np.full(4, 12))
+        current = alpha[:, 0, :]
+        for t in range(1, 12):
+            current = kernel.filter_step(current, observations[:, t])
+            assert current.tolist() == alpha[:, t, :].tolist()
+
+    def test_filter_step_restarts_dead_rows_uniform(self):
+        kernel = BatchGaussianHMM(
+            2, 2, means=np.array([-1.0, 1.0]), variances=np.array([1e-3, 1e-3])
+        )
+        alpha = np.array([[0.3, 0.7], [0.3, 0.7]])
+        # Row 0's observation underflows both densities to exactly 0.
+        stepped = kernel.filter_step(alpha, np.array([500.0, 1.0]))
+        assert stepped[0].tolist() == [0.5, 0.5]
+        assert stepped[1].tolist() == pytest.approx([0.0, 1.0])
+
     def test_extract_round_trips_row_parameters(self):
         kernel = BatchGaussianHMM(2, 2)
         kernel.means[1] = np.array([-3.0, 3.0])
