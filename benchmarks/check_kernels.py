@@ -8,7 +8,11 @@ and enforces the PR-10 acceptance criterion on the numba-enabled CI leg:
   the CI environment broke, not the code) and the worst-shape
   kernel-level speedup (``kernel_speedup_min``: numpy total over numba
   total for fit+decode+posteriors) must clear the floor —
-  ``REPRO_KERNEL_MIN_SPEEDUP``, default 3.0;
+  ``REPRO_KERNEL_MIN_SPEEDUP``, default 1.5: compiled must still
+  clearly beat the reference (the floor was 3.0 until the numpy
+  reference's own recursions got about 3x cheaper; emission and M-step
+  cost is shared by both backends, so the ratio fell without the
+  compiled path regressing);
 - without it (the numpy-fallback legs) the gate only checks that the
   benchmark ran and recorded the numpy backend; the numpy path's
   absolute performance is held by the existing perf-smoke gate
@@ -51,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
     payload = _load(current_path)
     info = payload.get("kernel", {})
     expect_numba = os.environ.get("REPRO_KERNEL_EXPECT_NUMBA") == "1"
-    floor = float(os.environ.get("REPRO_KERNEL_MIN_SPEEDUP", "3.0"))
+    floor = float(os.environ.get("REPRO_KERNEL_MIN_SPEEDUP", "1.5"))
 
     if not expect_numba:
         backend = info.get("backend")

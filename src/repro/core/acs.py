@@ -143,11 +143,13 @@ def acs_sequence(
 
     lo = np.searchsorted(timestamps, grid - config.window, side="right")
     hi = np.searchsorted(timestamps, grid, side="right")
-    sums = prefix[hi] - prefix[lo]
+    values = prefix[hi] - prefix[lo]
     counts = hi - lo
-    values = np.array(
-        [config.finalize(float(s), int(c)) for s, c in zip(sums, counts)]
-    )
+    empty = counts == 0
+    # Elementwise ACSConfig.finalize over the whole grid.
+    if config.normalize:
+        values /= np.where(empty, 1, counts)
+    values[empty] = math.nan if config.empty_is_missing else 0.0
     return grid, values
 
 

@@ -84,7 +84,7 @@ class SSTDConfig:
             way; False keeps the per-claim loop (cheaper for a single
             short claim, and a useful differential-testing switch).
         kernel: Backend for the batched HMM time recursions — ``"numpy"``
-            (reference einsum), ``"numba"`` (fused compiled loops; raises
+            (the reference), ``"numba"`` (fused compiled loops; raises
             if numba is missing), ``"auto"`` (numba when importable and
             bit-verified, numpy otherwise), or ``None`` (the default) to
             defer to the ``REPRO_KERNEL`` environment variable (itself
@@ -177,7 +177,7 @@ def states_to_truth(hmm: GaussianHMM, states: np.ndarray) -> list[TruthValue]:
     state_truth = [
         TruthValue.TRUE if mean > 0 else TruthValue.FALSE for mean in hmm.means
     ]
-    return [state_truth[s] for s in states]
+    return [state_truth[s] for s in np.asarray(states).tolist()]
 
 
 def batch_fit_decode(
@@ -279,14 +279,13 @@ def batch_fit_decode(
         )
         hmm = kernel.extract(row)
         values = tuple(states_to_truth(hmm, states))
+        # Three plain-float columns, not per-element numpy scalars.
+        confidences = posteriors[np.arange(length), states].tolist()
         estimates = tuple(
             TruthEstimate(
-                claim_id=claim_id,
-                timestamp=float(t),
-                value=v,
-                confidence=float(posteriors[k, states[k]]),
+                claim_id=claim_id, timestamp=t, value=v, confidence=c
             )
-            for k, (t, v) in enumerate(zip(times, values))
+            for t, v, c in zip(times.tolist(), values, confidences)
         )
         if obs.enabled:
             obs.metrics.inc("sstd.claims_hmm")

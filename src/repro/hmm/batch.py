@@ -5,9 +5,9 @@ per-claim implementation pays the Python interpreter once per *timestep
 per claim per EM iteration*: ``BaseHMM._forward`` / ``_backward`` are
 O(T) Python loops over tiny ``(K,)`` vectors.  This module runs the same
 recursions over a *stack* of N independent claim sequences at once: the
-time recursion stays O(T), but each step becomes one ``(N, K)`` einsum
-against the per-claim ``(N, K, K)`` transition stack, amortizing the
-interpreter cost across all claims in the batch.
+time recursion stays O(T), but each step contracts the whole ``(N, K)``
+stack against the per-claim ``(N, K, K)`` transition stack, amortizing
+the interpreter cost across all claims in the batch.
 
 Semantics are pinned to the per-claim path:
 
@@ -34,9 +34,10 @@ M-step replicate :class:`~repro.hmm.gaussian.GaussianHMM` line for line
 (tested against it) because they are O(N) per iteration, not O(N * T).
 
 The time recursions themselves execute through a pluggable kernel layer
-(:mod:`repro.hmm.kernels`): the ``numpy`` reference backend (the einsum
-recursions) or the ``numba`` backend (each whole recursion fused into
-one compiled, GIL-free loop).  Backends are bit-identical — selection
+(:mod:`repro.hmm.kernels`): the ``numpy`` reference backend (time-major
+recursions, a handful of allocation-free ufunc calls per step) or the
+``numba`` backend (each whole recursion fused into one compiled,
+GIL-free loop).  Backends are bit-identical — selection
 (``kernel=`` / ``REPRO_KERNEL``) never changes a result, only its cost.
 """
 

@@ -5,8 +5,10 @@ forward scaling, backward, Viterbi + backtrace, and the Baum-Welch
 xi-statistic accumulation — through one of two interchangeable
 backends:
 
-- ``numpy`` (:mod:`~repro.hmm.kernels.numpy_ref`): the reference einsum
-  recursions, one interpreter-level iteration per timestep;
+- ``numpy`` (:mod:`~repro.hmm.kernels.numpy_ref`): the reference
+  recursions over a time-major working copy — one interpreter-level
+  iteration per timestep, a fixed handful of allocation-free ``out=``
+  ufunc calls each, every contraction an explicit ordered chain of adds;
 - ``numba`` (:mod:`~repro.hmm.kernels.numba_fast`): each whole time
   recursion fused into a single ``@njit(cache=True, nogil=True)`` loop
   with no per-timestep temporaries.
@@ -57,8 +59,10 @@ KERNEL_NAMES = ("auto", "numpy", "numba")
 
 #: numpy switches last-axis sums from sequential to blocked pairwise
 #: accumulation at 8 elements; below this bound every reduction the
-#: kernels perform is sequential, so a compiled loop can match numpy
-#: bit for bit.  ``auto`` never selects numba at or above it.
+#: model performs over the state axis (first timestep, M-step,
+#: posterior normalisation — the time loops use explicit ordered adds)
+#: is sequential, so a compiled loop can match numpy bit for bit.
+#: ``auto`` never selects numba at or above it.
 MAX_BITWISE_STATES = 8
 
 #: ``hmm.kernel`` gauge encoding (gauges are floats).

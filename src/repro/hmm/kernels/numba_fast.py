@@ -3,20 +3,26 @@
 Each op compiles one whole time recursion — forward scaling, backward,
 Viterbi + backtrace, Baum-Welch xi accumulation — into a single
 ``@njit(cache=True, nogil=True)`` loop nest with **no per-timestep
-temporaries**: where the numpy reference allocates several ``(m, K)``
-arrays (and a whole ``(N, T, K, K)`` xi numerator) per EM iteration,
-these kernels stream through the stack with scalar accumulators.
+interpreter work**: where the numpy reference still dispatches a
+handful of ufunc calls per timestep over a transposed working copy (and
+allocates a whole ``(N, T, K, K)`` xi numerator per EM iteration), these
+kernels stream through the ``(N, T, K)`` stack in place with scalar
+accumulators.
 
 Bit-identity with :mod:`repro.hmm.kernels.numpy_ref` is a hard
 contract, not an aspiration: every reduction iterates in exactly the
-order the reference's numpy calls accumulate (``k``-sequential einsum
-contraction, ``j``-sequential last-axis sums below 8 states,
-``t``-sequential leading-axis sums — see the reference module's
-docstring), every compound product keeps the reference's association
-(``(alpha * A) * (em * beta)``), and numba compiles with default strict
-IEEE-754 semantics (no ``fastmath``, so no FMA contraction or
-reordering).  The parity suite in ``tests/hmm/test_kernels.py`` and the
-runtime probe in :func:`repro.hmm.kernels.kernel_parity_ok` enforce it.
+order the reference's explicit add chains accumulate (``k``-ordered
+forward contraction, ``j``-ordered step totals and backward
+contraction, ``t``-sequential leading-axis sums — see the reference
+module's accumulation-order contract; ``acc = 0.0; acc += x`` starts
+every chain exactly, as ``0.0 + x == x``), every compound product keeps
+the reference's association (``(sum_k alpha*A) * em``, ``A * (em *
+beta)``, ``(alpha * A) * (em * beta)``), a dead timestep gets the same
+uniform row / ``PROB_FLOOR`` rescue (checked per step here, per run
+there), and numba compiles with default strict IEEE-754 semantics (no
+``fastmath``, so no FMA contraction or reordering).  The parity suite
+in ``tests/hmm/test_kernels.py`` and the runtime probe in
+:func:`repro.hmm.kernels.kernel_parity_ok` enforce it.
 
 When numba is not installed the module still imports and every kernel
 runs *interpreted* — the loops are plain Python over float64 scalars,

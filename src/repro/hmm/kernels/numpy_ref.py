@@ -1,34 +1,61 @@
 """Reference numpy kernels for the batched HMM time recursions.
 
-These free functions are the einsum recursions that used to live inline
-in :class:`repro.hmm.batch.BatchGaussianHMM`, extracted unchanged so a
-compiled backend (:mod:`repro.hmm.kernels.numba_fast`) can slot in
-behind the same signatures.  They are the *semantic definition* of every
-kernel op: any other backend must reproduce their outputs **bit for
-bit** (see the accumulation-order notes below and the parity suite in
-``tests/hmm/test_kernels.py``).
+These free functions are the *semantic definition* of every kernel op:
+any other backend (:mod:`repro.hmm.kernels.numba_fast`) must reproduce
+their outputs **bit for bit** (see the accumulation-order contract below
+and the parity suite in ``tests/hmm/test_kernels.py``, which also keeps
+the original einsum recursions as a frozen oracle).
+
+Working layout
+--------------
+The ops take and return C-contiguous ``(N, T, K)`` / ``(N, T)`` stacks,
+but recurse over a **time-major, state-major** private copy: the stack
+is transposed once to a contiguous ``(T, K, N)`` buffer (``(T, N)`` for
+scales) and the result transposed back once.  In that layout one
+timestep is a leading-axis view, the active rows ``[:m]`` are a
+contiguous prefix of the last axis, and every ufunc inner loop runs over
+rows rather than over two or three states.  Rows are sorted by length
+descending, so the time axis splits into a few maximal *runs* of
+constant active-row count (:func:`_runs`); prefix views, transition
+slabs and scratch buffers are built once per run, the run is iterated
+with ``zip`` over leading-axis views, and each step is a fixed handful
+of ``out=`` ufunc calls that allocate nothing.  Arguments are only ever
+read (worker inputs are read-only shared-memory views); everything
+written is a buffer the op allocated itself.
 
 Accumulation-order contract
 ---------------------------
 Floating-point addition is not associative, so bit-identity across
-backends requires pinning the order every reduction runs in:
+backends requires pinning the order every reduction runs in.  No
+``einsum`` and no ``.sum()`` is left inside a time loop; every
+contraction is a chain of explicit elementwise adds:
 
-- ``einsum("nk,nkj->nj", ...)`` contracts ``k``, which is *strided* in
-  the ``(N, K, K)`` transition stack, so numpy takes its scalar inner
-  loop: a plain sequential accumulation in ``k`` order.  A compiled
-  ``for k in range(K): acc += ...`` loop matches it exactly.
-- The backward step is written as an elementwise product followed by
-  ``.sum(axis=2)`` rather than ``einsum("nij,nj->ni", ...)``: a
-  contraction over a *contiguous* axis takes numpy's SIMD
-  partial-sum path, whose grouping is neither sequential nor portable
-  to a compiled loop.  A last-axis ``.sum()`` uses pairwise summation,
-  which degenerates to sequential accumulation for fewer than 8
-  elements — hence the ``n_states < 8`` bound
-  (:data:`repro.hmm.kernels.MAX_BITWISE_STATES`) under which backends
-  are interchangeable.  At ``n_states == 2`` (the SSTD truth chain)
-  the rewrite is bit-identical to the einsum it replaced.
-- Per-row time reductions (the xi sums) reduce over a *leading* axis,
+- the forward contraction over the source state ``k`` is
+  ``alpha[0]*A[0] + alpha[1]*A[1] (+ ...)`` accumulated left to right in
+  ``k`` order — a compiled ``for k in range(K): acc += ...`` loop
+  matches it exactly (``0.0 + x`` is exact);
+- the per-step total over states and the backward contraction over the
+  destination state ``j`` are likewise ``col[0] + col[1] (+ ...)`` in
+  ``j`` order.  Being explicit adds, they stay sequential at any ``K``;
+  the ``n_states < 8`` bound
+  (:data:`repro.hmm.kernels.MAX_BITWISE_STATES`) remains because the
+  first timestep, the M-step and the posterior normalisation still use
+  last-axis ``.sum()``, which switches to pairwise summation at 8
+  elements;
+- compound products keep one association: ``(sum_k alpha*A) * em`` in
+  the forward step, ``A * (em * beta)`` in the backward step;
+- per-row time reductions (the xi sums) reduce over a *leading* axis,
   which numpy accumulates slice by slice — sequential in ``t``.
+
+Dead timesteps
+--------------
+A timestep whose total probability underflows to zero is rescued with a
+uniform ``alpha`` row and a ``PROB_FLOOR`` scale.  The rescue is
+*optimistic*: a run is first recursed without any per-step check, its
+block of scales is tested for zeros once, and only a run that has one is
+redone by the same step function with the rescue applied after every
+step (rows are independent, so the NaNs a dead row produces in the
+optimistic pass never reach another row).
 
 Padded cells hold neutral values (``1/K`` in ``alpha``, ``1.0`` in
 ``scales`` / ``beta``, ``0`` states) and are never read by a recursion;
@@ -60,6 +87,89 @@ def active_counts(lengths: np.ndarray, t_max: int) -> np.ndarray:
     return (lengths[:, None] > np.arange(t_max)[None, :]).sum(axis=0)
 
 
+def _runs(lengths: np.ndarray, t_max: int) -> list[tuple[int, int, int]]:
+    """Maximal runs ``(t0, t1, m)`` of timesteps ``1 <= t0 <= t < t1``
+    sharing one active-row count ``m = counts[t] > 0``, in time order.
+
+    Timestep 0 is never part of a run: the forward and Viterbi passes
+    initialise it, and the backward step writing ``t - 1`` from ``t``
+    shares the forward step's ``counts[t]``.
+    """
+    if t_max < 2:
+        return []
+    counts = active_counts(lengths, t_max)
+    cuts = (np.flatnonzero(counts[2:] != counts[1:-1]) + 2).tolist()
+    return [
+        (t0, t1, int(counts[t0]))
+        for t0, t1 in zip([1, *cuts], [*cuts, t_max])
+        if counts[t0] > 0
+    ]
+
+
+def _rows_last(stack: np.ndarray) -> np.ndarray:
+    """Contiguous working copy of a per-row stack with the row axis moved
+    last: ``(N, T, K) -> (T, K, N)``, ``(N, K, K) -> (K, K, N)``."""
+    return np.ascontiguousarray(
+        np.asarray(stack, dtype=float).transpose(1, 2, 0)
+    )
+
+
+def _rows_first(work: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_rows_last`: contiguous ``(N, T, K)``."""
+    return np.ascontiguousarray(work.transpose(2, 0, 1))
+
+
+def _forward_run(
+    alpha: np.ndarray,
+    scales: np.ndarray,
+    emissions: np.ndarray,
+    trans: np.ndarray,
+    run: tuple[int, int, int],
+    rescue: bool,
+) -> None:
+    """Forward steps of one run, in the ``(T, K, N)`` working layout.
+
+    ``trans[i, j, n]`` is row n's ``A[i, j]``.  With ``rescue`` the
+    dead-timestep repair runs after every step; without it a dead row
+    leaves a zero in ``scales`` (and NaNs after it) for the caller to
+    find.
+    """
+    t0, t1, m = run
+    k = emissions.shape[1]
+    slabs = trans[:, :, :m]
+    products = np.empty((k, k, m))
+    first_product, *more_products = products
+    nxt = np.empty((k, m))
+    first_state, *more_states = nxt
+    multiply, add, divide = np.multiply, np.add, np.divide
+    for prev, em, out, total in zip(
+        alpha[t0 - 1 : t1 - 1, :, None, :m],
+        emissions[t0:t1, :, :m],
+        alpha[t0:t1, :, :m],
+        scales[t0:t1, :m],
+    ):
+        # products[i, j] = alpha[t-1, i] * A[i, j]; summed over i in order.
+        multiply(prev, slabs, out=products)
+        acc = first_product
+        for product in more_products:
+            add(acc, product, out=nxt)
+            acc = nxt
+        multiply(acc, em, out=nxt)
+        if more_states:
+            acc = first_state
+            for state in more_states:
+                add(acc, state, out=total)
+                acc = total
+        else:
+            total[...] = first_state
+        divide(nxt, total, out=out)
+        if rescue:
+            dead = total == 0
+            if dead.any():
+                out[:, dead] = 1.0 / k
+                total[dead] = PROB_FLOOR
+
+
 def forward(
     startprob: np.ndarray,
     transmat: np.ndarray,
@@ -75,33 +185,26 @@ def forward(
     computed by the caller (:meth:`BatchGaussianHMM.forward`).
     """
     n_seqs, t_max, k = emissions.shape
-    counts = active_counts(lengths, t_max)
-    alpha = np.full((n_seqs, t_max, k), 1.0 / k)
-    scales = np.ones((n_seqs, t_max))
+    work = _rows_last(emissions)
+    trans = _rows_last(transmat)
+    alpha = np.full((t_max, k, n_seqs), 1.0 / k)
+    scales = np.ones((t_max, n_seqs))
     first = startprob * emissions[:, 0, :]
     total = first.sum(axis=1)
     dead = total == 0
-    alpha[:, 0, :] = np.where(
+    alpha[0] = np.where(
         dead[:, None], 1.0 / k, first / np.where(dead, 1.0, total)[:, None]
-    )
-    scales[:, 0] = np.where(dead, PROB_FLOOR, total)
-    for t in range(1, t_max):
-        m = counts[t]
-        if m == 0:
-            break
-        nxt = (
-            np.einsum("nk,nkj->nj", alpha[:m, t - 1, :], transmat[:m])
-            * emissions[:m, t, :]
-        )
-        total = nxt.sum(axis=1)
-        dead = total == 0
-        alpha[:m, t, :] = np.where(
-            dead[:, None],
-            1.0 / k,
-            nxt / np.where(dead, 1.0, total)[:, None],
-        )
-        scales[:m, t] = np.where(dead, PROB_FLOOR, total)
-    return alpha, scales
+    ).T
+    scales[0] = np.where(dead, PROB_FLOOR, total)
+    # A dead row divides 0 by 0 in the optimistic pass; the redo below
+    # overwrites whatever that leaves behind.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for run in _runs(lengths, t_max):
+            _forward_run(alpha, scales, work, trans, run, rescue=False)
+            t0, t1, m = run
+            if (scales[t0:t1, :m] == 0).any():
+                _forward_run(alpha, scales, work, trans, run, rescue=True)
+    return _rows_first(alpha), np.ascontiguousarray(scales.T)
 
 
 def backward(
@@ -112,22 +215,37 @@ def backward(
 ) -> np.ndarray:
     """Scaled backward pass matching :func:`forward`'s scaling."""
     n_seqs, t_max, k = emissions.shape
-    counts = active_counts(lengths, t_max)
-    beta = np.ones((n_seqs, t_max, k))
-    for t in range(t_max - 2, -1, -1):
-        # Rows whose final timestep is t+1 keep beta[t+1] = 1; the
-        # recursion only applies where the sequence extends past t+1.
-        m = counts[t + 1]
-        if m == 0:
-            continue
-        tail = emissions[:m, t + 1, :] * beta[:m, t + 1, :]
-        # Contract j over the last axis with an elementwise product +
-        # .sum(axis=2): sequential in j below 8 states (see module
-        # docstring), unlike einsum's SIMD contiguous-contraction path.
-        beta[:m, t, :] = (transmat[:m] * tail[:, None, :]).sum(axis=2) / (
-            scales[:m, t + 1][:, None]
-        )
-    return beta
+    work = _rows_last(emissions)
+    scale_rows = np.ascontiguousarray(np.asarray(scales, dtype=float).T)
+    # trans[j, i, n] is row n's A[i, j]: one (K, m) slab per destination.
+    trans = _rows_last(np.swapaxes(transmat, 1, 2))
+    beta = np.ones((t_max, k, n_seqs))
+    multiply, add, divide = np.multiply, np.add, np.divide
+    # Rows whose final timestep is t keep beta[t] = 1; the step writing
+    # t - 1 only applies where the sequence extends past t - 1.
+    for t0, t1, m in reversed(_runs(lengths, t_max)):
+        slabs = trans[:, :, :m]
+        tail = np.empty((k, 1, m))
+        tail_states = tail[:, 0, :]
+        products = np.empty((k, k, m))
+        first_product, *more_products = products
+        total = np.empty((k, m))
+        for em, nxt, scale, out in zip(
+            work[t0:t1, :, :m][::-1],
+            beta[t0:t1, :, :m][::-1],
+            scale_rows[t0:t1, :m][::-1],
+            beta[t0 - 1 : t1 - 1, :, :m][::-1],
+        ):
+            # products[j, i] = A[i, j] * (em[j] * beta[j]); summed over
+            # j in order.
+            multiply(em, nxt, out=tail_states)
+            multiply(slabs, tail, out=products)
+            acc = first_product
+            for product in more_products:
+                add(acc, product, out=total)
+                acc = total
+            divide(acc, scale, out=out)
+    return _rows_first(beta)
 
 
 def viterbi(
@@ -146,34 +264,43 @@ def viterbi(
     ``np.argmax``.
     """
     n_seqs, t_max, k = log_emissions.shape
-    counts = active_counts(lengths, t_max)
-    delta = np.zeros((n_seqs, t_max, k))
-    backpointer = np.zeros((n_seqs, t_max, k), dtype=int)
-    delta[:, 0, :] = log_startprob + log_emissions[:, 0, :]
-    for t in range(1, t_max):
-        m = counts[t]
-        if m == 0:
-            break
-        # candidates[n, i, j] = delta[n, t-1, i] + log A_n[i, j]
-        candidates = delta[:m, t - 1, :, None] + log_transmat[:m]
-        best = np.argmax(candidates, axis=1)
-        backpointer[:m, t, :] = best
-        delta[:m, t, :] = (
-            np.take_along_axis(candidates, best[:, None, :], axis=1)[:, 0, :]
-            + log_emissions[:m, t, :]
-        )
+    runs = _runs(lengths, t_max)
+    work = _rows_last(log_emissions)
+    trans = _rows_last(log_transmat)  # trans[i, j, n] = row n's log A[i, j]
+    delta = np.zeros((t_max, k, n_seqs))
+    backpointer = np.zeros((t_max, k, n_seqs), dtype=np.intp)
+    delta[0] = (log_startprob + log_emissions[:, 0, :]).T
+    add = np.add
+    for t0, t1, m in runs:
+        slabs = trans[:, :, :m]
+        candidates = np.empty((k, k, m))
+        best = np.empty((k, m))
+        for prev, em, pointer, out in zip(
+            delta[t0 - 1 : t1 - 1, :, None, :m],
+            work[t0:t1, :, :m],
+            backpointer[t0:t1, :, :m],
+            delta[t0:t1, :, :m],
+        ):
+            # candidates[i, j] = delta[t-1, i] + log A[i, j]
+            add(prev, slabs, out=candidates)
+            candidates.argmax(axis=0, out=pointer)
+            candidates.max(axis=0, out=best)
+            add(best, em, out=out)
 
     rows = np.arange(n_seqs)
     last = lengths - 1
-    states = np.zeros((n_seqs, t_max), dtype=int)
-    states[rows, last] = np.argmax(delta[rows, last, :], axis=1)
-    for t in range(t_max - 2, -1, -1):
-        m = counts[t + 1]
-        if m == 0:
-            continue
-        states[:m, t] = backpointer[np.arange(m), t + 1, states[:m, t + 1]]
-    log_joints = delta[rows, last, states[rows, last]]
-    return states, log_joints
+    states = np.zeros((t_max, n_seqs), dtype=int)
+    states[last, rows] = np.argmax(delta[last, :, rows], axis=1)
+    for t0, t1, m in reversed(runs):
+        active = rows[:m]
+        for pointer, nxt, out in zip(
+            backpointer[t0:t1, :, :m][::-1],
+            states[t0:t1, :m][::-1],
+            states[t0 - 1 : t1 - 1, :m][::-1],
+        ):
+            out[...] = pointer[nxt, active]
+    log_joints = delta[last, states[last, rows], rows]
+    return np.ascontiguousarray(states.T), log_joints
 
 
 def estep_xi_sum(

@@ -9,7 +9,7 @@ are per-job, and WCET predictions are per-job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -125,9 +125,21 @@ class ClaimStack:
     times: np.ndarray
     values: np.ndarray
     lengths: np.ndarray
+    _rows: dict[str, int] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
-    def row_of(self, claim_id: str) -> int:
-        return self.claim_ids.index(claim_id)
+    def __post_init__(self) -> None:
+        # First occurrence wins, like ``tuple.index``.
+        for row, claim_id in enumerate(self.claim_ids):
+            self._rows.setdefault(claim_id, row)
+
+    def row_of(self, claim_id: str) -> int:  # raises: ValueError
+        """Row of ``claim_id`` in the stacks."""
+        try:
+            return self._rows[claim_id]
+        except KeyError:
+            raise ValueError(f"claim {claim_id!r} is not in the stack") from None
 
     def publish(self) -> shm.SegmentOwner:
         """Publish the stacks into one shared-memory segment (or fallback)."""
@@ -261,18 +273,17 @@ def expand_shard_result(
     for claim_id in claim_ids:
         row = stack.row_of(claim_id)
         length = int(stack.lengths[row])
-        times = stack.times[row, :length]
         estimates = tuple(
             TruthEstimate(
                 claim_id=claim_id,
-                timestamp=float(t),
-                value=TruthValue(int(code)),
-                confidence=float(confidence),
+                timestamp=t,
+                value=TruthValue(code),
+                confidence=confidence,
             )
             for t, code, confidence in zip(
-                times,
-                codes[cursor : cursor + length],
-                confidences[cursor : cursor + length],
+                stack.times[row, :length].tolist(),
+                codes[cursor : cursor + length].tolist(),
+                confidences[cursor : cursor + length].tolist(),
             )
         )
         cursor += length

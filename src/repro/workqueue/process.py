@@ -58,6 +58,11 @@ __all__ = [
 #: :class:`~repro.obs.stitch.ClockSync` before it must rebase.
 _HANDSHAKE = "__clock_sync__"
 
+#: Sentinel tag of the ``(_WAKE,)`` token ``submit`` puts on the outbox
+#: so the supervisor dispatches at once instead of at its next
+#: ``poll_interval`` timeout; it carries nothing and is dropped on read.
+_WAKE = "__wake__"
+
 
 def _worker_main(
     inbox: Any, outbox: Any, worker_name: str, record_metrics: bool = False
@@ -168,7 +173,8 @@ class ProcessWorkQueue:
         start_method: ``multiprocessing`` start method; defaults to
             ``fork`` where available (cheap startup) else ``spawn``.
         poll_interval: Supervisor wake-up period in seconds; bounds how
-            fast deaths/timeouts are detected.
+            fast deaths/timeouts are detected (a submit wakes the
+            supervisor itself, so dispatch never waits for it).
         obs: Tracing/metrics recorder (wall clock).  When enabled,
             workers additionally record per-task engine metrics and ship
             snapshots back for a master-side merge.
@@ -242,6 +248,7 @@ class ProcessWorkQueue:
                 raise RuntimeError("queue is shut down")
             self._pending.append(task)
             self._outstanding += 1
+        self._outbox.put((_WAKE,))
 
     def drain(self, timeout: float = 60.0) -> list[LocalResult]:  # raises: TimeoutError
         """Block until every submitted task has finished; return results."""
@@ -380,6 +387,8 @@ class ProcessWorkQueue:
         return True
 
     def _handle_result(self, item: tuple) -> None:
+        if item[0] == _WAKE:
+            return
         if item[0] == _HANDSHAKE:
             _, worker_name, master_sent, worker_reply = item
             sync = ClockSync(

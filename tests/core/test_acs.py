@@ -95,6 +95,52 @@ class TestACSSequence:
         _, values = acs_sequence(batch, config)
         assert values[0] == pytest.approx(1.0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        raw=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=100.0),
+                st.sampled_from(list(Attitude)),
+                st.floats(min_value=0.0, max_value=0.99),
+            ),
+            max_size=40,
+        ),
+        normalize=st.booleans(),
+        empty_is_missing=st.booleans(),
+    )
+    def test_vectorised_finalise_equals_scalar_finalize(
+        self, raw, normalize, empty_is_missing
+    ):
+        """The whole-grid finalisation is ``ACSConfig.finalize`` applied
+        elementwise — same bits, NaN where the scalar says NaN."""
+        config = ACSConfig(
+            window=7.0, step=3.0,
+            normalize=normalize, empty_is_missing=empty_is_missing,
+        )
+        batch = sorted(
+            (report(t, attitude, uncertainty) for t, attitude, uncertainty in raw),
+            key=lambda r: r.timestamp,
+        )
+        times, values = acs_sequence(batch, config, start=0.0, end=100.0)
+        # The same (sum, count) pairs acs_sequence finalises: windowed
+        # differences of the score prefix sum.
+        timestamps = np.array([r.timestamp for r in batch])
+        scores = [config.weights.score(r) for r in batch]
+        prefix = np.concatenate([[0.0], np.cumsum(scores)])
+        lo = np.searchsorted(timestamps, times - config.window, side="right")
+        hi = np.searchsorted(timestamps, times, side="right")
+        expected = np.array(
+            [
+                config.finalize(float(prefix[h] - prefix[l]), int(h - l))
+                for l, h in zip(lo, hi)
+            ]
+        )
+        assert values.dtype == expected.dtype == np.float64
+        assert values.tobytes() == expected.tobytes()
+        assert np.isnan(values).any() == (
+            empty_is_missing and bool((hi == lo).any())
+        )
+
 
 class TestSlidingWindowACS:
     def test_matches_batch_on_grid(self):

@@ -1,0 +1,120 @@
+"""Independent oracle for the batched HMM kernels: path enumeration.
+
+Backend parity (``test_kernels.py``) proves the kernel tables agree with
+each other, not that either is right.  Here every quantity is rebuilt
+from the definition of an HMM — a sum (or max) over all ``K**L`` hidden
+paths of the joint ``p(path, observations)`` — with no recursion, no
+scaling and no shared code, and both :class:`~repro.hmm.kernels.KernelOps`
+tables (the numba one runs interpreted where numba is absent) are held
+to it directly, below :class:`~repro.hmm.batch.BatchGaussianHMM`.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.hmm import BatchGaussianHMM, stack_ragged
+from repro.hmm import kernels
+from repro.hmm.utils import log_mask_zero, masked_row_sums, normalize_rows
+
+BACKENDS = {"numpy": kernels._NUMPY_OPS, "numba": kernels._NUMBA_OPS}
+
+
+def enumerate_row(startprob, transmat, emissions):
+    """``(likelihood, posteriors, best_path, best_joint, runner_up)`` of
+    one sequence from its ``K**L`` path joints; ``emissions`` is ``(L, K)``."""
+    length, k = emissions.shape
+    likelihood = 0.0
+    occupancy = np.zeros((length, k))
+    joints = []
+    for path in itertools.product(range(k), repeat=length):
+        joint = startprob[path[0]] * emissions[0, path[0]]
+        for t in range(1, length):
+            joint *= transmat[path[t - 1], path[t]] * emissions[t, path[t]]
+        likelihood += joint
+        for t, state in enumerate(path):
+            occupancy[t, state] += joint
+        joints.append((joint, path))
+    joints.sort(key=lambda pair: -pair[0])
+    runner_up = joints[1][0] if len(joints) > 1 else 0.0
+    best_joint, best_path = joints[0]
+    return likelihood, occupancy / likelihood, best_path, best_joint, runner_up
+
+
+def small_stack(seed, k, missing):
+    """A few ragged rows, ``T <= 5``, NaN observations, per-row chains."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    sequences = []
+    for _ in range(n):
+        values = rng.normal(0.0, 1.5, size=int(rng.integers(1, 6)))
+        values[rng.random(values.size) < missing] = np.nan
+        sequences.append(values)
+    observations, lengths, _ = stack_ragged(sequences)
+    startprob = rng.random((n, k)) + 0.05
+    startprob /= startprob.sum(axis=1, keepdims=True)
+    transmat = rng.random((n, k, k)) + 0.05
+    transmat /= transmat.sum(axis=2, keepdims=True)
+    model = BatchGaussianHMM(
+        n,
+        k,
+        startprob=startprob,
+        transmat=transmat,
+        means=rng.normal(0.0, 1.0, size=(n, k)),
+        variances=rng.uniform(0.5, 2.0, size=(n, k)),
+        kernel="numpy",
+    )
+    # The emission stack is an *input* of every kernel op, so sharing it
+    # with the enumeration leaves the recursions fully independent.
+    emissions = model.emission_probabilities(observations)
+    return startprob, transmat, emissions, lengths, np.isnan(observations)
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@given(
+    seed=st.integers(0, 100_000),
+    k=st.sampled_from([2, 3]),
+    missing=st.sampled_from([0.0, 0.4, 1.0]),
+)
+@settings(max_examples=25, deadline=None)
+def test_kernels_match_path_enumeration(backend, seed, k, missing):
+    ops = BACKENDS[backend]
+    startprob, transmat, emissions, lengths, nan_mask = small_stack(
+        seed, k, missing
+    )
+    alpha, scales = ops.forward(startprob, transmat, emissions, lengths)
+    beta = ops.backward(transmat, emissions, scales, lengths)
+    log_likelihoods = masked_row_sums(log_mask_zero(scales), lengths)
+    posteriors = normalize_rows(alpha * beta)
+    states, log_joints = ops.viterbi(
+        log_mask_zero(startprob),
+        log_mask_zero(transmat),
+        log_mask_zero(emissions),
+        lengths,
+    )
+    for row, length in enumerate(lengths.tolist()):
+        if missing == 1.0:
+            assert nan_mask[row, :length].all()
+        likelihood, occupancy, best_path, best_joint, runner_up = (
+            enumerate_row(startprob[row], transmat[row], emissions[row, :length])
+        )
+        assert log_likelihoods[row] == pytest.approx(
+            math.log(likelihood), rel=1e-10, abs=1e-10
+        )
+        np.testing.assert_allclose(
+            posteriors[row, :length], occupancy, rtol=1e-10, atol=1e-13
+        )
+        # Filtering: alpha[t] is p(state_t | obs[:t+1]) — the last row
+        # must equal the last smoothed posterior.
+        np.testing.assert_allclose(
+            alpha[row, length - 1], occupancy[-1], rtol=1e-10, atol=1e-13
+        )
+        assert log_joints[row] == pytest.approx(
+            math.log(best_joint), rel=1e-10, abs=1e-10
+        )
+        if best_joint - runner_up > 1e-9 * best_joint:  # unique optimum
+            assert tuple(states[row, :length]) == best_path
+        assert (states[row, length:] == 0).all()

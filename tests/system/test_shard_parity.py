@@ -15,9 +15,12 @@ from repro.core.sstd import SSTD, SSTDConfig
 from repro.streams.events import PopulationConfig, ScenarioSpec
 from repro.streams.generator import GeneratorConfig, generate_trace
 from repro.system.jobs import (
+    build_claim_stack,
     decode_claim_payload,
     decode_shard_payload,
+    expand_shard_result,
     shard_task_spec,
+    shm_shard_task_spec,
 )
 from repro.system import sstd_system
 from repro.system.sstd_system import BACKENDS, DistributedSSTD, SSTDSystemConfig
@@ -97,6 +100,33 @@ class TestShardPayload:
             assert estimates == decode_claim_payload(
                 claim_id, tuple(grouped[claim_id]), config
             )
+
+
+class TestClaimStack:
+    def test_row_lookup_and_compact_round_trip(self, trace):
+        """Rows resolve through the id index, and a shard decoded from
+        the published stack expands to the pickled path's estimates."""
+        grouped = SSTD().group_reports(list(trace.reports))
+        config = SSTDConfig()
+        claims = [(cid, tuple(grouped[cid])) for cid in sorted(grouped)]
+        stack = build_claim_stack(claims, config)
+        assert [stack.row_of(cid) for cid, _ in claims] == list(
+            range(len(claims))
+        )
+        with pytest.raises(ValueError, match="not in the stack"):
+            stack.row_of("no-such-claim")
+        shard = [cid for cid, _ in claims][::-2]  # any order, any subset
+        owner = stack.publish()
+        try:
+            codes, confidences = shm_shard_task_spec(
+                stack, shard, owner.handle, config
+            )()
+        finally:
+            owner.close_and_unlink()
+        by_claim = dict(decode_shard_payload(tuple(claims), config))
+        assert expand_shard_result(stack, shard, codes, confidences) == tuple(
+            (cid, by_claim[cid]) for cid in shard
+        )
 
 
 class TestShardParityAcrossBackends:

@@ -128,6 +128,22 @@ class TestProcessWorkQueue:
         (result,) = wq.drain(timeout=30.0)
         assert result.wall_time >= 0.05
 
+    def test_submit_wakes_the_supervisor(self):
+        """Dispatch never waits out ``poll_interval``: a task submitted
+        to an idle queue is picked up at once."""
+        wq = ProcessWorkQueue(n_workers=1, rng=0, poll_interval=5.0)
+        try:
+            # Warm-up: worker up, supervisor back in its 5 s outbox wait.
+            wq.submit(Task(job_id="warm", fn=PayloadSpec(double, (1,))))
+            wq.drain(timeout=30.0)
+            start = time.monotonic()
+            wq.submit(Task(job_id="j", fn=PayloadSpec(double, (21,))))
+            (result,) = wq.drain(timeout=30.0)
+            assert time.monotonic() - start < 1.0
+            assert result.output == 42
+        finally:
+            wq.shutdown()
+
     def test_results_round_trip_pickle(self, wq):
         """Results (including errors) survive serialization intact."""
         wq.submit(Task(job_id="ok", fn=PayloadSpec(double, (3,))))
