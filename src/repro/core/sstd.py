@@ -27,6 +27,7 @@ from __future__ import annotations
 import bisect
 import collections
 import dataclasses
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -50,12 +51,30 @@ __all__ = [
     "SSTDConfig",
     "StreamingSSTD",
     "batch_fit_decode",
-    "states_to_truth",
+    "column_estimates",
 ]
 
 #: Histogram bounds of ``sstd.stream.retrain_rows`` (claims refitted by
 #: one streaming tick's batched fit).
 RETRAIN_ROW_BUCKETS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 500.0)
+
+#: ``_TRUTH_OF_CODE[code]`` is the :class:`TruthValue` of an int8 code.
+_TRUTH_OF_CODE = (TruthValue.FALSE, TruthValue.TRUE)
+
+
+def column_estimates(
+    claim_id: str,
+    times: np.ndarray,
+    codes: np.ndarray,
+    confidences: np.ndarray,
+) -> tuple[TruthEstimate, ...]:
+    """One claim's :class:`TruthEstimate` objects from its columns."""
+    return tuple(
+        TruthEstimate(claim_id, t, _TRUTH_OF_CODE[code], confidence)
+        for t, code, confidence in zip(
+            times.tolist(), codes.tolist(), confidences.tolist()
+        )
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,13 +95,6 @@ class SSTDConfig:
         decode_online: When True, estimates use forward filtering (only
             past observations); when False, full Viterbi smoothing.
         seed: Seed for EM emission initialization.
-        batch_claims: When True (default), :meth:`SSTD.discover` runs
-            all claims through the batched multi-claim kernel
-            (:class:`repro.hmm.batch.BatchGaussianHMM`) — one vectorized
-            time recursion over the whole claim stack instead of a
-            Python loop per claim.  Results are bit-identical either
-            way; False keeps the per-claim loop (cheaper for a single
-            short claim, and a useful differential-testing switch).
         kernel: Backend for the batched HMM time recursions — ``"numpy"``
             (the reference), ``"numba"`` (fused compiled loops; raises
             if numba is missing), ``"auto"`` (numba when importable and
@@ -100,7 +112,6 @@ class SSTDConfig:
     sticky_prior: float = 0.98
     decode_online: bool = False
     seed: int = 7
-    batch_claims: bool = True
     kernel: str | None = None
 
     def __post_init__(self) -> None:
@@ -119,25 +130,59 @@ class SSTDConfig:
             )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False)
 class ClaimDecodeResult:
-    """Decoded truth sequence of one claim."""
+    """Decoded truth sequence of one claim, stored as columns.
+
+    Grid point ``i`` is ``times[i]``, the int8 truth code ``codes[i]``
+    (the ``int`` of a :class:`TruthValue`) and the float64
+    ``confidences[i]``, already checked to lie in ``[0, 1]``.  The
+    object views — :attr:`values`, :attr:`estimates`, :attr:`hmm` — are
+    built on first read, so a caller that needs only columns (a worker
+    packing a shard result) builds no object per cell or per claim.
+    """
 
     claim_id: str
     times: np.ndarray
-    values: tuple[TruthValue, ...]
-    estimates: tuple[TruthEstimate, ...]
+    codes: np.ndarray
+    confidences: np.ndarray
     used_hmm: bool
-    #: The trained per-claim model (None on the fallback paths); carried
-    #: so streaming callers can keep filtering incrementally after a
-    #: batched fit.
-    hmm: GaussianHMM | None = field(default=None, compare=False, repr=False)
     #: Last scaled forward row of the fit's own forward pass, shape
     #: ``(K,)`` (None on the fallback paths): the filter state a
     #: streaming caller resumes from, so it never re-runs the pass.
-    filter_state: np.ndarray | None = field(
-        default=None, compare=False, repr=False
-    )
+    filter_state: np.ndarray | None = field(default=None, repr=False)
+    #: The fitted stack and this claim's row in it (None on the
+    #: fallback paths): where the trained parameters live.
+    fitted: tuple[BatchGaussianHMM, int] | None = None
+
+    def estimate(self, index: int) -> TruthEstimate:
+        """The estimate at grid point ``index`` alone."""
+        return TruthEstimate(
+            claim_id=self.claim_id,
+            timestamp=float(self.times[index]),
+            value=_TRUTH_OF_CODE[self.codes[index]],
+            confidence=float(self.confidences[index]),
+        )
+
+    @functools.cached_property
+    def values(self) -> tuple[TruthValue, ...]:
+        """Decoded truth value per grid point."""
+        return tuple(map(_TRUTH_OF_CODE.__getitem__, self.codes.tolist()))
+
+    @functools.cached_property
+    def estimates(self) -> tuple[TruthEstimate, ...]:
+        """One :class:`TruthEstimate` per grid point."""
+        return column_estimates(
+            self.claim_id, self.times, self.codes, self.confidences
+        )
+
+    @functools.cached_property
+    def hmm(self) -> GaussianHMM | None:
+        """The trained per-claim model (None on the fallback paths)."""
+        if self.fitted is None:
+            return None
+        kernel, row = self.fitted
+        return kernel.extract(row)
 
 
 def _sign_fallback(
@@ -150,34 +195,21 @@ def _sign_fallback(
     defaulting to FALSE before any evidence arrives — the absence of
     confirmations is treated as the claim not (yet) being true.
     """
-    values: list[TruthValue] = []
-    current = TruthValue.FALSE
-    for value in acs_values:
-        if not math.isnan(value):
-            if value > 0:
-                current = TruthValue.TRUE
-            elif value < 0:
-                current = TruthValue.FALSE
-        values.append(current)
-    estimates = tuple(
-        TruthEstimate(claim_id=claim_id, timestamp=float(t), value=v)
-        for t, v in zip(times, values)
-    )
+    codes = np.empty(times.size, dtype=np.int8)
+    current = int(TruthValue.FALSE)
+    for index, value in enumerate(acs_values.tolist()):
+        if value > 0:
+            current = int(TruthValue.TRUE)
+        elif value < 0:
+            current = int(TruthValue.FALSE)
+        codes[index] = current
     return ClaimDecodeResult(
         claim_id=claim_id,
         times=times,
-        values=tuple(values),
-        estimates=estimates,
+        codes=codes,
+        confidences=np.ones(times.size),
         used_hmm=False,
     )
-
-
-def states_to_truth(hmm: GaussianHMM, states: np.ndarray) -> list[TruthValue]:
-    """Map decoded hidden states to truth values by emission-mean sign."""
-    state_truth = [
-        TruthValue.TRUE if mean > 0 else TruthValue.FALSE for mean in hmm.means
-    ]
-    return [state_truth[s] for s in np.asarray(states).tolist()]
 
 
 def batch_fit_decode(
@@ -188,11 +220,11 @@ def batch_fit_decode(
 
     ``items`` holds ``(claim_id, times, acs_values)`` triples; results
     come back in the same order.  Degenerate claims (too few informative
-    windows, or no variation) take the sign-rule fallback exactly like
-    the per-claim path; the rest are NaN-padded into one ragged stack
-    and trained/decoded by :class:`repro.hmm.batch.BatchGaussianHMM` —
-    the emission matrix is evaluated once per claim and reused for the
-    decode and the posterior pass.  The kernel is row-deterministic, so
+    windows, or no variation) take the sign-rule fallback; the rest are
+    NaN-padded into one ragged stack and trained/decoded by
+    :class:`repro.hmm.batch.BatchGaussianHMM` — the emission matrix is
+    evaluated once per claim and reused for the decode and the
+    posterior pass.  The kernel is row-deterministic, so
     each claim's result is bit-identical no matter how claims are
     grouped into batches (a shard of 4 and a serial N=1 call agree
     exactly); this is what keeps the sharded distributed backends and
@@ -200,7 +232,9 @@ def batch_fit_decode(
     """
     obs = get_obs()
     results: list[ClaimDecodeResult | None] = []
-    hmm_items: list[int] = []
+    # (slot in ``results``, claim id, times) of every claim that fits.
+    hmm_items: list[tuple[int, str, np.ndarray]] = []
+    sequences: list[np.ndarray] = []
     for claim_id, times, acs_values in items:
         times = np.asarray(times, dtype=float)
         acs_values = np.asarray(acs_values, dtype=float)
@@ -209,15 +243,7 @@ def batch_fit_decode(
                 f"times ({times.size}) and ACS ({acs_values.size}) differ"
             )
         if times.size == 0:
-            results.append(
-                ClaimDecodeResult(
-                    claim_id=claim_id,
-                    times=times,
-                    values=(),
-                    estimates=(),
-                    used_hmm=False,
-                )
-            )
+            results.append(_sign_fallback(claim_id, times, acs_values))
             continue
         informative = acs_values[~np.isnan(acs_values)]
         degenerate = (
@@ -229,15 +255,13 @@ def batch_fit_decode(
                 obs.metrics.inc("sstd.claims_fallback")
             results.append(_sign_fallback(claim_id, times, acs_values))
             continue
+        hmm_items.append((len(results), claim_id, times))
+        sequences.append(acs_values)
         results.append(None)
-        hmm_items.append(len(results) - 1)
     if not hmm_items:
         return results  # type: ignore[return-value]
 
     fit_start = obs.clock.now()
-    sequences = [
-        np.asarray(items[index][2], dtype=float) for index in hmm_items
-    ]
     observations, lengths, order = stack_ragged(sequences)
     p = config.sticky_prior
     transmat = np.array([[p, 1.0 - p], [1.0 - p, p]])
@@ -256,8 +280,7 @@ def batch_fit_decode(
         seed=config.seed,
     )
     # One emission evaluation feeds the forward-backward pass, the
-    # decode, and the posteriors — the per-claim path used to pay for it
-    # three more times after EM.
+    # decode, and the posteriors.
     emissions = kernel.emission_probabilities(observations)
     alpha, scales, _ = kernel.forward(emissions, lengths)
     if config.decode_online:
@@ -266,39 +289,35 @@ def batch_fit_decode(
         states_stack, _ = kernel.viterbi(emissions, lengths)
     beta = kernel.backward(emissions, scales, lengths)
     posteriors_stack = normalize_rows(alpha * beta)
+    contracts.assert_probability_simplex(
+        posteriors_stack, "batch state posteriors"
+    )
+    # Whole-stack columns: a state reads as TRUE when its emission mean
+    # is positive, and the confidence of a cell is the posterior of the
+    # state it decoded to.
+    codes_stack = np.take_along_axis(
+        (kernel.means > 0).astype(np.int8), states_stack, axis=1
+    )
+    confidences_stack = np.take_along_axis(
+        posteriors_stack, states_stack[:, :, None], axis=2
+    )[:, :, 0]
+    if not ((confidences_stack >= 0.0) & (confidences_stack <= 1.0)).all():
+        raise ValueError("confidence must be in [0, 1]")
 
     for row, source in enumerate(order):
-        index = hmm_items[source]
-        claim_id, times, acs_values = items[index]
-        times = np.asarray(times, dtype=float)
+        slot, claim_id, times = hmm_items[source]
         length = int(lengths[row])
-        states = states_stack[row, :length]
-        posteriors = posteriors_stack[row, :length]
-        contracts.assert_probability_simplex(
-            posteriors, f"state posteriors of claim {claim_id}"
-        )
-        hmm = kernel.extract(row)
-        values = tuple(states_to_truth(hmm, states))
-        # Three plain-float columns, not per-element numpy scalars.
-        confidences = posteriors[np.arange(length), states].tolist()
-        estimates = tuple(
-            TruthEstimate(
-                claim_id=claim_id, timestamp=t, value=v, confidence=c
-            )
-            for t, v, c in zip(times.tolist(), values, confidences)
-        )
-        if obs.enabled:
-            obs.metrics.inc("sstd.claims_hmm")
-        results[index] = ClaimDecodeResult(
+        results[slot] = ClaimDecodeResult(
             claim_id=claim_id,
             times=times,
-            values=values,
-            estimates=estimates,
+            codes=codes_stack[row, :length],
+            confidences=confidences_stack[row, :length],
             used_hmm=True,
-            hmm=hmm,
             filter_state=alpha[row, length - 1].copy(),
+            fitted=(kernel, row),
         )
     if obs.enabled:
+        obs.metrics.inc("sstd.claims_hmm", len(hmm_items))
         obs.tracer.record_span(
             "sstd.batch_fit",
             start=fit_start,
@@ -335,7 +354,7 @@ class ClaimTruthModel:
         (result,) = batch_fit_decode(
             [(self.claim_id, times, acs_values)], self.config
         )
-        if result.hmm is not None:
+        if result.used_hmm:
             self.hmm = result.hmm
         return result
 
@@ -396,22 +415,14 @@ class SSTD:
     ) -> list[TruthEstimate]:
         """Run SSTD over all claims in ``reports``; returns all estimates.
 
-        With ``config.batch_claims`` (the default) every claim's ACS
-        sequence goes through one :func:`batch_fit_decode` call — the
-        EM/decode time recursions run once over the whole claim stack.
-        ``self.results`` is cleared first, so it always reflects exactly
-        this run.
+        Every claim's ACS sequence goes through one
+        :func:`batch_fit_decode` call — the EM/decode time recursions
+        run once over the whole claim stack.  ``self.results`` is
+        cleared first, so it always reflects exactly this run.
         """
         grouped = self.group_reports(reports)
         self.results.clear()
         estimates: list[TruthEstimate] = []
-        if not self.config.batch_claims:
-            for claim_id in sorted(grouped):
-                result = self.discover_claim(
-                    claim_id, grouped[claim_id], start=start, end=end
-                )
-                estimates.extend(result.estimates)
-            return estimates
         items = []
         for claim_id in sorted(grouped):
             times, values = acs_sequence(
@@ -606,8 +617,8 @@ class StreamingSSTD:
             self.config,
         )
         for claim, result in zip(due, results):
-            claim.latest = result.estimates[-1]
-            if result.hmm is not None:
+            claim.latest = result.estimate(-1)
+            if result.used_hmm:
                 claim.hmm = result.hmm
                 claim.alpha = result.filter_state
 

@@ -17,21 +17,23 @@ Semantics are pinned to the per-claim path:
   stack is NaN-padded to the longest sequence and must be sorted by
   length descending; at timestep ``t`` only the prefix of rows still
   inside their sequence participates, so padding never enters any
-  recursion or reduction.
+  recursion, and it enters a reduction only as an exact zero.
 - **Per-claim convergence freezing**: Baum-Welch drops a claim out of
   the E-step the iteration its log-likelihood plateaus; the remaining
   claims keep iterating.  Each claim gets its own
   :class:`~repro.hmm.base.FitResult`.
 - **Row-wise determinism**: every per-claim quantity is computed either
-  elementwise or as a reduction over that claim's own contiguous slice,
-  so a claim's result is bit-identical no matter which batch it rides in
-  (a shard of 4 and a batch of 32 agree exactly).  Reductions whose
-  order matters (log-likelihoods, xi sums, emission sufficient
-  statistics) therefore run per row, never across padding.
-
-Only the time recursions are batched; initialisation and the emission
-M-step replicate :class:`~repro.hmm.gaussian.GaussianHMM` line for line
-(tested against it) because they are O(N) per iteration, not O(N * T).
+  elementwise or as a reduction no other row takes part in, so a claim's
+  result is bit-identical no matter which batch it rides in (a shard of
+  4 and a batch of 32 agree exactly).  The order-sensitive reductions of
+  an EM iteration (xi sums, emission statistics) run along the time
+  axis of the stack with exact-zero weights on masked cells — missing
+  or padded: a non-innermost axis accumulates sequentially in ``t`` and
+  ``acc + 0.0 == acc`` (``K >= 2``; at ``K = 1`` time is innermost).
+  They run per row only where numpy's pairwise tree depends on the
+  length: :func:`~repro.hmm.utils.masked_row_sums` and the quantile
+  init.  Nothing inside an iteration loops over rows
+  (``tests/hmm/test_fit_parity.py`` keeps those loops as an oracle).
 
 The time recursions themselves execute through a pluggable kernel layer
 (:mod:`repro.hmm.kernels`): the ``numpy`` reference backend (time-major
@@ -57,7 +59,7 @@ from repro.hmm.utils import (
     normalize_rows,
 )
 
-__all__ = ["BatchGaussianHMM", "ragged_views", "stack_ragged"]
+__all__ = ["BatchGaussianHMM", "stack_ragged"]
 
 
 def stack_ragged(
@@ -87,32 +89,6 @@ def stack_ragged(
     for row, src in enumerate(order):
         observations[row, : sizes[src]] = arrays[src]
     return observations, sizes[order], order
-
-
-def ragged_views(stack: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
-    """Zero-copy per-row views over an externally owned padded stack.
-
-    ``stack`` is an ``(N, T)`` NaN-padded matrix whose rows belong to
-    sequences of ``lengths[row]`` real entries — the layout the
-    shared-memory data plane publishes.  Returns ``stack[row,
-    :lengths[row]]`` for every row *without copying*: the views alias
-    the caller's buffer (shared memory included) and inherit its
-    read-only flag, which every kernel in this module accepts — the
-    first thing :func:`stack_ragged` / the recursions do with input is
-    copy into their own working layout.  Rows may be any length order
-    here; zero-length rows yield empty views.
-    """
-    stack = np.asarray(stack)
-    if stack.ndim != 2:
-        raise ValueError(f"stack must be (N, T), got shape {stack.shape}")
-    lengths = np.asarray(lengths, dtype=int)
-    if lengths.shape != (stack.shape[0],):
-        raise ValueError(
-            f"lengths must have shape ({stack.shape[0]},), got {lengths.shape}"
-        )
-    if (lengths < 0).any() or (lengths > stack.shape[1]).any():
-        raise ValueError("lengths must be in [0, T]")
-    return [stack[row, : int(lengths[row])] for row in range(stack.shape[0])]
 
 
 class BatchGaussianHMM:
@@ -327,18 +303,6 @@ class BatchGaussianHMM:
         beta = self.backward(emissions, scales, lengths)
         return normalize_rows(alpha * beta)
 
-    def decode(
-        self,
-        observations: np.ndarray,
-        lengths: np.ndarray | None = None,
-        emissions: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Viterbi-decode every row; see :meth:`viterbi`."""
-        observations, lengths = self._validate(observations, lengths)
-        if emissions is None:
-            emissions = self.emission_probabilities(observations)
-        return self.viterbi(emissions, lengths)
-
     def extract(self, row: int) -> GaussianHMM:
         """Materialise row ``row`` as a standalone :class:`GaussianHMM`."""
         return GaussianHMM(
@@ -380,28 +344,37 @@ class BatchGaussianHMM:
                 self.n_states, max(spread, MIN_VARIANCE)
             )
 
-    def _update_emissions_row(
+    def _update_emissions(
         self,
-        row: int,
-        values: np.ndarray,
         gamma: np.ndarray,
+        values: np.ndarray,
+        masked: np.ndarray,
+        scratch: np.ndarray,
     ) -> None:
-        """Emission M-step for one row (GaussianHMM._update_emissions)."""
-        present = ~np.isnan(values)
-        gamma = gamma[present]
-        values = values[present]
-        if values.size == 0:
-            return
-        weights = gamma.sum(axis=0)
+        """Emission M-step of every row (GaussianHMM._update_emissions).
+
+        ``gamma`` is zeroed in place on the ``masked`` (missing or
+        padded) cells, where ``values`` holds 0.0, so the time-axis sums
+        serve every row (module docstring); ``scratch`` is a reusable
+        ``(N, T, K)`` buffer.
+        """
+        gamma[masked] = 0.0
+        weights = gamma.sum(axis=1)
         safe = np.where(weights > 0, weights, 1.0)
-        means = (gamma * values[:, None]).sum(axis=0) / safe
-        diff = values[:, None] - means[None, :]
-        variances = (gamma * diff**2).sum(axis=0) / safe
+        cells = values[:, :, None]
+        np.multiply(gamma, cells, out=scratch)
+        means = scratch.sum(axis=1) / safe
+        np.subtract(cells, means[:, None, :], out=scratch)
+        np.square(scratch, out=scratch)
+        np.multiply(gamma, scratch, out=scratch)
+        variances = scratch.sum(axis=1) / safe
+        # States with no posterior mass (every state of a row with no
+        # present cell) keep their previous parameters.
         keep = weights <= 0
-        means[keep] = self.means[row][keep]
-        variances[keep] = self.variances[row][keep]
-        self.means[row] = means
-        self.variances[row] = np.maximum(variances, MIN_VARIANCE)
+        means[keep] = self.means[keep]
+        variances[keep] = self.variances[keep]
+        self.means = means
+        self.variances = np.maximum(variances, MIN_VARIANCE)
 
     def _check_contracts(self, where: str) -> None:
         contracts.assert_probability_simplex(
@@ -433,60 +406,66 @@ class BatchGaussianHMM:
         if init:
             self._init_emissions(observations, lengths, seed)
 
-        histories: list[list[float]] = [[] for _ in range(self.n_seqs)]
+        # history[i, row]: log-likelihood row entered iteration i with.
+        history = np.zeros((max_iter, self.n_seqs))
+        iterations = np.zeros(self.n_seqs, dtype=int)
         converged = np.zeros(self.n_seqs, dtype=bool)
         active = np.arange(self.n_seqs)
-        k = self.n_states
-        for _ in range(max_iter):
+        model = None
+        for iteration in range(max_iter):
             self._check_contracts("Baum-Welch E-step")
-            obs_a = observations[active]
-            len_a = lengths[active]
-            t_max = int(len_a[0])
-            obs_a = obs_a[:, :t_max]
-            sub = BatchGaussianHMM(
-                active.size,
-                k,
-                startprob=self.startprob[active],
-                transmat=self.transmat[active],
-                means=self.means[active],
-                variances=self.variances[active],
-                kernel=self._requested_kernel,
-            )
-            emissions = sub.emission_probabilities(obs_a)
-            alpha, scales, log_likelihoods = sub.forward(emissions, len_a)
-            beta = sub.backward(emissions, scales, len_a)
-            gamma = normalize_rows(alpha * beta)
-            xi_sum = sub._ops.estep_xi_sum(
-                sub.transmat, emissions, alpha, beta, len_a
-            )
-
-            # M-step (chain parameters batched, emissions per row).
-            self.startprob[active] = normalize_rows(
-                gamma[:, 0, :] + PROB_FLOOR
-            )
-            self.transmat[active] = normalize_rows(xi_sum + PROB_FLOOR)
-            for idx, row in enumerate(active):
-                stop = int(len_a[idx])
-                self._update_emissions_row(
-                    row, obs_a[idx, :stop], gamma[idx, :stop]
+            if model is None or model.n_seqs != active.size:
+                # Whatever depends only on *which* rows iterate is
+                # rebuilt when rows freeze, not per iteration.
+                model = BatchGaussianHMM(
+                    active.size,
+                    self.n_states,
+                    startprob=self.startprob[active],
+                    transmat=self.transmat[active],
+                    means=self.means[active],
+                    variances=self.variances[active],
+                    kernel=self._requested_kernel,
                 )
+                len_a = lengths[active]
+                t_max = int(len_a[0])
+                obs_a = observations[active][:, :t_max]
+                masked = np.isnan(obs_a) | (np.arange(t_max) >= len_a[:, None])
+                values = np.where(masked, 0.0, obs_a)
+                scratch = np.empty((active.size, t_max, self.n_states))
+            emissions = model.emission_probabilities(obs_a)
+            alpha, scales, log_likelihoods = model.forward(emissions, len_a)
+            beta = model.backward(emissions, scales, len_a)
+            gamma = normalize_rows(alpha * beta)
+            xi_sum = model._ops.estep_xi_sum(
+                model.transmat, emissions, alpha, beta, len_a
+            )
 
-            for idx, row in enumerate(active):
-                history = histories[row]
-                history.append(float(log_likelihoods[idx]))
-                if len(history) > 1 and abs(history[-1] - history[-2]) < tol:
-                    converged[row] = True
-            active = active[~converged[active]]
-            if active.size == 0:
-                break
+            # M-step, every quantity one operation over the active stack.
+            model.startprob = normalize_rows(gamma[:, 0, :] + PROB_FLOOR)
+            model.transmat = normalize_rows(xi_sum + PROB_FLOOR)
+            model._update_emissions(gamma, values, masked, scratch)
+            self.startprob[active] = model.startprob
+            self.transmat[active] = model.transmat
+            self.means[active] = model.means
+            self.variances[active] = model.variances
+
+            history[iteration, active] = log_likelihoods
+            iterations[active] += 1
+            if iteration > 0:
+                previous = history[iteration - 1, active]
+                plateau = np.abs(log_likelihoods - previous) < tol
+                converged[active[plateau]] = True
+                active = active[~plateau]
+                if active.size == 0:
+                    break
         self._check_contracts("Baum-Welch M-step")
         results = [
             FitResult(
-                log_likelihoods=tuple(histories[row]),
+                log_likelihoods=tuple(history[:count, row].tolist()),
                 converged=bool(converged[row]),
-                iterations=len(histories[row]),
+                iterations=count,
             )
-            for row in range(self.n_seqs)
+            for row, count in enumerate(iterations.tolist())
         ]
         for result in results:
             _record_fit(result)

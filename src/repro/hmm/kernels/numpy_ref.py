@@ -44,8 +44,10 @@ contraction is a chain of explicit elementwise adds:
   elements;
 - compound products keep one association: ``(sum_k alpha*A) * em`` in
   the forward step, ``A * (em * beta)`` in the backward step;
-- per-row time reductions (the xi sums) reduce over a *leading* axis,
-  which numpy accumulates slice by slice — sequential in ``t``.
+- time reductions (the xi sums) run along the time axis of the whole
+  C-contiguous stack with exactly 0.0 past each row's end; numpy
+  accumulates a non-innermost axis slice by slice — sequentially in
+  ``t`` — and ``acc + 0.0 == acc``.
 
 Dead timesteps
 --------------
@@ -314,20 +316,20 @@ def estep_xi_sum(
 
     ``xi_sum[n, i, j] = sum_t alpha[n,t,i] * A[n,i,j] * em[n,t+1,j] *
     beta[n,t+1,j]`` over ``t in [0, lengths[n] - 1)``.  The elementwise
-    product is batched; the order-sensitive time reduction runs on each
-    row's own contiguous slice (bit-equal to the per-claim sum: a
-    leading-axis ``.sum`` accumulates sequentially in ``t``).
+    product is batched and the steps past a row's end are set to exactly
+    0.0, so one ``.sum`` along the time axis of the whole stack serves
+    every row: a non-innermost axis accumulates slice by slice —
+    sequentially in ``t`` — and ``acc + 0.0 == acc``, which leaves each
+    row the bits of summing its own steps alone.
     """
     n_seqs, t_max, k = emissions.shape
-    if t_max > 1:
-        xi_num = (
-            alpha[:, :-1, :, None]
-            * transmat[:, None, :, :]
-            * (emissions[:, 1:, :] * beta[:, 1:, :])[:, :, None, :]
-        )
-    xi_sum = np.zeros((n_seqs, k, k))
-    for idx in range(n_seqs):
-        steps = int(lengths[idx]) - 1
-        if steps > 0:
-            xi_sum[idx] = xi_num[idx, :steps].sum(axis=0)
-    return xi_sum
+    if t_max < 2:
+        return np.zeros((n_seqs, k, k))
+    # Own C-contiguous buffer whatever the arguments' layout: the order
+    # the sum below runs in follows the strides of what it reduces.
+    xi = np.empty((n_seqs, t_max - 1, k, k))
+    np.multiply(alpha[:, :-1, :, None], transmat[:, None, :, :], out=xi)
+    tail = emissions[:, 1:, :] * beta[:, 1:, :]
+    np.multiply(xi, tail[:, :, None, :], out=xi)
+    xi[np.arange(1, t_max) >= lengths[:, None]] = 0.0
+    return xi.sum(axis=1)

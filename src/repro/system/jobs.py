@@ -10,14 +10,18 @@ are per-job, and WCET predictions are per-job.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.acs import acs_sequence
-from repro.core.sstd import ClaimTruthModel, SSTDConfig, batch_fit_decode
-from repro.core.types import Report, TruthEstimate, TruthValue
-from repro.hmm.batch import ragged_views
+from repro.core.sstd import (
+    ClaimTruthModel,
+    SSTDConfig,
+    batch_fit_decode,
+    column_estimates,
+)
+from repro.core.types import Report, TruthEstimate
 from repro.system import shm
 from repro.workqueue.task import PayloadSpec, Task
 
@@ -207,33 +211,28 @@ def decode_shard_shm_payload(
         times_stack = segment.array("times")
         values_stack = segment.array("values")
         lengths = segment.array("lengths")
-        times_rows = ragged_views(times_stack, lengths)
-        values_rows = ragged_views(values_stack, lengths)
+        # Row slices are views: still zero-copy, still read-only.
         items = [
-            (claim_id, times_rows[row], values_rows[row])
+            (
+                claim_id,
+                times_stack[row, : lengths[row]],
+                values_stack[row, : lengths[row]],
+            )
             for claim_id, row in zip(claim_ids, rows)
         ]
         results = batch_fit_decode(items, config)
-        n_estimates = sum(len(result.values) for result in results)
-        codes = np.fromiter(
-            (int(value) for result in results for value in result.values),
-            dtype=np.int8,
-            count=n_estimates,
+        # The leading empties fix the dtypes and let a shard without
+        # claims concatenate to nothing.
+        codes = np.concatenate(
+            [np.empty(0, dtype=np.int8), *(r.codes for r in results)]
         )
-        confidences = np.fromiter(
-            (
-                estimate.confidence
-                for result in results
-                for estimate in result.estimates
-            ),
-            dtype=np.float64,
-            count=n_estimates,
+        confidences = np.concatenate(
+            [np.empty(0, dtype=np.float64), *(r.confidences for r in results)]
         )
         # Drop every object that aliases the segment before detaching so
         # the close path can really unmap (kept-alive views only delay
         # reclamation, they never corrupt: the arrays above are copies).
-        del items, results, times_rows, values_rows
-        del times_stack, values_stack, lengths
+        del items, results, times_stack, values_stack, lengths
     return codes, confidences
 
 
@@ -260,31 +259,33 @@ def expand_shard_result(
     claim_ids: Sequence[str],
     codes: np.ndarray,
     confidences: np.ndarray,
+    since: Mapping[str, float] | None = None,
+    until: float | None = None,
 ) -> tuple[tuple[str, tuple[TruthEstimate, ...]], ...]:
     """Rebuild per-claim estimates from a compact shard result.
 
     Inverse of the packing in :func:`decode_shard_shm_payload`; uses the
     master's own copy of the published timestamps, so reconstructed
     estimates are field-for-field identical to what the legacy payload
-    would have pickled back.
+    would have pickled back.  Only the estimates a caller will emit are
+    materialised: with ``since`` a claim's estimates start after
+    ``since[claim_id]`` (claims it does not name start at their first
+    grid point), with ``until`` they stop at ``timestamp <= until``.
     """
     pairs: list[tuple[str, tuple[TruthEstimate, ...]]] = []
     cursor = 0
     for claim_id in claim_ids:
         row = stack.row_of(claim_id)
         length = int(stack.lengths[row])
-        estimates = tuple(
-            TruthEstimate(
-                claim_id=claim_id,
-                timestamp=t,
-                value=TruthValue(code),
-                confidence=confidence,
-            )
-            for t, code, confidence in zip(
-                stack.times[row, :length].tolist(),
-                codes[cursor : cursor + length].tolist(),
-                confidences[cursor : cursor + length].tolist(),
-            )
+        times = stack.times[row, :length]
+        lo, hi = 0, length
+        if since is not None and claim_id in since:
+            lo = int(np.searchsorted(times, since[claim_id], side="right"))
+        if until is not None:
+            hi = int(np.searchsorted(times, until, side="right"))
+        window = slice(cursor + lo, cursor + hi)
+        estimates = column_estimates(
+            claim_id, times[lo:hi], codes[window], confidences[window]
         )
         cursor += length
         pairs.append((claim_id, estimates))

@@ -728,18 +728,23 @@ class DistributedSSTD:
                                 shard_claims[result.job_id],
                                 codes,
                                 confidences,
+                                since=emitted_until,
+                                until=hi,
                             )
                         else:
                             pairs = result.output or ()
                         for claim_id, claim_estimates in pairs:
-                            since = emitted_until.get(
-                                claim_id, float("-inf")
-                            )
-                            estimates.extend(
-                                e
-                                for e in claim_estimates
-                                if since < e.timestamp <= hi
-                            )
+                            if stack is None:
+                                # A pickled result carries the whole grid.
+                                since = emitted_until.get(
+                                    claim_id, float("-inf")
+                                )
+                                claim_estimates = [
+                                    e
+                                    for e in claim_estimates
+                                    if since < e.timestamp <= hi
+                                ]
+                            estimates.extend(claim_estimates)
                             emitted_until[claim_id] = hi
                 tracker.record(
                     index,

@@ -1,20 +1,18 @@
 """Tests for the SSTD truth discovery engine."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
+import repro.core.sstd as sstd_module
 from repro.core.acs import ACSConfig
 from repro.core.sstd import (
     SSTD,
     ClaimTruthModel,
     SSTDConfig,
     StreamingSSTD,
-    states_to_truth,
 )
 from repro.core.types import Attitude, Report, TruthValue
-from repro.hmm.gaussian import GaussianHMM
+from repro.devtools import contracts
 
 
 def flip_scenario(
@@ -132,6 +130,21 @@ class TestBatchSSTD:
         engine.discover(flip_scenario())
         assert engine.results["c1"].used_hmm
 
+    def test_confidence_column_is_range_checked_where_it_is_built(
+        self, monkeypatch
+    ):
+        # The per-cell check of ``TruthEstimate.__post_init__`` runs once
+        # over the whole column, so a caller that never builds estimates
+        # (a worker shipping columns) cannot carry a bad posterior out.
+        monkeypatch.setattr(
+            sstd_module, "normalize_rows", lambda stack: 3.0 * stack
+        )
+        # (With runtime contracts on, the simplex contract fires first.)
+        with contracts.contracts(False), pytest.raises(
+            ValueError, match=r"confidence must be in \[0, 1\]"
+        ):
+            SSTD(FAST_CONFIG).discover(flip_scenario())
+
     def test_results_cleared_between_discover_calls(self):
         engine = SSTD(FAST_CONFIG)
         engine.discover(flip_scenario(claim_id="old"))
@@ -145,10 +158,16 @@ class TestBatchSSTD:
         reports = flip_scenario(claim_id="a") + flip_scenario(
             claim_id="b", seed=9, n_reports=700
         )
-        batched = SSTD(FAST_CONFIG).discover(reports)
-        per_claim = SSTD(
-            dataclasses.replace(FAST_CONFIG, batch_claims=False)
-        ).discover(reports)
+        engine = SSTD(FAST_CONFIG)
+        batched = engine.discover(reports)
+        grouped = engine.group_reports(reports)
+        per_claim = [
+            estimate
+            for claim_id in sorted(grouped)
+            for estimate in SSTD(FAST_CONFIG)
+            .discover_claim(claim_id, grouped[claim_id])
+            .estimates
+        ]
         assert batched == per_claim
 
 
@@ -188,16 +207,41 @@ class TestSignFallback:
             model.fit_decode(np.array([1.0]), np.array([1.0, 2.0]))
 
 
-class TestStatesToTruth:
+class TestTruthCodes:
+    """A decoded state reads as TRUE when its emission mean is positive."""
+
+    def decode(self, acs):
+        times = 60.0 * np.arange(1, acs.size + 1)
+        (result,) = sstd_module.batch_fit_decode(
+            [("c", times, acs)], FAST_CONFIG
+        )
+        assert result.used_hmm
+        kernel, row = result.fitted
+        return result, kernel.means[row]
+
     def test_sign_mapping(self):
-        hmm = GaussianHMM(2, means=np.array([-0.5, 0.5]))
-        values = states_to_truth(hmm, np.array([0, 1, 0]))
-        assert values == [TruthValue.FALSE, TruthValue.TRUE, TruthValue.FALSE]
+        rng = np.random.default_rng(0)
+        acs = np.concatenate(
+            [rng.normal(-0.6, 0.1, 12), rng.normal(0.7, 0.1, 12)]
+        )
+        result, means = self.decode(acs)
+        assert (means > 0).tolist() == [False, True]
+        assert result.codes.dtype == np.int8
+        assert result.codes.tolist() == [0] * 12 + [1] * 12
+        assert result.values[:12] == (TruthValue.FALSE,) * 12
+        assert result.values[12:] == (TruthValue.TRUE,) * 12
 
     def test_both_positive_means_all_true(self):
-        hmm = GaussianHMM(2, means=np.array([0.2, 0.9]))
-        values = states_to_truth(hmm, np.array([0, 1]))
-        assert values == [TruthValue.TRUE, TruthValue.TRUE]
+        # Two well-separated regimes on the same side of zero: the chain
+        # visits both states and neither reads as FALSE.
+        rng = np.random.default_rng(1)
+        acs = np.concatenate(
+            [rng.normal(0.2, 0.03, 12), rng.normal(0.9, 0.03, 12)]
+        )
+        result, means = self.decode(acs)
+        assert (means > 0).all() and means[1] - means[0] > 0.5
+        assert result.codes.tolist() == [1] * 24
+        assert all(0.0 <= c <= 1.0 for c in result.confidences.tolist())
 
 
 class TestStreamingSSTD:

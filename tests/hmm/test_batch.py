@@ -144,13 +144,13 @@ class TestValidation:
     def test_observation_shapes(self):
         kernel = BatchGaussianHMM(2, 2)
         with pytest.raises(ValueError, match="rows"):
-            kernel.decode(np.zeros((3, 4)))
+            kernel.fit(np.zeros((3, 4)))
         with pytest.raises(ValueError, match="sorted"):
-            kernel.decode(np.zeros((2, 4)), lengths=np.array([2, 4]))
+            kernel.fit(np.zeros((2, 4)), lengths=np.array([2, 4]))
         with pytest.raises(ValueError, match=r"\[1, T\]"):
-            kernel.decode(np.zeros((2, 4)), lengths=np.array([5, 2]))
+            kernel.fit(np.zeros((2, 4)), lengths=np.array([5, 2]))
         with pytest.raises(ValueError, match="infinite"):
-            kernel.decode(np.full((2, 4), np.inf))
+            kernel.state_posteriors(np.full((2, 4), np.inf))
 
 
 class TestParityVsPerClaim:

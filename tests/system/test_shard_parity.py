@@ -9,12 +9,14 @@ knob, never a semantics knob.
 import dataclasses
 import pickle
 
+import numpy as np
 import pytest
 
-from repro.core.sstd import SSTD, SSTDConfig
+from repro.core.sstd import SSTD, SSTDConfig, batch_fit_decode
 from repro.streams.events import PopulationConfig, ScenarioSpec
 from repro.streams.generator import GeneratorConfig, generate_trace
 from repro.system.jobs import (
+    ClaimStack,
     build_claim_stack,
     decode_claim_payload,
     decode_shard_payload,
@@ -43,10 +45,17 @@ def trace():
 
 @pytest.fixture(scope="module")
 def per_claim_serial(trace):
-    # The reference semantics: the serial engine with batching disabled,
-    # one claim at a time through the scalar kernel.
-    engine = SSTD(SSTDConfig(batch_claims=False))
-    estimates = engine.discover(list(trace.reports))
+    # The reference semantics: the serial engine one claim at a time,
+    # each through its own N = 1 kernel call.
+    engine = SSTD(SSTDConfig())
+    grouped = engine.group_reports(trace.reports)
+    estimates = [
+        estimate
+        for claim_id in sorted(grouped)
+        for estimate in engine.discover_claim(
+            claim_id, grouped[claim_id]
+        ).estimates
+    ]
     estimates.sort(key=lambda e: (e.claim_id, e.timestamp))
     return estimates
 
@@ -127,6 +136,136 @@ class TestClaimStack:
         assert expand_shard_result(stack, shard, codes, confidences) == tuple(
             (cid, by_claim[cid]) for cid in shard
         )
+
+
+def mixed_stack():
+    """A hand-built stack: two claims that fit, one sign fallback (too
+    few informative windows), one constant fallback and one empty claim."""
+    rng = np.random.default_rng(3)
+    rows = {
+        "fit-long": np.concatenate(
+            [rng.normal(-0.8, 0.2, 9), [np.nan] * 2, rng.normal(0.7, 0.2, 7)]
+        ),
+        "sparse": np.array([np.nan, 0.4, np.nan, -0.2]),
+        "empty": np.array([]),
+        "fit-short": np.concatenate(
+            [rng.normal(0.6, 0.2, 5), rng.normal(-0.6, 0.2, 6)]
+        ),
+        "constant": np.full(8, 0.25),
+    }
+    t_max = max(values.size for values in rows.values())
+    times = np.full((len(rows), t_max), np.nan)
+    values_stack = np.full((len(rows), t_max), np.nan)
+    for row, values in enumerate(rows.values()):
+        times[row, : values.size] = 60.0 * np.arange(1, values.size + 1)
+        values_stack[row, : values.size] = values
+    lengths = np.array([values.size for values in rows.values()])
+    return ClaimStack(tuple(rows), times, values_stack, lengths)
+
+
+def decode_from_stack(stack, shard, config):
+    owner = stack.publish()
+    try:
+        return shm_shard_task_spec(stack, shard, owner.handle, config)()
+    finally:
+        owner.close_and_unlink()
+
+
+class TestColumnarResult:
+    """Workers ship the decode result's own columns; objects are views."""
+
+    def items(self, stack, shard):
+        items = []
+        for claim_id in shard:
+            row = stack.row_of(claim_id)
+            length = stack.lengths[row]
+            times = stack.times[row, :length]
+            items.append((claim_id, times, stack.values[row, :length]))
+        return items
+
+    def test_shard_columns_are_the_estimates_columns(self):
+        stack, config = mixed_stack(), SSTDConfig()
+        shard = ["constant", "fit-short", "empty", "sparse", "fit-long"]
+        codes, confidences = decode_from_stack(stack, shard, config)
+        results = batch_fit_decode(self.items(stack, shard), config)
+        assert [r.used_hmm for r in results] == [
+            False, True, False, False, True,
+        ]  # fmt: skip
+        estimates = [e for r in results for e in r.estimates]
+        assert codes.dtype == np.int8 and confidences.dtype == np.float64
+        assert codes.tolist() == [int(e.value) for e in estimates]
+        assert confidences.tolist() == [e.confidence for e in estimates]
+        assert any(0.0 < c < 1.0 for c in confidences.tolist())
+        assert expand_shard_result(stack, shard, codes, confidences) == tuple(
+            (r.claim_id, r.estimates) for r in results
+        )
+
+    def test_shard_of_nothing_decodes_to_empty_columns(self):
+        stack, config = mixed_stack(), SSTDConfig()
+        for shard in ([], ["empty"]):
+            codes, confidences = decode_from_stack(stack, shard, config)
+            assert codes.dtype == np.int8 and codes.size == 0
+            assert confidences.dtype == np.float64 and confidences.size == 0
+
+    def test_object_views_are_built_once(self):
+        stack, config = mixed_stack(), SSTDConfig()
+        fitted, sparse, empty = batch_fit_decode(
+            self.items(stack, ["fit-long", "sparse", "empty"]), config
+        )
+        for result in (fitted, sparse, empty):
+            assert result.estimates is result.estimates
+            assert result.values is result.values
+            assert result.hmm is result.hmm
+            assert tuple(e.value for e in result.estimates) == result.values
+            assert all(
+                result.estimate(i) == e for i, e in enumerate(result.estimates)
+            )
+        assert fitted.estimate(-1) == fitted.estimates[-1]
+        assert sparse.hmm is None and empty.hmm is None
+        assert empty.estimates == () and empty.values == ()
+        kernel, row = fitted.fitted
+        assert fitted.hmm.n_states == 2
+        assert fitted.hmm.startprob.tolist() == kernel.startprob[row].tolist()
+        assert fitted.hmm.transmat.tolist() == kernel.transmat[row].tolist()
+        assert fitted.hmm.means.tolist() == kernel.means[row].tolist()
+        assert fitted.hmm.variances.tolist() == kernel.variances[row].tolist()
+
+    def test_expand_materialises_only_the_emission_window(self):
+        stack, config = mixed_stack(), SSTDConfig()
+        shard = ["fit-long", "empty", "sparse", "fit-short"]
+        codes, confidences = decode_from_stack(stack, shard, config)
+        full = expand_shard_result(stack, shard, codes, confidences)
+        # "sparse" was never emitted, "fit-short" up to a grid point,
+        # "fit-long" up to a time between grid points.
+        since = {"fit-short": 180.0, "fit-long": 290.0, "empty": 0.0}
+        for until in (None, 60.0, 400.0, 100.0, 1e9):
+            sliced = expand_shard_result(
+                stack, shard, codes, confidences, since=since, until=until
+            )
+            hi = float("inf") if until is None else until
+            for (claim_id, kept), (_, estimates) in zip(sliced, full):
+                lo = since.get(claim_id, float("-inf"))
+                assert kept == tuple(
+                    e for e in estimates if lo < e.timestamp <= hi
+                )
+            assert [c for c, _ in sliced] == shard
+        only_until = expand_shard_result(
+            stack, shard, codes, confidences, until=300.0
+        )
+        assert [len(e) for _, e in only_until] == [5, 0, 4, 5]
+        assert expand_shard_result(
+            stack, shard, codes, confidences, since={}
+        ) == full
+
+    def test_expand_still_rejects_a_result_of_the_wrong_size(self):
+        stack, config = mixed_stack(), SSTDConfig()
+        shard = ["fit-long", "sparse"]
+        codes, confidences = decode_from_stack(stack, shard, config)
+        with pytest.raises(ValueError, match="expected 22"):
+            expand_shard_result(
+                stack, shard, codes[:-1], confidences[:-1],
+                since={"fit-long": 1e9}, until=0.0,
+            )  # fmt: skip
 
 
 class TestShardParityAcrossBackends:
