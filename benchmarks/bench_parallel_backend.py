@@ -22,13 +22,13 @@ sizing, many claims per task sharing one batched HMM kernel call).  The
 ``dispatch_comparison`` JSON section carries both, and the perf-smoke
 gate checks them when the committed baseline has them.
 
-Since PR 7 (schema 3) the process backend ships shard inputs through the
-zero-copy shared-memory data plane by default, and the run measures the
-payload collapse directly: the ``payload_bytes`` section compares bytes
-pickled per task on the legacy path (``zero_copy=False``) against the
-default zero-copy path, and asserts the >= 10x reduction the data plane
-exists to deliver.  The perf-smoke gate holds ``zero_copy_per_task`` to
-a hard byte ceiling on every CI leg, single- or multi-core.
+Since PR 7 every task ships claim ids + row offsets + a handle onto one
+published claim stack (``repro.system.shm``), and since schema 5 that is
+the only payload there is: the ``payload_bytes`` section records the
+bytes pickled per task and per result on the process backend, and the
+perf-smoke gate holds ``zero_copy_per_task`` to a hard byte ceiling on
+every CI leg, single- or multi-core — reports leaking back into a task
+pickle would blow through it.
 
 Since PR 10 (schema 4) the payload records which HMM kernel backend
 (``repro.hmm.kernels``) the run resolved under the ``kernel`` key, so a
@@ -103,14 +103,12 @@ def _measure(
     backend: str,
     workers: int,
     claims_per_shard: int | None = None,
-    zero_copy: bool | None = None,
 ) -> dict:
     config = SSTDSystemConfig(
         n_workers=workers,
         backend=backend,
         control_enabled=False,
         claims_per_shard=claims_per_shard,
-        zero_copy=zero_copy,
     )
     start = time.perf_counter()
     outcome = DistributedSSTD(config).run_batch(reports)
@@ -248,22 +246,9 @@ def test_parallel_backend_throughput():
         "sharded_over_per_claim_speedup": round(dispatch_speedup, 4),
     }
 
-    # Payload collapse: the same workload over the legacy pickled path.
-    # Estimates must stay bit-identical — the data plane is a transport.
-    pickled = _measure(
-        reports, "processes", max_workers, zero_copy=False
-    )
-    assert pickled.pop("estimates") == final_estimates["processes"]
     zero_copy_bytes = sharded["payload_bytes_per_task"]
-    pickled_bytes = pickled["payload_bytes_per_task"]
-    payload_reduction = pickled_bytes / zero_copy_bytes
     payload_bytes = {
-        "pickled_per_task": round(pickled_bytes, 1),
         "zero_copy_per_task": round(zero_copy_bytes, 1),
-        "reduction_factor": round(payload_reduction, 2),
-        "pickled_result_per_task": round(
-            pickled["result_bytes_per_task"], 1
-        ),
         "zero_copy_result_per_task": round(
             sharded["result_bytes_per_task"], 1
         ),
@@ -273,7 +258,7 @@ def test_parallel_backend_throughput():
     phases = _traced_run(reports, max_workers)
     batch_fit = _batch_fit_stats(reports, max_workers)
     payload = {
-        "schema": 4,
+        "schema": 5,
         "benchmark": "parallel_backend",
         "scale": BENCH_SCALE,
         "seed": BENCH_SEED,
@@ -335,8 +320,8 @@ def test_parallel_backend_throughput():
         f"({sharded['n_tasks']} tasks) = {dispatch_speedup:.2f}x"
     )
     lines.append(
-        f"payload per task: pickled {pickled_bytes:.0f} B vs zero-copy "
-        f"{zero_copy_bytes:.0f} B = {payload_reduction:.1f}x smaller"
+        f"payload per task: {zero_copy_bytes:.0f} B out, "
+        f"{sharded['result_bytes_per_task']:.0f} B back"
     )
     report_lines("parallel_backend", lines)
 
@@ -360,14 +345,6 @@ def test_parallel_backend_throughput():
         table["processes"][max_workers]["throughput_rps"]
         >= 0.9 * table["processes"][1]["throughput_rps"]
     ), "sharded process backend slower at max workers than at 1 worker"
-
-    # The zero-copy plane's reason to exist: shard payloads collapse to
-    # ids + offsets.  Anything under 10x means reports leaked back into
-    # the task pickle (acceptance criterion).
-    assert payload_reduction >= 10.0, (
-        f"zero-copy payload only {payload_reduction:.1f}x smaller than "
-        f"pickled ({zero_copy_bytes:.0f} vs {pickled_bytes:.0f} B/task)"
-    )
 
     # The headline claim only holds where the cores exist to back it:
     # with >= 4 effectively usable cores, processes must at least double

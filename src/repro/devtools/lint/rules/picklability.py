@@ -23,7 +23,8 @@ this rule rejects them at lint time:
   are flagged.
 
 The sanctioned pattern is a module-level function wrapped in a spec —
-see :func:`repro.system.jobs.decode_claim_payload`.
+see :func:`repro.system.jobs.decode_shard_shm_payload` and its spec
+builder :func:`repro.system.jobs.shm_shard_task_spec`.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ class PicklabilityRule(Rule):
                 fn,
                 "PayloadSpec payload is a lambda; lambdas cannot be "
                 "pickled across a process boundary — use a module-level "
-                "function (the decode_claim_payload pattern)",
+                "function (the decode_shard_shm_payload pattern)",
             )
         elif isinstance(fn, ast.Name) and fn.id in nested:
             yield self.finding(

@@ -5,6 +5,12 @@ owns the claim's report stream, is split into Work Queue tasks, and has
 a soft deadline expressing the application's responsiveness requirement
 (Section II).  The job is also the unit the control loop steers — priorities
 are per-job, and WCET predictions are per-job.
+
+What a TD task carries is decided here and nowhere else: the master
+publishes every claim's ACS sequence in one :class:`ClaimStack`, a task
+(:func:`shm_shard_task_spec`) names rows of it and returns truth codes
+and confidences, and :func:`expand_shard_result` turns those back into
+estimates.  Simulated, thread and process workers run that one payload.
 """
 
 from __future__ import annotations
@@ -15,12 +21,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from repro.core.acs import acs_sequence
-from repro.core.sstd import (
-    ClaimTruthModel,
-    SSTDConfig,
-    batch_fit_decode,
-    column_estimates,
-)
+from repro.core.sstd import SSTDConfig, batch_fit_decode, column_estimates
 from repro.core.types import Report, TruthEstimate
 from repro.system import shm
 from repro.workqueue.task import PayloadSpec, Task
@@ -29,88 +30,11 @@ __all__ = [
     "ClaimStack",
     "TDJob",
     "build_claim_stack",
-    "decode_claim_payload",
-    "decode_shard_payload",
     "decode_shard_shm_payload",
-    "decode_task_spec",
     "expand_shard_result",
-    "shard_task_spec",
     "shm_shard_task_spec",
     "streaming_push_payload",
 ]
-
-
-def decode_claim_payload(
-    claim_id: str,
-    reports: tuple[Report, ...],
-    config: SSTDConfig,
-    start: float | None = None,
-    end: float | None = None,
-) -> tuple[TruthEstimate, ...]:
-    """Run one claim's full TD pipeline: ACS sequence → fit → decode.
-
-    This is the unit of distribution (paper Section III-E) expressed as
-    a *module-level* function, so it can be shipped to a worker process
-    as a :class:`repro.workqueue.task.PayloadSpec` — closures cannot
-    cross a pickle boundary.  All executors (simulated, threads,
-    processes) run exactly this payload, which is what keeps their
-    estimates bit-identical.
-    """
-    times, values = acs_sequence(reports, config.acs, start=start, end=end)
-    model = ClaimTruthModel(claim_id, config)
-    return model.fit_decode(times, values).estimates
-
-
-def decode_task_spec(
-    claim_id: str,
-    reports: Sequence[Report],
-    config: SSTDConfig,
-    start: float | None = None,
-    end: float | None = None,
-) -> PayloadSpec:
-    """Picklable payload spec for one claim's Truth Discovery job."""
-    return PayloadSpec(
-        decode_claim_payload, (claim_id, tuple(reports), config, start, end)
-    )
-
-
-def decode_shard_payload(
-    claims: tuple[tuple[str, tuple[Report, ...]], ...],
-    config: SSTDConfig,
-    start: float | None = None,
-    end: float | None = None,
-) -> tuple[tuple[str, tuple[TruthEstimate, ...]], ...]:
-    """Run the TD pipeline for a *shard* of claims in one task.
-
-    One Work Queue task per claim pays pickle + dispatch + spawn
-    overhead per claim; a shard amortizes that over many claims and
-    feeds them all to one :func:`repro.core.sstd.batch_fit_decode` call,
-    so the EM/decode recursions are batched too.  Returns one
-    ``(claim_id, estimates)`` pair per claim — callers track progress
-    per claim, not per task.  The batched kernel is row-deterministic,
-    so shard composition never changes any claim's estimates.
-    """
-    items = []
-    for claim_id, reports in claims:
-        times, values = acs_sequence(
-            reports, config.acs, start=start, end=end
-        )
-        items.append((claim_id, times, values))
-    results = batch_fit_decode(items, config)
-    return tuple((result.claim_id, result.estimates) for result in results)
-
-
-def shard_task_spec(
-    claims: Sequence[tuple[str, Sequence[Report]]],
-    config: SSTDConfig,
-    start: float | None = None,
-    end: float | None = None,
-) -> PayloadSpec:
-    """Picklable payload spec for a multi-claim Truth Discovery shard."""
-    frozen = tuple(
-        (claim_id, tuple(reports)) for claim_id, reports in claims
-    )
-    return PayloadSpec(decode_shard_payload, (frozen, config, start, end))
 
 
 @dataclass(frozen=True)
@@ -121,8 +45,8 @@ class ClaimStack:
     and packs the results into ``(N, T_max)`` matrices — row order is
     ``claim_ids`` order, padding is NaN, real per-row extents live in
     ``lengths``.  This is the unit the zero-copy data plane ships: a
-    shard task references rows of a published stack instead of carrying
-    pickled report tuples.
+    shard task references rows of a published stack, so its pickled
+    size does not depend on how many reports the claims received.
     """
 
     claim_ids: tuple[str, ...]
@@ -160,10 +84,11 @@ def build_claim_stack(
 ) -> ClaimStack:
     """Compute every claim's ACS sequence and pack it into one stack.
 
-    Runs exactly the same ``acs_sequence`` call the worker-side payloads
-    run, so decoding from the stack is bit-identical to decoding from
-    the raw reports — the ACS grid just gets computed once, on the
-    master, instead of once per task attempt on the workers.
+    Runs the ``acs_sequence`` call the serial engine runs
+    (:meth:`repro.core.sstd.SSTD.discover_claim`), so decoding from the
+    stack is bit-identical to decoding from the raw reports — and the
+    ACS grid is computed once, on the master, not once per task attempt
+    on the workers.
     """
     claim_ids: list[str] = []
     sequences: list[tuple[np.ndarray, np.ndarray]] = []
@@ -198,11 +123,12 @@ def decode_shard_shm_payload(
     """Decode a shard of claims straight out of a published stack.
 
     The worker attaches zero-copy read-only views onto the published
-    ``times`` / ``values`` stacks, feeds its rows to the same
-    :func:`repro.core.sstd.batch_fit_decode` call the legacy payload
-    uses, and returns a *compact* result: one contiguous ``int8`` array
-    of decoded truth codes and one ``float64`` array of confidences,
-    concatenated in shard claim order.  The master reconstructs full
+    ``times`` / ``values`` stacks, feeds its rows to the
+    :func:`repro.core.sstd.batch_fit_decode` call the serial
+    ``SSTD.discover`` uses, and returns a *compact* result: one
+    contiguous ``int8`` array of decoded truth codes and one
+    ``float64`` array of confidences, concatenated in shard claim
+    order.  The master reconstructs full
     :class:`~repro.core.types.TruthEstimate` objects with
     :func:`expand_shard_result` — it already owns the timestamps, so
     shipping them back would only re-pickle what the stack holds.
@@ -245,8 +171,7 @@ def shm_shard_task_spec(
     """Picklable zero-copy payload spec: claim ids + row offsets only.
 
     The pickled spec is O(claims in the shard) — ids, row indices, the
-    segment handle, the engine config — instead of the legacy payload's
-    O(reports) pickled report tuples.
+    segment handle, the engine config — whatever the report volume.
     """
     rows = tuple(stack.row_of(claim_id) for claim_id in shard)
     return PayloadSpec(
@@ -266,11 +191,11 @@ def expand_shard_result(
 
     Inverse of the packing in :func:`decode_shard_shm_payload`; uses the
     master's own copy of the published timestamps, so reconstructed
-    estimates are field-for-field identical to what the legacy payload
-    would have pickled back.  Only the estimates a caller will emit are
-    materialised: with ``since`` a claim's estimates start after
-    ``since[claim_id]`` (claims it does not name start at their first
-    grid point), with ``until`` they stop at ``timestamp <= until``.
+    estimates are field-for-field identical to the serial engine's.
+    Only the estimates a caller will emit are materialised: with
+    ``since`` a claim's estimates start after ``since[claim_id]``
+    (claims it does not name start at their first grid point), with
+    ``until`` they stop at ``timestamp <= until``.
     """
     pairs: list[tuple[str, tuple[TruthEstimate, ...]]] = []
     cursor = 0

@@ -1,12 +1,13 @@
-"""Zero-copy shared-memory data plane for the process backend.
+"""Zero-copy shared-memory data plane of the TD task payload.
 
-The process backend's original shard payloads pickled every report stack
-through the task queue: O(reports) bytes serialized per task, paid again
-on every retry.  This module gives the master a way to *publish* large
-read-only arrays once — into a named ``multiprocessing.shared_memory``
-segment — so a task ships only a :class:`SegmentHandle` (segment name +
-per-array dtype/shape/offset specs), and workers :func:`attach` zero-copy
-read-only views onto the same physical pages.
+A task's input must not grow with the report volume, and must not be
+serialized again on every retry.  This module gives the master a way to
+*publish* large read-only arrays once — into a named
+``multiprocessing.shared_memory`` segment — so a task ships only a
+:class:`SegmentHandle` (segment name + per-array dtype/shape/offset
+specs), and workers :func:`attach` zero-copy read-only views onto the
+same physical pages.  Every backend (simulated, threads, processes)
+reads its claim stack through it.
 
 Design points:
 
@@ -17,11 +18,13 @@ Design points:
   ``finally`` when the scope ends, so interrupts and failed drains still
   reclaim ``/dev/shm``.
 - **Plain-bytes fallback.**  Where POSIX shared memory is unavailable
-  (or force-disabled with ``REPRO_SHM=0``), :func:`publish_arrays`
-  degrades to a handle that carries the packed buffer inline as
-  ``bytes``.  The payload then travels with each task pickle — no longer
-  zero-copy, but the same compact contiguous layout and the identical
-  attach/view API, so the decode path is byte-for-byte the same.
+  (or force-disabled with ``REPRO_SHM=0`` — the one deployment setting,
+  read only by :func:`shm_available`), :func:`publish_arrays` degrades
+  to a handle that carries the packed buffer inline as ``bytes``.  The
+  payload then travels with each task pickle — no longer zero-copy, but
+  the same compact contiguous layout and the identical attach/view API,
+  so the decode path is byte-for-byte the same.  It is the only
+  "no shared memory" path, on every backend.
 - **Read-only views.**  Attached arrays are never writable; workers
   cannot corrupt a segment other shard tasks are concurrently reading.
 - **Resource-tracker hygiene.**  On CPython < 3.13 attaching registers

@@ -23,7 +23,7 @@ import collections
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.cluster.condor import CondorPool
 from repro.cluster.failures import FailureConfig, FailureInjector
@@ -40,13 +40,11 @@ from repro.system.dtm import DTMConfig, DynamicTaskManager
 from repro.system.jobs import (
     TDJob,
     build_claim_stack,
-    decode_task_spec,
     expand_shard_result,
-    shard_task_spec,
     shm_shard_task_spec,
     streaming_push_payload,
 )
-from repro.workqueue.local import LocalWorkQueue
+from repro.workqueue.local import LocalResult, LocalWorkQueue
 from repro.workqueue.master import WorkQueueMaster
 from repro.workqueue.pool import ElasticWorkerPool
 from repro.workqueue.process import ProcessWorkQueue
@@ -65,11 +63,30 @@ __all__ = [
 BACKENDS = ("simulated", "threads", "processes")
 
 
-def _shard_job_id(shard: Sequence[str]) -> str:
-    """Stable Work Queue job id for a shard of claims."""
-    if len(shard) == 1:
-        return shard[0]
-    return f"{shard[0]}..{shard[-1]}"
+def _interval_bounds(
+    trace: Trace, n_intervals: int
+) -> list[tuple[float, float]]:
+    """Half-open ``[lo, hi)`` report windows of an equal-width replay.
+
+    The last window closes just above ``trace.end`` so the reports
+    stamped ``trace.end`` are replayed: ``end + 1e-9`` for traces near
+    the origin, one ulp up where that sum rounds back to ``end``
+    (Unix-epoch timestamps).
+    """
+    span = trace.end - trace.start
+    if span <= 0:
+        raise ValueError("trace must span a positive duration")
+    interval_len = span / n_intervals
+    bounds = [
+        (
+            trace.start + index * interval_len,
+            trace.start + (index + 1) * interval_len,
+        )
+        for index in range(n_intervals)
+    ]
+    closing = max(trace.end + 1e-9, math.nextafter(trace.end, math.inf))
+    bounds[-1] = (bounds[-1][0], closing)
+    return bounds
 
 
 def _effective_cores() -> int:
@@ -107,10 +124,13 @@ class SSTDSystemConfig:
             (:class:`~repro.workqueue.local.LocalWorkQueue`), or
             ``"processes"``
             (:class:`~repro.workqueue.process.ProcessWorkQueue`, real
-            cores).  The real backends run batched
-            ``decode_shard_payload`` tasks on wall time; the PID control
-            plane and failure injection only apply to the simulated
-            backend.
+            cores).  Every backend runs one payload: the master
+            publishes each claim's ACS sequence in one ``(N, T)`` stack
+            (:mod:`repro.system.shm`; inline bytes without shared
+            memory) and a task carries claim ids + row offsets + the
+            handle (:func:`~repro.system.jobs.shm_shard_task_spec`).
+            The real backends run on wall time; the PID control plane
+            and failure injection only apply to the simulated backend.
         claims_per_shard: How many claims each real-backend Work Queue
             task covers.  One task per claim (``1``) pays pickle +
             dispatch + interpreter overhead per claim; a shard amortizes
@@ -125,21 +145,6 @@ class SSTDSystemConfig:
             row-deterministic), so this is purely a throughput knob.
             The simulated backend keeps one job per claim: jobs are the
             unit its control loop steers.
-        zero_copy: Ship shard inputs through the shared-memory data
-            plane (:mod:`repro.system.shm`): the master computes every
-            claim's ACS observation stack once, publishes it into a
-            named ``multiprocessing.shared_memory`` segment, and each
-            task carries only claim ids + row offsets + the segment
-            handle — O(claims) pickled bytes instead of O(reports).
-            Workers attach zero-copy read-only views and return compact
-            ``(state codes, confidences)`` arrays that the master
-            expands back into estimates; results are bit-identical to
-            the pickled-report path.  ``None`` (default) enables it for
-            the ``processes`` backend (where serialization is the tax
-            being killed) and keeps the in-memory path for ``threads``;
-            ``True``/``False`` force it.  Where shared memory is
-            unavailable the plane degrades to an inline-bytes payload
-            with the same layout.  The simulated backend is unaffected.
         drain_timeout: Wall-clock cap (seconds) on one ``drain`` of the
             real backends before the run aborts with ``TimeoutError``.
         observability: Record spans and metrics for the run (exposed on
@@ -176,7 +181,6 @@ class SSTDSystemConfig:
     drain_timeout: float = 600.0
     observability: bool | None = None
     claims_per_shard: int | None = None
-    zero_copy: bool | None = None
     feedback: FeedbackConfig | None = None
 
     def __post_init__(self) -> None:
@@ -205,7 +209,9 @@ class BatchRunResult:
     ``payload_bytes_per_task`` / ``result_bytes_per_task`` average the
     serialized bytes each task actually shipped across the process
     boundary (``None`` on executors that never serialize — simulated and
-    threads); the parallel-backend benchmark gates the payload number.
+    threads).  A task carries ids + row offsets + a handle, so the
+    payload number does not move with the report volume; the
+    parallel-backend benchmark gates it under a byte ceiling.
     """
 
     estimates: tuple[TruthEstimate, ...]
@@ -311,57 +317,68 @@ class DistributedSSTD:
         end: float | None = None,
     ) -> BatchRunResult:
         """Process a full trace; estimates match the serial engine exactly."""
-        if self.config.backend != "simulated":
+        config = self.config
+        if config.backend != "simulated":
             return self._run_batch_real(reports, start, end)
         simulator, master, pool, dtm = self._build()
-        if self.config.control_enabled:
+        if config.control_enabled:
             dtm.start()
 
-        engine = SSTD(self.config.sstd)
-        grouped = engine.group_reports(reports)
+        grouped = SSTD(config.sstd).group_reports(reports)
+        claim_ids = sorted(grouped)
         estimates: list[TruthEstimate] = []
 
         run_start = simulator.now
         with using(self.obs):
-            n_tasks = 0
-            for claim_id in sorted(grouped):
-                job = TDJob(
-                    job_id=claim_id,
-                    claim_id=claim_id,
-                    deadline=self.config.deadline,
-                    tasks_per_batch=self.config.tasks_per_job,
-                )
-                dtm.register_job(job)
-                tasks = job.make_tasks(grouped[claim_id])
-                # The final task of each job carries the decode payload so
-                # the truth result materializes when the job's data is
-                # processed.  It is the same picklable spec the real
-                # backends use.
-                tasks[-1].fn = decode_task_spec(
-                    claim_id, grouped[claim_id], self.config.sstd, start, end
-                )
-                for task in tasks:
-                    master.submit(task)
-                n_tasks += len(tasks)
+            stack = build_claim_stack(
+                [(c, grouped[c]) for c in claim_ids], config.sstd, start, end
+            )
+            owner = stack.publish()
+            try:
+                n_tasks = 0
+                for claim_id in claim_ids:
+                    job = TDJob(
+                        job_id=claim_id,
+                        claim_id=claim_id,
+                        deadline=config.deadline,
+                        tasks_per_batch=config.tasks_per_job,
+                    )
+                    dtm.register_job(job)
+                    tasks = job.make_tasks(grouped[claim_id])
+                    # The final task of each job carries the decode
+                    # payload so the truth result materializes when the
+                    # job's data is processed: a one-claim shard of the
+                    # stack, the spec the real backends ship.
+                    tasks[-1].fn = shm_shard_task_spec(
+                        stack, [claim_id], owner.handle, config.sstd
+                    )
+                    for task in tasks:
+                        master.submit(task)
+                    n_tasks += len(tasks)
 
-            master.wait_all()
-            dtm.stop()
+                master.wait_all()
+                dtm.stop()
+            finally:
+                owner.close_and_unlink()
         if self.obs.enabled:
             self.obs.tracer.record_span(
                 "system.run_batch",
                 start=run_start,
                 end=simulator.now,
                 track="system",
-                backend=self.config.backend,
+                backend=config.backend,
                 n_jobs=len(grouped),
                 n_tasks=n_tasks,
             )
         for result in master.results:
-            if result.output:
-                estimates.extend(result.output)
+            if result.output is not None:
+                ((_claim_id, claim_estimates),) = expand_shard_result(
+                    stack, [result.job_id], *result.output
+                )
+                estimates.extend(claim_estimates)
         estimates.sort(key=lambda e: (e.claim_id, e.timestamp))
         peak = max(
-            [self.config.n_workers, pool.size]
+            [config.n_workers, pool.size]
             + [size for _, size in dtm.pool_size_log]
         )
         return BatchRunResult(
@@ -415,18 +432,6 @@ class DistributedSSTD:
                 f"{failed[0].job_id!r}: {first}{detail}"
             )
 
-    def _use_zero_copy(self) -> bool:
-        """Resolve the data-plane choice for the real backends.
-
-        ``None`` (auto) turns the shared-memory plane on exactly where
-        serialization is the tax being paid — the process backend; the
-        thread backend shares the master's heap, so its legacy in-memory
-        payloads are already zero-copy.
-        """
-        if self.config.zero_copy is not None:
-            return self.config.zero_copy
-        return self.config.backend == "processes"
-
     @staticmethod
     def _mean_bytes(sizes: Sequence[int | None]) -> float | None:
         """Mean of the non-``None`` sizes; ``None`` when nothing shipped."""
@@ -460,6 +465,86 @@ class DistributedSSTD:
             for i in range(0, len(claim_ids), per_shard)
         ]
 
+    def _shards(self, claim_ids: Sequence[str]) -> dict[str, list[str]]:
+        """The round's shards of sorted claims, by stable Work Queue job id."""
+        shards = self._make_shards(
+            claim_ids, self._claims_per_shard(len(claim_ids))
+        )
+        return {s[0] if len(s) == 1 else f"{s[0]}..{s[-1]}": s for s in shards}
+
+    def _decode_shards(
+        self,
+        executor: LocalWorkQueue | ProcessWorkQueue,
+        shards: Mapping[str, Sequence[str]],
+        reports: Mapping[str, Sequence[Report]],
+        start: float | None,
+        end: float | None,
+        since: Mapping[str, float] | None = None,
+        until: float | None = None,
+    ) -> tuple[list[LocalResult], Iterator[TruthEstimate]]:
+        """Submit, drain and merge one round of shard tasks.
+
+        Builds and publishes the claim stack of every claim in
+        ``shards`` (ACS of ``reports`` over ``[start, end]``), submits
+        one stack-row task per shard, drains, and releases the segment
+        whether or not the drain was clean; a failed task raises.  The
+        merged estimates are an iterator that expands the compact
+        results (``since`` / ``until`` as in ``expand_shard_result``)
+        only when consumed, so callers read their clock before paying
+        for the merge.  A round without claims publishes nothing.
+        """
+        config = self.config
+        if not shards:
+            return [], iter(())
+        clock_start = self.obs.clock.now()
+        with using(self.obs):
+            stack = build_claim_stack(
+                [(c, reports[c]) for shard in shards.values() for c in shard],
+                config.sstd,
+                start,
+                end,
+            )
+            owner = stack.publish()
+            try:
+                for job_id, shard in shards.items():
+                    executor.submit(
+                        Task(
+                            job_id=job_id,
+                            data_size=float(
+                                sum(len(reports[c]) for c in shard)
+                            ),
+                            fn=shm_shard_task_spec(
+                                stack, shard, owner.handle, config.sstd
+                            ),
+                        )
+                    )
+                submitted_at = self.obs.clock.now()
+                results = executor.drain(timeout=config.drain_timeout)
+            finally:
+                owner.close_and_unlink()
+        if self.obs.enabled:
+            self.obs.tracer.record_span(
+                "system.submit",
+                start=clock_start,
+                end=submitted_at,
+                track="system",
+                n_tasks=len(shards),
+            )
+        self._check_failures(results)
+
+        def merged() -> Iterator[TruthEstimate]:
+            for result in results:
+                for _claim_id, claim_estimates in expand_shard_result(
+                    stack,
+                    shards[result.job_id],
+                    *result.output,
+                    since=since,
+                    until=until,
+                ):
+                    yield from claim_estimates
+
+        return results, merged()
+
     def _run_batch_real(
         self,
         reports: Sequence[Report],
@@ -470,73 +555,25 @@ class DistributedSSTD:
 
         ``tasks_per_job`` does not apply here — a claim's decode is an
         indivisible unit of real compute.  Claims are grouped into
-        shards of ``claims_per_shard`` (auto ≈ two shards per worker);
-        each task runs one ``decode_shard_payload``, so its claims share
-        one batched kernel invocation and one round of pickle/dispatch
-        overhead.
+        shards of ``claims_per_shard`` (auto = one shard per usable
+        execution lane); each task decodes its shard's rows of the
+        published claim stack, so its claims share one batched kernel
+        invocation and one round of pickle/dispatch overhead.
         """
         config = self.config
         grouped = SSTD(config.sstd).group_reports(reports)
-        claim_ids = sorted(grouped)
-        shards = self._make_shards(
-            claim_ids, self._claims_per_shard(len(claim_ids))
-        )
-        zero_copy = self._use_zero_copy()
+        shards = self._shards(sorted(grouped))
         n_workers = min(config.n_workers, max(1, len(shards)))
-        stack = None
-        owner = None
-        shard_claims: dict[str, list[str]] = {}
         executor = self._make_executor(n_workers)
         try:
             clock_start = self.obs.clock.now()
-            with using(self.obs):
-                if zero_copy:
-                    stack = build_claim_stack(
-                        [(c, grouped[c]) for c in claim_ids],
-                        config.sstd,
-                        start,
-                        end,
-                    )
-                    owner = stack.publish()
-                for shard in shards:
-                    job_id = _shard_job_id(shard)
-                    shard_claims[job_id] = shard
-                    if zero_copy:
-                        fn = shm_shard_task_spec(
-                            stack, shard, owner.handle, config.sstd
-                        )
-                    else:
-                        fn = shard_task_spec(
-                            [(c, grouped[c]) for c in shard],
-                            config.sstd,
-                            start,
-                            end,
-                        )
-                    executor.submit(
-                        Task(
-                            job_id=job_id,
-                            data_size=float(
-                                sum(len(grouped[c]) for c in shard)
-                            ),
-                            fn=fn,
-                        )
-                    )
-                submitted_at = self.obs.clock.now()
-                results = executor.drain(timeout=config.drain_timeout)
+            results, merged = self._decode_shards(
+                executor, shards, grouped, start, end
+            )
         finally:
             executor.shutdown()
-            if owner is not None:
-                owner.close_and_unlink()
         makespan = self.obs.clock.now() - clock_start
         if self.obs.enabled:
-            self.obs.tracer.record_span(
-                "system.submit",
-                start=clock_start,
-                end=submitted_at,
-                track="system",
-                n_tasks=len(shards),
-                zero_copy=zero_copy,
-            )
             self.obs.tracer.record_span(
                 "system.run_batch",
                 start=clock_start,
@@ -546,20 +583,7 @@ class DistributedSSTD:
                 n_jobs=len(grouped),
                 n_tasks=len(results),
             )
-        self._check_failures(results)
-
-        estimates: list[TruthEstimate] = []
-        for result in results:
-            if zero_copy:
-                codes, confidences = result.output
-                pairs = expand_shard_result(
-                    stack, shard_claims[result.job_id], codes, confidences
-                )
-            else:
-                pairs = result.output or ()
-            for _claim_id, claim_estimates in pairs:
-                estimates.extend(claim_estimates)
-        estimates.sort(key=lambda e: (e.claim_id, e.timestamp))
+        estimates = sorted(merged, key=lambda e: (e.claim_id, e.timestamp))
         return BatchRunResult(
             estimates=tuple(estimates),
             makespan=makespan,
@@ -579,7 +603,7 @@ class DistributedSSTD:
     def _run_intervals_real(
         self,
         trace: Trace,
-        n_intervals: int,
+        bounds: Sequence[tuple[float, float]],
         deadline: float,
         compute_estimates: bool,
     ) -> IntervalRunResult:
@@ -587,12 +611,13 @@ class DistributedSSTD:
 
         Each interval re-decodes every claim that received new reports,
         over the claim's cumulative history.  Claims are dispatched in
-        ``claims_per_shard`` shards (one ``decode_shard_payload`` task
-        each), and the wall-clock time for the interval's shards to
-        drain is recorded.  Claims without new data are not re-decoded,
-        and each claim's estimates are emitted at most once — the
-        ``emitted_until`` watermark is tracked per claim, not per task,
-        so shard composition never duplicates or drops an estimate.
+        ``claims_per_shard`` shards (one task per shard, each decoding
+        its rows of the interval's published claim stack), and the
+        wall-clock time for the interval's shards to drain is recorded.
+        Claims without new data are not re-decoded, and each claim's
+        estimates are emitted at most once — the ``emitted_until``
+        watermark is tracked per claim, not per task, so shard
+        composition never duplicates or drops an estimate.
 
         With ``config.feedback`` set, an :class:`IntervalFeedbackLoop`
         sits in front of dispatch: dirty claims (new reports, or work
@@ -606,12 +631,6 @@ class DistributedSSTD:
         config = self.config
         tracker = DeadlineTracker(deadline=deadline)
         estimates: list[TruthEstimate] = []
-        zero_copy = self._use_zero_copy()
-
-        span = trace.end - trace.start
-        if span <= 0:
-            raise ValueError("trace must span a positive duration")
-        interval_len = span / n_intervals
 
         history: dict[str, list[Report]] = collections.defaultdict(list)
         emitted_until: dict[str, float] = {}
@@ -625,11 +644,7 @@ class DistributedSSTD:
                 loop = IntervalFeedbackLoop(
                     deadline, config.feedback, obs=self.obs
                 )
-            for index in range(n_intervals):
-                lo = trace.start + index * interval_len
-                hi = trace.start + (index + 1) * interval_len
-                if index == n_intervals - 1:
-                    hi = trace.end + 1e-9
+            for index, (lo, hi) in enumerate(bounds):
                 batch = trace.reports_between(lo, hi)
 
                 by_claim: dict[str, list[Report]] = collections.defaultdict(list)
@@ -637,65 +652,30 @@ class DistributedSSTD:
                     by_claim[report.claim_id].append(report)
 
                 interval_start = self.obs.clock.now()
-                stack = None
-                owner = None
-                shard_claims: dict[str, list[str]] = {}
                 n_deferred = 0
                 n_shed = 0
-                try:
-                    with using(self.obs):
-                        for claim_id, new_reports in sorted(by_claim.items()):
-                            history[claim_id].extend(new_reports)
-                        if loop is not None:
-                            dirty.update(by_claim)
-                            decision = loop.plan(
-                                sorted(dirty), config.n_workers
-                            )
-                            claim_ids = sorted(decision.admitted)
-                            dirty.difference_update(decision.admitted)
-                            dirty.difference_update(decision.shed)
-                            n_deferred = len(decision.deferred)
-                            n_shed = len(decision.shed)
-                        else:
-                            claim_ids = sorted(by_claim)
-                        shards = self._make_shards(
-                            claim_ids, self._claims_per_shard(len(claim_ids))
-                        )
-                        if zero_copy and claim_ids:
-                            stack = build_claim_stack(
-                                [(c, history[c]) for c in claim_ids],
-                                config.sstd,
-                                trace.start,
-                                hi,
-                            )
-                            owner = stack.publish()
-                        for shard in shards:
-                            job_id = _shard_job_id(shard)
-                            shard_claims[job_id] = shard
-                            if stack is not None:
-                                fn = shm_shard_task_spec(
-                                    stack, shard, owner.handle, config.sstd
-                                )
-                            else:
-                                fn = shard_task_spec(
-                                    [(c, history[c]) for c in shard],
-                                    config.sstd,
-                                    trace.start,
-                                    hi,
-                                )
-                            executor.submit(
-                                Task(
-                                    job_id=job_id,
-                                    data_size=float(
-                                        sum(len(history[c]) for c in shard)
-                                    ),
-                                    fn=fn,
-                                )
-                            )
-                        results = executor.drain(timeout=config.drain_timeout)
-                finally:
-                    if owner is not None:
-                        owner.close_and_unlink()
+                for claim_id, new_reports in sorted(by_claim.items()):
+                    history[claim_id].extend(new_reports)
+                if loop is not None:
+                    dirty.update(by_claim)
+                    decision = loop.plan(sorted(dirty), config.n_workers)
+                    claim_ids = sorted(decision.admitted)
+                    dirty.difference_update(decision.admitted)
+                    dirty.difference_update(decision.shed)
+                    n_deferred = len(decision.deferred)
+                    n_shed = len(decision.shed)
+                else:
+                    claim_ids = sorted(by_claim)
+                shards = self._shards(claim_ids)
+                results, merged = self._decode_shards(
+                    executor,
+                    shards,
+                    history,
+                    trace.start,
+                    hi,
+                    since=emitted_until,
+                    until=hi,
+                )
                 execution_time = self.obs.clock.now() - interval_start
                 if self.obs.enabled:
                     self.obs.tracer.record_span(
@@ -706,46 +686,20 @@ class DistributedSSTD:
                         index=index,
                         n_reports=len(batch),
                     )
-                self._check_failures(results)
                 if loop is not None:
                     # Exact per-claim costs (shard wall time amortized
                     # over its width) drive the next admission budget.
                     loop.observe(
                         execution_time,
                         [
-                            r.wall_time
-                            / max(1, len(shard_claims[r.job_id]))
+                            r.wall_time / max(1, len(shards[r.job_id]))
                             for r in results
                         ],
                         busy_time=sum(r.wall_time for r in results),
                     )
                 if compute_estimates:
-                    for result in results:
-                        if stack is not None:
-                            codes, confidences = result.output
-                            pairs = expand_shard_result(
-                                stack,
-                                shard_claims[result.job_id],
-                                codes,
-                                confidences,
-                                since=emitted_until,
-                                until=hi,
-                            )
-                        else:
-                            pairs = result.output or ()
-                        for claim_id, claim_estimates in pairs:
-                            if stack is None:
-                                # A pickled result carries the whole grid.
-                                since = emitted_until.get(
-                                    claim_id, float("-inf")
-                                )
-                                claim_estimates = [
-                                    e
-                                    for e in claim_estimates
-                                    if since < e.timestamp <= hi
-                                ]
-                            estimates.extend(claim_estimates)
-                            emitted_until[claim_id] = hi
+                    estimates.extend(merged)
+                    emitted_until.update(dict.fromkeys(claim_ids, hi))
                 tracker.record(
                     index,
                     len(batch),
@@ -786,9 +740,10 @@ class DistributedSSTD:
         if n_intervals < 1:
             raise ValueError("n_intervals must be >= 1")
         deadline = deadline or self.config.deadline
+        bounds = _interval_bounds(trace, n_intervals)
         if self.config.backend != "simulated":
             return self._run_intervals_real(
-                trace, n_intervals, deadline, compute_estimates
+                trace, bounds, deadline, compute_estimates
             )
         simulator, master, pool, dtm = self._build()
         if self.config.control_enabled:
@@ -805,17 +760,8 @@ class DistributedSSTD:
         )
         estimates: list[TruthEstimate] = []
 
-        span = trace.end - trace.start
-        if span <= 0:
-            raise ValueError("trace must span a positive duration")
-        interval_len = span / n_intervals
-
         jobs: dict[str, TDJob] = {}
-        for index in range(n_intervals):
-            lo = trace.start + index * interval_len
-            hi = trace.start + (index + 1) * interval_len
-            if index == n_intervals - 1:
-                hi = trace.end + 1e-9
+        for index, (lo, hi) in enumerate(bounds):
             batch = trace.reports_between(lo, hi)
 
             by_claim: dict[str, list[Report]] = collections.defaultdict(list)

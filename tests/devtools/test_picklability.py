@@ -22,7 +22,7 @@ spec = PayloadSpec(lambda x: x + 1, (1,))
         result = findings(src)
         assert len(result) == 1
         assert "lambda" in result[0].message
-        assert "decode_claim_payload" in result[0].message
+        assert "decode_shard_shm_payload" in result[0].message
 
     def test_module_level_function_accepted(self):
         src = '''
@@ -104,19 +104,19 @@ wq.submit(Task(task_id=1, job_id=1, fn=lambda: 1))
 
 
 class TestRealJobsModule:
-    def test_decode_claim_payload_pattern_is_clean(self):
+    def test_decode_shard_shm_payload_pattern_is_clean(self):
         # The sanctioned pattern: a module-level decode function wrapped
-        # in PayloadSpec by decode_task_spec.
+        # in PayloadSpec by shm_shard_task_spec.
         source = Path(jobs_module.__file__).read_text()
         assert "PayloadSpec(" in source
-        assert "decode_claim_payload" in source
+        assert "decode_shard_shm_payload" in source
         result = lint_source(source, path=jobs_module.__file__, rules=RULES)
         assert result == [], [f.format() for f in result]
 
     def test_lambda_variant_of_jobs_module_is_flagged(self):
         source = Path(jobs_module.__file__).read_text()
         broken = source.replace(
-            "PayloadSpec(\n        decode_claim_payload,",
+            "PayloadSpec(\n        decode_shard_shm_payload,",
             "PayloadSpec(\n        lambda *a: None,",
         )
         assert broken != source, "jobs.py no longer matches the fixture edit"

@@ -1,11 +1,18 @@
 """Backend selection: simulated / threads / processes produce identical TD."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.sstd import SSTD
 from repro.streams.events import PopulationConfig, ScenarioSpec
 from repro.streams.generator import GeneratorConfig, generate_trace
-from repro.system.jobs import decode_claim_payload, decode_task_spec
+from repro.streams.trace import Trace
+from repro.system.jobs import (
+    build_claim_stack,
+    expand_shard_result,
+    shm_shard_task_spec,
+)
 from repro.system.sstd_system import BACKENDS, DistributedSSTD, SSTDSystemConfig
 
 
@@ -95,23 +102,58 @@ class TestIntervalsReal:
         assert all(t >= 0 for t in result.execution_times)
 
 
+class TestIntervalBounds:
+    @pytest.mark.parametrize("backend", ["simulated", "threads"])
+    def test_epoch_scale_trace_replays_its_last_report(
+        self, backend, small_trace
+    ):
+        # At Unix-epoch magnitudes ``trace.end + 1e-9 == trace.end``; the
+        # half-open last interval must still take in the final report.
+        shifted = [
+            dataclasses.replace(report, timestamp=report.timestamp + 1.7e9)
+            for report in small_trace.reports
+        ]
+        shifted[-1] = dataclasses.replace(shifted[-1], claim_id="late-claim")
+        trace = Trace(name="epoch", reports=shifted)
+        assert trace.end + 1e-9 == trace.end
+        config = SSTDSystemConfig(n_workers=2, backend=backend, deadline=30.0)
+        result = DistributedSSTD(config).run_intervals(
+            trace, n_intervals=4, compute_estimates=True
+        )
+        dispatched = sum(r.n_reports for r in result.tracker.records)
+        assert dispatched == len(trace.reports)
+        late = [e for e in result.estimates if e.claim_id == "late-claim"]
+        assert late and late[-1].timestamp > trace.end - config.sstd.acs.step
+
+
 class TestJobSpecs:
-    def test_decode_payload_matches_engine(self, small_trace, serial_estimates):
+    def decode(self, small_trace, claim_id):
         engine = SSTD()
         grouped = engine.group_reports(list(small_trace.reports))
-        claim_id = sorted(grouped)[0]
-        payload = decode_claim_payload(
-            claim_id, tuple(grouped[claim_id]), engine.config
-        )
+        stack = build_claim_stack([(claim_id, grouped[claim_id])], engine.config)
+        owner = stack.publish()
+        try:
+            spec = shm_shard_task_spec(
+                stack, [claim_id], owner.handle, engine.config
+            )
+            return stack, spec, spec()
+        finally:
+            owner.close_and_unlink()
+
+    def test_decode_payload_matches_engine(self, small_trace, serial_estimates):
+        claim_id = min(e.claim_id for e in serial_estimates)
+        stack, _spec, output = self.decode(small_trace, claim_id)
+        ((_, payload),) = expand_shard_result(stack, [claim_id], *output)
         expected = [e for e in serial_estimates if e.claim_id == claim_id]
         assert list(payload) == expected
 
-    def test_decode_task_spec_is_picklable(self, small_trace):
+    def test_decode_task_spec_is_picklable(self, small_trace, monkeypatch):
         import pickle
 
-        engine = SSTD()
-        grouped = engine.group_reports(list(small_trace.reports))
-        claim_id = sorted(grouped)[0]
-        spec = decode_task_spec(claim_id, grouped[claim_id], engine.config)
-        clone = pickle.loads(pickle.dumps(spec))
-        assert clone() == spec()
+        # Inline bytes: the clone must not need the released segment.
+        monkeypatch.setenv("REPRO_SHM", "0")
+        claim_id = min(r.claim_id for r in small_trace.reports)
+        _stack, spec, (codes, confidences) = self.decode(small_trace, claim_id)
+        clone_codes, clone_confidences = pickle.loads(pickle.dumps(spec))()
+        assert clone_codes.tolist() == codes.tolist()
+        assert clone_confidences.tolist() == confidences.tolist()

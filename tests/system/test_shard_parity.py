@@ -6,7 +6,9 @@ backend and for every shard size.  Shard composition is a throughput
 knob, never a semantics knob.
 """
 
+import collections
 import dataclasses
+import math
 import pickle
 
 import numpy as np
@@ -15,25 +17,21 @@ import pytest
 from repro.core.sstd import SSTD, SSTDConfig, batch_fit_decode
 from repro.streams.events import PopulationConfig, ScenarioSpec
 from repro.streams.generator import GeneratorConfig, generate_trace
+from repro.system import shm, sstd_system
 from repro.system.jobs import (
     ClaimStack,
     build_claim_stack,
-    decode_claim_payload,
-    decode_shard_payload,
     expand_shard_result,
-    shard_task_spec,
     shm_shard_task_spec,
 )
-from repro.system import sstd_system
 from repro.system.sstd_system import BACKENDS, DistributedSSTD, SSTDSystemConfig
 
 
-@pytest.fixture(scope="module")
-def trace():
+def make_trace(n_reports):
     spec = ScenarioSpec(
         name="shard-parity",
         duration=3600.0,
-        n_reports=500,
+        n_reports=n_reports,
         n_claims=7,
         claim_texts=("the road is flooded",),
         topic="test",
@@ -41,6 +39,11 @@ def trace():
         population=PopulationConfig(n_sources=60),
     )
     return generate_trace(spec, seed=11, config=GeneratorConfig(with_text=False))
+
+
+@pytest.fixture(scope="module")
+def trace():
+    return make_trace(500)
 
 
 @pytest.fixture(scope="module")
@@ -91,48 +94,73 @@ class TestShardResolver:
             SSTDSystemConfig(claims_per_shard=0)
 
 
-class TestShardPayload:
-    def test_spec_survives_pickle(self, trace):
-        grouped = SSTD().group_reports(list(trace.reports))
-        claims = [(cid, grouped[cid]) for cid in sorted(grouped)][:3]
-        spec = shard_task_spec(claims, SSTDConfig())
-        clone = pickle.loads(pickle.dumps(spec))
-        assert clone() == spec()
+def serial_by_claim(per_claim_serial):
+    by_claim = collections.defaultdict(list)
+    for estimate in per_claim_serial:
+        by_claim[estimate.claim_id].append(estimate)
+    return {cid: tuple(estimates) for cid, estimates in by_claim.items()}
 
-    def test_shard_output_concatenates_per_claim_payloads(self, trace):
-        grouped = SSTD().group_reports(list(trace.reports))
+
+def trace_stack(trace, config):
+    grouped = SSTD().group_reports(list(trace.reports))
+    return build_claim_stack(
+        [(cid, grouped[cid]) for cid in sorted(grouped)], config
+    )
+
+
+class TestShardPayload:
+    def test_spec_survives_pickle(self, trace, per_claim_serial):
         config = SSTDConfig()
-        claims = [(cid, tuple(grouped[cid])) for cid in sorted(grouped)]
-        sharded = decode_shard_payload(tuple(claims), config)
-        assert [cid for cid, _ in sharded] == sorted(grouped)
-        for claim_id, estimates in sharded:
-            assert estimates == decode_claim_payload(
-                claim_id, tuple(grouped[claim_id]), config
-            )
+        stack = trace_stack(trace, config)
+        shard = list(stack.claim_ids[:3])
+        owner = stack.publish()
+        try:
+            spec = shm_shard_task_spec(stack, shard, owner.handle, config)
+            clone = pickle.loads(pickle.dumps(spec))
+            codes, confidences = clone()
+            original = spec()
+        finally:
+            owner.close_and_unlink()
+        assert codes.tolist() == original[0].tolist()
+        assert confidences.tolist() == original[1].tolist()
+        by_claim = serial_by_claim(per_claim_serial)
+        assert expand_shard_result(stack, shard, codes, confidences) == tuple(
+            (cid, by_claim[cid]) for cid in shard
+        )
+
+    def test_shard_output_concatenates_per_claim_payloads(
+        self, trace, per_claim_serial
+    ):
+        config = SSTDConfig()
+        stack = trace_stack(trace, config)
+        shard = list(stack.claim_ids)
+        codes, confidences = decode_from_stack(stack, shard, config)
+        singles = [decode_from_stack(stack, [cid], config) for cid in shard]
+        assert codes.tolist() == [c for one, _ in singles for c in one.tolist()]
+        assert confidences.tolist() == [
+            c for _, one in singles for c in one.tolist()
+        ]
+        by_claim = serial_by_claim(per_claim_serial)
+        assert expand_shard_result(stack, shard, codes, confidences) == tuple(
+            (cid, by_claim[cid]) for cid in shard
+        )
 
 
 class TestClaimStack:
-    def test_row_lookup_and_compact_round_trip(self, trace):
+    def test_row_lookup_and_compact_round_trip(self, trace, per_claim_serial):
         """Rows resolve through the id index, and a shard decoded from
-        the published stack expands to the pickled path's estimates."""
-        grouped = SSTD().group_reports(list(trace.reports))
+        the published stack expands to the serial engine's estimates."""
         config = SSTDConfig()
-        claims = [(cid, tuple(grouped[cid])) for cid in sorted(grouped)]
-        stack = build_claim_stack(claims, config)
-        assert [stack.row_of(cid) for cid, _ in claims] == list(
-            range(len(claims))
+        stack = trace_stack(trace, config)
+        claim_ids = list(stack.claim_ids)
+        assert [stack.row_of(cid) for cid in claim_ids] == list(
+            range(len(claim_ids))
         )
         with pytest.raises(ValueError, match="not in the stack"):
             stack.row_of("no-such-claim")
-        shard = [cid for cid, _ in claims][::-2]  # any order, any subset
-        owner = stack.publish()
-        try:
-            codes, confidences = shm_shard_task_spec(
-                stack, shard, owner.handle, config
-            )()
-        finally:
-            owner.close_and_unlink()
-        by_claim = dict(decode_shard_payload(tuple(claims), config))
+        shard = claim_ids[::-2]  # any order, any subset
+        codes, confidences = decode_from_stack(stack, shard, config)
+        by_claim = serial_by_claim(per_claim_serial)
         assert expand_shard_result(stack, shard, codes, confidences) == tuple(
             (cid, by_claim[cid]) for cid in shard
         )
@@ -303,6 +331,37 @@ class TestShardParityAcrossBackends:
         assert len(seen) == len(set(seen))
 
 
+def serial_interval_oracle(trace, n_intervals):
+    """Interval replay on the serial engine: every interval re-decodes,
+    one claim at a time, each claim that received reports over its
+    cumulative history, and emits what lies past the claim's watermark."""
+    engine = SSTD(SSTDConfig())
+    interval_len = (trace.end - trace.start) / n_intervals
+    history = collections.defaultdict(list)
+    emitted_until = {}
+    expected = []
+    for index in range(n_intervals):
+        lo = trace.start + index * interval_len
+        hi = trace.start + (index + 1) * interval_len
+        if index == n_intervals - 1:
+            hi = max(trace.end + 1e-9, math.nextafter(trace.end, math.inf))
+        fresh = set()
+        for report in trace.reports_between(lo, hi):
+            history[report.claim_id].append(report)
+            fresh.add(report.claim_id)
+        for claim_id in sorted(fresh):
+            since = emitted_until.get(claim_id, float("-inf"))
+            decoded = engine.discover_claim(
+                claim_id, history[claim_id], start=trace.start, end=hi
+            )
+            expected.extend(
+                e for e in decoded.estimates if since < e.timestamp <= hi
+            )
+            emitted_until[claim_id] = hi
+    expected.sort(key=lambda e: (e.claim_id, e.timestamp))
+    return expected
+
+
 class TestZeroCopyParity:
     """The shared-memory data plane is a transport, never a semantics knob."""
 
@@ -310,9 +369,7 @@ class TestZeroCopyParity:
     def test_zero_copy_matches_per_claim_serial(
         self, backend, trace, per_claim_serial
     ):
-        config = SSTDSystemConfig(
-            n_workers=2, backend=backend, zero_copy=True
-        )
+        config = SSTDSystemConfig(n_workers=2, backend=backend)
         outcome = DistributedSSTD(config).run_batch(list(trace.reports))
         assert list(outcome.estimates) == per_claim_serial
 
@@ -323,7 +380,6 @@ class TestZeroCopyParity:
         config = SSTDSystemConfig(
             n_workers=2,
             backend="processes",
-            zero_copy=True,
             claims_per_shard=claims_per_shard,
         )
         outcome = DistributedSSTD(config).run_batch(list(trace.reports))
@@ -333,69 +389,81 @@ class TestZeroCopyParity:
         self, monkeypatch, trace, per_claim_serial
     ):
         monkeypatch.setenv("REPRO_SHM", "0")
+        for backend in BACKENDS:
+            for claims_per_shard in (1, None):
+                config = SSTDSystemConfig(
+                    n_workers=2,
+                    backend=backend,
+                    claims_per_shard=claims_per_shard,
+                )
+                outcome = DistributedSSTD(config).run_batch(list(trace.reports))
+                assert list(outcome.estimates) == per_claim_serial, (
+                    backend,
+                    claims_per_shard,
+                )
+
+    def test_the_switch_is_gone(self):
+        with pytest.raises(TypeError):
+            SSTDSystemConfig(zero_copy=True)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_backend_ships_the_compact_stack_result(
+        self, backend, monkeypatch, trace
+    ):
+        # What a task returned is what the master hands to the merge.
+        outputs = []
+
+        def recording(stack, claim_ids, codes, confidences, **window):
+            outputs.append((codes, confidences))
+            return expand_shard_result(
+                stack, claim_ids, codes, confidences, **window
+            )
+
+        monkeypatch.setattr(sstd_system, "expand_shard_result", recording)
         config = SSTDSystemConfig(
-            n_workers=2, backend="processes", zero_copy=True
+            n_workers=2, backend=backend, claims_per_shard=1
         )
         outcome = DistributedSSTD(config).run_batch(list(trace.reports))
-        assert list(outcome.estimates) == per_claim_serial
+        assert len(outputs) == outcome.n_jobs == 7
+        for codes, confidences in outputs:
+            assert codes.dtype == np.int8 and confidences.dtype == np.float64
+            assert codes.shape == confidences.shape and codes.ndim == 1
+        assert sum(codes.size for codes, _ in outputs) == len(outcome.estimates)
 
-    def test_forced_off_legacy_path_matches(self, trace, per_claim_serial):
-        config = SSTDSystemConfig(
-            n_workers=2, backend="processes", zero_copy=False
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_interval_replay_matches_serial(self, backend, trace):
+        config = SSTDSystemConfig(n_workers=2, backend=backend, deadline=30.0)
+        replay = DistributedSSTD(config).run_intervals(
+            trace, n_intervals=3, compute_estimates=True
         )
-        outcome = DistributedSSTD(config).run_batch(list(trace.reports))
-        assert list(outcome.estimates) == per_claim_serial
-
-    def test_auto_resolution(self):
-        assert DistributedSSTD(
-            SSTDSystemConfig(backend="processes")
-        )._use_zero_copy()
-        assert not DistributedSSTD(
-            SSTDSystemConfig(backend="threads")
-        )._use_zero_copy()
-        assert DistributedSSTD(
-            SSTDSystemConfig(backend="threads", zero_copy=True)
-        )._use_zero_copy()
-        assert not DistributedSSTD(
-            SSTDSystemConfig(backend="processes", zero_copy=False)
-        )._use_zero_copy()
-
-    def test_zero_copy_interval_replay_matches_legacy(self, trace):
-        base = SSTDSystemConfig(
-            n_workers=2, backend="processes", deadline=30.0
-        )
-        legacy = DistributedSSTD(
-            dataclasses.replace(base, zero_copy=False)
-        ).run_intervals(trace, n_intervals=3, compute_estimates=True)
-        zero_copy = DistributedSSTD(
-            dataclasses.replace(base, zero_copy=True)
-        ).run_intervals(trace, n_intervals=3, compute_estimates=True)
-        assert zero_copy.estimates == legacy.estimates
-        seen = [(e.claim_id, e.timestamp) for e in zero_copy.estimates]
+        assert list(replay.estimates) == serial_interval_oracle(trace, 3)
+        seen = [(e.claim_id, e.timestamp) for e in replay.estimates]
         assert len(seen) == len(set(seen))
 
-    def test_payload_collapse_vs_pickled_path(self, trace):
-        # The acceptance bar: shipping row offsets instead of pickled
-        # report stacks must shrink the per-task payload >= 10x.
-        base = SSTDSystemConfig(n_workers=2, backend="processes")
-        pickled = DistributedSSTD(
-            dataclasses.replace(base, zero_copy=False)
-        ).run_batch(list(trace.reports))
-        zero_copy = DistributedSSTD(
-            dataclasses.replace(base, zero_copy=True)
-        ).run_batch(list(trace.reports))
-        assert pickled.payload_bytes_per_task is not None
-        assert zero_copy.payload_bytes_per_task is not None
-        ratio = pickled.payload_bytes_per_task / zero_copy.payload_bytes_per_task
-        assert ratio >= 10.0, (
-            f"zero-copy payload only {ratio:.1f}x smaller "
-            f"({zero_copy.payload_bytes_per_task:.0f} vs "
-            f"{pickled.payload_bytes_per_task:.0f} bytes/task)"
+    def test_payload_size_is_independent_of_report_volume(self, trace):
+        # A task carries ids + row offsets + a handle, so ten times the
+        # reports over the same claims and grid pickle to the same
+        # bytes; the result is two columns over the grid.  (In bytes
+        # mode the stack rides in the handle: still one size per grid.)
+        config = SSTDSystemConfig(
+            n_workers=2, backend="processes", claims_per_shard=4
         )
-        assert zero_copy.result_bytes_per_task is not None
-        assert (
-            zero_copy.result_bytes_per_task < pickled.result_bytes_per_task
-        )
+
+        def sizes(reports, end):
+            outcome = DistributedSSTD(config).run_batch(
+                reports, start=0.0, end=end
+            )
+            assert outcome.n_tasks == 2
+            return outcome.payload_bytes_per_task, outcome.result_bytes_per_task
+
+        small = sizes(list(trace.reports), 3600.0)
+        large = sizes(list(make_trace(5000).reports), 3600.0)
+        assert None not in small
+        assert large == small
+        longer = sizes(list(trace.reports), 7200.0)
+        assert longer[1] > small[1]
+        if shm.shm_available():
+            assert longer[0] == small[0]
 
     def test_threads_report_no_payload_bytes(self, trace):
         outcome = DistributedSSTD(

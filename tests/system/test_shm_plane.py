@@ -25,6 +25,12 @@ from repro.workqueue.task import PayloadSpec, Task
 
 SHM_DIR = "/dev/shm"
 
+#: Tests that look for a real ``/dev/shm`` entry; the inline-bytes
+#: handle (``REPRO_SHM=0``, or a host without shared memory) has none.
+needs_real_segment = pytest.mark.skipif(
+    not shm_available(), reason="shared memory is off: no segment to find"
+)
+
 
 def _segment_exists(name: str) -> bool:
     return os.path.exists(os.path.join(SHM_DIR, name))
@@ -60,6 +66,7 @@ def attach_then_die(handle, marker):
 
 
 class TestPublishAttachRoundTrip:
+    @needs_real_segment
     def test_shm_round_trip(self):
         arrays = _sample_arrays()
         owner = publish_arrays(arrays)
@@ -85,6 +92,7 @@ class TestPublishAttachRoundTrip:
         finally:
             owner.close_and_unlink()
 
+    @needs_real_segment
     def test_handle_is_compact_and_picklable(self):
         import pickle
 
@@ -141,6 +149,7 @@ class TestBytesFallback:
             SegmentHandle(kind="mmap", name="x", size=1, specs=())
 
 
+@needs_real_segment
 class TestLifecycle:
     def test_unlink_removes_dev_shm_entry(self):
         owner = publish_arrays(_sample_arrays())
@@ -256,11 +265,15 @@ class _InterruptedExecutor:
         pass
 
 
+def _repro_segments() -> set[str]:
+    return {n for n in os.listdir(SHM_DIR) if n.startswith(SEGMENT_PREFIX)}
+
+
 class TestRunScopeCleanup:
-    def test_interrupted_batch_unlinks_segment(self, monkeypatch):
+    @pytest.fixture()
+    def reports(self):
         from repro.streams.events import PopulationConfig, ScenarioSpec
         from repro.streams.generator import GeneratorConfig, generate_trace
-        from repro.system.sstd_system import DistributedSSTD, SSTDSystemConfig
 
         spec = ScenarioSpec(
             name="interrupt",
@@ -275,18 +288,40 @@ class TestRunScopeCleanup:
         trace = generate_trace(
             spec, seed=5, config=GeneratorConfig(with_text=False)
         )
+        return trace.reports
+
+    def test_interrupted_batch_unlinks_segment(self, monkeypatch, reports):
+        from repro.system.sstd_system import DistributedSSTD, SSTDSystemConfig
+
         system = DistributedSSTD(
-            SSTDSystemConfig(backend="processes", n_workers=2, zero_copy=True)
+            SSTDSystemConfig(backend="processes", n_workers=2)
         )
         monkeypatch.setattr(
             system, "_make_executor", lambda *a, **k: _InterruptedExecutor()
         )
-        before = {
-            n for n in os.listdir(SHM_DIR) if n.startswith(SEGMENT_PREFIX)
-        }
+        before = _repro_segments()
         with pytest.raises(KeyboardInterrupt):
-            system.run_batch(trace.reports)
-        after = {
-            n for n in os.listdir(SHM_DIR) if n.startswith(SEGMENT_PREFIX)
-        }
-        assert after - before == set()
+            system.run_batch(reports)
+        assert _repro_segments() - before == set()
+
+    def test_failed_simulated_batch_unlinks_segment(self, monkeypatch, reports):
+        from repro.system import jobs
+        from repro.system.sstd_system import DistributedSSTD, SSTDSystemConfig
+
+        before = _repro_segments()
+        live = []
+
+        def failing_decode(items, config):
+            live.append(_repro_segments() - before)
+            raise RuntimeError("decode failed")
+
+        monkeypatch.setattr(jobs, "batch_fit_decode", failing_decode)
+        system = DistributedSSTD(
+            SSTDSystemConfig(backend="simulated", n_workers=2)
+        )
+        with pytest.raises(RuntimeError, match="decode failed"):
+            system.run_batch(reports)
+        assert len(live) == 1
+        if shm_available():
+            assert len(live[0]) == 1  # the payload ran against a live segment
+        assert _repro_segments() - before == set()
