@@ -30,10 +30,8 @@ perf-smoke gate holds ``zero_copy_per_task`` to a hard byte ceiling on
 every CI leg, single- or multi-core — reports leaking back into a task
 pickle would blow through it.
 
-Since PR 10 (schema 4) the payload records which HMM kernel backend
-(``repro.hmm.kernels``) the run resolved under the ``kernel`` key, so a
-baseline produced with the numba fast path is never compared against a
-numpy-fallback run without the difference being visible in both files.
+The ``kernel`` key (schema 4) is constant provenance: there is one HMM
+kernel implementation, ``{"backend": "numpy"}``.
 
 Knobs: ``REPRO_BENCH_SCALE`` scales report volume (CI smoke uses 0.01),
 ``REPRO_BENCH_SEED`` the generator seed.  The workload shape is fixed —

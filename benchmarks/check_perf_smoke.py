@@ -6,8 +6,8 @@ Compares a fresh ``BENCH_parallel.json`` (written by
 
 Baselines are schema 3: measurements live under ``legs``, keyed by the
 ``effective_cpu_count`` they were recorded at.  (Current-run files are
-schema 5 — they additionally carry the resolved HMM ``kernel`` backend
-and no longer compare against a pickled payload — but the gate reads
+schema 5 — they additionally carry a constant ``kernel`` provenance
+key and no longer compare against a pickled payload — but the gate reads
 the same keys from both.)  Legs exist because a 1-core runner
 and a 4-core runner have *different* truths (on one core the process
 backend legitimately trails threads; on many cores it must beat them).

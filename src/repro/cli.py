@@ -5,6 +5,8 @@ Subcommands mirror the workflows of the examples and benchmarks:
 - ``repro-cli generate`` — synthesize a scenario trace to a JSONL file;
 - ``repro-cli discover`` — run a truth-discovery algorithm over a trace
   and print (or save) the per-claim verdicts;
+- ``repro-cli digest`` — print the bit-exact fingerprint of saved
+  estimate files ("same answers" is equal digests);
 - ``repro-cli evaluate`` — compare one or more algorithms against the
   trace's ground truth and print the paper-style metrics table;
 - ``repro-cli stats`` — print a trace's Table-II-style statistics;
@@ -126,6 +128,24 @@ def _run_discover(args: argparse.Namespace) -> int:
         )
     if args.limit and len(final) > args.limit:
         print(f"  ... and {len(final) - args.limit} more")
+    return 0
+
+
+def _add_digest(subparsers: argparse._SubParsersAction) -> None:
+    parser = subparsers.add_parser(
+        "digest", help="fingerprint estimate files (discover --output)"
+    )
+    parser.add_argument("estimates", type=Path, nargs="+",
+                        help="estimates .jsonl path(s)")
+    parser.set_defaults(func=_run_digest)
+
+
+def _run_digest(args: argparse.Namespace) -> int:
+    from repro.core import estimates_digest, load_estimates
+
+    for path in args.estimates:
+        estimates = load_estimates(path)
+        print(f"{estimates_digest(estimates)}  {len(estimates)}  {path}")
     return 0
 
 
@@ -505,6 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     _add_generate(subparsers)
     _add_discover(subparsers)
+    _add_digest(subparsers)
     _add_evaluate(subparsers)
     _add_stats(subparsers)
     _add_replay(subparsers)

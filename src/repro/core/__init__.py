@@ -7,6 +7,7 @@ from repro.core.dependencies import (
     CorrelationConfig,
 )
 from repro.core.estimates_io import (
+    estimates_digest,
     iter_estimates,
     load_estimates,
     save_estimates,
@@ -64,6 +65,7 @@ __all__ = [
     "TruthValue",
     "acs_sequence",
     "contribution_score",
+    "estimates_digest",
     "evaluate_estimates",
     "evaluate_per_claim",
     "iter_estimates",

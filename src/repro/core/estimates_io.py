@@ -6,6 +6,7 @@ runs.  One record per line keeps files streamable and diff-able.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -13,6 +14,7 @@ from typing import Iterable, Iterator
 from repro.core.types import TruthEstimate, TruthValue
 
 __all__ = [
+    "estimates_digest",
     "iter_estimates",
     "load_estimates",
     "save_estimates",
@@ -67,3 +69,20 @@ def iter_estimates(path: str | Path) -> Iterator[TruthEstimate]:
 def load_estimates(path: str | Path) -> list[TruthEstimate]:
     """Read a whole estimates file into memory."""
     return list(iter_estimates(path))
+
+
+def estimates_digest(estimates: Iterable[TruthEstimate]) -> str:
+    """Bit-exact fingerprint of an estimate stream, in the order given.
+
+    Two runs gave the same answers iff their digests are equal: the
+    confidence enters as ``float.hex()``, so one flipped bit shows.
+    The formula is the one behind every digest quoted in CHANGES.md.
+    """
+    h = hashlib.sha256()
+    for e in estimates:
+        h.update(
+            repr(
+                (e.claim_id, e.timestamp, int(e.value), e.confidence.hex())
+            ).encode()
+        )
+    return h.hexdigest()[:16]

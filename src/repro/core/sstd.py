@@ -40,7 +40,6 @@ from repro.core.types import Report, TruthEstimate, TruthValue
 from repro.devtools import contracts
 from repro.hmm.batch import BatchGaussianHMM, stack_ragged
 from repro.hmm.gaussian import GaussianHMM
-from repro.hmm.kernels import KERNEL_NAMES, kernel_gauge_value
 from repro.hmm.utils import normalize_rows
 from repro.obs import get_obs
 
@@ -95,14 +94,6 @@ class SSTDConfig:
         decode_online: When True, estimates use forward filtering (only
             past observations); when False, full Viterbi smoothing.
         seed: Seed for EM emission initialization.
-        kernel: Backend for the batched HMM time recursions — ``"numpy"``
-            (the reference), ``"numba"`` (fused compiled loops; raises
-            if numba is missing), ``"auto"`` (numba when importable and
-            bit-verified, numpy otherwise), or ``None`` (the default) to
-            defer to the ``REPRO_KERNEL`` environment variable (itself
-            defaulting to ``auto``).  Backends are bit-identical, so this
-            knob changes cost, never results — see
-            :mod:`repro.hmm.kernels`.
     """
 
     acs: ACSConfig = field(default_factory=ACSConfig)
@@ -112,14 +103,8 @@ class SSTDConfig:
     sticky_prior: float = 0.98
     decode_online: bool = False
     seed: int = 7
-    kernel: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kernel is not None and self.kernel not in KERNEL_NAMES:
-            raise ValueError(
-                f"kernel must be None or one of {KERNEL_NAMES}, "
-                f"got {self.kernel!r}"
-            )
         if self.em_max_iter < 1:
             raise ValueError("em_max_iter must be >= 1")
         if self.min_observations < 2:
@@ -265,13 +250,7 @@ def batch_fit_decode(
     observations, lengths, order = stack_ragged(sequences)
     p = config.sticky_prior
     transmat = np.array([[p, 1.0 - p], [1.0 - p, p]])
-    kernel = BatchGaussianHMM(
-        len(sequences), n_states=2, transmat=transmat, kernel=config.kernel
-    )
-    if obs.enabled:
-        obs.metrics.set_gauge(
-            "hmm.kernel", kernel_gauge_value(kernel.kernel_name)
-        )
+    kernel = BatchGaussianHMM(len(sequences), n_states=2, transmat=transmat)
     fit_results = kernel.fit(
         observations,
         lengths,
@@ -327,7 +306,6 @@ def batch_fit_decode(
             n_hmm=len(hmm_items),
             n_observations=int(lengths.sum()),
             iterations=max(r.iterations for r in fit_results),
-            kernel=kernel.kernel_name,
         )
     return results  # type: ignore[return-value]
 
@@ -630,7 +608,6 @@ class StreamingSSTD:
             transmat=np.stack([claim.hmm.transmat for claim in filtering]),
             means=np.stack([claim.hmm.means for claim in filtering]),
             variances=np.stack([claim.hmm.variances for claim in filtering]),
-            kernel=self.config.kernel,
         )
         alphas = bank.filter_step(
             np.stack([claim.alpha for claim in filtering]),

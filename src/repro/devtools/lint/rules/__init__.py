@@ -19,7 +19,7 @@ Importing this package registers every rule with the engine registry:
   (whole-program deadlock detection; ``# lock-order: A < B``
   declarations sanction audited hierarchies);
 - ``SSTD013`` — kernel modules (``repro.hmm.batch``, the
-  ``repro.hmm.kernels`` backends, ``repro.hmm.utils``,
+  ``repro.hmm.kernels`` package, ``repro.hmm.utils``,
   ``repro.system.jobs``) never let set/dict-view iteration order reach
   numeric accumulations or task ordering (``# order-independent``
   sanctions commutative exact reductions);

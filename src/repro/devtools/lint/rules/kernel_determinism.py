@@ -14,7 +14,7 @@ explicit.
 
 The rule only fires in the kernel modules (:data:`TARGET_MODULES` —
 ``repro.hmm.batch``, ``repro.hmm.utils``, ``repro.system.jobs`` and the
-``repro.hmm.kernels`` backend package); everywhere else set iteration
+``repro.hmm.kernels`` package); everywhere else set iteration
 is fine and linting it would be noise.
 It flags:
 
@@ -48,7 +48,6 @@ __all__ = ["KernelDeterminismRule", "TARGET_MODULES"]
 TARGET_MODULES = (
     "repro.hmm.batch",
     "repro.hmm.kernels",
-    "repro.hmm.kernels.numba_fast",
     "repro.hmm.kernels.numpy_ref",
     "repro.hmm.utils",
     "repro.system.jobs",

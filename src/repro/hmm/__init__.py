@@ -10,21 +10,14 @@ Public surface:
 - :class:`~repro.hmm.batch.BatchGaussianHMM` -- the same Gaussian model
   over a stack of N independent sequences at once (SSTD's batched
   multi-claim kernel).
-- :mod:`~repro.hmm.kernels` -- pluggable backends (reference numpy /
-  fused numba) running the batched time recursions, selected by
-  :func:`~repro.hmm.kernels.resolve_kernel`.
+- :mod:`~repro.hmm.kernels` -- the batched time recursions
+  (:mod:`~repro.hmm.kernels.numpy_ref`).
 """
 
 from repro.hmm.base import BaseHMM, FitResult
 from repro.hmm.batch import BatchGaussianHMM, stack_ragged
 from repro.hmm.discrete import DiscreteHMM
 from repro.hmm.gaussian import GaussianHMM
-from repro.hmm.kernels import (
-    KernelOps,
-    available_backends,
-    kernel_parity_ok,
-    resolve_kernel,
-)
 from repro.hmm.selection import (
     SelectionEntry,
     SelectionResult,
@@ -40,15 +33,11 @@ __all__ = [
     "DiscreteHMM",
     "FitResult",
     "GaussianHMM",
-    "KernelOps",
     "SelectionEntry",
     "SelectionResult",
     "aic",
-    "available_backends",
     "bic",
-    "kernel_parity_ok",
     "n_parameters",
-    "resolve_kernel",
     "select_n_states",
     "stack_ragged",
 ]

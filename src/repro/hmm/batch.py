@@ -35,12 +35,9 @@ Semantics are pinned to the per-claim path:
   init.  Nothing inside an iteration loops over rows
   (``tests/hmm/test_fit_parity.py`` keeps those loops as an oracle).
 
-The time recursions themselves execute through a pluggable kernel layer
-(:mod:`repro.hmm.kernels`): the ``numpy`` reference backend (time-major
-recursions, a handful of allocation-free ufunc calls per step) or the
-``numba`` backend (each whole recursion fused into one compiled,
-GIL-free loop).  Backends are bit-identical — selection
-(``kernel=`` / ``REPRO_KERNEL``) never changes a result, only its cost.
+The time recursions themselves (forward, backward, Viterbi, the xi
+accumulation) live in :mod:`repro.hmm.kernels.numpy_ref`: time-major
+working copies, a handful of allocation-free ufunc calls per step.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ import numpy as np
 from repro.devtools import contracts
 from repro.hmm.base import FitResult, _record_fit
 from repro.hmm.gaussian import MIN_VARIANCE, GaussianHMM
-from repro.hmm.kernels import resolve_kernel
+from repro.hmm.kernels import numpy_ref
 from repro.hmm.utils import (
     PROB_FLOOR,
     batch_normal_densities,
@@ -102,11 +99,6 @@ class BatchGaussianHMM:
 
     Observations are ``(N, T)`` stacks; pass ``lengths`` (sorted
     descending) for ragged stacks, else every row spans the full T.
-
-    ``kernel`` picks the backend running the time recursions (``None``
-    defers to ``REPRO_KERNEL``, default ``auto`` — see
-    :func:`repro.hmm.kernels.resolve_kernel`); the resolved backend is
-    exposed as :attr:`kernel_name`.
     """
 
     def __init__(
@@ -117,7 +109,6 @@ class BatchGaussianHMM:
         transmat: np.ndarray | None = None,
         means: np.ndarray | None = None,
         variances: np.ndarray | None = None,
-        kernel: str | None = None,
     ) -> None:
         if n_seqs < 1:
             raise ValueError(f"n_seqs must be >= 1, got {n_seqs}")
@@ -125,8 +116,6 @@ class BatchGaussianHMM:
             raise ValueError(f"n_states must be >= 1, got {n_states}")
         self.n_seqs = n_seqs
         self.n_states = n_states
-        self._requested_kernel = kernel
-        self._ops = resolve_kernel(kernel, n_states=n_states)
         if startprob is None:
             startprob = np.full(n_states, 1.0 / n_states)
         if transmat is None:
@@ -195,11 +184,6 @@ class BatchGaussianHMM:
                 )
         return observations, lengths
 
-    @property
-    def kernel_name(self) -> str:
-        """The resolved kernel backend running this model's recursions."""
-        return self._ops.name
-
     def emission_probabilities(self, observations: np.ndarray) -> np.ndarray:
         """Emission stack ``(N, T, K)``; NaN rows get likelihood 1."""
         observations = np.asarray(observations, dtype=float)
@@ -226,7 +210,7 @@ class BatchGaussianHMM:
         of equal length into one vectorized reduction), so they match
         the per-claim pass bit for bit.
         """
-        alpha, scales = self._ops.forward(
+        alpha, scales = numpy_ref.forward(
             self.startprob, self.transmat, emissions, lengths
         )
         log_likelihoods = masked_row_sums(log_mask_zero(scales), lengths)
@@ -242,8 +226,7 @@ class BatchGaussianHMM:
         missing); returns the next normalized ``(N, K)`` stack.  This is
         :meth:`forward`'s own time step — same contraction, same per-row
         normalization, a row whose total is not positive restarting from
-        the uniform vector.  A single step has no time loop to fuse, so
-        it is plain numpy on every kernel backend.
+        the uniform vector.
         """
         observations = np.asarray(observations, dtype=float)
         emissions = self.emission_probabilities(observations[:, None])[:, 0, :]
@@ -262,7 +245,7 @@ class BatchGaussianHMM:
         lengths: np.ndarray,
     ) -> np.ndarray:
         """Scaled backward pass matching :meth:`forward`'s scaling."""
-        return self._ops.backward(self.transmat, emissions, scales, lengths)
+        return numpy_ref.backward(self.transmat, emissions, scales, lengths)
 
     def viterbi(
         self,
@@ -276,14 +259,12 @@ class BatchGaussianHMM:
         ``log_joints[n]`` its joint log-probability.
 
         The log transforms stay here (``repro.hmm.utils`` is the
-        sanctioned home for them) so both kernel backends receive
-        identical log-space inputs — transcendental bit-portability is
-        never the backends' problem.
+        sanctioned home for them); the kernel sees log-space inputs.
         """
         log_emissions = log_mask_zero(np.maximum(emissions, 0.0))
         log_trans = log_mask_zero(self.transmat)
         log_start = log_mask_zero(self.startprob)
-        return self._ops.viterbi(log_start, log_trans, log_emissions, lengths)
+        return numpy_ref.viterbi(log_start, log_trans, log_emissions, lengths)
 
     def filter_states(self, alpha: np.ndarray) -> np.ndarray:
         """Online state estimates: per-row ``argmax_i alpha[n, t, i]``."""
@@ -424,7 +405,6 @@ class BatchGaussianHMM:
                     transmat=self.transmat[active],
                     means=self.means[active],
                     variances=self.variances[active],
-                    kernel=self._requested_kernel,
                 )
                 len_a = lengths[active]
                 t_max = int(len_a[0])
@@ -436,7 +416,7 @@ class BatchGaussianHMM:
             alpha, scales, log_likelihoods = model.forward(emissions, len_a)
             beta = model.backward(emissions, scales, len_a)
             gamma = normalize_rows(alpha * beta)
-            xi_sum = model._ops.estep_xi_sum(
+            xi_sum = numpy_ref.estep_xi_sum(
                 model.transmat, emissions, alpha, beta, len_a
             )
 

@@ -1,10 +1,11 @@
-"""Reference numpy kernels for the batched HMM time recursions.
+"""Numpy kernels for the batched HMM time recursions.
 
-These free functions are the *semantic definition* of every kernel op:
-any other backend (:mod:`repro.hmm.kernels.numba_fast`) must reproduce
-their outputs **bit for bit** (see the accumulation-order contract below
-and the parity suite in ``tests/hmm/test_kernels.py``, which also keeps
-the original einsum recursions as a frozen oracle).
+These free functions are the one implementation of forward, backward,
+Viterbi and the Baum-Welch xi accumulation;
+:class:`repro.hmm.batch.BatchGaussianHMM` calls them directly.
+``tests/hmm/test_kernels.py`` holds them bit for bit to the original
+einsum recursions (kept there as a frozen oracle) and
+``tests/hmm/test_kernel_oracle.py`` to exhaustive path enumeration.
 
 Working layout
 --------------
@@ -25,23 +26,18 @@ written is a buffer the op allocated itself.
 
 Accumulation-order contract
 ---------------------------
-Floating-point addition is not associative, so bit-identity across
-backends requires pinning the order every reduction runs in.  No
+Floating-point addition is not associative, so a claim decodes to the
+same bits in any batch (shard-composition determinism) only if the
+order of every reduction is independent of the stack it runs in.  No
 ``einsum`` and no ``.sum()`` is left inside a time loop; every
 contraction is a chain of explicit elementwise adds:
 
 - the forward contraction over the source state ``k`` is
   ``alpha[0]*A[0] + alpha[1]*A[1] (+ ...)`` accumulated left to right in
-  ``k`` order — a compiled ``for k in range(K): acc += ...`` loop
-  matches it exactly (``0.0 + x`` is exact);
+  ``k`` order;
 - the per-step total over states and the backward contraction over the
   destination state ``j`` are likewise ``col[0] + col[1] (+ ...)`` in
   ``j`` order.  Being explicit adds, they stay sequential at any ``K``;
-  the ``n_states < 8`` bound
-  (:data:`repro.hmm.kernels.MAX_BITWISE_STATES`) remains because the
-  first timestep, the M-step and the posterior normalisation still use
-  last-axis ``.sum()``, which switches to pairwise summation at 8
-  elements;
 - compound products keep one association: ``(sum_k alpha*A) * em`` in
   the forward step, ``A * (em * beta)`` in the backward step;
 - time reductions (the xi sums) run along the time axis of the whole

@@ -4,12 +4,6 @@ The shared-memory data plane (:mod:`repro.system.shm`) creates named
 ``/dev/shm`` segments; a leaked one outlives the interpreter and eats
 host memory until reboot.  The session fixture below makes any leak a
 loud tier-1 failure rather than something an operator finds weeks later.
-
-:func:`numba_available` / :data:`requires_numba` gate tests that only
-make sense with the *compiled* numba kernels — the interpreted-fallback
-semantics of :mod:`repro.hmm.kernels.numba_fast` are always testable,
-so most of the kernel parity suite runs everywhere and only the
-JIT-specific assertions carry the marker.
 """
 
 import os
@@ -18,19 +12,6 @@ import pytest
 
 SHM_DIR = "/dev/shm"
 SHM_PREFIX = "repro_shm_"
-
-
-def numba_available() -> bool:
-    """True when the numba kernels would actually compile here."""
-    from repro.hmm.kernels import numba_fast
-
-    return numba_fast.AVAILABLE
-
-
-#: Skip marker for tests that need the real JIT, not the fallback.
-requires_numba = pytest.mark.skipif(
-    not numba_available(), reason="numba is not installed"
-)
 
 
 def _repro_segments() -> set[str]:

@@ -151,7 +151,6 @@ class TestSanctions:
         assert TARGET_MODULES == (
             "repro.hmm.batch",
             "repro.hmm.kernels",
-            "repro.hmm.kernels.numba_fast",
             "repro.hmm.kernels.numpy_ref",
             "repro.hmm.utils",
             "repro.system.jobs",

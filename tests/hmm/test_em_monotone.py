@@ -1,7 +1,7 @@
 """EM must never lower the log-likelihood — and today it does.
 
-Pinned, not fixed.  ``BaseHMM.fit`` / ``fit_sequences``,
-``numpy_ref.estep_xi_sum`` and ``numba_fast._estep_xi_sum_impl`` sum
+Pinned, not fixed.  ``BaseHMM.fit`` / ``fit_sequences`` and
+``numpy_ref.estep_xi_sum`` sum
 ``alpha_t(i) * A_ij * b_j(o_{t+1}) * beta_{t+1}(j)`` over ``t`` without
 the ``1 / c_{t+1}`` that this code's forward/backward scaling requires:
 ``sum_j`` of the computed ``xi_t(i, .)`` is ``c_{t+1} * gamma_t(i)``, not
@@ -41,7 +41,7 @@ def two_regime_sequence() -> np.ndarray:
 def test_log_likelihood_never_decreases(engine):
     sequence = two_regime_sequence()
     if engine == "batched":
-        model = BatchGaussianHMM(1, 2, kernel="numpy")
+        model = BatchGaussianHMM(1, 2)
         (result,) = model.fit(sequence[None, :], max_iter=8, tol=0.0, seed=0)
     else:
         result = GaussianHMM(2).fit(sequence, max_iter=8, tol=0.0, rng=0)

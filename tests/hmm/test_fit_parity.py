@@ -8,10 +8,7 @@ of the active stack with exact-zero weights on missing and padded cells.
 The rewrite changed how much interpreter an iteration costs, not one bit
 of any parameter or log-likelihood: the parent's bodies are kept verbatim
 below (``FrozenParentHMM`` / ``frozen_estep_xi_sum`` — do not
-"modernise" them) and every fit must come out byte-equal, on both
-:class:`~repro.hmm.kernels.KernelOps` tables (the numba one runs
-interpreted where numba is absent, compiled on the CI numba leg — there
-the masked xi reduction is held to the compiled loop).
+"modernise" them) and every fit must come out byte-equal.
 """
 
 import numpy as np
@@ -21,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.hmm import BatchGaussianHMM, stack_ragged
 from repro.hmm.base import FitResult
 from repro.hmm.gaussian import MIN_VARIANCE
-from repro.hmm.kernels import numba_fast, numpy_ref
+from repro.hmm.kernels import numpy_ref
 from repro.hmm.utils import PROB_FLOOR, normalize_rows
 from tests.hmm.test_batch import make_sequences
 
@@ -90,7 +87,6 @@ class FrozenParentHMM(BatchGaussianHMM):
                 transmat=self.transmat[active],
                 means=self.means[active],
                 variances=self.variances[active],
-                kernel=self._requested_kernel,
             )
             emissions = sub.emission_probabilities(obs_a)
             alpha, scales, log_likelihoods = sub.forward(emissions, len_a)
@@ -132,15 +128,7 @@ class FrozenParentHMM(BatchGaussianHMM):
 # ---------------------------------------------------------------------------
 # Harness
 # ---------------------------------------------------------------------------
-@pytest.fixture(params=["numpy", "numba"])
-def backend(request, monkeypatch):
-    """Both kernel tables; numba's runs interpreted where numba is absent."""
-    if request.param == "numba":
-        monkeypatch.setattr(numba_fast, "AVAILABLE", True)
-    return request.param
-
-
-def assert_fit_parity(observations, lengths, k=2, backend="numpy", **fit_args):
+def assert_fit_parity(observations, lengths, k=2, **fit_args):
     """Production ``fit`` == frozen parent ``fit``, byte for byte.
 
     ``fit_args`` may carry initial ``startprob`` / ``transmat`` /
@@ -153,9 +141,8 @@ def assert_fit_parity(observations, lengths, k=2, backend="numpy", **fit_args):
         if name in fit_args
     }
     n = len(observations)
-    model = BatchGaussianHMM(n, k, kernel=backend, **params)
-    parent = FrozenParentHMM(n, k, kernel=backend, **params)
-    assert model.kernel_name == backend
+    model = BatchGaussianHMM(n, k, **params)
+    parent = FrozenParentHMM(n, k, **params)
     results = model.fit(observations, lengths, **fit_args)
     expected = parent.fit(observations, lengths, **fit_args)
     for name in ("startprob", "transmat", "means", "variances"):
@@ -208,23 +195,20 @@ def random_stack(seed, n, t_hi, missing=0.0):
 class TestFitEqualsFrozenParent:
     @pytest.mark.parametrize("k", [2, 3, 7])
     @pytest.mark.parametrize("missing", [0.0, 0.4])
-    def test_ragged_random_stacks(self, backend, k, missing):
+    def test_ragged_random_stacks(self, k, missing):
         for seed in range(4):
             observations, lengths = random_stack(
                 seed, n=1 + 3 * seed, t_hi=30, missing=missing
             )
             assert_fit_parity(
-                observations, lengths, k=k, backend=backend,
-                max_iter=12, seed=seed,
-            )  # fmt: skip
+                observations, lengths, k=k, max_iter=12, seed=seed
+            )
 
-    def test_nan_heavy_rows(self, backend):
+    def test_nan_heavy_rows(self):
         observations, lengths = random_stack(5, n=9, t_hi=40, missing=0.85)
-        assert_fit_parity(
-            observations, lengths, backend=backend, max_iter=10, seed=1
-        )
+        assert_fit_parity(observations, lengths, max_iter=10, seed=1)
 
-    def test_nan_only_tails_and_heads(self, backend):
+    def test_nan_only_tails_and_heads(self):
         rng = np.random.default_rng(6)
         observations = rng.normal(0.0, 1.0, size=(4, 20))
         observations[0, 12:] = np.nan  # tail of a full-length row
@@ -232,11 +216,9 @@ class TestFitEqualsFrozenParent:
         observations[2, 9:] = np.nan  # tail running into the padding
         observations[3, 1:] = np.nan  # one present cell
         lengths = np.array([20, 20, 15, 11])
-        assert_fit_parity(
-            observations, lengths, backend=backend, max_iter=10, seed=2
-        )
+        assert_fit_parity(observations, lengths, max_iter=10, seed=2)
 
-    def test_padding_content_is_never_read(self, backend):
+    def test_padding_content_is_never_read(self):
         # ``fit`` documents NaN padding but only ``lengths`` delimits a
         # row: finite garbage past a row's end must change nothing.
         observations, lengths = random_stack(7, n=5, t_hi=16, missing=0.2)
@@ -245,46 +227,39 @@ class TestFitEqualsFrozenParent:
             123.0,
             observations,
         )
-        garbage = assert_fit_parity(
-            padded, lengths, backend=backend, max_iter=8, seed=3
-        )
-        clean = assert_fit_parity(
-            observations, lengths, backend=backend, max_iter=8, seed=3
-        )
+        garbage = assert_fit_parity(padded, lengths, max_iter=8, seed=3)
+        clean = assert_fit_parity(observations, lengths, max_iter=8, seed=3)
         assert garbage == clean
 
-    def test_length_one_rows(self, backend):
+    def test_length_one_rows(self):
         observations = np.array([[0.3], [-0.7], [1.5]])
-        assert_fit_parity(
-            observations, np.array([1, 1, 1]), backend=backend, seed=4
-        )
+        assert_fit_parity(observations, np.array([1, 1, 1]), seed=4)
         mixed, lengths, _ = stack_ragged(
             [np.array([0.4]), np.arange(6.0), np.array([-1.0])]
         )
-        assert_fit_parity(mixed, lengths, backend=backend, seed=4)
+        assert_fit_parity(mixed, lengths, seed=4)
 
-    def test_constant_rows_take_the_jitter_init(self, backend):
+    def test_constant_rows_take_the_jitter_init(self):
         observations, lengths, _ = stack_ragged(
             [np.full(8, 2.5), np.full(5, -1.0), np.full(12, 0.0)]
         )
-        assert_fit_parity(observations, lengths, backend=backend, seed=7)
+        assert_fit_parity(observations, lengths, seed=7)
 
-    def test_rows_freeze_at_different_iterations(self, backend):
+    def test_rows_freeze_at_different_iterations(self):
         sequences = make_sequences(seed=17, n=6) + [
             np.full(10, 1.0),
             np.full(4, -2.0),
         ]
         observations, lengths, _ = stack_ragged(sequences)
         results = assert_fit_parity(
-            observations, lengths, backend=backend,
-            max_iter=14, tol=1e-2, seed=17,
-        )  # fmt: skip
+            observations, lengths, max_iter=14, tol=1e-2, seed=17
+        )
         counts = {result.iterations for result in results}
         assert len(counts) >= 4  # the active set shrank more than once
         assert any(result.converged for result in results)
         assert not all(result.converged for result in results)
 
-    def test_state_without_weight_keeps_its_parameters(self, backend):
+    def test_state_without_weight_keeps_its_parameters(self):
         # State 1 sits 1e6 away with a tiny variance: its density is
         # exactly 0 on every present cell, so it gets posterior mass only
         # on missing cells — which carry no weight.  ``keep`` branch.
@@ -296,27 +271,25 @@ class TestFitEqualsFrozenParent:
         means = np.array([0.0, 1e6])
         variances = np.array([1.0, 2e-3])
         assert_fit_parity(
-            observations, lengths, backend=backend,
+            observations, lengths,
             means=means, variances=variances, max_iter=5, init=False,
         )  # fmt: skip
-        model = BatchGaussianHMM(
-            3, 2, kernel=backend, means=means, variances=variances
-        )
+        model = BatchGaussianHMM(3, 2, means=means, variances=variances)
         model.fit(observations, lengths, max_iter=5, init=False)
         assert (model.means[:, 1] == 1e6).all()
         assert (model.variances[:, 1] == 2e-3).all()
 
-    def test_all_missing_row_without_init(self, backend):
+    def test_all_missing_row_without_init(self):
         rng = np.random.default_rng(9)
         observations = rng.normal(0.0, 1.0, size=(3, 9))
         observations[1] = np.nan
         lengths = np.array([9, 9, 6])
         assert_fit_parity(
-            observations, lengths, backend=backend,
+            observations, lengths,
             means=np.array([-0.5, 0.5]), max_iter=6, init=False,
         )  # fmt: skip
 
-    def test_warm_start_from_per_row_parameters(self, backend):
+    def test_warm_start_from_per_row_parameters(self):
         rng = np.random.default_rng(10)
         observations, lengths = random_stack(10, n=6, t_hi=25, missing=0.2)
         n, k = 6, 3
@@ -325,7 +298,7 @@ class TestFitEqualsFrozenParent:
         transmat = rng.random((n, k, k)) + 0.05
         transmat /= transmat.sum(axis=2, keepdims=True)
         assert_fit_parity(
-            observations, lengths, k=k, backend=backend,
+            observations, lengths, k=k,
             startprob=startprob, transmat=transmat,
             means=rng.normal(0.0, 1.0, size=(n, k)),
             variances=rng.uniform(0.2, 1.5, size=(n, k)),
@@ -333,7 +306,7 @@ class TestFitEqualsFrozenParent:
         )  # fmt: skip
 
     @pytest.mark.parametrize("how", ["readonly", "strided", "fortran"])
-    def test_worker_input_layouts(self, backend, how):
+    def test_worker_input_layouts(self, how):
         """Worker inputs are read-only shm views: ``fit`` must accept
         them, leave them untouched and return the same bits."""
         rng = np.random.default_rng(11)
@@ -342,22 +315,17 @@ class TestFitEqualsFrozenParent:
         frozen_lengths = lengths.copy()
         frozen_lengths.setflags(write=False)
         before = view.tobytes()
-        hostile = assert_fit_parity(
-            view, frozen_lengths, backend=backend, max_iter=8, seed=5
-        )
+        hostile = assert_fit_parity(view, frozen_lengths, max_iter=8, seed=5)
         assert view.tobytes() == before
-        plain = assert_fit_parity(
-            observations, lengths, backend=backend, max_iter=8, seed=5
-        )
+        plain = assert_fit_parity(observations, lengths, max_iter=8, seed=5)
         assert hostile == plain
 
-    def test_max_iter_bounds_the_history(self, backend):
+    def test_max_iter_bounds_the_history(self):
         observations, lengths = random_stack(12, n=4, t_hi=15)
         for max_iter in (0, 1, 2):
             results = assert_fit_parity(
-                observations, lengths, backend=backend,
-                max_iter=max_iter, seed=6,
-            )  # fmt: skip
+                observations, lengths, max_iter=max_iter, seed=6
+            )
             assert all(r.iterations == max_iter for r in results)
             assert not any(r.converged for r in results)
 
@@ -367,22 +335,15 @@ class TestFitEqualsFrozenParent:
         n=st.integers(min_value=1, max_value=8),
         missing=st.sampled_from([0.0, 0.3]),
         k=st.sampled_from([2, 3, 7]),
-        kernel=st.sampled_from(["numpy", "numba"]),
     )
-    def test_parity_property(self, seed, n, missing, k, kernel):
+    def test_parity_property(self, seed, n, missing, k):
         # Strategy of ``TestParityVsPerClaim.test_parity_property``.
         observations, lengths, _ = stack_ragged(
             make_sequences(seed=seed, n=n, missing=missing)
         )
-        available = numba_fast.AVAILABLE
-        numba_fast.AVAILABLE = True
-        try:
-            assert_fit_parity(
-                observations, lengths, k=k, backend=kernel,
-                max_iter=15, tol=1e-3, seed=seed,
-            )  # fmt: skip
-        finally:
-            numba_fast.AVAILABLE = available
+        assert_fit_parity(
+            observations, lengths, k=k, max_iter=15, tol=1e-3, seed=seed
+        )
 
 
 class TestXiSumEqualsPerRowLoop:
@@ -408,7 +369,6 @@ class TestXiSumEqualsPerRowLoop:
                 for a in (transmat, emissions, alpha, beta)
             )
             lengths.setflags(write=False)
-        for ops in (numpy_ref, numba_fast):
-            got = ops.estep_xi_sum(transmat, emissions, alpha, beta, lengths)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        got = numpy_ref.estep_xi_sum(transmat, emissions, alpha, beta, lengths)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

@@ -1,12 +1,12 @@
 """Independent oracle for the batched HMM kernels: path enumeration.
 
-Backend parity (``test_kernels.py``) proves the kernel tables agree with
-each other, not that either is right.  Here every quantity is rebuilt
-from the definition of an HMM — a sum (or max) over all ``K**L`` hidden
-paths of the joint ``p(path, observations)`` — with no recursion, no
-scaling and no shared code, and both :class:`~repro.hmm.kernels.KernelOps`
-tables (the numba one runs interpreted where numba is absent) are held
-to it directly, below :class:`~repro.hmm.batch.BatchGaussianHMM`.
+The frozen-oracle parity of ``test_kernels.py`` proves the kernels
+return what their previous bodies returned, not that either is right.
+Here every quantity is rebuilt from the definition of an HMM — a sum (or
+max) over all ``K**L`` hidden paths of the joint
+``p(path, observations)`` — with no recursion, no scaling and no shared
+code, and :mod:`~repro.hmm.kernels.numpy_ref` is held to it directly,
+below :class:`~repro.hmm.batch.BatchGaussianHMM`.
 """
 
 import itertools
@@ -17,10 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hmm import BatchGaussianHMM, stack_ragged
-from repro.hmm import kernels
+from repro.hmm.kernels import numpy_ref
 from repro.hmm.utils import log_mask_zero, masked_row_sums, normalize_rows
-
-BACKENDS = {"numpy": kernels._NUMPY_OPS, "numba": kernels._NUMBA_OPS}
 
 
 def enumerate_row(startprob, transmat, emissions):
@@ -65,7 +63,6 @@ def small_stack(seed, k, missing):
         transmat=transmat,
         means=rng.normal(0.0, 1.0, size=(n, k)),
         variances=rng.uniform(0.5, 2.0, size=(n, k)),
-        kernel="numpy",
     )
     # The emission stack is an *input* of every kernel op, so sharing it
     # with the enumeration leaves the recursions fully independent.
@@ -73,23 +70,21 @@ def small_stack(seed, k, missing):
     return startprob, transmat, emissions, lengths, np.isnan(observations)
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
 @given(
     seed=st.integers(0, 100_000),
     k=st.sampled_from([2, 3]),
     missing=st.sampled_from([0.0, 0.4, 1.0]),
 )
 @settings(max_examples=25, deadline=None)
-def test_kernels_match_path_enumeration(backend, seed, k, missing):
-    ops = BACKENDS[backend]
+def test_kernels_match_path_enumeration(seed, k, missing):
     startprob, transmat, emissions, lengths, nan_mask = small_stack(
         seed, k, missing
     )
-    alpha, scales = ops.forward(startprob, transmat, emissions, lengths)
-    beta = ops.backward(transmat, emissions, scales, lengths)
+    alpha, scales = numpy_ref.forward(startprob, transmat, emissions, lengths)
+    beta = numpy_ref.backward(transmat, emissions, scales, lengths)
     log_likelihoods = masked_row_sums(log_mask_zero(scales), lengths)
     posteriors = normalize_rows(alpha * beta)
-    states, log_joints = ops.viterbi(
+    states, log_joints = numpy_ref.viterbi(
         log_mask_zero(startprob),
         log_mask_zero(transmat),
         log_mask_zero(emissions),

@@ -1,44 +1,23 @@
-"""Kernel backend layer: selection, bit-parity, masked row sums.
+"""The HMM kernels: masked row sums and the frozen-oracle bit parity.
 
-The backends' contract is *bit identity*: for any input stack, the
-numba kernels (compiled or interpreted) return exactly the bytes the
-numpy reference returns — ``==``, not ``allclose``.  These tests pin
-that contract, the selection/fallback logic (``kernel=`` /
-``REPRO_KERNEL`` / auto), and the vectorized masked row-sum that
-replaced the per-row log-likelihood loop.
-
-The numpy reference itself is pinned against a *frozen oracle*: the
-einsum / ``.sum(axis=2)`` / ``take_along_axis`` recursion bodies it had
-before the time-major rewrite, kept verbatim below (``oracle_*``).  The
+``numpy_ref`` is pinned against a *frozen oracle*: the einsum /
+``.sum(axis=2)`` / ``take_along_axis`` recursion bodies it had before
+the time-major rewrite, kept verbatim below (``oracle_*``).  The
 rewrite changed how many interpreter round-trips a timestep costs, not
 one bit of any output, and these tests are what says so.
 """
-
-import dataclasses
-import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.sstd import SSTD, SSTDConfig, batch_fit_decode
-from repro.hmm import BatchGaussianHMM, kernels, stack_ragged
-from repro.hmm.kernels import (
-    KERNEL_NAMES,
-    MAX_BITWISE_STATES,
-    active_kernel_info,
-    available_backends,
-    kernel_gauge_value,
-    kernel_parity_ok,
-    numba_fast,
-    numpy_ref,
-    resolve_kernel,
-)
+from repro.core.estimates_io import estimates_digest
+from repro.core.sstd import SSTD, SSTDConfig
+from repro.hmm import BatchGaussianHMM
+from repro.hmm.kernels import active_kernel_info, numpy_ref
 from repro.hmm.utils import PROB_FLOOR, log_mask_zero, masked_row_sums
-from repro.obs import Observability, get_obs, set_obs
 from repro.streams.events import PopulationConfig, ScenarioSpec
 from repro.streams.generator import GeneratorConfig, generate_trace
-from tests.conftest import requires_numba
 
 
 # ---------------------------------------------------------------------------
@@ -207,68 +186,6 @@ def assert_matches_oracle(startprob, transmat, emissions, lengths):
     assert same_bits(joints, joints_ref)
 
 
-def make_stack(seed=0, n=4, k=2, t_lo=1, t_hi=12, missing=0.0):
-    """A ragged emission stack via the real model plumbing (NaN-aware)."""
-    rng = np.random.default_rng(seed)
-    sequences = []
-    for _ in range(n):
-        length = int(rng.integers(t_lo, t_hi + 1))
-        values = rng.normal(0.0, 1.0, size=length)
-        if missing > 0:
-            mask = rng.random(length) < missing
-            mask[int(rng.integers(0, length))] = False
-            values[mask] = np.nan
-        sequences.append(values)
-    observations, lengths, _ = stack_ragged(sequences)
-    model = BatchGaussianHMM(
-        n,
-        k,
-        means=np.linspace(-1.0, 1.0, k),
-        variances=np.linspace(0.5, 1.5, k),
-        kernel="numpy",
-    )
-    emissions = model.emission_probabilities(observations)
-    return model, emissions, lengths
-
-
-def assert_ops_parity(model, emissions, lengths):
-    """All four ops agree bit for bit between the two backends."""
-    alpha_ref, scales_ref = numpy_ref.forward(
-        model.startprob, model.transmat, emissions, lengths
-    )
-    alpha, scales = numba_fast.forward(
-        model.startprob, model.transmat, emissions, lengths
-    )
-    assert (alpha == alpha_ref).all()
-    assert (scales == scales_ref).all()
-
-    beta_ref = numpy_ref.backward(
-        model.transmat, emissions, scales_ref, lengths
-    )
-    beta = numba_fast.backward(model.transmat, emissions, scales_ref, lengths)
-    assert (beta == beta_ref).all()
-
-    log_start = log_mask_zero(model.startprob)
-    log_trans = log_mask_zero(model.transmat)
-    log_emissions = log_mask_zero(emissions)
-    states_ref, joints_ref = numpy_ref.viterbi(
-        log_start, log_trans, log_emissions, lengths
-    )
-    states, joints = numba_fast.viterbi(
-        log_start, log_trans, log_emissions, lengths
-    )
-    assert (states == states_ref).all()
-    assert (joints == joints_ref).all()
-
-    xi_ref = numpy_ref.estep_xi_sum(
-        model.transmat, emissions, alpha_ref, beta_ref, lengths
-    )
-    xi = numba_fast.estep_xi_sum(
-        model.transmat, emissions, alpha_ref, beta_ref, lengths
-    )
-    assert (xi == xi_ref).all()
-
-
 class TestMaskedRowSums:
     @given(seed=st.integers(0, 200))
     @settings(max_examples=30, deadline=None)
@@ -314,124 +231,6 @@ class TestMaskedRowSums:
             masked_row_sums(np.ones((2, 3)), np.array([1]))
         with pytest.raises(ValueError, match="lengths"):
             masked_row_sums(np.ones((2, 3)), np.array([4, 1]))
-
-
-class TestSelection:
-    def test_numpy_always_resolves(self):
-        assert resolve_kernel("numpy").name == "numpy"
-
-    def test_invalid_name_rejected(self):
-        with pytest.raises(ValueError, match="kernel must be one of"):
-            resolve_kernel("cuda")
-
-    def test_env_var_drives_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        assert resolve_kernel(None).name == "numpy"
-        monkeypatch.setenv("REPRO_KERNEL", "cuda")
-        with pytest.raises(ValueError, match="kernel must be one of"):
-            resolve_kernel(None)
-
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "cuda")  # would raise if read
-        assert resolve_kernel("numpy").name == "numpy"
-
-    def test_explicit_numba_raises_without_numba(self, monkeypatch):
-        monkeypatch.setattr(numba_fast, "AVAILABLE", False)
-        with pytest.raises(RuntimeError, match="not importable"):
-            resolve_kernel("numba")
-
-    def test_auto_falls_back_silently_without_numba(self, monkeypatch):
-        monkeypatch.setattr(numba_fast, "AVAILABLE", False)
-        assert resolve_kernel("auto", n_states=2).name == "numpy"
-        assert available_backends() == ("numpy",)
-
-    def test_auto_picks_numba_when_parity_proven(self, monkeypatch):
-        # Interpreted fallback loops behave like the compiled kernels,
-        # so forcing AVAILABLE exercises the real selection logic
-        # (including the parity probe) without numba installed.
-        monkeypatch.setattr(numba_fast, "AVAILABLE", True)
-        assert resolve_kernel("auto", n_states=2).name == "numba"
-        assert available_backends() == ("numpy", "numba")
-
-    def test_auto_refuses_wide_state_counts(self, monkeypatch):
-        monkeypatch.setattr(numba_fast, "AVAILABLE", True)
-        picked = resolve_kernel("auto", n_states=MAX_BITWISE_STATES)
-        assert picked.name == "numpy"
-
-    def test_kernel_parity_ok_and_cached(self):
-        assert kernel_parity_ok(2) is True
-        assert kernel_parity_ok(3) is True
-        assert kernel_parity_ok(2) is True  # cached verdict
-
-    def test_gauge_encoding(self):
-        assert kernel_gauge_value("numpy") == 0.0
-        assert kernel_gauge_value("numba") == 1.0
-
-    def test_active_kernel_info_shape(self):
-        info = active_kernel_info()
-        assert set(info) == {"backend", "numba_available", "numba_version"}
-        assert info["backend"] in KERNEL_NAMES
-
-    def test_model_exposes_resolved_backend(self):
-        model = BatchGaussianHMM(2, 2, kernel="numpy")
-        assert model.kernel_name == "numpy"
-
-    def test_sstd_config_validates_kernel(self):
-        assert SSTDConfig(kernel="numpy").kernel == "numpy"
-        assert SSTDConfig().kernel is None
-        with pytest.raises(ValueError, match="kernel"):
-            SSTDConfig(kernel="cuda")
-
-
-class TestOpParity:
-    """Backends agree bit for bit — compiled when numba is installed,
-    interpreted otherwise (same IEEE-754 operation order either way)."""
-
-    @given(
-        seed=st.integers(0, 500),
-        n=st.integers(1, 6),
-        k=st.sampled_from([2, 3]),
-        missing=st.sampled_from([0.0, 0.3, 0.8]),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_random_ragged_stacks(self, seed, n, k, missing):
-        model, emissions, lengths = make_stack(
-            seed=seed, n=n, k=k, missing=missing
-        )
-        assert_ops_parity(model, emissions, lengths)
-
-    def test_length_one_rows(self):
-        model, emissions, lengths = make_stack(seed=1, n=3, t_lo=1, t_hi=1)
-        assert (lengths == 1).all()
-        assert_ops_parity(model, emissions, lengths)
-
-    def test_constant_sequences(self):
-        observations = np.full((3, 6), 0.25)
-        lengths = np.array([6, 6, 4])
-        model = BatchGaussianHMM(3, 2, kernel="numpy")
-        emissions = model.emission_probabilities(observations)
-        assert_ops_parity(model, emissions, lengths)
-
-    def test_nan_heavy_rows(self):
-        observations = np.full((2, 8), np.nan)
-        observations[0, 3] = 1.0
-        observations[1, 0] = -2.0
-        lengths = np.array([8, 8])
-        model = BatchGaussianHMM(2, 2, kernel="numpy")
-        emissions = model.emission_probabilities(observations)
-        assert_ops_parity(model, emissions, lengths)
-
-    def test_dead_timestep_prob_floor_rescue(self):
-        """An all-zero emission step takes the PROB_FLOOR path in both
-        backends — the rescue must produce the same bits too."""
-        model, emissions, lengths = make_stack(seed=7, n=3, t_lo=5, t_hi=8)
-        emissions[0, 2, :] = 0.0  # dead mid-sequence step
-        emissions[1, 0, :] = 0.0  # dead first step
-        assert_ops_parity(model, emissions, lengths)
-
-    def test_k3_probe_stack(self):
-        model, emissions, lengths = make_stack(seed=11, n=5, k=3, missing=0.4)
-        assert_ops_parity(model, emissions, lengths)
 
 
 class TestNumpyRefMatchesFrozenOracle:
@@ -557,106 +356,37 @@ class TestNumpyRefMatchesFrozenOracle:
         )
 
         def digest():
-            estimates = SSTD(SSTDConfig(kernel="numpy")).discover(
-                list(trace.reports)
-            )
+            estimates = SSTD().discover(list(trace.reports))
             assert any(0.0 < e.confidence < 1.0 for e in estimates)
-            rows = [
-                (e.claim_id, e.timestamp, int(e.value), e.confidence.hex())
-                for e in estimates
-            ]
-            return len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()
+            return len(estimates), estimates_digest(estimates)
 
         production = digest()
-        oracle_ops = dataclasses.replace(
-            resolve_kernel("numpy"),
-            forward=oracle_forward,
-            backward=oracle_backward,
-            viterbi=oracle_viterbi,
-        )
-        monkeypatch.setattr(kernels, "_NUMPY_OPS", oracle_ops)
-        assert resolve_kernel("numpy").forward is oracle_forward
+        oracle_calls = []
+
+        def spied_oracle_forward(*args):
+            oracle_calls.append(1)
+            return oracle_forward(*args)
+
+        monkeypatch.setattr(numpy_ref, "forward", spied_oracle_forward)
+        monkeypatch.setattr(numpy_ref, "backward", oracle_backward)
+        monkeypatch.setattr(numpy_ref, "viterbi", oracle_viterbi)
         assert digest() == production
+        assert oracle_calls  # the model really went through the swap
 
 
-class TestEndToEndParity:
-    """Whole-model runs through each backend produce identical bits."""
+def test_the_backend_switch_is_gone(monkeypatch):
+    with pytest.raises(TypeError):
+        SSTDConfig(kernel="numpy")
+    with pytest.raises(TypeError):
+        BatchGaussianHMM(1, 2, kernel="numpy")
+    assert active_kernel_info() == {"backend": "numpy"}
 
-    def _sequences(self, seed=0, n=4):
-        rng = np.random.default_rng(seed)
-        sequences = []
-        for _ in range(n):
-            length = int(rng.integers(6, 14))
-            flip = length // 2
-            sequences.append(
-                np.concatenate(
-                    [
-                        rng.normal(-1.0, 0.3, size=flip),
-                        rng.normal(1.0, 0.3, size=length - flip),
-                    ]
-                )
-            )
-        return sequences
+    def fit():
+        model = BatchGaussianHMM(1, 2)
+        model.fit(np.array([[-1.0, -1.2, -0.9, 1.1, 0.9, 1.0]]), max_iter=5)
+        return model.means.tobytes() + model.transmat.tobytes()
 
-    def _run(self, kernel):
-        observations, lengths, _ = stack_ragged(self._sequences())
-        model = BatchGaussianHMM(len(lengths), 2, kernel=kernel)
-        results = model.fit(observations, lengths, max_iter=10, seed=0)
-        emissions = model.emission_probabilities(observations)
-        states, joints = model.viterbi(emissions, lengths)
-        posteriors = model.state_posteriors(
-            observations, lengths, emissions=emissions
-        )
-        return model, results, states, joints, posteriors
-
-    def assert_identical_runs(self):
-        ref = self._run("numpy")
-        other = self._run("numba")
-        model_ref, results_ref, states_ref, joints_ref, post_ref = ref
-        model, results, states, joints, post = other
-        assert model.kernel_name == "numba"
-        assert (model.startprob == model_ref.startprob).all()
-        assert (model.transmat == model_ref.transmat).all()
-        assert (model.means == model_ref.means).all()
-        assert (model.variances == model_ref.variances).all()
-        for got, want in zip(results, results_ref):
-            assert got.log_likelihoods == want.log_likelihoods
-            assert got.iterations == want.iterations
-            assert got.converged == want.converged
-        assert (states == states_ref).all()
-        assert (joints == joints_ref).all()
-        assert (post == post_ref).all()
-
-    def test_fit_decode_posteriors_interpreted(self, monkeypatch):
-        monkeypatch.setattr(numba_fast, "AVAILABLE", True)
-        self.assert_identical_runs()
-
-    @requires_numba
-    def test_fit_decode_posteriors_compiled(self):
-        self.assert_identical_runs()
-
-    @requires_numba
-    def test_auto_selects_compiled_kernels(self):
-        assert resolve_kernel("auto", n_states=2).name == "numba"
-
-
-class TestObservability:
-    def test_gauge_and_span_record_backend(self):
-        rng = np.random.default_rng(0)
-        times = np.arange(10.0)
-        acs = np.concatenate([rng.normal(-1, 0.2, 5), rng.normal(1, 0.2, 5)])
-        previous = get_obs()
-        obs = Observability()
-        set_obs(obs)
-        try:
-            results = batch_fit_decode(
-                [("c1", times, acs)], SSTDConfig(kernel="numpy")
-            )
-        finally:
-            set_obs(previous)
-        assert results[0].used_hmm
-        assert obs.metrics.gauge("hmm.kernel") == kernel_gauge_value("numpy")
-        (span,) = [
-            e for e in obs.tracer.events() if e.name == "sstd.batch_fit"
-        ]
-        assert span.attr_dict()["kernel"] == "numpy"
+    before = fit()
+    monkeypatch.setenv("REPRO_KERNEL", "numba")
+    assert active_kernel_info() == {"backend": "numpy"}
+    assert fit() == before

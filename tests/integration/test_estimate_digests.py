@@ -1,0 +1,63 @@
+"""Pinned estimate digests: a bit change is a visible edit of this file.
+
+Each e2e workload (``benchmarks/e2e/workloads.py``) runs one pass at its
+``smoke_shape`` on seed 1 and its estimates are fingerprinted with
+:func:`repro.core.estimates_io.estimates_digest`.  A PR that claims
+"same answers" leaves ``PINNED`` alone; a PR that changes numerics on
+purpose edits it and says why.  ``repro-cli discover --output`` +
+``repro-cli digest`` compute the same fingerprint from the shell.
+"""
+
+import math
+
+import pytest
+
+from benchmarks.e2e.workloads import WORKLOADS, make_trace
+from repro.cli import main
+from repro.core.estimates_io import estimates_digest, save_estimates
+
+SEED = 1
+
+#: workload -> (digest, estimate count) at ``smoke_shape``, seed 1.
+PINNED = {
+    "batch_volume": ("2564928518bfe322", 237),
+    "batch_longgrid": ("eabc233ae62fc52f", 941),
+    "dist_intervals": ("bc1705ab640564b8", 72),
+    "stream_ticks": ("aab6717505ff4425", 117),
+}
+
+
+def smoke_estimates(name):
+    workload = WORKLOADS[name]
+    shape = workload.smoke_shape
+    return workload.run_pass(make_trace(shape, SEED), shape, False).estimates
+
+
+def test_every_workload_is_pinned():
+    assert sorted(PINNED) == sorted(WORKLOADS)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_smoke_shape_digest(name):
+    estimates = smoke_estimates(name)
+    assert (estimates_digest(estimates), len(estimates)) == PINNED[name]
+
+
+def test_digest_sees_one_bit_and_the_order():
+    estimates = list(smoke_estimates("stream_ticks"))
+    flipped = list(estimates)
+    e = flipped[5]
+    nudged = math.nextafter(e.confidence, 0.5)
+    assert nudged != e.confidence
+    flipped[5] = type(e)(e.claim_id, e.timestamp, e.value, nudged)
+    assert estimates_digest(flipped) != estimates_digest(estimates)
+    assert estimates_digest(estimates[::-1]) != estimates_digest(estimates)
+
+
+def test_cli_digest_round_trips_through_jsonl(tmp_path, capsys):
+    digest, count = PINNED["batch_volume"]
+    path = tmp_path / "estimates.jsonl"
+    save_estimates(smoke_estimates("batch_volume"), path)
+    assert main(["digest", str(path), str(path)]) == 0
+    line = f"{digest}  {count}  {path}"
+    assert capsys.readouterr().out.splitlines() == [line, line]
