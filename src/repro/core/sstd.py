@@ -57,6 +57,17 @@ __all__ = [
 #: one streaming tick's batched fit).
 RETRAIN_ROW_BUCKETS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 500.0)
 
+#: Weight of the sticky Dirichlet prior on a claim's transition matrix,
+#: in pseudo-counts per grid step of that claim: Baum-Welch adds
+#: ``TRANSITION_PRIOR_STRENGTH * T * [[p, 1 - p], [1 - p, p]]``
+#: (``p = SSTDConfig.sticky_prior``, ``T`` the row's length) to the
+#: expected transition counts, which themselves sum to ``T - 1``.  The
+#: mass scales with the grid so that the prior weighs the same against
+#: the data on a 50-step history and on a 1440-step one; a fixed mass
+#: fades on long grids.  Chosen from the sweep recorded in
+#: EXPERIMENTS.md.
+TRANSITION_PRIOR_STRENGTH = 4.0
+
 #: ``_TRUTH_OF_CODE[code]`` is the :class:`TruthValue` of an int8 code.
 _TRUTH_OF_CODE = (TruthValue.FALSE, TruthValue.TRUE)
 
@@ -87,10 +98,15 @@ class SSTDConfig:
         em_tol: Baum-Welch convergence tolerance on log-likelihood.
         min_observations: Non-empty grid points required before an HMM is
             trained; shorter sequences fall back to the ACS sign rule.
-        sticky_prior: Initial self-transition probability of the truth
-            chain.  Truth changes are rare relative to the observation
-            grid, so a sticky prior (close to 1) regularizes EM away from
-            rapid oscillation on noisy data.
+        sticky_prior: Prior self-transition probability ``p`` of the
+            truth chain.  Truth changes are rare relative to the
+            observation grid, so every claim's ``A`` gets a Dirichlet
+            prior centred on ``[[p, 1 - p], [1 - p, p]]`` worth
+            ``TRANSITION_PRIOR_STRENGTH`` pseudo-steps per state for
+            every grid step of the claim —
+            Baum-Welch is a MAP-EM whose transition M-step adds those
+            pseudo-counts — which regularizes it away from rapid
+            oscillation on noisy data.  EM also starts from that matrix.
         decode_online: When True, estimates use forward filtering (only
             past observations); when False, full Viterbi smoothing.
         seed: Seed for EM emission initialization.
@@ -257,6 +273,8 @@ def batch_fit_decode(
         max_iter=config.em_max_iter,
         tol=config.em_tol,
         seed=config.seed,
+        transmat_prior=(TRANSITION_PRIOR_STRENGTH * lengths)[:, None, None]
+        * transmat,
     )
     # One emission evaluation feeds the forward-backward pass, the
     # decode, and the posteriors.
@@ -462,9 +480,11 @@ class StreamingSSTD:
     Cost: a push is O(1) amortized.  A tick without retrains is O(1)
     per claim — one window read, one append, one estimate — plus a
     constant number of numpy calls for the whole filter stack.  A tick
-    with M due claims adds *one* fit: ``em_max_iter`` forward-backward
-    sweeps over at most ``max_buffer`` time steps, each step one
-    ``(M, K)`` operation, so its interpreter cost does not grow with M.
+    with M due claims adds *one* fit: at most ``em_max_iter``
+    forward-backward sweeps (it ends when the last row's log-likelihood
+    plateaus, rows leaving as theirs do) over at most ``max_buffer``
+    time steps, each step one ``(M, K)`` operation, so its interpreter
+    cost does not grow with M.
     """
 
     name = "SSTD"

@@ -35,6 +35,7 @@ __all__ = [
     "CONTRACTS_ENV_VAR",
     "ContractViolation",
     "assert_finite",
+    "assert_non_decreasing",
     "assert_probability_simplex",
     "assert_score_range",
     "assert_stochastic_matrix",
@@ -91,6 +92,32 @@ def assert_finite(values: np.ndarray, name: str = "array") -> None:
     if not np.isfinite(values).all():
         bad = values[~np.isfinite(values)]
         _fail(f"{name} contains non-finite values: {bad[:8]!r}")
+
+
+def assert_non_decreasing(
+    previous: np.ndarray | float,
+    current: np.ndarray | float,
+    name: str = "objective",
+    rtol: float = 1e-9,
+) -> None:
+    """``current`` must not fall below ``previous``, elementwise.
+
+    The invariant of an EM iteration: the (penalised) log-likelihood a
+    model enters iteration ``i + 1`` with is at least the one it entered
+    iteration ``i`` with.  A drop within ``rtol * max(1, |previous|)``
+    is rounding, not a violation.
+    """
+    if not _enabled:
+        return
+    previous = np.asarray(previous, dtype=float)
+    current = np.asarray(current, dtype=float)
+    slack = rtol * np.maximum(1.0, np.abs(previous))
+    dropped = current < previous - slack
+    if dropped.any():
+        _fail(
+            f"{name} decreased: {previous[dropped][:8]!r} -> "
+            f"{current[dropped][:8]!r}"
+        )
 
 
 def assert_probability_simplex(

@@ -26,6 +26,7 @@ from repro.devtools import contracts
 from repro.obs import get_obs
 from repro.hmm.utils import (
     PROB_FLOOR,
+    dirichlet_log_prior,
     log_mask_zero,
     normalize_rows,
     normalize_vector,
@@ -152,6 +153,37 @@ class BaseHMM(abc.ABC):
         )
         contracts.assert_stochastic_matrix(self.transmat, f"transmat ({where})")
 
+    def _transition_prior(self, prior: np.ndarray | None) -> np.ndarray:
+        """Validated ``(K, K)`` transition pseudo-counts; None is no prior."""
+        shape = (self.n_states, self.n_states)
+        if prior is None:
+            return np.zeros(shape)
+        prior = np.asarray(prior, dtype=float)
+        if prior.shape != shape:
+            raise ValueError(
+                f"transmat_prior must have shape {shape}, got {prior.shape}"
+            )
+        if not (prior >= 0).all():
+            raise ValueError("transmat_prior must be non-negative")
+        return prior
+
+    def _ascent_contract(
+        self, previous: float, logprob: float, prior: np.ndarray
+    ) -> float:
+        """Hold an EM iteration to its promise (contracts on only).
+
+        Returns the MAP objective ``log P(O | model) + sum prior * log A``
+        of the parameters this iteration was entered with, after checking
+        it against the ``previous`` iteration's: (MAP-)EM never lowers it.
+        """
+        if not contracts.contracts_enabled():
+            return previous
+        objective = logprob + dirichlet_log_prior(self.transmat, prior)
+        contracts.assert_non_decreasing(
+            previous, objective, "Baum-Welch objective"
+        )
+        return objective
+
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
@@ -195,6 +227,29 @@ class BaseHMM(abc.ABC):
             beta[t] = self.transmat @ (emissions[t + 1] * beta[t + 1])
             beta[t] /= scales[t + 1]
         return beta
+
+    def _xi_sum(
+        self,
+        emissions: np.ndarray,
+        alpha: np.ndarray,
+        beta: np.ndarray,
+        scales: np.ndarray,
+    ) -> np.ndarray:
+        """Expected transition counts ``sum_t xi_t(i, j)``, shape ``(K, K)``.
+
+        ``xi_t(i, j) = alpha_t(i) A_ij b_j(o_{t+1}) beta_{t+1}(j) /
+        c_{t+1}``: the scaled ``alpha_t`` is short of the joint by
+        ``c_1..c_t`` and the scaled ``beta_{t+1}`` by ``c_{t+2}..c_T``, so
+        the bare product is ``c_{t+1}`` times the posterior.
+        """
+        if emissions.shape[0] < 2:
+            return np.zeros((self.n_states, self.n_states))
+        xi = (
+            alpha[:-1, :, None]
+            * self.transmat[None, :, :]
+            * ((emissions[1:] * beta[1:]) / scales[1:, None])[:, None, :]
+        )
+        return xi.sum(axis=0)
 
     def log_likelihood(
         self,
@@ -288,6 +343,7 @@ class BaseHMM(abc.ABC):
         tol: float = 1e-4,
         rng: np.random.Generator | int | None = None,
         init: bool = True,
+        transmat_prior: np.ndarray | None = None,
     ) -> FitResult:
         """Unsupervised EM training on a single observation sequence.
 
@@ -298,11 +354,17 @@ class BaseHMM(abc.ABC):
             rng: Seed or generator for emission initialization.
             init: When False, EM starts from the current parameters
                 (useful for incremental re-training on streams).
+            transmat_prior: ``(K, K)`` non-negative pseudo-counts of a
+                Dirichlet prior on each row of ``A``, added to the
+                expected transition counts in the M-step (MAP-EM: the
+                quantity that never decreases is then the log-likelihood
+                plus ``sum prior * log A``).  None is plain EM.
 
         Returns:
             A :class:`FitResult` with the log-likelihood trajectory.
         """
         observations = self._validate_observations(observations)
+        prior = self._transition_prior(transmat_prior)
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         if init:
@@ -310,28 +372,19 @@ class BaseHMM(abc.ABC):
 
         history: list[float] = []
         converged = False
+        objective = -np.inf
         for _ in range(max_iter):
             self._check_chain_contracts("Baum-Welch E-step")
             emissions = self._emission_probabilities(observations)
             alpha, scales, logprob = self._forward(emissions)
+            objective = self._ascent_contract(objective, logprob, prior)
             beta = self._backward(emissions, scales)
             gamma = normalize_rows(alpha * beta)
-
-            # xi[t, i, j] proportional to alpha_t(i) A_ij b_j(o_{t+1}) beta_{t+1}(j)
-            length = emissions.shape[0]
-            if length > 1:
-                xi_num = (
-                    alpha[:-1, :, None]
-                    * self.transmat[None, :, :]
-                    * (emissions[1:] * beta[1:])[:, None, :]
-                )
-                xi_sum = xi_num.sum(axis=0)
-            else:
-                xi_sum = np.zeros((self.n_states, self.n_states))
+            xi_sum = self._xi_sum(emissions, alpha, beta, scales)
 
             # M-step
             self.startprob = normalize_vector(gamma[0] + PROB_FLOOR)
-            self.transmat = normalize_rows(xi_sum + PROB_FLOOR)
+            self.transmat = normalize_rows(xi_sum + prior + PROB_FLOOR)
             self._update_emissions(observations, gamma)
 
             history.append(logprob)
@@ -354,17 +407,20 @@ class BaseHMM(abc.ABC):
         tol: float = 1e-4,
         rng: np.random.Generator | int | None = None,
         init: bool = True,
+        transmat_prior: np.ndarray | None = None,
     ) -> FitResult:
         """Baum-Welch over multiple independent observation sequences.
 
         The E-step statistics (initial-state counts, transition counts,
         emission sufficient statistics) accumulate across sequences;
         the M-step is shared.  Used to train one truth-dynamics model
-        across many claims of the same event class.
+        across many claims of the same event class.  ``transmat_prior``
+        as in :meth:`fit`.
         """
         if not sequences:
             raise ValueError("need at least one sequence")
         validated = [self._validate_observations(obs) for obs in sequences]
+        prior = self._transition_prior(transmat_prior)
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         if init:
@@ -372,6 +428,7 @@ class BaseHMM(abc.ABC):
 
         history: list[float] = []
         converged = False
+        objective = -np.inf
         for _ in range(max_iter):
             self._check_chain_contracts("Baum-Welch E-step")
             start_acc = np.zeros(self.n_states)
@@ -385,16 +442,12 @@ class BaseHMM(abc.ABC):
                 gamma = normalize_rows(alpha * beta)
                 total_logprob += logprob
                 start_acc += gamma[0]
-                if emissions.shape[0] > 1:
-                    xi_acc += (
-                        alpha[:-1, :, None]
-                        * self.transmat[None, :, :]
-                        * (emissions[1:] * beta[1:])[:, None, :]
-                    ).sum(axis=0)
+                xi_acc += self._xi_sum(emissions, alpha, beta, scales)
                 gammas.append(gamma)
 
+            objective = self._ascent_contract(objective, total_logprob, prior)
             self.startprob = normalize_vector(start_acc + PROB_FLOOR)
-            self.transmat = normalize_rows(xi_acc + PROB_FLOOR)
+            self.transmat = normalize_rows(xi_acc + prior + PROB_FLOOR)
             # Emission M-step over the concatenated statistics: rows are
             # independent in both emission families, so concatenation is
             # exact.

@@ -51,6 +51,7 @@ from repro.hmm.kernels import numpy_ref
 from repro.hmm.utils import (
     PROB_FLOOR,
     batch_normal_densities,
+    dirichlet_log_prior,
     log_mask_zero,
     masked_row_sums,
     normalize_rows,
@@ -375,6 +376,7 @@ class BatchGaussianHMM:
         tol: float = 1e-4,
         seed=None,
         init: bool = True,
+        transmat_prior: np.ndarray | None = None,
     ) -> list[FitResult]:
         """Baum-Welch over the stack with per-row convergence freezing.
 
@@ -382,8 +384,20 @@ class BatchGaussianHMM:
         improvement drops below ``tol`` is frozen (its parameters stop
         updating, it leaves the E-step) while the rest keep iterating,
         exactly matching N independent per-claim ``fit`` calls.
+
+        ``transmat_prior`` holds non-negative pseudo-counts, ``(K, K)``
+        for every row or ``(N, K, K)`` per row, of a Dirichlet prior on
+        the rows of each ``A``; the transition M-step adds them to the
+        expected transition counts (MAP-EM, which never lowers
+        ``log-likelihood + sum prior * log A``).  None is plain EM.
         """
         observations, lengths = self._validate(observations, lengths)
+        k = self.n_states
+        if transmat_prior is None:
+            transmat_prior = np.zeros((k, k))
+        prior = self._stack_param(transmat_prior, (k, k), "transmat_prior")
+        if not (prior >= 0).all():
+            raise ValueError("transmat_prior must be non-negative")
         if init:
             self._init_emissions(observations, lengths, seed)
 
@@ -393,6 +407,7 @@ class BatchGaussianHMM:
         converged = np.zeros(self.n_seqs, dtype=bool)
         active = np.arange(self.n_seqs)
         model = None
+        objective = np.full(self.n_seqs, -np.inf)
         for iteration in range(max_iter):
             self._check_contracts("Baum-Welch E-step")
             if model is None or model.n_seqs != active.size:
@@ -412,17 +427,28 @@ class BatchGaussianHMM:
                 masked = np.isnan(obs_a) | (np.arange(t_max) >= len_a[:, None])
                 values = np.where(masked, 0.0, obs_a)
                 scratch = np.empty((active.size, t_max, self.n_states))
+                prior_a = prior[active]
             emissions = model.emission_probabilities(obs_a)
             alpha, scales, log_likelihoods = model.forward(emissions, len_a)
+            if contracts.contracts_enabled():
+                # (MAP-)EM never lowers the objective a row enters an
+                # iteration with.
+                entered = log_likelihoods + dirichlet_log_prior(
+                    model.transmat, prior_a
+                )
+                contracts.assert_non_decreasing(
+                    objective[active], entered, "batch Baum-Welch objective"
+                )
+                objective[active] = entered
             beta = model.backward(emissions, scales, len_a)
             gamma = normalize_rows(alpha * beta)
             xi_sum = numpy_ref.estep_xi_sum(
-                model.transmat, emissions, alpha, beta, len_a
+                model.transmat, emissions, alpha, beta, scales, len_a
             )
 
             # M-step, every quantity one operation over the active stack.
             model.startprob = normalize_rows(gamma[:, 0, :] + PROB_FLOOR)
-            model.transmat = normalize_rows(xi_sum + PROB_FLOOR)
+            model.transmat = normalize_rows(xi_sum + prior_a + PROB_FLOOR)
             model._update_emissions(gamma, values, masked, scratch)
             self.startprob[active] = model.startprob
             self.transmat[active] = model.transmat

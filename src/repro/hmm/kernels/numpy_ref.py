@@ -306,17 +306,27 @@ def estep_xi_sum(
     emissions: np.ndarray,
     alpha: np.ndarray,
     beta: np.ndarray,
+    scales: np.ndarray,
     lengths: np.ndarray,
 ) -> np.ndarray:
-    """Baum-Welch xi sufficient statistic, summed over each row's steps.
+    """Baum-Welch expected transition counts, summed over each row's steps.
 
     ``xi_sum[n, i, j] = sum_t alpha[n,t,i] * A[n,i,j] * em[n,t+1,j] *
-    beta[n,t+1,j]`` over ``t in [0, lengths[n] - 1)``.  The elementwise
-    product is batched and the steps past a row's end are set to exactly
-    0.0, so one ``.sum`` along the time axis of the whole stack serves
-    every row: a non-innermost axis accumulates slice by slice —
-    sequentially in ``t`` — and ``acc + 0.0 == acc``, which leaves each
-    row the bits of summing its own steps alone.
+    beta[n,t+1,j] / scales[n,t+1]`` over ``t in [0, lengths[n] - 1)``.
+    The ``1 / scales[t+1]`` belongs to this module's scaling:
+    :func:`forward` leaves ``alpha[t]`` short of the joint by
+    ``c_1..c_t`` and :func:`backward` leaves ``beta[t+1]`` short by
+    ``c_{t+2}..c_T``, so their product with ``A * em[t+1]`` is
+    ``c_{t+1}`` times the posterior ``xi_t(i, j)``.  With it,
+    ``sum_j xi_sum[n, i, j] == sum_{t < len-1} gamma[n, t, i]`` and the
+    transition M-step is the EM maximiser.  A scale is never 0 (a
+    rescued dead step holds ``PROB_FLOOR``, padding holds 1.0).
+
+    The elementwise product is batched and the steps past a row's end
+    are set to exactly 0.0, so one ``.sum`` along the time axis of the
+    whole stack serves every row: a non-innermost axis accumulates slice
+    by slice — sequentially in ``t`` — and ``acc + 0.0 == acc``, which
+    leaves each row the bits of summing its own steps alone.
     """
     n_seqs, t_max, k = emissions.shape
     if t_max < 2:
@@ -326,6 +336,7 @@ def estep_xi_sum(
     xi = np.empty((n_seqs, t_max - 1, k, k))
     np.multiply(alpha[:, :-1, :, None], transmat[:, None, :, :], out=xi)
     tail = emissions[:, 1:, :] * beta[:, 1:, :]
+    tail /= scales[:, 1:, None]
     np.multiply(xi, tail[:, :, None, :], out=xi)
     xi[np.arange(1, t_max) >= lengths[:, None]] = 0.0
     return xi.sum(axis=1)

@@ -16,6 +16,7 @@ __all__ = [
     "LOG_2PI",
     "PROB_FLOOR",
     "batch_normal_densities",
+    "dirichlet_log_prior",
     "log_mask_zero",
     "masked_row_sums",
     "normal_densities",
@@ -131,6 +132,23 @@ def log_mask_zero(values: np.ndarray) -> np.ndarray:
         )
     with np.errstate(divide="ignore"):
         return np.log(values)
+
+
+def dirichlet_log_prior(
+    transmat: np.ndarray, pseudo_counts: np.ndarray
+) -> np.ndarray:
+    """``sum_ij pseudo_counts[.., i, j] * log transmat[.., i, j]``.
+
+    The log-density, up to a constant, of a Dirichlet prior with
+    parameters ``1 + pseudo_counts`` on each row of a transition matrix
+    — the term MAP Baum-Welch adds to the log-likelihood.  Summed over
+    the last two axes, so a ``(N, K, K)`` stack gives ``(N,)``; an entry
+    without pseudo-counts contributes 0 even where ``transmat`` is 0.
+    """
+    pseudo_counts = np.asarray(pseudo_counts, dtype=float)
+    with np.errstate(invalid="ignore"):
+        terms = pseudo_counts * log_mask_zero(transmat)
+    return np.where(pseudo_counts > 0, terms, 0.0).sum(axis=(-2, -1))
 
 
 def normal_log_densities(

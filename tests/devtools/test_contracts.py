@@ -9,8 +9,10 @@ import pytest
 from repro.core.scores import ScoreWeights
 from repro.core.types import Attitude, Report
 from repro.devtools import contracts as ct
+from repro.hmm.batch import BatchGaussianHMM
 from repro.hmm.discrete import DiscreteHMM
 from repro.hmm.gaussian import GaussianHMM
+from repro.hmm.kernels import numpy_ref
 
 
 @pytest.fixture(autouse=True)
@@ -27,6 +29,7 @@ class TestSwitch:
         ct.assert_probability_simplex(np.array([0.2, 0.2]), "v")
         ct.assert_score_range(17.0, "s")
         ct.assert_finite(np.array([np.nan]), "f")
+        ct.assert_non_decreasing(0.0, -5.0, "o")
 
     def test_context_manager_restores(self):
         ct.set_contracts(False)
@@ -93,6 +96,19 @@ class TestValidators:
         with pytest.raises(ct.ContractViolation, match="non-finite"):
             ct.assert_finite(np.array([1.0, np.inf]), "f")
 
+    def test_non_decreasing_allows_rounding_and_a_first_step(self):
+        ct.assert_non_decreasing(-np.inf, -40.0, "o")
+        ct.assert_non_decreasing(-40.0, -40.0 - 1e-11, "o")
+        ct.assert_non_decreasing(np.array([-3.0, 2.0]), np.array([-2.0, 2.0]))
+
+    def test_non_decreasing_rejects_a_drop(self):
+        with pytest.raises(ct.ContractViolation, match="decreased"):
+            ct.assert_non_decreasing(-40.0, -40.1, "o")
+        with pytest.raises(ct.ContractViolation, match="objective"):
+            ct.assert_non_decreasing(
+                np.array([-3.0, 2.0]), np.array([-2.0, 1.0]), "objective"
+            )
+
     def test_violation_is_assertion_error(self):
         assert issubclass(ct.ContractViolation, AssertionError)
 
@@ -124,6 +140,39 @@ class TestBaumWelchBoundary:
         hmm.startprob = np.array([0.9, 0.9])
         with pytest.raises(ct.ContractViolation, match="startprob"):
             hmm.fit(np.array([0, 1, 2, 1, 0, 2]), max_iter=3, rng=0)
+
+    def test_an_m_step_that_is_not_the_maximiser_raises(self, monkeypatch):
+        # The pre-PR-23 statistic: drop the 1 / c_{t+1} factor by
+        # handing the kernel unit scales.  EM then lowers the
+        # log-likelihood within a few iterations, and the fit says so.
+        true_xi = numpy_ref.estep_xi_sum
+        monkeypatch.setattr(
+            numpy_ref,
+            "estep_xi_sum",
+            lambda transmat, emissions, alpha, beta, scales, lengths: true_xi(
+                transmat, emissions, alpha, beta, np.ones_like(scales), lengths
+            ),
+        )
+        observations = self._observations()[None, 30:50]
+        with pytest.raises(ct.ContractViolation, match="objective decreased"):
+            BatchGaussianHMM(1, 2).fit(observations, max_iter=10, tol=0.0)
+
+    def test_scalar_fit_checks_the_map_objective(self, monkeypatch):
+        hmm = GaussianHMM(n_states=2)
+        true_xi = GaussianHMM._xi_sum
+        monkeypatch.setattr(
+            GaussianHMM,
+            "_xi_sum",
+            lambda self, emissions, alpha, beta, scales: true_xi(
+                self, emissions, alpha, beta, np.ones_like(scales)
+            ),
+        )
+        prior = 20.0 * np.array([[0.98, 0.02], [0.02, 0.98]])
+        with pytest.raises(ct.ContractViolation, match="objective decreased"):
+            hmm.fit(
+                self._observations()[30:50], max_iter=10, tol=0.0, rng=0,
+                transmat_prior=prior,
+            )  # fmt: skip
 
     def test_clean_fit_passes_with_contracts_enabled(self):
         hmm = GaussianHMM(n_states=2)

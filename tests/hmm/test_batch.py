@@ -2,11 +2,14 @@
 
 The batched kernel's whole contract is that every row decodes exactly as
 it would alone: same EM trajectory (within float ulps), same iteration
-count, same convergence flag, same Viterbi path — regardless of which
-batch the row rides in.  These tests pin that contract against the
-per-claim reference implementation and against the kernel itself under
-different batch compositions.
+count, same convergence flag, same Viterbi path (one of the optima where
+the scalar model has a provable tie) — regardless of which batch the row
+rides in.  These tests pin that contract against the per-claim reference
+implementation and against the kernel itself under different batch
+compositions.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -57,6 +60,20 @@ def fit_serial(sequences, k=2, max_iter=50, tol=1e-4, seed=0):
     return pairs
 
 
+def tied_optima(model, seq):
+    """Every state path whose joint with ``seq`` is within 1e-9
+    (relative) of the best one under a scalar model, by enumeration."""
+    emissions = model._emission_probabilities(seq)
+    joints = {}
+    for path in itertools.product(range(model.n_states), repeat=len(seq)):
+        joint = model.startprob[path[0]] * emissions[0, path[0]]
+        for t in range(1, len(path)):
+            joint *= model.transmat[path[t - 1], path[t]] * emissions[t, path[t]]
+        joints[path] = joint
+    best = max(joints.values())
+    return [list(p) for p, j in joints.items() if best - j <= 1e-9 * best]
+
+
 def assert_batch_matches_serial(sequences, k=2, seed=0, tol=1e-4):
     observations, lengths, order, kernel, results = fit_batch(
         sequences, k=k, seed=seed, tol=tol
@@ -87,7 +104,15 @@ def assert_batch_matches_serial(sequences, k=2, seed=0, tol=1e-4):
         )
 
         ref_states, ref_joint = model.decode(seq)
-        assert states[row, :length].tolist() == ref_states.tolist()
+        path = states[row, :length].tolist()
+        if path != ref_states.tolist():
+            # Only a proven tie excuses a different path: a true EM can
+            # converge to an exactly symmetric chain, where a leading
+            # missing cell has two optimal states and ulps pick one.
+            # The tie is established on the scalar model alone.
+            assert length <= 8, "too long to enumerate: paths must agree"
+            optima = tied_optima(model, seq)
+            assert ref_states.tolist() in optima and path in optima
         assert log_joints[row] == pytest.approx(ref_joint, abs=1e-9)
         assert np.allclose(
             posteriors[row, :length],

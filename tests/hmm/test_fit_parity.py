@@ -6,9 +6,17 @@ per-row loop inside ``numpy_ref.estep_xi_sum`` and a per-row history
 loop.  All of that is now a handful of reductions along the time axis
 of the active stack with exact-zero weights on missing and padded cells.
 The rewrite changed how much interpreter an iteration costs, not one bit
-of any parameter or log-likelihood: the parent's bodies are kept verbatim
+of any parameter or log-likelihood: the per-row-loop bodies are kept
 below (``FrozenParentHMM`` / ``frozen_estep_xi_sum`` — do not
 "modernise" them) and every fit must come out byte-equal.
+
+Re-pinned once, on purpose: the oracle now carries the ``1 / c_{t+1}``
+factor of the xi statistic and the ``transmat_prior`` pseudo-counts,
+because production's old statistic was wrong (it was not the EM
+maximiser; ``test_em_monotone.py`` and the enumeration oracle of
+``test_kernel_oracle.py`` hold the new one to the definition).  Only
+those two terms were added — the oracle keeps its own per-row loops, so
+it is still a second implementation of the same arithmetic.
 """
 
 import numpy as np
@@ -24,15 +32,18 @@ from tests.hmm.test_batch import make_sequences
 
 
 # ---------------------------------------------------------------------------
-# Frozen oracle: the parent's Baum-Welch, verbatim.
+# Frozen oracle: the per-row-loop Baum-Welch.
 # ---------------------------------------------------------------------------
-def frozen_estep_xi_sum(transmat, emissions, alpha, beta, lengths):
+def frozen_estep_xi_sum(transmat, emissions, alpha, beta, scales, lengths):
     n_seqs, t_max, k = emissions.shape
     if t_max > 1:
         xi_num = (
             alpha[:, :-1, :, None]
             * transmat[:, None, :, :]
-            * (emissions[:, 1:, :] * beta[:, 1:, :])[:, :, None, :]
+            * (
+                (emissions[:, 1:, :] * beta[:, 1:, :])
+                / scales[:, 1:, None]
+            )[:, :, None, :]
         )
     xi_sum = np.zeros((n_seqs, k, k))
     for idx in range(n_seqs):
@@ -64,9 +75,14 @@ class FrozenParentHMM(BatchGaussianHMM):
 
     def fit(
         self, observations, lengths=None, max_iter=50, tol=1e-4, seed=None,
-        init=True,
+        init=True, transmat_prior=None,
     ):  # fmt: skip
         observations, lengths = self._validate(observations, lengths)
+        if transmat_prior is None:
+            transmat_prior = np.zeros((self.n_states, self.n_states))
+        prior = np.broadcast_to(
+            transmat_prior, (self.n_seqs, self.n_states, self.n_states)
+        )
         if init:
             self._init_emissions(observations, lengths, seed)
 
@@ -93,13 +109,16 @@ class FrozenParentHMM(BatchGaussianHMM):
             beta = sub.backward(emissions, scales, len_a)
             gamma = normalize_rows(alpha * beta)
             xi_sum = frozen_estep_xi_sum(
-                sub.transmat, emissions, alpha, beta, len_a
+                sub.transmat, emissions, alpha, beta, scales, len_a
             )
 
             self.startprob[active] = normalize_rows(
                 gamma[:, 0, :] + PROB_FLOOR
             )
-            self.transmat[active] = normalize_rows(xi_sum + PROB_FLOOR)
+            for idx, row in enumerate(active):
+                self.transmat[row] = normalize_rows(
+                    xi_sum[idx] + prior[row] + PROB_FLOOR
+                )
             for idx, row in enumerate(active):
                 stop = int(len_a[idx])
                 self._update_emissions_row(
@@ -246,13 +265,13 @@ class TestFitEqualsFrozenParent:
         assert_fit_parity(observations, lengths, seed=7)
 
     def test_rows_freeze_at_different_iterations(self):
-        sequences = make_sequences(seed=17, n=6) + [
+        sequences = make_sequences(seed=17, n=10, missing=0.3) + [
             np.full(10, 1.0),
             np.full(4, -2.0),
         ]
         observations, lengths, _ = stack_ragged(sequences)
         results = assert_fit_parity(
-            observations, lengths, max_iter=14, tol=1e-2, seed=17
+            observations, lengths, max_iter=10, tol=1e-4, seed=17
         )
         counts = {result.iterations for result in results}
         assert len(counts) >= 4  # the active set shrank more than once
@@ -304,6 +323,34 @@ class TestFitEqualsFrozenParent:
             variances=rng.uniform(0.2, 1.5, size=(n, k)),
             max_iter=9, init=False,
         )  # fmt: skip
+
+    def test_transition_prior_shared_and_per_row(self):
+        rng = np.random.default_rng(13)
+        observations, lengths = random_stack(13, n=6, t_hi=30, missing=0.3)
+        sticky = 20.0 * np.array([[0.98, 0.02], [0.02, 0.98]])
+        shared = assert_fit_parity(
+            observations, lengths,
+            transmat=sticky / 20.0, transmat_prior=sticky,
+            max_iter=14, tol=1e-3, seed=8,
+        )  # fmt: skip
+        plain = assert_fit_parity(
+            observations, lengths,
+            transmat=sticky / 20.0, max_iter=14, tol=1e-3, seed=8,
+        )  # fmt: skip
+        assert shared != plain
+        assert_fit_parity(
+            observations, lengths, k=3,
+            transmat_prior=rng.uniform(0.0, 5.0, size=(6, 3, 3)),
+            max_iter=10, seed=8,
+        )  # fmt: skip
+
+    def test_transition_prior_is_validated(self):
+        model = BatchGaussianHMM(2, 2)
+        observations = np.zeros((2, 4))
+        with pytest.raises(ValueError, match="transmat_prior"):
+            model.fit(observations, transmat_prior=np.ones((3, 3)))
+        with pytest.raises(ValueError, match="non-negative"):
+            model.fit(observations, transmat_prior=-np.ones((2, 2)))
 
     @pytest.mark.parametrize("how", ["readonly", "strided", "fortran"])
     def test_worker_input_layouts(self, how):
@@ -362,13 +409,18 @@ class TestXiSumEqualsPerRowLoop:
         lengths = np.sort(rng.integers(1, t_max + 1, size=n))[::-1].copy()
         transmat = rng.random((n, k, k))
         emissions, alpha, beta = rng.random((3, n, t_max, k))
-        want = frozen_estep_xi_sum(transmat, emissions, alpha, beta, lengths)
+        scales = rng.uniform(0.05, 3.0, size=(n, t_max))
+        want = frozen_estep_xi_sum(
+            transmat, emissions, alpha, beta, scales, lengths
+        )
         if layout != "plain":
-            transmat, emissions, alpha, beta = (
+            transmat, emissions, alpha, beta, scales = (
                 hostile_view(rng, a, layout)
-                for a in (transmat, emissions, alpha, beta)
+                for a in (transmat, emissions, alpha, beta, scales)
             )
             lengths.setflags(write=False)
-        got = numpy_ref.estep_xi_sum(transmat, emissions, alpha, beta, lengths)
+        got = numpy_ref.estep_xi_sum(
+            transmat, emissions, alpha, beta, scales, lengths
+        )
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.devtools import contracts
 from repro.hmm import DiscreteHMM, GaussianHMM
 
 
@@ -26,16 +27,40 @@ class TestFitSequences:
         assert all(b >= a - 1e-6 for a, b in zip(lls, lls[1:]))
 
     def test_single_sequence_matches_fit(self):
-        """fit_sequences on one sequence equals fit (same updates)."""
+        """fit_sequences on one sequence equals fit (same updates),
+        with and without transition pseudo-counts."""
         rng = np.random.default_rng(1)
         _, obs = teacher().sample(200, rng=rng)
-        a = DiscreteHMM(2, 3)
-        b = DiscreteHMM(2, 3)
-        a.fit(obs, max_iter=8, rng=7)
-        b.fit_sequences([obs], max_iter=8, rng=7)
-        assert np.allclose(a.transmat, b.transmat)
-        assert np.allclose(a.emissionprob, b.emissionprob)
-        assert np.allclose(a.startprob, b.startprob)
+        sticky = 50.0 * np.array([[0.98, 0.02], [0.02, 0.98]])
+        plain = None
+        for prior in (None, sticky):
+            a = DiscreteHMM(2, 3)
+            b = DiscreteHMM(2, 3)
+            a.fit(obs, max_iter=8, rng=7, transmat_prior=prior)
+            b.fit_sequences([obs], max_iter=8, rng=7, transmat_prior=prior)
+            assert np.allclose(a.transmat, b.transmat)
+            assert np.allclose(a.emissionprob, b.emissionprob)
+            assert np.allclose(a.startprob, b.startprob)
+            if prior is None:
+                plain = b.transmat
+        # The prior is not a no-op: it pulls the diagonal towards 0.98.
+        assert (np.diag(b.transmat) > np.diag(plain)).all()
+
+    def test_pooled_map_objective_never_drops(self):
+        """With a prior, the pooled ``log-likelihood + sum prior * log A``
+        is what EM raises; the runtime contract holds every iteration of
+        ``fit_sequences`` to it."""
+        rng = np.random.default_rng(4)
+        sequences = [teacher().sample(40, rng=rng)[1] for _ in range(5)]
+        prior = np.array([[30.0, 1.0], [0.0, 12.0]])
+        student = DiscreteHMM(2, 3)
+        with contracts.contracts(True):
+            result = student.fit_sequences(
+                sequences, max_iter=25, tol=0.0, rng=2, transmat_prior=prior
+            )
+        assert result.iterations == 25
+        with pytest.raises(ValueError, match="transmat_prior"):
+            student.fit_sequences(sequences, transmat_prior=np.ones((3, 3)))
 
     def test_pools_statistics_across_sequences(self):
         """Many short sequences recover parameters a single short one

@@ -22,11 +22,14 @@ from repro.hmm.utils import log_mask_zero, masked_row_sums, normalize_rows
 
 
 def enumerate_row(startprob, transmat, emissions):
-    """``(likelihood, posteriors, best_path, best_joint, runner_up)`` of
-    one sequence from its ``K**L`` path joints; ``emissions`` is ``(L, K)``."""
+    """``(likelihood, posteriors, best_path, best_joint, runner_up,
+    transitions)`` of one sequence from its ``K**L`` path joints;
+    ``emissions`` is ``(L, K)`` and ``transitions[i, j]`` the expected
+    number of ``i -> j`` steps given the observations."""
     length, k = emissions.shape
     likelihood = 0.0
     occupancy = np.zeros((length, k))
+    transitions = np.zeros((k, k))
     joints = []
     for path in itertools.product(range(k), repeat=length):
         joint = startprob[path[0]] * emissions[0, path[0]]
@@ -35,11 +38,20 @@ def enumerate_row(startprob, transmat, emissions):
         likelihood += joint
         for t, state in enumerate(path):
             occupancy[t, state] += joint
+        for source, destination in zip(path, path[1:]):
+            transitions[source, destination] += joint
         joints.append((joint, path))
     joints.sort(key=lambda pair: -pair[0])
     runner_up = joints[1][0] if len(joints) > 1 else 0.0
     best_joint, best_path = joints[0]
-    return likelihood, occupancy / likelihood, best_path, best_joint, runner_up
+    return (
+        likelihood,
+        occupancy / likelihood,
+        best_path,
+        best_joint,
+        runner_up,
+        transitions / likelihood,
+    )
 
 
 def small_stack(seed, k, missing):
@@ -84,6 +96,9 @@ def test_kernels_match_path_enumeration(seed, k, missing):
     beta = numpy_ref.backward(transmat, emissions, scales, lengths)
     log_likelihoods = masked_row_sums(log_mask_zero(scales), lengths)
     posteriors = normalize_rows(alpha * beta)
+    xi_sum = numpy_ref.estep_xi_sum(
+        transmat, emissions, alpha, beta, scales, lengths
+    )
     states, log_joints = numpy_ref.viterbi(
         log_mask_zero(startprob),
         log_mask_zero(transmat),
@@ -93,9 +108,9 @@ def test_kernels_match_path_enumeration(seed, k, missing):
     for row, length in enumerate(lengths.tolist()):
         if missing == 1.0:
             assert nan_mask[row, :length].all()
-        likelihood, occupancy, best_path, best_joint, runner_up = (
+        likelihood, occupancy, best_path, best_joint, runner_up, transitions = (
             enumerate_row(startprob[row], transmat[row], emissions[row, :length])
-        )
+        )  # fmt: skip
         assert log_likelihoods[row] == pytest.approx(
             math.log(likelihood), rel=1e-10, abs=1e-10
         )
@@ -113,3 +128,53 @@ def test_kernels_match_path_enumeration(seed, k, missing):
         if best_joint - runner_up > 1e-9 * best_joint:  # unique optimum
             assert tuple(states[row, :length]) == best_path
         assert (states[row, length:] == 0).all()
+        # Baum-Welch's transition statistic is the expected number of
+        # i -> j steps, nothing more.
+        np.testing.assert_allclose(
+            xi_sum[row], transitions, rtol=1e-10, atol=1e-13
+        )
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_xi_rows_sum_to_occupancy_on_a_long_gappy_stack(k):
+    """``sum_j xi_sum[n, i, j] == sum_{t < len-1} gamma[n, t, i]`` at the
+    production length, where enumeration cannot reach: every step leaves
+    state i exactly as often as the chain is in it.  Without the
+    ``1 / c_{t+1}`` factor the left side is weighted by the one-step
+    predictive density and the two differ by orders of magnitude."""
+    rng = np.random.default_rng(k)
+    t_max = 1440
+    sequences = []
+    for length in (t_max, t_max, 977, 400, 2, 1):
+        values = np.where(
+            np.arange(length) % 311 < 150, -0.8, 0.9
+        ) + rng.normal(0.0, 0.4, size=length)
+        values[rng.random(length) < 0.3] = np.nan
+        values[length // 3 : length // 3 + min(120, length // 4)] = np.nan
+        sequences.append(values)
+    observations, lengths, _ = stack_ragged(sequences)
+    n = len(sequences)
+    transmat = rng.random((n, k, k)) + 0.05
+    transmat /= transmat.sum(axis=2, keepdims=True)
+    model = BatchGaussianHMM(
+        n,
+        k,
+        transmat=transmat,
+        means=np.sort(rng.normal(0.0, 1.0, size=(n, k)), axis=1),
+        variances=rng.uniform(0.1, 0.5, size=(n, k)),
+    )
+    emissions = model.emission_probabilities(observations)
+    alpha, scales, _ = model.forward(emissions, lengths)
+    beta = model.backward(emissions, scales, lengths)
+    gamma = normalize_rows(alpha * beta)
+    xi_sum = numpy_ref.estep_xi_sum(
+        transmat, emissions, alpha, beta, scales, lengths
+    )
+    assert (scales[:, 1:] != 1.0).any()  # the factor is not a no-op here
+    for row, length in enumerate(lengths.tolist()):
+        np.testing.assert_allclose(
+            xi_sum[row].sum(axis=1),
+            gamma[row, : length - 1].sum(axis=0),
+            rtol=1e-10,
+            atol=1e-13,
+        )
