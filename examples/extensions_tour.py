@@ -138,7 +138,7 @@ def model_selection_demo() -> None:
     print("4. Bonus: does the data support 2 hidden states? (BIC)")
     print("=" * 64)
     from repro.core.acs import ACSConfig, acs_sequence
-    from repro.hmm import GaussianHMM, select_n_states
+    from repro.hmm import select_n_states
 
     rng = np.random.default_rng(8)
     reports = []
@@ -159,9 +159,7 @@ def model_selection_demo() -> None:
         end=20_000.0,
     )
     observed = values[~np.isnan(values)]
-    result = select_n_states(
-        observed, candidates=(1, 2, 3), factory=lambda n: GaussianHMM(n)
-    )
+    result = select_n_states(observed, candidates=(1, 2, 3))
     for entry in result.entries:
         print(
             f"  n_states={entry.n_states}: logL={entry.log_likelihood:8.1f}"

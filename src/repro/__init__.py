@@ -3,7 +3,8 @@ Using A Distributed Computing Framework" (SSTD, ICDCS 2017).
 
 Layers (bottom up):
 
-- :mod:`repro.hmm` — from-scratch HMM library (Baum-Welch, Viterbi).
+- :mod:`repro.hmm` — from-scratch batched Gaussian-HMM library
+  (Baum-Welch, Viterbi, model selection).
 - :mod:`repro.core` — data model, contribution scores, ACS, the SSTD
   truth-discovery engine, and evaluation metrics.
 - :mod:`repro.baselines` — the six compared truth-discovery baselines.

@@ -36,7 +36,7 @@ import networkx as nx
 import numpy as np
 
 from repro.core.acs import acs_sequence
-from repro.core.sstd import ClaimTruthModel, SSTD, SSTDConfig
+from repro.core.sstd import SSTD, SSTDConfig, batch_fit_decode
 from repro.core.types import Report, TruthEstimate
 
 __all__ = [
@@ -224,9 +224,13 @@ class CorrelatedSSTD:
             sequences[claim_id] = values
 
         blended = self._blend_sequences(sequences)
-        estimates: list[TruthEstimate] = []
-        for claim_id in sorted(blended):
-            model = ClaimTruthModel(claim_id, self.config)
-            result = model.fit_decode(times, blended[claim_id])
-            estimates.extend(result.estimates)
-        return estimates
+        # One batched fit over every claim; the kernel is row-deterministic,
+        # so each claim decodes exactly as it would alone.
+        results = batch_fit_decode(
+            [
+                (claim_id, times, blended[claim_id])
+                for claim_id in sorted(blended)
+            ],
+            self.config,
+        )
+        return [estimate for r in results for estimate in r.estimates]

@@ -38,8 +38,7 @@ import numpy as np
 from repro.core.acs import ACSConfig, SlidingWindowACS, acs_sequence
 from repro.core.types import Report, TruthEstimate, TruthValue
 from repro.devtools import contracts
-from repro.hmm.batch import BatchGaussianHMM, stack_ragged
-from repro.hmm.gaussian import GaussianHMM
+from repro.hmm.batch import BatchGaussianHMM, HMMParams, stack_ragged
 from repro.hmm.utils import normalize_rows
 from repro.obs import get_obs
 
@@ -138,9 +137,9 @@ class ClaimDecodeResult:
     Grid point ``i`` is ``times[i]``, the int8 truth code ``codes[i]``
     (the ``int`` of a :class:`TruthValue`) and the float64
     ``confidences[i]``, already checked to lie in ``[0, 1]``.  The
-    object views — :attr:`values`, :attr:`estimates`, :attr:`hmm` — are
-    built on first read, so a caller that needs only columns (a worker
-    packing a shard result) builds no object per cell or per claim.
+    object views — :attr:`values`, :attr:`estimates` — are built on
+    first read, so a caller that needs only columns (a worker packing a
+    shard result) builds no object per cell.
     """
 
     claim_id: str
@@ -152,9 +151,8 @@ class ClaimDecodeResult:
     #: ``(K,)`` (None on the fallback paths): the filter state a
     #: streaming caller resumes from, so it never re-runs the pass.
     filter_state: np.ndarray | None = field(default=None, repr=False)
-    #: The fitted stack and this claim's row in it (None on the
-    #: fallback paths): where the trained parameters live.
-    fitted: tuple[BatchGaussianHMM, int] | None = None
+    #: The claim's trained parameters (None on the fallback paths).
+    params: HMMParams | None = None
 
     def estimate(self, index: int) -> TruthEstimate:
         """The estimate at grid point ``index`` alone."""
@@ -176,14 +174,6 @@ class ClaimDecodeResult:
         return column_estimates(
             self.claim_id, self.times, self.codes, self.confidences
         )
-
-    @functools.cached_property
-    def hmm(self) -> GaussianHMM | None:
-        """The trained per-claim model (None on the fallback paths)."""
-        if self.fitted is None:
-            return None
-        kernel, row = self.fitted
-        return kernel.extract(row)
 
 
 def _sign_fallback(
@@ -311,7 +301,7 @@ def batch_fit_decode(
             confidences=confidences_stack[row, :length],
             used_hmm=True,
             filter_state=alpha[row, length - 1].copy(),
-            fitted=(kernel, row),
+            params=kernel.params(row),
         )
     if obs.enabled:
         obs.metrics.inc("sstd.claims_hmm", len(hmm_items))
@@ -334,7 +324,6 @@ class ClaimTruthModel:
     def __init__(self, claim_id: str, config: SSTDConfig) -> None:
         self.claim_id = claim_id
         self.config = config
-        self.hmm: GaussianHMM | None = None
 
     def fit_decode(
         self, times: np.ndarray, acs_values: np.ndarray
@@ -350,8 +339,6 @@ class ClaimTruthModel:
         (result,) = batch_fit_decode(
             [(self.claim_id, times, acs_values)], self.config
         )
-        if result.used_hmm:
-            self.hmm = result.hmm
         return result
 
 
@@ -443,9 +430,10 @@ class _ClaimStream:
     informative: int = 0
     ticks: int = 0
     latest: TruthEstimate | None = None
-    #: Model of the last successful refit and the forward-filter vector
-    #: it has been advanced to; set together, None before the first fit.
-    hmm: GaussianHMM | None = None
+    #: Parameters of the last successful refit and the forward-filter
+    #: vector they have been advanced to; set together, None before the
+    #: first fit.
+    params: HMMParams | None = None
     alpha: np.ndarray | None = None
 
 
@@ -548,7 +536,7 @@ class StreamingSSTD:
         for claim in self._ordered:
             if self._append(claim, now):
                 due.append(claim)
-            elif claim.hmm is not None:
+            elif claim.params is not None:
                 filtering.append(claim)
             else:
                 claim.latest = self._cold_start(claim, now)
@@ -617,17 +605,18 @@ class StreamingSSTD:
         for claim, result in zip(due, results):
             claim.latest = result.estimate(-1)
             if result.used_hmm:
-                claim.hmm = result.hmm
+                claim.params = result.params
                 claim.alpha = result.filter_state
 
     def _filter(self, filtering: list[_ClaimStream], now: float) -> None:
         """Advance every modelled claim's forward filter by one step."""
+        params = [claim.params for claim in filtering]
         bank = BatchGaussianHMM(
-            len(filtering),
-            n_states=filtering[0].hmm.n_states,
-            transmat=np.stack([claim.hmm.transmat for claim in filtering]),
-            means=np.stack([claim.hmm.means for claim in filtering]),
-            variances=np.stack([claim.hmm.variances for claim in filtering]),
+            len(params),
+            n_states=params[0].means.size,
+            transmat=np.stack([p.transmat for p in params]),
+            means=np.stack([p.means for p in params]),
+            variances=np.stack([p.variances for p in params]),
         )
         alphas = bank.filter_step(
             np.stack([claim.alpha for claim in filtering]),

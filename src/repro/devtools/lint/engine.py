@@ -152,7 +152,7 @@ def _line_suppresses(line_text: str, rule_id: str) -> bool:
 def module_name_for(path: Path) -> str:
     """Dotted module name of ``path``, anchored at the ``repro`` package.
 
-    ``src/repro/hmm/base.py`` -> ``repro.hmm.base``; package
+    ``src/repro/hmm/batch.py`` -> ``repro.hmm.batch``; package
     ``__init__.py`` files map to the package itself.  Files outside a
     ``repro`` tree fall back to their stem so synthetic fixtures still
     get a usable name.

@@ -6,7 +6,7 @@ zero-probability away from ``-inf`` propagating through an EM update
 Markov Modeling over Graphs*).  Inside the probability-bearing packages
 (``repro.hmm``, ``repro.core``) all log-space math must go through the
 helpers in :mod:`repro.hmm.utils` (``log_mask_zero``,
-``normal_log_densities``, ``normalize_rows``, ...), which handle zeros,
+``batch_normal_densities``, ``normalize_rows``, ...), which handle zeros,
 masking and scaling explicitly.  Modules outside those packages (e.g.
 traffic models using ``exp`` for decay curves) are not probability
 code and are not flagged.
@@ -72,6 +72,6 @@ class RawLogExpRule(Rule):
                     node,
                     f"raw {short}() in probability module {module}; route "
                     "log-space math through repro.hmm.utils (log_mask_zero, "
-                    "normal_log_densities, normalize_rows) or add a "
+                    "batch_normal_densities, normalize_rows) or add a "
                     "justified '# noqa: SSTD005'",
                 )

@@ -1,23 +1,25 @@
-"""From-scratch Hidden Markov Model library (SSTD inference substrate).
+"""From-scratch Gaussian-HMM library (SSTD inference substrate).
 
 Public surface:
 
-- :class:`~repro.hmm.base.BaseHMM` -- scaled forward-backward, Viterbi
-  decoding, Baum-Welch EM training.
-- :class:`~repro.hmm.discrete.DiscreteHMM` -- categorical emissions.
-- :class:`~repro.hmm.gaussian.GaussianHMM` -- univariate Gaussian
-  emissions (used by SSTD on ACS sequences).
-- :class:`~repro.hmm.batch.BatchGaussianHMM` -- the same Gaussian model
-  over a stack of N independent sequences at once (SSTD's batched
-  multi-claim kernel).
+- :class:`~repro.hmm.batch.BatchGaussianHMM` -- N independent K-state
+  Gaussian HMMs over a stack of sequences: scaled forward-backward,
+  Viterbi decoding, Baum-Welch (MAP-)EM training.  One claim is the
+  stack with ``N = 1``.
+- :class:`~repro.hmm.batch.HMMParams` -- one trained chain's parameters
+  (what SSTD keeps per claim after a fit).
+- :class:`~repro.hmm.batch.FitResult` -- one row's EM trajectory.
+- :mod:`~repro.hmm.selection` -- AIC/BIC over the state count.
 - :mod:`~repro.hmm.kernels` -- the batched time recursions
   (:mod:`~repro.hmm.kernels.numpy_ref`).
 """
 
-from repro.hmm.base import BaseHMM, FitResult
-from repro.hmm.batch import BatchGaussianHMM, stack_ragged
-from repro.hmm.discrete import DiscreteHMM
-from repro.hmm.gaussian import GaussianHMM
+from repro.hmm.batch import (
+    BatchGaussianHMM,
+    FitResult,
+    HMMParams,
+    stack_ragged,
+)
 from repro.hmm.selection import (
     SelectionEntry,
     SelectionResult,
@@ -28,11 +30,9 @@ from repro.hmm.selection import (
 )
 
 __all__ = [
-    "BaseHMM",
     "BatchGaussianHMM",
-    "DiscreteHMM",
     "FitResult",
-    "GaussianHMM",
+    "HMMParams",
     "SelectionEntry",
     "SelectionResult",
     "aic",

@@ -1,18 +1,19 @@
-"""Batched multi-claim Gaussian-HMM kernels.
+"""Batched multi-claim Gaussian-HMM kernels: SSTD's one HMM.
 
-SSTD decomposes truth discovery per claim (paper Section III-E), but the
-per-claim implementation pays the Python interpreter once per *timestep
-per claim per EM iteration*: ``BaseHMM._forward`` / ``_backward`` are
-O(T) Python loops over tiny ``(K,)`` vectors.  This module runs the same
-recursions over a *stack* of N independent claim sequences at once: the
-time recursion stays O(T), but each step contracts the whole ``(N, K)``
-stack against the per-claim ``(N, K, K)`` transition stack, amortizing
-the interpreter cost across all claims in the batch.
+SSTD decomposes truth discovery per claim (paper Section III-E) and
+trains one 2-state Gaussian HMM per claim (Section III-C).  A per-claim
+implementation pays the Python interpreter once per *timestep per claim
+per EM iteration*.  This module runs the recursions over a *stack* of N
+independent claim sequences at once: the time recursion stays O(T), but
+each step contracts the whole ``(N, K)`` stack against the per-claim
+``(N, K, K)`` transition stack, amortizing the interpreter cost across
+all claims in the batch.  A single claim is the stack with ``N = 1``.
 
-Semantics are pinned to the per-claim path:
+Semantics are pinned to a textbook per-sequence Gaussian HMM, kept as an
+independent reference in ``tests/hmm/scalar_reference.py``:
 
 - **Missing observations** (``NaN``) get emission likelihood 1 for every
-  state, exactly like :class:`repro.hmm.gaussian.GaussianHMM`.
+  state, so decoding bridges them with the transition model alone.
 - **Ragged stacks**: sequences of different lengths batch together.  The
   stack is NaN-padded to the longest sequence and must be sorted by
   length descending; at timestep ``t`` only the prefix of rows still
@@ -20,8 +21,7 @@ Semantics are pinned to the per-claim path:
   recursion, and it enters a reduction only as an exact zero.
 - **Per-claim convergence freezing**: Baum-Welch drops a claim out of
   the E-step the iteration its log-likelihood plateaus; the remaining
-  claims keep iterating.  Each claim gets its own
-  :class:`~repro.hmm.base.FitResult`.
+  claims keep iterating.  Each claim gets its own :class:`FitResult`.
 - **Row-wise determinism**: every per-claim quantity is computed either
   elementwise or as a reduction no other row takes part in, so a claim's
   result is bit-identical no matter which batch it rides in (a shard of
@@ -42,11 +42,11 @@ working copies, a handful of allocation-free ufunc calls per step.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.devtools import contracts
-from repro.hmm.base import FitResult, _record_fit
-from repro.hmm.gaussian import MIN_VARIANCE, GaussianHMM
 from repro.hmm.kernels import numpy_ref
 from repro.hmm.utils import (
     PROB_FLOOR,
@@ -56,8 +56,82 @@ from repro.hmm.utils import (
     masked_row_sums,
     normalize_rows,
 )
+from repro.obs import get_obs
 
-__all__ = ["BatchGaussianHMM", "stack_ragged"]
+__all__ = [
+    "BatchGaussianHMM",
+    "FitResult",
+    "HMMParams",
+    "ITERATION_BUCKETS",
+    "MIN_VARIANCE",
+    "stack_ragged",
+]
+
+#: Variance floor preventing EM from collapsing a state onto one point.
+MIN_VARIANCE = 1e-3
+
+#: Histogram bounds for Baum-Welch iteration counts (EM converges in a
+#: handful of iterations on clean data, tens on hard sequences).
+ITERATION_BUCKETS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
+
+
+@dataclass(frozen=True, slots=True)
+class FitResult:
+    """Outcome of one row's Baum-Welch run."""
+
+    log_likelihoods: tuple[float, ...]
+    converged: bool
+    iterations: int
+
+    @property
+    def final_log_likelihood(self) -> float:
+        return self.log_likelihoods[-1]
+
+    @property
+    def convergence_reason(self) -> str:
+        """``"tol"`` (log-likelihood plateaued) or ``"max_iter"``."""
+        return "tol" if self.converged else "max_iter"
+
+
+def _record_fit(result: FitResult) -> None:
+    """Report one row's Baum-Welch run to the ambient recorder (if enabled)."""
+    obs = get_obs()
+    if not obs.enabled:
+        return
+    obs.metrics.inc("hmm.fits")
+    obs.metrics.inc(
+        "hmm.converged" if result.converged else "hmm.hit_max_iter"
+    )
+    obs.metrics.observe(
+        "hmm.bw.iterations",
+        float(result.iterations),
+        bounds=ITERATION_BUCKETS,
+    )
+    obs.tracer.instant(
+        "hmm.fit",
+        track="hmm",
+        iterations=result.iterations,
+        reason=result.convergence_reason,
+        log_likelihood=(
+            round(result.final_log_likelihood, 6)
+            if result.log_likelihoods
+            else 0.0
+        ),
+    )
+
+
+@dataclass(frozen=True, slots=True)
+class HMMParams:
+    """The trained parameters of one chain (one row of a stack).
+
+    ``startprob`` ``(K,)``, ``transmat`` ``(K, K)``, emission ``means``
+    and ``variances`` ``(K,)`` — the paper's ``pi``, ``A`` and ``B``.
+    """
+
+    startprob: np.ndarray
+    transmat: np.ndarray
+    means: np.ndarray
+    variances: np.ndarray
 
 
 def stack_ragged(
@@ -125,6 +199,15 @@ class BatchGaussianHMM:
         self.transmat = self._stack_param(
             transmat, (n_states, n_states), "transmat"
         )
+        for name, value in (
+            ("startprob", self.startprob),
+            ("transmat", self.transmat),
+        ):
+            if (value < 0).any():
+                raise ValueError(f"{name} must be non-negative")
+            # Written so that a NaN sum fails the check too.
+            if not (np.abs(value.sum(axis=-1) - 1.0) <= 1e-6).all():
+                raise ValueError(f"{name} rows must sum to 1")
         if means is None:
             means = np.zeros(n_states)
         if variances is None:
@@ -208,8 +291,8 @@ class BatchGaussianHMM:
         the neutral values ``1/K`` / ``1.0`` and are never read by the
         recursions.  Log-likelihoods are summed per row over the row's
         own slice (:func:`~repro.hmm.utils.masked_row_sums` groups rows
-        of equal length into one vectorized reduction), so they match
-        the per-claim pass bit for bit.
+        of equal length into one vectorized reduction), so a row's value
+        does not depend on the batch it rides in.
         """
         alpha, scales = numpy_ref.forward(
             self.startprob, self.transmat, emissions, lengths
@@ -285,10 +368,9 @@ class BatchGaussianHMM:
         beta = self.backward(emissions, scales, lengths)
         return normalize_rows(alpha * beta)
 
-    def extract(self, row: int) -> GaussianHMM:
-        """Materialise row ``row`` as a standalone :class:`GaussianHMM`."""
-        return GaussianHMM(
-            self.n_states,
+    def params(self, row: int) -> HMMParams:
+        """Row ``row``'s parameters (views into the stack, not copies)."""
+        return HMMParams(
             startprob=self.startprob[row],
             transmat=self.transmat[row],
             means=self.means[row],
@@ -303,9 +385,11 @@ class BatchGaussianHMM:
     ) -> None:
         """Quantile initialisation, one fresh RNG per row.
 
-        Replicates :meth:`GaussianHMM._init_emissions` per row with
-        ``default_rng(seed)`` re-created per claim, exactly like the
-        per-claim engine seeds each claim's fit.
+        Means spread over the row's observation quantiles (deterministic
+        given the data, and ordered by mean); a row with (near-)zero
+        spread gets unit variance and a small jitter from
+        ``default_rng(seed)``, re-created per row so a claim's init does
+        not depend on the batch it rides in.
         """
         quantiles = np.linspace(0.0, 1.0, self.n_states + 2)[1:-1]
         for row in range(self.n_seqs):
@@ -333,7 +417,8 @@ class BatchGaussianHMM:
         masked: np.ndarray,
         scratch: np.ndarray,
     ) -> None:
-        """Emission M-step of every row (GaussianHMM._update_emissions).
+        """Emission M-step of every row: posterior-weighted means and
+        variances over the present cells, floored at ``MIN_VARIANCE``.
 
         ``gamma`` is zeroed in place on the ``masked`` (missing or
         padded) cells, where ``values`` holds 0.0, so the time-axis sums
@@ -383,7 +468,7 @@ class BatchGaussianHMM:
         Each row trains its own chain; a row whose log-likelihood
         improvement drops below ``tol`` is frozen (its parameters stop
         updating, it leaves the E-step) while the rest keep iterating,
-        exactly matching N independent per-claim ``fit`` calls.
+        exactly as N separate ``N = 1`` fits would.
 
         ``transmat_prior`` holds non-negative pseudo-counts, ``(K, K)``
         for every row or ``(N, K, K)`` per row, of a Dirichlet prior on

@@ -178,7 +178,7 @@ def forward(
 
     Returns ``(alpha, scales)``; a timestep whose total probability
     underflows to zero is rescued with a uniform ``alpha`` row and a
-    ``PROB_FLOOR`` scale, exactly like the per-claim pass.  The per-row
+    ``PROB_FLOOR`` scale ("Dead timesteps" above).  The per-row
     log-likelihood is ``log(scales[row, :lengths[row]]).sum()``,
     computed by the caller (:meth:`BatchGaussianHMM.forward`).
     """

@@ -2,26 +2,24 @@
 
 The paper fixes two hidden states because claims are binary (§II); a
 release should let users *verify* that choice on their own data.  This
-module scores fitted models with AIC/BIC and fits a sweep of state
-counts, reporting which the data supports.
+module fits a sweep of state counts with the batched Gaussian HMM (one
+row, ``N = 1``), scores each fit with AIC/BIC, and reports which state
+count the data supports.
 
-Parameter counts: an ``n``-state model has ``n - 1`` free initial
-probabilities, ``n * (n - 1)`` free transition probabilities, and the
-emission parameters (``n * (m - 1)`` for ``m`` symbols, ``2n`` for
-univariate Gaussians).
+Parameter counts: an ``n``-state Gaussian HMM has ``n - 1`` free initial
+probabilities, ``n * (n - 1)`` free transition probabilities, and ``2n``
+emission parameters (a mean and a variance per state).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.hmm.base import BaseHMM
-from repro.hmm.discrete import DiscreteHMM
-from repro.hmm.gaussian import GaussianHMM
+from repro.hmm.batch import BatchGaussianHMM
+from repro.hmm.utils import log_mask_zero
 
 __all__ = [
     "SelectionEntry",
@@ -33,32 +31,21 @@ __all__ = [
 ]
 
 
-def n_parameters(hmm: BaseHMM) -> int:
-    """Free parameters of a fitted model."""
-    n = hmm.n_states
-    count = (n - 1) + n * (n - 1)
-    if isinstance(hmm, DiscreteHMM):
-        count += n * (hmm.n_symbols - 1)
-    elif isinstance(hmm, GaussianHMM):
-        count += 2 * n
-    else:  # pragma: no cover - future emission families
-        raise TypeError(f"unknown emission family: {type(hmm).__name__}")
-    return count
+def n_parameters(n_states: int) -> int:
+    """Free parameters of an ``n_states``-state Gaussian HMM."""
+    return (n_states - 1) + n_states * (n_states - 1) + 2 * n_states
 
 
-def aic(hmm: BaseHMM, observations: np.ndarray) -> float:
+def aic(n_states: int, log_likelihood: float) -> float:
     """Akaike information criterion (lower is better)."""
-    return 2.0 * n_parameters(hmm) - 2.0 * hmm.log_likelihood(observations)
+    return 2.0 * n_parameters(n_states) - 2.0 * log_likelihood
 
 
-def bic(hmm: BaseHMM, observations: np.ndarray) -> float:
-    """Bayesian information criterion (lower is better)."""
-    length = np.asarray(observations).shape[0]
-    return (
-        # log of a sample count (BIC penalty), not of probability mass.
-        n_parameters(hmm) * math.log(max(length, 1))  # noqa: SSTD005
-        - 2.0 * hmm.log_likelihood(observations)
-    )
+def bic(n_states: int, log_likelihood: float, length: int) -> float:
+    """Bayesian information criterion of a ``length``-step fit (lower is
+    better)."""
+    penalty = n_parameters(n_states) * float(log_mask_zero(length))
+    return penalty - 2.0 * log_likelihood
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,36 +76,37 @@ class SelectionResult:
 def select_n_states(
     observations: np.ndarray,
     candidates: Sequence[int] = (1, 2, 3, 4),
-    factory: Callable[[int], BaseHMM] | None = None,
     max_iter: int = 40,
     seed: int = 0,
 ) -> SelectionResult:
     """Fit each candidate state count and score it.
 
     Args:
-        observations: One observation sequence.
+        observations: One observation sequence (NaN = missing).
         candidates: State counts to try.
-        factory: ``n_states -> model``; defaults to a GaussianHMM (the
-            SSTD emission family).
         max_iter: Baum-Welch iterations per candidate.
         seed: EM initialization seed.
     """
     if not candidates:
         raise ValueError("need at least one candidate state count")
-    if factory is None:
-        factory = GaussianHMM
+    stack = np.asarray(observations, dtype=float)[None, :]
+    lengths = np.array([stack.shape[1]])
     entries = []
     for n_states in candidates:
         if n_states < 1:
             raise ValueError("state counts must be >= 1")
-        model = factory(n_states)
-        model.fit(observations, max_iter=max_iter, rng=seed)
+        model = BatchGaussianHMM(1, n_states)
+        model.fit(stack, lengths, max_iter=max_iter, seed=seed)
+        # Score the trained parameters, not the ones the last EM
+        # iteration entered with.
+        emissions = model.emission_probabilities(stack)
+        log_likelihood = float(model.forward(emissions, lengths)[2][0])
         entries.append(
             SelectionEntry(
                 n_states=n_states,
-                log_likelihood=model.log_likelihood(observations),
-                aic=aic(model, observations),
-                bic=bic(model, observations),
+                log_likelihood=log_likelihood,
+                aic=aic(n_states, log_likelihood),
+                bic=bic(n_states, log_likelihood, stack.shape[1]),
             )
         )
     return SelectionResult(entries=tuple(entries))

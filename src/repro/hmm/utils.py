@@ -1,4 +1,4 @@
-"""Numeric helpers shared by the HMM implementations.
+"""Numeric helpers of the batched HMM.
 
 This module is the *sanctioned* home for raw log/exp math on
 probability arrays — lint rule SSTD005 forbids it everywhere else in
@@ -19,12 +19,7 @@ __all__ = [
     "dirichlet_log_prior",
     "log_mask_zero",
     "masked_row_sums",
-    "normal_densities",
-    "normal_log_densities",
     "normalize_rows",
-    "normalize_vector",
-    "validate_distribution",
-    "validate_stochastic_matrix",
 ]
 
 #: Floor used to keep probabilities strictly positive during EM.
@@ -37,7 +32,8 @@ LOG_2PI = math.log(2.0 * math.pi)
 def normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """Normalize each row of ``matrix`` to sum to 1.
 
-    Rows that sum to zero become uniform distributions (this happens in
+    Rows are taken along the last axis (a 1-D vector is one row).  Rows
+    that sum to zero become uniform distributions (this happens in
     Baum-Welch when a state receives no expected visits).
     """
     matrix = np.asarray(matrix, dtype=float)
@@ -85,39 +81,6 @@ def masked_row_sums(matrix: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return sums
 
 
-def normalize_vector(vector: np.ndarray) -> np.ndarray:
-    """Normalize a vector to sum to 1; zero vectors become uniform."""
-    vector = np.asarray(vector, dtype=float)
-    total = vector.sum()
-    if total > 0:
-        return vector / total
-    return np.full(vector.shape, 1.0 / vector.size)
-
-
-def validate_stochastic_matrix(matrix: np.ndarray, name: str) -> np.ndarray:
-    """Check that ``matrix`` is square, non-negative and row-stochastic."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got {matrix.shape}")
-    if (matrix < 0).any():
-        raise ValueError(f"{name} must be non-negative")
-    if not np.allclose(matrix.sum(axis=1), 1.0, atol=1e-6):
-        raise ValueError(f"{name} rows must sum to 1, got {matrix.sum(axis=1)}")
-    return matrix
-
-
-def validate_distribution(vector: np.ndarray, name: str) -> np.ndarray:
-    """Check that ``vector`` is a probability distribution."""
-    vector = np.asarray(vector, dtype=float)
-    if vector.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {vector.shape}")
-    if (vector < 0).any():
-        raise ValueError(f"{name} must be non-negative")
-    if not np.isclose(vector.sum(), 1.0, atol=1e-6):
-        raise ValueError(f"{name} must sum to 1, got {vector.sum()}")
-    return vector
-
-
 def log_mask_zero(values: np.ndarray) -> np.ndarray:
     """Elementwise log with ``log(0) = -inf`` and no warnings.
 
@@ -151,33 +114,6 @@ def dirichlet_log_prior(
     return np.where(pseudo_counts > 0, terms, 0.0).sum(axis=(-2, -1))
 
 
-def normal_log_densities(
-    values: np.ndarray, means: np.ndarray, variances: np.ndarray
-) -> np.ndarray:
-    """Gaussian log-density matrix ``L[t, i] = log N(values[t]; means[i], variances[i])``.
-
-    Variances must be strictly positive — EM callers enforce a variance
-    floor, and a zero/denormal variance here would silently overflow the
-    density, so it raises instead.
-    """
-    values = np.asarray(values, dtype=float)
-    means = np.asarray(means, dtype=float)
-    variances = np.asarray(variances, dtype=float)
-    if (variances <= 0).any() or not np.isfinite(variances).all():
-        raise ValueError(
-            f"variances must be strictly positive and finite, got {variances!r}"
-        )
-    diff = values[:, None] - means[None, :]
-    return -0.5 * (LOG_2PI + np.log(variances)[None, :] + diff**2 / variances)
-
-
-def normal_densities(
-    values: np.ndarray, means: np.ndarray, variances: np.ndarray
-) -> np.ndarray:
-    """Gaussian density matrix, ``exp`` of :func:`normal_log_densities`."""
-    return np.exp(normal_log_densities(values, means, variances))
-
-
 def batch_normal_densities(
     values: np.ndarray, means: np.ndarray, variances: np.ndarray
 ) -> np.ndarray:
@@ -186,10 +122,12 @@ def batch_normal_densities(
     ``values`` is a ``(N, T)`` stack of observation sequences and
     ``means`` / ``variances`` hold one ``(N, K)`` parameter set per
     sequence; the result is ``(N, T, K)`` with
-    ``D[n, t, i] = N(values[n, t]; means[n, i], variances[n, i])``.
-    Every arithmetic step is the elementwise operation of
-    :func:`normal_log_densities`, so each row matches the per-sequence
-    call bit for bit.
+    ``D[n, t, i] = N(values[n, t]; means[n, i], variances[n, i])``,
+    computed as ``exp(-(log 2 pi + log var + diff**2 / var) / 2)``.
+    Every arithmetic step is elementwise, so a row's densities do not
+    depend on the other rows.  Variances must be strictly positive — EM
+    enforces a variance floor, and a zero/denormal variance here would
+    silently overflow the density, so it raises instead.
     """
     values = np.asarray(values, dtype=float)
     means = np.asarray(means, dtype=float)

@@ -12,7 +12,7 @@ by the CI perf-smoke gate).  Tracing is enabled explicitly
 (``SSTDSystemConfig.observability=True``) or ambiently via the
 ``REPRO_TRACE`` environment variable.
 
-Deep engine code (Baum-Welch in :mod:`repro.hmm.base`, claim decoding
+Deep engine code (Baum-Welch in :mod:`repro.hmm.batch`, claim decoding
 in :mod:`repro.core.sstd`) cannot reasonably thread an ``obs`` handle
 through every call signature, so this module also keeps a process-wide
 *current* recorder: :func:`get_obs` returns it, :func:`using` installs

@@ -11,7 +11,8 @@ from repro.core import (
     SSTDConfig,
     TruthValue,
 )
-from repro.core.acs import ACSConfig
+from repro.core.acs import ACSConfig, acs_sequence
+from repro.core.sstd import ClaimTruthModel
 from repro.core.types import Attitude, Report
 
 
@@ -172,6 +173,48 @@ class TestCorrelatedSSTD:
         assert [(e.claim_id, e.value) for e in correlated] == [
             (e.claim_id, e.value) for e in plain
         ]
+
+    def test_batched_decode_equals_per_claim_loop(self):
+        """``discover`` decodes every blended claim in one batched fit;
+        the kernel is row-deterministic, so each claim's estimates are
+        bit-identical to fitting it alone."""
+        rng = np.random.default_rng(5)
+        # A third, anti-correlated claim: TRUE until the flip, then FALSE.
+        other = [
+            Report(
+                f"o{k % 90}", "other", t,
+                attitude=(
+                    Attitude.AGREE if (t < 5_000.0) == (rng.random() < 0.8)
+                    else Attitude.DISAGREE
+                ),
+            )
+            for k, t in enumerate(np.sort(rng.uniform(0, 1e4, 500)).tolist())
+        ]  # fmt: skip
+        reports = sorted(
+            correlated_reports() + other, key=lambda r: r.timestamp
+        )
+        graph = ClaimDependencyGraph.from_edges(
+            [("rich", "sparse", 0.8), ("rich", "other", -0.6)]
+        )
+        engine = CorrelatedSSTD(graph, CONFIG, CorrelationConfig(blend=0.4))
+        batched = engine.discover(reports)
+
+        grouped = SSTD(CONFIG).group_reports(reports)
+        span = (reports[0].timestamp, reports[-1].timestamp)
+        sequences = {}
+        for claim_id in sorted(grouped):
+            times, sequences[claim_id] = acs_sequence(
+                grouped[claim_id], CONFIG.acs, start=span[0], end=span[1]
+            )
+        blended = engine._blend_sequences(sequences)
+        results = [
+            ClaimTruthModel(claim_id, CONFIG).fit_decode(
+                times, blended[claim_id]
+            )
+            for claim_id in sorted(blended)
+        ]
+        assert sum(result.used_hmm for result in results) >= 2
+        assert batched == [e for r in results for e in r.estimates]
 
     def test_empty_reports(self):
         engine = CorrelatedSSTD(ClaimDependencyGraph(), CONFIG)

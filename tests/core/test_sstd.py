@@ -216,8 +216,7 @@ class TestTruthCodes:
             [("c", times, acs)], FAST_CONFIG
         )
         assert result.used_hmm
-        kernel, row = result.fitted
-        return result, kernel.means[row]
+        return result, result.params.means
 
     def test_sign_mapping(self):
         rng = np.random.default_rng(0)

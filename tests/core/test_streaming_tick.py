@@ -3,10 +3,11 @@
 ``StreamingSSTD.tick`` refits every due claim in one batched call and
 advances every modelled claim's filter in one ``(N, K)`` step.  The
 reference below is the per-claim engine written out in full — an N = 1
-:meth:`ClaimTruthModel.fit_decode` per due claim, a scalar forward pass
-to re-seed the filter, the scalar filter formula — sharing nothing with
-the production tick but the public fit entry point, and every estimate
-must come out equal, ``confidence`` included.
+:meth:`ClaimTruthModel.fit_decode` per due claim, then the fitted
+parameters in the scalar reference HMM (``tests/hmm/scalar_reference.py``)
+for the forward pass that re-seeds the filter and for every filter step
+— sharing nothing with the production tick but the public fit entry
+point, and every estimate must come out equal, ``confidence`` included.
 """
 
 import dataclasses
@@ -21,8 +22,8 @@ from repro.core.acs import ACSConfig, SlidingWindowACS
 from repro.core.sstd import ClaimTruthModel, SSTDConfig, StreamingSSTD
 from repro.core.types import Attitude, Report, TruthEstimate, TruthValue
 from repro.hmm.batch import BatchGaussianHMM
-from repro.hmm.utils import normal_densities
 from repro.obs import Observability, using
+from tests.hmm.scalar_reference import ScalarGaussianHMM, normalize
 
 #: Window == step: a tick's ACS value is exactly the one report (if any)
 #: pushed since the previous tick, so a test dictates the sequence.
@@ -56,28 +57,13 @@ def run_ticks(engine, streams: dict[str, list[float | None]]):
     return ticks
 
 
-def _emission(hmm, value: float) -> np.ndarray:
-    if math.isnan(value):
-        return np.ones(hmm.n_states)
-    return normal_densities(np.array([value]), hmm.means, hmm.variances)[0]
-
-
-def _normalized(alpha: np.ndarray) -> np.ndarray:
-    total = alpha.sum()
-    if total <= 0:
-        return np.full(alpha.size, 1.0 / alpha.size)
-    return alpha / total
-
-
 def scalar_filter_step(hmm, alpha: np.ndarray, value: float) -> np.ndarray:
-    return _normalized((alpha @ hmm.transmat) * _emission(hmm, value))
+    return normalize((alpha @ hmm.transmat) * hmm.emissions([value])[0])
 
 
 def scalar_forward_last(hmm, values: list[float]) -> np.ndarray:
-    alpha = _normalized(hmm.startprob * _emission(hmm, values[0]))
-    for value in values[1:]:
-        alpha = scalar_filter_step(hmm, alpha, value)
-    return alpha
+    alpha, _, _ = hmm.forward(hmm.emissions(values))
+    return alpha[-1]
 
 
 class PerClaimReference:
@@ -94,6 +80,8 @@ class PerClaimReference:
         self.values: dict[str, list[float]] = {}
         self.ticks: dict[str, int] = {}
         self.models: dict[str, ClaimTruthModel] = {}
+        #: The last successful refit's parameters in the scalar reference.
+        self.hmms: dict[str, ScalarGaussianHMM] = {}
         self.alphas: dict[str, np.ndarray] = {}
         self.latest: dict[str, TruthEstimate] = {}
 
@@ -135,14 +123,17 @@ class PerClaimReference:
         ):
             result = model.fit_decode(np.asarray(times), np.asarray(values))
             estimate = result.estimates[-1]
-            if result.hmm is not None:
-                self.alphas[claim_id] = scalar_forward_last(model.hmm, values)
-        elif model.hmm is not None:
-            alpha = scalar_filter_step(
-                model.hmm, self.alphas[claim_id], value
-            )
+            if result.params is not None:
+                hmm = ScalarGaussianHMM(
+                    2, **dataclasses.asdict(result.params)
+                )
+                self.hmms[claim_id] = hmm
+                self.alphas[claim_id] = scalar_forward_last(hmm, values)
+        elif claim_id in self.hmms:
+            hmm = self.hmms[claim_id]
+            alpha = scalar_filter_step(hmm, self.alphas[claim_id], value)
             self.alphas[claim_id] = alpha
-            mean = model.hmm.means[int(np.argmax(alpha))]
+            mean = hmm.means[int(np.argmax(alpha))]
             estimate = TruthEstimate(
                 claim_id, now, TruthValue.TRUE if mean > 0 else TruthValue.FALSE
             )
@@ -290,15 +281,15 @@ class TestEdgePaths:
         engine = StreamingSSTD(CONFIG, retrain_every=5, max_buffer=5)
         run_ticks(engine, {"c": VARIED + [0.5] * 4})
         state = engine._claims["c"]
-        hmm, alpha = state.hmm, state.alpha.copy()
-        assert hmm is not None
+        params, alpha = state.params, state.alpha.copy()
+        assert params is not None
         # Tick 10 is due, and the trimmed buffer is constant by now.
         engine.push(report_for("c", 10, 0.5))
         (estimate,) = engine.tick(10.0)
         assert fit_rows == [1]
         assert estimate == TruthEstimate("c", 10.0, TruthValue.TRUE)
         assert state.values == pytest.approx([0.5] * 5)
-        assert state.hmm is hmm
+        assert state.params is params
         assert state.alpha.tolist() == alpha.tolist()
 
     def test_claim_ids_sorted_and_fresh(self):

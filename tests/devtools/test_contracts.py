@@ -10,8 +10,6 @@ from repro.core.scores import ScoreWeights
 from repro.core.types import Attitude, Report
 from repro.devtools import contracts as ct
 from repro.hmm.batch import BatchGaussianHMM
-from repro.hmm.discrete import DiscreteHMM
-from repro.hmm.gaussian import GaussianHMM
 from repro.hmm.kernels import numpy_ref
 
 
@@ -121,25 +119,18 @@ class TestBaumWelchBoundary:
         return np.concatenate([rng.normal(-1, 0.3, 40), rng.normal(1, 0.3, 40)])
 
     def test_corrupted_transmat_raises_inside_fit(self):
-        hmm = GaussianHMM(n_states=2)
-        observations = self._observations()
-        hmm.fit(observations, max_iter=5, rng=1)
-        hmm.transmat = np.array([[0.9, 0.6], [0.1, 0.9]])  # row sums 1.5 / 1.0
+        hmm = BatchGaussianHMM(2, 2)
+        observations = np.stack([self._observations()] * 2)
+        hmm.fit(observations, max_iter=5, seed=1)
+        hmm.transmat[1] = [[0.9, 0.6], [0.1, 0.9]]  # row sums 1.5 / 1.0
         with pytest.raises(ct.ContractViolation, match="transmat"):
-            hmm.fit(observations, max_iter=5, rng=1, init=False)
-
-    def test_corrupted_transmat_raises_inside_fit_sequences(self):
-        hmm = GaussianHMM(n_states=2)
-        observations = self._observations()
-        hmm.transmat = np.array([[np.nan, 1.0], [0.5, 0.5]])
-        with pytest.raises(ct.ContractViolation, match="transmat"):
-            hmm.fit_sequences([observations], max_iter=3, rng=1)
+            hmm.fit(observations, max_iter=5, seed=1, init=False)
 
     def test_corrupted_startprob_raises(self):
-        hmm = DiscreteHMM(n_states=2, n_symbols=3)
-        hmm.startprob = np.array([0.9, 0.9])
+        hmm = BatchGaussianHMM(1, 2)
+        hmm.startprob[0] = [0.9, 0.9]
         with pytest.raises(ct.ContractViolation, match="startprob"):
-            hmm.fit(np.array([0, 1, 2, 1, 0, 2]), max_iter=3, rng=0)
+            hmm.fit(self._observations()[None, :6], max_iter=3, seed=0)
 
     def test_an_m_step_that_is_not_the_maximiser_raises(self, monkeypatch):
         # The pre-PR-23 statistic: drop the 1 / c_{t+1} factor by
@@ -157,28 +148,30 @@ class TestBaumWelchBoundary:
         with pytest.raises(ct.ContractViolation, match="objective decreased"):
             BatchGaussianHMM(1, 2).fit(observations, max_iter=10, tol=0.0)
 
-    def test_scalar_fit_checks_the_map_objective(self, monkeypatch):
-        hmm = GaussianHMM(n_states=2)
-        true_xi = GaussianHMM._xi_sum
+    def test_fit_checks_the_map_objective(self, monkeypatch):
+        # As above, with transition pseudo-counts: the contract holds the
+        # MAP objective (log-likelihood + sum prior * log A), not the
+        # bare log-likelihood.
+        true_xi = numpy_ref.estep_xi_sum
         monkeypatch.setattr(
-            GaussianHMM,
-            "_xi_sum",
-            lambda self, emissions, alpha, beta, scales: true_xi(
-                self, emissions, alpha, beta, np.ones_like(scales)
+            numpy_ref,
+            "estep_xi_sum",
+            lambda transmat, emissions, alpha, beta, scales, lengths: true_xi(
+                transmat, emissions, alpha, beta, np.ones_like(scales), lengths
             ),
         )
         prior = 20.0 * np.array([[0.98, 0.02], [0.02, 0.98]])
         with pytest.raises(ct.ContractViolation, match="objective decreased"):
-            hmm.fit(
-                self._observations()[30:50], max_iter=10, tol=0.0, rng=0,
-                transmat_prior=prior,
+            BatchGaussianHMM(1, 2).fit(
+                self._observations()[None, 30:50], max_iter=10, tol=0.0,
+                seed=0, transmat_prior=prior,
             )  # fmt: skip
 
     def test_clean_fit_passes_with_contracts_enabled(self):
-        hmm = GaussianHMM(n_states=2)
-        result = hmm.fit(self._observations(), max_iter=10, rng=1)
+        hmm = BatchGaussianHMM(1, 2)
+        (result,) = hmm.fit(self._observations()[None, :], max_iter=10, seed=1)
         assert result.iterations >= 1
-        ct.assert_stochastic_matrix(hmm.transmat, "transmat")
+        ct.assert_stochastic_matrix(hmm.transmat[0], "transmat")
 
 
 class TestScoreBoundary:

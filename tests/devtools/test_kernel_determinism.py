@@ -144,7 +144,7 @@ class TestSanctions:
         assert findings_in(src) == []
 
     def test_rule_is_scoped_to_kernel_modules(self):
-        assert findings_in(ACCUMULATING_LOOP, module="repro.hmm.base") == []
+        assert findings_in(ACCUMULATING_LOOP, module="repro.hmm.selection") == []
         assert findings_in(ACCUMULATING_LOOP, module="somewhere.else") == []
 
     def test_target_modules_are_the_kernel_surface(self):

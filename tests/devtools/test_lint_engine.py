@@ -65,7 +65,7 @@ class TestSuppression:
 class TestModuleNames:
     def test_anchored_at_repro(self):
         assert (
-            module_name_for(Path("src/repro/hmm/base.py")) == "repro.hmm.base"
+            module_name_for(Path("src/repro/hmm/batch.py")) == "repro.hmm.batch"
         )
 
     def test_init_maps_to_package(self):

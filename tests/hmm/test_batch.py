@@ -1,21 +1,23 @@
-"""Batched kernel parity: BatchGaussianHMM vs per-claim GaussianHMM.
+"""Batched kernel parity: BatchGaussianHMM vs the scalar reference.
 
 The batched kernel's whole contract is that every row decodes exactly as
 it would alone: same EM trajectory (within float ulps), same iteration
 count, same convergence flag, same Viterbi path (one of the optima where
 the scalar model has a provable tie) — regardless of which batch the row
-rides in.  These tests pin that contract against the per-claim reference
-implementation and against the kernel itself under different batch
-compositions.
+rides in.  These tests pin that contract against the textbook
+per-sequence reference (``tests/hmm/scalar_reference.py``) and against
+the kernel itself under different batch compositions.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hmm import BatchGaussianHMM, GaussianHMM, stack_ragged
+from repro.hmm import BatchGaussianHMM, HMMParams, stack_ragged
+from tests.hmm.scalar_reference import ScalarGaussianHMM
 
 
 def make_sequences(seed=0, n=5, missing=0.0):
@@ -52,18 +54,23 @@ def fit_batch(sequences, k=2, max_iter=50, tol=1e-4, seed=0):
 def fit_serial(sequences, k=2, max_iter=50, tol=1e-4, seed=0):
     pairs = []
     for seq in sequences:
-        model = GaussianHMM(k)
+        model = ScalarGaussianHMM(k)
         result = model.fit(
-            np.asarray(seq, dtype=float), max_iter=max_iter, tol=tol, rng=seed
+            np.asarray(seq, dtype=float), max_iter=max_iter, tol=tol, seed=seed
         )
         pairs.append((model, result))
     return pairs
 
 
+def params_of(kernel, row):
+    """Row ``row`` of a kernel as scalar-reference keyword arguments."""
+    return dataclasses.asdict(kernel.params(row))
+
+
 def tied_optima(model, seq):
     """Every state path whose joint with ``seq`` is within 1e-9
     (relative) of the best one under a scalar model, by enumeration."""
-    emissions = model._emission_probabilities(seq)
+    emissions = model.emissions(seq)
     joints = {}
     for path in itertools.product(range(model.n_states), repeat=len(seq)):
         joint = model.startprob[path[0]] * emissions[0, path[0]]
@@ -116,7 +123,7 @@ def assert_batch_matches_serial(sequences, k=2, seed=0, tol=1e-4):
         assert log_joints[row] == pytest.approx(ref_joint, abs=1e-9)
         assert np.allclose(
             posteriors[row, :length],
-            model.state_posteriors(seq),
+            model.posteriors(seq),
             atol=1e-9,
             rtol=0,
         )
@@ -189,7 +196,7 @@ class TestParityVsPerClaim:
         assert_batch_matches_serial(make_sequences(seed=3, n=5, missing=0.5))
 
     def test_constant_sequences_hit_jitter_init(self):
-        # Zero-variance data takes GaussianHMM's jittered-init branch;
+        # Zero-variance data takes the jittered-init branch;
         # the batch kernel must spend the seed identically per row.
         sequences = [np.full(8, 2.5), np.full(5, -1.0), np.full(12, 0.0)]
         assert_batch_matches_serial(sequences, seed=7)
@@ -279,9 +286,9 @@ class TestInference:
         emissions = kernel.emission_probabilities(observations)
         _, _, logliks = kernel.forward(emissions, lengths)
         for row, src in enumerate(order):
-            ref = kernel.extract(row).log_likelihood(
-                np.asarray(sequences[int(src)], dtype=float)
-            )
+            ref = ScalarGaussianHMM(
+                2, **params_of(kernel, row)
+            ).log_likelihood(np.asarray(sequences[int(src)], dtype=float))
             assert logliks[row] == pytest.approx(ref, abs=1e-9)
 
     def test_filter_states_matches_per_row(self):
@@ -298,7 +305,9 @@ class TestInference:
         filtered = kernel.filter_states(alpha)
         for row, src in enumerate(order):
             seq = np.asarray(sequences[int(src)], dtype=float)
-            ref = kernel.extract(row).filter_states(seq)
+            reference = ScalarGaussianHMM(2, **params_of(kernel, row))
+            alpha_ref, _, _ = reference.forward(reference.emissions(seq))
+            ref = np.argmax(alpha_ref, axis=1)
             assert filtered[row, : int(lengths[row])].tolist() == ref.tolist()
 
     def test_filter_step_is_the_forward_time_step(self):
@@ -329,9 +338,12 @@ class TestInference:
         assert stepped[0].tolist() == [0.5, 0.5]
         assert stepped[1].tolist() == pytest.approx([0.0, 1.0])
 
-    def test_extract_round_trips_row_parameters(self):
+    def test_params_round_trips_row_parameters(self):
         kernel = BatchGaussianHMM(2, 2)
         kernel.means[1] = np.array([-3.0, 3.0])
-        model = kernel.extract(1)
-        assert model.means.tolist() == [-3.0, 3.0]
-        assert model.n_states == 2
+        params = kernel.params(1)
+        assert isinstance(params, HMMParams)
+        assert params.means.tolist() == [-3.0, 3.0]
+        assert params.transmat.shape == (2, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.means = np.zeros(2)

