@@ -35,8 +35,8 @@ from typing import Iterable, Mapping, Sequence
 import networkx as nx
 import numpy as np
 
-from repro.core.acs import acs_sequence
-from repro.core.sstd import SSTD, SSTDConfig, batch_fit_decode
+from repro.core.acs import ReportTable, acs_sequence
+from repro.core.sstd import SSTDConfig, batch_fit_decode
 from repro.core.types import Report, TruthEstimate
 
 __all__ = [
@@ -205,20 +205,19 @@ class CorrelatedSSTD:
         end: float | None = None,
     ) -> list[TruthEstimate]:
         """Correlated truth discovery over all claims in ``reports``."""
-        engine = SSTD(self.config)
-        grouped = engine.group_reports(reports)
-        if not grouped:
+        table = ReportTable.from_reports(reports, self.config.acs.weights)
+        if not table.claim_ids:
             return []
         if start is None:
-            start = min(r.timestamp for r in reports)
+            start = float(table.times.min())
         if end is None:
-            end = max(r.timestamp for r in reports)
+            end = float(table.times.max())
 
         times: np.ndarray | None = None
         sequences: dict[str, np.ndarray] = {}
-        for claim_id in sorted(grouped):
+        for claim_id, rows in table.by_claim():
             grid, values = acs_sequence(
-                grouped[claim_id], self.config.acs, start=start, end=end
+                rows, self.config.acs, start=start, end=end
             )
             times = grid
             sequences[claim_id] = values

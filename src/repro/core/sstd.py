@@ -35,7 +35,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.acs import ACSConfig, SlidingWindowACS, acs_sequence
+from repro.core.acs import (
+    ACSConfig,
+    ReportTable,
+    SlidingWindowACS,
+    acs_sequence,
+)
 from repro.core.types import Report, TruthEstimate, TruthValue
 from repro.devtools import contracts
 from repro.hmm.batch import BatchGaussianHMM, HMMParams, stack_ragged
@@ -398,18 +403,20 @@ class SSTD:
     ) -> list[TruthEstimate]:
         """Run SSTD over all claims in ``reports``; returns all estimates.
 
-        Every claim's ACS sequence goes through one
-        :func:`batch_fit_decode` call — the EM/decode time recursions
-        run once over the whole claim stack.  ``self.results`` is
-        cleared first, so it always reflects exactly this run.
+        The reports are read once into a :class:`ReportTable`, each
+        claim's ACS sequence is computed on its rows, and every sequence
+        goes through one :func:`batch_fit_decode` call — the EM/decode
+        time recursions run once over the whole claim stack.
+        ``self.results`` is cleared first, so it always reflects exactly
+        this run.
         """
-        grouped = self.group_reports(reports)
+        table = ReportTable.from_reports(reports, self.config.acs.weights)
         self.results.clear()
         estimates: list[TruthEstimate] = []
         items = []
-        for claim_id in sorted(grouped):
+        for claim_id, rows in table.by_claim():
             times, values = acs_sequence(
-                grouped[claim_id], self.config.acs, start=start, end=end
+                rows, self.config.acs, start=start, end=end
             )
             items.append((claim_id, times, values))
         for result in batch_fit_decode(items, self.config):

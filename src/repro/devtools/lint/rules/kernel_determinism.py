@@ -1,8 +1,9 @@
 """SSTD013: kernel code must not order work by set/dict-view iteration.
 
-The batched HMM kernels and the job scheduler are the reproducibility
-surface of the system: two runs over the same claim set must produce
-bit-identical posteriors and the same task order.  Iterating a ``set``
+The report table, the batched HMM kernels and the job scheduler are the
+reproducibility surface of the system: two runs over the same claim set
+must produce the same claim rows, bit-identical posteriors and the same
+task order.  Iterating a ``set``
 (or ``frozenset``) breaks that silently — iteration order depends on
 the per-process hash seed (``PYTHONHASHSEED``), so feeding it into a
 floating-point accumulation reorders the additions (FP addition is not
@@ -13,8 +14,9 @@ directory listings, so the same discipline applies: make the order
 explicit.
 
 The rule only fires in the kernel modules (:data:`TARGET_MODULES` —
-``repro.hmm.batch``, ``repro.hmm.utils``, ``repro.system.jobs`` and the
-``repro.hmm.kernels`` package); everywhere else set iteration
+``repro.core.acs``, whose claim encoding and row order feed the shard
+stacks, ``repro.hmm.batch``, ``repro.hmm.utils``, ``repro.system.jobs``
+and the ``repro.hmm.kernels`` package); everywhere else set iteration
 is fine and linting it would be noise.
 It flags:
 
@@ -46,6 +48,7 @@ __all__ = ["KernelDeterminismRule", "TARGET_MODULES"]
 
 #: Modules whose outputs must be bit-reproducible across runs.
 TARGET_MODULES = (
+    "repro.core.acs",
     "repro.hmm.batch",
     "repro.hmm.kernels",
     "repro.hmm.kernels.numpy_ref",

@@ -20,7 +20,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.acs import acs_sequence
+from repro.core.acs import ClaimRows, acs_sequence
 from repro.core.sstd import SSTDConfig, batch_fit_decode, column_estimates
 from repro.core.types import Report, TruthEstimate
 from repro.system import shm
@@ -42,6 +42,7 @@ class ClaimStack:
     """NaN-padded per-claim ACS observation stacks, ready to publish.
 
     The master runs :func:`repro.core.acs.acs_sequence` once per claim
+    (on the claim's rows of a :class:`~repro.core.acs.ReportTable`)
     and packs the results into ``(N, T_max)`` matrices — row order is
     ``claim_ids`` order, padding is NaN, real per-row extents live in
     ``lengths``.  This is the unit the zero-copy data plane ships: a
@@ -77,23 +78,25 @@ class ClaimStack:
 
 
 def build_claim_stack(
-    claims: Sequence[tuple[str, Sequence[Report]]],
+    claims: Sequence[tuple[str, ClaimRows | Sequence[Report]]],
     config: SSTDConfig,
     start: float | None = None,
     end: float | None = None,
 ) -> ClaimStack:
     """Compute every claim's ACS sequence and pack it into one stack.
 
-    Runs the ``acs_sequence`` call the serial engine runs
-    (:meth:`repro.core.sstd.SSTD.discover_claim`), so decoding from the
-    stack is bit-identical to decoding from the raw reports — and the
-    ACS grid is computed once, on the master, not once per task attempt
-    on the workers.
+    Each claim comes with its rows of a
+    :class:`~repro.core.acs.ReportTable` (or its reports).  Runs the
+    ``acs_sequence`` call the serial engine runs
+    (:meth:`repro.core.sstd.SSTD.discover`), so decoding from the stack
+    is bit-identical to decoding from the raw reports — and the ACS grid
+    is computed once, on the master, not once per task attempt on the
+    workers.
     """
     claim_ids: list[str] = []
     sequences: list[tuple[np.ndarray, np.ndarray]] = []
-    for claim_id, reports in claims:
-        times, values = acs_sequence(reports, config.acs, start=start, end=end)
+    for claim_id, rows in claims:
+        times, values = acs_sequence(rows, config.acs, start=start, end=end)
         claim_ids.append(claim_id)
         sequences.append((times, values))
     t_max = max((times.size for times, _ in sequences), default=0)
@@ -267,7 +270,7 @@ class TDJob:
 
     def make_tasks(
         self,
-        reports: Sequence[Report],
+        reports: ClaimRows | Sequence[Report],
         payload: Callable[..., Any] | None = None,
         payload_args: Sequence[Any] = (),
     ) -> list[Task]:
@@ -279,12 +282,14 @@ class TDJob:
         cannot cross a process boundary); each task carries
         ``PayloadSpec(payload, (*payload_args, chunk))``, so the task's
         report chunk arrives as the final argument and its return value
-        becomes the task output.
+        becomes the task output.  Without a payload the chunks only size
+        the tasks, so ``reports`` may then be the claim's
+        :class:`~repro.core.acs.ClaimRows`.
         """
         self.reports_seen += len(reports)
         self.batches_submitted += 1
         n_tasks = min(self.tasks_per_batch, max(1, len(reports)))
-        chunks: list[Sequence[Report]] = []
+        chunks: list[ClaimRows | Sequence[Report]] = []
         if reports:
             size = len(reports) // n_tasks
             remainder = len(reports) % n_tasks

@@ -25,13 +25,16 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
 from repro.cluster.condor import CondorPool
 from repro.cluster.failures import FailureConfig, FailureInjector
 from repro.cluster.node import NodeSpec, uniform_pool
 from repro.cluster.simulation import PeriodicTask, Simulator
 from repro.control.feedback import FeedbackConfig, IntervalFeedbackLoop
 from repro.control.wcet import WCETModel
-from repro.core.sstd import SSTD, SSTDConfig, StreamingSSTD
+from repro.core.acs import ClaimRows, ReportTable
+from repro.core.sstd import SSTDConfig, StreamingSSTD
 from repro.core.types import Report, TruthEstimate
 from repro.obs import Observability, VirtualClock, using
 from repro.streams.trace import Trace
@@ -324,19 +327,17 @@ class DistributedSSTD:
         if config.control_enabled:
             dtm.start()
 
-        grouped = SSTD(config.sstd).group_reports(reports)
-        claim_ids = sorted(grouped)
+        table = ReportTable.from_reports(reports, config.sstd.acs.weights)
+        claim_rows = list(table.by_claim())
         estimates: list[TruthEstimate] = []
 
         run_start = simulator.now
         with using(self.obs):
-            stack = build_claim_stack(
-                [(c, grouped[c]) for c in claim_ids], config.sstd, start, end
-            )
+            stack = build_claim_stack(claim_rows, config.sstd, start, end)
             owner = stack.publish()
             try:
                 n_tasks = 0
-                for claim_id in claim_ids:
+                for claim_id, rows in claim_rows:
                     job = TDJob(
                         job_id=claim_id,
                         claim_id=claim_id,
@@ -344,7 +345,7 @@ class DistributedSSTD:
                         tasks_per_batch=config.tasks_per_job,
                     )
                     dtm.register_job(job)
-                    tasks = job.make_tasks(grouped[claim_id])
+                    tasks = job.make_tasks(rows)
                     # The final task of each job carries the decode
                     # payload so the truth result materializes when the
                     # job's data is processed: a one-claim shard of the
@@ -367,7 +368,7 @@ class DistributedSSTD:
                 end=simulator.now,
                 track="system",
                 backend=config.backend,
-                n_jobs=len(grouped),
+                n_jobs=len(claim_rows),
                 n_tasks=n_tasks,
             )
         for result in master.results:
@@ -384,7 +385,7 @@ class DistributedSSTD:
         return BatchRunResult(
             estimates=tuple(estimates),
             makespan=simulator.now,
-            n_jobs=len(grouped),
+            n_jobs=len(claim_rows),
             n_tasks=n_tasks,
             total_busy_time=sum(
                 account.busy_time for account in master.jobs.values()
@@ -476,7 +477,7 @@ class DistributedSSTD:
         self,
         executor: LocalWorkQueue | ProcessWorkQueue,
         shards: Mapping[str, Sequence[str]],
-        reports: Mapping[str, Sequence[Report]],
+        rows: Mapping[str, ClaimRows],
         start: float | None,
         end: float | None,
         since: Mapping[str, float] | None = None,
@@ -485,7 +486,7 @@ class DistributedSSTD:
         """Submit, drain and merge one round of shard tasks.
 
         Builds and publishes the claim stack of every claim in
-        ``shards`` (ACS of ``reports`` over ``[start, end]``), submits
+        ``shards`` (ACS of its ``rows`` over ``[start, end]``), submits
         one stack-row task per shard, drains, and releases the segment
         whether or not the drain was clean; a failed task raises.  The
         merged estimates are an iterator that expands the compact
@@ -499,7 +500,7 @@ class DistributedSSTD:
         clock_start = self.obs.clock.now()
         with using(self.obs):
             stack = build_claim_stack(
-                [(c, reports[c]) for shard in shards.values() for c in shard],
+                [(c, rows[c]) for shard in shards.values() for c in shard],
                 config.sstd,
                 start,
                 end,
@@ -510,9 +511,7 @@ class DistributedSSTD:
                     executor.submit(
                         Task(
                             job_id=job_id,
-                            data_size=float(
-                                sum(len(reports[c]) for c in shard)
-                            ),
+                            data_size=float(sum(len(rows[c]) for c in shard)),
                             fn=shm_shard_task_spec(
                                 stack, shard, owner.handle, config.sstd
                             ),
@@ -561,14 +560,14 @@ class DistributedSSTD:
         invocation and one round of pickle/dispatch overhead.
         """
         config = self.config
-        grouped = SSTD(config.sstd).group_reports(reports)
-        shards = self._shards(sorted(grouped))
+        table = ReportTable.from_reports(reports, config.sstd.acs.weights)
+        shards = self._shards(table.claim_ids)
         n_workers = min(config.n_workers, max(1, len(shards)))
         executor = self._make_executor(n_workers)
         try:
             clock_start = self.obs.clock.now()
             results, merged = self._decode_shards(
-                executor, shards, grouped, start, end
+                executor, shards, dict(table.by_claim()), start, end
             )
         finally:
             executor.shutdown()
@@ -580,14 +579,14 @@ class DistributedSSTD:
                 end=clock_start + makespan,
                 track="system",
                 backend=config.backend,
-                n_jobs=len(grouped),
+                n_jobs=len(table.claim_ids),
                 n_tasks=len(results),
             )
         estimates = sorted(merged, key=lambda e: (e.claim_id, e.timestamp))
         return BatchRunResult(
             estimates=tuple(estimates),
             makespan=makespan,
-            n_jobs=len(grouped),
+            n_jobs=len(table.claim_ids),
             n_tasks=len(results),
             total_busy_time=sum(r.wall_time for r in results),
             worker_count=n_workers,
@@ -610,7 +609,9 @@ class DistributedSSTD:
         """Interval replay on a real executor.
 
         Each interval re-decodes every claim that received new reports,
-        over the claim's cumulative history.  Claims are dispatched in
+        over the claim's cumulative history: its rows of a
+        :class:`ReportTable` read once from ``trace.reports``, up to the
+        interval's end.  Claims are dispatched in
         ``claims_per_shard`` shards (one task per shard, each decoding
         its rows of the interval's published claim stack), and the
         wall-clock time for the interval's shards to drain is recorded.
@@ -632,7 +633,20 @@ class DistributedSSTD:
         tracker = DeadlineTracker(deadline=deadline)
         estimates: list[TruthEstimate] = []
 
-        history: dict[str, list[Report]] = collections.defaultdict(list)
+        table = ReportTable.from_reports(
+            trace.reports, config.sstd.acs.weights
+        )
+        claim_rows = dict(table.by_claim())
+        # arrivals[k, i]: reports of claim k inside interval i.
+        lows, highs = np.asarray(bounds).T
+        arrivals = np.array(
+            [
+                np.searchsorted(rows.times, highs)
+                - np.searchsorted(rows.times, lows)
+                for rows in claim_rows.values()
+            ],
+            dtype=np.intp,
+        ).reshape(len(claim_rows), len(bounds))
         emitted_until: dict[str, float] = {}
         dirty: set[str] = set()
         # The executor installs the run's recorder on self.obs; the loop
@@ -644,20 +658,17 @@ class DistributedSSTD:
                 loop = IntervalFeedbackLoop(
                     deadline, config.feedback, obs=self.obs
                 )
-            for index, (lo, hi) in enumerate(bounds):
-                batch = trace.reports_between(lo, hi)
-
-                by_claim: dict[str, list[Report]] = collections.defaultdict(list)
-                for report in batch:
-                    by_claim[report.claim_id].append(report)
-
+            for index, (_, hi) in enumerate(bounds):
+                n_reports = int(arrivals[:, index].sum())
+                arrived = [
+                    table.claim_ids[k]
+                    for k in np.flatnonzero(arrivals[:, index])
+                ]
                 interval_start = self.obs.clock.now()
                 n_deferred = 0
                 n_shed = 0
-                for claim_id, new_reports in sorted(by_claim.items()):
-                    history[claim_id].extend(new_reports)
                 if loop is not None:
-                    dirty.update(by_claim)
+                    dirty.update(arrived)
                     decision = loop.plan(sorted(dirty), config.n_workers)
                     claim_ids = sorted(decision.admitted)
                     dirty.difference_update(decision.admitted)
@@ -665,12 +676,12 @@ class DistributedSSTD:
                     n_deferred = len(decision.deferred)
                     n_shed = len(decision.shed)
                 else:
-                    claim_ids = sorted(by_claim)
+                    claim_ids = arrived
                 shards = self._shards(claim_ids)
                 results, merged = self._decode_shards(
                     executor,
                     shards,
-                    history,
+                    {c: claim_rows[c].before(hi) for c in claim_ids},
                     trace.start,
                     hi,
                     since=emitted_until,
@@ -684,7 +695,7 @@ class DistributedSSTD:
                         end=interval_start + execution_time,
                         track="system",
                         index=index,
-                        n_reports=len(batch),
+                        n_reports=n_reports,
                     )
                 if loop is not None:
                     # Exact per-claim costs (shard wall time amortized
@@ -702,7 +713,7 @@ class DistributedSSTD:
                     emitted_until.update(dict.fromkeys(claim_ids, hi))
                 tracker.record(
                     index,
-                    len(batch),
+                    n_reports,
                     execution_time,
                     n_deferred=n_deferred,
                     n_shed=n_shed,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.acs import ACSConfig, SlidingWindowACS, acs_at, acs_sequence
+from repro.core.acs import ACSConfig, SlidingWindowACS, acs_sequence
 from repro.core.scores import ScoreWeights
 from repro.core.types import Attitude, Report
 
@@ -79,12 +79,15 @@ class TestACSSequence:
         assert values[0] == pytest.approx(1.0 / 3.0)
 
     def test_matches_pointwise_acs_at(self):
+        """Each grid value is the Eq. (4) sum over the reports inside
+        ``(t - window, t]``, written out report by report."""
         batch = [report(float(t), Attitude.AGREE if t % 3 else Attitude.DISAGREE)
                  for t in range(20)]
         times, values = acs_sequence(batch, RAW)
-        timestamps = [r.timestamp for r in batch]
         for t, v in zip(times, values):
-            assert acs_at(batch, timestamps, t, RAW) == pytest.approx(v)
+            inside = [r for r in batch if t - RAW.window < r.timestamp <= t]
+            total = sum(RAW.weights.score(r) for r in inside)
+            assert RAW.finalize(total, len(inside)) == pytest.approx(v)
 
     def test_respects_score_weights(self):
         config = ACSConfig(

@@ -8,8 +8,6 @@ from repro.core.scores import (
     FULL_WEIGHTS,
     ScoreWeights,
     contribution_score,
-    normalized_support,
-    total_contribution,
 )
 from repro.core.types import Attitude, Report
 
@@ -77,25 +75,3 @@ class TestScoreWeights:
         report = make_report(Attitude.AGREE, 0.5, 0.5)
         assert weights.score(report) == pytest.approx(0.5)
 
-
-class TestAggregates:
-    def test_total_contribution_sums(self):
-        batch = [
-            make_report(Attitude.AGREE),
-            make_report(Attitude.AGREE),
-            make_report(Attitude.DISAGREE),
-        ]
-        assert total_contribution(batch) == pytest.approx(1.0)
-
-    def test_normalized_support_empty(self):
-        assert normalized_support([]) == 0.0
-
-    @given(st.lists(reports, min_size=1, max_size=20))
-    def test_normalized_support_bounded(self, batch):
-        assert -1.0 <= normalized_support(batch) <= 1.0
-
-    @given(st.lists(reports, min_size=1, max_size=20))
-    def test_normalized_is_mean_of_total(self, batch):
-        assert normalized_support(batch) == pytest.approx(
-            total_contribution(batch) / len(batch)
-        )

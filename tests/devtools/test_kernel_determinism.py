@@ -117,6 +117,21 @@ def as_rows(ids: frozenset):
         assert len(findings) == 1
         assert "comprehension" in findings[0].message
 
+    def test_claim_encoding_from_set_flagged_in_report_table(self):
+        src = '''
+__all__ = ["encode"]
+
+
+def encode(claim_column):
+    claim_ids = list(set(claim_column))
+    return {claim_id: k for k, claim_id in enumerate(claim_ids)}
+'''
+        findings = findings_in(src, module="repro.core.acs")
+        assert len(findings) == 1
+        assert "list()" in findings[0].message
+        fixed = src.replace("list(set(claim_column))", "sorted(set(claim_column))")
+        assert findings_in(fixed, module="repro.core.acs") == []
+
     def test_safe_consumers_are_clean(self):
         src = '''
 __all__ = ["stats"]
@@ -149,6 +164,7 @@ class TestSanctions:
 
     def test_target_modules_are_the_kernel_surface(self):
         assert TARGET_MODULES == (
+            "repro.core.acs",
             "repro.hmm.batch",
             "repro.hmm.kernels",
             "repro.hmm.kernels.numpy_ref",
