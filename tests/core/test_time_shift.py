@@ -1,18 +1,16 @@
 """Metamorphic property: shifting every timestamp by a constant shifts the
 estimates and changes nothing else.
 
-It does not hold exactly today, and the counterexample is pinned here.
 ``acs_sequence`` counts a report in the window ``(g - window, g]`` of
 grid point ``g = start + k * step``.  With the default span ``start`` is
 the first report, and with ``window / step = 5`` the lower edge of grid
-index 4 *is* that report — so whether it counts depends on how
-``start + 5 * step - window`` rounds.  On ``osu_attack().scaled(0.05)``,
-seed 3, span ``[trace.start, trace.end]``: unshifted, the edge rounds
-just below the first report of ``claim-0000`` and the report counts
-(ACS .8438); shifted by +1000.37 s it rounds just above and the report
-drops out (ACS .7880).  Through ``SSTD.discover`` that moves 1 439 of
-23 040 confidences (max 7.6e-4) and no truth value.  Fixing it moves
-estimates, so the fix is left to a change that re-pins them.
+index 4 *is* that report.  Membership is decided on offsets from
+``start`` (``t - start`` against ``k * step - window``), so that report
+sits exactly on the edge, and is left out, whatever ``start`` is.  When
+the comparison was made on absolute times, ``start + 5 * step - window``
+rounded to either side of it: on ``osu_attack().scaled(0.05)``, seed 3,
+claim ``claim-0000`` read ACS .8438 unshifted and .7880 after a
++1000.37 s shift, and 1 439 of 23 040 confidences moved.
 """
 
 import dataclasses
@@ -59,15 +57,6 @@ def test_time_shift_keeps_grid_and_truth_values(estimates):
         assert new.value is old.value
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason=(
-        "acs_sequence: a report exactly on a window's lower edge counts "
-        "or not depending on how start + k*step - window rounds "
-        "(claim-0000, grid index 4: .8438 vs .7880 after a +1000.37 s shift)"
-    ),
-)
 def test_time_shift_keeps_acs_and_confidences(traces, estimates):
     (reports, shifted), (span, shifted_span) = traces
     claim = [r for r in reports if r.claim_id == "claim-0000"]

@@ -26,9 +26,18 @@ SEED = 1
 #: and therefore every confidence changed; counts did not.  Before:
 #: ``2564928518bfe322`` / ``eabc233ae62fc52f`` / ``bc1705ab640564b8`` /
 #: ``aab6717505ff4425``.
+#:
+#: Re-pinned when ACS window membership moved to offsets from the span
+#: start (``t - start`` against ``k * step - window``): a claim's first
+#: report sits exactly on the lower edge of grid index 4 and no longer
+#: counts there when ``start + 5 * step - window`` used to round below
+#: it.  Only that one ACS value per affected claim moved; the refitted
+#: models moved confidences and, on ``batch_longgrid``, 19 truth values.
+#: The ``dist_intervals`` and ``stream_ticks`` digests did not move.
+#: Before: ``6aadc8d7fdde8c51`` / ``e018332f3fa88efa``.
 PINNED = {
-    "batch_volume": ("6aadc8d7fdde8c51", 237),
-    "batch_longgrid": ("e018332f3fa88efa", 941),
+    "batch_volume": ("414c587868493c5f", 237),
+    "batch_longgrid": ("5e69a7a7d8ee52ed", 941),
     "dist_intervals": ("039fc96dd0a11154", 72),
     "stream_ticks": ("0a13169d773f6a3b", 117),
 }
