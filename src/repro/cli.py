@@ -432,89 +432,14 @@ def _run_replay_controller(args: argparse.Namespace) -> int:
 
 
 def _add_lint(subparsers: argparse._SubParsersAction) -> None:
-    parser = subparsers.add_parser(
+    # Declares no arguments of its own: main() hands everything after
+    # ``lint`` to the lint CLI, which owns its flags and its --help.
+    subparsers.add_parser(
         "lint",
-        help="run the SSTD static-analysis rules (exit 1 on findings)",
-        description=(
-            "Project-specific lint: SSTD001 exception hygiene, SSTD002 "
-            "mutable defaults, SSTD003 lock discipline, SSTD004 seeded "
-            "randomness, SSTD005 probability-safe log/exp, SSTD006 "
-            "__all__ declarations, SSTD007 guarded-state escapes, "
-            "SSTD008 blocking under a lock, SSTD009 payload "
-            "picklability, SSTD010 thread/process lifecycle, SSTD011 "
-            "clock reads via the repro.obs Clock protocol, SSTD012 "
-            "lock-order deadlock cycles, SSTD013 kernel determinism, "
-            "SSTD014 resource leaks, SSTD015 exception contracts, "
-            "SSTD016 use-after-release. Suppress a finding with a "
-            "trailing '# noqa: SSTD###' comment; stale suppressions "
-            "are flagged as SSTD000. Use --explain SSTD### for a "
-            "rule's rationale and sanction syntax."
-        ),
+        add_help=False,
+        help="run the SSTD static-analysis rules (exit 1 on findings); "
+        "'repro-cli lint --help' lists the lint options",
     )
-    parser.add_argument("paths", nargs="*", type=Path,
-                        help="files/directories (default: src/repro)")
-    parser.add_argument("--format", choices=("text", "json", "github",
-                                             "sarif"),
-                        default="text",
-                        help="report format (default: text)")
-    parser.add_argument("--select", default=None, metavar="RULES",
-                        help="comma-separated rule ids, e.g. SSTD003,SSTD004")
-    parser.add_argument("--changed-only", default=None, metavar="REF",
-                        help="lint only files changed vs REF plus their "
-                        "call-graph dependents")
-    parser.add_argument("--noqa-budget", type=int, default=None, metavar="N",
-                        help="fail when more than N noqa comments exist")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the .lint_cache/ result cache")
-    parser.add_argument("--no-stale-noqa", action="store_true",
-                        help="skip the SSTD000 stale-suppression audit")
-    parser.add_argument("--json-report", type=Path, default=None,
-                        metavar="FILE",
-                        help="additionally write the JSON report to FILE")
-    parser.add_argument("--sarif-report", type=Path, default=None,
-                        metavar="FILE",
-                        help="additionally write a SARIF 2.1.0 log to FILE")
-    parser.add_argument("--stats", action="store_true",
-                        help="print cache hit rates to stderr")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print registered rules and exit")
-    parser.add_argument("--disable", default=None, metavar="RULES",
-                        help="comma-separated rule ids to skip "
-                        "(applied after --select)")
-    parser.add_argument("--explain", default=None, metavar="RULE",
-                        help="print a rule's documentation, sanction "
-                        "syntax, and example, then exit")
-    parser.set_defaults(func=_run_lint)
-
-
-def _run_lint(args: argparse.Namespace) -> int:
-    from repro.devtools.lint.cli import main as lint_main
-
-    argv: list[str] = [str(p) for p in args.paths]
-    argv += ["--format", args.format]
-    if args.select:
-        argv += ["--select", args.select]
-    if args.changed_only is not None:
-        argv += ["--changed-only", args.changed_only]
-    if args.noqa_budget is not None:
-        argv += ["--noqa-budget", str(args.noqa_budget)]
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.no_stale_noqa:
-        argv.append("--no-stale-noqa")
-    if args.json_report is not None:
-        argv += ["--json-report", str(args.json_report)]
-    if args.sarif_report is not None:
-        argv += ["--sarif-report", str(args.sarif_report)]
-    if args.stats:
-        argv.append("--stats")
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.disable:
-        argv += ["--disable", args.disable]
-    if args.explain is not None:
-        argv += ["--explain", args.explain]
-    return lint_main(argv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -537,7 +462,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        from repro.devtools.lint.cli import main as lint_main
+
+        return lint_main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.func(args)
 
 

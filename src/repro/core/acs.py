@@ -200,8 +200,12 @@ class ReportTable:
     def __len__(self) -> int:
         return self.times.size
 
-    def rows(self, claim_id: str) -> ClaimRows:  # raises: KeyError
-        """The rows of ``claim_id``."""
+    def rows(self, claim_id: str) -> ClaimRows:
+        """The rows of ``claim_id``.
+
+        Raises:
+            KeyError: When the table has no such claim.
+        """
         k = bisect.bisect_left(self.claim_ids, claim_id)
         if k == len(self.claim_ids) or self.claim_ids[k] != claim_id:
             raise KeyError(claim_id)

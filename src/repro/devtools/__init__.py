@@ -4,9 +4,12 @@ Two halves, mirroring the role lint + sanitizers play in a training
 stack:
 
 - :mod:`repro.devtools.lint` — a project-specific AST lint engine whose
-  SSTD rules enforce invariants the Python runtime never checks (lock
-  discipline in the Work Queue layer, seeded randomness, log-space
-  numerics confined to the sanctioned helpers, ...).  Run it with
+  SSTD rules enforce invariants that neither the Python runtime nor
+  the test suite checks (lock discipline in the Work Queue layer,
+  blocking under a lock, resources released on exception paths, seeded
+  randomness, log-space numerics confined to the sanctioned helpers,
+  ...); rules whose bugs a runtime check or a test already catches
+  were retired (DESIGN.md §7).  Run it with
   ``python -m repro.devtools.lint src/repro`` or ``repro-cli lint``.
 - :mod:`repro.devtools.contracts` — cheap runtime validators for the
   probability-simplex and score-range invariants of the paper

@@ -1,22 +1,20 @@
 """Project-wide call graph and bottom-up function summaries.
 
-PR 3's flow walker (:mod:`repro.devtools.lint.flow`) is deliberately
+The flow walker (:mod:`repro.devtools.lint.flow`) is deliberately
 intraprocedural: one class at a time, one level of ``self.<helper>()``.
-That misses exactly the hazards the paper's master/worker runtime
-grows into — a blocking call reached through a module-level helper or
-a cross-class handoff (``workqueue.process`` → ``obs.metrics``), and
-any question about the *order* in which locks across classes are
-acquired.  This module closes the gap in three stages:
+That misses the hazards the paper's master/worker runtime grows into —
+a blocking call reached through a module-level helper or a cross-class
+handoff (``workqueue.process`` → ``obs.metrics``), a ``# holds-lock:``
+helper called from another class, a resource handed out by a factory.
+This module closes the gap in three stages:
 
 1. **Per-module summaries** (:class:`ModuleInfo`).  Each file is
-   reduced to a serializable record: every function/method with its
-   calls (canonicalized against the file's imports but *unresolved* —
-   no other module's content is consulted, so the record is cacheable
-   by content hash alone), its lock acquisitions with the lockset held
-   at each site, its declared ``# holds-lock:`` entry locks, whether
-   it contains a *leaf* blocking call, plus per-class metadata (bases,
-   methods, lock attributes and their reentrancy, class-valued
-   attributes) and ``# lock-order:`` declarations.
+   reduced to a record of every function/method with its calls
+   (canonicalized against the file's imports but *unresolved* — no
+   other module's content is consulted), the lockset held at each call,
+   its declared ``# holds-lock:`` entry locks, whether it contains a
+   *leaf* blocking call, and the calls whose result it may return,
+   plus per-class metadata (bases, methods, class-valued attributes).
 
 2. **Global resolution** (:class:`ProjectAnalysis`).  Call references
    are resolved across modules: re-exports are followed through
@@ -24,48 +22,33 @@ acquired.  This module closes the gap in three stages:
    calls land on the defining class (searching bases), classmethod
    factories (``Observability.from_env()``) resolve to the class they
    build, and attribute chains (``self.obs.metrics.inc``) walk the
-   class-valued attribute tables.  The modules touched while resolving
-   a file's references become its *dependency closure*, whose digest
-   keys the findings cache — editing a callee invalidates its callers.
+   class-valued attribute tables.
 
-3. **Bottom-up fixpoints.**  May-block (with the call chain to the
-   blocking leaf), transitive lock acquisitions (with the acquisition
-   site and chain), the global lock-acquisition-order edge set
-   ``(held, acquired)`` that SSTD012 runs cycle detection over, and —
-   fourth, since PR 8 — per-function *exception-escape* summaries:
-   which exception classes can propagate out of each function, seeded
-   from :func:`repro.devtools.lint.flow.analyze_exceptions` raise
-   sites and propagated caller-ward through resolved call sites minus
-   whatever each site's enclosing handlers catch (every call site is
-   stamped with its caught-class context).  SSTD015 checks these
-   against ``# raises:`` contracts; the summaries are cached exactly
-   like the may-block ones.
+3. **The may-block fixpoint.**  A function blocks if it has a leaf
+   blocking call or calls one that may block; the call chain to the
+   blocking leaf is kept for SSTD008's diagnostic.
 
 Known false-negative limits (see DESIGN.md): dynamic dispatch through
 untyped values, callables stored in containers, monkey-patching, and
-locks reached through chains the attribute tables cannot type are all
-invisible; the analysis is deliberately unsound-but-useful, tuned to
-the annotation discipline this repo already enforces.
+receivers the attribute tables cannot type are all invisible; the
+analysis is deliberately unsound-but-useful, tuned to the annotation
+discipline this repo already enforces.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
 from repro.devtools.lint.engine import FileContext, module_name_for
 from repro.devtools.lint.flow import (
-    LOCK_ORDER_RE,
     ClassFlow,
     MethodFlow,
     analyze_class,
-    analyze_exceptions,
     analyze_function,
     blocking_reason,
-    exception_caught,
 )
 from repro.devtools.lint.names import ImportMap, dotted_name
 
@@ -73,40 +56,20 @@ __all__ = [
     "BlockSummary",
     "CallRef",
     "ClassInfo",
-    "EscapeInfo",
     "FunctionNode",
-    "LockEdge",
     "ModuleInfo",
     "ProjectAnalysis",
     "ResolvedCall",
     "build_module_info",
     "build_project",
     "build_project_for_context",
-    "content_hash",
-    "match_lock",
 ]
-
-#: Bump when the :class:`ModuleInfo` payload layout changes (the cache
-#: key also covers the lint package's own sources, so this is belt and
-#: braces for out-of-tree cache directories).  2: per-call caught-class
-#: context, per-function raise sites and returned-call refs.
-SUMMARY_FORMAT = 2
 
 _FOLLOW_LIMIT = 16  # re-export chains are short; bound the walk anyway
 
 
-def match_lock(pattern: str, lock: str) -> bool:
-    """True when a ``# lock-order:`` side names ``lock``.
-
-    Locks are global ids (``repro.workqueue.process.ProcessWorkQueue.
-    _lock``); a pattern matches on equality or as a dotted suffix, so
-    annotations can say ``ProcessWorkQueue._lock`` or just ``_lock``.
-    """
-    return lock == pattern or lock.endswith("." + pattern)
-
-
 # ---------------------------------------------------------------------------
-# Serializable per-module summaries
+# Per-module summaries
 # ---------------------------------------------------------------------------
 
 
@@ -128,10 +91,6 @@ class CallRef:
     held: tuple[str, ...]
     line: int
     col: int
-    #: Exception names the handlers enclosing this call site would
-    #: catch (``"*"`` = everything); the escape fixpoint subtracts
-    #: these from the callee's escape set before propagating.
-    caught: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,13 +106,9 @@ class FunctionNode:
     #: (reason, line, col) of the first *leaf* blocking call, if any.
     block: Optional[tuple[str, int, int]]
     calls: tuple[CallRef, ...]
-    #: (lock, held-before, line, col) per acquisition site.
-    acquisitions: tuple[tuple[str, tuple[str, ...], int, int], ...]
-    #: (exception name, line, col) per direct *escaping* raise site.
-    raises: tuple[tuple[str, int, int], ...] = ()
     #: Canonical refs of calls whose result this function may return
     #: (``return f(...)`` or ``x = f(...) ... return x``); the resource
-    #: rules chase these to find acquire-wrappers like ``_make_executor``.
+    #: rule chases these to find acquire-wrappers like ``_make_executor``.
     returned_refs: tuple[str, ...] = ()
 
 
@@ -167,134 +122,21 @@ class ClassInfo:
     methods: tuple[str, ...]
     #: attr -> canonical class path (``obs`` -> ``repro.obs.Observability``).
     attr_classes: Mapping[str, str]
-    #: lock attr -> reentrant (True = RLock, False = Lock, None = unknown).
-    locks: Mapping[str, Optional[bool]]
 
 
 @dataclass(slots=True)
 class ModuleInfo:
     """Everything the project layer keeps about one module.
 
-    Built from a parsed file — or deserialized from the summary cache
-    without parsing at all.  Contains no resolved cross-module facts,
-    so a content hash of the file (plus the lint package fingerprint)
-    fully keys it.
+    Contains no resolved cross-module facts: it is built from the
+    module's own text and imports alone.
     """
 
     module: str
     path: str
-    content_hash: str
     imports: dict[str, str]
     functions: list[FunctionNode]
     classes: dict[str, ClassInfo]
-    lock_decls: tuple[tuple[str, str, int], ...]
-
-    def to_payload(self) -> dict:
-        return {
-            "format": SUMMARY_FORMAT,
-            "module": self.module,
-            "path": self.path,
-            "content_hash": self.content_hash,
-            "imports": self.imports,
-            "functions": [
-                {
-                    "qualname": f.qualname,
-                    "cls": f.cls,
-                    "name": f.name,
-                    "line": f.line,
-                    "col": f.col,
-                    "entry_locks": list(f.entry_locks),
-                    "block": list(f.block) if f.block else None,
-                    "calls": [
-                        [c.ref, list(c.held), c.line, c.col, list(c.caught)]
-                        for c in f.calls
-                    ],
-                    "acquisitions": [
-                        [a[0], list(a[1]), a[2], a[3]]
-                        for a in f.acquisitions
-                    ],
-                    "raises": [list(r) for r in f.raises],
-                    "returned_refs": list(f.returned_refs),
-                }
-                for f in self.functions
-            ],
-            "classes": {
-                name: {
-                    "module": c.module,
-                    "bases": list(c.bases),
-                    "methods": list(c.methods),
-                    "attr_classes": dict(c.attr_classes),
-                    "locks": dict(c.locks),
-                }
-                for name, c in self.classes.items()
-            },
-            "lock_decls": [list(d) for d in self.lock_decls],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "ModuleInfo":
-        if payload.get("format") != SUMMARY_FORMAT:
-            raise ValueError("summary format mismatch")
-        return cls(
-            module=str(payload["module"]),
-            path=str(payload["path"]),
-            content_hash=str(payload["content_hash"]),
-            imports={str(k): str(v) for k, v in payload["imports"].items()},
-            functions=[
-                FunctionNode(
-                    qualname=str(f["qualname"]),
-                    cls=f["cls"],
-                    name=str(f["name"]),
-                    line=int(f["line"]),
-                    col=int(f["col"]),
-                    entry_locks=tuple(f["entry_locks"]),
-                    block=tuple(f["block"]) if f["block"] else None,
-                    calls=tuple(
-                        CallRef(
-                            ref=str(c[0]),
-                            held=tuple(c[1]),
-                            line=int(c[2]),
-                            col=int(c[3]),
-                            caught=tuple(c[4]) if len(c) > 4 else (),
-                        )
-                        for c in f["calls"]
-                    ),
-                    acquisitions=tuple(
-                        (str(a[0]), tuple(a[1]), int(a[2]), int(a[3]))
-                        for a in f["acquisitions"]
-                    ),
-                    raises=tuple(
-                        (str(r[0]), int(r[1]), int(r[2]))
-                        for r in f.get("raises", ())
-                    ),
-                    returned_refs=tuple(f.get("returned_refs", ())),
-                )
-                for f in payload["functions"]
-            ],
-            classes={
-                str(name): ClassInfo(
-                    name=str(name),
-                    module=str(c["module"]),
-                    bases=tuple(c["bases"]),
-                    methods=tuple(c["methods"]),
-                    attr_classes=dict(c["attr_classes"]),
-                    locks={
-                        str(k): (None if v is None else bool(v))
-                        for k, v in c["locks"].items()
-                    },
-                )
-                for name, c in payload["classes"].items()
-            },
-            lock_decls=tuple(
-                (str(a), str(b), int(line))
-                for a, b, line in payload["lock_decls"]
-            ),
-        )
-
-
-# ---------------------------------------------------------------------------
-# Per-module summary construction
-# ---------------------------------------------------------------------------
 
 
 def _class_effects_fixpoint(
@@ -389,10 +231,9 @@ class _RefBuilder:
 
 def build_module_info(
     ctx: FileContext,
-    content_hash: str,
     flows: Optional[dict[str, ClassFlow]] = None,
 ) -> ModuleInfo:
-    """Reduce one parsed file to its serializable summary.
+    """Reduce one parsed file to its summary.
 
     ``flows``, when given, is filled with the (effects-aware) per-class
     flows computed along the way so callers can reuse them instead of
@@ -433,7 +274,6 @@ def build_module_info(
             if cls_name
             else f"{ctx.module}.{method.name}"
         )
-        exc_flow = analyze_exceptions(method.node, imports)
         block: Optional[tuple[str, int, int]] = None
         calls: list[CallRef] = []
         for event in method.calls:
@@ -461,22 +301,8 @@ def build_module_info(
                         held=held,
                         line=event.node.lineno,
                         col=event.node.col_offset,
-                        caught=exc_flow.caught_at.get(id(event.node), ()),
                     )
                 )
-        acquisitions = tuple(
-            (
-                f"{ctx.module}.{cls_name}.{acq.lock}"
-                if cls_name
-                else acq.lock,
-                globalize(cls_name, acq.held)
-                if cls_name
-                else tuple(sorted(acq.held)),
-                acq.node.lineno,
-                acq.node.col_offset,
-            )
-            for acq in method.acquires
-        )
         entry = (
             globalize(cls_name, method.entry_locks) if cls_name else ()
         )
@@ -489,10 +315,6 @@ def build_module_info(
             entry_locks=entry,
             block=block,
             calls=tuple(calls),
-            acquisitions=acquisitions,
-            raises=tuple(
-                (site.name, site.line, site.col) for site in exc_flow.raises
-            ),
             returned_refs=_returned_refs(
                 method, cls_name, attr_classes, refs
             ),
@@ -503,31 +325,19 @@ def build_module_info(
         if flows is not None:
             flows[cls.name] = flow
         model = flow.model
-        attr_classes = {
-            attr: refs.canon(text)
-            for attr, text in model.attr_classes.items()
-        }
-        locks: dict[str, Optional[bool]] = {}
-        for lock in model.lock_names():
-            info = model.attrs.get(lock)
-            locks[lock] = (
-                info.reentrant
-                if info is not None and info.kind == "lock"
-                else None
-            )
         classes[cls.name] = ClassInfo(
             name=cls.name,
             module=ctx.module,
             bases=tuple(
                 refs.canon(text)
-                for text in (
-                    _base_text(base) for base in cls.bases
-                )
+                for text in (dotted_name(base) for base in cls.bases)
                 if text is not None
             ),
             methods=tuple(flow.methods),
-            attr_classes=attr_classes,
-            locks=locks,
+            attr_classes={
+                attr: refs.canon(text)
+                for attr, text in model.attr_classes.items()
+            },
         )
         for method in flow.methods.values():
             functions.append(
@@ -538,24 +348,13 @@ def build_module_info(
         method = analyze_function(ctx, func)
         functions.append(node_for(method, None, {}, None))
 
-    decls: list[tuple[str, str, int]] = []
-    for lineno, line in enumerate(ctx.lines, start=1):
-        for match in LOCK_ORDER_RE.finditer(line):
-            decls.append((match.group(1), match.group(2), lineno))
-
     return ModuleInfo(
         module=ctx.module,
         path=ctx.path,
-        content_hash=content_hash,
         imports=dict(imports.aliases),
         functions=functions,
         classes=classes,
-        lock_decls=tuple(decls),
     )
-
-
-def _base_text(base: ast.expr) -> Optional[str]:
-    return dotted_name(base)
 
 
 def _returned_refs(
@@ -620,7 +419,7 @@ def _returned_refs(
 
 
 # ---------------------------------------------------------------------------
-# Global resolution and fixpoints
+# Global resolution and the may-block fixpoint
 # ---------------------------------------------------------------------------
 
 
@@ -638,41 +437,6 @@ class BlockSummary:
         if len(self.chain) <= 1:
             return self.reason
         return f"{self.reason} via {' -> '.join(self.chain)}"
-
-
-@dataclass(frozen=True, slots=True)
-class EscapeInfo:
-    """One exception class that can propagate out of a function.
-
-    ``chain`` walks caller-ward from the function whose summary holds
-    this entry down to the function containing the raise; ``path``/
-    ``line``/``col`` locate the raise statement itself.
-    """
-
-    name: str
-    chain: tuple[str, ...]
-    path: str
-    line: int
-    col: int
-
-    def describe(self) -> str:
-        short = self.name.rsplit(".", 1)[-1]
-        if len(self.chain) <= 1:
-            return f"{short} raised at {self.path}:{self.line}"
-        via = " -> ".join(q.rsplit(".", 1)[-1] for q in self.chain)
-        return f"{short} raised at {self.path}:{self.line} via {via}"
-
-
-@dataclass(frozen=True, slots=True)
-class LockEdge:
-    """``to`` acquired while ``frm`` held, with provenance."""
-
-    frm: str
-    to: str
-    path: str
-    line: int
-    col: int
-    chain: tuple[str, ...]
 
 
 @dataclass(slots=True)
@@ -700,6 +464,7 @@ class ProjectAnalysis:
         self._sources = dict(sources)
         self._contexts: dict[str, FileContext] = {}
         self._flows: dict[str, list[ClassFlow]] = {}
+        self._build_flows: dict[str, dict[str, ClassFlow]] = {}
         #: ``module.Class`` -> ClassInfo
         self.class_index: dict[str, ClassInfo] = {}
         #: qualname -> (module, FunctionNode)
@@ -714,8 +479,6 @@ class ProjectAnalysis:
             self._func_names[module] = frozenset(names)
             for name, cls in info.classes.items():
                 self.class_index[f"{module}.{name}"] = cls
-        #: module -> modules consulted while resolving its references.
-        self.deps: dict[str, set[str]] = {m: {m} for m in modules}
         #: module -> resolved call sites (for the rules).
         self._module_calls: dict[str, list[ResolvedCall]] = {
             m: [] for m in modules
@@ -729,31 +492,18 @@ class ProjectAnalysis:
         self._resolve_all()
         self.blocking: dict[str, BlockSummary] = {}
         self._blocking_fixpoint()
-        #: qualname -> lock -> (path, line, col, chain) transitive.
-        self.acquired: dict[
-            str, dict[str, tuple[str, int, int, tuple[str, ...]]]
-        ] = {}
-        self._acquire_fixpoint()
-        self.lock_edges: dict[tuple[str, str], LockEdge] = {}
-        self._build_lock_edges()
-        #: qualname -> exception name -> EscapeInfo (fourth fixpoint).
-        self.escapes: dict[str, dict[str, EscapeInfo]] = {}
-        self._escape_fixpoint()
         #: qualname -> ((canonical ref, resolved targets), ...) for
-        #: calls whose result the function may return.  Resolved here —
-        #: not lazily at rule time — so the modules consulted land in
-        #: ``deps`` before findings-cache digests are taken.
+        #: calls whose result the function may return.
         self.returned: dict[
             str, tuple[tuple[str, tuple[str, ...]], ...]
-        ] = {}
-        self._resolve_returned()
-        #: (A, B, path, line) per ``# lock-order: A < B`` declaration.
-        self.lock_decls: list[tuple[str, str, str, int]] = sorted(
-            (a, b, info.path, line)
+        ] = {
+            fn.qualname: tuple(
+                (ref, self.resolve_ref(ref)) for ref in fn.returned_refs
+            )
             for info in modules.values()
-            for (a, b, line) in info.lock_decls
-        )
-        self._digests: dict[str, str] = {}
+            for fn in info.functions
+            if fn.returned_refs
+        }
 
     # -- module access ---------------------------------------------------
     def has_module(self, module: str) -> bool:
@@ -780,7 +530,6 @@ class ProjectAnalysis:
         Only top-level classes are built eagerly; nested classes are
         filled in lazily by :meth:`class_flows`.
         """
-        self._build_flows = getattr(self, "_build_flows", {})
         self._build_flows[module] = flows
 
     def class_flows(self, module: str) -> list[ClassFlow]:
@@ -789,7 +538,7 @@ class ProjectAnalysis:
         if cached is not None:
             return cached
         ctx = self.context(module)
-        prebuilt = getattr(self, "_build_flows", {}).get(module, {})
+        prebuilt = self._build_flows.get(module, {})
         flows: list[ClassFlow] = []
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.ClassDef):
@@ -805,49 +554,40 @@ class ProjectAnalysis:
         return self._module_calls.get(module, [])
 
     # -- name resolution -------------------------------------------------
-    def _follow(self, path: str, deps: set[str]) -> str:
+    def _follow(self, path: str) -> str:
         """Follow ``from X import y`` re-export chains to a fixpoint."""
         for _ in range(_FOLLOW_LIMIT):
             mod, _, name = path.rpartition(".")
             if not name or mod not in self.modules:
                 return path
-            deps.add(mod)
             target = self.modules[mod].imports.get(name)
             if target is None or target == path:
                 return path
             path = target
         return path
 
-    def resolve_class(
-        self, path: str, deps: set[str]
-    ) -> Optional[ClassInfo]:
-        path = self._follow(path, deps)
-        cls = self.class_index.get(path)
-        if cls is not None:
-            deps.add(cls.module)
-        return cls
+    def resolve_class(self, path: str) -> Optional[ClassInfo]:
+        return self.class_index.get(self._follow(path))
 
-    def _instance_class(
-        self, path: str, deps: set[str]
-    ) -> Optional[ClassInfo]:
+    def _instance_class(self, path: str) -> Optional[ClassInfo]:
         """Class an expression of canonical ``path`` evaluates to.
 
         Handles the classmethod-factory idiom: ``X.from_env`` resolves
         to ``X`` when ``from_env`` is one of ``X``'s methods.
         """
-        cls = self.resolve_class(path, deps)
+        cls = self.resolve_class(path)
         if cls is not None:
             return cls
         prefix, _, last = path.rpartition(".")
         if not prefix:
             return None
-        cls = self.resolve_class(prefix, deps)
-        if cls is not None and self._find_method(cls, last, deps):
+        cls = self.resolve_class(prefix)
+        if cls is not None and self._find_method(cls, last):
             return cls
         return None
 
     def _find_method(
-        self, cls: ClassInfo, meth: str, deps: set[str], _depth: int = 0
+        self, cls: ClassInfo, meth: str, _depth: int = 0
     ) -> Optional[str]:
         """Qualname of ``meth`` on ``cls`` or its bases, else None."""
         if _depth > 8:
@@ -855,32 +595,30 @@ class ProjectAnalysis:
         if meth in cls.methods:
             return f"{cls.module}.{cls.name}.{meth}"
         for base in cls.bases:
-            parent = self.resolve_class(base, deps)
+            parent = self.resolve_class(base)
             if parent is not None and parent is not cls:
-                found = self._find_method(parent, meth, deps, _depth + 1)
+                found = self._find_method(parent, meth, _depth + 1)
                 if found is not None:
                     return found
         return None
 
-    def resolve_ref(self, ref: str, deps: set[str]) -> tuple[str, ...]:
+    def resolve_ref(self, ref: str) -> tuple[str, ...]:
         """Qualnames a canonical reference may land on (possibly none)."""
         kind, _, spec = ref.partition(":")
         if kind == "path":
-            path = self._follow(spec, deps)
+            path = self._follow(spec)
             mod, _, name = path.rpartition(".")
             if mod in self.modules and name in self._func_names[mod]:
-                deps.add(mod)
                 return (f"{mod}.{name}",)
             cls = self.class_index.get(path)
             if cls is not None:  # constructor call
-                deps.add(cls.module)
-                init = self._find_method(cls, "__init__", deps)
+                init = self._find_method(cls, "__init__")
                 return (init,) if init else ()
             prefix, _, meth = path.rpartition(".")
             if prefix:
-                cls = self.resolve_class(prefix, deps)
+                cls = self.resolve_class(prefix)
                 if cls is not None:  # Class.method / classmethod
-                    found = self._find_method(cls, meth, deps)
+                    found = self._find_method(cls, meth)
                     return (found,) if found else ()
             return ()
         if kind == "attr":
@@ -888,15 +626,14 @@ class ProjectAnalysis:
             # contains dots, so peel segments off the right.
             segments = spec.split(".")
             for split in range(len(segments) - 1, 0, -1):
-                base = ".".join(segments[:split])
-                cls = self._instance_class(base, deps)
+                cls = self._instance_class(".".join(segments[:split]))
                 if cls is None:
                     continue
                 chain = segments[split:]
                 for attr in chain[:-1]:
                     nxt = cls.attr_classes.get(attr)
                     cls = (
-                        self._instance_class(nxt, deps)
+                        self._instance_class(nxt)
                         if nxt is not None
                         else None
                     )
@@ -904,18 +641,17 @@ class ProjectAnalysis:
                         break
                 if cls is None:
                     continue
-                found = self._find_method(cls, chain[-1], deps)
+                found = self._find_method(cls, chain[-1])
                 return (found,) if found else ()
             return ()
         return ()
 
     def _resolve_all(self) -> None:
         for module in sorted(self.modules):
-            deps = self.deps[module]
             for fn in self.modules[module].functions:
                 resolved: list[tuple[CallRef, tuple[str, ...]]] = []
                 for call in fn.calls:
-                    targets = self.resolve_ref(call.ref, deps)
+                    targets = self.resolve_ref(call.ref)
                     resolved.append((call, targets))
                     self._module_calls[module].append(
                         ResolvedCall(
@@ -928,7 +664,6 @@ class ProjectAnalysis:
                     )
                 self._resolved[fn.qualname] = resolved
 
-    # -- bottom-up fixpoints ---------------------------------------------
     def _blocking_fixpoint(self) -> None:
         for qual in sorted(self.functions):
             module, fn = self.functions[qual]
@@ -967,223 +702,17 @@ class ProjectAnalysis:
                         changed = True
                         break
 
-    def _acquire_fixpoint(self) -> None:
-        for qual in sorted(self.functions):
-            module, fn = self.functions[qual]
-            path = self.modules[module].path
-            mine: dict[str, tuple[str, int, int, tuple[str, ...]]] = {}
-            for lock, _held, line, col in fn.acquisitions:
-                mine.setdefault(lock, (path, line, col, (qual,)))
-            self.acquired[qual] = mine
-        changed = True
-        while changed:
-            changed = False
-            for qual in sorted(self.functions):
-                mine = self.acquired[qual]
-                for call, targets in self._resolved.get(qual, ()):
-                    for target in targets:
-                        for lock, (path, line, col, chain) in self.acquired.get(
-                            target, {}
-                        ).items():
-                            if lock not in mine:
-                                mine[lock] = (
-                                    path,
-                                    line,
-                                    col,
-                                    (qual,) + chain,
-                                )
-                                changed = True
-
-    def _escape_fixpoint(self) -> None:
-        """Fourth bottom-up pass: which exceptions escape each function.
-
-        Seeded from each function's direct escaping raise sites;
-        propagated caller-ward through resolved calls, minus whatever
-        the call site's enclosing handlers catch.  Unresolved callees
-        (stdlib, dynamic receivers) contribute nothing — a documented
-        false-negative limit, same as the may-block fixpoint.
-        """
-        for qual in sorted(self.functions):
-            module, fn = self.functions[qual]
-            path = self.modules[module].path
-            mine: dict[str, EscapeInfo] = {}
-            for name, line, col in fn.raises:
-                mine.setdefault(
-                    name, EscapeInfo(name, (qual,), path, line, col)
-                )
-            self.escapes[qual] = mine
-        changed = True
-        while changed:
-            changed = False
-            for qual in sorted(self.functions):
-                mine = self.escapes[qual]
-                for call, targets in self._resolved.get(qual, ()):
-                    frame = frozenset(call.caught)
-                    for target in targets:
-                        if target == qual:
-                            continue
-                        for name, info in self.escapes.get(
-                            target, {}
-                        ).items():
-                            if name in mine:
-                                continue
-                            if frame and exception_caught(name, frame):
-                                continue
-                            mine[name] = EscapeInfo(
-                                name=name,
-                                chain=(qual,) + info.chain,
-                                path=info.path,
-                                line=info.line,
-                                col=info.col,
-                            )
-                            changed = True
-
-    def _resolve_returned(self) -> None:
-        for module in sorted(self.modules):
-            deps = self.deps[module]
-            for fn in self.modules[module].functions:
-                if not fn.returned_refs:
-                    continue
-                self.returned[fn.qualname] = tuple(
-                    (ref, self.resolve_ref(ref, deps))
-                    for ref in fn.returned_refs
-                )
-
-    def _build_lock_edges(self) -> None:
-        def add(frm: str, to: str, edge: LockEdge) -> None:
-            key = (frm, to)
-            existing = self.lock_edges.get(key)
-            if existing is None or len(edge.chain) < len(existing.chain):
-                self.lock_edges[key] = edge
-
-        for qual in sorted(self.functions):
-            module, fn = self.functions[qual]
-            path = self.modules[module].path
-            for lock, held, line, col in fn.acquisitions:
-                for holder in held:
-                    add(
-                        holder,
-                        lock,
-                        LockEdge(
-                            frm=holder,
-                            to=lock,
-                            path=path,
-                            line=line,
-                            col=col,
-                            chain=(qual,),
-                        ),
-                    )
-            for call, targets in self._resolved.get(qual, ()):
-                if not call.held:
-                    continue
-                for target in targets:
-                    if target == qual:
-                        continue
-                    for lock, (
-                        tpath,
-                        tline,
-                        tcol,
-                        chain,
-                    ) in self.acquired.get(target, {}).items():
-                        for holder in call.held:
-                            add(
-                                holder,
-                                lock,
-                                LockEdge(
-                                    frm=holder,
-                                    to=lock,
-                                    path=tpath,
-                                    line=tline,
-                                    col=tcol,
-                                    chain=(qual,) + chain,
-                                ),
-                            )
-
-    # -- lock metadata ---------------------------------------------------
-    def lock_reentrant(self, lock: str) -> Optional[bool]:
-        """True/False when the lock's constructor was seen, else None."""
-        prefix, _, attr = lock.rpartition(".")
-        cls = self.class_index.get(prefix)
-        if cls is None:
-            return None
-        return cls.locks.get(attr)
-
-    def sanctioned(self, frm: str, to: str) -> bool:
-        """A ``# lock-order: A < B`` declaration covers this edge."""
-        return any(
-            match_lock(a, frm) and match_lock(b, to)
-            for (a, b, _path, _line) in self.lock_decls
-        )
-
-    # -- cache keys ------------------------------------------------------
-    def dep_digest(self, module: str) -> str:
-        """Digest of the module's transitive dependency closure.
-
-        Covers (module name, content hash) for every module whose
-        content can influence this module's findings through the call
-        graph — the findings cache mixes it into its key so editing a
-        callee invalidates cached findings of its callers.
-        """
-        cached = self._digests.get(module)
-        if cached is not None:
-            return cached
-        closure: set[str] = set()
-        frontier = [module]
-        while frontier:
-            current = frontier.pop()
-            if current in closure:
-                continue
-            closure.add(current)
-            frontier.extend(self.deps.get(current, ()))
-        digest = hashlib.sha256()
-        for mod in sorted(closure & set(self.modules)):
-            digest.update(mod.encode())
-            digest.update(b"\0")
-            digest.update(self.modules[mod].content_hash.encode())
-            digest.update(b"\0")
-        out = digest.hexdigest()
-        self._digests[module] = out
-        return out
-
-    def dependents_of(self, changed: Iterable[str]) -> set[str]:
-        """Modules whose analysis may change when ``changed`` change."""
-        changed = set(changed)
-        reverse: dict[str, set[str]] = {}
-        for module, deps in self.deps.items():
-            for dep in deps:
-                reverse.setdefault(dep, set()).add(module)
-        out: set[str] = set()
-        frontier = list(changed)
-        while frontier:
-            current = frontier.pop()
-            if current in out:
-                continue
-            out.add(current)
-            frontier.extend(reverse.get(current, ()))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Project construction
 # ---------------------------------------------------------------------------
 
 
-def content_hash(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-def build_project(
-    entries: Iterable[tuple[Path, str]],
-    cache: "object | None" = None,
-) -> ProjectAnalysis:
+def build_project(entries: Iterable[tuple[Path, str]]) -> ProjectAnalysis:
     """Build the project analysis for ``(path, source)`` pairs.
 
     Files that fail to parse are skipped (the engine reports their
-    syntax error separately).  ``cache`` is duck-typed — anything with
-    ``get_summary(path, key) -> payload | None`` and
-    ``put_summary(path, key, payload)`` (see
-    :class:`repro.devtools.lint.cache.LintCache`); on a summary hit the
-    file is not parsed at all.
+    syntax error separately).
     """
     modules: dict[str, ModuleInfo] = {}
     sources: dict[str, tuple[str, str]] = {}
@@ -1191,29 +720,14 @@ def build_project(
     built_flows: dict[str, dict[str, ClassFlow]] = {}
     for path, source in entries:
         module = module_name_for(Path(path))
-        digest = content_hash(source)
-        info: Optional[ModuleInfo] = None
-        if cache is not None:
-            payload = cache.get_summary(path, digest)
-            if payload is not None:
-                try:
-                    info = ModuleInfo.from_payload(payload)
-                except (ValueError, KeyError, TypeError):
-                    info = None
-        if info is None or info.module != module:
-            try:
-                ctx = FileContext.from_source(
-                    source, path=str(path), module=module
-                )
-            except SyntaxError:
-                continue
-            flows: dict[str, ClassFlow] = {}
-            info = build_module_info(ctx, digest, flows=flows)
-            built_flows[module] = flows
-            contexts.append(ctx)
-            if cache is not None:
-                cache.put_summary(path, digest, info.to_payload())
-        modules[module] = info
+        try:
+            ctx = FileContext.from_source(source, path=str(path), module=module)
+        except SyntaxError:
+            continue
+        flows: dict[str, ClassFlow] = {}
+        modules[module] = build_module_info(ctx, flows=flows)
+        built_flows[module] = flows
+        contexts.append(ctx)
         sources[module] = (str(path), source)
     project = ProjectAnalysis(modules, sources)
     for ctx in contexts:
@@ -1226,7 +740,7 @@ def build_project(
 def build_project_for_context(ctx: FileContext) -> ProjectAnalysis:
     """Single-file project for standalone ``lint_source`` runs."""
     flows: dict[str, ClassFlow] = {}
-    info = build_module_info(ctx, content_hash(ctx.source), flows=flows)
+    info = build_module_info(ctx, flows=flows)
     project = ProjectAnalysis(
         {ctx.module: info}, {ctx.module: (ctx.path, ctx.source)}
     )

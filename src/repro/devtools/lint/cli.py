@@ -3,63 +3,32 @@
 Usage::
 
     python -m repro.devtools.lint src/repro            # lint the package
-    python -m repro.devtools.lint --format json src    # machine-readable
     python -m repro.devtools.lint --format github src  # CI annotations
-    python -m repro.devtools.lint --format sarif src   # code scanning
     python -m repro.devtools.lint --select SSTD003 src/repro/workqueue
-    python -m repro.devtools.lint --changed-only origin/main src/repro
-    python -m repro.devtools.lint --no-cache --json-report lint.json src
-    python -m repro.devtools.lint --noqa-budget 53 src/repro
     python -m repro.devtools.lint --disable SSTD006,SSTD011 benchmarks
     python -m repro.devtools.lint --explain SSTD014
     python -m repro.devtools.lint --list-rules
 
+``repro-cli lint ...`` passes its arguments straight to :func:`main`.
 Exits non-zero when any finding survives suppression, so the command
 doubles as a CI gate.  Suppress an individual finding with a trailing
 ``# noqa: SSTD###`` comment on the flagged line (justify it nearby);
 suppressions that no longer silence anything are themselves flagged as
-``SSTD000`` unless ``--no-stale-noqa`` is given.  ``--noqa-budget N``
-additionally fails the run when the *total* number of ``noqa``
-comments in the linted files exceeds ``N`` — CI pins the current
-count, so new suppressions must retire an old one or raise the budget
-in review.
-
-``--changed-only REF`` lints only the files that differ from the git
-ref **plus their call-graph dependents** — the whole-program summary
-layer is still built over everything, so cross-module findings
-(SSTD007/008/012) in files whose *callees* changed are not missed.
-
-Results are cached under ``.lint_cache/`` keyed by file content, the
-lint package's own sources, and the file's dependency closure;
-``--no-cache`` forces a full re-run and ``--stats`` prints cache hit
-rates to stderr.
+``SSTD000`` unless ``--no-stale-noqa`` is given.
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.devtools.lint.cache import DEFAULT_CACHE_DIR, LintCache
-from repro.devtools.lint.engine import (
-    all_rules,
-    count_noqa_comments,
-    iter_python_files,
-    lint_paths,
-)
-from repro.devtools.lint.reporters import (
-    render_github,
-    render_json,
-    render_sarif,
-    render_text,
-)
+from repro.devtools.lint.engine import all_rules, iter_python_files, lint_paths
+from repro.devtools.lint.reporters import render_github, render_text
 
 __all__ = [
     "build_parser",
-    "changed_paths_from_git",
     "explain_rule",
     "main",
     "run_lint",
@@ -70,13 +39,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.devtools.lint",
         description=(
-            "SSTD-specific static analysis: lock discipline, blocking-"
-            "under-lock, lock-order deadlock cycles, payload "
-            "picklability, kernel determinism, thread lifecycle, seeded "
-            "randomness, probability-safe numerics, exception and export "
-            "hygiene, resource lifecycle (leak / use-after-release), and "
-            "exception contracts. Exits 1 when findings remain, 2 on "
-            "usage errors."
+            "SSTD-specific static analysis: exception and export hygiene, "
+            "mutable defaults, seeded randomness, probability-safe "
+            "numerics, lock discipline, guarded-state escapes, "
+            "blocking under a lock, thread lifecycle, clock reads, "
+            "kernel determinism, and resource leaks. Exits 1 when "
+            "findings remain, 2 on usage errors."
         ),
     )
     parser.add_argument(
@@ -88,11 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "github", "sarif"),
+        choices=("text", "github"),
         default="text",
         help="report format (default: text); 'github' emits workflow-"
-        "command annotations, 'sarif' a SARIF 2.1.0 log for code "
-        "scanning",
+        "command annotations",
     )
     parser.add_argument(
         "--select",
@@ -117,57 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
         "minimal example, then exit (e.g. --explain SSTD014)",
     )
     parser.add_argument(
-        "--changed-only",
-        default=None,
-        metavar="REF",
-        help="lint only files changed vs the git REF plus their "
-        "call-graph dependents (the project summary layer still covers "
-        "every file)",
-    )
-    parser.add_argument(
-        "--noqa-budget",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fail when the linted files contain more than N noqa "
-        "comments in total (CI pins the current count)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the .lint_cache/ result cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=DEFAULT_CACHE_DIR,
-        metavar="DIR",
-        help="result cache directory (default: .lint_cache)",
-    )
-    parser.add_argument(
         "--no-stale-noqa",
         action="store_true",
         help="skip the SSTD000 stale-suppression audit",
-    )
-    parser.add_argument(
-        "--json-report",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="additionally write the JSON report to FILE (any --format)",
-    )
-    parser.add_argument(
-        "--sarif-report",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="additionally write the SARIF 2.1.0 log to FILE (any "
-        "--format)",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print cache hit rates and file counts to stderr",
     )
     parser.add_argument(
         "--list-rules",
@@ -182,33 +101,7 @@ def _default_paths() -> list[Path]:
     return [preferred if preferred.is_dir() else Path(".")]
 
 
-def changed_paths_from_git(ref: str) -> list[Path]:
-    """Python files changed vs ``ref`` (committed, staged, or unstaged).
-
-    Raises :class:`RuntimeError` with git's stderr when the ref (or the
-    repository) is unusable, so the CLI can exit 2 with a real message.
-    """
-    proc = subprocess.run(
-        ["git", "diff", "--name-only", ref, "--"],
-        capture_output=True,
-        text=True,
-    )
-    if proc.returncode != 0:
-        detail = proc.stderr.strip() or f"git diff {ref} failed"
-        raise RuntimeError(detail)
-    return [
-        Path(line)
-        for line in proc.stdout.splitlines()
-        if line.endswith(".py")
-    ]
-
-
-_RENDERERS = {
-    "text": render_text,
-    "json": render_json,
-    "github": render_github,
-    "sarif": render_sarif,
-}
+_RENDERERS = {"text": render_text, "github": render_github}
 
 _SSTD000_EXPLAIN = """\
 SSTD000 — engine-level diagnostics
@@ -270,14 +163,7 @@ def run_lint(
     output_format: str = "text",
     select: str | None = None,
     disable: str | None = None,
-    use_cache: bool = False,
-    cache_dir: Path = DEFAULT_CACHE_DIR,
     audit_noqa: bool | None = None,
-    json_report: Path | None = None,
-    sarif_report: Path | None = None,
-    changed_only: Sequence[Path] | None = None,
-    noqa_budget: int | None = None,
-    stats: dict | None = None,
 ) -> tuple[str, int]:
     """Lint ``paths``; returns ``(report, exit_code)``.
 
@@ -287,65 +173,10 @@ def run_lint(
     """
     selected = select.split(",") if select else None
     rules = _drop_disabled(all_rules(selected), disable)
-    cache = LintCache(cache_dir) if use_cache else None
-    if stats is None:
-        stats = {}
-    findings = lint_paths(
-        paths,
-        rules=rules,
-        audit_noqa=audit_noqa,
-        cache=cache,
-        changed_only=changed_only,
-        stats=stats,
-    )
-    n_files = stats.get("files_seen", 0)
-    renderer = _RENDERERS[output_format]
-    if output_format == "sarif":
-        report = render_sarif(findings, n_files=n_files, rules=rules)
-    else:
-        report = renderer(findings, n_files=n_files)
-    code = 1 if findings else 0
-    if noqa_budget is not None:
-        total = sum(
-            count_noqa_comments(file_path)
-            for file_path in iter_python_files(paths)
-        )
-        stats["noqa_count"] = total
-        if total > noqa_budget:
-            report += (
-                f"\nnoqa budget exceeded: {total} suppression comment(s) "
-                f"in the linted files, budget is {noqa_budget}; remove "
-                "one (fix the finding) or raise the budget in review"
-            )
-            code = max(code, 1)
-    if json_report is not None:
-        json_report.write_text(
-            render_json(findings, n_files=n_files) + "\n", encoding="utf-8"
-        )
-    if sarif_report is not None:
-        sarif_report.write_text(
-            render_sarif(findings, n_files=n_files, rules=rules) + "\n",
-            encoding="utf-8",
-        )
-    return report, code
-
-
-def _format_stats(stats: dict) -> str:
-    parts = [
-        f"files={stats.get('files_seen', 0)}",
-        f"checked={stats.get('files_checked', 0)}",
-    ]
-    for kind in ("findings", "summary"):
-        hits = stats.get(f"{kind}_hits")
-        misses = stats.get(f"{kind}_misses")
-        if hits is None or misses is None:
-            continue
-        total = hits + misses
-        rate = f"{hits / total:.0%}" if total else "n/a"
-        parts.append(f"{kind}-cache {hits}/{total} hits ({rate})")
-    if "noqa_count" in stats:
-        parts.append(f"noqa={stats['noqa_count']}")
-    return "lint stats: " + ", ".join(parts)
+    files = list(iter_python_files(paths))
+    findings = lint_paths(files, rules=rules, audit_noqa=audit_noqa)
+    report = _RENDERERS[output_format](findings, n_files=len(files))
+    return report, 1 if findings else 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -364,35 +195,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     if missing:
         print(f"no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
-    changed: list[Path] | None = None
-    if args.changed_only is not None:
-        try:
-            changed = changed_paths_from_git(args.changed_only)
-        except RuntimeError as exc:
-            print(f"--changed-only: {exc}", file=sys.stderr)
-            return 2
-    stats: dict = {}
     try:
         report, code = run_lint(
             paths,
             output_format=args.format,
             select=args.select,
             disable=args.disable,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
             audit_noqa=False if args.no_stale_noqa else None,
-            json_report=args.json_report,
-            sarif_report=args.sarif_report,
-            changed_only=changed,
-            noqa_budget=args.noqa_budget,
-            stats=stats,
         )
     except KeyError as exc:
         print(str(exc.args[0]) if exc.args else str(exc), file=sys.stderr)
         return 2
     print(report)
-    if args.stats:
-        print(_format_stats(stats), file=sys.stderr)
     return code
 
 

@@ -2,11 +2,11 @@
 
 The per-node syntactic rules (SSTD001–006) can tell whether an access is
 *lexically* inside ``with self._lock:``.  The concurrency rules
-(SSTD007–010, SSTD012) need more: which locks are held on every path
-reaching a statement, what a call's receiver *is* (a queue, a thread, a
-lock, an instance of a project class), and whether a guarded value leaks
-out of its lock's scope.  This module computes exactly that, once per
-class, and the rules consume the result.
+(SSTD003, SSTD007, SSTD008, SSTD010) need more: which locks are held on
+every path reaching a statement, what a call's receiver *is* (a queue,
+a thread, a lock, an instance of a project class), and whether a
+guarded value leaks out of its lock's scope.  This module computes
+exactly that, once per class, and the rules consume the result.
 
 Two layers:
 
@@ -33,8 +33,8 @@ Two layers:
   held after an ``if`` only when both arms hold it); loop bodies are
   iterated to a lockset fixpoint so a release inside the loop is not
   forgotten after it.  The walker emits a stream of events — attribute
-  accesses, calls, lock acquisitions, and lock-scope escapes — each
-  stamped with the lockset at that program point.
+  accesses, calls, and lock-scope escapes — each stamped with the
+  lockset at that program point.
 
 Known approximations (see DESIGN.md for the full list): the analysis is
 intraprocedural — one file at a time — but callers may supply
@@ -46,15 +46,9 @@ entry lockset (the dominant ``with``-based idiom unwinds to exactly
 that), and ``finally`` bodies run on the intersection of the normal and
 exceptional locksets.
 
-Since PR 8 this module also owns the **exception edges** of the CFG
-(:func:`analyze_exceptions`): every ``raise`` — explicit, re-raise, or
-raise-in-``finally`` — is resolved against the stack of enclosing
-handlers (``except`` clauses and ``contextlib.suppress`` items), and
-every call site is stamped with the exception names the enclosing
-handlers would catch.  The call-graph layer folds these into
-per-function exception-*escape* summaries, and the resource-lifecycle
-rules (SSTD014-016) consume the same handler/``finally`` structure to
-prove release-on-every-path.
+:func:`exception_caught` models the builtin exception hierarchy for the
+resource-lifecycle rule (SSTD014): whether an enclosing handler stops
+an exception, and so whether a held resource leaks past it.
 """
 
 from __future__ import annotations
@@ -70,24 +64,17 @@ from repro.devtools.lint.names import dotted_name
 __all__ = [
     "ALIAS_RE",
     "AccessEvent",
-    "AcquireEvent",
     "AttrInfo",
     "CallEvent",
     "ClassAttrModel",
     "ClassFlow",
     "EscapeEvent",
-    "ExceptionFlow",
     "EXC_BASES",
     "GUARDED_RE",
     "HOLDS_RE",
-    "DELIBERATE_RE",
-    "LOCK_ORDER_RE",
     "MethodFlow",
     "OWNS_RESOURCE_RE",
-    "RAISES_RE",
-    "RaiseSite",
     "analyze_class",
-    "analyze_exceptions",
     "analyze_function",
     "annotation_class",
     "blocking_reason",
@@ -100,19 +87,9 @@ __all__ = [
 GUARDED_RE = re.compile(r"#\s*guarded-by:\s*(\w+)")
 ALIAS_RE = re.compile(r"#\s*lock-alias:\s*(\w+)")
 HOLDS_RE = re.compile(r"#\s*holds-lock:\s*(\w+)")
-#: ``# lock-order: A < B`` — sanctioned acquisition hierarchy (SSTD012).
-LOCK_ORDER_RE = re.compile(
-    r"#\s*lock-order:\s*([\w.]+)\s*<\s*([\w.]+)"
-)
-#: ``# raises: ValueError, TimeoutError`` — declared exception contract
-#: on a ``def`` line (SSTD015 checks the computed escape set against it).
-RAISES_RE = re.compile(r"#\s*raises:\s*([\w.]+(?:\s*,\s*[\w.]+)*)")
 #: ``# owns-resource:`` — sanctions storing an acquired resource on an
 #: attribute, transferring lifecycle ownership to the object (SSTD014).
 OWNS_RESOURCE_RE = re.compile(r"#\s*owns-resource:")
-#: ``# deliberate: <reason>`` — sanctions swallowing a broad exception
-#: in a runtime package (SSTD015); the reason is mandatory prose.
-DELIBERATE_RE = re.compile(r"#\s*deliberate:\s*\S")
 
 _LOCK_CTORS = frozenset({"Lock", "RLock"})
 _QUEUE_CTORS = frozenset(
@@ -218,16 +195,12 @@ class AttrInfo:
         daemon: Threads/processes only — constructed ``daemon=True``.
         container: True when the binding holds a *collection* of the
             kind (``self._threads = [Thread(...) for ...]``).
-        reentrant: Locks only — constructed as an ``RLock`` (re-entry
-            by the owning thread is legal, so a self-edge in the
-            acquisition-order graph is not a deadlock).
     """
 
     kind: str
     bounded: bool = False
     daemon: bool = False
     container: bool = False
-    reentrant: bool = False
 
 
 def _truthy_constant(node: ast.expr) -> bool:
@@ -241,7 +214,7 @@ def _classify_ctor(call: ast.Call) -> Optional[AttrInfo]:
         return None
     last = name.rsplit(".", 1)[-1]
     if last in _LOCK_CTORS:
-        return AttrInfo("lock", reentrant=last == "RLock")
+        return AttrInfo("lock")
     if last == "Condition":
         return AttrInfo("condition")
     if last == "Event":
@@ -282,7 +255,6 @@ def classify_value(expr: ast.expr) -> Optional[AttrInfo]:
                     bounded=info.bounded,
                     daemon=info.daemon,
                     container=True,
-                    reentrant=info.reentrant,
                 )
     return None
 
@@ -418,10 +390,6 @@ class ClassAttrModel:
             return attr
         return None
 
-    def lock_is_reentrant(self, lock: str) -> bool:
-        info = self.attrs.get(lock)
-        return info is not None and info.reentrant
-
 
 @dataclass(frozen=True, slots=True)
 class AccessEvent:
@@ -440,21 +408,6 @@ class CallEvent:
 
     node: ast.Call
     callee: Optional[str]  # dotted text, e.g. "self._results.put"
-    held: frozenset[str]
-    method: str
-
-
-@dataclass(frozen=True, slots=True)
-class AcquireEvent:
-    """One lock acquisition (``with`` entry or ``.acquire()``).
-
-    ``held`` is the lockset *before* this acquisition — the edges of the
-    SSTD012 acquisition-order graph are exactly
-    ``{(h, lock) for h in held}``.
-    """
-
-    node: ast.AST
-    lock: str
     held: frozenset[str]
     method: str
 
@@ -479,7 +432,6 @@ class MethodFlow:
     entry_locks: frozenset[str]
     accesses: list[AccessEvent] = field(default_factory=list)
     calls: list[CallEvent] = field(default_factory=list)
-    acquires: list[AcquireEvent] = field(default_factory=list)
     escapes: list[EscapeEvent] = field(default_factory=list)
     local_types: dict[str, AttrInfo] = field(default_factory=dict)
     #: Raw dotted class text per project-class-valued local variable.
@@ -579,13 +531,10 @@ class _MethodWalker:
     def walk_stmt(self, stmt: ast.stmt, held: frozenset[str]) -> frozenset[str]:
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
             inner = held
-            acquired: set[str] = set()
             for item in stmt.items:
                 self.visit_expr(item.context_expr, inner)
                 lock = self._lock_of(item.context_expr)
                 if lock is not None:
-                    self._record_acquire(item.context_expr, lock, inner)
-                    acquired.add(lock)
                     inner = inner | {lock}
                 if item.optional_vars is not None:
                     self.visit_expr(item.optional_vars, inner, store=True)
@@ -738,16 +687,6 @@ class _MethodWalker:
                 self.visit_expr(child, held)
 
     # -- helpers --------------------------------------------------------
-    def _record_acquire(
-        self, node: ast.AST, lock: str, held: frozenset[str]
-    ) -> None:
-        if not self._probe:
-            self.flow.acquires.append(
-                AcquireEvent(
-                    node=node, lock=lock, held=held, method=self.flow.name
-                )
-            )
-
     def _lock_of(self, expr: ast.expr) -> Optional[str]:
         """Canonical lock acquired by ``with <expr>:``, if any."""
         attr = self_attr(expr)
@@ -809,10 +748,7 @@ class _MethodWalker:
             info = self.flow.local_types.get(source.id)
         if info is not None and info.container:
             self.flow.local_types[target.id] = AttrInfo(
-                info.kind,
-                bounded=info.bounded,
-                daemon=info.daemon,
-                reentrant=info.reentrant,
+                info.kind, bounded=info.bounded, daemon=info.daemon
             )
 
     def _apply_lock_calls(
@@ -836,8 +772,6 @@ class _MethodWalker:
             effects = self.helper_effects.get(callee[len("self."):])
             if effects is not None:
                 acquired, released = effects
-                for lock in sorted(acquired - held):
-                    self._record_acquire(expr, lock, held)
                 return (held | acquired) - released
         if not (
             isinstance(expr.func, ast.Attribute)
@@ -848,7 +782,6 @@ class _MethodWalker:
         if lock is None:
             return held
         if expr.func.attr == "acquire":
-            self._record_acquire(expr, lock, held)
             return held | {lock}
         return held - {lock}
 
@@ -1038,7 +971,7 @@ def blocking_reason(
 
 
 # ---------------------------------------------------------------------------
-# Exception-aware CFG edges (shared by SSTD014-016 and the call graph)
+# Builtin exception hierarchy (SSTD014's handler model)
 # ---------------------------------------------------------------------------
 
 #: Transitive *builtin* exception bases, so ``except OSError`` is known
@@ -1120,188 +1053,3 @@ def exception_caught(name: str, frame: frozenset[str]) -> bool:
     if bases is not None and any(base in frame for base in bases):
         return True
     return "Exception" in frame and short not in _NOT_EXCEPTION
-
-
-@dataclass(frozen=True, slots=True)
-class RaiseSite:
-    """One exception that escapes the analyzed function.
-
-    Attributes:
-        name: Exception class name (last-segment comparable), or ``"*"``
-            for a re-raise of an unknown caught class.
-        line: 1-based line of the ``raise``.
-        col: 0-based column.
-    """
-
-    name: str
-    line: int
-    col: int
-
-
-@dataclass(slots=True)
-class ExceptionFlow:
-    """Exception edges of one function body.
-
-    Attributes:
-        raises: Direct ``raise`` sites whose exception escapes the
-            function (not stopped by any enclosing handler/suppress).
-        caught_at: ``id(call_node)`` → union of exception names the
-            handlers enclosing that call would catch (``"*"`` = all).
-            Calls inside nested ``def``/``lambda`` bodies are stamped
-            ``("*",)``: they do not run at definition time, so nothing
-            they raise propagates out of *this* function.
-    """
-
-    raises: list[RaiseSite] = field(default_factory=list)
-    caught_at: dict[int, tuple[str, ...]] = field(default_factory=dict)
-
-
-def _handler_names(handler: ast.ExceptHandler) -> tuple[str, ...]:
-    """Exception names one ``except`` clause catches (``"*"`` for bare)."""
-    if handler.type is None:
-        return ("*",)
-    types = (
-        handler.type.elts
-        if isinstance(handler.type, ast.Tuple)
-        else [handler.type]
-    )
-    names: list[str] = []
-    for node in types:
-        name = dotted_name(node)
-        names.append(name if name else "*")
-    return tuple(names)
-
-
-def _suppressed_names(item: ast.withitem, imports) -> tuple[str, ...]:
-    """Names suppressed by a ``contextlib.suppress(...)`` with-item."""
-    call = item.context_expr
-    if not isinstance(call, ast.Call):
-        return ()
-    callee = dotted_name(call.func) or ""
-    root, _, rest = callee.partition(".")
-    if imports is not None:
-        resolved = f"{imports.aliases.get(root, root)}{'.' + rest if rest else ''}"
-    else:
-        resolved = callee
-    if resolved not in ("contextlib.suppress", "suppress"):
-        return ()
-    names = [dotted_name(arg) or "*" for arg in call.args]
-    return tuple(names) if names else ("*",)
-
-
-_DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-
-
-def _mark_calls(node: ast.AST, ctx: tuple[str, ...], out: dict[int, tuple[str, ...]]) -> None:
-    """Stamp every call under ``node`` with ``ctx``; nested-def calls get ``("*",)``."""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, _DEF_NODES) and current is not node:
-            for inner in ast.walk(current):
-                if isinstance(inner, ast.Call):
-                    out[id(inner)] = ("*",)
-            continue
-        if isinstance(current, ast.Call):
-            out[id(current)] = ctx
-        stack.extend(ast.iter_child_nodes(current))
-
-
-def analyze_exceptions(
-    func: ast.FunctionDef | ast.AsyncFunctionDef, imports=None
-) -> ExceptionFlow:
-    """Exception edges of one function: escaping raises + per-call catchers.
-
-    The walker keeps a stack of handler *frames* — the union of classes
-    each enclosing ``try`` (over its *body* only: ``else``, handler and
-    ``finally`` bodies unwind past it) or ``contextlib.suppress`` block
-    would stop.  A ``raise`` whose class no frame catches escapes; a
-    bare ``raise`` re-raises its handler's caught classes against the
-    frames *outside* that handler; a raise in ``finally`` propagates
-    under the outer frames.  ``imports`` is an optional
-    :class:`~repro.devtools.lint.names.ImportMap` used only to
-    recognize aliased ``contextlib.suppress``.
-    """
-    flow = ExceptionFlow()
-
-    def escape(name: str, node: ast.stmt, frames: tuple[frozenset[str], ...]) -> None:
-        if not any(exception_caught(name, frame) for frame in frames):
-            flow.raises.append(RaiseSite(name, node.lineno, node.col_offset))
-
-    def ctx_of(frames: tuple[frozenset[str], ...]) -> tuple[str, ...]:
-        merged: set[str] = set()
-        for frame in frames:
-            merged |= frame
-        return tuple(sorted(merged))
-
-    def walk(
-        stmts: list[ast.stmt],
-        frames: tuple[frozenset[str], ...],
-        handler_ctx: tuple[str, ...] | None,
-    ) -> None:
-        ctx = ctx_of(frames)
-        for stmt in stmts:
-            if isinstance(stmt, ast.Raise):
-                _mark_calls(stmt, ctx, flow.caught_at)
-                if stmt.exc is None:
-                    # Bare re-raise: the active exception is whatever the
-                    # enclosing handler caught (unknown at module top level).
-                    for name in handler_ctx or ("*",):
-                        escape(name, stmt, frames)
-                else:
-                    target = (
-                        stmt.exc.func
-                        if isinstance(stmt.exc, ast.Call)
-                        else stmt.exc
-                    )
-                    escape(dotted_name(target) or "*", stmt, frames)
-            elif isinstance(stmt, ast.Try) or (
-                hasattr(ast, "TryStar") and isinstance(stmt, ast.TryStar)
-            ):
-                caught: set[str] = set()
-                for handler in stmt.handlers:
-                    caught.update(_handler_names(handler))
-                body_frames = frames + (frozenset(caught),) if caught else frames
-                walk(stmt.body, body_frames, handler_ctx)
-                for handler in stmt.handlers:
-                    walk(handler.body, frames, _handler_names(handler))
-                # ``else`` and ``finally`` are NOT protected by this
-                # try's handlers; a raise there unwinds to the outer
-                # frames (raise-in-finally replaces any in-flight
-                # exception, modeled as its own escaping raise).
-                walk(stmt.orelse, frames, handler_ctx)
-                walk(stmt.finalbody, frames, handler_ctx)
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                suppressed: set[str] = set()
-                for item in stmt.items:
-                    _mark_calls(item.context_expr, ctx, flow.caught_at)
-                    suppressed.update(_suppressed_names(item, imports))
-                body_frames = (
-                    frames + (frozenset(suppressed),) if suppressed else frames
-                )
-                walk(stmt.body, body_frames, handler_ctx)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                _mark_calls(stmt.iter, ctx, flow.caught_at)
-                walk(stmt.body, frames, handler_ctx)
-                walk(stmt.orelse, frames, handler_ctx)
-            elif isinstance(stmt, ast.While):
-                _mark_calls(stmt.test, ctx, flow.caught_at)
-                walk(stmt.body, frames, handler_ctx)
-                walk(stmt.orelse, frames, handler_ctx)
-            elif isinstance(stmt, ast.If):
-                _mark_calls(stmt.test, ctx, flow.caught_at)
-                walk(stmt.body, frames, handler_ctx)
-                walk(stmt.orelse, frames, handler_ctx)
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                # Nested definitions run later (or never); their raises
-                # are the *caller's* problem when the closure is invoked.
-                for inner in ast.walk(stmt):
-                    if isinstance(inner, ast.Call):
-                        flow.caught_at[id(inner)] = ("*",)
-            else:
-                # Assert is deliberately not an AssertionError escape:
-                # asserts vanish under -O and annotating every public
-                # API with AssertionError would drown the contract.
-                _mark_calls(stmt, ctx, flow.caught_at)
-    walk(func.body, (), None)
-    return flow

@@ -1,14 +1,13 @@
-"""Finding reporters: human text, machine JSON, GitHub annotations, SARIF."""
+"""Finding reporters: human text and GitHub workflow annotations."""
 
 from __future__ import annotations
 
 import collections
-import json
 from typing import Sequence
 
-from repro.devtools.lint.engine import Finding, Rule
+from repro.devtools.lint.engine import Finding
 
-__all__ = ["render_github", "render_json", "render_sarif", "render_text"]
+__all__ = ["render_github", "render_text"]
 
 
 def render_text(findings: Sequence[Finding], n_files: int) -> str:
@@ -67,115 +66,3 @@ def render_github(findings: Sequence[Finding], n_files: int) -> str:
     )
     lines.append(f"::notice title=SSTD lint::{_escape_data(summary)}")
     return "\n".join(lines)
-
-
-def render_sarif(
-    findings: Sequence[Finding],
-    n_files: int,
-    rules: Sequence[Rule] = (),
-) -> str:
-    """SARIF 2.1.0 log, uploadable to GitHub code scanning.
-
-    Rule metadata comes from ``rules`` (the registered rule objects);
-    engine-level SSTD000 findings synthesize their descriptor on the
-    fly so every result's ``ruleId`` resolves.  Columns are converted
-    from the engine's 0-based offsets to SARIF's 1-based convention.
-    """
-    descriptors: dict[str, dict] = {
-        rule.rule_id: {
-            "id": rule.rule_id,
-            "shortDescription": {"text": rule.summary},
-        }
-        for rule in rules
-    }
-    for finding in findings:
-        descriptors.setdefault(
-            finding.rule_id,
-            {
-                "id": finding.rule_id,
-                "shortDescription": {"text": "engine-level diagnostic"},
-            },
-        )
-    rule_index = {
-        rule_id: index for index, rule_id in enumerate(sorted(descriptors))
-    }
-
-    def _location(path: str, line: int, col: int) -> dict:
-        return {
-            "physicalLocation": {
-                "artifactLocation": {
-                    "uri": path.replace("\\", "/"),
-                    "uriBaseId": "%SRCROOT%",
-                },
-                "region": {
-                    "startLine": line,
-                    "startColumn": col + 1,
-                },
-            }
-        }
-
-    results = []
-    for finding in findings:
-        result = {
-            "ruleId": finding.rule_id,
-            "ruleIndex": rule_index[finding.rule_id],
-            "level": "error",
-            "message": {"text": finding.message},
-            "locations": [
-                _location(finding.path, finding.line, finding.col)
-            ],
-        }
-        if finding.steps:
-            # Path-style findings (SSTD014 leak paths) carry the full
-            # acquire→leak trace; code scanning renders these as a
-            # step-through under the result.
-            result["codeFlows"] = [
-                {
-                    "threadFlows": [
-                        {
-                            "locations": [
-                                {
-                                    "location": {
-                                        **_location(spath, sline, scol),
-                                        "message": {"text": note},
-                                    }
-                                }
-                                for (spath, sline, scol, note) in finding.steps
-                            ]
-                        }
-                    ]
-                }
-            ]
-        results.append(result)
-    payload = {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "sstd-lint",
-                        "rules": [
-                            descriptors[rule_id]
-                            for rule_id in sorted(descriptors)
-                        ],
-                    }
-                },
-                "columnKind": "utf16CodeUnits",
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def render_json(findings: Sequence[Finding], n_files: int) -> str:
-    """JSON document with findings plus per-rule counts."""
-    by_rule: dict[str, int] = collections.Counter(f.rule_id for f in findings)
-    payload = {
-        "files_checked": n_files,
-        "total": len(findings),
-        "by_rule": dict(sorted(by_rule.items())),
-        "findings": [finding.as_dict() for finding in findings],
-    }
-    return json.dumps(payload, indent=2)

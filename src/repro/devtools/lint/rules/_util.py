@@ -1,12 +1,15 @@
-"""Shared helpers for SSTD lint rules: import tracking, dotted names.
-
-The implementations moved to :mod:`repro.devtools.lint.names` so the
-flow analyzer can share them without a ``rules`` package cycle; this
-module re-exports them for the rule modules.
-"""
+"""The runtime packages, shared by the rules that gate only them."""
 
 from __future__ import annotations
 
-from repro.devtools.lint.names import ImportMap, dotted_name
+__all__ = ["RUNTIME_PACKAGES", "in_runtime_package"]
 
-__all__ = ["ImportMap", "dotted_name"]
+#: The distributed runtime: code that runs on the master and workers.
+RUNTIME_PACKAGES = ("repro.workqueue", "repro.system", "repro.cluster")
+
+
+def in_runtime_package(module: str) -> bool:
+    return any(
+        module == package or module.startswith(package + ".")
+        for package in RUNTIME_PACKAGES
+    )

@@ -25,7 +25,7 @@ import ast
 from typing import Iterator
 
 from repro.devtools.lint.engine import FileContext, Finding, Rule, register
-from repro.devtools.lint.rules._util import ImportMap
+from repro.devtools.lint.names import ImportMap
 
 __all__ = ["UnseededRandomRule"]
 

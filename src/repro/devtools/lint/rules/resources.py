@@ -1,32 +1,21 @@
-"""SSTD014/SSTD016: resource lifecycle — leaks, use-after-release.
+"""SSTD014: resource lifecycle — a resource is released on every path.
 
-PR 7 made leaks expensive: a ``multiprocessing.shared_memory`` segment
-that misses its ``close_and_unlink`` pins ``/dev/shm`` until reboot,
-and the retry-heavy Work Queue runtime (paper §IV-A) creates and
-destroys executors, queues, and segments constantly.  These rules make
-release-on-every-path a *checked* property:
+A ``multiprocessing.shared_memory`` segment that misses its
+``close_and_unlink`` pins ``/dev/shm`` until reboot, and the
+retry-heavy Work Queue runtime (paper §IV-A) creates and destroys
+executors, queues, and segments constantly.  This rule makes
+release-on-every-path a *checked* property: a tracked resource must not
+leak on a normal or an exceptional path.
 
-- **SSTD014** — a tracked resource is leaked on a normal or an
-  exceptional path.  A declarative registry (:data:`RESOURCE_SPECS`)
-  maps acquire calls to their release methods; the walker tracks each
-  binding through the function's statements with the exception edges
-  from :func:`repro.devtools.lint.flow.analyze_exceptions` semantics:
-  a statement that may raise, reached while a resource is held with no
-  enclosing ``finally`` releasing it (and no enclosing handler
-  absorbing the exception), leaks it.  ``with``-managed acquires and
-  ``finally``-covered releases are clean.  Ownership can be handed
-  off: returning the resource, passing it to a call, storing it in a
-  container, or assigning it to an attribute annotated
-  ``# owns-resource:`` all transfer the release obligation.  Findings
-  carry the acquire→leak path in :attr:`Finding.steps` (rendered as
-  SARIF codeFlows).
-
-- **SSTD016** — use-after-release and double-release: ``submit`` after
-  ``shutdown``, ``attach(owner.handle)`` after ``close_and_unlink``,
-  reading ``array`` after the attachment closed.  A second release is
-  flagged only when the callee is not documented idempotent in the
-  registry (``SegmentOwner.close_and_unlink`` and the queues'
-  ``shutdown`` are).
+A declarative registry (:data:`RESOURCE_SPECS`) maps acquire calls to
+their release methods; the walker tracks each binding through the
+function's statements: a statement that may raise, reached while a
+resource is held with no enclosing ``finally`` releasing it (and no
+enclosing handler absorbing the exception), leaks it.  ``with``-managed
+acquires and ``finally``-covered releases are clean.  Ownership can be
+handed off: returning the resource, passing it to a call, storing it in
+a container, or assigning it to an attribute annotated
+``# owns-resource:`` all transfer the release obligation.
 
 Known false negatives (DESIGN.md §10): resources reaching a binding
 through an *unresolved* call (``stack.publish()`` where ``stack``'s
@@ -40,7 +29,7 @@ flagged).  The analysis prefers silence to false alarms.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.devtools.lint.engine import FileContext, Finding, Rule, register
@@ -51,7 +40,6 @@ __all__ = [
     "RESOURCE_SPECS",
     "ResourceLeakRule",
     "ResourceSpec",
-    "UseAfterReleaseRule",
     "resource_returners",
 ]
 
@@ -68,42 +56,34 @@ class ResourceSpec:
             methods); matched against import-canonicalized call text
             and against resolved call-graph targets.
         release: Method names on the binding that release it.
-        uses: Method/attribute names that are invalid after release.
         context_manager: The acquired object is a context manager
             whose ``__exit__`` releases it (``with`` = guaranteed
             release).
-        idempotent_release: A second release call is documented safe.
     """
 
     kind: str
     what: str
     acquire: tuple[str, ...]
     release: tuple[str, ...]
-    uses: tuple[str, ...] = ()
     context_manager: bool = False
-    idempotent_release: bool = True
 
 
 #: The declarative acquire→release registry.  Adding a resource family
-#: is one entry here; the walker and both rules are generic over it.
+#: is one entry here; the walker is generic over it.
 RESOURCE_SPECS: tuple[ResourceSpec, ...] = (
     ResourceSpec(
         kind="shm-segment",
         what="published shared-memory segment",
         acquire=("repro.system.shm.publish_arrays",),
         release=("close_and_unlink",),
-        uses=("handle", "nbytes"),
         context_manager=False,
-        idempotent_release=True,
     ),
     ResourceSpec(
         kind="shm-attachment",
         what="attached shared-memory segment",
         acquire=("repro.system.shm.attach",),
         release=("close",),
-        uses=("array",),
         context_manager=True,
-        idempotent_release=True,
     ),
     ResourceSpec(
         kind="work-queue",
@@ -113,9 +93,7 @@ RESOURCE_SPECS: tuple[ResourceSpec, ...] = (
             "repro.workqueue.local.LocalWorkQueue",
         ),
         release=("shutdown",),
-        uses=("submit", "drain", "set_priority"),
         context_manager=False,
-        idempotent_release=True,
     ),
     ResourceSpec(
         kind="executor",
@@ -125,44 +103,28 @@ RESOURCE_SPECS: tuple[ResourceSpec, ...] = (
             "concurrent.futures.ProcessPoolExecutor",
         ),
         release=("shutdown",),
-        uses=("submit", "map"),
         context_manager=True,
-        idempotent_release=True,
     ),
     ResourceSpec(
         kind="file",
         what="open file",
         acquire=("open", "io.open"),
         release=("close",),
-        uses=(
-            "read",
-            "readline",
-            "readlines",
-            "write",
-            "writelines",
-            "seek",
-            "flush",
-        ),
         context_manager=True,
-        idempotent_release=True,
     ),
     ResourceSpec(
         kind="tracer-span",
         what="tracer span",
         acquire=("repro.obs.spans.SpanTracer.span",),
         release=(),
-        uses=(),
         context_manager=True,
-        idempotent_release=True,
     ),
     ResourceSpec(
         kind="trajectory-recorder",
         what="controller trajectory recorder",
         acquire=("repro.control.feedback.TrajectoryRecorder",),
         release=("close",),
-        uses=("record",),
         context_manager=True,
-        idempotent_release=True,
     ),
 )
 
@@ -186,9 +148,7 @@ def resource_returners(project) -> dict[str, str]:
     Transitive fixpoint over the call graph's returned-call refs:
     ``_make_executor`` returns ``LocalWorkQueue(...)`` directly, and a
     wrapper returning ``_make_executor(...)`` inherits the kind.  The
-    result is memoized on the project object — the registry is static
-    lint-package code, covered by the cache's package fingerprint, so
-    no dependency bookkeeping is needed here.
+    result is memoized on the project object.
     """
     cached = getattr(project, "_sstd_resource_returners", None)
     if cached is not None:
@@ -307,11 +267,7 @@ def _exprs_may_raise(*exprs: Optional[ast.expr]) -> bool:
 
 
 class _LifecycleWalker:
-    """Tracks resource bindings through one function body.
-
-    Produces SSTD014 leak findings (with acquire→leak step traces) and
-    SSTD016 misuse findings; the two rule classes each keep their half.
-    """
+    """Tracks resource bindings through one function body."""
 
     def __init__(
         self,
@@ -324,10 +280,8 @@ class _LifecycleWalker:
         self.imports = imports
         self.resolved = resolved
         self.returners = returners
-        #: (node, message, steps) per SSTD014 finding.
-        self.leaks: list[tuple[ast.AST, str, tuple]] = []
-        #: (node, message) per SSTD016 finding.
-        self.misuses: list[tuple[ast.AST, str]] = []
+        #: (node, message) per leak.
+        self.leaks: list[tuple[ast.AST, str]] = []
 
     # -- registry matching ----------------------------------------------
     def _canon(self, callee: str) -> str:
@@ -355,14 +309,6 @@ class _LifecycleWalker:
         return _spec_for_name(self._canon(callee))
 
     # -- findings --------------------------------------------------------
-    def _acquire_step(self, binding: _Binding) -> tuple[str, int, int, str]:
-        return (
-            self.ctx.path,
-            binding.node.lineno,
-            binding.node.col_offset,
-            f"{binding.spec.what} acquired here",
-        )
-
     def report_leak(
         self, binding: _Binding, site: ast.AST, why: str
     ) -> None:
@@ -383,16 +329,7 @@ class _LifecycleWalker:
                 else ""
             )
         )
-        steps = (
-            self._acquire_step(binding),
-            (
-                self.ctx.path,
-                getattr(site, "lineno", binding.node.lineno),
-                getattr(site, "col_offset", 0),
-                why,
-            ),
-        )
-        self.leaks.append((site, message, steps))
+        self.leaks.append((site, message))
 
     # -- the walk --------------------------------------------------------
     def run(self, func: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
@@ -471,7 +408,7 @@ class _LifecycleWalker:
         env: dict[str, tuple[str, _Binding]],
         top_discard: bool = False,
     ) -> None:
-        """Apply release / use / transfer effects within an expression.
+        """Apply release / transfer effects within an expression.
 
         ``top_discard``: the expression is a bare ``Expr`` statement,
         so a top-level acquire call's result is dropped on the floor —
@@ -505,55 +442,15 @@ class _LifecycleWalker:
         func = call.func
         if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
             bound = env.get(func.value.id)
-            if bound is not None:
-                state, binding = bound
-                meth = func.attr
-                if meth in binding.spec.release:
-                    if state == _RELEASED and not binding.spec.idempotent_release:
-                        self.misuses.append(
-                            (
-                                call,
-                                f"{binding.spec.what} '{binding.name}' "
-                                f"released twice ({meth}() is not "
-                                "documented idempotent); drop the second "
-                                "release",
-                            )
-                        )
-                    env[func.value.id] = (_RELEASED, binding)
-                    return
-                if meth in binding.spec.uses and state == _RELEASED:
-                    self.misuses.append(
-                        (
-                            call,
-                            f"{binding.spec.what} '{binding.name}' used "
-                            f"after release: {meth}() called after "
-                            f"{' / '.join(binding.spec.release) or 'exit'}"
-                            "; move the use before the release or "
-                            "re-acquire",
-                        )
-                    )
-        # Ownership transfer + released-attr misuse through arguments.
+            if bound is not None and func.attr in bound[1].spec.release:
+                env[func.value.id] = (_RELEASED, bound[1])
+                return
+        # Passing a binding to a call hands its ownership over.
         for arg in list(call.args) + [kw.value for kw in call.keywords]:
             if isinstance(arg, ast.Starred):
                 arg = arg.value
             if isinstance(arg, ast.Name) and arg.id in env:
                 self.transfer(env, arg.id)
-            elif (
-                isinstance(arg, ast.Attribute)
-                and isinstance(arg.value, ast.Name)
-                and arg.value.id in env
-            ):
-                state, binding = env[arg.value.id]
-                if state == _RELEASED and arg.attr in binding.spec.uses:
-                    self.misuses.append(
-                        (
-                            arg,
-                            f"{binding.spec.what} '{binding.name}': "
-                            f".{arg.attr} read after "
-                            f"{' / '.join(binding.spec.release) or 'exit'}"
-                            "; the resource is already gone",
-                        )
-                    )
         if discard:
             spec = self.acquire_spec(call)
             if spec is not None:
@@ -568,15 +465,7 @@ class _LifecycleWalker:
                         else ""
                     )
                 )
-                steps = (
-                    (
-                        self.ctx.path,
-                        call.lineno,
-                        call.col_offset,
-                        f"{spec.what} acquired and dropped here",
-                    ),
-                )
-                self.leaks.append((call, message, steps))
+                self.leaks.append((call, message))
 
     # -- statement dispatch ----------------------------------------------
     def walk_stmt(
@@ -715,15 +604,7 @@ class _LifecycleWalker:
                     "transfer ownership to the object (which must "
                     f"release it) or keep it local"
                 )
-                steps = (
-                    (
-                        self.ctx.path,
-                        value.lineno,
-                        value.col_offset,
-                        f"{spec.what} acquired here",
-                    ),
-                )
-                self.leaks.append((stmt, message, steps))
+                self.leaks.append((stmt, message))
                 return
             # Tuple/subscript target: treat as container hand-off.
             self.scan_expr(value, env)
@@ -914,28 +795,5 @@ class ResourceLeakRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         walker = _run_walker(ctx)
-        for node, message, steps in walker.leaks:
-            yield self.finding(ctx, node, message, steps=tuple(steps))
-
-
-@register
-class UseAfterReleaseRule(Rule):
-    rule_id = "SSTD016"
-    summary = "no use-after-release or non-idempotent double-release"
-    needs_project = True
-    sanction = (
-        "releases documented idempotent in the registry "
-        "(SegmentOwner.close_and_unlink, WorkQueue.shutdown) are never "
-        "flagged as double-release; there is no annotation — a real "
-        "use-after-release is always a bug"
-    )
-    example = (
-        "q = ProcessWorkQueue(n_workers=2)\n"
-        "q.shutdown()\n"
-        "q.submit(task)     # SSTD016: submit after shutdown\n"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        walker = _run_walker(ctx)
-        for node, message in walker.misuses:
+        for node, message in walker.leaks:
             yield self.finding(ctx, node, message)

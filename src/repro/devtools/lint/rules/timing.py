@@ -28,12 +28,10 @@ import ast
 from typing import Iterator
 
 from repro.devtools.lint.engine import FileContext, Finding, Rule, register
-from repro.devtools.lint.rules._util import ImportMap
+from repro.devtools.lint.names import ImportMap
+from repro.devtools.lint.rules._util import in_runtime_package
 
 __all__ = ["DirectClockReadRule"]
-
-#: Packages whose timing must flow through the Clock protocol.
-_GATED_PACKAGES = ("repro.workqueue", "repro.system", "repro.cluster")
 
 #: ``time`` module clock reads (the ``_ns`` variants included).
 _CLOCK_READS = frozenset(
@@ -50,20 +48,13 @@ _CLOCK_READS = frozenset(
 )
 
 
-def _gated(module: str) -> bool:
-    return any(
-        module == package or module.startswith(package + ".")
-        for package in _GATED_PACKAGES
-    )
-
-
 @register
 class DirectClockReadRule(Rule):
     rule_id = "SSTD011"
     summary = "runtime packages read time via the repro.obs Clock protocol"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not _gated(ctx.module):
+        if not in_runtime_package(ctx.module):
             return
         imports = ImportMap(ctx.tree)
         for node in ast.walk(ctx.tree):

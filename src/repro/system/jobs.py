@@ -63,8 +63,12 @@ class ClaimStack:
         for row, claim_id in enumerate(self.claim_ids):
             self._rows.setdefault(claim_id, row)
 
-    def row_of(self, claim_id: str) -> int:  # raises: ValueError
-        """Row of ``claim_id`` in the stacks."""
+    def row_of(self, claim_id: str) -> int:
+        """Row of ``claim_id`` in the stacks.
+
+        Raises:
+            ValueError: When the claim is not in the stack.
+        """
         try:
             return self._rows[claim_id]
         except KeyError:
@@ -231,7 +235,7 @@ def streaming_push_payload(
     """Feed one task's report chunk into a streaming engine.
 
     Module-level so interval-mode tasks can carry it as a
-    :class:`~repro.workqueue.task.PayloadSpec` (the SSTD009 discipline)
+    :class:`~repro.workqueue.task.PayloadSpec`, which rejects closures,
     instead of a closure over the engine.
     """
     for report in reports:

@@ -99,13 +99,24 @@ class LocalWorkQueue:
         for thread in self._threads:
             thread.start()
 
-    def set_priority(self, job_id: str, priority: float) -> None:  # raises: ValueError
+    def set_priority(self, job_id: str, priority: float) -> None:
+        """Weight ``job_id``'s tasks in the priority-weighted draw.
+
+        Raises:
+            ValueError: When ``priority`` is not positive.
+        """
         if priority <= 0:
             raise ValueError("priority must be > 0")
         with self._lock:
             self.priorities[job_id] = priority
 
-    def submit(self, task: Task) -> None:  # raises: ValueError, RuntimeError
+    def submit(self, task: Task) -> None:
+        """Queue ``task`` for the next free worker.
+
+        Raises:
+            ValueError: When the task has no payload the backend can run.
+            RuntimeError: After :meth:`shutdown`.
+        """
         if task.fn is None:
             raise ValueError("local tasks need a callable payload (task.fn)")
         with self._wakeup:
@@ -173,8 +184,13 @@ class LocalWorkQueue:
                 )
             )
 
-    def drain(self, timeout: float = 60.0) -> list[LocalResult]:  # raises: TimeoutError
-        """Block until every submitted task has finished; return results."""
+    def drain(self, timeout: float = 60.0) -> list[LocalResult]:
+        """Block until every submitted task has finished; return results.
+
+        Raises:
+            TimeoutError: When tasks are still outstanding after
+                ``timeout`` seconds.
+        """
         deadline = self.obs.clock.now() + timeout
         collected: list[LocalResult] = []
         while True:

@@ -227,13 +227,24 @@ class ProcessWorkQueue:
     # ------------------------------------------------------------------
     # Public API (mirrors LocalWorkQueue)
     # ------------------------------------------------------------------
-    def set_priority(self, job_id: str, priority: float) -> None:  # raises: ValueError
+    def set_priority(self, job_id: str, priority: float) -> None:
+        """Weight ``job_id``'s tasks in the priority-weighted draw.
+
+        Raises:
+            ValueError: When ``priority`` is not positive.
+        """
         if priority <= 0:
             raise ValueError("priority must be > 0")
         with self._lock:
             self.priorities[job_id] = priority
 
-    def submit(self, task: Task) -> None:  # raises: ValueError, RuntimeError
+    def submit(self, task: Task) -> None:
+        """Queue ``task`` for the next free worker.
+
+        Raises:
+            ValueError: When the task has no payload the backend can run.
+            RuntimeError: After :meth:`shutdown`.
+        """
         if task.fn is None:
             raise ValueError("process tasks need a callable payload (task.fn)")
         qualname = getattr(task.fn, "__qualname__", "")
@@ -250,8 +261,13 @@ class ProcessWorkQueue:
             self._outstanding += 1
         self._outbox.put((_WAKE,))
 
-    def drain(self, timeout: float = 60.0) -> list[LocalResult]:  # raises: TimeoutError
-        """Block until every submitted task has finished; return results."""
+    def drain(self, timeout: float = 60.0) -> list[LocalResult]:
+        """Block until every submitted task has finished; return results.
+
+        Raises:
+            TimeoutError: When tasks are still outstanding after
+                ``timeout`` seconds.
+        """
         deadline = self.obs.clock.now() + timeout
         collected: list[LocalResult] = []
         while True:

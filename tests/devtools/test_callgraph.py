@@ -1,22 +1,21 @@
-"""Whole-program call graph: resolution, summaries, fixpoints, digests."""
+"""Whole-program call graph: resolution and may-block summaries."""
 
 from pathlib import Path
 
 from repro.devtools.lint import all_rules, lint_paths, lint_source
-from repro.devtools.lint.cache import LintCache
 from repro.devtools.lint.callgraph import build_project
 
 BLOCKING_RULES = all_rules(["SSTD008"])
 
 
-def project_over(tmp_path: Path, files: dict[str, str], cache=None):
+def project_over(tmp_path: Path, files: dict[str, str]):
     entries = []
     for name, src in files.items():
         target = tmp_path / name
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(src)
         entries.append((str(target), src))
-    return build_project(entries, cache=cache)
+    return build_project(entries)
 
 
 UTIL_SRC = '''
@@ -126,13 +125,6 @@ class TestResolution:
         targets = {t for site in sites for t in site.targets}
         assert "repro.obs.metrics.MetricRegistry.inc" in targets
 
-    def test_lock_edge_across_reexported_class(self, tmp_path):
-        proj = project_over(tmp_path, dict(REEXPORT_FILES))
-        assert (
-            "repro.wq.Q._lock",
-            "repro.obs.metrics.MetricRegistry._lock",
-        ) in proj.lock_edges
-
     def test_classmethod_factory_types_the_attribute(self, tmp_path):
         files = {
             "obsmod.py": '''
@@ -171,59 +163,3 @@ class User:
         }
         assert "obsmod.Obs.ping" in targets
         assert "usermod.User.go" in proj.blocking
-
-
-DIGEST_FILES = {
-    "leafmod.py": "__all__ = []\n\n\ndef helper():\n    return 1\n",
-    "midmod.py": (
-        "from leafmod import helper\n\n__all__ = []\n\n\n"
-        "def wrap():\n    return helper()\n"
-    ),
-    "island.py": "__all__ = []\n\n\ndef alone():\n    return 0\n",
-}
-
-
-class TestDepDigests:
-    def test_digest_changes_when_dependency_changes(self, tmp_path):
-        proj = project_over(tmp_path, dict(DIGEST_FILES))
-        before = proj.dep_digest("midmod")
-        edited = dict(DIGEST_FILES)
-        edited["leafmod.py"] = (
-            "__all__ = []\n\n\ndef helper():\n    return 2\n"
-        )
-        proj2 = project_over(tmp_path, edited)
-        assert proj2.dep_digest("midmod") != before
-
-    def test_digest_stable_under_unrelated_edit(self, tmp_path):
-        proj = project_over(tmp_path, dict(DIGEST_FILES))
-        before = proj.dep_digest("midmod")
-        edited = dict(DIGEST_FILES)
-        edited["island.py"] = (
-            "__all__ = []\n\n\ndef alone():\n    return 99\n"
-        )
-        proj2 = project_over(tmp_path, edited)
-        assert proj2.dep_digest("midmod") == before
-
-    def test_dependents_closure_is_reverse_reachability(self, tmp_path):
-        proj = project_over(tmp_path, dict(DIGEST_FILES))
-        deps = proj.dependents_of({"leafmod"})
-        assert {"leafmod", "midmod"} <= deps
-        assert "island" not in deps
-
-
-class TestSummaryCache:
-    def test_second_build_is_served_from_summaries(self, tmp_path):
-        cache = LintCache(tmp_path / ".cache")
-        files = {"util.py": UTIL_SRC, "caller.py": CALLER_SRC}
-        cold = project_over(tmp_path, files, cache=cache)
-        assert cache.summary_misses == len(files)
-        warm_cache = LintCache(tmp_path / ".cache")
-        warm = project_over(tmp_path, files, cache=warm_cache)
-        assert warm_cache.summary_hits == len(files)
-        assert warm_cache.summary_misses == 0
-        # The round-tripped summaries drive identical global analysis.
-        assert set(warm.lock_edges) == set(cold.lock_edges)
-        assert set(warm.blocking) == set(cold.blocking)
-        assert warm.blocking["caller.Holder.tick"].chain == (
-            cold.blocking["caller.Holder.tick"].chain
-        )

@@ -1,36 +1,6 @@
-"""Exception edges of the CFG: analyze_exceptions + escape fixpoint.
+"""The builtin exception hierarchy SSTD014 uses to model handlers."""
 
-Satellite of PR 8: each semantic corner of the exception-flow walker is
-pinned — try/except/else/finally, nested handlers, bare re-raise,
-raise-in-finally, ``contextlib.suppress``, and a loop ``break``-ing out
-of a ``try`` — plus the call graph's cross-function escape summaries
-that SSTD015 consumes.
-"""
-
-import ast
-from pathlib import Path
-
-from repro.devtools.lint.callgraph import build_project
-from repro.devtools.lint.flow import (
-    analyze_exceptions,
-    exception_caught,
-)
-from repro.devtools.lint.names import ImportMap
-
-
-def flow_of(src: str):
-    tree = ast.parse(src)
-    func = next(
-        node
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    )
-    return analyze_exceptions(func, ImportMap(tree)), tree
-
-
-def escaping(src: str) -> set[str]:
-    flow, _ = flow_of(src)
-    return {site.name for site in flow.raises}
+from repro.devtools.lint.flow import exception_caught
 
 
 class TestExceptionCaught:
@@ -57,297 +27,3 @@ class TestExceptionCaught:
         assert not exception_caught("*", frozenset({"ValueError"}))
         assert exception_caught("*", frozenset({"Exception"}))
         assert exception_caught("*", frozenset({"*"}))
-
-
-class TestTryExceptElseFinally:
-    def test_handler_stops_matching_raise(self):
-        assert (
-            escaping(
-                """
-def f():
-    try:
-        raise ValueError("x")
-    except ValueError:
-        pass
-"""
-            )
-            == set()
-        )
-
-    def test_unmatched_raise_escapes(self):
-        assert escaping(
-            """
-def f():
-    try:
-        raise KeyError("x")
-    except ValueError:
-        pass
-"""
-        ) == {"KeyError"}
-
-    def test_else_body_not_protected(self):
-        # ``else`` runs after the body completed: the handlers no
-        # longer apply.
-        assert escaping(
-            """
-def f():
-    try:
-        pass
-    except ValueError:
-        pass
-    else:
-        raise ValueError("late")
-"""
-        ) == {"ValueError"}
-
-    def test_raise_in_handler_escapes(self):
-        assert escaping(
-            """
-def f():
-    try:
-        raise ValueError("x")
-    except ValueError:
-        raise KeyError("mapped")
-"""
-        ) == {"KeyError"}
-
-    def test_raise_in_finally_escapes_despite_broad_handler(self):
-        assert escaping(
-            """
-def f():
-    try:
-        pass
-    except Exception:
-        pass
-    finally:
-        raise RuntimeError("cleanup failed")
-"""
-        ) == {"RuntimeError"}
-
-
-class TestNestedHandlers:
-    def test_inner_narrow_outer_broad(self):
-        assert (
-            escaping(
-                """
-def f():
-    try:
-        try:
-            raise ValueError("x")
-        except KeyError:
-            pass
-    except Exception:
-        pass
-"""
-            )
-            == set()
-        )
-
-    def test_neither_frame_matches(self):
-        assert escaping(
-            """
-def f():
-    try:
-        try:
-            raise SystemExit(2)
-        except KeyError:
-            pass
-    except Exception:
-        pass
-"""
-        ) == {"SystemExit"}
-
-
-class TestReRaise:
-    def test_bare_reraise_escapes_caught_class(self):
-        assert escaping(
-            """
-def f():
-    try:
-        pass
-    except KeyError:
-        raise
-"""
-        ) == {"KeyError"}
-
-    def test_bare_reraise_stopped_by_outer_handler(self):
-        assert (
-            escaping(
-                """
-def f():
-    try:
-        try:
-            pass
-        except KeyError:
-            raise
-    except LookupError:
-        pass
-"""
-            )
-            == set()
-        )
-
-
-class TestSuppressAndLoops:
-    def test_contextlib_suppress_is_a_frame(self):
-        assert (
-            escaping(
-                """
-import contextlib
-
-def f():
-    with contextlib.suppress(ValueError):
-        raise ValueError("x")
-"""
-            )
-            == set()
-        )
-
-    def test_suppress_other_class_escapes(self):
-        assert escaping(
-            """
-import contextlib
-
-def f():
-    with contextlib.suppress(ValueError):
-        raise KeyError("x")
-"""
-        ) == {"KeyError"}
-
-    def test_break_out_of_try_keeps_frames_straight(self):
-        # The raise inside the try is caught; the raise after the loop
-        # is not inside any frame and escapes.
-        assert escaping(
-            """
-def f(items):
-    for item in items:
-        try:
-            if item:
-                break
-            raise ValueError("x")
-        except ValueError:
-            continue
-    raise RuntimeError("done")
-"""
-        ) == {"RuntimeError"}
-
-
-class TestCaughtAtStamps:
-    def test_call_in_try_body_carries_handler_classes(self):
-        flow, tree = flow_of(
-            """
-def f():
-    try:
-        work()
-    except (ValueError, KeyError):
-        other()
-    finally:
-        cleanup()
-"""
-        )
-        calls = {
-            node.func.id: flow.caught_at[id(node)]
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-        }
-        assert set(calls["work"]) == {"ValueError", "KeyError"}
-        # Handler and finally bodies unwind past this try's handlers.
-        assert calls["other"] == ()
-        assert calls["cleanup"] == ()
-
-    def test_nested_def_calls_never_propagate(self):
-        flow, tree = flow_of(
-            """
-def f():
-    def inner():
-        boom()
-    return inner
-"""
-        )
-        call = next(
-            node for node in ast.walk(tree) if isinstance(node, ast.Call)
-        )
-        assert flow.caught_at[id(call)] == ("*",)
-
-
-FIXTURE_RAISER = '''
-__all__ = ["parse", "risky"]
-
-
-def parse(text):
-    if not text:
-        raise ValueError("empty")
-    return text
-
-
-def risky():
-    raise TimeoutError("deadline")
-'''
-
-FIXTURE_CALLERS = '''
-from raiser import parse, risky
-
-__all__ = ["guarded", "leaky", "broad"]
-
-
-def guarded(text):
-    try:
-        return parse(text)
-    except ValueError:
-        return None
-
-
-def leaky(text):
-    risky()
-    return parse(text)
-
-
-def broad(text):
-    try:
-        return parse(text)
-    except Exception:
-        return None
-'''
-
-
-def project_over(tmp_path: Path, files: dict[str, str]):
-    entries = []
-    for name, src in files.items():
-        target = tmp_path / name
-        target.write_text(src)
-        entries.append((str(target), src))
-    return build_project(entries)
-
-
-class TestEscapeFixpoint:
-    def test_cross_function_escapes_with_chain(self, tmp_path):
-        proj = project_over(
-            tmp_path,
-            {"raiser.py": FIXTURE_RAISER, "callers.py": FIXTURE_CALLERS},
-        )
-        assert set(proj.escapes["raiser.parse"]) == {"ValueError"}
-        leaky = proj.escapes["callers.leaky"]
-        assert set(leaky) == {"ValueError", "TimeoutError"}
-        assert leaky["ValueError"].chain == (
-            "callers.leaky",
-            "raiser.parse",
-        )
-        assert "raiser.py" in leaky["TimeoutError"].path
-
-    def test_caught_context_stops_propagation(self, tmp_path):
-        proj = project_over(
-            tmp_path,
-            {"raiser.py": FIXTURE_RAISER, "callers.py": FIXTURE_CALLERS},
-        )
-        assert proj.escapes.get("callers.guarded", {}) == {}
-        assert proj.escapes.get("callers.broad", {}) == {}
-
-    def test_describe_names_site_and_chain(self, tmp_path):
-        proj = project_over(
-            tmp_path,
-            {"raiser.py": FIXTURE_RAISER, "callers.py": FIXTURE_CALLERS},
-        )
-        text = proj.escapes["callers.leaky"]["ValueError"].describe()
-        assert "ValueError" in text
-        assert "raiser.py" in text
-        assert "leaky" in text and "parse" in text

@@ -42,6 +42,35 @@ class TestSSTD001BroadExcept:
         assert "SSTD001" not in rule_ids(src)
 
 
+SWALLOW = '''
+__all__ = ["quiet"]
+
+
+def quiet(fn):
+    try:
+        return fn()
+    except Exception as exc:{comment}
+        return None
+'''
+
+
+class TestSSTD001RuntimePackages:
+    def test_broad_swallow_in_runtime_package(self):
+        findings = lint_source(
+            SWALLOW.format(comment=""), path="src/repro/workqueue/wq.py"
+        )
+        assert [f.rule_id for f in findings] == ["SSTD001"]
+        assert "does not re-raise" in findings[0].message
+
+    def test_deliberate_sanction_allows_swallow(self):
+        src = SWALLOW.format(comment="  # deliberate: task errors are data")
+        assert rule_ids(src, path="src/repro/workqueue/wq.py") == []
+
+    def test_outside_runtime_packages_not_gated(self):
+        src = SWALLOW.format(comment="")
+        assert rule_ids(src, path="src/repro/core/tool.py") == []
+
+
 class TestSSTD002MutableDefaults:
     def test_list_default_flagged(self):
         src = "__all__ = []\ndef f(acc=[]):\n    return acc\n"
