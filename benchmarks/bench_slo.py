@@ -2,12 +2,13 @@
 
 The paper's controllability experiment (Figure 6) measures how often an
 interval's Truth Discovery work drains within a deadline.  The open-loop
-system re-decodes every claim that received reports, so a traffic burst
-(or the steadily growing cumulative decode cost) blows straight through
-the deadline.  The closed loop added in this PR feeds measured per-claim
-cost back into an admission controller that defers overflow work to
-calmer intervals and sheds hopelessly stale claims, trading estimate
-freshness for deadline hits.
+system refits every claim that falls due at one of the interval's grid
+ticks, so intervals where many refits coincide blow through the
+deadline.  The closed loop feeds measured per-claim refit cost back
+into an admission controller that defers overflow refits to the next
+tick (the claim keeps filtering on its current model) and sheds stale
+ones to their next scheduled refit, trading model freshness for
+deadline hits.
 
 This benchmark drives one bursty trace through ``run_intervals`` on the
 process backend twice:

@@ -129,18 +129,6 @@ class ClaimRows:
     def __len__(self) -> int:
         return self.times.size
 
-    def __getitem__(self, rows: slice) -> ClaimRows:
-        """The rows in ``rows`` (a slice), as views."""
-        if not isinstance(rows, slice):
-            raise TypeError(
-                f"ClaimRows takes a slice, not {type(rows).__name__}"
-            )
-        return ClaimRows(self.times[rows], self.scores[rows], self.weights)
-
-    def before(self, end: float) -> ClaimRows:
-        """The rows with ``timestamp < end``."""
-        return self[: int(np.searchsorted(self.times, end, side="left"))]
-
 
 @dataclass(frozen=True, eq=False)
 class ReportTable:

@@ -7,22 +7,28 @@ a soft deadline expressing the application's responsiveness requirement
 are per-job, and WCET predictions are per-job.
 
 What a TD task carries is decided here and nowhere else: the master
-publishes every claim's ACS sequence in one :class:`ClaimStack`, a task
-(:func:`shm_shard_task_spec`) names rows of it and returns truth codes
-and confidences, and :func:`expand_shard_result` turns those back into
-estimates.  Simulated, thread and process workers run that one payload.
+packs the ``(claim_id, times, values)`` observation sequences that
+:func:`repro.core.sstd.batch_fit_decode` takes into one
+:class:`ClaimStack` and publishes it, a task
+(:func:`shm_shard_task_spec`) names rows of it and returns compact
+columns, and :func:`expand_shard_result` turns those back into the
+:class:`~repro.core.sstd.ClaimDecodeResult` objects the call returned.
+Simulated, thread and process workers run that one payload, for a
+batch decode and for the refits of the interval replay alike.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.acs import ClaimRows, acs_sequence
-from repro.core.sstd import SSTDConfig, batch_fit_decode, column_estimates
-from repro.core.types import Report, TruthEstimate
+from repro.core.sstd import ClaimDecodeResult, SSTDConfig, batch_fit_decode
+from repro.core.types import Report
+from repro.hmm.batch import HMMParams
 from repro.system import shm
 from repro.workqueue.task import PayloadSpec, Task
 
@@ -30,24 +36,26 @@ __all__ = [
     "ClaimStack",
     "TDJob",
     "build_claim_stack",
+    "claim_sequences",
     "decode_shard_shm_payload",
     "expand_shard_result",
     "shm_shard_task_spec",
-    "streaming_push_payload",
 ]
+
+#: One claim's ``(claim_id, times, values)`` observation sequence.
+Item = tuple[str, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
 class ClaimStack:
     """NaN-padded per-claim ACS observation stacks, ready to publish.
 
-    The master runs :func:`repro.core.acs.acs_sequence` once per claim
-    (on the claim's rows of a :class:`~repro.core.acs.ReportTable`)
-    and packs the results into ``(N, T_max)`` matrices — row order is
-    ``claim_ids`` order, padding is NaN, real per-row extents live in
-    ``lengths``.  This is the unit the zero-copy data plane ships: a
-    shard task references rows of a published stack, so its pickled
-    size does not depend on how many reports the claims received.
+    :func:`build_claim_stack` packs the claims' observation sequences
+    into ``(N, T_max)`` matrices — row order is ``claim_ids`` order,
+    padding is NaN, real per-row extents live in ``lengths``.  This is
+    the unit the zero-copy data plane ships: a shard task references
+    rows of a published stack, so its pickled size does not depend on
+    how many reports the claims received.
     """
 
     claim_ids: tuple[str, ...]
@@ -81,40 +89,40 @@ class ClaimStack:
         )
 
 
-def build_claim_stack(
+def claim_sequences(
     claims: Sequence[tuple[str, ClaimRows | Sequence[Report]]],
     config: SSTDConfig,
     start: float | None = None,
     end: float | None = None,
-) -> ClaimStack:
-    """Compute every claim's ACS sequence and pack it into one stack.
+) -> list[Item]:
+    """Every claim's ACS observation sequence, as ``batch_fit_decode`` items.
 
     Each claim comes with its rows of a
     :class:`~repro.core.acs.ReportTable` (or its reports).  Runs the
     ``acs_sequence`` call the serial engine runs
-    (:meth:`repro.core.sstd.SSTD.discover`), so decoding from the stack
-    is bit-identical to decoding from the raw reports — and the ACS grid
-    is computed once, on the master, not once per task attempt on the
+    (:meth:`repro.core.sstd.SSTD.discover`), so decoding the items is
+    bit-identical to decoding the raw reports — and the ACS grid is
+    computed once, on the master, not once per task attempt on the
     workers.
     """
-    claim_ids: list[str] = []
-    sequences: list[tuple[np.ndarray, np.ndarray]] = []
-    for claim_id, rows in claims:
-        times, values = acs_sequence(rows, config.acs, start=start, end=end)
-        claim_ids.append(claim_id)
-        sequences.append((times, values))
-    t_max = max((times.size for times, _ in sequences), default=0)
-    t_max = max(t_max, 1)
-    n_claims = len(claim_ids)
-    times_stack = np.full((n_claims, t_max), np.nan)
-    values_stack = np.full((n_claims, t_max), np.nan)
-    lengths = np.zeros(n_claims, dtype=np.int64)
-    for row, (times, values) in enumerate(sequences):
-        lengths[row] = times.size
-        times_stack[row, : times.size] = times
-        values_stack[row, : values.size] = values
+    return [
+        (claim_id, *acs_sequence(rows, config.acs, start=start, end=end))
+        for claim_id, rows in claims
+    ]
+
+
+def build_claim_stack(items: Sequence[Item]) -> ClaimStack:
+    """Pack ``(claim_id, times, values)`` items into one stack."""
+    t_max = max(1, max((len(times) for _, times, _ in items), default=0))
+    times_stack = np.full((len(items), t_max), np.nan)
+    values_stack = np.full((len(items), t_max), np.nan)
+    lengths = np.zeros(len(items), dtype=np.int64)
+    for row, (_, times, values) in enumerate(items):
+        lengths[row] = len(times)
+        times_stack[row, : len(times)] = times
+        values_stack[row, : len(values)] = values
     return ClaimStack(
-        claim_ids=tuple(claim_ids),
+        claim_ids=tuple(claim_id for claim_id, _, _ in items),
         times=times_stack,
         values=values_stack,
         lengths=lengths,
@@ -126,17 +134,17 @@ def decode_shard_shm_payload(
     rows: tuple[int, ...],
     handle: shm.SegmentHandle,
     config: SSTDConfig,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Decode a shard of claims straight out of a published stack.
 
     The worker attaches zero-copy read-only views onto the published
-    ``times`` / ``values`` stacks, feeds its rows to the
-    :func:`repro.core.sstd.batch_fit_decode` call the serial
-    ``SSTD.discover`` uses, and returns a *compact* result: one
-    contiguous ``int8`` array of decoded truth codes and one
-    ``float64`` array of confidences, concatenated in shard claim
-    order.  The master reconstructs full
-    :class:`~repro.core.types.TruthEstimate` objects with
+    ``times`` / ``values`` stacks, feeds its rows to
+    :func:`repro.core.sstd.batch_fit_decode`, and returns a *compact*
+    result in shard claim order: every claim's ``int8`` truth codes and
+    ``float64`` confidences, concatenated; a ``bool`` mask of the claims
+    with a model; and per such claim one ``(K + 4, K)`` block — start
+    distribution, transition rows, emission means, variances and its
+    filter state.  The master rebuilds the results with
     :func:`expand_shard_result` — it already owns the timestamps, so
     shipping them back would only re-pickle what the stack holds.
     """
@@ -162,11 +170,19 @@ def decode_shard_shm_payload(
         confidences = np.concatenate(
             [np.empty(0, dtype=np.float64), *(r.confidences for r in results)]
         )
+        fitted = np.array([r.used_hmm for r in results], dtype=bool)
+        models = np.array(
+            [
+                np.vstack([*dataclasses.astuple(r.params), r.filter_state])
+                for r in results
+                if r.used_hmm
+            ]
+        )
         # Drop every object that aliases the segment before detaching so
         # the close path can really unmap (kept-alive views only delay
         # reclamation, they never corrupt: the arrays above are copies).
         del items, results, times_stack, values_stack, lengths
-    return codes, confidences
+    return codes, confidences, fitted, models
 
 
 def shm_shard_task_spec(
@@ -191,56 +207,44 @@ def expand_shard_result(
     claim_ids: Sequence[str],
     codes: np.ndarray,
     confidences: np.ndarray,
-    since: Mapping[str, float] | None = None,
-    until: float | None = None,
-) -> tuple[tuple[str, tuple[TruthEstimate, ...]], ...]:
-    """Rebuild per-claim estimates from a compact shard result.
+    fitted: np.ndarray,
+    models: np.ndarray,
+) -> list[ClaimDecodeResult]:
+    """Rebuild the shard's :class:`ClaimDecodeResult` objects.
 
     Inverse of the packing in :func:`decode_shard_shm_payload`; uses the
-    master's own copy of the published timestamps, so reconstructed
-    estimates are field-for-field identical to the serial engine's.
-    Only the estimates a caller will emit are materialised: with
-    ``since`` a claim's estimates start after ``since[claim_id]``
-    (claims it does not name start at their first grid point), with
-    ``until`` they stop at ``timestamp <= until``.
+    master's own copy of the published timestamps, so every result
+    equals what :func:`repro.core.sstd.batch_fit_decode` returned on the
+    worker, field for field.
     """
-    pairs: list[tuple[str, tuple[TruthEstimate, ...]]] = []
+    results: list[ClaimDecodeResult] = []
     cursor = 0
-    for claim_id in claim_ids:
+    blocks = iter(models)
+    for claim_id, used_hmm in zip(claim_ids, fitted.tolist(), strict=True):
         row = stack.row_of(claim_id)
         length = int(stack.lengths[row])
-        times = stack.times[row, :length]
-        lo, hi = 0, length
-        if since is not None and claim_id in since:
-            lo = int(np.searchsorted(times, since[claim_id], side="right"))
-        if until is not None:
-            hi = int(np.searchsorted(times, until, side="right"))
-        window = slice(cursor + lo, cursor + hi)
-        estimates = column_estimates(
-            claim_id, times[lo:hi], codes[window], confidences[window]
-        )
+        cells = slice(cursor, cursor + length)
         cursor += length
-        pairs.append((claim_id, estimates))
-    if cursor != int(np.asarray(codes).size):
+        block = next(blocks) if used_hmm else None
+        results.append(
+            ClaimDecodeResult(
+                claim_id=claim_id,
+                times=stack.times[row, :length],
+                codes=codes[cells],
+                confidences=confidences[cells],
+                used_hmm=used_hmm,
+                filter_state=None if block is None else block[-1],
+                params=None
+                if block is None
+                else HMMParams(block[0], block[1:-3], block[-3], block[-2]),
+            )
+        )
+    if cursor != codes.size:
         raise ValueError(
-            f"shard result carries {np.asarray(codes).size} estimates, "
+            f"shard result carries {codes.size} estimates, "
             f"expected {cursor} for claims {list(claim_ids)}"
         )
-    return tuple(pairs)
-
-
-def streaming_push_payload(
-    streaming: Any, reports: Sequence[Report]
-) -> None:
-    """Feed one task's report chunk into a streaming engine.
-
-    Module-level so interval-mode tasks can carry it as a
-    :class:`~repro.workqueue.task.PayloadSpec`, which rejects closures,
-    instead of a closure over the engine.
-    """
-    for report in reports:
-        streaming.push(report)
-    return None
+    return results
 
 
 @dataclass
@@ -272,45 +276,21 @@ class TDJob:
         if self.tasks_per_batch < 1:
             raise ValueError("tasks_per_batch must be >= 1")
 
-    def make_tasks(
-        self,
-        reports: ClaimRows | Sequence[Report],
-        payload: Callable[..., Any] | None = None,
-        payload_args: Sequence[Any] = (),
-    ) -> list[Task]:
+    def make_tasks(self, reports: ClaimRows | Sequence[Report]) -> list[Task]:
         """Split one batch of reports into Work Queue tasks.
 
         Data is divided equally between the job's tasks (Section IV-C4).
-        ``payload`` must be a module-level callable (the
-        :class:`~repro.workqueue.task.PayloadSpec` discipline — closures
-        cannot cross a process boundary); each task carries
-        ``PayloadSpec(payload, (*payload_args, chunk))``, so the task's
-        report chunk arrives as the final argument and its return value
-        becomes the task output.  Without a payload the chunks only size
-        the tasks, so ``reports`` may then be the claim's
-        :class:`~repro.core.acs.ClaimRows`.
+        The chunks only size the tasks — the simulated cluster charges
+        each its ``data_size`` — so the tasks carry no payload.
         """
         self.reports_seen += len(reports)
         self.batches_submitted += 1
         n_tasks = min(self.tasks_per_batch, max(1, len(reports)))
-        chunks: list[ClaimRows | Sequence[Report]] = []
-        if reports:
-            size = len(reports) // n_tasks
-            remainder = len(reports) % n_tasks
-            start = 0
-            for k in range(n_tasks):
-                extra = 1 if k < remainder else 0
-                chunks.append(reports[start : start + size + extra])
-                start += size + extra
-        else:
-            chunks.append(())
-
-        tasks = []
-        for chunk in chunks:
-            fn = None
-            if payload is not None:
-                fn = PayloadSpec(payload, (*payload_args, tuple(chunk)))
-            tasks.append(
-                Task(job_id=self.job_id, data_size=float(len(chunk)), fn=fn)
+        size, remainder = divmod(len(reports), n_tasks)
+        return [
+            Task(
+                job_id=self.job_id,
+                data_size=float(size + (1 if k < remainder else 0)),
             )
-        return tasks
+            for k in range(n_tasks)
+        ]

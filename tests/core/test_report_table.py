@@ -155,14 +155,6 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="scored with"):
             acs_sequence(rows, ACSConfig())
 
-    def test_before_keeps_rows_strictly_earlier(self):
-        rows = ReportTable.from_reports(
-            [report("c", t) for t in (1.0, 2.0, 2.0, 3.0)]
-        ).rows("c")
-        assert rows.before(2.0).times.tolist() == [1.0]
-        assert rows.before(2.5).times.tolist() == [1.0, 2.0, 2.0]
-        assert len(rows.before(0.0)) == 0
-
 
 def test_out_of_range_score_raises_from_one_check_per_table(monkeypatch):
     # Bypass Report's own validation to model a component going bad

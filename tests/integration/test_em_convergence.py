@@ -6,13 +6,25 @@ share that end on the log-likelihood plateau (``hmm.converged /
 hmm.fits``, counted by ``repro.obs``) is what keeps a TD task cheap.  A
 change that breaks convergence would not change one estimate's validity
 — it would silently pay ``em_max_iter`` sweeps per fit again — so the
-share is pinned here on the two fit-bound e2e workloads at their
-``smoke_shape``, pooled over seeds 1-3.
+share is pinned here on the two fit-bound e2e workloads, pooled over
+seeds 1-3: ``batch_longgrid`` at its ``smoke_shape``, ``dist_intervals``
+at its ``probe_shape`` (2 000 reports, 8 claims, 1 800 s: 30 grid
+ticks).  The interval replay's smoke shape has 10 ticks, and a claim
+refits only every ``streaming_retrain_every`` (5) of its own ticks once
+it has ``min_observations`` informative windows, so it runs 17 fits over
+the three seeds — too few to mean something.
 
-Measured when pinned (PR 23): ``batch_longgrid`` 24 of 24 fits,
-``dist_intervals`` 109 of 109 (worker-side fits, merged into the
-master's registry).  With the factor missing the interval replay read
-98 of 109 and ran 15.7 instead of 9.3 iterations per fit.
+Measured when first pinned: ``batch_longgrid`` 24 of 24 fits.  With
+the factor missing the interval replay read 98 of 109 and ran 15.7
+instead of 9.3 iterations per fit.
+
+``dist_intervals`` re-measured when its replay became the streaming
+tick: 99 of 111 worker-side fits (32/35, 34/38, 33/38), merged into the
+master's registry.  Its bound fell from 0.95 to 0.84 because a refit is
+now the streaming engine's — capped at ``retrain_max_iter`` = 15 EM
+iterations on a buffer of at most 360 ticks — where the cumulative
+re-decode it replaced ran cold fits with ``em_max_iter`` = 30; the 12
+fits that hit the cap are cut at 15 iterations.
 """
 
 import pytest
@@ -26,7 +38,7 @@ SEEDS = (1, 2, 3)
 
 #: workload -> lowest accepted ``hmm.converged / hmm.fits``: the measured
 #: share minus a margin of about three fits (longgrid) / five fits (dist).
-MIN_CONVERGED_SHARE = {"batch_longgrid": 0.87, "dist_intervals": 0.95}
+MIN_CONVERGED_SHARE = {"batch_longgrid": 0.87, "dist_intervals": 0.84}
 
 
 def longgrid_metrics(seed):
@@ -37,7 +49,7 @@ def longgrid_metrics(seed):
 
 
 def intervals_metrics(seed):
-    shape = WORKLOADS["dist_intervals"].smoke_shape
+    shape = WORKLOADS["dist_intervals"].probe_shape
     system = DistributedSSTD(
         SSTDSystemConfig(
             backend="processes",

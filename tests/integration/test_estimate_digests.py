@@ -35,10 +35,18 @@ SEED = 1
 #: models moved confidences and, on ``batch_longgrid``, 19 truth values.
 #: The ``dist_intervals`` and ``stream_ticks`` digests did not move.
 #: Before: ``6aadc8d7fdde8c51`` / ``e018332f3fa88efa``.
+#:
+#: ``dist_intervals`` re-pinned when the real-backend interval replay
+#: became the streaming tick: every backend now returns the serial
+#: ``StreamingSSTD`` replay of the trace's batch grid (refit every 5
+#: ticks, filtered estimates in between) instead of a cold re-decode of
+#: each claim's whole history every interval.  One estimate per claim
+#: per grid point, the closing point included, so the count moved too.
+#: Before: ``039fc96dd0a11154`` (72).
 PINNED = {
     "batch_volume": ("414c587868493c5f", 237),
     "batch_longgrid": ("5e69a7a7d8ee52ed", 941),
-    "dist_intervals": ("039fc96dd0a11154", 72),
+    "dist_intervals": ("8ce25789636abb77", 79),
     "stream_ticks": ("0a13169d773f6a3b", 117),
 }
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.core.sstd import SSTD
@@ -10,6 +11,7 @@ from repro.streams.generator import GeneratorConfig, generate_trace
 from repro.streams.trace import Trace
 from repro.system.jobs import (
     build_claim_stack,
+    claim_sequences,
     expand_shard_result,
     shm_shard_task_spec,
 )
@@ -91,7 +93,7 @@ class TestIntervalsReal:
         assert len(result.tracker.records) == 4
         assert 0.0 <= result.hit_rate <= 1.0
         assert result.final_worker_count == 2
-        # Cumulative re-decoding emits each grid point at most once.
+        # One tick per grid point: each claim's point is emitted once.
         seen = [(e.claim_id, e.timestamp) for e in result.estimates]
         assert len(seen) == len(set(seen))
         assert result.estimates
@@ -130,7 +132,9 @@ class TestJobSpecs:
     def decode(self, small_trace, claim_id):
         engine = SSTD()
         grouped = engine.group_reports(list(small_trace.reports))
-        stack = build_claim_stack([(claim_id, grouped[claim_id])], engine.config)
+        stack = build_claim_stack(
+            claim_sequences([(claim_id, grouped[claim_id])], engine.config)
+        )
         owner = stack.publish()
         try:
             spec = shm_shard_task_spec(
@@ -143,9 +147,9 @@ class TestJobSpecs:
     def test_decode_payload_matches_engine(self, small_trace, serial_estimates):
         claim_id = min(e.claim_id for e in serial_estimates)
         stack, _spec, output = self.decode(small_trace, claim_id)
-        ((_, payload),) = expand_shard_result(stack, [claim_id], *output)
+        (decoded,) = expand_shard_result(stack, [claim_id], *output)
         expected = [e for e in serial_estimates if e.claim_id == claim_id]
-        assert list(payload) == expected
+        assert list(decoded.estimates) == expected
 
     def test_decode_task_spec_is_picklable(self, small_trace, monkeypatch):
         import pickle
@@ -153,7 +157,8 @@ class TestJobSpecs:
         # Inline bytes: the clone must not need the released segment.
         monkeypatch.setenv("REPRO_SHM", "0")
         claim_id = min(r.claim_id for r in small_trace.reports)
-        _stack, spec, (codes, confidences) = self.decode(small_trace, claim_id)
-        clone_codes, clone_confidences = pickle.loads(pickle.dumps(spec))()
-        assert clone_codes.tolist() == codes.tolist()
-        assert clone_confidences.tolist() == confidences.tolist()
+        _stack, spec, output = self.decode(small_trace, claim_id)
+        clone = pickle.loads(pickle.dumps(spec))()
+        assert len(clone) == len(output) == 4
+        for cloned, original in zip(clone, output):
+            np.testing.assert_array_equal(cloned, original)

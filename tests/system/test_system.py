@@ -58,13 +58,10 @@ class TestTDJob:
         (task,) = job.make_tasks([])
         assert task.data_size == 0.0
 
-    def test_payload_receives_chunk(self):
+    def test_tasks_only_size_the_work(self):
         job = TDJob(job_id="j", claim_id="c", tasks_per_batch=2)
-        seen = []
-        tasks = job.make_tasks(reports_for("c", 4), payload=seen.append)
-        for task in tasks:
-            task.run()
-        assert sorted(len(chunk) for chunk in seen) == [2, 2]
+        tasks = job.make_tasks(reports_for("c", 4))
+        assert [(t.data_size, t.fn) for t in tasks] == [(2.0, None)] * 2
 
     def test_accounting(self):
         job = TDJob(job_id="j", claim_id="c")
