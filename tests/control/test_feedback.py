@@ -252,6 +252,22 @@ class TestIntervalFeedbackLoop:
         assert decision.budget * 2 <= two_lane.budget + 1
         assert decision.budget == int(1 * 1.0 * 0.7 * 1.0 / 0.1)
 
+    def test_rounds_share_the_interval_budget(self):
+        config = FeedbackConfig(admission=AdmissionConfig(shed_after=3))
+        loop = IntervalFeedbackLoop(deadline=1.0, config=config)
+        loop.observe(1.0, claim_costs=[0.1] * 10, busy_time=1.0)
+        budget = int(1 * 1.0 * 0.7 * 1.0 / 0.1)
+        first = loop.plan([f"a{i}" for i in range(4)], n_workers=2)
+        second = loop.plan([f"b{i}" for i in range(4)], n_workers=2)
+        third = loop.plan(["c0"], n_workers=2)
+        assert first.budget == second.budget == budget
+        assert len(first.admitted) == 4
+        assert len(second.admitted) == budget - 4
+        assert third.admitted == ()
+        # The next interval opens a fresh budget.
+        loop.observe(1.0)
+        assert loop.plan(["c0"], n_workers=2).admitted == ("c0",)
+
     def test_lanes_smoothed_with_ema(self):
         loop = IntervalFeedbackLoop(deadline=1.0)
         loop.observe(1.0, busy_time=1.0)
