@@ -36,12 +36,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.control import (
-    AdmissionConfig,
-    FeedbackConfig,
-    load_trajectory,
-    replay_trajectory,
-)
+from repro.control import FeedbackConfig, load_trajectory, replay_trajectory
 from repro.hmm.kernels import active_kernel_info
 from repro.obs import percentile, stitch_metadata, write_chrome_trace
 from repro.streams.events import PopulationConfig, ScenarioSpec
@@ -156,7 +151,7 @@ def test_slo_feedback_vs_open_loop():
                 # the workload in sustained overload (p40 of full-batch
                 # times), where force-admitting stale work would re-blow
                 # the deadline; shedding keeps the loop on budget.
-                admission=AdmissionConfig(shed_after=3),
+                shed_after=3,
                 trajectory_path=str(TRAJECTORY_PATH),
             ),
         )

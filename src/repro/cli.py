@@ -338,11 +338,11 @@ def _add_replay_controller(subparsers: argparse._SubParsersAction) -> None:
         help="re-run a recorded PID trajectory offline",
         description=(
             "Replays a controller trajectory recorded by the feedback "
-            "layer (FeedbackConfig.trajectory_path or "
-            "DTMConfig.trajectory_path).  Without gain overrides the "
-            "replay is bit-identical to the recording — a determinism "
-            "check; with --kp/--ki/--kd it answers what the alternative "
-            "tuning would have output against the same error sequence."
+            "layer (FeedbackConfig.trajectory_path).  Without gain "
+            "overrides the replay is bit-identical to the recording — a "
+            "determinism check; with --kp/--ki/--kd it answers what the "
+            "alternative tuning would have output against the same error "
+            "sequence."
         ),
     )
     parser.add_argument("trajectory", type=Path,

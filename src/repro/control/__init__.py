@@ -1,7 +1,6 @@
 """Feedback control: PID controller, WCET model, control knobs, feedback loop."""
 
 from repro.control.feedback import (
-    AdmissionConfig,
     AdmissionController,
     AdmissionDecision,
     FeedbackConfig,
@@ -12,13 +11,12 @@ from repro.control.feedback import (
     load_trajectory,
     replay_trajectory,
 )
-from repro.control.knobs import GlobalControlKnob, KnobConfig, LocalControlKnob
+from repro.control.knobs import GlobalControlKnob, LocalControlKnob
 from repro.control.pid import PAPER_GAINS, PIDController, PIDGains
 from repro.control.rto import Allocation, JobDemand, RTOAllocator
 from repro.control.wcet import WCETModel
 
 __all__ = [
-    "AdmissionConfig",
     "AdmissionController",
     "AdmissionDecision",
     "Allocation",
@@ -26,7 +24,6 @@ __all__ = [
     "GlobalControlKnob",
     "IntervalFeedbackLoop",
     "JobDemand",
-    "KnobConfig",
     "LocalControlKnob",
     "PAPER_GAINS",
     "PIDController",

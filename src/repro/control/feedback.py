@@ -21,9 +21,8 @@ now and what to defer):
 - :class:`AdmissionController` partitions each refit round's due claims
   into *admit* / *defer* / *shed* sets from a latency-derived capacity
   budget per interval, scaled by the PID's headroom signal.  Deferred
-  claims age and
-  are force-admitted after ``max_defer`` rounds (no starvation);
-  shedding is opt-in and bounded.
+  claims age and are force-admitted after :data:`MAX_DEFER` rounds (no
+  starvation); shedding is opt-in and bounded.
 - :class:`IntervalFeedbackLoop` bundles the three for the real-backend
   interval replay in :mod:`repro.system.sstd_system`.
 """
@@ -32,15 +31,14 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-from repro.control.pid import PAPER_GAINS, PIDController, PIDGains
+from repro.control.pid import PIDController, PIDGains
 from repro.obs import Observability, percentile
 
 __all__ = [
-    "AdmissionConfig",
     "AdmissionController",
     "AdmissionDecision",
     "FeedbackConfig",
@@ -183,19 +181,15 @@ class ReplayStep:
 
 
 def replay_trajectory(
-    samples: Sequence[TrajectorySample],
-    gains: PIDGains | None = None,
-    integral_limit: float | None = None,
-    output_limit: float | None = None,
+    samples: Sequence[TrajectorySample], gains: PIDGains | None = None
 ) -> list[ReplayStep]:
     """Re-run a recorded error sequence through fresh controllers.
 
     One controller is rebuilt per distinct ``controller`` name, seeded
-    with the recorded configuration unless ``gains`` /
-    ``integral_limit`` / ``output_limit`` override it.  With no
-    overrides the replayed outputs are bit-identical to the recording;
-    with overrides the divergence *is* the answer to "what would this
-    tuning have done?".
+    with the recorded configuration unless ``gains`` overrides its
+    gains.  Without the override the replayed outputs are bit-identical
+    to the recording; with it the divergence *is* the answer to "what
+    would this tuning have done?".
     """
     controllers: dict[str, PIDController] = {}
     steps: list[ReplayStep] = []
@@ -205,16 +199,8 @@ def replay_trajectory(
             pid = PIDController(
                 gains=gains if gains is not None else sample.gains,
                 sample_time=sample.sample_time,
-                integral_limit=(
-                    integral_limit
-                    if integral_limit is not None
-                    else sample.integral_limit
-                ),
-                output_limit=(
-                    output_limit
-                    if output_limit is not None
-                    else sample.output_limit
-                ),
+                integral_limit=sample.integral_limit,
+                output_limit=sample.output_limit,
             )
             controllers[sample.controller] = pid
         replayed = pid.update(sample.error, dt=sample.dt)
@@ -234,51 +220,28 @@ def replay_trajectory(
 # ----------------------------------------------------------------------
 # Deadline-aware admission control
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class AdmissionConfig:
-    """Policy knobs for defer/shed decisions under bursty arrivals.
+#: Consecutive deferrals after which a claim is force-admitted regardless
+#: of budget (starvation bound).  Only applies without ``shed_after``.
+MAX_DEFER = 3
 
-    Attributes:
-        max_defer: Consecutive deferrals after which a claim is
-            force-admitted regardless of budget (starvation bound).
-            Only applies when ``shed_after`` is ``None``.
-        shed_after: Consecutive deferrals after which a claim is shed —
-            its refit skipped until its next scheduled one.
-            ``None`` (default) never sheds.  Setting it switches the
-            overflow policy from *latency bound without loss* (force-
-            admit stale work, which under sustained overload re-blows
-            the deadline every ``max_defer`` rounds) to *loss bounds
-            latency* (drop stale work, keep hitting the deadline).
-        min_admit: Floor on the per-interval admission budget; keeps
-            the pipeline moving even when the cost estimate explodes.
-        utilization_target: Fraction of ``workers x deadline`` treated
-            as usable capacity.  The margin absorbs dispatch overhead
-            and cost-estimate error; budgeting at 1.0 steers execution
-            onto the deadline and loses the coin-flip intervals.
-        scale_floor: Lower clamp on the PID-driven budget multiplier.
-        scale_ceiling: Upper clamp on the PID-driven budget multiplier.
-            Keep ``utilization_target * scale_ceiling <= 1`` or positive
-            headroom lets the budget plan past the deadline.
-    """
+#: Floor on the per-interval admission budget; keeps the pipeline moving
+#: even when the cost estimate explodes.
+MIN_ADMIT = 1
 
-    max_defer: int = 3
-    shed_after: int | None = None
-    min_admit: int = 1
-    utilization_target: float = 0.7
-    scale_floor: float = 0.25
-    scale_ceiling: float = 1.25
+#: Fraction of ``workers x deadline`` treated as usable capacity.  The
+#: margin absorbs dispatch overhead and cost-estimate error; budgeting at
+#: 1.0 steers execution onto the deadline and loses the coin-flip
+#: intervals.
+UTILIZATION_TARGET = 0.7
 
-    def __post_init__(self) -> None:
-        if self.max_defer < 1:
-            raise ValueError("max_defer must be >= 1")
-        if self.shed_after is not None and self.shed_after < 1:
-            raise ValueError("shed_after must be >= 1")
-        if self.min_admit < 1:
-            raise ValueError("min_admit must be >= 1")
-        if not 0.0 < self.utilization_target <= 1.0:
-            raise ValueError("utilization_target must be in (0, 1]")
-        if not 0.0 < self.scale_floor <= self.scale_ceiling:
-            raise ValueError("need 0 < scale_floor <= scale_ceiling")
+#: Clamps on the PID-driven budget multiplier.  ``UTILIZATION_TARGET *
+#: SCALE_CEILING <= 1``, so positive headroom never lets the budget plan
+#: past the deadline.
+SCALE_FLOOR = 0.25
+SCALE_CEILING = 1.25
+
+#: Recent per-claim cost samples kept for the p95 estimate.
+COST_WINDOW = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -295,30 +258,35 @@ class AdmissionDecision:
 class AdmissionController:
     """Chooses what to process now versus defer, per refit round.
 
-    The capacity budget is ``workers x deadline x utilization_target /
+    The capacity budget is ``workers x deadline x UTILIZATION_TARGET /
     p95_claim_cost`` claims per interval, which its refit rounds share,
     scaled by the PID headroom signal (positive headroom — the last
     interval finished under deadline — loosens the budget; lateness
-    tightens it).  Oldest deferred claims are admitted
-    first, and overflow staleness is bounded one of two ways: without
-    ``shed_after`` a claim deferred ``max_defer`` times is admitted
-    outside the budget; with it, stale overflow is shed instead (see
-    :class:`AdmissionConfig`).
+    tightens it).  Oldest deferred claims are admitted first, and
+    overflow staleness is bounded one of two ways:
+
+    - ``shed_after=None``: *latency bound without loss* — a claim
+      deferred :data:`MAX_DEFER` times is admitted outside the budget,
+      which under sustained overload re-blows the deadline every
+      ``MAX_DEFER`` rounds;
+    - ``shed_after=k``: *loss bounds latency* — overflow deferred ``k``
+      times is shed, its refit skipped until its next scheduled one.
     """
 
     def __init__(
         self,
         deadline: float,
-        config: AdmissionConfig | None = None,
+        shed_after: int | None = None,
         obs: Observability | None = None,
     ) -> None:
         if deadline <= 0:
             raise ValueError("deadline must be > 0")
+        if shed_after is not None and shed_after < 1:
+            raise ValueError("shed_after must be >= 1")
         self.deadline = deadline
-        self.config = config or AdmissionConfig()
+        self.shed_after = shed_after
         self.obs = obs if obs is not None else Observability.disabled()
         self._ages: dict[str, int] = {}  # consecutive deferrals per claim
-        self.shed_total = 0
 
     def plan(
         self,
@@ -342,23 +310,22 @@ class AdmissionController:
                 when the previous interval overran its deadline).
             spent: Claims the interval's earlier rounds admitted.
         """
-        config = self.config
         scale = 1.0
         if p95_claim_cost <= 0:
             budget = spent + len(claim_ids)
         else:
             scale = min(
-                max(1.0 + headroom / self.deadline, config.scale_floor),
-                config.scale_ceiling,
+                max(1.0 + headroom / self.deadline, SCALE_FLOOR),
+                SCALE_CEILING,
             )
             capacity = (
                 max(1.0, n_workers)
                 * self.deadline
-                * config.utilization_target
+                * UTILIZATION_TARGET
                 * scale
                 / p95_claim_cost
             )
-            budget = max(config.min_admit, int(capacity))
+            budget = max(MIN_ADMIT, int(capacity))
 
         # Oldest deferred claims first (bounded deferral), then arrival
         # order; ties broken by claim id for determinism.
@@ -370,14 +337,10 @@ class AdmissionController:
         overflow = ordered[room:]
         deferred: list[str] = []
         shed: list[str] = []
-        if config.shed_after is None:
+        if self.shed_after is None:
             # Latency bound without loss: overflow that has waited
-            # max_defer rounds is admitted outside the budget.
-            forced = [
-                c
-                for c in overflow
-                if self._ages.get(c, 0) >= config.max_defer
-            ]
+            # MAX_DEFER rounds is admitted outside the budget.
+            forced = [c for c in overflow if self._ages.get(c, 0) >= MAX_DEFER]
             admitted.extend(forced)
             deferred = [c for c in overflow if c not in forced]
         else:
@@ -386,7 +349,7 @@ class AdmissionController:
             # overflow is dropped instead (it waits for its next
             # scheduled refit).
             for claim_id in overflow:
-                if self._ages.get(claim_id, 0) + 1 > config.shed_after:
+                if self._ages.get(claim_id, 0) + 1 > self.shed_after:
                     shed.append(claim_id)
                 else:
                     deferred.append(claim_id)
@@ -398,7 +361,6 @@ class AdmissionController:
         for claim_id in deferred:
             self._ages[claim_id] = self._ages.get(claim_id, 0) + 1
 
-        self.shed_total += len(shed)
         if self.obs.enabled:
             self.obs.metrics.inc("admission.admitted", len(admitted))
             if deferred:
@@ -432,30 +394,19 @@ class FeedbackConfig:
     """Configuration of the real-backend interval feedback loop.
 
     Attributes:
-        gains: PID coefficients for the interval-lateness controller.
-        sample_time: Nominal controller spacing (one interval).
-        integral_limit: Anti-windup clamp (see
-            :class:`~repro.control.pid.PIDController`).
-        output_limit: Output clamp; 0 disables.
-        window: Recent per-claim cost samples kept for the p95 estimate.
-        admission: Defer/shed policy.
+        shed_after: Consecutive deferrals after which a claim is shed
+            (see :class:`AdmissionController`); ``None`` (default) never
+            sheds and force-admits after :data:`MAX_DEFER` instead.
         trajectory_path: When set, every ``pid.update`` is recorded
             there for offline replay (``repro-cli replay-controller``).
     """
 
-    gains: PIDGains = PAPER_GAINS
-    sample_time: float = 1.0
-    integral_limit: float = 100.0
-    output_limit: float = 0.0
-    window: int = 256
-    admission: AdmissionConfig = field(default_factory=AdmissionConfig)
+    shed_after: int | None = None
     trajectory_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.sample_time <= 0:
-            raise ValueError("sample_time must be > 0")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
+        if self.shed_after is not None and self.shed_after < 1:
+            raise ValueError("shed_after must be >= 1")
 
 
 class IntervalFeedbackLoop:
@@ -486,22 +437,17 @@ class IntervalFeedbackLoop:
             if self.config.trajectory_path
             else None
         )
+        # The paper's gains and 1 s sample (PIDController's defaults).
         self.pid = PIDController(
-            gains=self.config.gains,
-            sample_time=self.config.sample_time,
-            integral_limit=self.config.integral_limit,
-            output_limit=self.config.output_limit,
-            obs=self.obs,
-            name="pid:interval",
-            recorder=self.recorder,
+            obs=self.obs, name="pid:interval", recorder=self.recorder
         )
         self.admission = AdmissionController(
-            deadline, self.config.admission, obs=self.obs
+            deadline, self.config.shed_after, obs=self.obs
         )
         self.deadline = deadline
         self.headroom = 0.0
         self.effective_lanes = 0.0  # 0 until the first interval is measured
-        self._costs: deque = deque(maxlen=self.config.window)
+        self._costs: deque = deque(maxlen=COST_WINDOW)
         #: Claims admitted in the current interval's rounds so far.
         self._admitted = 0
 
@@ -551,9 +497,7 @@ class IntervalFeedbackLoop:
             if self.effective_lanes > 0:
                 lanes = 0.5 * self.effective_lanes + 0.5 * lanes
             self.effective_lanes = lanes
-        self.headroom = self.pid.update(
-            self.deadline - execution_time, dt=self.config.sample_time
-        )
+        self.headroom = self.pid.update(self.deadline - execution_time)
         self._admitted = 0
         return self.headroom
 

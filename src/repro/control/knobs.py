@@ -7,42 +7,31 @@
   pressure into a worker-pool size target.
 
 The paper tunes the knob aggressiveness with heuristic constants
-``theta_3`` and ``theta_4`` (reported as 2 and 1.5); the same names are
-kept here.
+``theta_3`` and ``theta_4`` (reported as 2 and 1.5); they are the
+module constants :data:`THETA3` and :data:`THETA4`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
     "GlobalControlKnob",
-    "KnobConfig",
     "LocalControlKnob",
 ]
 
+#: LCK gain: how strongly a control signal scales priority (paper 2).
+THETA3 = 2.0
 
-@dataclass(frozen=True, slots=True)
-class KnobConfig:
-    """Aggressiveness and bounds of the control knobs.
+#: GCK gain: how strongly aggregate lateness adds workers (paper 1.5).
+THETA4 = 1.5
 
-    Attributes:
-        theta3: LCK gain: how strongly a control signal scales priority.
-        theta4: GCK gain: how strongly aggregate lateness adds workers.
-        min_priority: Floor so starved jobs keep making progress.
-        max_priority: Ceiling so one job cannot monopolize dispatch.
-    """
+#: Priority floor, so starved jobs keep making progress.
+MIN_PRIORITY = 0.05
 
-    theta3: float = 2.0
-    theta4: float = 1.5
-    min_priority: float = 0.05
-    max_priority: float = 100.0
+#: Priority ceiling, so one job cannot monopolize dispatch.
+MAX_PRIORITY = 100.0
 
-    def __post_init__(self) -> None:
-        if self.theta3 <= 0 or self.theta4 <= 0:
-            raise ValueError("theta3 and theta4 must be > 0")
-        if not 0 < self.min_priority <= self.max_priority:
-            raise ValueError("need 0 < min_priority <= max_priority")
+#: Consecutive all-comfortable samples before the GCK sheds a worker.
+SHRINK_PATIENCE = 5
 
 
 class LocalControlKnob:
@@ -51,12 +40,11 @@ class LocalControlKnob:
     A *negative* PID signal means the job is projected to miss its
     deadline (measured time above setpoint), so priority must increase;
     a positive signal relaxes it.  The update is multiplicative in the
-    signal's magnitude, clamped into the configured range.
+    signal's magnitude, clamped into ``[MIN_PRIORITY, MAX_PRIORITY]``.
     """
 
-    def __init__(self, job_id: str, config: KnobConfig | None = None) -> None:
+    def __init__(self, job_id: str) -> None:
         self.job_id = job_id
-        self.config = config or KnobConfig()
         self.priority = 1.0
 
     def apply(self, control_signal: float, reference: float = 1.0) -> float:
@@ -71,16 +59,13 @@ class LocalControlKnob:
         if reference <= 0:
             raise ValueError("reference must be > 0")
         pressure = -control_signal / reference  # >0 when late
-        factor = 1.0 + self.config.theta3 * pressure
+        factor = 1.0 + THETA3 * pressure
         # A job can shrink at most 50% per update but can grow by the
         # full theta3-scaled pressure (reacting to lateness fast matters
         # more than decaying politely).
         factor = max(factor, 0.5)
         self.priority = float(
-            min(
-                max(self.priority * factor, self.config.min_priority),
-                self.config.max_priority,
-            )
+            min(max(self.priority * factor, MIN_PRIORITY), MAX_PRIORITY)
         )
         return self.priority
 
@@ -90,19 +75,13 @@ class GlobalControlKnob:
 
     Aggregates the per-job pressures: when the total projected lateness
     across jobs is positive the pool grows proportionally (theta_4);
-    shrinking is deliberately sluggish — only after ``shrink_patience``
+    shrinking is deliberately sluggish — only after ``SHRINK_PATIENCE``
     consecutive all-comfortable samples, one worker at a time — because
     scaling up is urgent while scaling down too eagerly makes the pool
     thrash on bursty traffic and miss the next spike's deadlines.
     """
 
-    def __init__(
-        self, config: KnobConfig | None = None, shrink_patience: int = 5
-    ) -> None:
-        if shrink_patience < 1:
-            raise ValueError("shrink_patience must be >= 1")
-        self.config = config or KnobConfig()
-        self.shrink_patience = shrink_patience
+    def __init__(self) -> None:
         self._comfortable_streak = 0
 
     def target_size(
@@ -129,12 +108,12 @@ class GlobalControlKnob:
         )
         if lateness > 0:
             self._comfortable_streak = 0
-            grow = max(1, round(self.config.theta4 * lateness))
+            grow = max(1, round(THETA4 * lateness))
             return current_size + grow
         slack = min(control_signals.values()) / reference
         if slack > 0.5 and current_size > 1:
             self._comfortable_streak += 1
-            if self._comfortable_streak >= self.shrink_patience:
+            if self._comfortable_streak >= SHRINK_PATIENCE:
                 self._comfortable_streak = 0
                 return current_size - 1
         else:

@@ -10,16 +10,15 @@ sliding window of length ``sw`` ending at ``t``.  The window length is
 chosen from the expected change frequency of the monitored event (a
 football score flips faster than a disaster casualty count).
 
-Two refinements over the literal Eq. (4), both switchable:
+Two refinements over the literal Eq. (4), both fixed:
 
-- ``normalize=True`` divides the sum by the number of reports in the
-  window, making the observation scale-invariant to traffic volume (raw
-  sums conflate "how many people tweeted" with "what they said", which
-  misleads an unsupervised Gaussian HMM during volume bursts);
-- windows containing *no* reports yield ``NaN`` ("missing") instead of a
-  hard 0 when ``empty_is_missing=True``, so the decoder bridges silent
-  periods with its transition model rather than treating silence as
-  evidence.
+- the sum is divided by the number of reports in the window, making the
+  observation scale-invariant to traffic volume (raw sums conflate "how
+  many people tweeted" with "what they said", which misleads an
+  unsupervised Gaussian HMM during volume bursts);
+- a window containing *no* reports yields ``NaN`` ("missing") instead of
+  a hard 0, so the decoder bridges silent periods with its transition
+  model rather than treating silence as evidence.
 
 This module turns a claim's report stream into the observation sequence
 ``F(u) = (ACS_u^1 .. ACS_u^T)`` sampled on a regular grid, both in batch
@@ -64,15 +63,11 @@ class ACSConfig:
         step: Spacing of the observation grid in seconds (one ACS value
             is emitted every ``step`` seconds).
         weights: Contribution-score component toggles (ablations).
-        normalize: Divide each window sum by its report count.
-        empty_is_missing: Emit NaN for windows with no reports.
     """
 
     window: float = 300.0
     step: float = 60.0
     weights: ScoreWeights = FULL_WEIGHTS
-    normalize: bool = True
-    empty_is_missing: bool = True
 
     def __post_init__(self) -> None:
         if self.window <= 0:
@@ -94,12 +89,6 @@ class ACSConfig:
             raise ValueError(f"end {end} before start {start}")
         count = max(1, int(math.ceil((end - start) / self.step)))
         return self.step * np.arange(1, count + 1)
-
-    def finalize(self, total: float, count: int) -> float:
-        """Map a window's (sum, count) to the observation value."""
-        if count == 0:
-            return math.nan if self.empty_is_missing else 0.0
-        return total / count if self.normalize else total
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -235,8 +224,9 @@ def acs_sequence(
         end: End of the span (defaults to the last report's timestamp).
 
     Returns:
-        ``(times, values)``: the observation grid and the ACS at each
-        grid point (NaN marks empty windows when configured).  Both
+        ``(times, values)``: the observation grid and the mean
+        contribution score of each grid point's window (NaN marks an
+        empty window).  Both
         arrays are empty when there are no reports and no explicit span.
     """
     if isinstance(reports, ClaimRows):
@@ -267,10 +257,8 @@ def acs_sequence(
     values = prefix[hi] - prefix[lo]
     counts = hi - lo
     empty = counts == 0
-    # Elementwise ACSConfig.finalize over the whole grid.
-    if config.normalize:
-        values /= np.where(empty, 1, counts)
-    values[empty] = math.nan if config.empty_is_missing else 0.0
+    values /= np.where(empty, 1, counts)
+    values[empty] = math.nan
     return start + edges, values
 
 
@@ -283,25 +271,19 @@ class SlidingWindowACS:
 
     Example:
         >>> from repro.core.types import Report, Attitude
-        >>> acc = SlidingWindowACS(window=10.0, normalize=False)
+        >>> acc = SlidingWindowACS(window=10.0)
         >>> acc.push(Report("s1", "c1", 1.0, Attitude.AGREE))
         >>> acc.value_at(5.0)
         1.0
     """
 
     def __init__(
-        self,
-        window: float,
-        weights: ScoreWeights = FULL_WEIGHTS,
-        normalize: bool = True,
-        empty_is_missing: bool = True,
+        self, window: float, weights: ScoreWeights = FULL_WEIGHTS
     ) -> None:
         if window <= 0:
             raise ValueError(f"window must be > 0, got {window}")
         self.window = window
         self.weights = weights
-        self.normalize = normalize
-        self.empty_is_missing = empty_is_missing
         self._queue: collections.deque[tuple[float, float]] = collections.deque()
         self._total = 0.0
         self._last_push = -math.inf
@@ -322,7 +304,7 @@ class SlidingWindowACS:
         """ACS over the window ``(at - window, at]``.
 
         Evicts expired reports; queries, like pushes, move forward in
-        time.  Returns NaN for an empty window when configured.
+        time.  Returns NaN for an empty window.
         """
         cutoff = at - self.window
         while self._queue and self._queue[0][0] <= cutoff:
@@ -340,8 +322,8 @@ class SlidingWindowACS:
         total = self._total - pending_total
         count = len(self._queue) - pending_count
         if count == 0:
-            return math.nan if self.empty_is_missing else 0.0
-        return total / count if self.normalize else total
+            return math.nan
+        return total / count
 
     def __len__(self) -> int:
         return len(self._queue)

@@ -7,8 +7,7 @@ For every claim ``Cu`` the engine
 2. trains a 2-state Gaussian-emission HMM on ``F(u)`` with unsupervised
    Baum-Welch EM (Section III-C, Eq. (5));
 3. decodes the most likely hidden truth sequence with Viterbi
-   (Section III-D, Eq. (6)-(8)) — or with forward filtering when
-   estimates must be emitted online before the sequence completes;
+   (Section III-D, Eq. (6)-(8));
 4. maps each hidden state to TRUE when its emission mean is positive:
    the contribution score of a report is signed by its attitude, so
    aggregated evidence above zero means the crowd (weighted by
@@ -74,6 +73,18 @@ RETRAIN_ROW_BUCKETS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 500.0)
 #: EXPERIMENTS.md.
 TRANSITION_PRIOR_STRENGTH = 4.0
 
+#: Baum-Welch convergence tolerance on the log-likelihood.
+EM_TOL = 1e-3
+
+#: Seed of the EM emission initialization.
+EM_SEED = 7
+
+#: EM iteration cap of a streaming refit.  Refits run on every scheduled
+#: tick, so they use a tighter budget than a one-shot batch fit;
+#: quantile re-initialization converges in a handful of iterations on
+#: the bounded buffer.
+RETRAIN_MAX_ITER = 15
+
 #: ``_TRUTH_OF_CODE[code]`` is the :class:`TruthValue` of an int8 code.
 _TRUTH_OF_CODE = (TruthValue.FALSE, TruthValue.TRUE)
 
@@ -101,7 +112,6 @@ class SSTDConfig:
         acs: Sliding-window / grid configuration for the observation
             sequence (window size ``sw`` of paper Eq. (4)).
         em_max_iter: Baum-Welch iteration cap.
-        em_tol: Baum-Welch convergence tolerance on log-likelihood.
         min_observations: Non-empty grid points required before an HMM is
             trained; shorter sequences fall back to the ACS sign rule.
         sticky_prior: Prior self-transition probability ``p`` of the
@@ -113,18 +123,12 @@ class SSTDConfig:
             Baum-Welch is a MAP-EM whose transition M-step adds those
             pseudo-counts — which regularizes it away from rapid
             oscillation on noisy data.  EM also starts from that matrix.
-        decode_online: When True, estimates use forward filtering (only
-            past observations); when False, full Viterbi smoothing.
-        seed: Seed for EM emission initialization.
     """
 
     acs: ACSConfig = field(default_factory=ACSConfig)
     em_max_iter: int = 30
-    em_tol: float = 1e-3
     min_observations: int = 6
     sticky_prior: float = 0.98
-    decode_online: bool = False
-    seed: int = 7
 
     def __post_init__(self) -> None:
         if self.em_max_iter < 1:
@@ -268,8 +272,8 @@ def batch_fit_decode(
         observations,
         lengths,
         max_iter=config.em_max_iter,
-        tol=config.em_tol,
-        seed=config.seed,
+        tol=EM_TOL,
+        seed=EM_SEED,
         transmat_prior=(TRANSITION_PRIOR_STRENGTH * lengths)[:, None, None]
         * transmat,
     )
@@ -277,10 +281,7 @@ def batch_fit_decode(
     # decode, and the posteriors.
     emissions = kernel.emission_probabilities(observations)
     alpha, scales, _ = kernel.forward(emissions, lengths)
-    if config.decode_online:
-        states_stack = kernel.filter_states(alpha)
-    else:
-        states_stack, _ = kernel.viterbi(emissions, lengths)
+    states_stack, _ = kernel.viterbi(emissions, lengths)
     beta = kernel.backward(emissions, scales, lengths)
     posteriors_stack = normalize_rows(alpha * beta)
     contracts.assert_probability_simplex(
@@ -508,19 +509,13 @@ class StreamingSSTD:
         config: SSTDConfig | None = None,
         retrain_every: int = 20,
         max_buffer: int = 360,
-        retrain_max_iter: int = 15,
         refit: Callable[..., Sequence] | None = None,
     ) -> None:
         if retrain_every < 1:
             raise ValueError("retrain_every must be >= 1")
-        if retrain_max_iter < 1:
-            raise ValueError("retrain_max_iter must be >= 1")
         config = config or SSTDConfig()
-        # Retrains run on every scheduled tick, so they use a tighter EM
-        # budget than a one-shot batch fit; quantile re-initialization
-        # converges in a handful of iterations on the bounded buffer.
         self.config = dataclasses.replace(
-            config, em_max_iter=min(config.em_max_iter, retrain_max_iter)
+            config, em_max_iter=min(config.em_max_iter, RETRAIN_MAX_ITER)
         )
         self.retrain_every = retrain_every
         self.max_buffer = max_buffer
@@ -541,10 +536,7 @@ class StreamingSSTD:
             claim = _ClaimStream(
                 report.claim_id,
                 SlidingWindowACS(
-                    self.config.acs.window,
-                    self.config.acs.weights,
-                    normalize=self.config.acs.normalize,
-                    empty_is_missing=self.config.acs.empty_is_missing,
+                    self.config.acs.window, self.config.acs.weights
                 ),
             )
             self._claims[report.claim_id] = claim

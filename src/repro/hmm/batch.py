@@ -350,10 +350,6 @@ class BatchGaussianHMM:
         log_start = log_mask_zero(self.startprob)
         return numpy_ref.viterbi(log_start, log_trans, log_emissions, lengths)
 
-    def filter_states(self, alpha: np.ndarray) -> np.ndarray:
-        """Online state estimates: per-row ``argmax_i alpha[n, t, i]``."""
-        return np.argmax(alpha, axis=2)
-
     def state_posteriors(
         self,
         observations: np.ndarray,

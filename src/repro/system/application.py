@@ -49,7 +49,6 @@ class ApplicationConfig:
         deadline: Soft per-batch processing deadline in seconds
             (wall-clock; the QoS target of §IV-C1).
         retrain_every: Streaming engine retrain cadence (ticks).
-        keep_flip_history: Record every verdict change with its time.
     """
 
     sstd: SSTDConfig = field(
@@ -59,7 +58,6 @@ class ApplicationConfig:
     )
     deadline: float = 1.0
     retrain_every: int = 10
-    keep_flip_history: bool = True
 
     def __post_init__(self) -> None:
         if self.deadline <= 0:
@@ -120,14 +118,13 @@ class SocialSensingApplication:
         for estimate in estimates:
             previous = self._verdicts.get(estimate.claim_id)
             if previous is not None and previous != estimate.value:
-                if self.config.keep_flip_history:
-                    self.flips.append(
-                        FlipEvent(
-                            claim_id=estimate.claim_id,
-                            at=now,
-                            new_value=estimate.value,
-                        )
+                self.flips.append(
+                    FlipEvent(
+                        claim_id=estimate.claim_id,
+                        at=now,
+                        new_value=estimate.value,
                     )
+                )
             self._verdicts[estimate.claim_id] = estimate.value
         elapsed = self.clock.now() - started
         self.tracker.record(self._batch_index, len(reports), elapsed)

@@ -15,11 +15,10 @@ The DTM closes the feedback loop of Figure 3 in the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.simulation import PeriodicTask, Simulator
-from repro.control.feedback import TrajectoryRecorder
-from repro.control.knobs import GlobalControlKnob, KnobConfig, LocalControlKnob
+from repro.control.knobs import GlobalControlKnob, LocalControlKnob
 from repro.control.pid import PAPER_GAINS, PIDController, PIDGains
 from repro.control.wcet import WCETModel
 from repro.obs import Observability
@@ -28,14 +27,9 @@ from repro.workqueue.master import WorkQueueMaster
 from repro.workqueue.pool import ElasticWorkerPool
 
 __all__ = [
-    "CONTROL_MODES",
     "DTMConfig",
     "DynamicTaskManager",
 ]
-
-#: Measurement sources for the per-job projection: the paper's open-loop
-#: WCET model, or the observed ``wq.task_seconds`` p95 latency.
-CONTROL_MODES = ("wcet", "latency")
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,40 +39,17 @@ class DTMConfig:
     Attributes:
         sample_period: Controller sampling period (paper uses 1 second).
         pid_gains: Per-job PID coefficients.
-        knobs: LCK/GCK gains and bounds.
         elastic: Allow the GCK to resize the worker pool; when False the
             pool size is fixed and only priorities adapt.
-        mode: ``"wcet"`` (default) projects finish times from the
-            paper's worst-case execution-time model; ``"latency"``
-            projects them from the live ``wq.task_seconds`` p95 the
-            observability plane records, falling back to WCET until the
-            first samples arrive.  Latency mode closes the loop on what
-            the system *measures* rather than what the model predicts.
-        scale_dwell: Oscillation-damping window handed to the elastic
-            pool (see :class:`~repro.workqueue.pool.ElasticWorkerPool`);
-            latency-fed targets are noisier than WCET ones, so runs in
-            latency mode typically want a dwell of a few sample periods.
-        trajectory_path: When set, every per-job ``pid.update`` is
-            recorded there for ``repro-cli replay-controller``.
     """
 
     sample_period: float = 1.0
     pid_gains: PIDGains = PAPER_GAINS
-    knobs: KnobConfig = field(default_factory=KnobConfig)
     elastic: bool = True
-    mode: str = "wcet"
-    scale_dwell: float = 0.0
-    trajectory_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.sample_period <= 0:
             raise ValueError("sample_period must be > 0")
-        if self.mode not in CONTROL_MODES:
-            raise ValueError(
-                f"mode must be one of {CONTROL_MODES}, got {self.mode!r}"
-            )
-        if self.scale_dwell < 0:
-            raise ValueError("scale_dwell must be >= 0")
 
 
 class DynamicTaskManager:
@@ -102,15 +73,10 @@ class DynamicTaskManager:
         # controller samples land on the same (virtual) clockline as
         # dispatch events.
         self.obs = obs if obs is not None else master.obs
-        self.recorder = (  # owns-resource: closed in stop()
-            TrajectoryRecorder(self.config.trajectory_path)
-            if self.config.trajectory_path
-            else None
-        )
         self.jobs: dict[str, TDJob] = {}
         self.controllers: dict[str, PIDController] = {}
         self.lcks: dict[str, LocalControlKnob] = {}
-        self.gck = GlobalControlKnob(self.config.knobs)
+        self.gck = GlobalControlKnob()
         self.signal_log: list[dict[str, float]] = []
         self.pool_size_log: list[tuple[float, int]] = []
         self._sampler: PeriodicTask | None = None
@@ -127,12 +93,8 @@ class DynamicTaskManager:
             sample_time=self.config.sample_period,
             obs=self.obs,
             name=f"pid:{job.job_id}",
-            recorder=self.recorder,
         )
-        self.lcks[job.job_id] = LocalControlKnob(job.job_id, self.config.knobs)
-
-    def job(self, job_id: str) -> TDJob:
-        return self.jobs[job_id]
+        self.lcks[job.job_id] = LocalControlKnob(job.job_id)
 
     # ------------------------------------------------------------------
     # Control loop
@@ -148,20 +110,10 @@ class DynamicTaskManager:
         if self._sampler is not None:
             self._sampler.stop()
             self._sampler = None
-        if self.recorder is not None:
-            self.recorder.close()
 
     def _projected_time(self, job: TDJob) -> float:
-        """Elapsed time so far plus predicted time for the remaining work.
-
-        In ``latency`` mode the remaining-work prediction uses the
-        observed ``wq.task_seconds`` p95 instead of the WCET model: the
-        job's pending task count times the p95 per-task latency, divided
-        by the execution lanes its priority share buys it.  Until the
-        first completed task there is no latency sample and the WCET
-        model projects, so the two modes start identically and diverge
-        as measurements arrive.
-        """
+        """Elapsed time so far plus the WCET prediction for the remaining
+        work."""
         account = self.master.jobs.get(job.job_id)
         if account is None:
             return 0.0
@@ -170,12 +122,6 @@ class DynamicTaskManager:
             return elapsed
         priority_share = self._priority_share(job.job_id)
         workers = max(1, self.pool.size)
-        if self.config.mode == "latency":
-            hist = self.obs.metrics.histogram("wq.task_seconds")
-            if hist is not None and hist.count > 0:
-                p95 = hist.quantile(95.0)
-                lanes = max(1.0, workers * priority_share)
-                return elapsed + account.pending * p95 / lanes
         remaining_data = sum(
             task.data_size
             for task in self.master.pending

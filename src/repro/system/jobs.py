@@ -1,7 +1,7 @@
 """Truth Discovery (TD) jobs.
 
 SSTD assigns each claim its own TD job (paper Section III-E): the job
-owns the claim's report stream, is split into Work Queue tasks, and has
+owns the claim's report stream, runs one Work Queue task per batch, and has
 a soft deadline expressing the application's responsiveness requirement
 (Section II).  The job is also the unit the control loop steers — priorities
 are per-job, and WCET predictions are per-job.
@@ -256,15 +256,11 @@ class TDJob:
         claim_id: The claim this job decodes.
         deadline: Soft deadline in seconds for processing one batch of
             this job's data (paper ``dl_j``).
-        tasks_per_batch: How many tasks a data batch is split into; the
-            paper keeps this small to bound initialization overhead
-            (Section IV-C4).
     """
 
     job_id: str
     claim_id: str
     deadline: float = 10.0
-    tasks_per_batch: int = 1
     reports_seen: int = 0
     batches_submitted: int = 0
 
@@ -273,24 +269,14 @@ class TDJob:
             raise ValueError("job_id must be non-empty")
         if self.deadline <= 0:
             raise ValueError("deadline must be > 0")
-        if self.tasks_per_batch < 1:
-            raise ValueError("tasks_per_batch must be >= 1")
 
-    def make_tasks(self, reports: ClaimRows | Sequence[Report]) -> list[Task]:
-        """Split one batch of reports into Work Queue tasks.
+    def make_task(self, reports: ClaimRows | Sequence[Report]) -> Task:
+        """One batch of reports as one Work Queue task.
 
-        Data is divided equally between the job's tasks (Section IV-C4).
-        The chunks only size the tasks — the simulated cluster charges
-        each its ``data_size`` — so the tasks carry no payload.
+        One task per batch bounds initialization overhead (Section
+        IV-C4).  The task only sizes the work — the simulated cluster
+        charges its ``data_size`` — so it carries no payload.
         """
         self.reports_seen += len(reports)
         self.batches_submitted += 1
-        n_tasks = min(self.tasks_per_batch, max(1, len(reports)))
-        size, remainder = divmod(len(reports), n_tasks)
-        return [
-            Task(
-                job_id=self.job_id,
-                data_size=float(size + (1 if k < remainder else 0)),
-            )
-            for k in range(n_tasks)
-        ]
+        return Task(job_id=self.job_id, data_size=float(len(reports)))

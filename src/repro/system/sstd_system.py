@@ -71,6 +71,12 @@ __all__ = [
 #: or real OS processes (one Python interpreter per worker).
 BACKENDS = ("simulated", "threads", "processes")
 
+#: Refit cadence of the interval replay's streaming engine on every
+#: backend, in grid ticks counted from each claim's first, for claims
+#: with a report after their last refit; small values track truth flips
+#: promptly at higher compute cost.
+STREAMING_RETRAIN_EVERY = 5
+
 
 def _effective_cores() -> int:
     """Cores this process may actually run on (cgroup/affinity aware)."""
@@ -93,14 +99,8 @@ class SSTDSystemConfig:
         dtm: Control-plane configuration.
         control_enabled: Run the PID loop; off = static priorities.
         deadline: Default soft deadline per TD job batch (seconds).
-        tasks_per_job: Tasks each job batch is split into.
         max_workers: Elastic-pool ceiling (None = cluster capacity).
         seed: Seed for dispatch randomization.
-        streaming_retrain_every: Refit cadence of the interval replay's
-            streaming engine on every backend, in grid ticks counted
-            from each claim's first, for claims with a report after
-            their last refit; small values track truth flips promptly
-            at higher compute cost.
         failures: Enable node failure injection (nodes need
             ``mtbf_seconds`` in their specs, or set ``default_mtbf``);
             the system re-queues lost tasks and replaces dead workers.
@@ -158,10 +158,8 @@ class SSTDSystemConfig:
     dtm: DTMConfig = field(default_factory=DTMConfig)
     control_enabled: bool = True
     deadline: float = 10.0
-    tasks_per_job: int = 1
     max_workers: int | None = None
     seed: int = 0
-    streaming_retrain_every: int = 5
     failures: FailureConfig | None = None
     backend: str = "simulated"
     drain_timeout: float = 600.0
@@ -174,8 +172,6 @@ class SSTDSystemConfig:
             raise ValueError("n_workers must be >= 1")
         if self.deadline <= 0:
             raise ValueError("deadline must be > 0")
-        if self.tasks_per_job < 1:
-            raise ValueError("tasks_per_job must be >= 1")
         if self.claims_per_shard is not None and self.claims_per_shard < 1:
             raise ValueError("claims_per_shard must be >= 1 (or None for auto)")
         if self.backend not in BACKENDS:
@@ -269,7 +265,6 @@ class DistributedSSTD:
             condor,
             config.cost_model,
             max_workers=config.max_workers,
-            min_dwell=config.dtm.scale_dwell,
         )
         pool.scale_to(config.n_workers)
         if config.failures is not None:
@@ -321,26 +316,18 @@ class DistributedSSTD:
             )
             owner = stack.publish()
             try:
-                n_tasks = 0
                 for claim_id, rows in claim_rows:
-                    job = TDJob(
-                        job_id=claim_id,
-                        claim_id=claim_id,
-                        deadline=config.deadline,
-                        tasks_per_batch=config.tasks_per_job,
-                    )
+                    job = TDJob(claim_id, claim_id, deadline=config.deadline)
                     dtm.register_job(job)
-                    tasks = job.make_tasks(rows)
-                    # The final task of each job carries the decode
-                    # payload so the truth result materializes when the
-                    # job's data is processed: a one-claim shard of the
-                    # stack, the spec the real backends ship.
-                    tasks[-1].fn = shm_shard_task_spec(
+                    task = job.make_task(rows)
+                    # The task carries the decode payload so the truth
+                    # result materializes when the job's data is
+                    # processed: a one-claim shard of the stack, the
+                    # spec the real backends ship.
+                    task.fn = shm_shard_task_spec(
                         stack, [claim_id], owner.handle, config.sstd
                     )
-                    for task in tasks:
-                        master.submit(task)
-                    n_tasks += len(tasks)
+                    master.submit(task)
 
                 master.wait_all()
                 dtm.stop()
@@ -354,7 +341,7 @@ class DistributedSSTD:
                 track="system",
                 backend=config.backend,
                 n_jobs=len(claim_rows),
-                n_tasks=n_tasks,
+                n_tasks=len(claim_rows),
             )
         for result in master.results:
             if result.output is not None:
@@ -371,7 +358,7 @@ class DistributedSSTD:
             estimates=tuple(estimates),
             makespan=simulator.now,
             n_jobs=len(claim_rows),
-            n_tasks=n_tasks,
+            n_tasks=len(claim_rows),
             total_busy_time=sum(
                 account.busy_time for account in master.jobs.values()
             ),
@@ -521,8 +508,7 @@ class DistributedSSTD:
     ) -> BatchRunResult:
         """Batch mode on a real executor: one task per *shard* of claims.
 
-        ``tasks_per_job`` does not apply here — a claim's decode is an
-        indivisible unit of real compute.  Claims are grouped into
+        Claims are grouped into
         shards of ``claims_per_shard`` (auto = one shard per usable
         execution lane); each task decodes its shard's rows of the
         published claim stack, so its claims share one batched kernel
@@ -683,12 +669,9 @@ class _SimulatedBackend:
         config = system.config
         self.simulator, self.master, self.pool, self.dtm = system._build()
         self.deadline = deadline
-        self.tasks_per_job = config.tasks_per_job
         self.engine: StreamingSSTD | None = None
         if compute_estimates:
-            self.engine = StreamingSSTD(
-                config.sstd, config.streaming_retrain_every
-            )
+            self.engine = StreamingSSTD(config.sstd, STREAMING_RETRAIN_EVERY)
         if config.control_enabled:
             self.dtm.start()
 
@@ -707,14 +690,10 @@ class _SimulatedBackend:
             job = self.dtm.jobs.get(claim_id)
             if job is None:
                 job = TDJob(
-                    job_id=claim_id,
-                    claim_id=claim_id,
-                    deadline=self.deadline,
-                    tasks_per_batch=self.tasks_per_job,
+                    job_id=claim_id, claim_id=claim_id, deadline=self.deadline
                 )
                 self.dtm.register_job(job)
-            for task in job.make_tasks(by_claim[claim_id]):
-                self.master.submit(task)
+            self.master.submit(job.make_task(by_claim[claim_id]))
         self.master.wait_all()
         if self.engine is None:
             return []
@@ -745,9 +724,7 @@ class _ExecutorBackend:
         self.system = system
         self.worker_count = system.config.n_workers
         self.engine: StreamingSSTD | None = StreamingSSTD(
-            system.config.sstd,
-            system.config.streaming_retrain_every,
-            refit=self.refit,
+            system.config.sstd, STREAMING_RETRAIN_EVERY, refit=self.refit
         )
         self.loop: IntervalFeedbackLoop | None = None
         self.executor = system._make_executor()  # owns-resource: shut down in close()

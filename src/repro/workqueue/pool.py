@@ -13,25 +13,22 @@ from repro.cluster.condor import CondorPool, MatchmakingError
 from repro.cluster.simulation import Simulator
 from repro.workqueue.master import WorkQueueMaster
 from repro.workqueue.task import CostModel
-from repro.cluster.resources import WORKER_FOOTPRINT, ResourceSpec
+from repro.cluster.resources import WORKER_FOOTPRINT
 from repro.workqueue.worker import SimulatedWorker
 
 __all__ = [
     "ElasticWorkerPool",
 ]
 
+#: The pool never scales below this many workers.
+MIN_WORKERS = 1
+
 
 class ElasticWorkerPool:
     """Scales the worker count against an HTCondor pool.
 
-    Args:
-        min_dwell: Minimum (virtual) seconds between scaling moves in
-            *opposite* directions.  A latency-fed controller can flip
-            its pool-size target between adjacent sizes on consecutive
-            monitor ticks (observed p95 moves with every sample); the
-            dwell window suppresses the reversal, so the pool holds its
-            last direction until the signal persists.  Same-direction
-            moves are never delayed; ``0`` (default) disables damping.
+    Each worker claims :data:`~repro.cluster.resources.WORKER_FOOTPRINT`
+    on its node; the size stays within ``[MIN_WORKERS, max_workers]``.
     """
 
     def __init__(
@@ -40,27 +37,15 @@ class ElasticWorkerPool:
         master: WorkQueueMaster,
         condor: CondorPool,
         cost_model: CostModel,
-        worker_footprint: ResourceSpec = WORKER_FOOTPRINT,
-        min_workers: int = 1,
         max_workers: int | None = None,
-        min_dwell: float = 0.0,
     ) -> None:
-        if min_workers < 0:
-            raise ValueError("min_workers must be >= 0")
-        if max_workers is not None and max_workers < min_workers:
-            raise ValueError("max_workers must be >= min_workers")
-        if min_dwell < 0:
-            raise ValueError("min_dwell must be >= 0")
+        if max_workers is not None and max_workers < MIN_WORKERS:
+            raise ValueError(f"max_workers must be >= {MIN_WORKERS}")
         self.simulator = simulator
         self.master = master
         self.condor = condor
         self.cost_model = cost_model
-        self.worker_footprint = worker_footprint
-        self.min_workers = min_workers
         self.max_workers = max_workers
-        self.min_dwell = min_dwell
-        self._last_direction = 0
-        self._last_scale_at = float("-inf")
 
     @property
     def size(self) -> int:
@@ -73,7 +58,7 @@ class ElasticWorkerPool:
         for node in self.condor.alive_nodes:
             count = 0
             available = node.ledger.available
-            while self.worker_footprint.scaled(count + 1).fits_within(available):
+            while WORKER_FOOTPRINT.scaled(count + 1).fits_within(available):
                 count += 1
             per_node.append(count)
         fit = self.size + sum(per_node)
@@ -85,33 +70,17 @@ class ElasticWorkerPool:
         """Grow or shrink toward ``target`` workers; returns the new size.
 
         Growth stops early (without raising) when the cluster runs out of
-        room — the controller treats the actuator as saturated.  A move
-        that reverses the previous scaling direction within ``min_dwell``
-        seconds is suppressed (oscillation damping); the current size is
-        returned unchanged.
+        room — the controller treats the actuator as saturated.
         """
         if target < 0:
             raise ValueError("target must be >= 0")
-        target = max(target, self.min_workers)
+        target = max(target, MIN_WORKERS)
         if self.max_workers is not None:
             target = min(target, self.max_workers)
 
-        direction = (target > self.size) - (target < self.size)
-        if (
-            direction != 0
-            and self.min_dwell > 0
-            and self._last_direction != 0
-            and direction != self._last_direction
-            and self.simulator.now - self._last_scale_at < self.min_dwell
-        ):
-            return self.size
-        if direction != 0:
-            self._last_direction = direction
-            self._last_scale_at = self.simulator.now
-
         while self.size < target:
             try:
-                placement = self.condor.place(self.worker_footprint)
+                placement = self.condor.place(WORKER_FOOTPRINT)
             except MatchmakingError:
                 break
             worker = SimulatedWorker(

@@ -7,7 +7,7 @@ its schedule.  For random due sets, cost samples and headroom:
 
 - admitted, deferred and shed partition the due set;
 - without ``shed_after``, no claim is deferred in more than
-  ``max_defer`` consecutive rounds;
+  ``MAX_DEFER`` consecutive rounds;
 - the rounds of one interval share one budget: with ``shed_after`` (no
   forced admission) they admit no more than it in total.
 
@@ -19,11 +19,11 @@ streaming engine, in ``tests/core/test_streaming_tick.py``.
 from hypothesis import given, settings, strategies as st
 
 from repro.control import (
-    AdmissionConfig,
     AdmissionController,
     FeedbackConfig,
     IntervalFeedbackLoop,
 )
+from repro.control.feedback import MAX_DEFER
 
 CLAIMS = [f"c{k}" for k in range(12)]
 
@@ -37,12 +37,7 @@ ROUND = st.tuples(
     st.integers(0, 12),
 )
 
-CONFIG = st.builds(
-    AdmissionConfig,
-    max_defer=st.integers(1, 4),
-    shed_after=st.one_of(st.none(), st.integers(1, 4)),
-    min_admit=st.integers(1, 3),
-)
+SHED_AFTER = st.one_of(st.none(), st.integers(1, 4))
 
 
 def replay_rounds(controller, rounds):
@@ -56,33 +51,28 @@ def replay_rounds(controller, rounds):
 
 
 @settings(max_examples=200, deadline=None)
-@given(config=CONFIG, rounds=st.lists(ROUND, min_size=1, max_size=12))
-def test_admitted_deferred_and_shed_partition_the_due_set(config, rounds):
-    controller = AdmissionController(deadline=1.0, config=config)
+@given(shed_after=SHED_AFTER, rounds=st.lists(ROUND, min_size=1, max_size=12))
+def test_admitted_deferred_and_shed_partition_the_due_set(shed_after, rounds):
+    controller = AdmissionController(deadline=1.0, shed_after=shed_after)
     for due, decision in replay_rounds(controller, rounds):
         parts = (decision.admitted, decision.deferred, decision.shed)
         assert sorted(c for part in parts for c in part) == due
         assert all(len(set(part)) == len(part) for part in parts)
-        if config.shed_after is None:
+        if shed_after is None:
             assert decision.shed == ()
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    max_defer=st.integers(1, 4),
-    rounds=st.lists(ROUND, min_size=1, max_size=20),
-)
-def test_no_claim_is_deferred_past_max_defer(max_defer, rounds):
-    controller = AdmissionController(
-        deadline=1.0, config=AdmissionConfig(max_defer=max_defer)
-    )
+@given(rounds=st.lists(ROUND, min_size=1, max_size=20))
+def test_no_claim_is_deferred_past_max_defer(rounds):
+    controller = AdmissionController(deadline=1.0)
     streak: dict[str, int] = {}
     for _due, decision in replay_rounds(controller, rounds):
         for claim_id in decision.admitted:
             streak.pop(claim_id, None)
         for claim_id in decision.deferred:
             streak[claim_id] = streak.get(claim_id, 0) + 1
-            assert streak[claim_id] <= max_defer
+            assert streak[claim_id] <= MAX_DEFER
 
 
 @settings(max_examples=200, deadline=None)
@@ -98,7 +88,7 @@ def test_no_claim_is_deferred_past_max_defer(max_defer, rounds):
 def test_an_intervals_rounds_share_one_budget(shed_after, cost, intervals):
     loop = IntervalFeedbackLoop(
         deadline=1.0,
-        config=FeedbackConfig(admission=AdmissionConfig(shed_after=shed_after)),
+        config=FeedbackConfig(shed_after=shed_after),
     )
     loop.observe(1.0, claim_costs=[cost], busy_time=1.0)
     deferred: set[str] = set()

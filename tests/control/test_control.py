@@ -5,12 +5,18 @@ from hypothesis import given, strategies as st
 
 from repro.control import (
     GlobalControlKnob,
-    KnobConfig,
     LocalControlKnob,
     PAPER_GAINS,
     PIDController,
     PIDGains,
     WCETModel,
+)
+from repro.control.knobs import (
+    MAX_PRIORITY,
+    MIN_PRIORITY,
+    SHRINK_PATIENCE,
+    THETA3,
+    THETA4,
 )
 
 
@@ -146,15 +152,19 @@ class TestLocalControlKnob:
         knob.apply(+5.0, reference=10.0)
         assert knob.priority < high
 
+    def test_theta3_scales_the_priority_step(self):
+        knob = LocalControlKnob("j")
+        # Lateness of a quarter deadline: factor 1 + theta3 * 0.25.
+        assert knob.apply(-2.5, reference=10.0) == 1.0 + THETA3 * 0.25
+
     def test_bounds_respected(self):
-        config = KnobConfig(min_priority=0.5, max_priority=2.0)
-        knob = LocalControlKnob("j", config)
+        knob = LocalControlKnob("j")
         for _ in range(50):
             knob.apply(-100.0, reference=1.0)
-        assert knob.priority == 2.0
+        assert knob.priority == MAX_PRIORITY
         for _ in range(50):
             knob.apply(+100.0, reference=1.0)
-        assert knob.priority == 0.5
+        assert knob.priority == MIN_PRIORITY
 
     def test_reference_validation(self):
         with pytest.raises(ValueError):
@@ -165,26 +175,24 @@ class TestGlobalControlKnob:
     def test_grows_under_lateness(self):
         knob = GlobalControlKnob()
         target = knob.target_size(4, {"a": -5.0, "b": -3.0}, reference=10.0)
-        assert target > 4
+        # Lateness 0.8 of a deadline grows the pool by round(theta4 * 0.8).
+        assert target == 4 + round(THETA4 * 0.8)
 
     def test_shrinks_only_after_sustained_comfort(self):
-        knob = GlobalControlKnob(shrink_patience=3)
+        knob = GlobalControlKnob()
         signals = {"a": 8.0, "b": 9.0}
-        assert knob.target_size(4, signals, reference=10.0) == 4
-        assert knob.target_size(4, signals, reference=10.0) == 4
+        for _ in range(SHRINK_PATIENCE - 1):
+            assert knob.target_size(4, signals, reference=10.0) == 4
         assert knob.target_size(4, signals, reference=10.0) == 3
 
     def test_lateness_resets_shrink_patience(self):
-        knob = GlobalControlKnob(shrink_patience=2)
+        knob = GlobalControlKnob()
         comfortable = {"a": 9.0}
-        assert knob.target_size(4, comfortable, reference=10.0) == 4
+        for _ in range(SHRINK_PATIENCE - 1):
+            assert knob.target_size(4, comfortable, reference=10.0) == 4
         assert knob.target_size(4, {"a": -5.0}, reference=10.0) > 4
-        # Streak restarted: one comfortable sample is not enough again.
+        # Streak restarted: one more comfortable sample is not enough.
         assert knob.target_size(4, comfortable, reference=10.0) == 4
-
-    def test_shrink_patience_validation(self):
-        with pytest.raises(ValueError):
-            GlobalControlKnob(shrink_patience=0)
 
     def test_holds_when_mixed(self):
         knob = GlobalControlKnob()
@@ -205,7 +213,3 @@ class TestGlobalControlKnob:
             knob.target_size(-1, {"a": 1.0})
         with pytest.raises(ValueError):
             knob.target_size(1, {"a": 1.0}, reference=0.0)
-        with pytest.raises(ValueError):
-            KnobConfig(theta3=0.0)
-        with pytest.raises(ValueError):
-            KnobConfig(min_priority=2.0, max_priority=1.0)

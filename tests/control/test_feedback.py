@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.control import (
-    AdmissionConfig,
     AdmissionController,
     FeedbackConfig,
     IntervalFeedbackLoop,
@@ -13,6 +12,13 @@ from repro.control import (
     PIDGains,
     load_trajectory,
     replay_trajectory,
+)
+from repro.control.feedback import (
+    MAX_DEFER,
+    MIN_ADMIT,
+    SCALE_CEILING,
+    SCALE_FLOOR,
+    UTILIZATION_TARGET,
 )
 from repro.obs import Observability
 
@@ -126,7 +132,7 @@ class TestAdmissionController:
     def test_budget_from_capacity(self):
         # 2 lanes x 1s deadline x 0.7 utilization / 0.1 s/claim ~= 14
         # (computed in floats, so mirror the arithmetic exactly).
-        expected = int(2 * 1.0 * 0.7 * 1.0 / 0.1)
+        expected = int(2 * 1.0 * UTILIZATION_TARGET * 1.0 / 0.1)
         ctl = AdmissionController(deadline=1.0)
         decision = plan(ctl, 30)
         assert decision.budget == expected
@@ -138,18 +144,19 @@ class TestAdmissionController:
         tight = plan(ctl, 30, headroom=-0.5)
         assert tight.scale == 0.5
         loose = plan(ctl, 30, headroom=10.0)
-        assert loose.scale == AdmissionConfig().scale_ceiling
+        assert loose.scale == SCALE_CEILING
         assert tight.budget < loose.budget
 
     def test_scale_clamped_to_floor(self):
         ctl = AdmissionController(deadline=1.0)
         decision = plan(ctl, 30, headroom=-100.0)
-        assert decision.scale == AdmissionConfig().scale_floor
+        assert decision.scale == SCALE_FLOOR
 
     def test_min_admit_floor(self):
         ctl = AdmissionController(deadline=1.0)
         decision = plan(ctl, 5, p95_claim_cost=1e9)
-        assert len(decision.admitted) == 1
+        assert decision.budget == MIN_ADMIT
+        assert len(decision.admitted) == MIN_ADMIT
 
     def test_aged_claims_admitted_first(self):
         ctl = AdmissionController(deadline=1.0)
@@ -161,43 +168,44 @@ class TestAdmissionController:
         )
 
     def test_force_admit_after_max_defer(self):
-        # Budget pinned at min_admit=1 by a huge cost estimate; with 4
-        # dirty claims each round: r1 admits a, r2 admits the oldest
-        # deferred (b), r3 admits c within budget and force-admits d,
-        # whose age reached max_defer.
-        config = AdmissionConfig(max_defer=2)
-        ctl = AdmissionController(deadline=1.0, config=config)
-        claims = ["a", "b", "c", "d"]
-        for round_no in range(3):
+        # Budget pinned at MIN_ADMIT = 1 by a huge cost estimate; with
+        # MAX_DEFER + 2 dirty claims each round, round r admits one claim
+        # within budget, the oldest deferred first.  In round MAX_DEFER + 1
+        # the last claim has been deferred MAX_DEFER times: it is
+        # force-admitted next to the budgeted one.
+        ctl = AdmissionController(deadline=1.0)
+        claims = [f"c{i}" for i in range(MAX_DEFER + 2)]
+        for round_no in range(MAX_DEFER + 1):
             decision = ctl.plan(
                 claims, n_workers=2, p95_claim_cost=1e9, headroom=0.0
             )
             assert decision.budget == 1
-        assert decision.admitted == ("c", "d")
+        assert decision.admitted == (claims[-2], claims[-1])
         assert len(decision.admitted) > decision.budget
-        assert all(age <= config.max_defer for age in ctl._ages.values())
+        assert all(age <= MAX_DEFER for age in ctl._ages.values())
 
     def test_shed_mode_drops_stale_overflow_instead_of_forcing(self):
-        config = AdmissionConfig(shed_after=2)
-        ctl = AdmissionController(deadline=1.0, config=config)
+        ctl = AdmissionController(deadline=1.0, shed_after=2)
         claims = [f"c{i:02d}" for i in range(4)]
-        shed_seen = []
+        decisions = []
         for _ in range(6):
             decision = ctl.plan(
                 claims, n_workers=1, p95_claim_cost=10.0, headroom=0.0
             )
             # Loss mode never admits past the budget.
             assert len(decision.admitted) == decision.budget == 1
-            shed_seen.extend(decision.shed)
-        assert shed_seen  # stale overflow was dropped, not forced
-        assert ctl.shed_total == len(shed_seen)
+            decisions.append(decision)
+        # Stale overflow was dropped, not forced: every round's due set
+        # splits into one admitted claim, the deferred and the shed.
+        assert sum(len(d.shed) for d in decisions) > 0
+        for decision in decisions:
+            assert len(decision.deferred) + len(decision.shed) == 3
 
     def test_shed_claim_age_resets_on_return(self):
         # Budget 1 over three claims: r1 admits a, defers b and c; r2
         # admits b (oldest, id tie-break) and sheds c, whose age would
         # exceed shed_after.  The shed claim's age is forgotten.
-        config = AdmissionConfig(shed_after=1)
-        ctl = AdmissionController(deadline=1.0, config=config)
+        ctl = AdmissionController(deadline=1.0, shed_after=1)
         claims = ["a", "b", "c"]
         ctl.plan(claims, n_workers=1, p95_claim_cost=1e9, headroom=0.0)
         decision = ctl.plan(
@@ -226,13 +234,9 @@ class TestAdmissionController:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            AdmissionConfig(max_defer=0)
+            FeedbackConfig(shed_after=0)
         with pytest.raises(ValueError):
-            AdmissionConfig(shed_after=0)
-        with pytest.raises(ValueError):
-            AdmissionConfig(utilization_target=1.5)
-        with pytest.raises(ValueError):
-            AdmissionConfig(scale_floor=2.0, scale_ceiling=1.0)
+            AdmissionController(deadline=1.0, shed_after=0)
         with pytest.raises(ValueError):
             AdmissionController(deadline=0.0)
 
@@ -250,13 +254,13 @@ class TestIntervalFeedbackLoop:
             claims, 2, 0.1, loop.headroom
         )
         assert decision.budget * 2 <= two_lane.budget + 1
-        assert decision.budget == int(1 * 1.0 * 0.7 * 1.0 / 0.1)
+        assert decision.budget == int(1 * 1.0 * UTILIZATION_TARGET * 1.0 / 0.1)
 
     def test_rounds_share_the_interval_budget(self):
-        config = FeedbackConfig(admission=AdmissionConfig(shed_after=3))
+        config = FeedbackConfig(shed_after=3)
         loop = IntervalFeedbackLoop(deadline=1.0, config=config)
         loop.observe(1.0, claim_costs=[0.1] * 10, busy_time=1.0)
-        budget = int(1 * 1.0 * 0.7 * 1.0 / 0.1)
+        budget = int(1 * 1.0 * UTILIZATION_TARGET * 1.0 / 0.1)
         first = loop.plan([f"a{i}" for i in range(4)], n_workers=2)
         second = loop.plan([f"b{i}" for i in range(4)], n_workers=2)
         third = loop.plan(["c0"], n_workers=2)

@@ -18,8 +18,16 @@ def report(t, attitude=Attitude.AGREE, uncertainty=0.0, independence=1.0):
     )
 
 
-RAW = ACSConfig(window=10.0, step=5.0, normalize=False, empty_is_missing=False)
-NORM = ACSConfig(window=10.0, step=5.0, normalize=True, empty_is_missing=True)
+CONFIG = ACSConfig(window=10.0, step=5.0)
+
+
+def brute_force_acs(batch, t, config):
+    """The ACS at grid point ``t``, report by report: the mean score of
+    the reports inside ``(t - window, t]``, NaN when there are none."""
+    inside = [r for r in batch if t - config.window < r.timestamp <= t]
+    if not inside:
+        return math.nan
+    return sum(config.weights.score(r) for r in inside) / len(inside)
 
 
 class TestACSConfig:
@@ -39,59 +47,59 @@ class TestACSConfig:
         grid = ACSConfig(window=10, step=10).grid(0.0, 0.0)
         assert len(grid) == 1
 
-    def test_finalize_raw(self):
-        assert RAW.finalize(3.0, 2) == 3.0
-        assert RAW.finalize(0.0, 0) == 0.0
-
     def test_finalize_normalized(self):
-        assert NORM.finalize(3.0, 2) == 1.5
-        assert math.isnan(NORM.finalize(0.0, 0))
+        # Scores 1.0 and 0.5 in the first window, none in the second.
+        batch = [report(1.0), report(2.0, independence=0.5)]
+        _, values = acs_sequence(batch, CONFIG, start=0.0, end=20.0)
+        assert values[0] == 0.75
+        assert math.isnan(values[-1])
 
 
 class TestACSSequence:
     def test_simple_sum(self):
         batch = [report(1.0), report(2.0), report(3.0, Attitude.DISAGREE)]
-        times, values = acs_sequence(batch, RAW)
+        times, values = acs_sequence(batch, CONFIG)
         # grid from t=1: [6.0] — window (−4, 6] contains all three
-        assert values[0] == pytest.approx(1.0)
+        assert values[0] == pytest.approx(brute_force_acs(batch, 6.0, CONFIG))
+        assert values[0] == pytest.approx(1.0 / 3.0)
 
     def test_window_excludes_old_reports(self):
         batch = [report(0.0), report(100.0)]
-        config = ACSConfig(window=10.0, step=50.0, normalize=False,
-                           empty_is_missing=False)
+        config = ACSConfig(window=10.0, step=50.0)
         times, values = acs_sequence(batch, config)
         # grid points at 50 and 100: the t=0 report is expired by t=50
-        assert values[0] == 0.0
+        assert math.isnan(values[0])
         assert values[1] == 1.0
 
     def test_empty_reports_with_span(self):
-        times, values = acs_sequence([], NORM, start=0.0, end=20.0)
+        times, values = acs_sequence([], CONFIG, start=0.0, end=20.0)
         assert len(times) == 4
         assert all(math.isnan(v) for v in values)
 
     def test_empty_reports_no_span(self):
-        times, values = acs_sequence([], NORM)
+        times, values = acs_sequence([], CONFIG)
         assert times.size == 0 and values.size == 0
 
     def test_normalization_divides_by_count(self):
         batch = [report(1.0), report(2.0), report(3.0, Attitude.DISAGREE)]
-        _, values = acs_sequence(batch, NORM)
+        _, values = acs_sequence(batch, CONFIG)
         assert values[0] == pytest.approx(1.0 / 3.0)
 
     def test_matches_pointwise_acs_at(self):
         """Each grid value is the Eq. (4) sum over the reports inside
-        ``(t - window, t]``, written out report by report."""
+        ``(t - window, t]`` over their count, written out report by
+        report."""
         batch = [report(float(t), Attitude.AGREE if t % 3 else Attitude.DISAGREE)
                  for t in range(20)]
-        times, values = acs_sequence(batch, RAW)
+        times, values = acs_sequence(batch, CONFIG, start=0.0, end=40.0)
+        assert np.isnan(values).any()
         for t, v in zip(times, values):
-            inside = [r for r in batch if t - RAW.window < r.timestamp <= t]
-            total = sum(RAW.weights.score(r) for r in inside)
-            assert RAW.finalize(total, len(inside)) == pytest.approx(v)
+            expected = brute_force_acs(batch, t, CONFIG)
+            assert v == pytest.approx(expected, nan_ok=True)
 
     def test_respects_score_weights(self):
         config = ACSConfig(
-            window=10.0, step=5.0, normalize=False, empty_is_missing=False,
+            window=10.0, step=5.0,
             weights=ScoreWeights(use_uncertainty=False, use_independence=False),
         )
         batch = [report(1.0, uncertainty=0.9, independence=0.001)]
@@ -108,18 +116,12 @@ class TestACSSequence:
             ),
             max_size=40,
         ),
-        normalize=st.booleans(),
-        empty_is_missing=st.booleans(),
     )
-    def test_vectorised_finalise_equals_scalar_finalize(
-        self, raw, normalize, empty_is_missing
-    ):
-        """The whole-grid finalisation is ``ACSConfig.finalize`` applied
-        elementwise — same bits, NaN where the scalar says NaN."""
-        config = ACSConfig(
-            window=7.0, step=3.0,
-            normalize=normalize, empty_is_missing=empty_is_missing,
-        )
+    def test_vectorised_finalise_equals_scalar_finalize(self, raw):
+        """The whole-grid finalisation is the scalar rule — a window's
+        sum over its count, NaN for an empty window — applied
+        elementwise: same bits, NaN where the scalar says NaN."""
+        config = ACSConfig(window=7.0, step=3.0)
         batch = sorted(
             (report(t, attitude, uncertainty) for t, attitude, uncertainty in raw),
             key=lambda r: r.timestamp,
@@ -134,15 +136,13 @@ class TestACSSequence:
         hi = np.searchsorted(timestamps, times, side="right")
         expected = np.array(
             [
-                config.finalize(float(prefix[h] - prefix[l]), int(h - l))
+                (prefix[h] - prefix[l]) / (h - l) if h > l else math.nan
                 for l, h in zip(lo, hi)
             ]
         )
         assert values.dtype == expected.dtype == np.float64
         assert values.tobytes() == expected.tobytes()
-        assert np.isnan(values).any() == (
-            empty_is_missing and bool((hi == lo).any())
-        )
+        assert np.isnan(values).any() == bool((hi == lo).any())
 
 
 class TestSlidingWindowACS:
@@ -153,10 +153,10 @@ class TestSlidingWindowACS:
              for t in rng.uniform(0, 100, size=50)),
             key=lambda r: r.timestamp,
         )
-        config = ACSConfig(window=15.0, step=5.0, normalize=True)
+        config = ACSConfig(window=15.0, step=5.0)
         times, expected = acs_sequence(batch, config, start=0.0, end=100.0)
 
-        window = SlidingWindowACS(15.0, normalize=True)
+        window = SlidingWindowACS(15.0)
         cursor = 0
         for t, exp in zip(times, expected):
             while cursor < len(batch) and batch[cursor].timestamp <= t:
@@ -175,17 +175,19 @@ class TestSlidingWindowACS:
             window.push(report(1.0))
 
     def test_eviction(self):
-        window = SlidingWindowACS(10.0, normalize=False, empty_is_missing=False)
+        window = SlidingWindowACS(10.0)
         window.push(report(0.0))
         assert window.value_at(5.0) == 1.0
-        assert window.value_at(11.0) == 0.0
+        assert math.isnan(window.value_at(11.0))
         assert len(window) == 0
 
     def test_future_reports_not_counted(self):
-        window = SlidingWindowACS(10.0, normalize=False, empty_is_missing=False)
+        window = SlidingWindowACS(10.0)
         window.push(report(1.0))
-        window.push(report(8.0))
+        window.push(report(8.0, Attitude.DISAGREE))
         assert window.value_at(5.0) == 1.0
+        batch = [report(1.0), report(8.0, Attitude.DISAGREE)]
+        assert window.value_at(9.0) == brute_force_acs(batch, 9.0, CONFIG)
 
     def test_rejects_nonpositive_window(self):
         with pytest.raises(ValueError):
@@ -202,9 +204,9 @@ class TestSlidingWindowACS:
         """Streaming accumulator always agrees with the batch formula."""
         raw_times.sort()
         batch = [report(t) for t in raw_times]
-        config = ACSConfig(window=7.0, step=3.0, normalize=True)
+        config = ACSConfig(window=7.0, step=3.0)
         times, expected = acs_sequence(batch, config, start=0.0, end=100.0)
-        window = SlidingWindowACS(7.0, normalize=True)
+        window = SlidingWindowACS(7.0)
         cursor = 0
         for t, exp in zip(times, expected):
             while cursor < len(batch) and batch[cursor].timestamp <= t:

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 import repro.core.sstd as sstd_module
 from repro.core.acs import ACSConfig, SlidingWindowACS
 from repro.core.sstd import (
+    RETRAIN_MAX_ITER,
     ClaimTruthModel,
     SkippedRefit,
     SSTDConfig,
@@ -74,9 +75,9 @@ def scalar_forward_last(hmm, values: list[float]) -> np.ndarray:
 class PerClaimReference:
     """One claim at a time: N = 1 refits, scalar re-seed, scalar filter."""
 
-    def __init__(self, config, retrain_every, max_buffer, retrain_max_iter):
+    def __init__(self, config, retrain_every, max_buffer):
         self.config = dataclasses.replace(
-            config, em_max_iter=min(config.em_max_iter, retrain_max_iter)
+            config, em_max_iter=min(config.em_max_iter, RETRAIN_MAX_ITER)
         )
         self.retrain_every = retrain_every
         self.max_buffer = max_buffer
@@ -96,10 +97,7 @@ class PerClaimReference:
         if report.claim_id not in self.windows:
             acs = self.config.acs
             self.windows[report.claim_id] = SlidingWindowACS(
-                acs.window,
-                acs.weights,
-                normalize=acs.normalize,
-                empty_is_missing=acs.empty_is_missing,
+                acs.window, acs.weights
             )
             self.times[report.claim_id] = []
             self.values[report.claim_id] = []
@@ -188,12 +186,10 @@ class TestDifferential:
     ):
         # Reverse the ids so arrival order differs from sorted order.
         named = {f"c{len(streams) - k}": s for k, s in enumerate(streams)}
-        engine = StreamingSSTD(
-            CONFIG, retrain_every, max_buffer, retrain_max_iter=4
-        )
-        reference = PerClaimReference(
-            CONFIG, retrain_every, max_buffer, retrain_max_iter=4
-        )
+        # A 4-iteration EM budget keeps the example count affordable.
+        config = dataclasses.replace(CONFIG, em_max_iter=4)
+        engine = StreamingSSTD(config, retrain_every, max_buffer)
+        reference = PerClaimReference(config, retrain_every, max_buffer)
         assert run_ticks(engine, named) == run_ticks(reference, named)
         assert engine.latest() == reference.latest
         for claim_id, values in reference.values.items():

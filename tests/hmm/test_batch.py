@@ -291,25 +291,6 @@ class TestInference:
             ).log_likelihood(np.asarray(sequences[int(src)], dtype=float))
             assert logliks[row] == pytest.approx(ref, abs=1e-9)
 
-    def test_filter_states_matches_per_row(self):
-        sequences = make_sequences(seed=22, n=3)
-        observations, lengths, order = stack_ragged(sequences)
-        kernel = BatchGaussianHMM(
-            len(sequences),
-            2,
-            means=np.array([-1.0, 1.0]),
-            variances=np.array([0.4, 0.4]),
-        )
-        emissions = kernel.emission_probabilities(observations)
-        alpha, _, _ = kernel.forward(emissions, lengths)
-        filtered = kernel.filter_states(alpha)
-        for row, src in enumerate(order):
-            seq = np.asarray(sequences[int(src)], dtype=float)
-            reference = ScalarGaussianHMM(2, **params_of(kernel, row))
-            alpha_ref, _, _ = reference.forward(reference.emissions(seq))
-            ref = np.argmax(alpha_ref, axis=1)
-            assert filtered[row, : int(lengths[row])].tolist() == ref.tolist()
-
     def test_filter_step_is_the_forward_time_step(self):
         rng = np.random.default_rng(23)
         observations = rng.normal(0.0, 1.0, size=(4, 12))

@@ -244,14 +244,6 @@ class TestGaussianHMM:
         student.fit(np.ones((1, 50)), max_iter=5, seed=0)  # zero variance
         assert (student.variances >= MIN_VARIANCE).all()
 
-    def test_filter_states_online(self):
-        hmm = BatchGaussianHMM(1, 2, **TWO_STATE)
-        stack, lengths = n1([-1.0, -1.0, 1.0, 1.0])
-        alpha, _, _ = hmm.forward(hmm.emission_probabilities(stack), lengths)
-        filtered = hmm.filter_states(alpha)[0]
-        assert filtered[0] == 0
-        assert filtered[-1] == 1
-
     def test_infinite_observations_rejected(self):
         hmm = BatchGaussianHMM(1, 2, **TWO_STATE)
         for bad in (np.inf, -np.inf):

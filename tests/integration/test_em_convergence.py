@@ -10,7 +10,7 @@ share is pinned here on the two fit-bound e2e workloads, pooled over
 seeds 1-3: ``batch_longgrid`` at its ``smoke_shape``, ``dist_intervals``
 at its ``probe_shape`` (2 000 reports, 8 claims, 1 800 s: 30 grid
 ticks).  The interval replay's smoke shape has 10 ticks, and a claim
-refits only every ``streaming_retrain_every`` (5) of its own ticks once
+refits only every ``STREAMING_RETRAIN_EVERY`` (5) of its own ticks once
 it has ``min_observations`` informative windows, so it runs 17 fits over
 the three seeds — too few to mean something.
 
@@ -21,7 +21,7 @@ instead of 9.3 iterations per fit.
 ``dist_intervals`` re-measured when its replay became the streaming
 tick: 99 of 111 worker-side fits (32/35, 34/38, 33/38), merged into the
 master's registry.  Its bound fell from 0.95 to 0.84 because a refit is
-now the streaming engine's — capped at ``retrain_max_iter`` = 15 EM
+now the streaming engine's — capped at ``RETRAIN_MAX_ITER`` = 15 EM
 iterations on a buffer of at most 360 ticks — where the cumulative
 re-decode it replaced ran cold fits with ``em_max_iter`` = 30; the 12
 fits that hit the cap are cut at 15 iterations.

@@ -7,17 +7,14 @@ each point ``g`` of the trace's batch grid, push every report with
 """
 
 from repro.core.sstd import SSTDConfig, StreamingSSTD
-from repro.system.sstd_system import SSTDSystemConfig
-
-#: The interval replay's default refit cadence, in grid ticks.
-RETRAIN_EVERY = SSTDSystemConfig().streaming_retrain_every
+from repro.system.sstd_system import STREAMING_RETRAIN_EVERY
 
 
 def serial_stream_replay(reports, start, end, config=None, refit=None):
     """Estimates of the serial replay of time-sorted ``reports`` over
     the grid of ``[start, end]``, sorted by claim, then time."""
     config = config or SSTDConfig()
-    engine = StreamingSSTD(config, retrain_every=RETRAIN_EVERY, refit=refit)
+    engine = StreamingSSTD(config, STREAMING_RETRAIN_EVERY, refit=refit)
     estimates = []
     cursor = 0
     for now in config.acs.grid(start, end).tolist():

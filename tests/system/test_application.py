@@ -122,12 +122,3 @@ class TestConfig:
     def test_deadline_validation(self):
         with pytest.raises(ValueError):
             ApplicationConfig(deadline=0.0)
-
-    def test_flip_history_can_be_disabled(self):
-        config = ApplicationConfig(
-            sstd=FAST.sstd, keep_flip_history=False, retrain_every=5
-        )
-        app = SocialSensingApplication(config)
-        reports = TestIngestReports()._flip_reports()
-        feed_reports(app, reports)
-        assert app.flips == []

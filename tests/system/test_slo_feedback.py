@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.control import AdmissionConfig, FeedbackConfig
+from repro.control import FeedbackConfig
 from repro.core.acs import ACSConfig
 from repro.core.sstd import SSTDConfig
 from repro.core.types import Attitude, Report
@@ -77,7 +77,7 @@ class TestFeedbackLoop:
             )
         ).run_intervals(
             # Real-clock deadline far below any interval's decode cost:
-            # once cost samples exist the budget collapses to min_admit.
+            # once cost samples exist the budget collapses to MIN_ADMIT.
             trace,
             n_intervals=n_intervals,
             deadline=1e-4,
@@ -91,9 +91,7 @@ class TestFeedbackLoop:
         trace = multi_claim_trace()
         result = DistributedSSTD(
             make_config(
-                feedback=FeedbackConfig(
-                    admission=AdmissionConfig(shed_after=1)
-                )
+                feedback=FeedbackConfig(shed_after=1)
             )
         ).run_intervals(trace, n_intervals=4, deadline=1e-4)
         assert result.tracker.total_shed > 0

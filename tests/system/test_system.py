@@ -34,39 +34,27 @@ class TestTDJob:
             TDJob(job_id="", claim_id="c")
         with pytest.raises(ValueError):
             TDJob(job_id="j", claim_id="c", deadline=0.0)
-        with pytest.raises(ValueError):
-            TDJob(job_id="j", claim_id="c", tasks_per_batch=0)
 
     def test_make_tasks_single(self):
         job = TDJob(job_id="j", claim_id="c")
-        (task,) = job.make_tasks(reports_for("c", 10))
+        task = job.make_task(reports_for("c", 10))
         assert task.data_size == 10.0
         assert task.job_id == "j"
 
-    def test_make_tasks_splits_equally(self):
-        job = TDJob(job_id="j", claim_id="c", tasks_per_batch=3)
-        tasks = job.make_tasks(reports_for("c", 10))
-        assert [t.data_size for t in tasks] == [4.0, 3.0, 3.0]
-
-    def test_make_tasks_caps_at_report_count(self):
-        job = TDJob(job_id="j", claim_id="c", tasks_per_batch=10)
-        tasks = job.make_tasks(reports_for("c", 3))
-        assert len(tasks) == 3
-
     def test_empty_batch_yields_one_empty_task(self):
         job = TDJob(job_id="j", claim_id="c")
-        (task,) = job.make_tasks([])
+        task = job.make_task([])
         assert task.data_size == 0.0
 
     def test_tasks_only_size_the_work(self):
-        job = TDJob(job_id="j", claim_id="c", tasks_per_batch=2)
-        tasks = job.make_tasks(reports_for("c", 4))
-        assert [(t.data_size, t.fn) for t in tasks] == [(2.0, None)] * 2
+        job = TDJob(job_id="j", claim_id="c")
+        task = job.make_task(reports_for("c", 4))
+        assert (task.data_size, task.fn) == (4.0, None)
 
     def test_accounting(self):
         job = TDJob(job_id="j", claim_id="c")
-        job.make_tasks(reports_for("c", 5))
-        job.make_tasks(reports_for("c", 7))
+        job.make_task(reports_for("c", 5))
+        job.make_task(reports_for("c", 7))
         assert job.reports_seen == 12
         assert job.batches_submitted == 2
 
@@ -244,8 +232,6 @@ class TestDistributedSSTD:
             SSTDSystemConfig(n_workers=0)
         with pytest.raises(ValueError):
             SSTDSystemConfig(deadline=0.0)
-        with pytest.raises(ValueError):
-            SSTDSystemConfig(tasks_per_job=0)
 
     def test_interval_validation(self):
         from repro.streams import Trace
