@@ -13,7 +13,7 @@ on a distributed framework."
 This module implements that extension with exactly the structure the
 paper sketches:
 
-- a :class:`ClaimDependencyGraph` (networkx) holds pairwise claim
+- a :class:`ClaimDependencyGraph` holds pairwise claim
   correlations in ``[-1, 1]`` (+1: truths move together, -1: mutually
   exclusive);
 - :class:`CorrelatedSSTD` shares *evidence* along graph edges before
@@ -29,10 +29,10 @@ paper sketches:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.core.acs import ReportTable, acs_sequence
@@ -47,13 +47,18 @@ __all__ = [
 
 
 class ClaimDependencyGraph:
-    """Weighted undirected graph of claim correlations."""
+    """Weighted undirected graph of claim correlations.
+
+    ``_adjacency[a][b]`` is the correlation of claims ``a`` and ``b``,
+    stored both ways.  Dicts keep insertion order, so claims, neighbors
+    and components come out in the order they were added.
+    """
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
+        self._adjacency: dict[str, dict[str, float]] = {}
 
     def add_claim(self, claim_id: str) -> None:
-        self._graph.add_node(claim_id)
+        self._adjacency.setdefault(claim_id, {})
 
     def add_dependency(
         self, claim_a: str, claim_b: str, correlation: float
@@ -72,34 +77,44 @@ class ClaimDependencyGraph:
                 f"correlation must be in [-1, 1], got {correlation}"
             )
         if correlation == 0.0:
-            if self._graph.has_edge(claim_a, claim_b):
-                self._graph.remove_edge(claim_a, claim_b)
+            self._adjacency.get(claim_a, {}).pop(claim_b, None)
+            self._adjacency.get(claim_b, {}).pop(claim_a, None)
             return
-        self._graph.add_edge(claim_a, claim_b, correlation=correlation)
+        self.add_claim(claim_a)
+        self.add_claim(claim_b)
+        self._adjacency[claim_a][claim_b] = correlation
+        self._adjacency[claim_b][claim_a] = correlation
 
     def neighbors(self, claim_id: str) -> list[tuple[str, float]]:
         """(neighbor, correlation) pairs of a claim."""
-        if claim_id not in self._graph:
-            return []
-        return [
-            (other, self._graph.edges[claim_id, other]["correlation"])
-            for other in self._graph.neighbors(claim_id)
-        ]
+        return list(self._adjacency.get(claim_id, {}).items())
 
     def correlation(self, claim_a: str, claim_b: str) -> float:
-        if self._graph.has_edge(claim_a, claim_b):
-            return self._graph.edges[claim_a, claim_b]["correlation"]
-        return 0.0
+        return self._adjacency.get(claim_a, {}).get(claim_b, 0.0)
 
     def components(self) -> list[set[str]]:
         """Connected components — the units that must share a master."""
-        return [set(c) for c in nx.connected_components(self._graph)]
+        components: list[set[str]] = []
+        seen: set[str] = set()
+        for start in self._adjacency:
+            if start in seen:
+                continue
+            component = {start}
+            queue = deque([start])
+            while queue:
+                for other in self._adjacency[queue.popleft()]:
+                    if other not in component:
+                        component.add(other)
+                        queue.append(other)
+            seen |= component
+            components.append(component)
+        return components
 
     def __contains__(self, claim_id: str) -> bool:
-        return claim_id in self._graph
+        return claim_id in self._adjacency
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._adjacency)
 
     @classmethod
     def from_edges(

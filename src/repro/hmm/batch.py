@@ -37,7 +37,10 @@ independent reference in ``tests/hmm/scalar_reference.py``:
 
 The time recursions themselves (forward, backward, Viterbi, the xi
 accumulation) live in :mod:`repro.hmm.kernels.numpy_ref`: time-major
-working copies, a handful of allocation-free ufunc calls per step.
+working copies, a handful of allocation-free ufunc calls per step, and
+on long rows time blocks that cut a forward or backward pass to about
+``2 * CHUNK + T / CHUNK`` Python steps (anchored per row, so they keep
+row-wise determinism).
 """
 
 from __future__ import annotations

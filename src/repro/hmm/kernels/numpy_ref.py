@@ -3,41 +3,83 @@
 These free functions are the one implementation of forward, backward,
 Viterbi and the Baum-Welch xi accumulation;
 :class:`repro.hmm.batch.BatchGaussianHMM` calls them directly.
-``tests/hmm/test_kernels.py`` holds them bit for bit to the original
-einsum recursions (kept there as a frozen oracle) and
-``tests/hmm/test_kernel_oracle.py`` to exhaustive path enumeration.
+``tests/hmm/test_kernels.py`` holds forward and backward to the original
+einsum recursions (kept there as a frozen oracle: bit for bit on rows of
+at most ``ONE_BLOCK_MAX + 1`` timesteps, to rounding on longer ones),
+``tests/hmm/test_kernel_oracle.py`` to exhaustive path enumeration and
+``tests/hmm/log_reference.py`` to a log-space recursion at production
+lengths.
 
 Working layout
 --------------
 The ops take and return C-contiguous ``(N, T, K)`` / ``(N, T)`` stacks,
 but recurse over a **time-major, state-major** private copy: the stack
 is transposed once to a contiguous ``(T, K, N)`` buffer (``(T, N)`` for
-scales) and the result transposed back once.  In that layout one
-timestep is a leading-axis view, the active rows ``[:m]`` are a
-contiguous prefix of the last axis, and every ufunc inner loop runs over
-rows rather than over two or three states.  Rows are sorted by length
-descending, so the time axis splits into a few maximal *runs* of
-constant active-row count (:func:`_runs`); prefix views, transition
-slabs and scratch buffers are built once per run, the run is iterated
-with ``zip`` over leading-axis views, and each step is a fixed handful
-of ``out=`` ufunc calls that allocate nothing.  Arguments are only ever
-read (worker inputs are read-only shared-memory views); everything
-written is a buffer the op allocated itself.
+scales, padded with neutral steps to whole blocks) and the result
+transposed back once.  In that layout one timestep is a leading-axis
+view, every ufunc inner loop runs over rows rather than over two or
+three states, and each step is a fixed handful of ``out=`` ufunc calls.
+Arguments are only ever read (worker inputs are read-only shared-memory
+views); everything written is a buffer the op allocated itself.
+
+Blocked time
+------------
+A step costs a few microseconds of interpreter whatever the number of
+rows, so a pass that walks ``T - 1`` steps one by one is bound by the
+interpreter on long grids.  :func:`forward` and :func:`backward`
+instead cut time into fixed blocks of :data:`CHUNK` steps, block ``b``
+holding steps ``b*CHUNK + 1 .. (b+1)*CHUNK``, and run three phases:
+
+1. *Transfer products.*  Every block but the last gets the product of
+   its step matrices (``A diag(e_t)`` forward), built one block offset
+   at a time for all blocks and rows at once: ``CHUNK - 1`` Python
+   steps.
+2. *Carry.*  The state vector at each block boundary follows from the
+   previous boundary and that block's product: one small ``(K, N)``
+   step per block, in order.
+3. *Replay.*  The ordinary step function runs inside every block at
+   once, from the block's boundary vector, and writes every timestep's
+   ``alpha`` / ``scales`` (or ``beta``) straight into the working
+   buffer: ``CHUNK`` Python steps.
+
+A pass therefore takes about ``2 * CHUNK + T / CHUNK`` Python steps
+instead of ``T - 1``.  A forward step matrix uses the step's emissions
+divided by their total over states, which keeps ``CHUNK`` of them in
+range (only the product's direction matters; the carry renormalises
+the boundary vector).  A backward step divides by the forward scale, as
+the recursion does, so the product carries the scaled ``beta`` exactly.
+Block 0 replays from the exact initial vector; a later block starts from
+a carried vector that differs from the sequential one by rounding only,
+and the filter forgets its initial condition geometrically, so the
+difference does not grow along the row.
+
+Below about four blocks the products and the carry cost more Python
+steps than they save, so a row of at most :data:`ONE_BLOCK_MAX` steps
+runs as a single block: the replay alone, which is the sequential
+recursion.  A stack holding both kinds runs its long rows (a prefix,
+rows being sorted by length) and its short rows as two passes.
+
+Forward blocks are anchored at ``t = 0``.  Backward blocks are anchored
+at each row's own last step: the backward pass runs over per-row
+time-reversed copies, so ``beta[len - 1]`` is exactly 1 and a row sees
+the same blocks in any stack.
 
 Accumulation-order contract
 ---------------------------
 Floating-point addition is not associative, so a claim decodes to the
-same bits in any batch (shard-composition determinism) only if the
-order of every reduction is independent of the stack it runs in.  No
-``einsum`` and no ``.sum()`` is left inside a time loop; every
-contraction is a chain of explicit elementwise adds:
+same bits in any batch (shard-composition determinism) only if every
+row's arithmetic is independent of the stack it runs in: which rows
+ride along, and how long the longest of them is.  Blocks are anchored
+per row and chosen by the row's own length as above, and no ``einsum``
+and no ``.sum()`` is left inside a time loop; every contraction is a
+chain of explicit elementwise adds:
 
 - the forward contraction over the source state ``k`` is
   ``alpha[0]*A[0] + alpha[1]*A[1] (+ ...)`` accumulated left to right in
-  ``k`` order;
+  ``k`` order, and so is a product's contraction over its inner state;
 - the per-step total over states and the backward contraction over the
   destination state ``j`` are likewise ``col[0] + col[1] (+ ...)`` in
-  ``j`` order.  Being explicit adds, they stay sequential at any ``K``;
+  index order.  Being explicit adds, they stay sequential at any ``K``;
 - compound products keep one association: ``(sum_k alpha*A) * em`` in
   the forward step, ``A * (em * beta)`` in the backward step;
 - time reductions (the xi sums) run along the time axis of the whole
@@ -45,20 +87,27 @@ contraction is a chain of explicit elementwise adds:
   accumulates a non-innermost axis slice by slice — sequentially in
   ``t`` — and ``acc + 0.0 == acc``.
 
+The contract is bitwise independence of batch composition.  Bitwise
+equality with the sequential recursion holds for rows of at most
+``ONE_BLOCK_MAX + 1`` timesteps, and in the first block of longer rows.
+
 Dead timesteps
 --------------
 A timestep whose total probability underflows to zero is rescued with a
-uniform ``alpha`` row and a ``PROB_FLOOR`` scale.  The rescue is
-*optimistic*: a run is first recursed without any per-step check, its
-block of scales is tested for zeros once, and only a run that has one is
-redone by the same step function with the rescue applied after every
-step (rows are independent, so the NaNs a dead row produces in the
-optimistic pass never reach another row).
+uniform ``alpha`` row and a ``PROB_FLOOR`` scale; ``beta`` is zero
+before it.  The forward pass runs without any per-step check: a dead
+step leaves a zero scale and NaN after it (a blocked row also gets a
+zero product and NaN boundary vectors).  Every row whose scales then
+hold a zero or a NaN is redone alone, as a single block, with the rescue
+applied after every step.  Only those rows are redone, so whether a row
+is, and what it gets, depends on the row alone.  The backward pass needs
+no rescue: a dead step's zero emission row zeroes ``beta`` before it,
+and every product that crosses it, exactly.
 
-Padded cells hold neutral values (``1/K`` in ``alpha``, ``1.0`` in
-``scales`` / ``beta``, ``0`` states) and are never read by a recursion;
-rows must be sorted by length descending (see
-:func:`repro.hmm.batch.stack_ragged`).
+Padded cells come back holding neutral values (``1/K`` in ``alpha``,
+``1.0`` in ``scales`` / ``beta``, ``0`` states); what a recursion
+computes past a row's end never reaches the row.  Rows must be sorted
+by length descending (see :func:`repro.hmm.batch.stack_ragged`).
 """
 
 from __future__ import annotations
@@ -68,12 +117,23 @@ import numpy as np
 from repro.hmm.utils import PROB_FLOOR
 
 __all__ = [
+    "CHUNK",
+    "ONE_BLOCK_MAX",
     "active_counts",
     "backward",
     "estep_xi_sum",
     "forward",
     "viterbi",
 ]
+
+#: Steps per time block of :func:`forward` and :func:`backward` ("Blocked
+#: time"); chosen by the sweep in EXPERIMENTS.md.
+CHUNK = 8
+
+#: Rows of at most this many steps run as one block, i.e. sequentially:
+#: the transfer products and the carry cost more Python steps than they
+#: save below about four blocks.
+ONE_BLOCK_MAX = 4 * CHUNK
 
 
 def active_counts(lengths: np.ndarray, t_max: int) -> np.ndarray:
@@ -89,9 +149,8 @@ def _runs(lengths: np.ndarray, t_max: int) -> list[tuple[int, int, int]]:
     """Maximal runs ``(t0, t1, m)`` of timesteps ``1 <= t0 <= t < t1``
     sharing one active-row count ``m = counts[t] > 0``, in time order.
 
-    Timestep 0 is never part of a run: the forward and Viterbi passes
-    initialise it, and the backward step writing ``t - 1`` from ``t``
-    shares the forward step's ``counts[t]``.
+    Timestep 0 is never part of a run: the Viterbi pass initialises it,
+    and its backtrace writing ``t - 1`` from ``t`` shares ``counts[t]``.
     """
     if t_max < 2:
         return []
@@ -117,37 +176,141 @@ def _rows_first(work: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(work.transpose(2, 0, 1))
 
 
-def _forward_run(
+def _add_in_order(terms: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """``out = terms[0] + terms[1] + ...``, added left to right."""
+    first, *rest = terms
+    if not rest:
+        out[...] = first
+        return out
+    np.add(first, rest[0], out=out)
+    for term in rest[1:]:
+        np.add(out, term, out=out)
+    return out
+
+
+def _blocks(t_max: int, span: int) -> int:
+    """Blocks of ``span`` steps covering timesteps ``1 .. t_max - 1``."""
+    return -(-(t_max - 1) // span)
+
+
+def _by_offset(buffer: np.ndarray, start: int, blocks: int, span: int):
+    """``out[j, b] = buffer[start + b * span + j]``: the timesteps of every
+    block at one offset, one view per offset (no copy).  A single block
+    drops the block axis: ``out[j] = buffer[start + j]``."""
+    if blocks == 1:
+        return buffer[start : start + span]
+    stop = start + blocks * span
+    chunked = buffer[start:stop].reshape((blocks, span) + buffer.shape[1:])
+    return chunked.swapaxes(0, 1)
+
+
+def _time_major(emissions: np.ndarray, t_pad: int) -> np.ndarray:
+    """``(N, T, K)`` emissions as a contiguous ``(t_pad, K, N)`` working
+    copy; timesteps past ``T`` hold 1.0 (a missing observation)."""
+    n_seqs, t_max, k = emissions.shape
+    work = np.empty((t_pad, k, n_seqs))
+    work[:t_max] = np.asarray(emissions, dtype=float).transpose(1, 2, 0)
+    work[t_max:] = 1.0
+    return work
+
+
+def _forward_transfer(
+    work: np.ndarray, trans: np.ndarray, n_full: int
+) -> np.ndarray:
+    """Phase 1: ``(n_full, K, K, N)`` products ``M_{t0} ... M_{t0+CHUNK-1}``
+    of the first ``n_full`` blocks, ``M_t = A diag(e_t)``, all blocks and
+    rows at once.
+
+    Each step's emissions are divided by their total over states first,
+    so a step matrix has entries at most 1 and every row of it sums to
+    at least an entry of ``A`` over ``K``: ``CHUNK`` of them neither
+    overflow nor underflow.  Only a product's direction matters; the
+    carry renormalises.
+    """
+    _, k, n_seqs = work.shape
+    region = work[1 : 1 + n_full * CHUNK]
+    totals = np.empty((region.shape[0], n_seqs))
+    _add_in_order(list(region.swapaxes(0, 1)), out=totals)
+    scaled = region / totals[:, None, :]
+    ems = _by_offset(scaled[:, None], 0, n_full, CHUNK)
+    # product[b, i, j] = A[i, j] * e[j] at the block's first step.
+    product = np.multiply(trans, ems[0])
+    scratch = np.empty((n_full, k, k, k, n_seqs))
+    inner = [scratch[:, :, l] for l in range(k)]
+    for em in ems[1:]:
+        # scratch[b, i, l, j] = P[b, i, l] * A[l, j]; summed over l in order.
+        np.multiply(product[:, :, :, None, :], trans, out=scratch)
+        _add_in_order(inner, out=product)
+        np.multiply(product, em, out=product)
+    return product
+
+
+def _forward_carry(alpha: np.ndarray, transfer: np.ndarray) -> None:
+    """Phase 2: ``alpha`` at every block boundary ``b * CHUNK``, the
+    normalised product of the previous boundary and its block's
+    transfer."""
+    _, k, n_seqs = alpha.shape
+    n_full = transfer.shape[0]
+    products = np.empty((k, k, n_seqs))
+    first_product, *more_products = products
+    nxt = np.empty((k, n_seqs))
+    first_state, *more_states = nxt
+    total = np.empty(n_seqs)
+    multiply, add, divide = np.multiply, np.add, np.divide
+    for prev, block, out in zip(
+        alpha[: n_full * CHUNK : CHUNK, :, None, :],
+        transfer,
+        alpha[CHUNK : (n_full + 1) * CHUNK : CHUNK],
+    ):
+        # products[i, j] = alpha[i] * P[i, j]; summed over i in order.
+        multiply(prev, block, out=products)
+        if not more_products:  # K = 1
+            divide(first_product, first_product, out=out)
+            continue
+        acc = first_product
+        for product in more_products:
+            add(acc, product, out=nxt)
+            acc = nxt
+        acc = first_state
+        for state in more_states:
+            add(acc, state, out=total)
+            acc = total
+        divide(nxt, total, out=out)
+
+
+def _forward_replay(
     alpha: np.ndarray,
     scales: np.ndarray,
-    emissions: np.ndarray,
+    work: np.ndarray,
     trans: np.ndarray,
-    run: tuple[int, int, int],
+    span: int,
     rescue: bool,
 ) -> None:
-    """Forward steps of one run, in the ``(T, K, N)`` working layout.
+    """Phase 3: the forward step at each offset of every ``span``-step
+    block at once, from the block's boundary vector.
 
     ``trans[i, j, n]`` is row n's ``A[i, j]``.  With ``rescue`` the
-    dead-timestep repair runs after every step; without it a dead row
+    dead-timestep repair runs after every step; without it a dead step
     leaves a zero in ``scales`` (and NaNs after it) for the caller to
     find.
     """
-    t0, t1, m = run
-    k = emissions.shape[1]
-    slabs = trans[:, :, :m]
-    products = np.empty((k, k, m))
-    first_product, *more_products = products
-    nxt = np.empty((k, m))
-    first_state, *more_states = nxt
+    t_pad, k, n_seqs = alpha.shape
+    blocks = (t_pad - 1) // span
+    lead = (blocks,) if blocks > 1 else ()
+    products = np.empty(lead + (k, k, n_seqs))
+    first_product, *more_products = (products[..., i, :, :] for i in range(k))
+    nxt = np.empty(lead + (k, n_seqs))
+    first_state, *more_states = (nxt[..., j, :] for j in range(k))
     multiply, add, divide = np.multiply, np.add, np.divide
-    for prev, em, out, total in zip(
-        alpha[t0 - 1 : t1 - 1, :, None, :m],
-        emissions[t0:t1, :, :m],
-        alpha[t0:t1, :, :m],
-        scales[t0:t1, :m],
+    for prev, em, out, total, column in zip(
+        _by_offset(alpha, 0, blocks, span)[..., :, None, :],
+        _by_offset(work, 1, blocks, span),
+        _by_offset(alpha, 1, blocks, span),
+        _by_offset(scales, 1, blocks, span),
+        _by_offset(scales, 1, blocks, span)[..., None, :],
     ):
-        # products[i, j] = alpha[t-1, i] * A[i, j]; summed over i in order.
-        multiply(prev, slabs, out=products)
+        # products[b, i, j] = alpha[t-1, i] * A[i, j]; summed over i in order.
+        multiply(prev, trans, out=products)
         acc = first_product
         for product in more_products:
             add(acc, product, out=nxt)
@@ -160,12 +323,64 @@ def _forward_run(
                 acc = total
         else:
             total[...] = first_state
-        divide(nxt, total, out=out)
+        divide(nxt, column, out=out)
         if rescue:
             dead = total == 0
             if dead.any():
-                out[:, dead] = 1.0 / k
+                np.copyto(out, 1.0 / k, where=dead[..., None, :])
                 total[dead] = PROB_FLOOR
+
+
+def _forward_pass(
+    startprob: np.ndarray,
+    transmat: np.ndarray,
+    emissions: np.ndarray,
+    span: int,
+    rescue: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forward recursion in blocks of ``span`` steps: ``(N, T, K)`` alpha
+    and ``(N, T)`` scales, padded cells unspecified."""
+    n_seqs, t_max, k = emissions.shape
+    blocks = _blocks(t_max, span)
+    t_pad = 1 + blocks * span
+    work = _time_major(emissions, t_pad)
+    trans = _rows_last(transmat)
+    alpha = np.empty((t_pad, k, n_seqs))
+    scales = np.empty((t_pad, n_seqs))
+    first = startprob * emissions[:, 0, :]
+    total = first.sum(axis=1)
+    dead = total == 0
+    alpha[0] = np.where(
+        dead[:, None], 1.0 / k, first / np.where(dead, 1.0, total)[:, None]
+    ).T
+    scales[0] = np.where(dead, PROB_FLOOR, total)
+    # A dead step divides 0 by 0 and leaves NaN in its row's later steps;
+    # steps past a row's end run on whatever its padding holds.
+    with np.errstate(all="ignore"):
+        if blocks > 1:
+            _forward_carry(alpha, _forward_transfer(work, trans, blocks - 1))
+        if blocks:
+            _forward_replay(alpha, scales, work, trans, span, rescue)
+    return _rows_first(alpha[:t_max]), np.ascontiguousarray(scales[:t_max].T)
+
+
+def _passes(lengths: np.ndarray) -> list[tuple[slice, int, int]]:
+    """How a stack's rows are cut into blocks: ``(rows, length, span)``
+    per pass, ``length`` the longest row of the pass.
+
+    Rows with more than :data:`ONE_BLOCK_MAX` steps run in blocks of
+    :data:`CHUNK`; the shorter rows (a suffix: rows are sorted by length
+    descending) run as a single block, which is the sequential
+    recursion.  Which pass a row takes depends on its own length alone.
+    """
+    n_long = int(np.count_nonzero(lengths > ONE_BLOCK_MAX + 1))
+    passes = []
+    if n_long:
+        passes.append((slice(0, n_long), int(lengths[0]), CHUNK))
+    if n_long < len(lengths):
+        longest = int(lengths[n_long])
+        passes.append((slice(n_long, None), longest, max(1, longest - 1)))
+    return passes
 
 
 def forward(
@@ -174,7 +389,7 @@ def forward(
     emissions: np.ndarray,
     lengths: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled forward pass over the stack.
+    """Scaled forward pass over the stack, in blocks of :data:`CHUNK`.
 
     Returns ``(alpha, scales)``; a timestep whose total probability
     underflows to zero is rescued with a uniform ``alpha`` row and a
@@ -183,26 +398,192 @@ def forward(
     computed by the caller (:meth:`BatchGaussianHMM.forward`).
     """
     n_seqs, t_max, k = emissions.shape
-    work = _rows_last(emissions)
-    trans = _rows_last(transmat)
-    alpha = np.full((t_max, k, n_seqs), 1.0 / k)
-    scales = np.ones((t_max, n_seqs))
-    first = startprob * emissions[:, 0, :]
-    total = first.sum(axis=1)
-    dead = total == 0
-    alpha[0] = np.where(
-        dead[:, None], 1.0 / k, first / np.where(dead, 1.0, total)[:, None]
-    ).T
-    scales[0] = np.where(dead, PROB_FLOOR, total)
-    # A dead row divides 0 by 0 in the optimistic pass; the redo below
-    # overwrites whatever that leaves behind.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for run in _runs(lengths, t_max):
-            _forward_run(alpha, scales, work, trans, run, rescue=False)
-            t0, t1, m = run
-            if (scales[t0:t1, :m] == 0).any():
-                _forward_run(alpha, scales, work, trans, run, rescue=True)
-    return _rows_first(alpha), np.ascontiguousarray(scales.T)
+    passes = _passes(lengths)
+    if len(passes) == 1 and passes[0][1] == t_max:
+        alpha, scales = _forward_pass(
+            startprob, transmat, emissions, passes[0][2], rescue=False
+        )
+    else:
+        alpha = np.empty((n_seqs, t_max, k))
+        scales = np.empty((n_seqs, t_max))
+        for rows, length, span in passes:
+            alpha[rows, :length], scales[rows, :length] = _forward_pass(
+                startprob[rows],
+                transmat[rows],
+                emissions[rows, :length],
+                span,
+                rescue=False,
+            )
+    live = scales > 0  # False on a zero and on a NaN
+    ragged = lengths[-1] < t_max
+    if ragged:
+        padded = np.arange(t_max) >= lengths[:, None]
+        live |= padded
+    if not live.all():
+        dead = np.flatnonzero(~live.all(axis=1))
+        length = int(lengths[dead[0]])
+        alpha[dead, :length], scales[dead, :length] = _forward_pass(
+            startprob[dead],
+            transmat[dead],
+            emissions[dead, :length],
+            max(1, length - 1),
+            rescue=True,
+        )
+    if ragged:
+        alpha[padded] = 1.0 / k
+        scales[padded] = 1.0
+    return alpha, scales
+
+
+def _reversed_rows(
+    stack: np.ndarray, groups: list[tuple[int, int, int]], t_pad: int
+) -> np.ndarray:
+    """``(N, T, ...)`` stack as a ``(t_pad, ..., N)`` working copy in each
+    row's reversed time: ``out[s, ..., n] = stack[n, length - s]`` for
+    ``1 <= s < length``, 1.0 everywhere else (``groups`` is
+    :func:`_length_groups` of the lengths)."""
+    stack = np.asarray(stack, dtype=float)
+    axes = (*range(1, stack.ndim), 0)
+    out = np.empty((t_pad,) + stack.shape[2:] + stack.shape[:1])
+    out[0] = 1.0
+    for n0, n1, length in groups:
+        rows = stack[n0:n1, length - 1 : 0 : -1]
+        out[1:length, ..., n0:n1] = rows.transpose(axes)
+        out[length:, ..., n0:n1] = 1.0
+    return out
+
+
+def _length_groups(lengths: np.ndarray) -> list[tuple[int, int, int]]:
+    """Maximal row ranges ``(n0, n1, length)`` of one length, in order."""
+    if lengths[0] == lengths[-1]:
+        return [(0, len(lengths), int(lengths[0]))]
+    cuts = (np.flatnonzero(np.diff(lengths)) + 1).tolist()
+    return [
+        (n0, n1, int(lengths[n0]))
+        for n0, n1 in zip([0, *cuts], [*cuts, len(lengths)])
+    ]
+
+
+def _backward_transfer(
+    work: np.ndarray, scale_rows: np.ndarray, trans: np.ndarray, n_full: int
+) -> np.ndarray:
+    """Phase 1 in reversed time: ``(n_full, K, K, N)`` products of the
+    first ``n_full`` blocks, ``Q[b, a]`` the ``beta`` at the block's end
+    from the unit vector ``a`` at its start.
+
+    Each step divides by its forward scale, as the recursion does, so
+    ``Q`` carries the scaled ``beta`` exactly.
+    """
+    _, k, n_seqs = work.shape
+    stop = 1 + n_full * CHUNK
+    scaled = work[1:stop] / scale_rows[1:stop, None, :]
+    columns = _by_offset(scaled[:, :, None], 0, n_full, CHUNK)
+    rows = _by_offset(scaled[:, None], 0, n_full, CHUNK)
+    # product[b, a, i] = A[i, a] * (em[a] / c): the step from unit vector a.
+    product = np.multiply(trans, columns[0])
+    tail = np.empty_like(product)
+    scratch = np.empty((n_full, k, k, k, n_seqs))
+    inner = [scratch[:, :, j] for j in range(k)]
+    for em in rows[1:]:
+        # scratch[b, a, j, i] = A[i, j] * (em[j] / c * Q[b, a, j]);
+        # summed over j in order.
+        np.multiply(em, product, out=tail)
+        np.multiply(trans, tail[:, :, :, None, :], out=scratch)
+        _add_in_order(inner, out=product)
+    return product
+
+
+def _backward_carry(beta: np.ndarray, transfer: np.ndarray) -> None:
+    """Phase 2 in reversed time: ``beta`` at every block boundary, the
+    previous boundary times its block's transfer."""
+    _, k, n_seqs = beta.shape
+    n_full = transfer.shape[0]
+    products = np.empty((k, k, n_seqs))
+    first_product, *more_products = products
+    multiply, add = np.multiply, np.add
+    for prev, block, out in zip(
+        beta[: n_full * CHUNK : CHUNK, :, None, :],
+        transfer,
+        beta[CHUNK : (n_full + 1) * CHUNK : CHUNK],
+    ):
+        # products[a, i] = beta[a] * Q[a, i]; summed over a in order.
+        multiply(prev, block, out=products)
+        if more_products:
+            add(first_product, more_products[0], out=out)
+            for product in more_products[1:]:
+                add(out, product, out=out)
+        else:
+            out[...] = first_product
+
+
+def _backward_replay(
+    beta: np.ndarray,
+    work: np.ndarray,
+    scale_rows: np.ndarray,
+    trans: np.ndarray,
+    span: int,
+) -> None:
+    """Phase 3 in reversed time: the backward step at each offset of
+    every ``span``-step block at once, from the block's boundary vector.
+
+    ``trans[j, i, n]`` is row n's ``A[i, j]``.
+    """
+    t_pad, k, n_seqs = beta.shape
+    blocks = (t_pad - 1) // span
+    lead = (blocks,) if blocks > 1 else ()
+    tail = np.empty(lead + (k, 1, n_seqs))
+    products = np.empty(lead + (k, k, n_seqs))
+    first_product, *more_products = (products[..., j, :, :] for j in range(k))
+    total = np.empty(lead + (k, n_seqs))
+    multiply, add, divide = np.multiply, np.add, np.divide
+    for em, nxt, scale, out in zip(
+        _by_offset(work, 1, blocks, span)[..., :, None, :],
+        _by_offset(beta, 0, blocks, span)[..., :, None, :],
+        _by_offset(scale_rows, 1, blocks, span)[..., None, :],
+        _by_offset(beta, 1, blocks, span),
+    ):
+        # products[b, j, i] = A[i, j] * (em[j] * beta[j]); summed over j
+        # in order.
+        multiply(em, nxt, out=tail)
+        multiply(trans, tail, out=products)
+        acc = first_product
+        for product in more_products:
+            add(acc, product, out=total)
+            acc = total
+        divide(acc, scale, out=out)
+
+
+def _backward_pass(
+    transmat: np.ndarray,
+    emissions: np.ndarray,
+    scales: np.ndarray,
+    lengths: np.ndarray,
+    span: int,
+    out: np.ndarray,
+) -> None:
+    """Backward recursion in blocks of ``span`` steps anchored at each
+    row's last step, written into the ``(N, T, K)`` ``out`` row by row
+    (cells past a row's end are left alone)."""
+    n_seqs, _, k = emissions.shape
+    blocks = _blocks(int(lengths[0]), span)
+    t_pad = 1 + blocks * span
+    groups = _length_groups(lengths)
+    work = _reversed_rows(emissions, groups, t_pad)
+    scale_rows = _reversed_rows(scales, groups, t_pad)
+    # trans[j, i, n] is row n's A[i, j]: one (K, N) slab per destination.
+    trans = _rows_last(np.swapaxes(transmat, 1, 2))
+    beta = np.empty((t_pad, k, n_seqs))
+    beta[0] = 1.0
+    # Steps past a row's end run on the padding's 1.0s.
+    with np.errstate(all="ignore"):
+        if blocks > 1:
+            transfer = _backward_transfer(work, scale_rows, trans, blocks - 1)
+            _backward_carry(beta, transfer)
+        if blocks:
+            _backward_replay(beta, work, scale_rows, trans, span)
+    for n0, n1, length in groups:
+        rows = beta[length - 1 :: -1, :, n0:n1]
+        out[n0:n1, :length] = rows.transpose(2, 0, 1)
 
 
 def backward(
@@ -211,39 +592,20 @@ def backward(
     scales: np.ndarray,
     lengths: np.ndarray,
 ) -> np.ndarray:
-    """Scaled backward pass matching :func:`forward`'s scaling."""
+    """Scaled backward pass matching :func:`forward`'s scaling, cut into
+    blocks as :func:`forward` is."""
     n_seqs, t_max, k = emissions.shape
-    work = _rows_last(emissions)
-    scale_rows = np.ascontiguousarray(np.asarray(scales, dtype=float).T)
-    # trans[j, i, n] is row n's A[i, j]: one (K, m) slab per destination.
-    trans = _rows_last(np.swapaxes(transmat, 1, 2))
-    beta = np.ones((t_max, k, n_seqs))
-    multiply, add, divide = np.multiply, np.add, np.divide
-    # Rows whose final timestep is t keep beta[t] = 1; the step writing
-    # t - 1 only applies where the sequence extends past t - 1.
-    for t0, t1, m in reversed(_runs(lengths, t_max)):
-        slabs = trans[:, :, :m]
-        tail = np.empty((k, 1, m))
-        tail_states = tail[:, 0, :]
-        products = np.empty((k, k, m))
-        first_product, *more_products = products
-        total = np.empty((k, m))
-        for em, nxt, scale, out in zip(
-            work[t0:t1, :, :m][::-1],
-            beta[t0:t1, :, :m][::-1],
-            scale_rows[t0:t1, :m][::-1],
-            beta[t0 - 1 : t1 - 1, :, :m][::-1],
-        ):
-            # products[j, i] = A[i, j] * (em[j] * beta[j]); summed over
-            # j in order.
-            multiply(em, nxt, out=tail_states)
-            multiply(slabs, tail, out=products)
-            acc = first_product
-            for product in more_products:
-                add(acc, product, out=total)
-                acc = total
-            divide(acc, scale, out=out)
-    return _rows_first(beta)
+    beta = np.ones((n_seqs, t_max, k))
+    for rows, _, span in _passes(lengths):
+        _backward_pass(
+            transmat[rows],
+            emissions[rows],
+            scales[rows],
+            lengths[rows],
+            span,
+            beta[rows],
+        )
+    return beta
 
 
 def viterbi(

@@ -4,7 +4,9 @@ sharing timestamps, a constant ACS, or a one-point grid.
 
 For each: no exception, the sign-rule fallback where no HMM can be
 trained (and the HMM where one can), confidences in ``[0, 1]``, and one
-estimate per grid point.
+estimate per grid point.  Last, ACS outliers whose emission densities
+underflow to zero under every state: the dead-timestep rescue of the
+blocked forward pass, through ``batch_fit_decode``.
 """
 
 import math
@@ -13,8 +15,11 @@ import numpy as np
 import pytest
 
 from repro.core.acs import ACSConfig
-from repro.core.sstd import SSTD, SSTDConfig, StreamingSSTD
+from repro.core.sstd import SSTD, SSTDConfig, StreamingSSTD, batch_fit_decode
 from repro.core.types import Attitude, Report, TruthValue
+from repro.hmm import BatchGaussianHMM
+from repro.hmm.kernels.numpy_ref import CHUNK
+from repro.hmm.utils import PROB_FLOOR
 
 CONFIG = SSTDConfig(acs=ACSConfig(window=300.0, step=100.0))
 
@@ -142,3 +147,74 @@ def test_streaming_tick(case):
         assert all(math.isnan(v) for v in state.values)
     # A model exists only where the due refit could fit one.
     assert (state.params is not None) is fits
+
+
+#: claim -> (grid length, timesteps holding an outlier), placed against
+#: the forward pass's time blocks.
+OUTLIERS = {
+    "first-block": (4000, [3]),
+    "block-boundary": (4000, [5 * CHUNK]),
+    "middle-block": (4000, [20 * CHUNK + 3]),
+    "two-blocks": (6500, [30 * CHUNK + 6, 31 * CHUNK + 2]),
+}
+
+
+def outlier_claims():
+    """ACS that flips between two clean levels every 500 steps, with an
+    outlier of 50 at each :data:`OUTLIERS` step.
+
+    An outlier adds about ``50**2 / n`` to the fitted variance of a
+    state owning ``n`` steps, so at these lengths both states' densities
+    at the outlier stay below the smallest double: a dead timestep in
+    every EM iteration and in the decode.
+    """
+    rng = np.random.default_rng(1)
+    items = []
+    for claim_id, (length, steps) in OUTLIERS.items():
+        level = np.where((np.arange(length) // 500) % 2 == 0, -0.5, 0.5)
+        values = level + rng.normal(0.0, 0.05, size=length)
+        values[steps] = 50.0
+        items.append((claim_id, 60.0 * np.arange(length), values))
+    return items
+
+
+def test_underflowing_emissions_alone_and_in_a_stack():
+    """Dead timesteps in the first block, on a block boundary, inside a
+    middle block and in two consecutive blocks: no NaN, a claim decodes
+    to the same bits alone and in the stack, and the fitted model's
+    forward / backward hold the rescue (uniform ``alpha``, ``PROB_FLOOR``
+    scale, ``beta`` zero before the step)."""
+    items = outlier_claims()
+    stacked = batch_fit_decode(items, SSTDConfig())
+    for (claim_id, times, values), result in zip(items, stacked):
+        (alone,) = batch_fit_decode([(claim_id, times, values)], SSTDConfig())
+        assert result.used_hmm
+        assert np.isfinite(result.confidences).all()
+        for field in ("codes", "confidences", "filter_state"):
+            got, want = getattr(result, field), getattr(alone, field)
+            assert got.tobytes() == want.tobytes()
+        for name in ("startprob", "transmat", "means", "variances"):
+            got, want = getattr(result.params, name), getattr(alone.params, name)
+            assert got.tobytes() == want.tobytes()
+
+        params = result.params
+        model = BatchGaussianHMM(
+            1,
+            2,
+            startprob=params.startprob,
+            transmat=params.transmat,
+            means=params.means,
+            variances=params.variances,
+        )
+        emissions = model.emission_probabilities(values[None, :])
+        lengths = np.array([values.size])
+        alpha, scales, log_likelihood = model.forward(emissions, lengths)
+        beta = model.backward(emissions, scales, lengths)
+        steps = OUTLIERS[claim_id][1]
+        for t in steps:
+            assert (emissions[0, t] == 0.0).all()
+            assert scales[0, t] == PROB_FLOOR
+            assert (alpha[0, t] == 0.5).all()
+        assert (beta[0, : steps[-1]] == 0.0).all()
+        assert (beta[0, steps[-1] :] > 0.0).all()
+        assert np.isfinite(log_likelihood).all()

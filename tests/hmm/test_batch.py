@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hmm import BatchGaussianHMM, HMMParams, stack_ragged
+from repro.hmm.kernels import numpy_ref
 from tests.hmm.scalar_reference import ScalarGaussianHMM
 
 
@@ -292,8 +293,22 @@ class TestInference:
             assert logliks[row] == pytest.approx(ref, abs=1e-9)
 
     def test_filter_step_is_the_forward_time_step(self):
+        self.check_filter_step_against_forward(12)
+
+    @pytest.mark.parametrize(
+        "t_max", [numpy_ref.ONE_BLOCK_MAX + 1, numpy_ref.ONE_BLOCK_MAX + 30]
+    )
+    def test_filter_step_against_a_blocked_forward(self, t_max):
+        self.check_filter_step_against_forward(t_max)
+
+    @staticmethod
+    def check_filter_step_against_forward(t_max):
+        """Bit for bit wherever ``forward`` runs the sequential recursion:
+        on rows of at most ``ONE_BLOCK_MAX + 1`` steps, and in the first
+        block of a longer row.  Past that a blocked row starts each block
+        from a carried boundary vector and agrees to rounding."""
         rng = np.random.default_rng(23)
-        observations = rng.normal(0.0, 1.0, size=(4, 12))
+        observations = rng.normal(0.0, 1.0, size=(4, t_max))
         observations[rng.random(observations.shape) < 0.2] = np.nan
         kernel = BatchGaussianHMM(
             4,
@@ -303,11 +318,17 @@ class TestInference:
             transmat=np.array([[0.9, 0.1], [0.2, 0.8]]),
         )
         emissions = kernel.emission_probabilities(observations)
-        alpha, _, _ = kernel.forward(emissions, np.full(4, 12))
+        alpha, _, _ = kernel.forward(emissions, np.full(4, t_max))
+        sequential = t_max <= numpy_ref.ONE_BLOCK_MAX + 1
         current = alpha[:, 0, :]
-        for t in range(1, 12):
+        for t in range(1, t_max):
             current = kernel.filter_step(current, observations[:, t])
-            assert current.tolist() == alpha[:, t, :].tolist()
+            if sequential or t <= numpy_ref.CHUNK:
+                assert current.tolist() == alpha[:, t, :].tolist()
+            else:
+                np.testing.assert_allclose(
+                    current, alpha[:, t, :], rtol=1e-13, atol=0.0
+                )
 
     def test_filter_step_restarts_dead_rows_uniform(self):
         kernel = BatchGaussianHMM(

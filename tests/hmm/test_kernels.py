@@ -1,17 +1,20 @@
-"""The HMM kernels: masked row sums and the frozen-oracle bit parity.
+"""The HMM kernels: masked row sums, the frozen oracle, blocked time.
 
 ``numpy_ref`` is pinned against a *frozen oracle*: the einsum /
 ``.sum(axis=2)`` / ``take_along_axis`` recursion bodies it had before
 the time-major rewrite, kept verbatim below (``oracle_*``).  The
-rewrite changed how many interpreter round-trips a timestep costs, not
-one bit of any output, and these tests are what says so.
+time-major rewrite changed how many interpreter round-trips a timestep
+costs, not one bit of any output.  Blocked time (``CHUNK``) changed the
+arithmetic of rows longer than ``ONE_BLOCK_MAX + 1`` steps: forward and
+backward match the oracle bit for bit on shorter rows and to 1e-13
+relative on longer ones, Viterbi bit for bit everywhere, and every row
+gets the same bits alone as in any stack.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.estimates_io import estimates_digest
 from repro.core.sstd import SSTD, SSTDConfig
 from repro.hmm import BatchGaussianHMM
 from repro.hmm.kernels import active_kernel_info, numpy_ref
@@ -106,6 +109,19 @@ def oracle_viterbi(log_startprob, log_transmat, log_emissions, lengths):
     return states, log_joints
 
 
+def assert_oracle_equal(got, want, lengths):
+    """``got`` is ``want`` bit for bit on the rows that run as one block
+    (the sequential recursion) and within 1e-13 relative on the others;
+    same dtype, shape and C layout."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous
+    one_block = lengths <= numpy_ref.ONE_BLOCK_MAX + 1
+    assert np.array_equal(got[one_block], want[one_block])
+    np.testing.assert_allclose(
+        got[~one_block], want[~one_block], rtol=1e-13, atol=0.0
+    )
+
+
 def same_bits(got, want):
     """Exact equality of values (NaN == NaN), dtype, shape and layout."""
     return (
@@ -156,7 +172,8 @@ def hostile_view(rng, array, how):
 
 
 def assert_matches_oracle(startprob, transmat, emissions, lengths):
-    """numpy_ref forward / backward / viterbi == the frozen oracle.
+    """numpy_ref forward / backward / viterbi == the frozen oracle
+    (forward and backward as :func:`assert_oracle_equal` says).
 
     The oracle always sees plain C-contiguous copies — the only layout
     production ever gave it (einsum picks its inner loop, hence its
@@ -166,12 +183,12 @@ def assert_matches_oracle(startprob, transmat, emissions, lengths):
     plain = [np.array(a, order="C") for a in (startprob, transmat, emissions)]
     alpha_ref, scales_ref = oracle_forward(*plain, lengths)
     alpha, scales = numpy_ref.forward(startprob, transmat, emissions, lengths)
-    assert same_bits(alpha, alpha_ref)
-    assert same_bits(scales, scales_ref)
+    assert_oracle_equal(alpha, alpha_ref, lengths)
+    assert_oracle_equal(scales, scales_ref, lengths)
 
     beta_ref = oracle_backward(plain[1], plain[2], scales_ref, lengths)
     beta = numpy_ref.backward(transmat, emissions, scales, lengths)
-    assert same_bits(beta, beta_ref)
+    assert_oracle_equal(beta, beta_ref, lengths)
 
     states_ref, joints_ref = oracle_viterbi(
         *(log_mask_zero(a) for a in plain), lengths
@@ -234,13 +251,20 @@ class TestMaskedRowSums:
 
 
 class TestNumpyRefMatchesFrozenOracle:
-    """The time-major rewrite returns the parent recursions' exact bits."""
+    """The kernels return the parent recursions' bits (to rounding on
+    blocked rows)."""
 
     @given(
         seed=st.integers(0, 10_000),
         n=st.integers(1, 40),
         k=st.sampled_from([2, 3, 7]),
-        t_max=st.integers(1, 24),
+        t_max=st.one_of(
+            st.integers(1, 24),
+            st.integers(
+                numpy_ref.ONE_BLOCK_MAX - 2,
+                numpy_ref.ONE_BLOCK_MAX + 4 * numpy_ref.CHUNK,
+            ),
+        ),
         shape=st.sampled_from(["equal", "decreasing", "ragged", "short"]),
         missing=st.sampled_from([0.0, 0.5, 0.9]),
         n_dead=st.integers(0, 4),
@@ -300,7 +324,7 @@ class TestNumpyRefMatchesFrozenOracle:
 
     def test_single_state_and_single_step(self):
         rng = np.random.default_rng(0)
-        for n, t_max, k in [(3, 6, 1), (4, 1, 2), (1, 1, 1)]:
+        for n, t_max, k in [(3, 6, 1), (4, 1, 2), (1, 1, 1), (3, 70, 1)]:
             startprob, transmat = random_params(rng, n, k)
             emissions = rng.random((n, t_max, k))
             lengths = np.full(n, t_max, dtype=np.int64)
@@ -338,9 +362,10 @@ class TestNumpyRefMatchesFrozenOracle:
             assert out.flags.writeable
             assert not any(np.shares_memory(out, a) for a in args)
 
-    def test_discover_digest_equals_oracle_path(self, monkeypatch):
+    def test_discover_matches_the_oracle_path(self, monkeypatch):
         """End to end: ``SSTD.discover`` through the production kernels
-        and through the frozen oracle give one estimate digest."""
+        and through the frozen oracle decode the same truth values, with
+        confidences within 1e-12 (the 90-step grid runs blocked)."""
         spec = ScenarioSpec(
             name="kernel-oracle",
             duration=5400.0,
@@ -355,12 +380,12 @@ class TestNumpyRefMatchesFrozenOracle:
             spec, seed=23, config=GeneratorConfig(with_text=False)
         )
 
-        def digest():
+        def discover():
             estimates = SSTD().discover(list(trace.reports))
             assert any(0.0 < e.confidence < 1.0 for e in estimates)
-            return len(estimates), estimates_digest(estimates)
+            return estimates
 
-        production = digest()
+        production = discover()
         oracle_calls = []
 
         def spied_oracle_forward(*args):
@@ -370,8 +395,122 @@ class TestNumpyRefMatchesFrozenOracle:
         monkeypatch.setattr(numpy_ref, "forward", spied_oracle_forward)
         monkeypatch.setattr(numpy_ref, "backward", oracle_backward)
         monkeypatch.setattr(numpy_ref, "viterbi", oracle_viterbi)
-        assert digest() == production
+        oracle = discover()
         assert oracle_calls  # the model really went through the swap
+        assert [(e.claim_id, e.timestamp, e.value) for e in oracle] == [
+            (e.claim_id, e.timestamp, e.value) for e in production
+        ]
+        np.testing.assert_allclose(
+            [e.confidence for e in oracle],
+            [e.confidence for e in production],
+            rtol=0.0,
+            atol=1e-12,
+        )
+        grid = {e.timestamp for e in production}
+        assert len(grid) > numpy_ref.ONE_BLOCK_MAX + 1  # the blocked path
+
+
+#: Row lengths around the places the blocked layout changes: one block
+#: and its edge, the one-block threshold, and block multiples past it.
+EDGE_LENGTHS = sorted(
+    {1, 2, numpy_ref.CHUNK, numpy_ref.CHUNK + 1, numpy_ref.CHUNK + 2}
+    | {numpy_ref.ONE_BLOCK_MAX + d for d in (0, 1, 2, 3)}
+    | {m * numpy_ref.CHUNK + d for m in (5, 6, 7) for d in (0, 1, 2)}
+)
+
+
+class TestBlockedTime:
+    @given(
+        seed=st.integers(0, 10_000),
+        length=st.sampled_from(EDGE_LENGTHS),
+        longer_by=st.integers(0, 3 * numpy_ref.CHUNK),
+        others=st.lists(st.floats(0.0, 1.0), max_size=6),
+        k=st.sampled_from([1, 2, 3]),
+        n_dead=st.integers(0, 2),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_a_row_has_the_same_bits_alone_and_in_any_stack(
+        self, seed, length, longer_by, others, k, n_dead
+    ):
+        """Forward and backward blocks are anchored per row, so a row's
+        ``alpha`` / ``scales`` / ``beta`` do not depend on the rows next
+        to it nor on how many blocks longer the stack is."""
+        rng = np.random.default_rng(seed)
+        t_max = length + longer_by
+        lengths = [length, t_max] + [max(1, round(f * t_max)) for f in others]
+        lengths = np.array(sorted(lengths, reverse=True), dtype=np.int64)
+        row = int(np.flatnonzero(lengths == length)[-1])
+        n = len(lengths)
+        startprob, transmat = random_params(rng, n, k)
+        emissions = rng.random((n, t_max, k))
+        emissions[rng.random((n, t_max)) < 0.3] = 1.0
+        for _ in range(n_dead):
+            emissions[row, rng.integers(0, length)] = 0.0
+
+        alpha, scales = numpy_ref.forward(startprob, transmat, emissions, lengths)
+        beta = numpy_ref.backward(transmat, emissions, scales, lengths)
+        own = slice(row, row + 1)
+        alone_lengths = np.array([length], dtype=np.int64)
+        alone_alpha, alone_scales = numpy_ref.forward(
+            startprob[own], transmat[own], emissions[own, :length], alone_lengths
+        )
+        alone_beta = numpy_ref.backward(
+            transmat[own], emissions[own, :length], alone_scales, alone_lengths
+        )
+        assert alpha[row, :length].tobytes() == alone_alpha[0].tobytes()
+        assert scales[row, :length].tobytes() == alone_scales[0].tobytes()
+        assert beta[row, :length].tobytes() == alone_beta[0].tobytes()
+        assert (alpha[row, length:] == 1.0 / k).all()
+        assert (scales[row, length:] == 1.0).all()
+        assert (beta[row, length:] == 1.0).all()
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [(0, 3)],  # inside the first block
+            [(1, numpy_ref.CHUNK)],  # on a block boundary
+            [(2, numpy_ref.CHUNK + 1)],  # first step after it
+            [(0, 4 * numpy_ref.CHUNK + 3)],  # inside a middle block
+            [(3, 5 * numpy_ref.CHUNK - 1), (3, 5 * numpy_ref.CHUNK + 2)],
+        ],
+        ids=["first-block", "boundary", "after-boundary", "middle", "two-blocks"],
+    )
+    def test_dead_timesteps_in_a_blocked_stack(self, cells):
+        """A row with a dead step is redone by the sequential recursion:
+        its forward is the oracle's bits (uniform ``alpha``,
+        ``PROB_FLOOR`` scale), its ``beta`` is exactly zero before the
+        step, and the other rows keep their blocked values."""
+        rng = np.random.default_rng(len(cells))
+        lengths = np.array([80, 80, 70, 50, 20], dtype=np.int64)
+        startprob, transmat = random_params(rng, 5, 2)
+        clean = rng.random((5, 80, 2))
+        emissions = clean.copy()
+        for row, t in cells:
+            emissions[row, t] = 0.0
+        assert_matches_oracle(startprob, transmat, emissions, lengths)
+
+        alpha, scales = numpy_ref.forward(startprob, transmat, emissions, lengths)
+        beta = numpy_ref.backward(transmat, emissions, scales, lengths)
+        alpha_ref, scales_ref = oracle_forward(
+            startprob, transmat, emissions, lengths
+        )
+        dead_rows = sorted({row for row, _ in cells})
+        assert alpha[dead_rows].tobytes() == alpha_ref[dead_rows].tobytes()
+        assert scales[dead_rows].tobytes() == scales_ref[dead_rows].tobytes()
+        for row, t in cells:
+            assert scales[row, t] == PROB_FLOOR
+            assert (alpha[row, t] == 0.5).all()
+        for row in dead_rows:
+            last = max(t for r, t in cells if r == row)
+            assert (beta[row, :last] == 0.0).all()
+            assert (beta[row, last:lengths[row]] > 0.0).all()
+        assert np.isfinite(alpha).all() and np.isfinite(beta).all()
+        clean_alpha, clean_scales = numpy_ref.forward(
+            startprob, transmat, clean, lengths
+        )
+        live = [row for row in range(5) if row not in dead_rows]
+        assert alpha[live].tobytes() == clean_alpha[live].tobytes()
+        assert scales[live].tobytes() == clean_scales[live].tobytes()
 
 
 def test_the_backend_switch_is_gone(monkeypatch):

@@ -43,9 +43,18 @@ SEED = 1
 #: each claim's whole history every interval.  One estimate per claim
 #: per grid point, the closing point included, so the count moved too.
 #: Before: ``039fc96dd0a11154`` (72).
+#:
+#: ``batch_longgrid`` re-pinned when the forward and backward passes cut
+#: rows of more than ``numpy_ref.ONE_BLOCK_MAX`` steps into time blocks:
+#: its 120-step smoke grid runs blocked, and a block's carried boundary
+#: vector differs from the sequential one by rounding.  Every truth value
+#: is unchanged; on the 12 full-shape runs (seeds 1–3, four workloads)
+#: confidences moved by at most 6.1e-14.  The other smoke grids are
+#: shorter and run as one block, the sequential recursion: same bits.
+#: Before: ``5e69a7a7d8ee52ed``.
 PINNED = {
     "batch_volume": ("414c587868493c5f", 237),
-    "batch_longgrid": ("5e69a7a7d8ee52ed", 941),
+    "batch_longgrid": ("0235423363d9b218", 941),
     "dist_intervals": ("8ce25789636abb77", 79),
     "stream_ticks": ("0a13169d773f6a3b", 117),
 }
