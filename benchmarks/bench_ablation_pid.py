@@ -9,8 +9,8 @@ including control fully off — and reports the hit rates.
 
 from __future__ import annotations
 
-from repro.control import PIDGains
-from repro.system import DTMConfig, DistributedSSTD, SSTDSystemConfig
+from repro.control import ControlConfig, PIDGains
+from repro.system import DistributedSSTD, SSTDSystemConfig
 from repro.workqueue import CostModel
 
 from benchmarks.conftest import report_lines
@@ -38,7 +38,6 @@ def _mean_uncontrolled_time(trace) -> float:
             init_time=0.01, unit_cost=UNIT_COST, transfer_cost=0.0
         ),
         control_enabled=False,
-        dtm=DTMConfig(elastic=False),
     )
     outcome = DistributedSSTD(config).run_intervals(
         trace, n_intervals=N_INTERVALS, deadline=1.0
@@ -55,9 +54,8 @@ def _hit_rate(trace, gains, deadline: float) -> float:
             init_time=0.01, unit_cost=UNIT_COST, transfer_cost=0.0
         ),
         control_enabled=gains is not None,
-        dtm=DTMConfig(
-            elastic=True,
-            pid_gains=gains or PIDGains(kp=0.0, ki=0.0, kd=0.0),
+        control=ControlConfig(
+            gains=gains or PIDGains(kp=0.0, ki=0.0, kd=0.0)
         ),
     )
     system = DistributedSSTD(config)

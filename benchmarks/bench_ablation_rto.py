@@ -22,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster import CondorPool, Simulator, uniform_pool
-from repro.control import JobDemand, RTOAllocator, WCETModel
-from repro.system import DTMConfig, DistributedSSTD, SSTDSystemConfig
+from repro.control import ControlConfig, JobDemand, RTOAllocator, WCETModel
+from repro.system import DistributedSSTD, SSTDSystemConfig
 from repro.system.deadline import DeadlineTracker
 from repro.workqueue import CostModel, ElasticWorkerPool, Task, WorkQueueMaster
 
@@ -61,7 +61,7 @@ def _run_pid(trace, deadline):
                 init_time=INIT_TIME, unit_cost=UNIT_COST, transfer_cost=0.0
             ),
             control_enabled=True,
-            dtm=DTMConfig(elastic=True, sample_period=deadline / 5),
+            control=ControlConfig(sample_period=deadline / 5),
         )
     )
     outcome = system.run_intervals(trace, n_intervals=N_INTERVALS)
@@ -78,7 +78,7 @@ def _run_rto(trace, deadline):
     pool = ElasticWorkerPool(
         simulator, master, condor, cost, max_workers=MAX_WORKERS
     )
-    wcet = WCETModel(init_time=INIT_TIME, theta1=UNIT_COST, theta2=UNIT_COST)
+    wcet = WCETModel(theta2=UNIT_COST)
     allocator = RTOAllocator(wcet, max_workers=MAX_WORKERS, max_tasks_per_job=4)
 
     tracker = DeadlineTracker(deadline=deadline)
@@ -135,7 +135,6 @@ def test_rto_vs_pid(benchmark, boston_trace):
                     init_time=INIT_TIME, unit_cost=UNIT_COST, transfer_cost=0.0
                 ),
                 control_enabled=False,
-                dtm=DTMConfig(elastic=False),
             )
         ).run_intervals(boston_trace, n_intervals=N_INTERVALS, deadline=1.0)
         deadline = 0.8 * probe.tracker.mean_execution_time

@@ -36,7 +36,7 @@ from repro.streams import (
     generate_trace,
     paris_shooting,
 )
-from repro.system import DTMConfig, DistributedSSTD, SSTDSystemConfig
+from repro.system import DistributedSSTD, SSTDSystemConfig
 from repro.workqueue import CostModel
 
 from benchmarks.conftest import report_lines
@@ -88,7 +88,6 @@ def test_execution_time_sweep(benchmark, scenario):
                                 unit_cost=unit,
                                 transfer_cost=unit * 0.02,
                             ),
-                            dtm=DTMConfig(elastic=False),
                         )
                     )
                     result = system.run_batch(

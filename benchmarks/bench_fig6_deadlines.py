@@ -41,7 +41,8 @@ from repro.baselines import DynaTD, EvaluationGrid, make_algorithm
 from repro.core import SSTDConfig, StreamingSSTD
 from repro.core.acs import ACSConfig
 from repro.streams import StreamReplayer
-from repro.system import DTMConfig, DistributedSSTD, SSTDSystemConfig
+from repro.control import ControlConfig
+from repro.system import DistributedSSTD, SSTDSystemConfig
 from repro.system.deadline import hit_rate_curve
 from repro.workqueue import CostModel
 
@@ -140,9 +141,8 @@ def test_deadline_hit_rates(benchmark, request, trace_fixture):
                     deadline=deadline,
                     cost_model=cost_model,
                     control_enabled=True,
-                    dtm=DTMConfig(
-                        elastic=True,
-                        sample_period=max(deadline / 5.0, 1e-3),
+                    control=ControlConfig(
+                        sample_period=max(deadline / 5.0, 1e-3)
                     ),
                 )
             )

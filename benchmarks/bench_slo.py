@@ -13,14 +13,14 @@ deadline hits.
 This benchmark drives one bursty trace through ``run_intervals`` on the
 process backend twice:
 
-- **baseline** — ``feedback=None``: execution times are deadline-
+- **baseline** — ``control_enabled=False``: execution times are deadline-
   independent, so this leg doubles as the calibration run.  The deadline
   is set at the 40th percentile of the baseline's own per-interval
   execution times, which pins the baseline hit rate near 0.4 by
   construction on any machine — a deadline the open loop mostly misses.
-- **feedback** — ``FeedbackConfig`` with admission control and a
-  trajectory recorder: the leg the CI gate holds to a hit-rate floor
-  the baseline is *not* required to meet.
+- **feedback** — ``control_enabled=True`` with a ``ControlConfig``
+  trajectory recorder, so admission runs: the leg the CI gate holds to
+  a hit-rate floor the baseline is *not* required to meet.
 
 The feedback leg's PID trajectory is replayed in-process and must be
 bit-identical (the same guarantee ``repro-cli replay-controller``
@@ -36,7 +36,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.control import FeedbackConfig, load_trajectory, replay_trajectory
+from repro.control import ControlConfig, load_trajectory, replay_trajectory
 from repro.hmm.kernels import active_kernel_info
 from repro.obs import percentile, stitch_metadata, write_chrome_trace
 from repro.streams.events import PopulationConfig, ScenarioSpec
@@ -143,17 +143,10 @@ def test_slo_feedback_vs_open_loop():
         SSTDSystemConfig(
             n_workers=N_WORKERS,
             backend="processes",
-            control_enabled=False,
+            control_enabled=True,
             observability=True,
             claims_per_shard=1,
-            feedback=FeedbackConfig(
-                # Loss-bounds-latency mode: the calibrated deadline puts
-                # the workload in sustained overload (p40 of full-batch
-                # times), where force-admitting stale work would re-blow
-                # the deadline; shedding keeps the loop on budget.
-                shed_after=3,
-                trajectory_path=str(TRAJECTORY_PATH),
-            ),
+            control=ControlConfig(trajectory_path=str(TRAJECTORY_PATH)),
         )
     )
     feedback = feedback_system.run_intervals(

@@ -17,7 +17,8 @@ from repro.core import SSTD
 from repro.core.sstd import SSTDConfig
 from repro.core.acs import ACSConfig
 from repro.streams import generate_trace, paris_shooting
-from repro.system import DTMConfig, DistributedSSTD, SSTDSystemConfig
+from repro.control import ControlConfig
+from repro.system import DistributedSSTD, SSTDSystemConfig
 from repro.workqueue import CostModel
 
 
@@ -46,7 +47,6 @@ def main() -> None:
                 n_workers=workers,
                 max_workers=workers,
                 sstd=sstd_config,
-                dtm=DTMConfig(elastic=False),
             )
         )
         result = system.run_batch(
@@ -65,7 +65,8 @@ def main() -> None:
     print("\nDeadline-driven control (100 intervals, bursty traffic):")
     cost = CostModel(init_time=0.2, unit_cost=0.02, transfer_cost=0.0)
 
-    def run_deadline_demo(control, elastic, deadline):
+    def run_deadline_demo(control, deadline):
+        # The pool may grow past n_workers, so the controller resizes it.
         system = DistributedSSTD(
             SSTDSystemConfig(
                 n_workers=4,
@@ -73,22 +74,22 @@ def main() -> None:
                 deadline=deadline,
                 cost_model=cost,
                 control_enabled=control,
-                dtm=DTMConfig(elastic=elastic, sample_period=deadline / 5),
+                control=ControlConfig(sample_period=deadline / 5),
             )
         )
         return system.run_intervals(trace, n_intervals=100, deadline=deadline)
 
     # Calibrate a *tight* deadline: 80% of the uncontrolled mean, so a
     # static pool misses often and the controller has room to help.
-    baseline = run_deadline_demo(control=False, elastic=False, deadline=10.0)
+    baseline = run_deadline_demo(control=False, deadline=10.0)
     deadline = 0.8 * baseline.tracker.mean_execution_time
     print(f"  (deadline {deadline:.2f}s, mean uncontrolled interval "
           f"{baseline.tracker.mean_execution_time:.2f}s)")
-    for label, control, elastic in (
-        ("static pool, no control", False, False),
-        ("PID control + elastic  ", True, True),
+    for label, control in (
+        ("static pool, no control", False),
+        ("PID control + elastic  ", True),
     ):
-        outcome = run_deadline_demo(control, elastic, deadline)
+        outcome = run_deadline_demo(control, deadline)
         print(
             f"  {label}: hit rate "
             f"{outcome.hit_rate:5.1%}, final pool size "

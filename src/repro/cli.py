@@ -17,7 +17,7 @@ Subcommands mirror the workflows of the examples and benchmarks:
   :mod:`repro.obs`);
 - ``repro-cli replay-controller`` — re-run a recorded PID trajectory
   offline, optionally with modified gains (see
-  :mod:`repro.control.feedback`);
+  :mod:`repro.control.controller`);
 - ``repro-cli lint`` — run the project's SSTD static-analysis rules
   (see :mod:`repro.devtools.lint`); exits non-zero on findings.
 
@@ -337,8 +337,8 @@ def _add_replay_controller(subparsers: argparse._SubParsersAction) -> None:
         "replay-controller",
         help="re-run a recorded PID trajectory offline",
         description=(
-            "Replays a controller trajectory recorded by the feedback "
-            "layer (FeedbackConfig.trajectory_path).  Without gain "
+            "Replays a controller trajectory recorded by a run with "
+            "ControlConfig.trajectory_path set.  Without gain "
             "overrides the replay is bit-identical to the recording — a "
             "determinism check; with --kp/--ki/--kd it answers what the "
             "alternative tuning would have output against the same error "
@@ -363,7 +363,7 @@ def _add_replay_controller(subparsers: argparse._SubParsersAction) -> None:
 def _run_replay_controller(args: argparse.Namespace) -> int:
     import json
 
-    from repro.control.feedback import load_trajectory, replay_trajectory
+    from repro.control.controller import load_trajectory, replay_trajectory
     from repro.control.pid import PIDGains
 
     samples = load_trajectory(args.trajectory)

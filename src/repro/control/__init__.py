@@ -1,30 +1,27 @@
-"""Feedback control: PID controller, WCET model, control knobs, feedback loop."""
+"""Feedback control: PID controller, WCET model, the one control loop."""
 
-from repro.control.feedback import (
-    AdmissionController,
+from repro.control.controller import (
+    Admission,
     AdmissionDecision,
-    FeedbackConfig,
-    IntervalFeedbackLoop,
+    ControlConfig,
+    Controller,
     ReplayStep,
     TrajectoryRecorder,
     TrajectorySample,
     load_trajectory,
     replay_trajectory,
 )
-from repro.control.knobs import GlobalControlKnob, LocalControlKnob
 from repro.control.pid import PAPER_GAINS, PIDController, PIDGains
 from repro.control.rto import Allocation, JobDemand, RTOAllocator
 from repro.control.wcet import WCETModel
 
 __all__ = [
-    "AdmissionController",
+    "Admission",
     "AdmissionDecision",
     "Allocation",
-    "FeedbackConfig",
-    "GlobalControlKnob",
-    "IntervalFeedbackLoop",
+    "ControlConfig",
+    "Controller",
     "JobDemand",
-    "LocalControlKnob",
     "PAPER_GAINS",
     "PIDController",
     "PIDGains",

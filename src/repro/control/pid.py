@@ -7,9 +7,8 @@ the job's deadline, the *process variable* is its (projected) execution
 time, and the control signal drives the Local Control Knob (priority)
 and, aggregated across jobs, the Global Control Knob (worker count).
 
-The implementation adds two standard practical guards the paper's
-production system would need anyway: an integral clamp (anti-windup) and
-an optional output clamp.
+The implementation adds the standard practical guard the paper's
+production system would need anyway: an integral clamp (anti-windup).
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from dataclasses import dataclass
 from repro.obs import Observability
 
 __all__ = [
+    "INTEGRAL_LIMIT",
     "PAPER_GAINS",
     "PID_BUCKETS",
     "PIDController",
@@ -28,6 +28,9 @@ __all__ = [
 #: Histogram bounds for controller error/output samples.  Symmetric
 #: around zero: the sign of (deadline - projection) is the signal.
 PID_BUCKETS = (-60.0, -10.0, -1.0, 0.0, 1.0, 10.0, 60.0)
+
+#: Clamp on |integral| (anti-windup).
+INTEGRAL_LIMIT = 100.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,38 +57,30 @@ class PIDController:
         gains: Proportional / integral / derivative coefficients.
         sample_time: Nominal spacing of updates in seconds (the paper
             samples at 1 Hz).
-        integral_limit: Clamp on |integral| (anti-windup); 0 disables.
-        output_limit: Clamp on |output|; 0 disables.
         obs: Tracing/metrics recorder; each update samples the error
             and output into ``pid.error`` / ``pid.output`` histograms.
             Defaults to a disabled recorder (standalone use).
         name: Label distinguishing this controller's trace events (the
-            DTM runs one controller per job).
+            control loop runs one controller per job).
         recorder: Optional trajectory recorder
-            (:class:`repro.control.feedback.TrajectoryRecorder`); every
+            (:class:`repro.control.controller.TrajectoryRecorder`); every
             update is appended at full float precision so the sequence
             can be replayed bit-identically offline.  Typed loosely to
-            keep this module free of a feedback import.
+            keep this module free of a controller import.
     """
 
     def __init__(
         self,
         gains: PIDGains = PAPER_GAINS,
         sample_time: float = 1.0,
-        integral_limit: float = 100.0,
-        output_limit: float = 0.0,
         obs: Observability | None = None,
         name: str = "pid",
         recorder: object | None = None,
     ) -> None:
         if sample_time <= 0:
             raise ValueError("sample_time must be > 0")
-        if integral_limit < 0 or output_limit < 0:
-            raise ValueError("limits must be >= 0")
         self.gains = gains
         self.sample_time = sample_time
-        self.integral_limit = integral_limit
-        self.output_limit = output_limit
         self.obs = obs if obs is not None else Observability.disabled()
         self.name = name
         self.recorder = recorder
@@ -110,11 +105,9 @@ class PIDController:
         if dt <= 0:
             raise ValueError("dt must be > 0")
 
-        self._integral += error * dt
-        if self.integral_limit:
-            self._integral = min(
-                max(self._integral, -self.integral_limit), self.integral_limit
-            )
+        self._integral = min(
+            max(self._integral + error * dt, -INTEGRAL_LIMIT), INTEGRAL_LIMIT
+        )
 
         derivative = 0.0
         if self._last_error is not None:
@@ -126,8 +119,6 @@ class PIDController:
             + self.gains.ki * self._integral
             + self.gains.kd * derivative
         )
-        if self.output_limit:
-            output = min(max(output, -self.output_limit), self.output_limit)
         self.last_output = output
         if self.recorder is not None:
             self.recorder.record(self, error=error, output=output, dt=dt)

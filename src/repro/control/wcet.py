@@ -1,16 +1,16 @@
 """Worst-Case Execution Time model (paper Section IV-C4, Eq. (10)-(12)).
 
-The DTM predicts how long a TD job will take given its data volume, its
-priority share, and the worker pool size:
+The control loop predicts how long a TD job will take given its data
+volume, its priority share, and the worker pool size:
 
     ET_task  = TI + D * theta_1                       (Eq. 10)
     WCET_job = TI * T_u + D * theta_2 * sum(T)/(WK * T_u)   (Eq. 11)
     WCET_job ~= D * theta_2 / (WK * P_u)              (Eq. 12, small T_u)
 
 where ``D`` is the job's data in the interval, ``WK`` the number of
-workers and ``P_u`` the job's priority share.  The simplified Eq. (12)
-is what the knob-tuning logic inverts to compute priority and worker
-targets.
+workers and ``P_u`` the job's priority share.  The control loop
+(:mod:`repro.control.controller`) projects a job's finish time with the
+simplified Eq. (12), so ``theta_2`` is the model's one parameter.
 """
 
 from __future__ import annotations
@@ -27,41 +27,14 @@ class WCETModel:
     """Parameters of the execution-time prediction.
 
     Attributes:
-        init_time: Per-task initialization overhead ``TI`` (seconds).
-        theta1: Per-data-unit execution cost of a single task.
         theta2: Per-data-unit cost in the aggregated WCET formula.
     """
 
-    init_time: float = 0.5
-    theta1: float = 1e-3
     theta2: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.init_time < 0 or self.theta1 < 0 or self.theta2 < 0:
+        if self.theta2 < 0:
             raise ValueError("WCET parameters must be >= 0")
-
-    def task_execution_time(self, data_size: float) -> float:
-        """Eq. (10): expected time of one task on a unit-speed worker."""
-        if data_size < 0:
-            raise ValueError("data_size must be >= 0")
-        return self.init_time + data_size * self.theta1
-
-    def job_wcet(
-        self,
-        data_size: float,
-        n_tasks: int,
-        total_tasks: int,
-        n_workers: int,
-    ) -> float:
-        """Eq. (11): WCET of a job split into ``n_tasks`` tasks."""
-        if n_tasks < 1 or total_tasks < n_tasks:
-            raise ValueError("need 1 <= n_tasks <= total_tasks")
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        priority = n_tasks / total_tasks
-        return self.init_time * n_tasks + (
-            data_size * self.theta2 / (n_workers * priority)
-        )
 
     def job_wcet_simplified(
         self, data_size: float, priority: float, n_workers: int
@@ -72,25 +45,3 @@ class WCETModel:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         return data_size * self.theta2 / (n_workers * priority)
-
-    def required_priority(
-        self, data_size: float, deadline: float, n_workers: int
-    ) -> float:
-        """Invert Eq. (12) for the priority share that meets ``deadline``."""
-        if deadline <= 0:
-            raise ValueError("deadline must be > 0")
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        return data_size * self.theta2 / (n_workers * deadline)
-
-    def required_workers(
-        self, data_size: float, deadline: float, priority: float
-    ) -> int:
-        """Invert Eq. (12) for the worker count that meets ``deadline``."""
-        if deadline <= 0:
-            raise ValueError("deadline must be > 0")
-        if not 0.0 < priority <= 1.0:
-            raise ValueError("priority share must be in (0, 1]")
-        import math
-
-        return max(1, math.ceil(data_size * self.theta2 / (priority * deadline)))

@@ -122,7 +122,7 @@ RESOURCE_SPECS: tuple[ResourceSpec, ...] = (
     ResourceSpec(
         kind="trajectory-recorder",
         what="controller trajectory recorder",
-        acquire=("repro.control.feedback.TrajectoryRecorder",),
+        acquire=("repro.control.controller.TrajectoryRecorder",),
         release=("close",),
         context_manager=True,
     ),

@@ -332,7 +332,7 @@ class MetricRegistry:
         """Frozen snapshot of one histogram; ``None`` if never observed.
 
         Cheaper than :meth:`snapshot` for control-loop consumers (the
-        latency-mode DTM reads ``wq.task_seconds`` every sample period)
+        a controller reading ``wq.task_seconds`` every sample period)
         because only the requested series is copied under the lock.
         """
         with self._lock:

@@ -1,4 +1,4 @@
-"""The integrated SSTD system: DTM, TD jobs, deadlines, deployment."""
+"""The integrated SSTD system: TD jobs, deadlines, deployment."""
 
 from repro.system.application import (
     ApplicationConfig,
@@ -6,8 +6,6 @@ from repro.system.application import (
     SocialSensingApplication,
 )
 from repro.system.deadline import DeadlineTracker, IntervalRecord, hit_rate_curve
-from repro.system.dtm import DTMConfig, DynamicTaskManager
-from repro.system.jobs import TDJob
 from repro.system.monitor import MonitorSample, MonitorSummary, SystemMonitor
 from repro.system.sstd_system import (
     BatchRunResult,
@@ -19,10 +17,8 @@ from repro.system.sstd_system import (
 __all__ = [
     "ApplicationConfig",
     "BatchRunResult",
-    "DTMConfig",
     "DeadlineTracker",
     "DistributedSSTD",
-    "DynamicTaskManager",
     "FlipEvent",
     "IntervalRecord",
     "IntervalRunResult",
@@ -31,6 +27,5 @@ __all__ = [
     "SystemMonitor",
     "SSTDSystemConfig",
     "SocialSensingApplication",
-    "TDJob",
     "hit_rate_curve",
 ]

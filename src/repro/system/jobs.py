@@ -30,11 +30,10 @@ from repro.core.sstd import ClaimDecodeResult, SSTDConfig, batch_fit_decode
 from repro.core.types import Report
 from repro.hmm.batch import HMMParams
 from repro.system import shm
-from repro.workqueue.task import PayloadSpec, Task
+from repro.workqueue.task import PayloadSpec
 
 __all__ = [
     "ClaimStack",
-    "TDJob",
     "build_claim_stack",
     "claim_sequences",
     "decode_shard_shm_payload",
@@ -245,38 +244,3 @@ def expand_shard_result(
             f"expected {cursor} for claims {list(claim_ids)}"
         )
     return results
-
-
-@dataclass
-class TDJob:
-    """One claim's truth-discovery job.
-
-    Attributes:
-        job_id: Stable identifier (the claim id).
-        claim_id: The claim this job decodes.
-        deadline: Soft deadline in seconds for processing one batch of
-            this job's data (paper ``dl_j``).
-    """
-
-    job_id: str
-    claim_id: str
-    deadline: float = 10.0
-    reports_seen: int = 0
-    batches_submitted: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.job_id:
-            raise ValueError("job_id must be non-empty")
-        if self.deadline <= 0:
-            raise ValueError("deadline must be > 0")
-
-    def make_task(self, reports: ClaimRows | Sequence[Report]) -> Task:
-        """One batch of reports as one Work Queue task.
-
-        One task per batch bounds initialization overhead (Section
-        IV-C4).  The task only sizes the work — the simulated cluster
-        charges its ``data_size`` — so it carries no payload.
-        """
-        self.reports_seen += len(reports)
-        self.batches_submitted += 1
-        return Task(job_id=self.job_id, data_size=float(len(reports)))

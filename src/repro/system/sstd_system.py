@@ -2,9 +2,11 @@
 
 This module wires every substrate together into the architecture of the
 paper's Figure 2: a data stream is partitioned into per-claim TD jobs,
-the Dynamic Task Manager spawns Work Queue tasks for them, the elastic
-worker pool executes them on an HTCondor-style cluster, and the PID
-control loop steers priorities and pool size against soft deadlines.
+each job's batches become Work Queue tasks, the elastic worker pool
+executes them on an HTCondor-style cluster, and the PID control loop
+(:class:`~repro.control.controller.Controller`) steers priorities and
+pool size against soft deadlines — or, on a real executor, admission of
+the interval replay's refits.
 
 Two entry points:
 
@@ -21,6 +23,7 @@ Two entry points:
 from __future__ import annotations
 
 import collections
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -32,7 +35,7 @@ from repro.cluster.condor import CondorPool
 from repro.cluster.failures import FailureConfig, FailureInjector
 from repro.cluster.node import NodeSpec, uniform_pool
 from repro.cluster.simulation import PeriodicTask, Simulator
-from repro.control.feedback import FeedbackConfig, IntervalFeedbackLoop
+from repro.control.controller import ControlConfig, Controller
 from repro.control.wcet import WCETModel
 from repro.core.acs import ReportTable
 from repro.core.sstd import (
@@ -45,9 +48,7 @@ from repro.core.types import Report, TruthEstimate
 from repro.obs import Observability, VirtualClock, using
 from repro.streams.trace import Trace
 from repro.system.deadline import DeadlineTracker
-from repro.system.dtm import DTMConfig, DynamicTaskManager
 from repro.system.jobs import (
-    TDJob,
     build_claim_stack,
     claim_sequences,
     expand_shard_result,
@@ -96,10 +97,19 @@ class SSTDSystemConfig:
             for ``max_workers`` (or 4x n_workers when unbounded).
         cost_model: Virtual-time cost of tasks (init/compute/transfer).
         sstd: Truth-discovery engine configuration.
-        dtm: Control-plane configuration.
-        control_enabled: Run the PID loop; off = static priorities.
+        control: Gains, sample period and trajectory path of the
+            control loop (:class:`~repro.control.controller.ControlConfig`).
+        control_enabled: Run the control loop, on every backend: job
+            priorities and (elastic) pool size on the simulated cluster,
+            admission of the interval replay's refits on a real
+            executor.  A deferred claim skips its refit but keeps
+            filtering on its model.  Off: static priorities, a fixed
+            pool, and every due claim refits (the serial engine's
+            answer).  Real batch runs are never controlled.
         deadline: Default soft deadline per TD job batch (seconds).
         max_workers: Elastic-pool ceiling (None = cluster capacity).
+            The pool is elastic — the control loop may resize it — iff
+            this is ``None`` or above ``n_workers``.
         seed: Seed for dispatch randomization.
         failures: Enable node failure injection (nodes need
             ``mtbf_seconds`` in their specs, or set ``default_mtbf``);
@@ -114,8 +124,8 @@ class SSTDSystemConfig:
             (:mod:`repro.system.shm`; inline bytes without shared
             memory) and a task carries claim ids + row offsets + the
             handle (:func:`~repro.system.jobs.shm_shard_task_spec`).
-            The real backends run on wall time; the PID control plane
-            and failure injection only apply to the simulated backend.
+            The real backends run on wall time; failure injection only
+            applies to the simulated backend.
         claims_per_shard: How many claims each real-backend Work Queue
             task covers.  One task per claim (``1``) pays pickle +
             dispatch + interpreter overhead per claim; a shard amortizes
@@ -138,24 +148,13 @@ class SSTDSystemConfig:
             force it; ``None`` (default) defers to the ``REPRO_TRACE``
             environment variable.  The simulated backend records on the
             virtual clock, the real backends on wall time.
-        feedback: Closed-loop control for the *real-backend* interval
-            replay (:class:`~repro.control.feedback.FeedbackConfig`):
-            a PID turns per-interval lateness into a headroom signal,
-            and deadline-aware admission control partitions each refit
-            round's due claims out of a budget per interval, sized by
-            the observed p95 refit cost.  A deferred claim skips the
-            refit but keeps filtering on its model, and is due again
-            next tick; a shed one (opt-in) waits for its next scheduled
-            refit.  ``None`` (default) refits every due claim, the
-            serial engine's answer.  The simulated backend's control
-            loop is configured via ``dtm`` instead.
     """
 
     n_workers: int = 4
     nodes: tuple[NodeSpec, ...] | None = None
     cost_model: CostModel = field(default_factory=CostModel)
     sstd: SSTDConfig = field(default_factory=SSTDConfig)
-    dtm: DTMConfig = field(default_factory=DTMConfig)
+    control: ControlConfig = field(default_factory=ControlConfig)
     control_enabled: bool = True
     deadline: float = 10.0
     max_workers: int | None = None
@@ -165,7 +164,6 @@ class SSTDSystemConfig:
     drain_timeout: float = 600.0
     observability: bool | None = None
     claims_per_shard: int | None = None
-    feedback: FeedbackConfig | None = None
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -245,8 +243,9 @@ class DistributedSSTD:
     # Deployment plumbing
     # ------------------------------------------------------------------
     def _build(
-        self,
-    ) -> tuple[Simulator, WorkQueueMaster, ElasticWorkerPool, DynamicTaskManager]:
+        self, deadline: float
+    ) -> tuple[Simulator, WorkQueueMaster, ElasticWorkerPool, Controller | None]:
+        """The simulated cluster, with its control loop armed when enabled."""
         config = self.config
         simulator = Simulator()
         if config.nodes is not None:
@@ -279,14 +278,18 @@ class DistributedSSTD:
                 max(config.failures.mean_repair_time / 4.0, 1.0),
                 lambda: pool.scale_to(max(pool.size, config.n_workers)),
             )
-        wcet = WCETModel(
-            init_time=config.cost_model.init_time,
-            theta1=config.cost_model.unit_cost,
-            theta2=config.cost_model.unit_cost
-            + config.cost_model.transfer_cost,
+        if not config.control_enabled:
+            return simulator, master, pool, None
+        cost = config.cost_model
+        controller = Controller(deadline, config.control, obs=self.obs)
+        controller.start(
+            master,
+            pool,
+            WCETModel(theta2=cost.unit_cost + cost.transfer_cost),
+            elastic=config.max_workers is None
+            or config.max_workers > config.n_workers,
         )
-        dtm = DynamicTaskManager(simulator, master, pool, wcet, config.dtm)
-        return simulator, master, pool, dtm
+        return simulator, master, pool, controller
 
     # ------------------------------------------------------------------
     # Batch mode
@@ -301,36 +304,34 @@ class DistributedSSTD:
         config = self.config
         if config.backend != "simulated":
             return self._run_batch_real(reports, start, end)
-        simulator, master, pool, dtm = self._build()
-        if config.control_enabled:
-            dtm.start()
-
+        simulator, master, pool, controller = self._build(config.deadline)
         table = ReportTable.from_reports(reports, config.sstd.acs.weights)
         claim_rows = list(table.by_claim())
         estimates: list[TruthEstimate] = []
 
         run_start = simulator.now
-        with using(self.obs):
+        with using(self.obs), controller or contextlib.nullcontext():
             stack = build_claim_stack(
                 claim_sequences(claim_rows, config.sstd, start, end)
             )
             owner = stack.publish()
             try:
                 for claim_id, rows in claim_rows:
-                    job = TDJob(claim_id, claim_id, deadline=config.deadline)
-                    dtm.register_job(job)
-                    task = job.make_task(rows)
-                    # The task carries the decode payload so the truth
-                    # result materializes when the job's data is
-                    # processed: a one-claim shard of the stack, the
-                    # spec the real backends ship.
-                    task.fn = shm_shard_task_spec(
-                        stack, [claim_id], owner.handle, config.sstd
+                    # One task per claim's job, sized by its reports.  It
+                    # carries the decode payload so the truth result
+                    # materializes when the job's data is processed: a
+                    # one-claim shard of the stack, the spec the real
+                    # backends ship.
+                    master.submit(
+                        Task(
+                            job_id=claim_id,
+                            data_size=float(len(rows)),
+                            fn=shm_shard_task_spec(
+                                stack, [claim_id], owner.handle, config.sstd
+                            ),
+                        )
                     )
-                    master.submit(task)
-
                 master.wait_all()
-                dtm.stop()
             finally:
                 owner.close_and_unlink()
         if self.obs.enabled:
@@ -350,10 +351,8 @@ class DistributedSSTD:
                 )
                 estimates.extend(decoded.estimates)
         estimates.sort(key=lambda e: (e.claim_id, e.timestamp))
-        peak = max(
-            [config.n_workers, pool.size]
-            + [size for _, size in dtm.pool_size_log]
-        )
+        sampled = controller.pool_sizes if controller else []
+        peak = max([config.n_workers, pool.size, *sampled])
         return BatchRunResult(
             estimates=tuple(estimates),
             makespan=simulator.now,
@@ -581,9 +580,10 @@ class DistributedSSTD:
         are returned, the serial engine's on every backend.  The
         execution time is the virtual time the simulated cluster takes
         to drain the interval's per-claim TD tasks (which only size the
-        work; the DTM learns the traffic shape across intervals, the
-        mechanism behind SSTD's Figure 6 advantage), or the wall time
-        of the interval's ticks, whose refits run on a real executor.
+        work; the control loop learns the traffic shape across
+        intervals, the mechanism behind SSTD's Figure 6 advantage), or
+        the wall time of the interval's ticks, whose refits run on a
+        real executor.
         """
         if n_intervals < 1:
             raise ValueError("n_intervals must be >= 1")
@@ -658,22 +658,22 @@ class _SimulatedBackend:
     """The virtual-time cluster's side of the interval replay.
 
     An interval's reports become TD tasks of their claims' jobs, which
-    the DTM steers across intervals; they only size the work.  The
-    engine, which refits on the master, runs only when the estimates
-    are asked for: it takes no virtual time.
+    the control loop steers across intervals; they only size the work.
+    The engine, which refits on the master, runs only when the
+    estimates are asked for: it takes no virtual time.
     """
 
     def __init__(
         self, system: DistributedSSTD, deadline: float, compute_estimates: bool
     ) -> None:
-        config = system.config
-        self.simulator, self.master, self.pool, self.dtm = system._build()
-        self.deadline = deadline
+        self.simulator, self.master, self.pool, self.controller = (
+            system._build(deadline)
+        )
         self.engine: StreamingSSTD | None = None
         if compute_estimates:
-            self.engine = StreamingSSTD(config.sstd, STREAMING_RETRAIN_EVERY)
-        if config.control_enabled:
-            self.dtm.start()
+            self.engine = StreamingSSTD(
+                system.config.sstd, STREAMING_RETRAIN_EVERY
+            )
 
     @property
     def worker_count(self) -> int:
@@ -683,17 +683,11 @@ class _SimulatedBackend:
         self, reports: Sequence[Report], grid: np.ndarray
     ) -> list[TruthEstimate]:
         """Drain one interval's TD tasks on the cluster, then replay it."""
-        by_claim: dict[str, list[Report]] = collections.defaultdict(list)
-        for report in reports:
-            by_claim[report.claim_id].append(report)
-        for claim_id in sorted(by_claim):
-            job = self.dtm.jobs.get(claim_id)
-            if job is None:
-                job = TDJob(
-                    job_id=claim_id, claim_id=claim_id, deadline=self.deadline
-                )
-                self.dtm.register_job(job)
-            self.master.submit(job.make_task(by_claim[claim_id]))
+        counts = collections.Counter(report.claim_id for report in reports)
+        for claim_id in sorted(counts):
+            self.master.submit(
+                Task(job_id=claim_id, data_size=float(counts[claim_id]))
+            )
         self.master.wait_all()
         if self.engine is None:
             return []
@@ -707,7 +701,8 @@ class _SimulatedBackend:
         return 0, 0
 
     def close(self) -> None:
-        self.dtm.stop()
+        if self.controller is not None:
+            self.controller.close()
 
 
 class _ExecutorBackend:
@@ -715,9 +710,10 @@ class _ExecutorBackend:
 
     The engine always runs: its work is what an interval's wall time
     measures.  :meth:`refit` is its refit seam: the due claims pass
-    admission control when ``feedback`` is set, and the admitted ones
-    are decoded as shards of one published stack.  Costs and admission
-    counts add up over an interval and feed the loop when it ends.
+    admission when control is enabled, and the admitted ones are
+    decoded as shards of one published stack.  Costs and admission
+    counts add up over an interval and feed the controller when it
+    ends.
     """
 
     def __init__(self, system: DistributedSSTD, deadline: float) -> None:
@@ -726,12 +722,12 @@ class _ExecutorBackend:
         self.engine: StreamingSSTD | None = StreamingSSTD(
             system.config.sstd, STREAMING_RETRAIN_EVERY, refit=self.refit
         )
-        self.loop: IntervalFeedbackLoop | None = None
+        self.controller: Controller | None = None
         self.executor = system._make_executor()  # owns-resource: shut down in close()
-        if system.config.feedback is not None:
+        if system.config.control_enabled:
             try:  # after the executor, which installs the run's recorder
-                self.loop = IntervalFeedbackLoop(
-                    deadline, system.config.feedback, obs=system.obs
+                self.controller = Controller(
+                    deadline, system.config.control, obs=system.obs
                 )
             except BaseException:
                 self.executor.shutdown()
@@ -753,8 +749,8 @@ class _ExecutorBackend:
     ) -> list[ClaimDecodeResult | SkippedRefit]:
         """Refit one tick's due claims on the executor."""
         skipped: dict[str, SkippedRefit] = {}
-        if self.loop is not None:
-            decision = self.loop.plan(
+        if self.controller is not None:
+            decision = self.controller.admit(
                 [claim_id for claim_id, _, _ in items], self.worker_count
             )
             skipped = dict.fromkeys(decision.deferred, SkippedRefit.DEFERRED)
@@ -775,10 +771,8 @@ class _ExecutorBackend:
 
     def settle(self, execution_time: float) -> tuple[int, int]:
         """End an interval; returns its ``(n_deferred, n_shed)``."""
-        if self.loop is not None:
-            self.loop.observe(
-                execution_time, self._costs, busy_time=self._busy_time
-            )
+        if self.controller is not None:
+            self.controller.settle(execution_time, self._costs, self._busy_time)
         counts = (self._deferred, self._shed)
         self._costs, self._busy_time = [], 0.0
         self._deferred = self._shed = 0
@@ -787,5 +781,5 @@ class _ExecutorBackend:
     def close(self) -> None:
         self.engine = None  # engine -> refit -> self: free buffers now
         self.executor.shutdown()
-        if self.loop is not None:
-            self.loop.close()
+        if self.controller is not None:
+            self.controller.close()

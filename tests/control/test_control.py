@@ -4,20 +4,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.control import (
-    GlobalControlKnob,
-    LocalControlKnob,
     PAPER_GAINS,
+    ControlConfig,
+    Controller,
     PIDController,
     PIDGains,
     WCETModel,
 )
-from repro.control.knobs import (
+from repro.control.controller import (
     MAX_PRIORITY,
     MIN_PRIORITY,
     SHRINK_PATIENCE,
     THETA3,
     THETA4,
+    local_knob,
 )
+from repro.control.pid import INTEGRAL_LIMIT
 
 
 class TestPIDGains:
@@ -56,17 +58,13 @@ class TestPIDController:
         assert pid.update(4.0) == pytest.approx(expected)
 
     def test_anti_windup_clamps_integral(self):
-        pid = PIDController(
-            PIDGains(kp=0.0, ki=1.0, kd=0.0), integral_limit=5.0
-        )
+        pid = PIDController(PIDGains(kp=0.0, ki=1.0, kd=0.0))
         for _ in range(100):
             pid.update(10.0)
-        assert pid.integral == 5.0
-
-    def test_output_clamp(self):
-        pid = PIDController(PIDGains(kp=100.0, ki=0, kd=0), output_limit=7.0)
-        assert pid.update(10.0) == 7.0
-        assert pid.update(-10.0) == -7.0
+        assert pid.integral == INTEGRAL_LIMIT
+        for _ in range(100):
+            pid.update(-10.0)
+        assert pid.integral == -INTEGRAL_LIMIT
 
     def test_reset(self):
         pid = PIDController()
@@ -87,20 +85,11 @@ class TestPIDController:
         st.floats(min_value=0.1, max_value=10),
     )
     def test_pure_proportional_is_linear_property(self, error, kp):
-        pid = PIDController(PIDGains(kp=kp, ki=0.0, kd=0.0), integral_limit=0.0)
+        pid = PIDController(PIDGains(kp=kp, ki=0.0, kd=0.0))
         assert pid.update(error) == pytest.approx(kp * error)
 
 
 class TestWCETModel:
-    def test_task_execution_time_eq10(self):
-        model = WCETModel(init_time=2.0, theta1=0.5)
-        assert model.task_execution_time(10.0) == pytest.approx(7.0)
-
-    def test_job_wcet_eq11(self):
-        model = WCETModel(init_time=1.0, theta2=0.1)
-        # TI*T + D*theta2*total/(WK*T) = 1*2 + 100*0.1*10/(5*2)
-        assert model.job_wcet(100.0, 2, 10, 5) == pytest.approx(2 + 10.0)
-
     def test_simplified_eq12(self):
         model = WCETModel(theta2=0.2)
         assert model.job_wcet_simplified(100.0, 0.5, 4) == pytest.approx(10.0)
@@ -111,105 +100,72 @@ class TestWCETModel:
         assert model.job_wcet_simplified(100.0, 0.5, 2) < base
         assert model.job_wcet_simplified(100.0, 0.25, 4) < base
 
-    def test_inversions_are_consistent(self):
-        model = WCETModel(theta2=0.5)
-        deadline = 10.0
-        priority = model.required_priority(100.0, deadline, n_workers=4)
-        # Using that priority meets the deadline exactly
-        assert model.job_wcet_simplified(
-            100.0, min(priority, 1.0), 4
-        ) <= deadline + 1e-9 or priority > 1.0
-
-    def test_required_workers_ceils(self):
-        model = WCETModel(theta2=1.0)
-        assert model.required_workers(100.0, 7.0, 1.0) == 15
-
     def test_validation(self):
         model = WCETModel()
         with pytest.raises(ValueError):
-            WCETModel(init_time=-1)
-        with pytest.raises(ValueError):
-            model.task_execution_time(-1.0)
-        with pytest.raises(ValueError):
-            model.job_wcet(1.0, 0, 1, 1)
+            WCETModel(theta2=-1)
         with pytest.raises(ValueError):
             model.job_wcet_simplified(1.0, 0.0, 1)
         with pytest.raises(ValueError):
-            model.required_priority(1.0, 0.0, 1)
+            model.job_wcet_simplified(1.0, 0.5, 0)
 
 
-class TestLocalControlKnob:
+class TestLocalKnob:
     def test_lateness_raises_priority(self):
-        knob = LocalControlKnob("j")
-        before = knob.priority
-        knob.apply(control_signal=-5.0, reference=10.0)
-        assert knob.priority > before
+        assert local_knob(1.0, signal=-5.0, reference=10.0) > 1.0
 
     def test_slack_lowers_priority(self):
-        knob = LocalControlKnob("j")
-        knob.apply(-5.0, reference=10.0)
-        high = knob.priority
-        knob.apply(+5.0, reference=10.0)
-        assert knob.priority < high
+        high = local_knob(1.0, -5.0, 10.0)
+        assert local_knob(high, +5.0, 10.0) < high
 
     def test_theta3_scales_the_priority_step(self):
-        knob = LocalControlKnob("j")
         # Lateness of a quarter deadline: factor 1 + theta3 * 0.25.
-        assert knob.apply(-2.5, reference=10.0) == 1.0 + THETA3 * 0.25
+        assert local_knob(1.0, -2.5, 10.0) == 1.0 + THETA3 * 0.25
 
     def test_bounds_respected(self):
-        knob = LocalControlKnob("j")
+        priority = 1.0
         for _ in range(50):
-            knob.apply(-100.0, reference=1.0)
-        assert knob.priority == MAX_PRIORITY
+            priority = local_knob(priority, -100.0, 1.0)
+        assert priority == MAX_PRIORITY
         for _ in range(50):
-            knob.apply(+100.0, reference=1.0)
-        assert knob.priority == MIN_PRIORITY
+            priority = local_knob(priority, +100.0, 1.0)
+        assert priority == MIN_PRIORITY
 
     def test_reference_validation(self):
+        # The knob's reference is the controller's deadline.
         with pytest.raises(ValueError):
-            LocalControlKnob("j").apply(1.0, reference=0.0)
+            Controller(deadline=0.0)
+        with pytest.raises(ValueError):
+            ControlConfig(sample_period=0.0)
 
 
-class TestGlobalControlKnob:
+class TestGlobalKnob:
     def test_grows_under_lateness(self):
-        knob = GlobalControlKnob()
-        target = knob.target_size(4, {"a": -5.0, "b": -3.0}, reference=10.0)
+        knob = Controller(deadline=10.0)
+        target = knob.global_knob(4, {"a": -5.0, "b": -3.0})
         # Lateness 0.8 of a deadline grows the pool by round(theta4 * 0.8).
         assert target == 4 + round(THETA4 * 0.8)
 
     def test_shrinks_only_after_sustained_comfort(self):
-        knob = GlobalControlKnob()
+        knob = Controller(deadline=10.0)
         signals = {"a": 8.0, "b": 9.0}
         for _ in range(SHRINK_PATIENCE - 1):
-            assert knob.target_size(4, signals, reference=10.0) == 4
-        assert knob.target_size(4, signals, reference=10.0) == 3
+            assert knob.global_knob(4, signals) == 4
+        assert knob.global_knob(4, signals) == 3
 
     def test_lateness_resets_shrink_patience(self):
-        knob = GlobalControlKnob()
+        knob = Controller(deadline=10.0)
         comfortable = {"a": 9.0}
         for _ in range(SHRINK_PATIENCE - 1):
-            assert knob.target_size(4, comfortable, reference=10.0) == 4
-        assert knob.target_size(4, {"a": -5.0}, reference=10.0) > 4
+            assert knob.global_knob(4, comfortable) == 4
+        assert knob.global_knob(4, {"a": -5.0}) > 4
         # Streak restarted: one more comfortable sample is not enough.
-        assert knob.target_size(4, comfortable, reference=10.0) == 4
+        assert knob.global_knob(4, comfortable) == 4
 
     def test_holds_when_mixed(self):
-        knob = GlobalControlKnob()
-        target = knob.target_size(4, {"a": 1.0, "b": 2.0}, reference=10.0)
-        assert target == 4
+        knob = Controller(deadline=10.0)
+        assert knob.global_knob(4, {"a": 1.0, "b": 2.0}) == 4
 
     def test_never_below_one_on_shrink(self):
-        knob = GlobalControlKnob()
-        assert knob.target_size(1, {"a": 100.0}, reference=10.0) == 1
-
-    def test_empty_signals_noop(self):
-        knob = GlobalControlKnob()
-        assert knob.target_size(5, {}) == 5
-
-    def test_validation(self):
-        knob = GlobalControlKnob()
-        with pytest.raises(ValueError):
-            knob.target_size(-1, {"a": 1.0})
-        with pytest.raises(ValueError):
-            knob.target_size(1, {"a": 1.0}, reference=0.0)
+        knob = Controller(deadline=10.0)
+        assert knob.global_knob(1, {"a": 100.0}) == 1

@@ -1,23 +1,23 @@
-"""Trajectory recording/replay and admission control (repro.control.feedback)."""
+"""Trajectory recording/replay and admission (repro.control.controller)."""
 
 import json
 
 import pytest
 
 from repro.control import (
-    AdmissionController,
-    FeedbackConfig,
-    IntervalFeedbackLoop,
+    Admission,
+    ControlConfig,
+    Controller,
     PIDController,
     PIDGains,
     load_trajectory,
     replay_trajectory,
 )
-from repro.control.feedback import (
-    MAX_DEFER,
+from repro.control.controller import (
     MIN_ADMIT,
     SCALE_CEILING,
     SCALE_FLOOR,
+    SHED_AFTER,
     UTILIZATION_TARGET,
 )
 from repro.obs import Observability
@@ -116,16 +116,22 @@ class TestReplay:
         assert all(s.matches for s in steps)
 
 
-def plan(controller, n, **kwargs):
-    defaults = dict(n_workers=2, p95_claim_cost=0.1, headroom=0.0)
-    defaults.update(kwargs)
-    return controller.plan([f"c{i:02d}" for i in range(n)], **defaults)
+def admission(cost=0.1, obs=None):
+    """An :class:`Admission` whose cost window holds ``cost`` once."""
+    adm = Admission(deadline=1.0, obs=obs or Observability.disabled())
+    adm.observe(0.0, [cost] if cost > 0 else [], busy_time=0.0)
+    return adm
 
 
-class TestAdmissionController:
+def plan(adm, n, n_workers=2, headroom=0.0):
+    return adm.plan([f"c{i:02d}" for i in range(n)], n_workers, headroom)
+
+
+class TestAdmission:
     def test_no_samples_admits_everything(self):
-        ctl = AdmissionController(deadline=1.0)
-        decision = plan(ctl, 30, p95_claim_cost=0.0)
+        decision = Controller(deadline=1.0).admit(
+            [f"c{i:02d}" for i in range(30)], n_workers=2
+        )
         assert len(decision.admitted) == 30
         assert decision.deferred == () and decision.shed == ()
 
@@ -133,92 +139,75 @@ class TestAdmissionController:
         # 2 lanes x 1s deadline x 0.7 utilization / 0.1 s/claim ~= 14
         # (computed in floats, so mirror the arithmetic exactly).
         expected = int(2 * 1.0 * UTILIZATION_TARGET * 1.0 / 0.1)
-        ctl = AdmissionController(deadline=1.0)
-        decision = plan(ctl, 30)
+        decision = plan(admission(), 30)
         assert decision.budget == expected
         assert len(decision.admitted) == expected
         assert len(decision.deferred) == 30 - expected
 
     def test_negative_headroom_tightens_positive_loosens(self):
-        ctl = AdmissionController(deadline=1.0)
-        tight = plan(ctl, 30, headroom=-0.5)
+        adm = admission()
+        tight = plan(adm, 30, headroom=-0.5)
         assert tight.scale == 0.5
-        loose = plan(ctl, 30, headroom=10.0)
+        loose = plan(adm, 30, headroom=10.0)
         assert loose.scale == SCALE_CEILING
         assert tight.budget < loose.budget
 
     def test_scale_clamped_to_floor(self):
-        ctl = AdmissionController(deadline=1.0)
-        decision = plan(ctl, 30, headroom=-100.0)
+        decision = plan(admission(), 30, headroom=-100.0)
         assert decision.scale == SCALE_FLOOR
 
     def test_min_admit_floor(self):
-        ctl = AdmissionController(deadline=1.0)
-        decision = plan(ctl, 5, p95_claim_cost=1e9)
+        decision = plan(admission(cost=1e9), 5)
         assert decision.budget == MIN_ADMIT
         assert len(decision.admitted) == MIN_ADMIT
 
     def test_aged_claims_admitted_first(self):
-        ctl = AdmissionController(deadline=1.0)
-        first = plan(ctl, 30)
+        adm = admission()
+        first = plan(adm, 30)
+        adm.observe(0.0, [], busy_time=0.0)  # the next interval's budget
         # Everything deferred last time outranks fresh arrivals now.
-        second = plan(ctl, 30)
+        second = plan(adm, 30)
         assert set(second.admitted[: len(first.deferred)]) <= set(
             first.deferred
         )
 
-    def test_force_admit_after_max_defer(self):
-        # Budget pinned at MIN_ADMIT = 1 by a huge cost estimate; with
-        # MAX_DEFER + 2 dirty claims each round, round r admits one claim
-        # within budget, the oldest deferred first.  In round MAX_DEFER + 1
-        # the last claim has been deferred MAX_DEFER times: it is
-        # force-admitted next to the budgeted one.
-        ctl = AdmissionController(deadline=1.0)
-        claims = [f"c{i}" for i in range(MAX_DEFER + 2)]
-        for round_no in range(MAX_DEFER + 1):
-            decision = ctl.plan(
-                claims, n_workers=2, p95_claim_cost=1e9, headroom=0.0
-            )
-            assert decision.budget == 1
-        assert decision.admitted == (claims[-2], claims[-1])
-        assert len(decision.admitted) > decision.budget
-        assert all(age <= MAX_DEFER for age in ctl._ages.values())
-
     def test_shed_mode_drops_stale_overflow_instead_of_forcing(self):
-        ctl = AdmissionController(deadline=1.0, shed_after=2)
-        claims = [f"c{i:02d}" for i in range(4)]
+        # One admission per round over SHED_AFTER + 2 claims: some claim
+        # waits past SHED_AFTER deferrals.
+        adm = admission(cost=10.0)
+        claims = [f"c{i:02d}" for i in range(SHED_AFTER + 2)]
         decisions = []
         for _ in range(6):
-            decision = ctl.plan(
-                claims, n_workers=1, p95_claim_cost=10.0, headroom=0.0
-            )
-            # Loss mode never admits past the budget.
+            decision = adm.plan(claims, n_workers=1, headroom=0.0)
+            adm.observe(0.0, [], busy_time=0.0)
+            # Shedding never admits past the budget.
             assert len(decision.admitted) == decision.budget == 1
             decisions.append(decision)
         # Stale overflow was dropped, not forced: every round's due set
         # splits into one admitted claim, the deferred and the shed.
         assert sum(len(d.shed) for d in decisions) > 0
         for decision in decisions:
-            assert len(decision.deferred) + len(decision.shed) == 3
+            assert len(decision.deferred) + len(decision.shed) == len(claims) - 1
 
     def test_shed_claim_age_resets_on_return(self):
-        # Budget 1 over three claims: r1 admits a, defers b and c; r2
-        # admits b (oldest, id tie-break) and sheds c, whose age would
-        # exceed shed_after.  The shed claim's age is forgotten.
-        ctl = AdmissionController(deadline=1.0, shed_after=1)
-        claims = ["a", "b", "c"]
-        ctl.plan(claims, n_workers=1, p95_claim_cost=1e9, headroom=0.0)
-        decision = ctl.plan(
-            claims, n_workers=1, p95_claim_cost=1e9, headroom=0.0
-        )
-        assert decision.admitted == ("b",)
-        assert decision.shed == ("c",)
-        assert "c" not in ctl._ages
+        # Budget 1 over five claims, one round per interval: round r
+        # admits the oldest deferred claim (id tie-break).  In round
+        # SHED_AFTER + 1 = 4, "e" has been deferred SHED_AFTER times and
+        # is shed instead of deferred again; its age is forgotten.
+        assert SHED_AFTER == 3
+        adm = admission(cost=1e9)
+        claims = ["a", "b", "c", "d", "e"]
+        for _ in range(SHED_AFTER):
+            adm.plan(claims, n_workers=1, headroom=0.0)
+            adm.observe(0.0, [], busy_time=0.0)
+        decision = adm.plan(claims, n_workers=1, headroom=0.0)
+        assert decision.admitted == ("d",)
+        assert decision.shed == ("e",)
+        assert "e" not in adm._ages
 
     def test_counters_and_instant_emitted(self):
         obs = Observability()
-        ctl = AdmissionController(deadline=1.0, obs=obs)
-        decision = plan(ctl, 30)
+        decision = plan(admission(obs=obs), 30)
         n_admitted = len(decision.admitted)
         snap = obs.metrics.snapshot()
         assert snap.counter("admission.admitted") == float(n_admitted)
@@ -234,69 +223,62 @@ class TestAdmissionController:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            FeedbackConfig(shed_after=0)
+            ControlConfig(sample_period=0.0)
         with pytest.raises(ValueError):
-            AdmissionController(deadline=1.0, shed_after=0)
-        with pytest.raises(ValueError):
-            AdmissionController(deadline=0.0)
+            Controller(deadline=0.0)
 
 
-class TestIntervalFeedbackLoop:
+class TestIntervalLoop:
     def test_measured_parallelism_caps_the_budget(self):
-        loop = IntervalFeedbackLoop(deadline=1.0)
+        controller = Controller(deadline=1.0)
         claims = [f"c{i:02d}" for i in range(30)]
-        loop.observe(1.0, claim_costs=[0.1] * 10, busy_time=1.0)
+        controller.settle(1.0, claim_costs=[0.1] * 10, busy_time=1.0)
         # Two nominal workers, but busy/exec says one effective lane:
         # the budget must be computed for one, i.e. half the two-lane
         # budget an unmeasured loop would produce.
-        decision = loop.plan(claims, n_workers=2)
-        two_lane = AdmissionController(deadline=1.0).plan(
-            claims, 2, 0.1, loop.headroom
-        )
+        decision = controller.admit(claims, n_workers=2)
+        two_lane = admission().plan(claims, 2, controller.headroom)
         assert decision.budget * 2 <= two_lane.budget + 1
         assert decision.budget == int(1 * 1.0 * UTILIZATION_TARGET * 1.0 / 0.1)
 
     def test_rounds_share_the_interval_budget(self):
-        config = FeedbackConfig(shed_after=3)
-        loop = IntervalFeedbackLoop(deadline=1.0, config=config)
-        loop.observe(1.0, claim_costs=[0.1] * 10, busy_time=1.0)
+        controller = Controller(deadline=1.0)
+        controller.settle(1.0, claim_costs=[0.1] * 10, busy_time=1.0)
         budget = int(1 * 1.0 * UTILIZATION_TARGET * 1.0 / 0.1)
-        first = loop.plan([f"a{i}" for i in range(4)], n_workers=2)
-        second = loop.plan([f"b{i}" for i in range(4)], n_workers=2)
-        third = loop.plan(["c0"], n_workers=2)
+        first = controller.admit([f"a{i}" for i in range(4)], n_workers=2)
+        second = controller.admit([f"b{i}" for i in range(4)], n_workers=2)
+        third = controller.admit(["c0"], n_workers=2)
         assert first.budget == second.budget == budget
         assert len(first.admitted) == 4
         assert len(second.admitted) == budget - 4
         assert third.admitted == ()
         # The next interval opens a fresh budget.
-        loop.observe(1.0)
-        assert loop.plan(["c0"], n_workers=2).admitted == ("c0",)
+        controller.settle(1.0)
+        assert controller.admit(["c0"], n_workers=2).admitted == ("c0",)
 
     def test_lanes_smoothed_with_ema(self):
-        loop = IntervalFeedbackLoop(deadline=1.0)
-        loop.observe(1.0, busy_time=1.0)
-        loop.observe(1.0, busy_time=2.0)
-        assert loop.effective_lanes == pytest.approx(1.5)
+        controller = Controller(deadline=1.0)
+        controller.settle(1.0, busy_time=1.0)
+        controller.settle(1.0, busy_time=2.0)
+        assert controller.admission.lanes == pytest.approx(1.5)
 
     def test_headroom_tracks_deadline_error(self):
-        loop = IntervalFeedbackLoop(deadline=1.0)
-        over = loop.observe(2.0)
+        over = Controller(deadline=1.0).settle(2.0)
         assert over < 0
-        loop2 = IntervalFeedbackLoop(deadline=1.0)
-        under = loop2.observe(0.1)
+        under = Controller(deadline=1.0).settle(0.1)
         assert under > 0
 
     def test_negative_costs_ignored(self):
-        loop = IntervalFeedbackLoop(deadline=1.0)
-        loop.observe(0.5, claim_costs=[-1.0, 0.2])
-        assert loop.p95_claim_cost() == 0.2
+        controller = Controller(deadline=1.0)
+        controller.settle(0.5, claim_costs=[-1.0, 0.2])
+        assert controller.admission.p95_claim_cost() == 0.2
 
     def test_trajectory_written_and_closed(self, tmp_path):
         path = tmp_path / "loop.jsonl"
-        config = FeedbackConfig(trajectory_path=str(path))
-        with IntervalFeedbackLoop(deadline=1.0, config=config) as loop:
-            loop.observe(0.5)
-            loop.observe(1.5)
+        config = ControlConfig(trajectory_path=str(path))
+        with Controller(deadline=1.0, config=config) as controller:
+            controller.settle(0.5)
+            controller.settle(1.5)
         samples = load_trajectory(path)
         assert len(samples) == 2
         assert samples[0].error == pytest.approx(0.5)

@@ -19,7 +19,7 @@ from repro.system.sstd_system import DistributedSSTD, SSTDSystemConfig
 ENGINES = {
     "discover": lambda reports: SSTD().discover(reports),
     "threads": lambda reports: DistributedSSTD(
-        SSTDSystemConfig(backend="threads", n_workers=2)
+        SSTDSystemConfig(backend="threads", n_workers=2, control_enabled=False)
     ).run_batch(reports).estimates,
 }
 

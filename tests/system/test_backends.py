@@ -58,7 +58,9 @@ class TestBatchParity:
     def test_estimates_match_serial_engine(
         self, backend, small_trace, serial_estimates
     ):
-        config = SSTDSystemConfig(n_workers=2, backend=backend)
+        config = SSTDSystemConfig(
+            n_workers=2, backend=backend, control_enabled=False
+        )
         outcome = DistributedSSTD(config).run_batch(list(small_trace.reports))
         assert list(outcome.estimates) == serial_estimates
         assert outcome.n_jobs == 6
@@ -118,7 +120,9 @@ class TestIntervalBounds:
         shifted[-1] = dataclasses.replace(shifted[-1], claim_id="late-claim")
         trace = Trace(name="epoch", reports=shifted)
         assert trace.end + 1e-9 == trace.end
-        config = SSTDSystemConfig(n_workers=2, backend=backend, deadline=30.0)
+        config = SSTDSystemConfig(
+            n_workers=2, backend=backend, deadline=30.0, control_enabled=False
+        )
         result = DistributedSSTD(config).run_intervals(
             trace, n_intervals=4, compute_estimates=True
         )

@@ -7,7 +7,7 @@ from repro.cluster import FailureConfig, NodeSpec, ResourceSpec
 from repro.core import SSTD, SSTDConfig
 from repro.core.acs import ACSConfig
 from repro.core.types import Attitude, Report
-from repro.system import DTMConfig, DistributedSSTD, SSTDSystemConfig
+from repro.system import DistributedSSTD, SSTDSystemConfig
 from repro.workqueue import CostModel
 
 
@@ -54,7 +54,7 @@ class TestFaultTolerantBatch:
                 nodes=mortal_nodes(),
                 sstd=SSTD_CONFIG,
                 cost_model=CostModel(init_time=2.0, unit_cost=0.5),
-                dtm=DTMConfig(elastic=False),
+                max_workers=4,
                 failures=FailureConfig(mean_repair_time=20.0),
                 seed=3,
             )
@@ -72,7 +72,7 @@ class TestFaultTolerantBatch:
             nodes=mortal_nodes(mtbf=0.0),  # immortal
             sstd=SSTD_CONFIG,
             cost_model=cost,
-            dtm=DTMConfig(elastic=False),
+            max_workers=4,
             seed=3,
         )
         healthy = DistributedSSTD(base).run_batch(reports, 0.0, 500.0)
@@ -82,7 +82,7 @@ class TestFaultTolerantBatch:
                 nodes=mortal_nodes(mtbf=30.0),
                 sstd=SSTD_CONFIG,
                 cost_model=cost,
-                dtm=DTMConfig(elastic=False),
+                max_workers=4,
                 failures=FailureConfig(mean_repair_time=25.0),
                 seed=3,
             )

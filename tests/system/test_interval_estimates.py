@@ -7,7 +7,7 @@ from repro.core.acs import ACSConfig
 from repro.core.sstd import SSTDConfig
 from repro.core.types import Attitude, Report, TruthValue
 from repro.streams import Trace
-from repro.system import DTMConfig, DistributedSSTD, SSTDSystemConfig
+from repro.system import DistributedSSTD, SSTDSystemConfig
 from repro.workqueue import CostModel
 
 
@@ -38,7 +38,7 @@ class TestIntervalEstimates:
                     min_observations=4,
                 ),
                 cost_model=CostModel(init_time=0.01, unit_cost=1e-4),
-                dtm=DTMConfig(elastic=False),
+                max_workers=2,
             )
         )
         result = system.run_intervals(
@@ -59,7 +59,7 @@ class TestIntervalEstimates:
                     min_observations=4,
                 ),
                 cost_model=CostModel(init_time=0.01, unit_cost=1e-4),
-                dtm=DTMConfig(elastic=False),
+                max_workers=2,
             )
         )
         result = system.run_intervals(
@@ -82,7 +82,7 @@ class TestIntervalEstimates:
     def test_no_estimates_when_disabled(self):
         trace = flip_trace(n=200)
         system = DistributedSSTD(
-            SSTDSystemConfig(n_workers=2, dtm=DTMConfig(elastic=False))
+            SSTDSystemConfig(n_workers=2, max_workers=2)
         )
         result = system.run_intervals(
             trace, n_intervals=10, compute_estimates=False

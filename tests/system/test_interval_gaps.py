@@ -92,7 +92,9 @@ def test_silent_intervals_keep_the_grid(
 
     monkeypatch.setattr(StreamingSSTD, "tick", tick_spy)
     monkeypatch.setattr(sstd_system, "shm_shard_task_spec", task_spy)
-    config = SSTDSystemConfig(n_workers=2, backend=backend, deadline=30.0)
+    config = SSTDSystemConfig(
+        n_workers=2, backend=backend, deadline=30.0, control_enabled=False
+    )
     result = DistributedSSTD(config).run_intervals(
         trace, n_intervals=N_INTERVALS, compute_estimates=True
     )

@@ -313,7 +313,10 @@ class TestShardParityAcrossBackends:
         self, backend, claims_per_shard, trace, per_claim_serial
     ):
         config = SSTDSystemConfig(
-            n_workers=2, backend=backend, claims_per_shard=claims_per_shard
+            n_workers=2,
+            backend=backend,
+            claims_per_shard=claims_per_shard,
+            control_enabled=False,
         )
         outcome = DistributedSSTD(config).run_batch(list(trace.reports))
         assert list(outcome.estimates) == per_claim_serial
@@ -323,13 +326,18 @@ class TestShardParityAcrossBackends:
         self, claims_per_shard, trace, per_claim_serial
     ):
         config = SSTDSystemConfig(
-            n_workers=2, backend="threads", claims_per_shard=claims_per_shard
+            n_workers=2,
+            backend="threads",
+            claims_per_shard=claims_per_shard,
+            control_enabled=False,
         )
         outcome = DistributedSSTD(config).run_batch(list(trace.reports))
         assert list(outcome.estimates) == per_claim_serial
 
     def test_sharded_interval_replay_matches_per_claim(self, trace):
-        base = SSTDSystemConfig(n_workers=2, backend="threads", deadline=30.0)
+        base = SSTDSystemConfig(
+            n_workers=2, backend="threads", deadline=30.0, control_enabled=False
+        )
         sharded = DistributedSSTD(base).run_intervals(
             trace, n_intervals=3, compute_estimates=True
         )
@@ -348,7 +356,9 @@ class TestZeroCopyParity:
     def test_zero_copy_matches_per_claim_serial(
         self, backend, trace, per_claim_serial
     ):
-        config = SSTDSystemConfig(n_workers=2, backend=backend)
+        config = SSTDSystemConfig(
+            n_workers=2, backend=backend, control_enabled=False
+        )
         outcome = DistributedSSTD(config).run_batch(list(trace.reports))
         assert list(outcome.estimates) == per_claim_serial
 
@@ -360,6 +370,7 @@ class TestZeroCopyParity:
             n_workers=2,
             backend="processes",
             claims_per_shard=claims_per_shard,
+            control_enabled=False,
         )
         outcome = DistributedSSTD(config).run_batch(list(trace.reports))
         assert list(outcome.estimates) == per_claim_serial
@@ -374,6 +385,7 @@ class TestZeroCopyParity:
                     n_workers=2,
                     backend=backend,
                     claims_per_shard=claims_per_shard,
+                    control_enabled=False,
                 )
                 outcome = DistributedSSTD(config).run_batch(list(trace.reports))
                 assert list(outcome.estimates) == per_claim_serial, (
@@ -427,6 +439,7 @@ class TestZeroCopyParity:
                     backend=backend,
                     claims_per_shard=claims_per_shard,
                     deadline=30.0,
+                    control_enabled=False,
                 )
                 replay = DistributedSSTD(config).run_intervals(
                     trace, n_intervals=3, compute_estimates=True

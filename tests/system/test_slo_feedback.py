@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.control import FeedbackConfig
+from repro.control import ControlConfig
 from repro.core.acs import ACSConfig
 from repro.core.sstd import SSTDConfig
 from repro.core.types import Attitude, Report
@@ -30,15 +30,16 @@ def multi_claim_trace(n_claims=6, per_claim=150, duration=1200.0, seed=0):
     )
 
 
-def make_config(feedback=None):
+def make_config(control=None):
+    """Open loop without ``control``, the closed loop with it."""
     return SSTDSystemConfig(
         n_workers=2,
         backend="threads",
-        control_enabled=False,
+        control_enabled=control is not None,
+        control=control or ControlConfig(),
         sstd=SSTDConfig(
             acs=ACSConfig(window=100.0, step=50.0), min_observations=4
         ),
-        feedback=feedback,
     )
 
 
@@ -59,7 +60,7 @@ class TestFeedbackLoop:
             trace, n_intervals=4, deadline=100.0, compute_estimates=True
         )
         closed = DistributedSSTD(
-            make_config(feedback=FeedbackConfig())
+            make_config(control=ControlConfig())
         ).run_intervals(
             trace, n_intervals=4, deadline=100.0, compute_estimates=True
         )
@@ -72,9 +73,7 @@ class TestFeedbackLoop:
         path = tmp_path / "traj.jsonl"
         n_intervals = 4
         result = DistributedSSTD(
-            make_config(
-                feedback=FeedbackConfig(trajectory_path=str(path))
-            )
+            make_config(control=ControlConfig(trajectory_path=str(path)))
         ).run_intervals(
             # Real-clock deadline far below any interval's decode cost:
             # once cost samples exist the budget collapses to MIN_ADMIT.
@@ -90,8 +89,6 @@ class TestFeedbackLoop:
     def test_shed_mode_drops_work_under_overload(self):
         trace = multi_claim_trace()
         result = DistributedSSTD(
-            make_config(
-                feedback=FeedbackConfig(shed_after=1)
-            )
+            make_config(control=ControlConfig())
         ).run_intervals(trace, n_intervals=4, deadline=1e-4)
         assert result.tracker.total_shed > 0

@@ -1,17 +1,14 @@
-"""Tests for TD jobs, deadline tracking, DTM, and the integrated system."""
+"""Tests for deadline tracking, the simulated control loop, and the system."""
 
 import pytest
 
 from repro.cluster import CondorPool, Simulator, uniform_pool
-from repro.control import WCETModel
+from repro.control import Controller, WCETModel
 from repro.core.types import Attitude, Report
 from repro.system import (
-    DTMConfig,
     DeadlineTracker,
     DistributedSSTD,
-    DynamicTaskManager,
     SSTDSystemConfig,
-    TDJob,
     hit_rate_curve,
 )
 from repro.system.deadline import IntervalRecord
@@ -26,37 +23,6 @@ def reports_for(claim_id, n=10, start=0.0):
         )
         for i in range(n)
     ]
-
-
-class TestTDJob:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TDJob(job_id="", claim_id="c")
-        with pytest.raises(ValueError):
-            TDJob(job_id="j", claim_id="c", deadline=0.0)
-
-    def test_make_tasks_single(self):
-        job = TDJob(job_id="j", claim_id="c")
-        task = job.make_task(reports_for("c", 10))
-        assert task.data_size == 10.0
-        assert task.job_id == "j"
-
-    def test_empty_batch_yields_one_empty_task(self):
-        job = TDJob(job_id="j", claim_id="c")
-        task = job.make_task([])
-        assert task.data_size == 0.0
-
-    def test_tasks_only_size_the_work(self):
-        job = TDJob(job_id="j", claim_id="c")
-        task = job.make_task(reports_for("c", 4))
-        assert (task.data_size, task.fn) == (4.0, None)
-
-    def test_accounting(self):
-        job = TDJob(job_id="j", claim_id="c")
-        job.make_task(reports_for("c", 5))
-        job.make_task(reports_for("c", 7))
-        assert job.reports_seen == 12
-        assert job.batches_submitted == 2
 
 
 class TestDeadlineTracker:
@@ -97,64 +63,53 @@ class TestDeadlineTracker:
             hit_rate_curve([1.0], [0.0])
 
 
-class TestDynamicTaskManager:
-    def _stack(self, elastic=True, n_workers=2):
+class TestSimulatedController:
+    def _stack(self, elastic=True, n_workers=2, deadline=0.5):
         simulator = Simulator()
         condor = CondorPool(uniform_pool(8, cores=4))
         master = WorkQueueMaster(simulator, rng=0)
         cost = CostModel(init_time=0.1, unit_cost=0.01, transfer_cost=0.0)
         pool = ElasticWorkerPool(simulator, master, condor, cost)
         pool.scale_to(n_workers)
-        wcet = WCETModel(init_time=0.1, theta1=0.01, theta2=0.01)
-        dtm = DynamicTaskManager(
-            simulator, master, pool, wcet, DTMConfig(elastic=elastic)
-        )
-        return simulator, master, pool, dtm
-
-    def test_register_job_twice_rejected(self):
-        _, _, _, dtm = self._stack()
-        dtm.register_job(TDJob(job_id="a", claim_id="a"))
-        with pytest.raises(ValueError, match="already registered"):
-            dtm.register_job(TDJob(job_id="a", claim_id="a"))
+        wcet = WCETModel(theta2=0.01)
+        controller = Controller(deadline)
+        controller.start(master, pool, wcet, elastic=elastic)
+        return simulator, master, pool, controller
 
     def test_late_job_priority_rises(self):
-        simulator, master, pool, dtm = self._stack(elastic=False)
-        job = TDJob(job_id="late", claim_id="late", deadline=0.5)
-        dtm.register_job(job)
-        dtm.start()
+        simulator, master, pool, controller = self._stack(elastic=False)
         # Far more work than can be done within the deadline.
         for _ in range(20):
             master.submit(Task(job_id="late", data_size=500.0))
         simulator.run(until=5.0)
         assert master.priority_of("late") > 1.0
+        assert pool.size == 2
 
     def test_elastic_pool_grows_under_pressure(self):
-        simulator, master, pool, dtm = self._stack(elastic=True, n_workers=1)
-        job = TDJob(job_id="a", claim_id="a", deadline=0.5)
-        dtm.register_job(job)
-        dtm.start()
+        simulator, master, pool, controller = self._stack(n_workers=1)
         for _ in range(50):
             master.submit(Task(job_id="a", data_size=500.0))
         simulator.run(until=10.0)
         assert pool.size > 1
 
     def test_idle_jobs_not_sampled(self):
-        simulator, master, pool, dtm = self._stack()
-        dtm.register_job(TDJob(job_id="idle", claim_id="idle"))
-        dtm.start()
+        simulator, master, pool, controller = self._stack(deadline=10.0)
+        # Done long before the first sample at t = 1.
+        master.submit(Task(job_id="idle", data_size=1.0))
         simulator.run(until=5.0)
-        assert dtm.signal_log == []
+        assert master.jobs["idle"].pending == 0
+        assert controller.pool_sizes == []
+        assert controller.pids == {}
 
     def test_stop_halts_sampling(self):
-        simulator, master, pool, dtm = self._stack()
-        dtm.register_job(TDJob(job_id="a", claim_id="a", deadline=0.5))
-        dtm.start()
+        simulator, master, pool, controller = self._stack()
         master.submit(Task(job_id="a", data_size=1000.0))
         simulator.run(until=2.0)
-        samples = len(dtm.signal_log)
-        dtm.stop()
+        samples = len(controller.pool_sizes)
+        assert samples > 0
+        controller.stop()
         simulator.run(until=10.0)
-        assert len(dtm.signal_log) == samples
+        assert len(controller.pool_sizes) == samples
 
 
 class TestDistributedSSTD:
@@ -226,6 +181,42 @@ class TestDistributedSSTD:
             ).run_intervals(trace, n_intervals=5).hit_rate
 
         assert run(0.05) <= run(100.0)
+
+    def test_simulated_trajectory_replays_bit_identically(self, tmp_path):
+        from repro.control import (
+            ControlConfig,
+            load_trajectory,
+            replay_trajectory,
+        )
+        from repro.streams import Trace
+
+        path = tmp_path / "traj.jsonl"
+        system = DistributedSSTD(
+            SSTDSystemConfig(
+                n_workers=1,
+                deadline=0.5,
+                cost_model=CostModel(init_time=0.5, unit_cost=0.05),
+                control=ControlConfig(
+                    sample_period=0.25, trajectory_path=str(path)
+                ),
+                observability=True,
+            )
+        )
+        system.run_intervals(
+            Trace(name="t", reports=self._reports()), n_intervals=5
+        )
+        samples = load_trajectory(path)
+        # One line per per-claim PID update, every one of them replayed
+        # bit for bit at the recorded gains.
+        updates = [
+            e for e in system.obs.tracer.events() if e.name == "pid.update"
+        ]
+        assert len(samples) == len(updates) > 0
+        assert [s.controller for s in samples] == [
+            e.attr_dict()["controller"] for e in updates
+        ]
+        assert {s.controller for s in samples} <= {"pid:c1", "pid:c2", "pid:c3"}
+        assert all(step.matches for step in replay_trajectory(samples))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

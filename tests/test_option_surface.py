@@ -11,12 +11,10 @@ import inspect
 
 import pytest
 
-from repro.control.feedback import FeedbackConfig, replay_trajectory
-from repro.control.knobs import GlobalControlKnob, LocalControlKnob
+from repro.control.controller import ControlConfig, Controller, replay_trajectory
 from repro.core.acs import ACSConfig
 from repro.core.sstd import SSTDConfig, StreamingSSTD
 from repro.system.application import ApplicationConfig
-from repro.system.dtm import DTMConfig
 from repro.system.sstd_system import SSTDSystemConfig
 from repro.workqueue.pool import ElasticWorkerPool
 
@@ -28,7 +26,7 @@ CONFIG_FIELDS = {
         "nodes",
         "cost_model",
         "sstd",
-        "dtm",
+        "control",
         "control_enabled",
         "deadline",
         "max_workers",
@@ -38,10 +36,8 @@ CONFIG_FIELDS = {
         "drain_timeout",
         "observability",
         "claims_per_shard",
-        "feedback",
     ),
-    DTMConfig: ("sample_period", "pid_gains", "elastic"),
-    FeedbackConfig: ("shed_after", "trajectory_path"),
+    ControlConfig: ("gains", "sample_period", "trajectory_path"),
     ApplicationConfig: ("sstd", "deadline", "retrain_every"),
 }
 
@@ -49,8 +45,7 @@ CONFIG_FIELDS = {
 KEYWORDS = {
     StreamingSSTD: ("config", "retrain_every", "max_buffer", "refit"),
     ElasticWorkerPool: ("max_workers",),
-    GlobalControlKnob: (),
-    LocalControlKnob: (),
+    Controller: ("config", "obs"),
     replay_trajectory: ("gains",),
 }
 
