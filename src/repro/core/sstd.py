@@ -354,9 +354,9 @@ class SSTD:
     """Batch API: run SSTD truth discovery over a set of reports.
 
     This is the single-process entry point; the distributed deployment
-    (:class:`repro.system.sstd_system.DistributedSSTD`) runs one
-    :class:`ClaimTruthModel` per claim as a Work Queue job but produces
-    identical estimates.
+    (:class:`repro.system.sstd_system.DistributedSSTD`) ships shards of
+    claims to Work Queue workers, each decoded by one
+    :func:`batch_fit_decode` call, and produces identical estimates.
 
     Example:
         >>> engine = SSTD()
@@ -514,6 +514,13 @@ class StreamingSSTD:
         if retrain_every < 1:
             raise ValueError("retrain_every must be >= 1")
         config = config or SSTDConfig()
+        if max_buffer < config.min_observations:
+            # A buffer this short never holds enough values to refit
+            # (and an empty one leaves the cold start nothing to read).
+            raise ValueError(
+                f"max_buffer ({max_buffer}) must be >= min_observations "
+                f"({config.min_observations})"
+            )
         self.config = dataclasses.replace(
             config, em_max_iter=min(config.em_max_iter, RETRAIN_MAX_ITER)
         )

@@ -287,6 +287,25 @@ class TestStreamingSSTD:
         with pytest.raises(ValueError):
             StreamingSSTD(retrain_every=0)
 
+    @pytest.mark.parametrize("max_buffer", [0, 1, 5])
+    def test_max_buffer_below_min_observations_rejected(self, max_buffer):
+        # An empty buffer has no value for the cold start to read, and
+        # one shorter than min_observations could never refit.
+        assert max_buffer < SSTDConfig().min_observations
+        with pytest.raises(ValueError, match="max_buffer"):
+            StreamingSSTD(max_buffer=max_buffer)
+
+    def test_max_buffer_at_min_observations_refits(self):
+        config = SSTDConfig(acs=ACSConfig(window=2.0, step=1.0))
+        engine = StreamingSSTD(
+            config, retrain_every=1, max_buffer=config.min_observations
+        )
+        for now in range(1, 13):
+            attitude = Attitude.AGREE if now < 7 else Attitude.DISAGREE
+            engine.push(Report(f"s{now}", "c1", now - 0.5, attitude=attitude))
+            engine.tick(float(now))
+        assert engine._claims["c1"].params is not None
+
     def test_buffer_bounded(self):
         engine = StreamingSSTD(FAST_CONFIG, max_buffer=10)
         engine.push(Report("s1", "c1", 0.5, attitude=Attitude.AGREE))
