@@ -72,9 +72,8 @@ def nearest_rank(count: int, q: float) -> int:
     """1-based nearest rank of the ``q``-th percentile among ``count`` samples.
 
     The one place the rank arithmetic lives: :func:`percentile` (exact,
-    over raw samples), :meth:`HistogramSnapshot.quantile`
-    (bucket-resolution), and :class:`repro.system.monitor.MonitorSummary`
-    (through :func:`percentile`) all agree on it.  ``q=0`` maps to rank
+    over raw samples) and :meth:`HistogramSnapshot.quantile`
+    (bucket-resolution) agree on it.  ``q=0`` maps to rank
     1 (the minimum) and ``q=100`` to rank ``count`` (the maximum).
     """
     if not 0.0 <= q <= 100.0:

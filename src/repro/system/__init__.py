@@ -6,7 +6,6 @@ from repro.system.application import (
     SocialSensingApplication,
 )
 from repro.system.deadline import DeadlineTracker, IntervalRecord, hit_rate_curve
-from repro.system.monitor import MonitorSample, MonitorSummary, SystemMonitor
 from repro.system.sstd_system import (
     BatchRunResult,
     DistributedSSTD,
@@ -22,9 +21,6 @@ __all__ = [
     "FlipEvent",
     "IntervalRecord",
     "IntervalRunResult",
-    "MonitorSample",
-    "MonitorSummary",
-    "SystemMonitor",
     "SSTDSystemConfig",
     "SocialSensingApplication",
     "hit_rate_curve",

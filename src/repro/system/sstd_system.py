@@ -110,7 +110,8 @@ class SSTDSystemConfig:
         max_workers: Elastic-pool ceiling (None = cluster capacity).
             The pool is elastic — the control loop may resize it — iff
             this is ``None`` or above ``n_workers``.
-        seed: Seed for dispatch randomization.
+        seed: Seed of the simulated master's priority-weighted draw and
+            of failure injection.
         failures: Enable node failure injection (nodes need
             ``mtbf_seconds`` in their specs, or set ``default_mtbf``);
             the system re-queues lost tasks and replaces dead workers.
@@ -381,16 +382,8 @@ class DistributedSSTD:
         if n_workers is None:
             n_workers = self.config.n_workers
         if self.config.backend == "threads":
-            return LocalWorkQueue(
-                n_workers=n_workers,
-                rng=self.config.seed,
-                obs=self.obs,
-            )
-        return ProcessWorkQueue(
-            n_workers=n_workers,
-            rng=self.config.seed,
-            obs=self.obs,
-        )
+            return LocalWorkQueue(n_workers=n_workers, obs=self.obs)
+        return ProcessWorkQueue(n_workers=n_workers, obs=self.obs)
 
     @staticmethod
     def _check_failures(results: Sequence) -> None:

@@ -8,7 +8,8 @@ Dispatch follows the paper's priority semantics (Section IV-C4): a job's
 priority is the probability that one of its tasks is chosen next, so a
 high-priority job's tasks are *more likely* — not guaranteed — to run
 earlier.  Priorities are per-job (the Local Control Knob) and can be
-changed at any time by the Dynamic Task Manager.
+changed at any time by the
+:class:`~repro.control.controller.Controller`.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 :class:`repro.workqueue.local.LocalWorkQueue` runs payloads on threads,
 so CPU-bound Truth Discovery work (Baum-Welch, Viterbi) serializes on
-the GIL.  :class:`ProcessWorkQueue` keeps the same submit / priority /
-drain API but executes payloads in worker *processes*, which is what the
+the GIL.  :class:`ProcessWorkQueue` keeps the same submit / drain API
+but executes payloads in worker *processes*, which is what the
 paper's Work Queue deployment actually does (Section IV-A): one master,
 N single-task workers, tasks shipped to whichever worker is free.
 
@@ -14,9 +14,9 @@ Design points, mirroring Work Queue's fault model:
   (module-level function + args) rather than a closure.  Closures are
   rejected at submit time with a pointed error.
 - **Bounded in-flight dispatch.**  Each worker holds at most one task;
-  the master keeps the backlog and feeds workers as they free up, using
-  the same priority-weighted draw as the thread backend.  No task data
-  is serialized before a worker is ready for it.
+  the master keeps the backlog and feeds workers as they free up, in
+  submission order like the thread backend.  No task data is serialized
+  before a worker is ready for it.
 - **Per-task timeout.**  A task that exceeds ``task.timeout`` has its
   worker terminated and is retried (Work Queue's straggler defense).
 - **Retry on worker death.**  When a worker process dies mid-task —
@@ -37,9 +37,8 @@ import os
 import pickle
 import queue
 import threading
+from collections import deque
 from typing import Any, Optional
-
-import numpy as np
 
 from repro.obs import BYTE_BUCKETS, MetricsSnapshot, Observability, WallClock, using
 from repro.obs.stitch import ClockSync, rebase_events
@@ -62,6 +61,11 @@ _HANDSHAKE = "__clock_sync__"
 #: so the supervisor dispatches at once instead of at its next
 #: ``poll_interval`` timeout; it carries nothing and is dropped on read.
 _WAKE = "__wake__"
+
+#: Supervisor wake-up period in seconds; bounds how fast deaths and
+#: timeouts are detected (a submit wakes the supervisor itself, so
+#: dispatch never waits for it).
+POLL_INTERVAL = 0.02
 
 
 def _worker_main(
@@ -155,7 +159,7 @@ class _WorkerHandle:
 
 
 class ProcessWorkQueue:
-    """Multiprocessing executor with priority-weighted bounded dispatch.
+    """Multiprocessing executor with first-in, first-out bounded dispatch.
 
     Drop-in for :class:`~repro.workqueue.local.LocalWorkQueue` wherever
     payloads are picklable:
@@ -167,49 +171,35 @@ class ProcessWorkQueue:
         >>> [r.output for r in wq.drain()]            # doctest: +SKIP
         [1024]
 
+    The ``multiprocessing`` start method is ``REPRO_MP_START_METHOD``
+    when set, else ``fork`` where available (cheap startup), else
+    ``spawn``.
+
     Args:
         n_workers: Worker process count.
-        rng: Seed or generator for the priority-weighted task draw.
-        start_method: ``multiprocessing`` start method; defaults to
-            ``fork`` where available (cheap startup) else ``spawn``.
-        poll_interval: Supervisor wake-up period in seconds; bounds how
-            fast deaths/timeouts are detected (a submit wakes the
-            supervisor itself, so dispatch never waits for it).
         obs: Tracing/metrics recorder (wall clock).  When enabled,
             workers additionally record per-task engine metrics and ship
             snapshots back for a master-side merge.
     """
 
     def __init__(
-        self,
-        n_workers: int = 2,
-        rng: np.random.Generator | int | None = None,
-        start_method: str | None = None,
-        poll_interval: float = 0.02,
-        obs: Observability | None = None,
+        self, n_workers: int = 2, obs: Observability | None = None
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if poll_interval <= 0:
-            raise ValueError("poll_interval must be > 0")
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
         self.obs = obs if obs is not None else Observability.from_env()
-        if start_method is None:
-            start_method = os.environ.get("REPRO_MP_START_METHOD") or None
+        start_method = os.environ.get("REPRO_MP_START_METHOD") or None
         if start_method is None:
             available = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in available else "spawn"
         self._ctx = multiprocessing.get_context(start_method)
-        self._poll_interval = poll_interval
+        self._poll_interval = POLL_INTERVAL
         self._outbox = self._ctx.Queue()  # process-safe
         self._results: "queue.Queue[LocalResult]" = queue.Queue()  # thread-safe
 
         self._lock = threading.Lock()
-        self._rng = rng  # guarded-by: _lock
-        self._pending: list[Task] = []  # guarded-by: _lock
+        self._pending: deque[Task] = deque()  # guarded-by: _lock
         self._outstanding = 0  # guarded-by: _lock
-        self.priorities: dict[str, float] = {}  # guarded-by: _lock
         self._shutdown = False  # guarded-by: _lock
         self._workers: list[_WorkerHandle] = []  # guarded-by: _lock
         self._completed: set[int] = set()  # guarded-by: _lock
@@ -227,17 +217,6 @@ class ProcessWorkQueue:
     # ------------------------------------------------------------------
     # Public API (mirrors LocalWorkQueue)
     # ------------------------------------------------------------------
-    def set_priority(self, job_id: str, priority: float) -> None:
-        """Weight ``job_id``'s tasks in the priority-weighted draw.
-
-        Raises:
-            ValueError: When ``priority`` is not positive.
-        """
-        if priority <= 0:
-            raise ValueError("priority must be > 0")
-        with self._lock:
-            self.priorities[job_id] = priority
-
     def submit(self, task: Task) -> None:
         """Queue ``task`` for the next free worker.
 
@@ -348,23 +327,12 @@ class ProcessWorkQueue:
             )
         return _WorkerHandle(process, inbox, name)
 
-    def _pick_task(self) -> Optional[Task]:  # holds-lock: _lock
-        """Priority-weighted pop; caller holds the lock."""
-        if not self._pending:
-            return None
-        if len(self._pending) == 1:
-            return self._pending.pop(0)
-        weights = np.array(
-            [self.priorities.get(t.job_id, 1.0) for t in self._pending]
-        )
-        index = int(self._rng.choice(len(self._pending), p=weights / weights.sum()))
-        return self._pending.pop(index)
-
     def _dispatch_one(self, worker: _WorkerHandle) -> bool:  # holds-lock: _lock
-        """Feed one pending task to an idle worker; caller holds the lock."""
-        task = self._pick_task()
-        if task is None:
+        """Feed the oldest pending task to an idle worker; caller holds
+        the lock."""
+        if not self._pending:
             return False
+        task = self._pending.popleft()
         try:
             payload_bytes = pickle.dumps(task.fn)
         except Exception as exc:  # deliberate: unpicklable payload fails the task

@@ -6,6 +6,7 @@ annotations the rule polices — and requires a clean pass.  The negative
 half seeds unguarded mutations and requires them flagged.
 """
 
+import re
 from pathlib import Path
 
 import repro.workqueue.local as local_module
@@ -53,9 +54,11 @@ class TestRealWorkqueueLocal:
 
     def test_annotations_present_so_pass_is_not_vacuous(self):
         source = Path(local_module.__file__).read_text()
-        assert source.count("# guarded-by: _lock") >= 4
+        for field in ("_pending", "_outstanding", "_shutdown"):
+            assert re.search(
+                rf"self\.{field}\b[^\n]*# guarded-by: _lock", source
+            ), field
         assert "# lock-alias: _lock" in source
-        assert "# holds-lock: _lock" in source
 
 
 class TestSyntheticViolations:

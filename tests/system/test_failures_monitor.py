@@ -1,4 +1,4 @@
-"""Tests for failure injection and system monitoring."""
+"""Tests for failure injection on the simulated cluster."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.cluster import (
     Simulator,
     uniform_pool,
 )
-from repro.system import SystemMonitor
 from repro.workqueue import CostModel, ElasticWorkerPool, Task, WorkQueueMaster
 
 COST = CostModel(init_time=0.5, unit_cost=0.05, transfer_cost=0.0)
@@ -128,57 +127,3 @@ class TestFailureInjector:
         with pytest.raises(ValueError):
             FailureConfig(default_mtbf=-1.0)
 
-
-class TestSystemMonitor:
-    def test_samples_track_queue_drain(self):
-        simulator, condor, master, pool = build_stack(
-            uniform_pool(1, cores=1), 1
-        )
-        monitor = SystemMonitor(simulator, master, period=1.0)
-        monitor.start()
-        for _ in range(10):
-            master.submit(Task(job_id="j", data_size=20.0))
-        master.wait_all()
-        monitor.stop()
-        summary = monitor.summary()
-        assert summary.peak_queue_depth >= 8
-        assert summary.mean_utilization > 0.9
-        depths = [s.pending_tasks for s in monitor.samples]
-        assert depths == sorted(depths, reverse=True)
-
-    def test_idle_system_zero_utilization(self):
-        simulator, condor, master, pool = build_stack(
-            uniform_pool(1, cores=1), 1
-        )
-        monitor = SystemMonitor(simulator, master, period=1.0)
-        monitor.start()
-        simulator.run(until=5.0)
-        assert monitor.summary().mean_utilization == 0.0
-
-    def test_stop_halts_sampling(self):
-        simulator, condor, master, pool = build_stack(
-            uniform_pool(1, cores=1), 1
-        )
-        monitor = SystemMonitor(simulator, master, period=1.0)
-        monitor.start()
-        simulator.run(until=3.0)
-        count = len(monitor.samples)
-        monitor.stop()
-        simulator.run(until=10.0)
-        assert len(monitor.samples) == count
-
-    def test_period_validation(self):
-        simulator, condor, master, pool = build_stack(
-            uniform_pool(1, cores=1), 1
-        )
-        with pytest.raises(ValueError):
-            SystemMonitor(simulator, master, period=0.0)
-
-    def test_empty_summary(self):
-        simulator, condor, master, pool = build_stack(
-            uniform_pool(1, cores=1), 1
-        )
-        summary = SystemMonitor(simulator, master).summary()
-        assert summary.mean_utilization == 0.0
-        assert summary.peak_queue_depth == 0
-        assert summary.mean_queue_depth == 0.0

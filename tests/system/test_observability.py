@@ -10,7 +10,6 @@ import pytest
 
 from repro.streams.events import PopulationConfig, ScenarioSpec
 from repro.streams.generator import GeneratorConfig, generate_trace
-from repro.system.monitor import MonitorSummary
 from repro.system.sstd_system import BACKENDS, DistributedSSTD, SSTDSystemConfig
 
 N_CLAIMS = 4
@@ -139,34 +138,3 @@ class TestEnvActivation:
         assert not system.obs.enabled
         assert system.obs.tracer.events() == []
 
-
-class TestMonitorPercentiles:
-    def test_empty_summary_is_all_zero(self):
-        summary = MonitorSummary(samples=())
-        assert summary.p50_queue_depth == 0.0
-        assert summary.p95_queue_depth == 0.0
-        assert summary.p50_utilization == 0.0
-        assert summary.p95_utilization == 0.0
-        assert summary.max_utilization == 0.0
-        assert summary.queue_depth_percentile(99.0) == 0.0
-
-    def test_percentiles_are_actual_samples(self):
-        from repro.system.monitor import MonitorSample
-
-        samples = tuple(
-            MonitorSample(
-                time=float(i),
-                pending_tasks=depth,
-                busy_workers=busy,
-                total_workers=4,
-                jobs_with_backlog=0,
-            )
-            for i, (depth, busy) in enumerate(
-                [(0, 4), (2, 4), (5, 3), (9, 1), (1, 2)]
-            )
-        )
-        summary = MonitorSummary(samples=samples)
-        assert summary.p50_queue_depth == 2.0
-        assert summary.p95_queue_depth == 9.0
-        assert summary.max_utilization == 1.0
-        assert summary.p50_utilization == 0.75

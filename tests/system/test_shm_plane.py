@@ -178,7 +178,7 @@ class TestLifecycle:
     def test_worker_attachment_round_trip(self):
         arrays = _sample_arrays()
         owner = publish_arrays(arrays)
-        wq = ProcessWorkQueue(n_workers=1, rng=0, poll_interval=0.01)
+        wq = ProcessWorkQueue(n_workers=1)
         try:
             wq.submit(
                 Task(
@@ -234,7 +234,7 @@ class TestLifecycle:
         arrays = _sample_arrays()
         owner = publish_arrays(arrays)
         marker = tmp_path / "attempted"
-        wq = ProcessWorkQueue(n_workers=1, rng=0, poll_interval=0.01)
+        wq = ProcessWorkQueue(n_workers=1)
         try:
             wq.submit(
                 Task(

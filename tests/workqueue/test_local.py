@@ -11,7 +11,7 @@ from repro.workqueue import LocalWorkQueue, Task, TaskError
 
 @pytest.fixture
 def wq():
-    queue = LocalWorkQueue(n_workers=2, rng=0)
+    queue = LocalWorkQueue(n_workers=2)
     yield queue
     queue.shutdown()
 
@@ -67,9 +67,15 @@ class TestLocalWorkQueue:
     def test_drain_empty(self, wq):
         assert wq.drain(timeout=1.0) == []
 
-    def test_priorities_validated(self, wq):
-        with pytest.raises(ValueError):
-            wq.set_priority("j", -1.0)
+    def test_dispatches_in_submission_order(self):
+        wq = LocalWorkQueue(n_workers=1)
+        try:
+            for k in range(8):
+                wq.submit(Task(job_id=f"j{k}", fn=lambda k=k: k))
+            outputs = [r.output for r in wq.drain(timeout=10.0)]
+        finally:
+            wq.shutdown()
+        assert outputs == list(range(8))
 
     def test_submit_after_shutdown_rejected(self):
         wq = LocalWorkQueue(n_workers=1)

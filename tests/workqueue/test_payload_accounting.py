@@ -21,12 +21,7 @@ from tests.workqueue.test_process import double
 
 
 def _make_wq(n_workers: int = 1) -> ProcessWorkQueue:
-    return ProcessWorkQueue(
-        n_workers=n_workers,
-        rng=0,
-        poll_interval=0.01,
-        obs=Observability(),
-    )
+    return ProcessWorkQueue(n_workers=n_workers, obs=Observability())
 
 
 class TestProcessByteAccounting:
@@ -79,7 +74,7 @@ class TestProcessByteAccounting:
 
 class TestThreadByteContract:
     def test_in_process_executor_reports_none(self):
-        wq = LocalWorkQueue(n_workers=1, rng=0)
+        wq = LocalWorkQueue(n_workers=1)
         try:
             wq.submit(Task(job_id="j", fn=PayloadSpec(double, (2,))))
             (result,) = wq.drain(timeout=30.0)

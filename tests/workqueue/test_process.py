@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.workqueue import PayloadSpec, ProcessWorkQueue, Task, TaskError
+from repro.workqueue import PayloadSpec, ProcessWorkQueue, Task, TaskError, process
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +39,7 @@ def sleep_forever():
 
 @pytest.fixture
 def wq():
-    queue = ProcessWorkQueue(n_workers=2, rng=0, poll_interval=0.01)
+    queue = ProcessWorkQueue(n_workers=2)
     yield queue
     queue.shutdown()
 
@@ -109,12 +109,18 @@ class TestProcessWorkQueue:
     def test_drain_empty(self, wq):
         assert wq.drain(timeout=1.0) == []
 
-    def test_priorities_validated(self, wq):
-        with pytest.raises(ValueError):
-            wq.set_priority("j", 0.0)
+    def test_dispatches_in_submission_order(self):
+        wq = ProcessWorkQueue(n_workers=1)
+        try:
+            for k in range(6):
+                wq.submit(Task(job_id=f"j{k}", fn=PayloadSpec(double, (k,))))
+            outputs = [r.output for r in wq.drain(timeout=30.0)]
+        finally:
+            wq.shutdown()
+        assert outputs == [2 * k for k in range(6)]
 
     def test_submit_after_shutdown_rejected(self):
-        wq = ProcessWorkQueue(n_workers=1, rng=0)
+        wq = ProcessWorkQueue(n_workers=1)
         wq.shutdown()
         with pytest.raises(RuntimeError):
             wq.submit(Task(job_id="j", fn=PayloadSpec(double, (1,))))
@@ -128,10 +134,11 @@ class TestProcessWorkQueue:
         (result,) = wq.drain(timeout=30.0)
         assert result.wall_time >= 0.05
 
-    def test_submit_wakes_the_supervisor(self):
-        """Dispatch never waits out ``poll_interval``: a task submitted
+    def test_submit_wakes_the_supervisor(self, monkeypatch):
+        """Dispatch never waits out ``POLL_INTERVAL``: a task submitted
         to an idle queue is picked up at once."""
-        wq = ProcessWorkQueue(n_workers=1, rng=0, poll_interval=5.0)
+        monkeypatch.setattr(process, "POLL_INTERVAL", 5.0)
+        wq = ProcessWorkQueue(n_workers=1)
         try:
             # Warm-up: worker up, supervisor back in its 5 s outbox wait.
             wq.submit(Task(job_id="warm", fn=PayloadSpec(double, (1,))))
@@ -164,7 +171,7 @@ class TestWorkerDeath:
         assert result.output == "survived"
 
     def test_retries_exhausted_reports_worker_lost(self):
-        wq = ProcessWorkQueue(n_workers=1, rng=0, poll_interval=0.01)
+        wq = ProcessWorkQueue(n_workers=1)
         try:
             wq.submit(Task(job_id="doomed", fn=PayloadSpec(die_always), max_retries=1))
             (result,) = wq.drain(timeout=30.0)
@@ -188,7 +195,7 @@ class TestWorkerDeath:
 
 class TestTimeouts:
     def test_task_timeout_enforced(self):
-        wq = ProcessWorkQueue(n_workers=1, rng=0, poll_interval=0.01)
+        wq = ProcessWorkQueue(n_workers=1)
         try:
             wq.submit(
                 Task(

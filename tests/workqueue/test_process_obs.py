@@ -13,12 +13,7 @@ from tests.workqueue.test_process import die_always, die_unless_marker, double
 
 
 def _make_wq(n_workers: int = 2) -> ProcessWorkQueue:
-    return ProcessWorkQueue(
-        n_workers=n_workers,
-        rng=0,
-        poll_interval=0.01,
-        obs=Observability(),
-    )
+    return ProcessWorkQueue(n_workers=n_workers, obs=Observability())
 
 
 def _events(wq: ProcessWorkQueue, name: str) -> list:
@@ -134,7 +129,7 @@ class TestWorkerDeathCounters:
 class TestDisabledPath:
     def test_disabled_recorder_stays_empty(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        wq = ProcessWorkQueue(n_workers=1, rng=0, poll_interval=0.01)
+        wq = ProcessWorkQueue(n_workers=1)
         try:
             assert not wq.obs.enabled
             wq.submit(Task(job_id="j", fn=PayloadSpec(double, (2,))))
