@@ -159,7 +159,7 @@ def model_selection_demo() -> None:
         end=20_000.0,
     )
     observed = values[~np.isnan(values)]
-    result = select_n_states(observed, candidates=(1, 2, 3))
+    result = select_n_states(observed)
     for entry in result.entries:
         print(
             f"  n_states={entry.n_states}: logL={entry.log_likelihood:8.1f}"

@@ -80,7 +80,7 @@ def main() -> None:
             ],
         )
         print(f"\n  {trace.claims[claim_id].text[:60]}")
-        strips = side_by_side(estimates, remapped, width=48)
+        strips = side_by_side(estimates, remapped)
         for line in strips.splitlines():
             print(f"    {line}")
         shown += 1
@@ -97,10 +97,7 @@ def main() -> None:
     if spreaders:
         print("\nSuspected misinformation spreaders (posterior reliability):")
         print(
-            bar_chart(
-                {s.source_id: round(s.reliability, 2) for s in spreaders},
-                width=30,
-            )
+            bar_chart({s.source_id: round(s.reliability, 2) for s in spreaders})
         )
     print(
         f"\nQoS: {app.qos_hit_rate:.0%} of batches met the "

@@ -17,42 +17,35 @@ from repro.text import KeywordFilter, RawTweet, TweetPipeline
 # real, and a "second shooter" rumor that gets debunked mid-stream.
 TWEETS = [
     (0, "alice", "BREAKING: campus on lockdown, police everywhere"),
-    (30, "bob", "campus lockdown confirmed, we are inside the library"),
+    (30, "bob", "campus lockdown confirmed, police everywhere near the library"),
     (45, "carol", "RT @alice: BREAKING: campus on lockdown, police everywhere"),
-    (60, "dave", "lockdown at campus?? possibly, hearing sirens"),
-    (90, "erin", "police confirm campus lockdown, stay indoors"),
+    (60, "dave", "campus on lockdown?? possibly, police everywhere"),
+    (90, "erin", "police confirm campus lockdown, police everywhere"),
     (95, "frank", "lunch was great today"),  # off-topic; filtered out
     (120, "grace", "there is a second shooter near the stadium!!"),
     (130, "heidi", "RT @grace: there is a second shooter near the stadium!!"),
-    (140, "ivan", "second shooter at stadium? unconfirmed, be careful"),
-    (200, "judy", "no second shooter near the stadium, police deny it, false rumor"),
-    (220, "kim", "the second shooter near the stadium story is debunked, not true"),
-    (240, "leo", "second shooter at the stadium is fake news, stop spreading it"),
-    (300, "mallory", "lockdown still active, campus gates closed"),
-    (330, "nick", "RT @erin: police confirm campus lockdown, stay indoors"),
+    (140, "ivan", "second shooter near the stadium? unconfirmed"),
+    (200, "judy", "no second shooter near the stadium, police deny it"),
+    (220, "kim", "there is no second shooter near the stadium, debunked, not true"),
+    (240, "leo", "the second shooter near the stadium is fake news, not true"),
+    (300, "mallory", "campus on lockdown still, police everywhere"),
+    (330, "nick", "RT @erin: police confirm campus lockdown, police everywhere"),
 ]
 
 
 def main() -> None:
-    from repro.text import OnlineClaimClusterer
-
-    pipeline = TweetPipeline(
-        keyword_filter=KeywordFilter(
-            ("campus", "lockdown", "shooter", "stadium"),
-        ),
-        # Short, diverse tweets need a permissive join threshold; the
-        # evaluation traces use the stricter default.
-        clusterer=OnlineClaimClusterer(
-            join_threshold=0.85, split_threshold=0.95
-        ),
-    )
-    reports = pipeline.process_stream(
+    # The search query: off-topic tweets never reach the pipeline.
+    keyword_filter = KeywordFilter(("campus", "lockdown", "shooter", "stadium"))
+    tweets = [
         RawTweet(source_id=user, text=text, timestamp=float(t))
         for t, user, text in TWEETS
-    )
+    ]
+    on_topic = [tweet for tweet in tweets if keyword_filter.matches(tweet.text)]
+    pipeline = TweetPipeline()
+    reports = pipeline.process_stream(on_topic)
     print(
         f"Pipeline: {pipeline.processed} tweets scored, "
-        f"{pipeline.dropped} filtered out\n"
+        f"{len(tweets) - len(on_topic)} filtered out\n"
     )
     print(f"{'t':>4}  {'claim':<12} {'att':>4} {'unc':>5} {'ind':>4}  text")
     for report in reports:
@@ -76,7 +69,7 @@ def main() -> None:
         timeline = " ".join(
             "T" if e.value is TruthValue.TRUE else "f" for e in series
         )
-        print(f"  {claim_id}  [{timeline}]  topic: {cluster.centroid_text(5)}")
+        print(f"  {claim_id}  [{timeline}]  topic: {cluster.centroid_text()}")
 
     print(
         "\nReading: the lockdown claim stays TRUE; the second-shooter "

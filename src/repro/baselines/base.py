@@ -22,6 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.acs import ACSConfig
 from repro.core.types import Report, TruthEstimate, TruthValue
 
 __all__ = [
@@ -49,9 +50,11 @@ class EvaluationGrid:
             raise ValueError(f"end {self.end} before start {self.start}")
 
     def times(self) -> np.ndarray:
-        """Grid timestamps: ``start + step, start + 2*step, ...``"""
-        count = max(1, int(np.ceil((self.end - self.start) / self.step)))
-        return self.start + self.step * np.arange(1, count + 1)
+        """Grid timestamps: ``start + step, start + 2*step, ...``
+
+        The SSTD observation grid (:meth:`ACSConfig.grid`) at this step.
+        """
+        return ACSConfig(step=self.step).grid(self.start, self.end)
 
     @classmethod
     def from_reports(

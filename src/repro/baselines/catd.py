@@ -29,24 +29,19 @@ __all__ = [
 
 _EPS = 1e-9
 
+#: Significance level of the chi-squared interval (as in the original
+#: paper).
+ALPHA = 0.05
+#: Truth/weight alternation cap.
+MAX_ITER = 10
+#: Stop when fewer than this share of claims change their truth.
+TOL = 1e-4
+
 
 class CATD(BatchTruthDiscovery):
-    """Confidence-aware weighted voting for sparse sources.
-
-    Args:
-        alpha: Significance level of the chi-squared interval (0.05 in
-            the original paper).
-        max_iter: Truth/weight alternation cap.
-    """
+    """Confidence-aware weighted voting for sparse sources."""
 
     name = "CATD"
-
-    def __init__(self, alpha: float = 0.05, max_iter: int = 10, tol: float = 1e-4) -> None:
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-        self.alpha = alpha
-        self.max_iter = max_iter
-        self.tol = tol
 
     def estimate_claims(
         self, reports: Sequence[Report]
@@ -73,10 +68,10 @@ class CATD(BatchTruthDiscovery):
         truth = np.sign(numer)
 
         # chi-squared lower-tail quantile at each source's df; df >= 1.
-        quantiles = stats.chi2.ppf(self.alpha / 2.0, np.maximum(counts, 1.0))
+        quantiles = stats.chi2.ppf(ALPHA / 2.0, np.maximum(counts, 1.0))
         weights = np.ones(n_sources)
 
-        for _ in range(self.max_iter):
+        for _ in range(MAX_ITER):
             # squared error of each vote against current truth in {0, 1}
             sq_err = ((signs - truth[cols]) / 2.0) ** 2
             sse = np.bincount(rows, weights=sq_err, minlength=n_sources)
@@ -87,7 +82,7 @@ class CATD(BatchTruthDiscovery):
             numer = np.bincount(cols, weights=signs * weights[rows], minlength=n_claims)
             new_truth = np.sign(numer)
             new_truth[new_truth == 0] = -1.0
-            if float(np.mean(new_truth != truth)) < self.tol:
+            if float(np.mean(new_truth != truth)) < TOL:
                 truth = new_truth
                 break
             truth = new_truth

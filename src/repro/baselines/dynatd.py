@@ -31,34 +31,21 @@ __all__ = [
 
 _EPS = 1e-9
 
+#: Forgetting factor of accumulated claim evidence per step; 1.0 would
+#: never forget (static), 0.0 would trust only the current step.
+DECAY = 0.7
+#: Learning rate of the per-source reliability EMA.
+RELIABILITY_LR = 0.1
+#: Reliability prior for unseen sources.
+INITIAL_RELIABILITY = 0.6
+
 
 class DynaTD(TruthDiscoveryAlgorithm):
-    """Streaming MAP truth discovery with evolving source reliability.
-
-    Args:
-        decay: Forgetting factor of accumulated claim evidence per step;
-            1.0 never forgets (static), 0.0 trusts only the current step.
-        reliability_lr: Learning rate of the per-source reliability EMA.
-        initial_reliability: Reliability prior for unseen sources.
-    """
+    """Streaming MAP truth discovery with evolving source reliability."""
 
     name = "DynaTD"
 
-    def __init__(
-        self,
-        decay: float = 0.7,
-        reliability_lr: float = 0.1,
-        initial_reliability: float = 0.6,
-    ) -> None:
-        if not 0.0 <= decay <= 1.0:
-            raise ValueError(f"decay must be in [0, 1], got {decay}")
-        if not 0.0 < reliability_lr <= 1.0:
-            raise ValueError("reliability_lr must be in (0, 1]")
-        if not 0.0 < initial_reliability < 1.0:
-            raise ValueError("initial_reliability must be in (0, 1)")
-        self.decay = decay
-        self.reliability_lr = reliability_lr
-        self.initial_reliability = initial_reliability
+    def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
@@ -84,13 +71,13 @@ class DynaTD(TruthDiscoveryAlgorithm):
 
         # Decay all accumulated evidence (evolution prior).
         for claim_id in self._evidence:
-            self._evidence[claim_id] *= self.decay
+            self._evidence[claim_id] *= DECAY
 
         # Reliability-weighted vote of the current step, in log-odds form.
         for claim_id, claim_votes in votes.items():
             step_evidence = 0.0
             for source_id, sign in claim_votes:
-                rel = self._reliability.get(source_id, self.initial_reliability)
+                rel = self._reliability.get(source_id, INITIAL_RELIABILITY)
                 rel = min(max(rel, _EPS), 1.0 - _EPS)
                 step_evidence += sign * math.log(rel / (1.0 - rel))
             self._evidence[claim_id] += step_evidence
@@ -108,10 +95,10 @@ class DynaTD(TruthDiscoveryAlgorithm):
             truth_sign = 1.0 if self._truth[claim_id] is TruthValue.TRUE else -1.0
             for source_id, sign in claim_votes:
                 agreed = 1.0 if sign == truth_sign else 0.0
-                old = self._reliability.get(source_id, self.initial_reliability)
+                old = self._reliability.get(source_id, INITIAL_RELIABILITY)
                 self._reliability[source_id] = (
-                    1.0 - self.reliability_lr
-                ) * old + self.reliability_lr * agreed
+                    1.0 - RELIABILITY_LR
+                ) * old + RELIABILITY_LR * agreed
 
         estimates = []
         for claim_id in sorted(self._truth):
@@ -129,7 +116,7 @@ class DynaTD(TruthDiscoveryAlgorithm):
 
     def source_reliability(self, source_id: str) -> float:
         """Current reliability estimate for ``source_id``."""
-        return self._reliability.get(source_id, self.initial_reliability)
+        return self._reliability.get(source_id, INITIAL_RELIABILITY)
 
     # ------------------------------------------------------------------
     # Batch-compatible API: replay the trace through the streaming core

@@ -26,19 +26,22 @@ __all__ = [
 
 _EPS = 1e-9
 
+#: Growth exponent ``g`` of Invest (the value the paper used).
+INVEST_GROWTH = 1.2
+#: Growth exponent ``g`` of PooledInvest.
+POOLED_GROWTH = 1.4
+#: Iteration cap.
+MAX_ITER = 20
+#: Convergence threshold on the max change of source trust.
+TOL = 1e-4
+
 
 class Invest(BatchTruthDiscovery):
-    """The Invest algorithm with growth exponent ``g`` (paper used 1.2)."""
+    """The Invest algorithm with growth exponent :data:`INVEST_GROWTH`."""
 
     name = "Invest"
     _pooled = False
-
-    def __init__(self, g: float = 1.2, max_iter: int = 20, tol: float = 1e-4) -> None:
-        if g <= 0:
-            raise ValueError(f"growth exponent g must be > 0, got {g}")
-        self.g = g
-        self.max_iter = max_iter
-        self.tol = tol
+    _growth = INVEST_GROWTH
 
     def estimate_claims(
         self, reports: Sequence[Report]
@@ -57,14 +60,14 @@ class Invest(BatchTruthDiscovery):
         trust = {source: 1.0 for source in facts_of_source}
         belief: dict[tuple[str, int], float] = {}
 
-        for _ in range(self.max_iter):
+        for _ in range(MAX_ITER):
             invested: dict[tuple[str, int], float] = collections.defaultdict(float)
             allocation: dict[tuple[str, tuple[str, int]], float] = {}
             for source_id, facts in facts_of_source.items():
                 share = trust[source_id] / len(facts)
                 for fact in facts:
                     if self._pooled:
-                        grown = share**self.g
+                        grown = share**self._growth
                         invested[fact] += grown
                         allocation[(source_id, fact)] = grown
                     else:
@@ -73,7 +76,7 @@ class Invest(BatchTruthDiscovery):
             if self._pooled:
                 belief = dict(invested)
             else:
-                belief = {fact: x**self.g for fact, x in invested.items()}
+                belief = {fact: x**self._growth for fact, x in invested.items()}
 
             delta = 0.0
             for source_id, facts in facts_of_source.items():
@@ -91,7 +94,7 @@ class Invest(BatchTruthDiscovery):
             mean_trust = sum(trust.values()) / len(trust)
             for source_id in trust:
                 trust[source_id] /= max(mean_trust, _EPS)
-            if delta < self.tol:
+            if delta < TOL:
                 break
 
         decisions: dict[str, tuple[TruthValue, float]] = {}
@@ -114,6 +117,4 @@ class PooledInvest(Invest):
 
     name = "PooledInvest"
     _pooled = True
-
-    def __init__(self, g: float = 1.4, max_iter: int = 20, tol: float = 1e-4) -> None:
-        super().__init__(g=g, max_iter=max_iter, tol=tol)
+    _growth = POOLED_GROWTH

@@ -31,6 +31,12 @@ __all__ = [
     "paper_comparison_set",
 ]
 
+#: Lower bound of the adaptive window, in evaluation grid steps; the
+#: SSTD grid step is the window divided by this.
+WINDOW_STEPS = 2.0
+#: Reports the adaptive window targets on the average claim.
+TARGET_REPORTS_PER_WINDOW = 12.0
+
 
 class SSTDAlgorithm(TruthDiscoveryAlgorithm):
     """Adapter exposing the SSTD engine through the common interface.
@@ -39,26 +45,16 @@ class SSTDAlgorithm(TruthDiscoveryAlgorithm):
     window "based on the expected change frequency of the truth from the
     observed event", but on sparse traces the binding constraint is that
     a window needs several reports for a meaningful aggregated score.
-    The adapter targets ``target_reports_per_window`` on the *average*
-    claim (clamped to ``[window_steps x grid.step, span/8]``), decodes on
-    its own grid, and resamples estimates onto the evaluation grid by
-    carrying the latest decoded value forward.
+    The adapter targets :data:`TARGET_REPORTS_PER_WINDOW` on the
+    *average* claim (clamped to ``[WINDOW_STEPS x grid.step, span/8]``),
+    decodes on its own grid, and resamples estimates onto the evaluation
+    grid by carrying the latest decoded value forward.  A ``config``
+    replaces the adaptive choice.
     """
 
     name = "SSTD"
 
-    def __init__(
-        self,
-        window_steps: float = 2.0,
-        target_reports_per_window: float = 12.0,
-        config: SSTDConfig | None = None,
-    ) -> None:
-        if window_steps <= 0:
-            raise ValueError("window_steps must be > 0")
-        if target_reports_per_window <= 0:
-            raise ValueError("target_reports_per_window must be > 0")
-        self.window_steps = window_steps
-        self.target_reports_per_window = target_reports_per_window
+    def __init__(self, config: SSTDConfig | None = None) -> None:
         self._config_override = config
 
     def _choose_window(
@@ -68,9 +64,9 @@ class SSTDAlgorithm(TruthDiscoveryAlgorithm):
         n_claims = max(1, len({r.claim_id for r in reports}))
         per_claim = len(reports) / n_claims
         if per_claim <= 0:
-            return self.window_steps * grid.step
-        density_window = span * self.target_reports_per_window / per_claim
-        floor = self.window_steps * grid.step
+            return WINDOW_STEPS * grid.step
+        density_window = span * TARGET_REPORTS_PER_WINDOW / per_claim
+        floor = WINDOW_STEPS * grid.step
         ceiling = max(span / 8.0, floor)
         return float(min(max(density_window, floor), ceiling))
 
@@ -80,9 +76,7 @@ class SSTDAlgorithm(TruthDiscoveryAlgorithm):
         config = self._config_override
         if config is None:
             window = self._choose_window(reports, grid)
-            acs = ACSConfig(
-                window=window, step=window / self.window_steps
-            )
+            acs = ACSConfig(window=window, step=window / WINDOW_STEPS)
             config = SSTDConfig(acs=acs)
         engine = SSTD(config)
         decoded = engine.discover(reports, start=grid.start, end=grid.end)

@@ -32,34 +32,21 @@ __all__ = [
 
 _EPS = 1e-9
 
+#: Prior mean of source reliability.
+PRIOR_RELIABILITY = 0.6
+#: Pseudo-count of the reliability prior; a source needs this many
+#: consistent reports to move far from the prior.
+PRIOR_STRENGTH = 4.0
+#: Vote/reliability alternation cap.
+MAX_ITER = 15
+#: Convergence threshold on the max change of source reliability.
+TOL = 1e-4
+
 
 class RTD(BatchTruthDiscovery):
-    """Robust truth discovery with misinformation penalties.
-
-    Args:
-        prior_reliability: Prior mean of source reliability.
-        prior_strength: Pseudo-count of the reliability prior; a source
-            needs this many consistent reports to move far from the prior.
-        max_iter: Vote/reliability alternation cap.
-    """
+    """Robust truth discovery with misinformation penalties."""
 
     name = "RTD"
-
-    def __init__(
-        self,
-        prior_reliability: float = 0.6,
-        prior_strength: float = 4.0,
-        max_iter: int = 15,
-        tol: float = 1e-4,
-    ) -> None:
-        if not 0.0 < prior_reliability < 1.0:
-            raise ValueError("prior_reliability must be in (0, 1)")
-        if prior_strength <= 0:
-            raise ValueError("prior_strength must be > 0")
-        self.prior_reliability = prior_reliability
-        self.prior_strength = prior_strength
-        self.max_iter = max_iter
-        self.tol = tol
 
     def estimate_claims(
         self, reports: Sequence[Report]
@@ -83,11 +70,11 @@ class RTD(BatchTruthDiscovery):
             votes_of_source[source_id].append((claim_id, weight))
 
         reliability = {
-            source: self.prior_reliability for source in votes_of_source
+            source: PRIOR_RELIABILITY for source in votes_of_source
         }
         truth_sign: dict[str, float] = {}
 
-        for _ in range(self.max_iter):
+        for _ in range(MAX_ITER):
             # --- claim truth from reliability-weighted votes -----------
             new_sign: dict[str, float] = {}
             for claim_id, claim_votes in votes_of_claim.items():
@@ -111,8 +98,8 @@ class RTD(BatchTruthDiscovery):
                     if (weight > 0) == (sign > 0):
                         agree += magnitude
                 # Shrink toward the prior: robust on the long tail.
-                numer = agree + self.prior_reliability * self.prior_strength
-                denom = weight_total + self.prior_strength
+                numer = agree + PRIOR_RELIABILITY * PRIOR_STRENGTH
+                denom = weight_total + PRIOR_STRENGTH
                 new_rel = min(max(numer / denom, _EPS), 1.0 - _EPS)
                 delta = max(delta, abs(new_rel - reliability[source_id]))
                 reliability[source_id] = new_rel
@@ -123,7 +110,7 @@ class RTD(BatchTruthDiscovery):
                 if truth_sign.get(claim_id) != new_sign[claim_id]
             )
             truth_sign = new_sign
-            if delta < self.tol and changed == 0:
+            if delta < TOL and changed == 0:
                 break
 
         decisions: dict[str, tuple[TruthValue, float]] = {}

@@ -20,31 +20,22 @@ __all__ = [
     "SlidingVote",
 ]
 
+#: Window length as a multiple of the evaluation grid step.
+WINDOW_STEPS = 2.0
+
 
 class SlidingVote(TruthDiscoveryAlgorithm):
     """Majority vote over a sliding time window, per claim.
 
-    Args:
-        window_steps: Window length as a multiple of the evaluation
-            grid step.
-        carry_forward: Keep the previous verdict through empty windows
-            (True, default) or fall back to FALSE (False).
+    An empty window keeps the previous verdict.
     """
 
     name = "SlidingVote"
 
-    def __init__(
-        self, window_steps: float = 2.0, carry_forward: bool = True
-    ) -> None:
-        if window_steps <= 0:
-            raise ValueError("window_steps must be > 0")
-        self.window_steps = window_steps
-        self.carry_forward = carry_forward
-
     def discover(
         self, reports: Sequence[Report], grid: EvaluationGrid
     ) -> list[TruthEstimate]:
-        window = self.window_steps * grid.step
+        window = WINDOW_STEPS * grid.step
         by_claim: dict[str, list[Report]] = collections.defaultdict(list)
         for report in reports:
             by_claim[report.claim_id].append(report)
@@ -75,8 +66,6 @@ class SlidingVote(TruthDiscoveryAlgorithm):
                     current = (
                         TruthValue.TRUE if net > 0 else TruthValue.FALSE
                     )
-                elif not self.carry_forward:
-                    current = TruthValue.FALSE
                 confidence = abs(net) / count if count else 0.0
                 estimates.append(
                     TruthEstimate(

@@ -31,15 +31,16 @@ __all__ = [
 
 _EPS = 1e-9
 
+#: Iteration cap.
+MAX_ITER = 25
+#: Convergence threshold on the max change of a claim's truth value.
+TOL = 1e-4
+
 
 class ThreeEstimates(BatchTruthDiscovery):
     """The 3-Estimates algorithm on binary signed votes."""
 
     name = "3-Estimates"
-
-    def __init__(self, max_iter: int = 25, tol: float = 1e-4) -> None:
-        self.max_iter = max_iter
-        self.tol = tol
 
     def estimate_claims(
         self, reports: Sequence[Report]
@@ -68,7 +69,7 @@ class ThreeEstimates(BatchTruthDiscovery):
         error = np.full(n_sources, 0.2)  # in [0, 1]
         hardness = np.full(n_claims, 0.5)  # in [0, 1]
 
-        for _ in range(self.max_iter):
+        for _ in range(MAX_ITER):
             # --- truth from trusted, difficulty-adjusted votes ---------
             trust = (1.0 - error[rows]) * (1.0 - hardness[cols])
             numer = np.bincount(cols, weights=signs * trust, minlength=n_claims)
@@ -98,7 +99,7 @@ class ThreeEstimates(BatchTruthDiscovery):
 
             delta = float(np.max(np.abs(new_truth - truth))) if n_claims else 0.0
             truth, error, hardness = new_truth, new_error, new_hardness
-            if delta < self.tol:
+            if delta < TOL:
                 break
 
         decisions: dict[str, tuple[TruthValue, float]] = {}

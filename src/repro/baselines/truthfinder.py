@@ -32,35 +32,22 @@ __all__ = [
 
 _EPS = 1e-6
 
+#: Starting trustworthiness of every source.
+INITIAL_TRUST = 0.9
+#: Dampening factor for correlated sources.
+GAMMA = 0.3
+#: Weight of the mutual-exclusion (implication) term.
+RHO = 0.5
+#: Iteration cap.
+MAX_ITER = 20
+#: Convergence threshold on the max change of source trust.
+TOL = 1e-4
+
 
 class TruthFinder(BatchTruthDiscovery):
-    """Iterative pseudo-probabilistic truth finder.
-
-    Args:
-        initial_trust: Starting trustworthiness of every source.
-        gamma: Dampening factor for correlated sources.
-        rho: Weight of the mutual-exclusion (implication) term.
-        max_iter: Iteration cap.
-        tol: Convergence threshold on the max change of source trust.
-    """
+    """Iterative pseudo-probabilistic truth finder."""
 
     name = "TruthFinder"
-
-    def __init__(
-        self,
-        initial_trust: float = 0.9,
-        gamma: float = 0.3,
-        rho: float = 0.5,
-        max_iter: int = 20,
-        tol: float = 1e-4,
-    ) -> None:
-        if not 0.0 < initial_trust < 1.0:
-            raise ValueError("initial_trust must be in (0, 1)")
-        self.initial_trust = initial_trust
-        self.gamma = gamma
-        self.rho = rho
-        self.max_iter = max_iter
-        self.tol = tol
 
     def estimate_claims(
         self, reports: Sequence[Report]
@@ -79,10 +66,10 @@ class TruthFinder(BatchTruthDiscovery):
             facts_of_source[source_id].append(fact)
             claims.add(claim_id)
 
-        trust = {source: self.initial_trust for source in facts_of_source}
+        trust = {source: INITIAL_TRUST for source in facts_of_source}
         confidence: dict[tuple[str, int], float] = {}
 
-        for _ in range(self.max_iter):
+        for _ in range(MAX_ITER):
             # fact confidence from source trust
             raw: dict[tuple[str, int], float] = {}
             for fact, sources in supporters.items():
@@ -95,10 +82,10 @@ class TruthFinder(BatchTruthDiscovery):
                         continue
                     own = raw.get(fact, 0.0)
                     other = raw.get((claim_id, -polarity), 0.0)
-                    adjusted = own - self.rho * other
+                    adjusted = own - RHO * other
                     # Clamp the exponent: thousands of agreeing sources
                     # would otherwise overflow exp().
-                    exponent = min(max(-self.gamma * adjusted, -500.0), 500.0)
+                    exponent = min(max(-GAMMA * adjusted, -500.0), 500.0)
                     confidence[fact] = 1.0 / (1.0 + math.exp(exponent))
             # source trust from fact confidence
             delta = 0.0
@@ -107,7 +94,7 @@ class TruthFinder(BatchTruthDiscovery):
                 new_trust = min(max(new_trust, _EPS), 1.0 - _EPS)
                 delta = max(delta, abs(new_trust - trust[source_id]))
                 trust[source_id] = new_trust
-            if delta < self.tol:
+            if delta < TOL:
                 break
 
         decisions: dict[str, tuple[TruthValue, float]] = {}

@@ -66,12 +66,13 @@ class CondorPool:
     def free_cores(self) -> int:
         return sum(node.ledger.available.cores for node in self.alive_nodes)
 
-    def place(self, request: ResourceSpec = WORKER_FOOTPRINT) -> Placement:
-        """Claim ``request`` on the best matching node.
+    def place(self) -> Placement:
+        """Claim one :data:`WORKER_FOOTPRINT` on the best matching node.
 
         Raises:
             MatchmakingError: When no alive node has room.
         """
+        request = WORKER_FOOTPRINT
         candidates = [node for node in self.alive_nodes if node.can_host(request)]
         if not candidates:
             raise MatchmakingError(
@@ -89,14 +90,12 @@ class CondorPool:
         best.claim(request)
         return Placement(node=best, request=request)
 
-    def place_many(
-        self, count: int, request: ResourceSpec = WORKER_FOOTPRINT
-    ) -> list[Placement]:
+    def place_many(self, count: int) -> list[Placement]:
         """Claim ``count`` placements; rolls back on partial failure."""
         placements: list[Placement] = []
         try:
             for _ in range(count):
-                placements.append(self.place(request))
+                placements.append(self.place())
         except MatchmakingError:
             for placement in placements:
                 placement.release()

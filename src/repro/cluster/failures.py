@@ -14,7 +14,6 @@ new workers on it again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -70,7 +69,6 @@ class FailureInjector:
         master: WorkQueueMaster,
         config: FailureConfig | None = None,
         rng: np.random.Generator | int | None = None,
-        on_failure: Optional[Callable[[ComputeNode], None]] = None,
     ) -> None:
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
@@ -79,7 +77,6 @@ class FailureInjector:
         self.master = master
         self.config = config or FailureConfig()
         self.rng = rng
-        self.on_failure = on_failure
         self.log: list[FailureLogEntry] = []
         self._armed = False
 
@@ -115,8 +112,6 @@ class FailureInjector:
                 requeued_tasks=requeued,
             )
         )
-        if self.on_failure is not None:
-            self.on_failure(node)
         repair = float(self.rng.exponential(self.config.mean_repair_time))
         self.simulator.schedule(repair, lambda: self._recover(node, mtbf))
 

@@ -23,6 +23,15 @@ __all__ = [
     "uniform_pool",
 ]
 
+#: Core counts a heterogeneous pool draws from (desktops to servers).
+CORES_CHOICES = (2, 4, 8, 16)
+#: Range of a heterogeneous node's speed factor (up to 4x apart).
+SPEED_RANGE = (0.5, 2.0)
+#: Memory per core of every generated node.
+MEMORY_PER_CORE_MB = 2048
+#: Disk of every generated node.
+DISK_MB = 65_536
+
 
 @dataclass(frozen=True, slots=True)
 class NodeSpec:
@@ -84,11 +93,7 @@ class ComputeNode:
 
 
 def heterogeneous_pool(
-    n_nodes: int,
-    rng: np.random.Generator | int | None = None,
-    cores_choices: tuple[int, ...] = (2, 4, 8, 16),
-    speed_range: tuple[float, float] = (0.5, 2.0),
-    memory_per_core_mb: int = 2048,
+    n_nodes: int, rng: np.random.Generator | int | None = None
 ) -> list[NodeSpec]:
     """A random heterogeneous pool in the spirit of a campus HTCondor grid.
 
@@ -101,34 +106,32 @@ def heterogeneous_pool(
         rng = np.random.default_rng(rng)
     specs = []
     for k in range(n_nodes):
-        cores = int(rng.choice(cores_choices))
+        cores = int(rng.choice(CORES_CHOICES))
         specs.append(
             NodeSpec(
                 name=f"node-{k:04d}",
                 capacity=ResourceSpec(
                     cores=cores,
-                    memory_mb=cores * memory_per_core_mb,
-                    disk_mb=65_536,
+                    memory_mb=cores * MEMORY_PER_CORE_MB,
+                    disk_mb=DISK_MB,
                 ),
-                speed_factor=float(rng.uniform(*speed_range)),
+                speed_factor=float(rng.uniform(*SPEED_RANGE)),
             )
         )
     return specs
 
 
-def uniform_pool(
-    n_nodes: int, cores: int = 4, speed_factor: float = 1.0
-) -> list[NodeSpec]:
-    """A homogeneous pool (baseline for heterogeneity experiments)."""
+def uniform_pool(n_nodes: int, cores: int = 4) -> list[NodeSpec]:
+    """A homogeneous pool of unit-speed nodes (baseline for
+    heterogeneity experiments)."""
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
     return [
         NodeSpec(
             name=f"node-{k:04d}",
             capacity=ResourceSpec(
-                cores=cores, memory_mb=cores * 2048, disk_mb=65_536
+                cores=cores, memory_mb=cores * MEMORY_PER_CORE_MB, disk_mb=DISK_MB
             ),
-            speed_factor=speed_factor,
         )
         for k in range(n_nodes)
     ]

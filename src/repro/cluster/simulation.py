@@ -27,6 +27,10 @@ __all__ = [
     "Simulator",
 ]
 
+#: Events one :meth:`Simulator.run` may fire before it reports a
+#: runaway loop.
+MAX_EVENTS = 10_000_000
+
 
 @dataclass(order=True)
 class _ScheduledEvent:
@@ -107,7 +111,7 @@ class Simulator:
             return True
         return False
 
-    def run(self, until: float = math.inf, max_events: int = 10_000_000) -> None:
+    def run(self, until: float = math.inf) -> None:
         """Run events in order until the queue drains or ``until``.
 
         The clock is advanced to ``until`` when it is finite and the queue
@@ -123,9 +127,9 @@ class Simulator:
                 break
             self.step()
             fired += 1
-            if fired >= max_events:
+            if fired >= MAX_EVENTS:
                 raise RuntimeError(
-                    f"simulation exceeded {max_events} events — runaway loop?"
+                    f"simulation exceeded {MAX_EVENTS} events — runaway loop?"
                 )
         if math.isfinite(until) and until > self.now:
             self.now = until
@@ -140,15 +144,12 @@ class Simulator:
 class PeriodicTask:
     """A callback re-armed on a fixed period (e.g. PID sampling at 1 Hz).
 
-    The callback may call :meth:`stop` to cancel future firings.
+    The first firing is one period from now.  The callback may call
+    :meth:`stop` to cancel future firings.
     """
 
     def __init__(
-        self,
-        simulator: Simulator,
-        period: float,
-        callback: Callable[[], None],
-        start_delay: float | None = None,
+        self, simulator: Simulator, period: float, callback: Callable[[], None]
     ) -> None:
         if period <= 0:
             raise ValueError(f"period must be > 0, got {period}")
@@ -156,8 +157,7 @@ class PeriodicTask:
         self.period = period
         self.callback = callback
         self._stopped = False
-        delay = period if start_delay is None else start_delay
-        self._handle = simulator.schedule(delay, self._fire)
+        self._handle = simulator.schedule(period, self._fire)
 
     def _fire(self) -> None:
         if self._stopped:

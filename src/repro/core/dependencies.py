@@ -134,13 +134,9 @@ class CorrelationConfig:
         blend: Weight of the neighbor-evidence term in ``[0, 1)``; the
             blended sequence is
             ``(1 - blend) * own + blend * weighted-neighbor-average``.
-        min_own_weight: Sequences with fewer informative windows than
-            this keep full neighbor blending; data-rich claims blend
-            less (their own evidence suffices).
     """
 
     blend: float = 0.3
-    min_own_weight: float = 1e-9
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.blend < 1.0:
@@ -213,20 +209,16 @@ class CorrelatedSSTD:
             mixed[claim_id] = result
         return mixed
 
-    def discover(
-        self,
-        reports: Sequence[Report],
-        start: float | None = None,
-        end: float | None = None,
-    ) -> list[TruthEstimate]:
-        """Correlated truth discovery over all claims in ``reports``."""
+    def discover(self, reports: Sequence[Report]) -> list[TruthEstimate]:
+        """Correlated truth discovery over all claims in ``reports``.
+
+        Every claim is decoded on one grid over the span of ``reports``.
+        """
         table = ReportTable.from_reports(reports, self.config.acs.weights)
         if not table.claim_ids:
             return []
-        if start is None:
-            start = float(table.times.min())
-        if end is None:
-            end = float(table.times.max())
+        start = float(table.times.min())
+        end = float(table.times.max())
 
         times: np.ndarray | None = None
         sequences: dict[str, np.ndarray] = {}

@@ -26,6 +26,15 @@ __all__ = [
     "reliability_histogram",
 ]
 
+#: Pseudo-counts of the Beta prior that smooths a source's reliability
+#: toward 0.5.
+PRIOR_WEIGHT = 2.0
+#: Bins of :func:`reliability_histogram` over ``[0, 1]``.
+N_BINS = 10
+#: Scored reports a source needs to count in
+#: :func:`evaluate_reliability_estimates`.
+MIN_SCORED = 5
+
 
 @dataclass(frozen=True, slots=True)
 class SourceReliability:
@@ -36,22 +45,17 @@ class SourceReliability:
         n_scored: Reports that could be scored against an estimate.
         n_correct: Scored reports whose attitude matched the estimated
             truth at their timestamp.
-        prior_weight: Pseudo-counts of the Beta prior used for the
-            smoothed estimate.
     """
 
     source_id: str
     n_scored: int
     n_correct: int
-    prior_weight: float = 2.0
 
     def __post_init__(self) -> None:
         if self.n_scored < 0 or self.n_correct < 0:
             raise ValueError("counts must be >= 0")
         if self.n_correct > self.n_scored:
             raise ValueError("n_correct cannot exceed n_scored")
-        if self.prior_weight <= 0:
-            raise ValueError("prior_weight must be > 0")
 
     @property
     def raw_accuracy(self) -> float:
@@ -63,8 +67,8 @@ class SourceReliability:
     @property
     def reliability(self) -> float:
         """Beta-smoothed reliability: shrunk toward 0.5 on few reports."""
-        alpha = self.n_correct + self.prior_weight / 2.0
-        beta = (self.n_scored - self.n_correct) + self.prior_weight / 2.0
+        alpha = self.n_correct + PRIOR_WEIGHT / 2.0
+        beta = (self.n_scored - self.n_correct) + PRIOR_WEIGHT / 2.0
         return alpha / (alpha + beta)
 
     @property
@@ -80,11 +84,6 @@ class ReliabilityEstimator:
     at-or-before it (estimates are step functions of time); reports that
     precede every estimate of their claim are skipped.
     """
-
-    def __init__(self, prior_weight: float = 2.0) -> None:
-        if prior_weight <= 0:
-            raise ValueError("prior_weight must be > 0")
-        self.prior_weight = prior_weight
 
     def estimate(
         self,
@@ -118,7 +117,6 @@ class ReliabilityEstimator:
                 source_id=source_id,
                 n_scored=len(marks),
                 n_correct=sum(marks),
-                prior_weight=self.prior_weight,
             )
             for source_id, marks in scored.items()
         }
@@ -153,34 +151,30 @@ def rank_spreaders(
 
 def reliability_histogram(
     reliabilities: Mapping[str, SourceReliability],
-    n_bins: int = 10,
 ) -> list[tuple[float, float, int]]:
     """(bin_low, bin_high, count) histogram of posterior reliabilities."""
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
-    counts = [0] * n_bins
+    counts = [0] * N_BINS
     for record in reliabilities.values():
-        index = min(int(record.reliability * n_bins), n_bins - 1)
+        index = min(int(record.reliability * N_BINS), N_BINS - 1)
         counts[index] += 1
     return [
-        (k / n_bins, (k + 1) / n_bins, counts[k]) for k in range(n_bins)
+        (k / N_BINS, (k + 1) / N_BINS, counts[k]) for k in range(N_BINS)
     ]
 
 
 def evaluate_reliability_estimates(
     reliabilities: Mapping[str, SourceReliability],
     true_reliabilities: Mapping[str, float],
-    min_scored: int = 5,
 ) -> float:
     """Mean absolute error vs ground-truth reliabilities (generator traces).
 
-    Only sources with at least ``min_scored`` scored reports count —
+    Only sources with at least :data:`MIN_SCORED` scored reports count —
     one-report sources carry no signal, which is the paper's data
     sparsity point.
     """
     errors = []
     for source_id, record in reliabilities.items():
-        if record.n_scored < min_scored:
+        if record.n_scored < MIN_SCORED:
             continue
         truth = true_reliabilities.get(source_id)
         if truth is None:

@@ -14,8 +14,6 @@ emission parameters (a mean and a variance per state).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from repro.hmm.batch import BatchGaussianHMM
@@ -29,6 +27,13 @@ __all__ = [
     "n_parameters",
     "select_n_states",
 ]
+
+#: State counts the sweep fits.
+CANDIDATES = (1, 2, 3, 4)
+#: Baum-Welch iterations per candidate.
+MAX_ITER = 40
+#: EM initialization seed.
+SEED = 0
 
 
 def n_parameters(n_states: int) -> int:
@@ -73,30 +78,17 @@ class SelectionResult:
         return min(self.entries, key=lambda e: e.bic).n_states
 
 
-def select_n_states(
-    observations: np.ndarray,
-    candidates: Sequence[int] = (1, 2, 3, 4),
-    max_iter: int = 40,
-    seed: int = 0,
-) -> SelectionResult:
-    """Fit each candidate state count and score it.
+def select_n_states(observations: np.ndarray) -> SelectionResult:
+    """Fit each of the :data:`CANDIDATES` state counts and score it.
 
-    Args:
-        observations: One observation sequence (NaN = missing).
-        candidates: State counts to try.
-        max_iter: Baum-Welch iterations per candidate.
-        seed: EM initialization seed.
+    ``observations`` is one observation sequence (NaN = missing).
     """
-    if not candidates:
-        raise ValueError("need at least one candidate state count")
     stack = np.asarray(observations, dtype=float)[None, :]
     lengths = np.array([stack.shape[1]])
     entries = []
-    for n_states in candidates:
-        if n_states < 1:
-            raise ValueError("state counts must be >= 1")
+    for n_states in CANDIDATES:
         model = BatchGaussianHMM(1, n_states)
-        model.fit(stack, lengths, max_iter=max_iter, seed=seed)
+        model.fit(stack, lengths, max_iter=MAX_ITER, seed=SEED)
         # Score the trained parameters, not the ones the last EM
         # iteration entered with.
         emissions = model.emission_probabilities(stack)

@@ -25,8 +25,13 @@ __all__ = [
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 
+#: Cells of a truth strip.
+STRIP_WIDTH = 60
+#: Cells of the longest bar of a bar chart.
+BAR_WIDTH = 40
 
-def sparkline(values: Sequence[float], width: int | None = None) -> str:
+
+def sparkline(values: Sequence[float]) -> str:
     """Unicode sparkline of a numeric series; NaN renders as a space.
 
     Example:
@@ -47,11 +52,7 @@ def sparkline(values: Sequence[float], width: int | None = None) -> str:
         else:
             index = int((value - lo) / span * (len(_SPARK_LEVELS) - 1))
             chars.append(_SPARK_LEVELS[index])
-    line = "".join(chars)
-    if width is not None and len(line) > width:
-        stride = len(line) / width
-        line = "".join(line[int(k * stride)] for k in range(width))
-    return line
+    return "".join(chars)
 
 
 def truth_strip(values: Sequence[TruthValue]) -> str:
@@ -72,25 +73,19 @@ def estimate_strip(estimates: Sequence[TruthEstimate]) -> str:
     return truth_strip([e.value for e in ordered])
 
 
-def timeline_strip(
-    timeline: TruthTimeline, start: float, end: float, width: int = 60
-) -> str:
+def timeline_strip(timeline: TruthTimeline, start: float, end: float) -> str:
     """Ground-truth strip sampled on a uniform grid over ``[start, end]``."""
-    if width < 1:
-        raise ValueError("width must be >= 1")
     if end <= start:
         raise ValueError("end must be > start")
     values = [
-        timeline.value_at(start + (end - start) * (k + 0.5) / width)
-        for k in range(width)
+        timeline.value_at(start + (end - start) * (k + 0.5) / STRIP_WIDTH)
+        for k in range(STRIP_WIDTH)
     ]
     return truth_strip(values)
 
 
 def side_by_side(
-    estimates: Sequence[TruthEstimate],
-    timeline: TruthTimeline,
-    width: int = 60,
+    estimates: Sequence[TruthEstimate], timeline: TruthTimeline
 ) -> str:
     """Two labelled strips: estimated vs ground truth, time-aligned."""
     ordered = sorted(estimates, key=lambda e: e.timestamp)
@@ -103,32 +98,26 @@ def side_by_side(
     sampled: list[TruthValue] = []
     cursor = 0
     current = ordered[0].value
-    for k in range(width):
-        t = start + (end - start) * (k + 0.5) / width
+    for k in range(STRIP_WIDTH):
+        t = start + (end - start) * (k + 0.5) / STRIP_WIDTH
         while cursor < len(ordered) and ordered[cursor].timestamp <= t:
             current = ordered[cursor].value
             cursor += 1
         sampled.append(current)
     return (
         f"estimate {truth_strip(sampled)}\n"
-        f"truth    {timeline_strip(timeline, start, end, width)}"
+        f"truth    {timeline_strip(timeline, start, end)}"
     )
 
 
-def bar_chart(
-    rows: Mapping[str, float],
-    width: int = 40,
-    unit: str = "",
-) -> str:
+def bar_chart(rows: Mapping[str, float]) -> str:
     """Horizontal ASCII bars, scaled to the max value.
 
     Example:
-        >>> print(bar_chart({"a": 2.0, "b": 1.0}, width=4))
-        a ████ 2
-        b ██   1
+        >>> print(bar_chart({"a": 2.0, "b": 0.5}))
+        a ████████████████████████████████████████ 2
+        b ██████████                               0.5
     """
-    if width < 1:
-        raise ValueError("width must be >= 1")
     if not rows:
         return ""
     label_width = max(len(label) for label in rows)
@@ -137,10 +126,9 @@ def bar_chart(
     for label, value in rows.items():
         if value < 0:
             raise ValueError("bar_chart values must be >= 0")
-        filled = 0 if peak <= 0 else round(value / peak * width)
-        bar = "█" * filled + " " * (width - filled)
-        formatted = f"{value:g}{unit}"
-        lines.append(f"{label:<{label_width}} {bar} {formatted}")
+        filled = 0 if peak <= 0 else round(value / peak * BAR_WIDTH)
+        bar = "█" * filled + " " * (BAR_WIDTH - filled)
+        lines.append(f"{label:<{label_width}} {bar} {value:g}")
     return "\n".join(lines)
 
 

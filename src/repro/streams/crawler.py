@@ -23,6 +23,13 @@ __all__ = [
     "SimulatedCrawler",
 ]
 
+#: Replay rate in tweets/second.
+SPEED = 100.0
+#: Replay duration in seconds.
+DURATION = 60.0
+#: Seconds between polls (the crawler's API cadence).
+POLL_INTERVAL = 5.0
+
 
 @dataclass(frozen=True, slots=True)
 class CrawlBatch:
@@ -38,30 +45,19 @@ class CrawlBatch:
 class SimulatedCrawler:
     """Polls a replayed trace like a search-API crawler.
 
-    Args:
-        trace: Source trace; its reports must carry text (generate with
-            ``GeneratorConfig(with_text=True)``, the default).
-        speed: Replay rate in tweets/second.
-        duration: Replay duration in seconds.
-        poll_interval: Seconds between polls (the crawler's API cadence).
+    ``trace`` must carry text (generate with
+    ``GeneratorConfig(with_text=True)``, the default); it is replayed at
+    :data:`SPEED` tweets/second for :data:`DURATION` seconds and polled
+    every :data:`POLL_INTERVAL` seconds.
     """
 
-    def __init__(
-        self,
-        trace: Trace,
-        speed: float = 100.0,
-        duration: float = 60.0,
-        poll_interval: float = 5.0,
-    ) -> None:
-        if poll_interval <= 0:
-            raise ValueError("poll_interval must be > 0")
+    def __init__(self, trace: Trace) -> None:
         if trace.reports and not any(r.text for r in trace.reports[:100]):
             raise ValueError(
                 "trace has no tweet text; regenerate with with_text=True"
             )
         self.trace = trace
-        self.poll_interval = poll_interval
-        self._replayer = StreamReplayer(trace, speed=speed, duration=duration)
+        self._replayer = StreamReplayer(trace, speed=SPEED, duration=DURATION)
 
     def total_tweets(self) -> int:
         return self._replayer.total_reports()
@@ -69,7 +65,7 @@ class SimulatedCrawler:
     def polls(self) -> Iterator[CrawlBatch]:
         """Yield one :class:`CrawlBatch` per poll interval."""
         pending: list[RawTweet] = []
-        boundary = self.poll_interval
+        boundary = POLL_INTERVAL
         for batch in self._replayer.batches():
             for report in batch.reports:
                 pending.append(
@@ -82,6 +78,6 @@ class SimulatedCrawler:
             if batch.arrival_time >= boundary:
                 yield CrawlBatch(poll_time=boundary, tweets=tuple(pending))
                 pending = []
-                boundary += self.poll_interval
+                boundary += POLL_INTERVAL
         if pending:
             yield CrawlBatch(poll_time=boundary, tweets=tuple(pending))

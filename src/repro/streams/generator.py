@@ -55,27 +55,29 @@ __all__ = [
 ]
 
 
+#: Fraction of reports using hedged language.
+HEDGE_RATE = 0.25
+#: Probability that a report's attitude label is flipped (models errors
+#: of the heuristic attitude classifier).
+ATTITUDE_NOISE = 0.03
+#: Mean staleness (seconds) of the truth a source observes; reports just
+#: after a transition may reflect the old truth, exactly the noise that
+#: trips naive change detection.
+REPORT_LAG_SCALE = 120.0
+#: How many recent reports per claim are retweetable.
+RECENT_BUFFER = 20
+#: Cap on burst kernels (rate-bound blowup guard).
+MAX_BURSTS = 64
+
+
 @dataclass(frozen=True, slots=True)
 class GeneratorConfig:
-    """Noise knobs of the generator, separate from the scenario shape.
+    """Generator settings separate from the scenario shape.
 
     Attributes:
-        hedge_rate: Fraction of reports using hedged language.
-        attitude_noise: Probability that a report's attitude label is
-            flipped (models errors of the heuristic attitude classifier).
-        report_lag_scale: Mean staleness (seconds) of the truth a source
-            observes; reports just after a transition may reflect the old
-            truth, exactly the noise that trips naive change detection.
-        recent_buffer: How many recent reports per claim are retweetable.
-        max_bursts: Cap on burst kernels (rate-bound blowup guard).
         with_text: Generate tweet text (disable for big fast traces).
     """
 
-    hedge_rate: float = 0.25
-    attitude_noise: float = 0.03
-    report_lag_scale: float = 120.0
-    recent_buffer: int = 20
-    max_bursts: int = 64
     with_text: bool = True
 
 
@@ -163,8 +165,8 @@ def generate_trace(
     transitions = sorted(
         t for timeline in timelines.values() for t in timeline.transition_times()
     )
-    if len(transitions) > config.max_bursts:
-        idx = np.linspace(0, len(transitions) - 1, config.max_bursts).astype(int)
+    if len(transitions) > MAX_BURSTS:
+        idx = np.linspace(0, len(transitions) - 1, MAX_BURSTS).astype(int)
         transitions = [transitions[i] for i in idx]
     # Amplitude is split across kernels so the peak rate stays bounded
     # regardless of how many claims flip.
@@ -189,13 +191,13 @@ def generate_trace(
     source_reliability = population.reliability[source_idx]
     source_retweet_prop = population.retweet_propensity[source_idx]
     knows_truth = rng.random(n) < source_reliability
-    hedged_draw = rng.random(n) < config.hedge_rate
-    noise_draw = rng.random(n) < config.attitude_noise
+    hedged_draw = rng.random(n) < HEDGE_RATE
+    noise_draw = rng.random(n) < ATTITUDE_NOISE
     retweet_draw = rng.random(n) < source_retweet_prop
     template_pick = rng.random(n)
     copy_pick = rng.random(n)
     observed_at = np.maximum(
-        0.0, times - rng.exponential(config.report_lag_scale, size=n)
+        0.0, times - rng.exponential(REPORT_LAG_SCALE, size=n)
     )
     uncertainty = np.where(
         hedged_draw,
@@ -224,7 +226,7 @@ def generate_trace(
     says_true = np.where(knows_truth, truth_now, ~truth_now)
 
     recent: dict[int, collections.deque] = collections.defaultdict(
-        lambda: collections.deque(maxlen=config.recent_buffer)
+        lambda: collections.deque(maxlen=RECENT_BUFFER)
     )
 
     source_id = SourcePopulation.source_id

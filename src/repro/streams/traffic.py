@@ -29,6 +29,11 @@ __all__ = [
     "bursts_at_transitions",
 ]
 
+#: Length of the diurnal cycle in seconds (one day).
+DIURNAL_PERIOD = 86_400.0
+#: Points of the grid the normalized cumulative rate is sampled on.
+RESOLUTION = 8192
+
 
 @dataclass(frozen=True, slots=True)
 class Burst:
@@ -58,14 +63,12 @@ class TrafficModel:
     Attributes:
         base_rate: Mean arrival rate in reports/second, before modulation.
         diurnal_amplitude: Strength of the day/night cycle in ``[0, 1)``;
-            0 disables it.
-        diurnal_period: Cycle length in seconds (one day by default).
+            0 disables it.  The cycle is :data:`DIURNAL_PERIOD` long.
         bursts: Spikes layered on top of the base rate.
     """
 
     base_rate: float = 1.0
     diurnal_amplitude: float = 0.4
-    diurnal_period: float = 86_400.0
     bursts: tuple[Burst, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
@@ -73,13 +76,11 @@ class TrafficModel:
             raise ValueError("base_rate must be > 0")
         if not 0.0 <= self.diurnal_amplitude < 1.0:
             raise ValueError("diurnal_amplitude must be in [0, 1)")
-        if self.diurnal_period <= 0:
-            raise ValueError("diurnal_period must be > 0")
 
     def rate(self, t: float) -> float:
         """Instantaneous arrival rate at time ``t`` (reports/second)."""
         diurnal = 1.0 + self.diurnal_amplitude * math.sin(
-            2.0 * math.pi * t / self.diurnal_period
+            2.0 * math.pi * t / DIURNAL_PERIOD
         )
         burst = 1.0 + sum(b.intensity(t) for b in self.bursts)
         return self.base_rate * diurnal * burst
@@ -93,7 +94,7 @@ class TrafficModel:
         """Vectorized :meth:`rate` over an array of timestamps."""
         times = np.asarray(times, dtype=float)
         diurnal = 1.0 + self.diurnal_amplitude * np.sin(
-            2.0 * np.pi * times / self.diurnal_period
+            2.0 * np.pi * times / DIURNAL_PERIOD
         )
         burst = np.ones_like(times)
         for b in self.bursts:
@@ -102,10 +103,10 @@ class TrafficModel:
         return self.base_rate * diurnal * burst
 
     def _cdf_grid(
-        self, start: float, end: float, resolution: int
+        self, start: float, end: float
     ) -> tuple[np.ndarray, np.ndarray, float]:
         """Grid, normalized cumulative rate, and total integral."""
-        grid = np.linspace(start, end, resolution)
+        grid = np.linspace(start, end, RESOLUTION)
         rates = self.rate_array(grid)
         increments = np.concatenate(
             [[0.0], 0.5 * (rates[1:] + rates[:-1]) * np.diff(grid)]
@@ -121,8 +122,6 @@ class TrafficModel:
         start: float,
         end: float,
         rng: np.random.Generator | int | None = None,
-        max_events: int | None = None,
-        resolution: int = 8192,
     ) -> np.ndarray:
         """Arrival timestamps in ``[start, end)``.
 
@@ -135,10 +134,8 @@ class TrafficModel:
             raise ValueError(f"empty interval [{start}, {end})")
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
-        grid, cdf, total = self._cdf_grid(start, end, resolution)
+        grid, cdf, total = self._cdf_grid(start, end)
         count = int(rng.poisson(total))
-        if max_events is not None:
-            count = min(count, max_events)
         uniforms = rng.random(count)
         return np.sort(np.interp(uniforms, cdf, grid))
 
@@ -148,7 +145,6 @@ class TrafficModel:
         end: float,
         count: int,
         rng: np.random.Generator | int | None = None,
-        resolution: int = 8192,
     ) -> np.ndarray:
         """Exactly ``count`` arrival times distributed like the process.
 
@@ -163,7 +159,7 @@ class TrafficModel:
             rng = np.random.default_rng(rng)
         if count == 0:
             return np.array([])
-        grid, cdf, _ = self._cdf_grid(start, end, resolution)
+        grid, cdf, _ = self._cdf_grid(start, end)
         uniforms = rng.random(count)
         return np.sort(np.interp(uniforms, cdf, grid))
 

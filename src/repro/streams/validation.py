@@ -1,10 +1,9 @@
 """Trace sanity validation.
 
 Generated or externally supplied traces pass through these checks
-before experiments run: report hygiene (ordering, bounds), ground-truth
-coverage, and the statistical regime the evaluation relies on (sparsity
-ratio, claim coverage).  The CLI and test suites use it; benchmarks
-assume traces that pass.
+before experiments run: report hygiene (ordering), ground-truth
+coverage and source metadata.  The CLI and test suites use it;
+benchmarks assume traces that pass.
 """
 
 from __future__ import annotations
@@ -57,20 +56,8 @@ class ValidationReport:
         )
 
 
-def validate_trace(
-    trace: Trace,
-    min_sparsity_ratio: float = 0.0,
-    require_text: bool = False,
-) -> ValidationReport:
-    """Check a trace's structural and statistical invariants.
-
-    Args:
-        trace: The trace to check.
-        min_sparsity_ratio: Minimum distinct-sources / reports ratio to
-            accept without a warning (the paper's traces sit near 0.9).
-        require_text: Flag missing tweet text as an error (needed by
-            the NLP pipeline and the crawler).
-    """
+def validate_trace(trace: Trace) -> ValidationReport:
+    """Check a trace's structural invariants."""
     report = ValidationReport()
 
     def error(code: str, message: str) -> None:
@@ -128,29 +115,11 @@ def validate_trace(
             f"{missing_sources} reporting sources have no Source record",
         )
 
-    # --- statistical regime -----------------------------------------------
-    stats = trace.stats()
-    ratio = stats.n_sources / stats.n_reports
-    if ratio < min_sparsity_ratio:
-        warning(
-            "sparsity",
-            f"distinct-source ratio {ratio:.2f} below the required "
-            f"{min_sparsity_ratio:.2f}",
-        )
-
-    if require_text:
-        textless = sum(1 for record in trace.reports if not record.text)
-        if textless:
-            error(
-                "missing-text",
-                f"{textless}/{len(trace.reports)} reports carry no text",
-            )
-
     return report
 
 
-def assert_valid(trace: Trace, **kwargs) -> None:
+def assert_valid(trace: Trace) -> None:
     """Raise ``ValueError`` when :func:`validate_trace` finds errors."""
-    report = validate_trace(trace, **kwargs)
+    report = validate_trace(trace)
     if not report.ok:
         raise ValueError(f"invalid trace: {report.summary()}")

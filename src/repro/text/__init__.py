@@ -2,11 +2,7 @@
 
 from repro.text.attitude import AttitudeClassifier
 from repro.text.clustering import Cluster, OnlineClaimClusterer
-from repro.text.independence import (
-    IndependenceConfig,
-    IndependenceScorer,
-    is_retweet,
-)
+from repro.text.independence import IndependenceScorer, is_retweet
 from repro.text.jaccard import (
     jaccard_distance,
     jaccard_similarity,
@@ -29,7 +25,6 @@ __all__ = [
     "Cluster",
     "FOOTBALL_KEYWORDS",
     "HEDGE_CORPUS",
-    "IndependenceConfig",
     "IndependenceScorer",
     "KeywordFilter",
     "NaiveBayesHedgeClassifier",

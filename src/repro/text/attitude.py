@@ -4,8 +4,7 @@ The paper computes the attitude score "using a heuristic method based
 mainly on the content of the tweet ... (e.g., whether a tweet contains
 certain negative words such as 'false', 'fake', 'rumor', 'debunked',
 'not true')".  This module reproduces that keyword heuristic, extended
-with simple bigram handling so "not true" and "taking the lead" work as
-phrases, plus a sports-mode cue list for the College Football trace.
+with simple bigram handling so "not true" works as a phrase.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ __all__ = [
     "AttitudeClassifier",
     "DENIAL_CUES",
     "DENIAL_PHRASES",
-    "SPORTS_ASSERT_PHRASES",
 ]
 
 #: Cues that a tweet denies / debunks the claim it mentions.
@@ -42,30 +40,9 @@ ASSERT_CUES = frozenset(
     alert reports reporting yes police official officials""".split()
 )
 
-#: Score-change cues for sports traces (paper Section V-A2: "taking the
-#: lead", "score", "tied" are supportive of a score-change claim).
-SPORTS_ASSERT_PHRASES = (
-    ("taking", "the"),
-    ("takes", "the"),
-    ("touchdown",),
-    ("field", "goal"),
-    ("score",),
-    ("scored",),
-    ("scores",),
-    ("tied",),
-)
-
 
 class AttitudeClassifier:
-    """Keyword/phrase attitude scorer.
-
-    Args:
-        sports_mode: Also treat score-change phrases as assertions (the
-            College Football pre-processing of the paper).
-    """
-
-    def __init__(self, sports_mode: bool = False) -> None:
-        self.sports_mode = sports_mode
+    """Keyword/phrase attitude scorer."""
 
     def classify(self, text: str) -> Attitude:
         """Attitude of ``text``: AGREE, DISAGREE, or NEUTRAL.
@@ -85,12 +62,6 @@ class AttitudeClassifier:
             1 for phrase in DENIAL_PHRASES if self._has_phrase(tokens, phrase)
         )
         assert_hits = len(token_set_ & ASSERT_CUES)
-        if self.sports_mode:
-            assert_hits += sum(
-                1
-                for phrase in SPORTS_ASSERT_PHRASES
-                if self._has_phrase(tokens, phrase)
-            )
 
         if denial_hits > 0 and denial_hits >= assert_hits:
             return Attitude.DISAGREE
@@ -103,8 +74,6 @@ class AttitudeClassifier:
     @staticmethod
     def _has_phrase(tokens: list[str], phrase: tuple[str, ...]) -> bool:
         n = len(phrase)
-        if n == 1:
-            return phrase[0] in tokens
         return any(
             tuple(tokens[i : i + n]) == phrase
             for i in range(len(tokens) - n + 1)

@@ -22,6 +22,19 @@ __all__ = [
     "OnlineClaimClusterer",
 ]
 
+#: Maximum Jaccard distance at which a tweet joins an existing cluster
+#: (else a new cluster opens).
+JOIN_THRESHOLD = 0.7
+#: Diameter above which a cluster is split in two (the paper's
+#: "pre-specified threshold learned from previous case studies").
+SPLIT_THRESHOLD = 0.9
+#: Tokens kept in the centroid representation.
+CENTROID_TOP_K = 12
+#: Tokens of a cluster's display text.
+CENTROID_TEXT_TOP_K = 8
+#: Tweets a cluster retains for its diameter check.
+MAX_SAMPLES = 32
+
 
 @dataclass
 class Cluster:
@@ -32,21 +45,22 @@ class Cluster:
     size: int = 0
     sample_sets: list[frozenset[str]] = field(default_factory=list)
 
-    def centroid(self, top_k: int = 12) -> frozenset[str]:
+    def centroid(self) -> frozenset[str]:
         """Most frequent tokens — the cluster's Jaccard representative."""
         return frozenset(
-            token for token, _ in self.token_counts.most_common(top_k)
+            token for token, _ in self.token_counts.most_common(CENTROID_TOP_K)
         )
 
-    def centroid_text(self, top_k: int = 8) -> str:
+    def centroid_text(self) -> str:
         return " ".join(
-            token for token, _ in self.token_counts.most_common(top_k)
+            token
+            for token, _ in self.token_counts.most_common(CENTROID_TEXT_TOP_K)
         )
 
-    def add(self, tokens: frozenset[str], max_samples: int = 32) -> None:
+    def add(self, tokens: frozenset[str]) -> None:
         self.token_counts.update(tokens)
         self.size += 1
-        if len(self.sample_sets) < max_samples:
+        if len(self.sample_sets) < MAX_SAMPLES:
             self.sample_sets.append(tokens)
 
     def diameter(self) -> float:
@@ -58,30 +72,9 @@ class Cluster:
 
 
 class OnlineClaimClusterer:
-    """Incremental Jaccard clustering with diameter-triggered splits.
+    """Incremental Jaccard clustering with diameter-triggered splits."""
 
-    Args:
-        join_threshold: Maximum Jaccard distance at which a tweet joins
-            an existing cluster (else a new cluster opens).
-        split_threshold: Diameter above which a cluster is split in two
-            (the paper's "pre-specified threshold learned from previous
-            case studies").
-        centroid_top_k: Tokens kept in the centroid representation.
-    """
-
-    def __init__(
-        self,
-        join_threshold: float = 0.7,
-        split_threshold: float = 0.9,
-        centroid_top_k: int = 12,
-    ) -> None:
-        if not 0.0 < join_threshold <= 1.0:
-            raise ValueError("join_threshold must be in (0, 1]")
-        if not 0.0 < split_threshold <= 1.0:
-            raise ValueError("split_threshold must be in (0, 1]")
-        self.join_threshold = join_threshold
-        self.split_threshold = split_threshold
-        self.centroid_top_k = centroid_top_k
+    def __init__(self) -> None:
         self.clusters: dict[str, Cluster] = {}
         self._counter = itertools.count(1)
 
@@ -94,9 +87,7 @@ class OnlineClaimClusterer:
         best: Optional[Cluster] = None
         best_distance = 2.0
         for cluster in self.clusters.values():
-            distance = jaccard_distance(
-                tokens, cluster.centroid(self.centroid_top_k)
-            )
+            distance = jaccard_distance(tokens, cluster.centroid())
             if distance < best_distance:
                 best, best_distance = cluster, distance
         return best, best_distance
@@ -105,12 +96,12 @@ class OnlineClaimClusterer:
         """Cluster one tweet; returns the claim (cluster) id."""
         tokens = token_set(text)
         cluster, distance = self._nearest(tokens)
-        if cluster is None or distance > self.join_threshold:
+        if cluster is None or distance > JOIN_THRESHOLD:
             cluster = self._new_cluster()
         cluster.add(tokens)
         if (
             len(cluster.sample_sets) >= 4
-            and cluster.diameter() > self.split_threshold
+            and cluster.diameter() > SPLIT_THRESHOLD
         ):
             self._split(cluster)
         return cluster.cluster_id

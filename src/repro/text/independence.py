@@ -14,46 +14,27 @@ from __future__ import annotations
 
 import collections
 import re
-from dataclasses import dataclass
 
 from repro.text.jaccard import jaccard_similarity
 from repro.text.tokenize import token_set
 
 __all__ = [
-    "IndependenceConfig",
     "IndependenceScorer",
     "is_retweet",
 ]
 
 _RT_RE = re.compile(r"^\s*rt\s+@\w+", re.IGNORECASE)
 
-
-@dataclass(frozen=True, slots=True)
-class IndependenceConfig:
-    """Scoring thresholds.
-
-    Attributes:
-        window: Seconds of history a tweet is compared against.
-        duplicate_similarity: Jaccard similarity above which a tweet
-            counts as a copy of a recent one.
-        copy_score: Eta assigned to retweets / near-duplicates.
-        fresh_score: Eta assigned to independent reports.
-        max_history: Cap on remembered recent tweets (memory bound).
-    """
-
-    window: float = 600.0
-    duplicate_similarity: float = 0.8
-    copy_score: float = 0.2
-    fresh_score: float = 1.0
-    max_history: int = 512
-
-    def __post_init__(self) -> None:
-        if self.window <= 0:
-            raise ValueError("window must be > 0")
-        if not 0.0 <= self.duplicate_similarity <= 1.0:
-            raise ValueError("duplicate_similarity must be in [0, 1]")
-        if not 0.0 < self.copy_score <= self.fresh_score <= 1.0:
-            raise ValueError("need 0 < copy_score <= fresh_score <= 1")
+#: Seconds of history a tweet is compared against.
+WINDOW = 600.0
+#: Jaccard similarity above which a tweet counts as a copy of a recent one.
+DUPLICATE_SIMILARITY = 0.8
+#: Eta assigned to retweets / near-duplicates.
+COPY_SCORE = 0.2
+#: Eta assigned to independent reports.
+FRESH_SCORE = 1.0
+#: Cap on remembered recent tweets per claim (memory bound).
+MAX_HISTORY = 512
 
 
 def is_retweet(text: str) -> bool:
@@ -64,10 +45,9 @@ def is_retweet(text: str) -> bool:
 class IndependenceScorer:
     """Streaming eta scorer with a per-claim recent-tweet memory."""
 
-    def __init__(self, config: IndependenceConfig | None = None) -> None:
-        self.config = config or IndependenceConfig()
+    def __init__(self) -> None:
         self._history: dict[str, collections.deque] = collections.defaultdict(
-            lambda: collections.deque(maxlen=self.config.max_history)
+            lambda: collections.deque(maxlen=MAX_HISTORY)
         )
 
     def score(self, claim_id: str, text: str, timestamp: float) -> float:
@@ -75,21 +55,17 @@ class IndependenceScorer:
 
         Tweets must arrive in non-decreasing timestamp order per claim.
         """
-        config = self.config
         history = self._history[claim_id]
-        while history and history[0][0] < timestamp - config.window:
+        while history and history[0][0] < timestamp - WINDOW:
             history.popleft()
 
         tokens = token_set(text)
         copied = is_retweet(text)
         if not copied:
             for _, seen_tokens in history:
-                if (
-                    jaccard_similarity(tokens, seen_tokens)
-                    >= config.duplicate_similarity
-                ):
+                if jaccard_similarity(tokens, seen_tokens) >= DUPLICATE_SIMILARITY:
                     copied = True
                     break
 
         history.append((timestamp, tokens))
-        return config.copy_score if copied else config.fresh_score
+        return COPY_SCORE if copied else FRESH_SCORE

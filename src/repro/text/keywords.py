@@ -22,7 +22,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KeywordFilter:
-    """Keeps tweets containing at least ``min_hits`` of the keywords.
+    """Keeps tweets containing at least one of the keywords.
 
     Keywords are matched as whole lowercase tokens; multi-word keywords
     match when all their tokens appear (order-insensitive, as search
@@ -30,25 +30,19 @@ class KeywordFilter:
     """
 
     keywords: tuple[str, ...]
-    min_hits: int = 1
 
     def __post_init__(self) -> None:
         if not self.keywords:
             raise ValueError("need at least one keyword")
-        if self.min_hits < 1:
-            raise ValueError("min_hits must be >= 1")
 
     def _keyword_tokens(self) -> list[frozenset[str]]:
         return [frozenset(tokenize(keyword)) for keyword in self.keywords]
 
     def matches(self, text: str) -> bool:
         tokens = set(tokenize(text))
-        hits = sum(
-            1
-            for keyword in self._keyword_tokens()
-            if keyword and keyword <= tokens
+        return any(
+            keyword and keyword <= tokens for keyword in self._keyword_tokens()
         )
-        return hits >= self.min_hits
 
     def filter(self, texts: Iterable[str]) -> list[str]:
         return [text for text in texts if self.matches(text)]

@@ -3,28 +3,27 @@
 Raw tweets go in; scored :class:`~repro.core.types.Report` records come
 out, ready for any truth-discovery algorithm:
 
-1. keyword filter drops off-topic tweets;
-2. the online clusterer assigns each tweet to a claim;
-3. the attitude classifier sets rho;
-4. the Naive Bayes hedge classifier sets kappa;
-5. the independence scorer sets eta.
+1. the online clusterer assigns each tweet to a claim;
+2. the attitude classifier sets rho;
+3. the Naive Bayes hedge classifier sets kappa;
+4. the independence scorer sets eta.
 
-The pipeline is a *plugin architecture* exactly as the paper describes
-("one can easily update or replace components like uncertainty
-classifier as a plugin of the system"): every stage is a constructor
-argument with a sensible default.
+The paper's keyword filter runs before the pipeline, where the tweets
+are collected (:class:`~repro.text.keywords.KeywordFilter`).  Each
+stage is a public attribute, so a component can be replaced as a
+plugin of the system, as the paper describes ("one can easily update or
+replace components like uncertainty classifier").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.core.types import Report
 from repro.text.attitude import AttitudeClassifier
 from repro.text.clustering import OnlineClaimClusterer
 from repro.text.independence import IndependenceScorer
-from repro.text.keywords import KeywordFilter
 from repro.text.uncertainty import NaiveBayesHedgeClassifier
 
 __all__ = [
@@ -60,29 +59,15 @@ class TweetPipeline:
         'claim-00001'
     """
 
-    def __init__(
-        self,
-        keyword_filter: Optional[KeywordFilter] = None,
-        clusterer: Optional[OnlineClaimClusterer] = None,
-        attitude: Optional[AttitudeClassifier] = None,
-        uncertainty: Optional[NaiveBayesHedgeClassifier] = None,
-        independence: Optional[IndependenceScorer] = None,
-    ) -> None:
-        self.keyword_filter = keyword_filter
-        self.clusterer = clusterer or OnlineClaimClusterer()
-        self.attitude = attitude or AttitudeClassifier()
-        self.uncertainty = uncertainty or NaiveBayesHedgeClassifier()
-        self.independence = independence or IndependenceScorer()
-        self.dropped = 0
+    def __init__(self) -> None:
+        self.clusterer = OnlineClaimClusterer()
+        self.attitude = AttitudeClassifier()
+        self.uncertainty = NaiveBayesHedgeClassifier()
+        self.independence = IndependenceScorer()
         self.processed = 0
 
-    def process(self, tweet: RawTweet) -> Optional[Report]:
-        """Score one tweet; returns None when the keyword filter drops it."""
-        if self.keyword_filter is not None and not self.keyword_filter.matches(
-            tweet.text
-        ):
-            self.dropped += 1
-            return None
+    def process(self, tweet: RawTweet) -> Report:
+        """Score one tweet."""
         claim_id = self.clusterer.assign(tweet.text)
         attitude = self.attitude.classify(tweet.text)
         kappa = self.uncertainty.uncertainty_score(tweet.text)
@@ -99,10 +84,5 @@ class TweetPipeline:
         )
 
     def process_stream(self, tweets: Iterable[RawTweet]) -> list[Report]:
-        """Score a whole (time-ordered) stream, dropping filtered tweets."""
-        reports = []
-        for tweet in tweets:
-            report = self.process(tweet)
-            if report is not None:
-                reports.append(report)
-        return reports
+        """Score a whole (time-ordered) stream."""
+        return [self.process(tweet) for tweet in tweets]

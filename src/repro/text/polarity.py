@@ -12,7 +12,9 @@ designed as a general framework where one can easily update or replace
 components ... as a plugin of the system"): a valence lexicon with
 negation handling and intensifiers produces a continuous polarity score
 in ``[-1, 1]``, which maps onto the attitude alphabet with a neutral
-dead-zone.
+dead-zone.  A cue-less tweet, or one whose cues cancel out, counts as
+AGREE: on Twitter, repeating a claim without comment is endorsement
+(as in the keyword classifier).
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from repro.core.types import Attitude
 from repro.text.tokenize import tokenize
 
 __all__ = [
-    "DEFAULT_LEXICON",
     "INTENSIFIERS",
+    "LEXICON",
     "NEGATORS",
     "PolarityAnalyzer",
     "PolarityResult",
@@ -35,7 +37,7 @@ __all__ = [
 #: denial/debunking.  This intentionally differs from generic sentiment
 #: ("terrible explosion" endorses the explosion claim) — cue words are
 #: about *epistemic* stance, not emotion.
-DEFAULT_LEXICON: dict[str, float] = {
+LEXICON: dict[str, float] = {
     # confirmation cues
     "confirmed": 1.0, "confirm": 1.0, "confirms": 1.0, "breaking": 0.8,
     "happening": 0.7, "witnessed": 0.9, "saw": 0.6, "yes": 0.5,
@@ -59,6 +61,9 @@ INTENSIFIERS: dict[str, float] = {
     "possibly": 0.5, "probably": 0.8,
 }
 
+#: A net polarity with ``|score|`` below this counts as cue-less.
+NEUTRAL_BAND = 0.1
+
 
 @dataclass(frozen=True, slots=True)
 class PolarityResult:
@@ -70,34 +75,7 @@ class PolarityResult:
 
 
 class PolarityAnalyzer:
-    """Valence-lexicon polarity scorer with negation and intensifiers.
-
-    Args:
-        lexicon: token -> valence in ``[-1, 1]``.
-        neutral_band: |score| below this maps to
-            :attr:`Attitude.NEUTRAL` when no cue fired; tweets with cues
-            keep their sign.
-        default_attitude: Attitude for cue-less tweets; on Twitter,
-            repeating a claim without comment is endorsement, so the
-            pipeline default is AGREE (matches the keyword classifier).
-    """
-
-    def __init__(
-        self,
-        lexicon: dict[str, float] | None = None,
-        neutral_band: float = 0.1,
-        default_attitude: Attitude = Attitude.AGREE,
-    ) -> None:
-        if neutral_band < 0:
-            raise ValueError("neutral_band must be >= 0")
-        self.lexicon = dict(DEFAULT_LEXICON if lexicon is None else lexicon)
-        for token, valence in self.lexicon.items():
-            if not -1.0 <= valence <= 1.0:
-                raise ValueError(
-                    f"lexicon valence for {token!r} out of [-1, 1]: {valence}"
-                )
-        self.neutral_band = neutral_band
-        self.default_attitude = default_attitude
+    """Valence-lexicon polarity scorer with negation and intensifiers."""
 
     def analyze(self, text: str) -> PolarityResult:
         """Score one tweet."""
@@ -113,7 +91,7 @@ class PolarityAnalyzer:
             if token in INTENSIFIERS:
                 intensity *= INTENSIFIERS[token]
                 continue
-            valence = self.lexicon.get(token)
+            valence = LEXICON.get(token)
             if valence is not None:
                 value = valence * intensity
                 if negate:
@@ -126,17 +104,13 @@ class PolarityAnalyzer:
 
         if n_cues == 0:
             score = 0.0
-            attitude = (
-                self.default_attitude if tokens else Attitude.NEUTRAL
-            )
+            attitude = Attitude.AGREE if tokens else Attitude.NEUTRAL
         else:
             score = max(-1.0, min(1.0, total / n_cues))
-            if abs(score) < self.neutral_band:
-                attitude = self.default_attitude
-            elif score > 0:
-                attitude = Attitude.AGREE
-            else:
-                attitude = Attitude.DISAGREE
+            # Inside the neutral band the tweet counts as cue-less.
+            attitude = (
+                Attitude.AGREE if score > -NEUTRAL_BAND else Attitude.DISAGREE
+            )
         return PolarityResult(score=score, attitude=attitude, n_cues=n_cues)
 
     def classify(self, text: str) -> Attitude:

@@ -9,12 +9,9 @@ attitude and hedge classifiers) consumes these tokens.
 from __future__ import annotations
 
 import re
-from typing import Iterable
-
 __all__ = [
     "STOPWORDS",
     "content_tokens",
-    "ngrams",
     "token_set",
     "tokenize",
 ]
@@ -48,11 +45,3 @@ def content_tokens(text: str) -> list[str]:
 def token_set(text: str) -> frozenset[str]:
     """Deduplicated content tokens (the Jaccard representation)."""
     return frozenset(content_tokens(text))
-
-
-def ngrams(tokens: Iterable[str], n: int = 2) -> list[tuple[str, ...]]:
-    """Consecutive n-grams of a token sequence."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    tokens = list(tokens)
-    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]

@@ -66,17 +66,20 @@ HEDGE_CORPUS: tuple[tuple[str, bool], ...] = (
 )
 
 
+#: Additive (Laplace) smoothing of the token counts.
+SMOOTHING = 1.0
+
+
 class NaiveBayesHedgeClassifier:
-    """Multinomial Naive Bayes over tweet tokens with Laplace smoothing."""
+    """Multinomial Naive Bayes over tweet tokens with Laplace smoothing.
+
+    ``corpus`` is the labelled training data, :data:`HEDGE_CORPUS` by
+    default.
+    """
 
     def __init__(
-        self,
-        corpus: Sequence[tuple[str, bool]] = HEDGE_CORPUS,
-        smoothing: float = 1.0,
+        self, corpus: Sequence[tuple[str, bool]] = HEDGE_CORPUS
     ) -> None:
-        if smoothing <= 0:
-            raise ValueError("smoothing must be > 0")
-        self.smoothing = smoothing
         self._hedged_counts: Counter = Counter()
         self._confident_counts: Counter = Counter()
         self._hedged_docs = 0
@@ -109,12 +112,12 @@ class NaiveBayesHedgeClassifier:
         confident_total = sum(self._confident_counts.values())
         for token in tokens:
             log_hedged += math.log(
-                (self._hedged_counts[token] + self.smoothing)
-                / (hedged_total + self.smoothing * vocab_size)
+                (self._hedged_counts[token] + SMOOTHING)
+                / (hedged_total + SMOOTHING * vocab_size)
             )
             log_confident += math.log(
-                (self._confident_counts[token] + self.smoothing)
-                / (confident_total + self.smoothing * vocab_size)
+                (self._confident_counts[token] + SMOOTHING)
+                / (confident_total + SMOOTHING * vocab_size)
             )
         # Stable softmax over the two log joints.
         peak = max(log_hedged, log_confident)

@@ -80,7 +80,7 @@ class ElasticWorkerPool:
 
         while self.size < target:
             try:
-                placement = self.condor.place(WORKER_FOOTPRINT)
+                placement = self.condor.place()
             except MatchmakingError:
                 break
             worker = SimulatedWorker(

@@ -19,6 +19,7 @@ from repro.baselines import (
     paper_comparison_set,
     source_claim_votes,
 )
+from repro.baselines.dynatd import DECAY
 from repro.baselines.registry import PAPER_TABLE_METHODS, SSTDAlgorithm
 from repro.core.types import Attitude, Report, TruthValue
 
@@ -223,7 +224,7 @@ class TestDynaTD:
         assert sum(1 for e in early if e.value is TruthValue.FALSE) > 0.8 * len(early)
 
     def test_reliability_learning(self):
-        algo = DynaTD(reliability_lr=0.5)
+        algo = DynaTD()
         reports = [
             Report("good", "c1", 1.0, attitude=Attitude.AGREE),
             Report("good2", "c1", 1.0, attitude=Attitude.AGREE),
@@ -238,20 +239,12 @@ class TestDynaTD:
         algo.reset()
         assert algo.step([], now=2.0) == []
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            DynaTD(decay=1.5)
-        with pytest.raises(ValueError):
-            DynaTD(reliability_lr=0.0)
-        with pytest.raises(ValueError):
-            DynaTD(initial_reliability=1.0)
-
     def test_evidence_decays(self):
-        algo = DynaTD(decay=0.5)
+        algo = DynaTD()
         algo.step([Report("a", "c1", 1.0, attitude=Attitude.AGREE)], now=1.0)
         first = algo._evidence["c1"]
         algo.step([], now=2.0)
-        assert algo._evidence["c1"] == pytest.approx(first * 0.5)
+        assert algo._evidence["c1"] == pytest.approx(first * DECAY)
 
 
 class TestRegistry:
@@ -270,22 +263,3 @@ class TestRegistry:
         timestamps = {e.timestamp for e in estimates}
         assert timestamps <= set(grid.times().tolist())
 
-
-class TestAlgorithmParameterValidation:
-    def test_truthfinder(self):
-        with pytest.raises(ValueError):
-            TruthFinder(initial_trust=1.0)
-
-    def test_invest(self):
-        with pytest.raises(ValueError):
-            Invest(g=0.0)
-
-    def test_catd(self):
-        with pytest.raises(ValueError):
-            CATD(alpha=0.0)
-
-    def test_rtd(self):
-        with pytest.raises(ValueError):
-            RTD(prior_reliability=0.0)
-        with pytest.raises(ValueError):
-            RTD(prior_strength=0.0)

@@ -27,7 +27,7 @@ class TestSlidingVote:
     def test_tracks_flip(self):
         reports = flip_reports()
         grid = EvaluationGrid(0.0, 1000.0, step=25.0)
-        estimates = SlidingVote(window_steps=3).discover(reports, grid)
+        estimates = SlidingVote().discover(reports, grid)
         errors = sum(
             1 for e in estimates
             if (e.value is TruthValue.TRUE) != (e.timestamp >= 500.0)
@@ -40,17 +40,8 @@ class TestSlidingVote:
             Report("s2", "c", 12.0, attitude=Attitude.AGREE),
         ]
         grid = EvaluationGrid(0.0, 100.0, step=10.0)
-        estimates = SlidingVote(window_steps=1).discover(reports, grid)
+        estimates = SlidingVote().discover(reports, grid)
         assert all(e.value is TruthValue.TRUE for e in estimates[1:])
-
-    def test_no_carry_forward(self):
-        reports = [Report("s1", "c", 10.0, attitude=Attitude.AGREE)]
-        grid = EvaluationGrid(0.0, 100.0, step=10.0)
-        estimates = SlidingVote(
-            window_steps=1, carry_forward=False
-        ).discover(reports, grid)
-        assert estimates[0].value is TruthValue.TRUE   # t=10 window has it
-        assert estimates[-1].value is TruthValue.FALSE
 
     def test_confidence_reflects_margin(self):
         reports = [
@@ -59,16 +50,12 @@ class TestSlidingVote:
             Report("d", "c", 3.0, attitude=Attitude.DISAGREE),
         ]
         grid = EvaluationGrid(0.0, 10.0, step=10.0)
-        (estimate,) = SlidingVote(window_steps=1).discover(reports, grid)
+        (estimate,) = SlidingVote().discover(reports, grid)
         assert estimate.confidence == pytest.approx(1.0 / 3.0)
 
     def test_empty_reports(self):
         grid = EvaluationGrid(0.0, 10.0, step=5.0)
         assert SlidingVote().discover([], grid) == []
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SlidingVote(window_steps=0.0)
 
     def test_registered(self):
         from repro.baselines import make_algorithm

@@ -99,38 +99,33 @@ class TestNodes:
 class TestCondorPool:
     def test_place_claims_resources(self):
         pool = CondorPool(uniform_pool(2, cores=2))
-        request = ResourceSpec(cores=1, memory_mb=512, disk_mb=128)
-        placement = pool.place(request)
+        placement = pool.place()
         assert pool.free_cores() == 3
         placement.release()
         assert pool.free_cores() == 4
 
     def test_place_spreads_load(self):
         pool = CondorPool(uniform_pool(2, cores=2))
-        request = ResourceSpec(cores=1, memory_mb=512, disk_mb=128)
-        a = pool.place(request)
-        b = pool.place(request)
+        a = pool.place()
+        b = pool.place()
         assert a.node.name != b.node.name
 
     def test_exhaustion_raises(self):
         pool = CondorPool(uniform_pool(1, cores=1))
-        request = ResourceSpec(cores=1, memory_mb=512, disk_mb=128)
-        pool.place(request)
+        pool.place()
         with pytest.raises(MatchmakingError):
-            pool.place(request)
+            pool.place()
 
     def test_place_many_rolls_back(self):
         pool = CondorPool(uniform_pool(1, cores=2))
-        request = ResourceSpec(cores=1, memory_mb=512, disk_mb=128)
         with pytest.raises(MatchmakingError):
-            pool.place_many(3, request)
+            pool.place_many(3)
         assert pool.free_cores() == 2  # nothing leaked
 
     def test_failed_node_excluded(self):
         pool = CondorPool(uniform_pool(2, cores=1))
         pool.fail_node("node-0000")
-        request = ResourceSpec(cores=1, memory_mb=512, disk_mb=128)
-        placement = pool.place(request)
+        placement = pool.place()
         assert placement.node.name == "node-0001"
 
     def test_fail_unknown_node(self):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cluster import simulation
 from repro.cluster.simulation import PeriodicTask, Simulator
 
 
@@ -88,7 +89,8 @@ class TestSimulator:
         sim.run()
         assert sim.processed_events == 1
 
-    def test_runaway_guard(self):
+    def test_runaway_guard(self, monkeypatch):
+        monkeypatch.setattr(simulation, "MAX_EVENTS", 100)
         sim = Simulator()
 
         def rearm():
@@ -96,7 +98,7 @@ class TestSimulator:
 
         sim.schedule(0.0, rearm)
         with pytest.raises(RuntimeError, match="runaway"):
-            sim.run(max_events=100)
+            sim.run()
 
     def test_run_for(self):
         sim = Simulator()
@@ -144,13 +146,6 @@ class TestPeriodicTask:
         task = PeriodicTask(sim, 1.0, callback)
         sim.run(until=10.0)
         assert ticks == [1.0, 2.0]
-
-    def test_start_delay(self):
-        sim = Simulator()
-        ticks = []
-        PeriodicTask(sim, 5.0, lambda: ticks.append(sim.now), start_delay=0.0)
-        sim.run(until=6.0)
-        assert ticks == [0.0, 5.0]
 
     def test_bad_period(self):
         with pytest.raises(ValueError):

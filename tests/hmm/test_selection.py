@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.hmm.selection import (
+    CANDIDATES,
+    MAX_ITER,
+    SEED,
     SelectionResult,
     aic,
     bic,
@@ -27,7 +30,9 @@ class TestCriteria:
     def test_aic_bic_penalize_parameters(self):
         rng = np.random.default_rng(0)
         obs = rng.normal(0.0, 1.0, size=200)
-        small, big = select_n_states(obs, candidates=(1, 4), max_iter=20).entries
+        entries = select_n_states(obs).entries
+        small, big = entries[0], entries[-1]
+        assert (small.n_states, big.n_states) == (1, 4)
         # Same data, more parameters: the criteria must penalize.
         assert big.aic == 2 * n_parameters(4) - 2 * big.log_likelihood
         assert big.bic > small.bic - 50  # sanity, not strict
@@ -35,7 +40,7 @@ class TestCriteria:
     def test_bic_harsher_than_aic_for_long_sequences(self):
         rng = np.random.default_rng(1)
         obs = rng.normal(0.0, 1.0, size=2000)
-        (entry,) = select_n_states(obs, candidates=(3,), max_iter=10).entries
+        (entry,) = [e for e in select_n_states(obs).entries if e.n_states == 3]
         # log(2000) > 2, so BIC's complexity term dominates AIC's.
         assert entry.bic > entry.aic
         assert entry.aic == aic(3, entry.log_likelihood)
@@ -52,21 +57,21 @@ class TestSelectNStates:
             means=np.array([-2.0, 2.0]),
             variances=np.array([0.3, 0.3]),
         )
-        result = select_n_states(obs, candidates=(1, 2, 3))
+        result = select_n_states(obs)
         assert result.best_by_bic == 2
 
     def test_single_regime_prefers_one_state(self):
         rng = np.random.default_rng(2)
         obs = rng.normal(0.0, 1.0, size=500)
-        result = select_n_states(obs, candidates=(1, 2))
+        result = select_n_states(obs)
         assert result.best_by_bic == 1
 
     def test_entries_expose_scores(self):
         rng = np.random.default_rng(0)
         obs = rng.normal(size=100)
-        result = select_n_states(obs, candidates=(1, 2))
+        result = select_n_states(obs)
         assert isinstance(result, SelectionResult)
-        assert len(result.entries) == 2
+        assert [e.n_states for e in result.entries] == list(CANDIDATES)
         for entry in result.entries:
             assert np.isfinite(entry.aic)
             assert np.isfinite(entry.bic)
@@ -78,10 +83,10 @@ class TestSelectNStates:
         obs = np.concatenate(
             [rng.normal(-1.0, 0.3, size=40), rng.normal(1.0, 0.3, size=40)]
         )
-        result = select_n_states(obs, candidates=(1, 2, 3), seed=4)
+        result = select_n_states(obs)
         for entry in result.entries:
             reference = ScalarGaussianHMM(entry.n_states)
-            reference.fit(obs, max_iter=40, seed=4)
+            reference.fit(obs, max_iter=MAX_ITER, seed=SEED)
             expected = reference.log_likelihood(obs)
             assert entry.log_likelihood == pytest.approx(
                 expected, rel=1e-12, abs=1e-12
@@ -90,8 +95,3 @@ class TestSelectNStates:
                 bic(entry.n_states, expected, obs.size), rel=1e-12
             )
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            select_n_states(np.zeros(10), candidates=())
-        with pytest.raises(ValueError):
-            select_n_states(np.zeros(10), candidates=(0,))

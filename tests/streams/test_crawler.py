@@ -18,15 +18,13 @@ def texty_trace():
 
 class TestSimulatedCrawler:
     def test_polls_cover_all_tweets(self, texty_trace):
-        crawler = SimulatedCrawler(
-            texty_trace, speed=50.0, duration=20.0, poll_interval=5.0
-        )
+        crawler = SimulatedCrawler(texty_trace)
         batches = list(crawler.polls())
         assert sum(len(b) for b in batches) == crawler.total_tweets()
         assert all(b.poll_time > 0 for b in batches)
 
     def test_tweets_are_raw(self, texty_trace):
-        crawler = SimulatedCrawler(texty_trace, speed=20.0, duration=10.0)
+        crawler = SimulatedCrawler(texty_trace)
         for batch in crawler.polls():
             for tweet in batch.tweets:
                 assert tweet.text
@@ -42,15 +40,9 @@ class TestSimulatedCrawler:
         with pytest.raises(ValueError, match="text"):
             SimulatedCrawler(trace)
 
-    def test_poll_interval_validation(self, texty_trace):
-        with pytest.raises(ValueError):
-            SimulatedCrawler(texty_trace, poll_interval=0.0)
-
     def test_full_figure2_loop(self, texty_trace):
         """Crawler -> text pipeline -> application, no ground truth leaks."""
-        crawler = SimulatedCrawler(
-            texty_trace, speed=60.0, duration=30.0, poll_interval=5.0
-        )
+        crawler = SimulatedCrawler(texty_trace)
         app = SocialSensingApplication(
             ApplicationConfig(
                 sstd=SSTDConfig(

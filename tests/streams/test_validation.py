@@ -32,9 +32,7 @@ class TestValidateTrace:
 
     def test_generated_trace_passes(self):
         trace = generate_trace(paris_shooting().scaled(0.002), seed=4)
-        report = validate_trace(
-            trace, min_sparsity_ratio=0.5, require_text=True
-        )
+        report = validate_trace(trace)
         assert report.ok, report.summary()
 
     def test_empty_trace_is_error(self):
@@ -55,24 +53,6 @@ class TestValidateTrace:
         report = validate_trace(trace)
         assert any(i.code == "missing-sources" for i in report.warnings)
 
-    def test_sparsity_warning(self):
-        reports = [
-            Report("prolific", "c1", float(k), attitude=Attitude.AGREE)
-            for k in range(50)
-        ]
-        trace = Trace(
-            name="dense",
-            reports=reports,
-            sources={"prolific": Source("prolific")},
-            timelines={
-                "c1": TruthTimeline(
-                    "c1", [TruthLabel("c1", 0.0, 50.0, TruthValue.TRUE)]
-                )
-            },
-        )
-        report = validate_trace(trace, min_sparsity_ratio=0.5)
-        assert any(i.code == "sparsity" for i in report.warnings)
-
     def test_timeline_span_warning(self):
         trace = good_trace()
         trace.timelines["c1"] = TruthTimeline(
@@ -80,21 +60,6 @@ class TestValidateTrace:
         )
         report = validate_trace(trace)
         assert any(i.code == "timeline-span" for i in report.warnings)
-
-    def test_missing_text_error_when_required(self):
-        trace = good_trace()
-        textless = Trace(
-            name="notext",
-            reports=[
-                Report(r.source_id, r.claim_id, r.timestamp, attitude=r.attitude)
-                for r in trace.reports
-            ],
-            sources=trace.sources,
-            timelines=trace.timelines,
-        )
-        report = validate_trace(textless, require_text=True)
-        assert not report.ok
-        assert report.errors[0].code == "missing-text"
 
     def test_assert_valid(self):
         assert_valid(good_trace())

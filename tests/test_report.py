@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.types import TruthEstimate, TruthLabel, TruthTimeline, TruthValue
 from repro.report import (
+    BAR_WIDTH,
+    STRIP_WIDTH,
     bar_chart,
     estimate_strip,
     hit_rate_table,
@@ -30,10 +32,6 @@ class TestSparkline:
     def test_all_nan(self):
         assert sparkline([math.nan, math.nan]) == "  "
 
-    def test_width_downsamples(self):
-        line = sparkline(list(range(100)), width=10)
-        assert len(line) == 10
-
     def test_empty(self):
         assert sparkline([]) == ""
 
@@ -57,15 +55,14 @@ class TestTruthStrips:
                 TruthLabel("c", 50.0, 100.0, TruthValue.TRUE),
             ],
         )
-        strip = timeline_strip(timeline, 0.0, 100.0, width=10)
-        assert strip == "·····█████"
+        strip = timeline_strip(timeline, 0.0, 100.0)
+        half = STRIP_WIDTH // 2
+        assert strip == "·" * half + "█" * (STRIP_WIDTH - half)
 
     def test_timeline_strip_validation(self):
         timeline = TruthTimeline(
             "c", [TruthLabel("c", 0.0, 1.0, TruthValue.TRUE)]
         )
-        with pytest.raises(ValueError):
-            timeline_strip(timeline, 0.0, 1.0, width=0)
         with pytest.raises(ValueError):
             timeline_strip(timeline, 1.0, 0.0)
 
@@ -81,14 +78,16 @@ class TestTruthStrips:
             TruthEstimate("c", float(t), timeline.value_at(float(t)))
             for t in range(0, 100, 5)
         ]
-        output = side_by_side(estimates, timeline, width=20)
+        output = side_by_side(estimates, timeline)
         top, bottom = output.splitlines()
         assert top.startswith("estimate")
         assert bottom.startswith("truth")
         # Perfect estimates: the two strips agree except possibly at the
         # single transition cell.
         diff = sum(
-            1 for a, b in zip(top[-20:], bottom[-20:]) if a != b
+            1
+            for a, b in zip(top[-STRIP_WIDTH:], bottom[-STRIP_WIDTH:])
+            if a != b
         )
         assert diff <= 1
 
@@ -102,10 +101,10 @@ class TestTruthStrips:
 
 class TestBarChart:
     def test_scales_to_max(self):
-        output = bar_chart({"a": 2.0, "b": 1.0}, width=4)
+        output = bar_chart({"a": 2.0, "b": 1.0})
         lines = output.splitlines()
-        assert lines[0].count("█") == 4
-        assert lines[1].count("█") == 2
+        assert lines[0].count("█") == BAR_WIDTH
+        assert lines[1].count("█") == BAR_WIDTH // 2
 
     def test_empty(self):
         assert bar_chart({}) == ""
@@ -113,11 +112,6 @@ class TestBarChart:
     def test_validation(self):
         with pytest.raises(ValueError):
             bar_chart({"a": -1.0})
-        with pytest.raises(ValueError):
-            bar_chart({"a": 1.0}, width=0)
-
-    def test_unit_suffix(self):
-        assert "3s" in bar_chart({"x": 3.0}, unit="s")
 
 
 class TestHitRateTable:

@@ -19,9 +19,13 @@ from repro.text import (
     token_set,
     tokenize,
 )
-from repro.text.independence import IndependenceConfig, IndependenceScorer
+from repro.text.independence import (
+    COPY_SCORE,
+    FRESH_SCORE,
+    WINDOW,
+    IndependenceScorer,
+)
 from repro.text.jaccard import pairwise_max_distance
-from repro.text.tokenize import ngrams
 
 
 class TestTokenize:
@@ -41,10 +45,6 @@ class TestTokenize:
         assert "the" not in content_tokens("the bridge is closed")
         assert "bridge" in content_tokens("the bridge is closed")
 
-    def test_ngrams(self):
-        assert ngrams(["a", "b", "c"], 2) == [("a", "b"), ("b", "c")]
-        with pytest.raises(ValueError):
-            ngrams(["a"], 0)
 
 
 class TestJaccard:
@@ -95,19 +95,16 @@ class TestClusterer:
         assert "bridge" in cluster.centroid()
 
     def test_split_on_diameter(self):
-        # Force everything into one cluster, then check it splits.
-        clusterer = OnlineClaimClusterer(join_threshold=1.0, split_threshold=0.8)
-        clusterer.assign("alpha beta gamma delta")
-        clusterer.assign("alpha beta gamma epsilon")
-        clusterer.assign("zeta eta theta iota")
-        clusterer.assign("zeta eta theta kappa")
+        # Each half of the 12-token centroid is close enough to join,
+        # but the two halves share no token: the diameter check splits.
+        words = "alpha beta gamma delta epsilon zeta eta theta iota kappa lambda mu"
+        first_half = " ".join(words.split()[:6])
+        second_half = " ".join(words.split()[6:])
+        clusterer = OnlineClaimClusterer()
+        ids = clusterer.assign_all([words, first_half, second_half])
+        assert len(set(ids)) == 1
+        clusterer.assign(words)
         assert clusterer.n_clusters >= 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OnlineClaimClusterer(join_threshold=0.0)
-        with pytest.raises(ValueError):
-            OnlineClaimClusterer(split_threshold=1.5)
 
     def test_assign_all(self):
         clusterer = OnlineClaimClusterer()
@@ -152,10 +149,6 @@ class TestAttitude:
     def test_empty_text_neutral(self):
         assert AttitudeClassifier().classify("") is Attitude.NEUTRAL
 
-    def test_sports_mode_phrases(self):
-        classifier = AttitudeClassifier(sports_mode=True)
-        assert classifier.classify("irish taking the lead!") is Attitude.AGREE
-        assert classifier.score("touchdown!!!") == 1
 
 
 class TestHedgeClassifier:
@@ -192,10 +185,6 @@ class TestHedgeClassifier:
         with pytest.raises(RuntimeError):
             clf.hedge_probability("a")
 
-    def test_smoothing_validation(self):
-        with pytest.raises(ValueError):
-            NaiveBayesHedgeClassifier(smoothing=0.0)
-
 
 class TestIndependence:
     def test_retweet_detection(self):
@@ -206,32 +195,26 @@ class TestIndependence:
     def test_retweet_scores_low(self):
         scorer = IndependenceScorer()
         eta = scorer.score("c1", "RT @a: bomb at the library", 1.0)
-        assert eta == scorer.config.copy_score
+        assert eta == COPY_SCORE
 
     def test_near_duplicate_scores_low(self):
         scorer = IndependenceScorer()
         first = scorer.score("c1", "bomb found at the JFK library", 1.0)
         second = scorer.score("c1", "bomb found at the JFK library!!", 2.0)
-        assert first == scorer.config.fresh_score
-        assert second == scorer.config.copy_score
+        assert first == FRESH_SCORE
+        assert second == COPY_SCORE
 
     def test_window_expiry(self):
-        scorer = IndependenceScorer(IndependenceConfig(window=10.0))
+        scorer = IndependenceScorer()
         scorer.score("c1", "bomb found at the JFK library", 1.0)
-        eta = scorer.score("c1", "bomb found at the JFK library", 100.0)
-        assert eta == scorer.config.fresh_score
+        eta = scorer.score("c1", "bomb found at the JFK library", 2.0 + WINDOW)
+        assert eta == FRESH_SCORE
 
     def test_claims_do_not_cross_contaminate(self):
         scorer = IndependenceScorer()
         scorer.score("c1", "bomb found at the JFK library", 1.0)
         eta = scorer.score("c2", "bomb found at the JFK library", 2.0)
-        assert eta == scorer.config.fresh_score
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            IndependenceConfig(window=0.0)
-        with pytest.raises(ValueError):
-            IndependenceConfig(copy_score=0.0)
+        assert eta == FRESH_SCORE
 
 
 class TestKeywordFilter:
@@ -245,11 +228,6 @@ class TestKeywordFilter:
         assert keyword_filter.matches("attack at Charlie Hebdo offices")
         assert not keyword_filter.matches("charlie was here")
 
-    def test_min_hits(self):
-        keyword_filter = KeywordFilter(("boston", "marathon"), min_hits=2)
-        assert keyword_filter.matches("boston marathon bombing")
-        assert not keyword_filter.matches("boston traffic jam")
-
     def test_filter_list(self):
         keyword_filter = KeywordFilter(("game",))
         kept = keyword_filter.filter(["great game", "nice weather"])
@@ -258,8 +236,6 @@ class TestKeywordFilter:
     def test_validation(self):
         with pytest.raises(ValueError):
             KeywordFilter(())
-        with pytest.raises(ValueError):
-            KeywordFilter(("a",), min_hits=0)
 
 
 class TestTweetPipeline:
@@ -273,13 +249,6 @@ class TestTweetPipeline:
         assert report.attitude is Attitude.AGREE
         assert report.claim_id.startswith("claim-")
         assert 0.0 <= report.uncertainty < 1.0
-
-    def test_keyword_filter_drops(self):
-        pipeline = TweetPipeline(keyword_filter=KeywordFilter(("boston",)))
-        dropped = pipeline.process(RawTweet("a", "paris is lovely", 1.0))
-        kept = pipeline.process(RawTweet("a", "boston is on alert", 2.0))
-        assert dropped is None and kept is not None
-        assert pipeline.dropped == 1 and pipeline.processed == 1
 
     def test_same_story_same_claim(self):
         pipeline = TweetPipeline()
@@ -296,7 +265,7 @@ class TestTweetPipeline:
         assert rt.independence < 1.0
 
     def test_process_stream(self):
-        pipeline = TweetPipeline(keyword_filter=KeywordFilter(("fire",)))
+        pipeline = TweetPipeline()
         reports = pipeline.process_stream(
             [
                 RawTweet("a", "fire downtown", 1.0),
@@ -304,7 +273,8 @@ class TestTweetPipeline:
                 RawTweet("c", "the fire is spreading", 3.0),
             ]
         )
-        assert len(reports) == 2
+        assert [r.timestamp for r in reports] == [1.0, 2.0, 3.0]
+        assert pipeline.processed == 3
 
     def test_raw_tweet_validation(self):
         with pytest.raises(ValueError):
