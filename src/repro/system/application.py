@@ -99,8 +99,8 @@ class SocialSensingApplication:
     # Ingestion
     # ------------------------------------------------------------------
     def ingest_tweets(self, tweets: Iterable[RawTweet], now: float) -> int:
-        """Score and ingest raw tweets; returns how many survived the
-        keyword filter.  ``now`` is the stream time of the batch end."""
+        """Score and ingest raw tweets; returns how many were ingested.
+        ``now`` is the stream time of the batch end."""
         reports = self.pipeline.process_stream(tweets)
         return self.ingest_reports(reports, now)
 
