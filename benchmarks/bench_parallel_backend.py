@@ -1,13 +1,11 @@
-"""Threads vs processes — real batch-TD throughput on real cores.
+"""Process backend — real batch-TD throughput on real cores.
 
 The paper's scalability claim (Section IV, Figure 7) rests on fanning
-per-claim Truth Discovery jobs out over Work Queue workers.  The thread
-backend (:class:`repro.workqueue.local.LocalWorkQueue`) cannot cash that
-claim in: Baum-Welch and Viterbi are CPU-bound Python, so the GIL
-serializes them no matter how many threads run.  This benchmark measures
-what the process backend (:class:`repro.workqueue.process.ProcessWorkQueue`)
-buys on actual hardware: batch TD throughput (reports/second) for both
-real backends at 1, 2 and 4 workers on a generated trace.
+per-claim Truth Discovery jobs out over Work Queue workers.  This
+benchmark measures what the process backend
+(:class:`repro.workqueue.process.ProcessWorkQueue`) delivers on actual
+hardware: batch TD throughput (reports/second) at 1, 2 and 4 workers on
+a generated trace.
 
 Results land in two places:
 
@@ -15,23 +13,23 @@ Results land in two places:
   by the CI ``perf-smoke`` gate (``benchmarks/check_perf_smoke.py``);
 - ``benchmarks/results/parallel_backend.txt`` — the human-readable table.
 
-Since PR 5 the run also compares the two dispatch modes on the process
-backend at max workers: ``per_claim`` (``claims_per_shard=1``, one Work
-Queue task per claim — the PR-4 shape) against ``sharded`` (auto shard
-sizing, many claims per task sharing one batched HMM kernel call).  The
-``dispatch_comparison`` JSON section carries both, and the perf-smoke
-gate checks them when the committed baseline has them.
+The run also compares the two dispatch modes at max workers:
+``per_claim`` (``claims_per_shard=1``, one Work Queue task per claim)
+against ``sharded`` (auto shard sizing, many claims per task sharing one
+batched HMM kernel call).  The ``dispatch_comparison`` JSON section
+carries both, and the perf-smoke gate checks them when the committed
+baseline has them.
 
-Since PR 7 every task ships claim ids + row offsets + a handle onto one
-published claim stack (``repro.system.shm``), and since schema 5 that is
-the only payload there is: the ``payload_bytes`` section records the
-bytes pickled per task and per result on the process backend, and the
-perf-smoke gate holds ``zero_copy_per_task`` to a hard byte ceiling on
-every CI leg, single- or multi-core — reports leaking back into a task
-pickle would blow through it.
+Every task ships claim ids + row offsets + a handle onto one published
+claim stack (``repro.system.shm``): the ``payload_bytes`` section
+records the bytes pickled per task and per result, and the perf-smoke
+gate holds ``zero_copy_per_task`` to a hard byte ceiling on every CI
+leg, single- or multi-core — reports leaking back into a task pickle
+would blow through it.
 
-The ``kernel`` key (schema 4) is constant provenance: there is one HMM
-kernel implementation, ``{"backend": "numpy"}``.
+The ``kernel`` key is constant provenance: there is one HMM kernel
+implementation, ``{"backend": "numpy"}``.  Schema 6 carries the process
+backend only.
 
 Knobs: ``REPRO_BENCH_SCALE`` scales report volume (CI smoke uses 0.01),
 ``REPRO_BENCH_SEED`` the generator seed.  The workload shape is fixed —
@@ -55,7 +53,6 @@ from repro.system.sstd_system import DistributedSSTD, SSTDSystemConfig
 from benchmarks.conftest import BENCH_SCALE, BENCH_SEED, report_lines
 
 WORKER_COUNTS = (1, 2, 4)
-REAL_BACKENDS = ("threads", "processes")
 N_CLAIMS = 32
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 BENCH_TRACE = (
@@ -96,15 +93,10 @@ def _bench_trace():
     )
 
 
-def _measure(
-    reports,
-    backend: str,
-    workers: int,
-    claims_per_shard: int | None = None,
-) -> dict:
+def _measure(reports, workers: int, claims_per_shard: int | None = None) -> dict:
     config = SSTDSystemConfig(
         n_workers=workers,
-        backend=backend,
+        backend="processes",
         control_enabled=False,
         claims_per_shard=claims_per_shard,
     )
@@ -123,27 +115,15 @@ def _measure(
     }
 
 
-def _batch_fit_stats(reports, workers: int) -> dict:
-    """Shard-level ``sstd.batch_fit`` span stats from a traced run.
+def _batch_fit_stats(events) -> dict:
+    """Shard-level ``sstd.batch_fit`` span stats of a traced run.
 
-    The thread backend is used because process-backend workers keep
-    their spans local (only metrics snapshots cross the pickle
-    boundary); threads share the master's tracer, so each shard's
+    Workers record the spans and ship them back with each result; the
+    master stitches them onto its own timeline, so each shard's
     batched-kernel span is visible here.
     """
-    system = DistributedSSTD(
-        SSTDSystemConfig(
-            n_workers=workers,
-            backend="threads",
-            control_enabled=False,
-            observability=True,
-        )
-    )
-    system.run_batch(reports)
     spans = [
-        e
-        for e in system.obs.tracer.events()
-        if e.name == "sstd.batch_fit" and e.kind == "span"
+        e for e in events if e.name == "sstd.batch_fit" and e.kind == "span"
     ]
     if not spans:
         return {}
@@ -159,13 +139,14 @@ def _batch_fit_stats(reports, workers: int) -> dict:
     }
 
 
-def _traced_run(reports, workers: int) -> dict:
-    """One extra *traced* process-backend run, outside the timing loop.
+def _traced_run(reports, workers: int) -> tuple[dict, dict]:
+    """One extra *traced* run, outside the timing loop.
 
     The throughput table above measures the disabled-path overhead (the
     perf-smoke gate compares it against the committed baseline); this run
     turns observability on to break the makespan into per-phase span
-    timings and to export the Chrome trace CI uploads as an artifact.
+    timings and per-shard kernel spans, and to export the Chrome trace
+    CI uploads as an artifact.  Returns ``(phases, batch_fit_spans)``.
     """
     system = DistributedSSTD(
         SSTDSystemConfig(
@@ -197,50 +178,45 @@ def _traced_run(reports, workers: int) -> dict:
         metrics=system.obs.metrics.snapshot(),
         clock_kind=system.obs.clock.kind,
     )
-    return phases
+    return phases, _batch_fit_stats(events)
+
+
+def _rounded(stats: dict) -> dict:
+    return {
+        key: round(value, 4) if isinstance(value, float) else value
+        for key, value in stats.items()
+    }
 
 
 def test_parallel_backend_throughput():
     trace = _bench_trace()
     reports = list(trace.reports)
 
-    table: dict[str, dict[int, dict]] = {}
-    final_estimates: dict[str, tuple] = {}
-    for backend in REAL_BACKENDS:
-        table[backend] = {}
-        for workers in WORKER_COUNTS:
-            measured = _measure(reports, backend, workers)
-            final_estimates[backend] = measured.pop("estimates")
-            table[backend][workers] = measured
+    table: dict[int, dict] = {}
+    estimates = None
+    for workers in WORKER_COUNTS:
+        measured = _measure(reports, workers)
+        found = measured.pop("estimates")
+        # Worker count never changes an estimate.
+        assert estimates is None or found == estimates
+        estimates = found
+        table[workers] = measured
 
-    # Both real backends must produce bit-identical truth estimates.
-    assert final_estimates["threads"] == final_estimates["processes"]
-
+    # Dispatch-mode comparison at max workers: the table above already
+    # runs the default (auto-sharded) mode, so one extra run covers one
+    # task per claim.
     max_workers = WORKER_COUNTS[-1]
-    speedup = (
-        table["processes"][max_workers]["throughput_rps"]
-        / table["threads"][max_workers]["throughput_rps"]
-    )
-
-    # Dispatch-mode comparison at max workers on the process backend:
-    # the table above already runs the default (auto-sharded) mode, so
-    # one extra run covers the PR-4 shape of one task per claim.
-    per_claim = _measure(
-        reports, "processes", max_workers, claims_per_shard=1
-    )
-    assert per_claim.pop("estimates") == final_estimates["processes"]
-    sharded = {
-        key: value
-        for key, value in table["processes"][max_workers].items()
-    }
+    per_claim = _measure(reports, max_workers, claims_per_shard=1)
+    assert per_claim.pop("estimates") == estimates
+    sharded = dict(table[max_workers])
     dispatch_speedup = (
         sharded["throughput_rps"] / per_claim["throughput_rps"]
     )
     dispatch = {
         "backend": "processes",
         "workers": max_workers,
-        "per_claim": per_claim,
-        "sharded": sharded,
+        "per_claim": _rounded(per_claim),
+        "sharded": _rounded(sharded),
         "sharded_over_per_claim_speedup": round(dispatch_speedup, 4),
     }
 
@@ -253,10 +229,9 @@ def test_parallel_backend_throughput():
     }
 
     effective_cpus = _effective_cpu_count()
-    phases = _traced_run(reports, max_workers)
-    batch_fit = _batch_fit_stats(reports, max_workers)
+    phases, batch_fit = _traced_run(reports, max_workers)
     payload = {
-        "schema": 5,
+        "schema": 6,
         "benchmark": "parallel_backend",
         "scale": BENCH_SCALE,
         "seed": BENCH_SEED,
@@ -267,27 +242,12 @@ def test_parallel_backend_throughput():
         "n_claims": N_CLAIMS,
         "worker_counts": list(WORKER_COUNTS),
         "backends": {
-            backend: {
-                str(workers): {
-                    key: round(value, 4) if isinstance(value, float) else value
-                    for key, value in stats.items()
-                }
-                for workers, stats in per_backend.items()
+            "processes": {
+                str(workers): _rounded(stats)
+                for workers, stats in table.items()
             }
-            for backend, per_backend in table.items()
         },
-        "process_over_thread_speedup_at_max_workers": round(speedup, 4),
-        "dispatch_comparison": {
-            key: (
-                {
-                    k: round(v, 4) if isinstance(v, float) else v
-                    for k, v in value.items()
-                }
-                if isinstance(value, dict)
-                else value
-            )
-            for key, value in dispatch.items()
-        },
+        "dispatch_comparison": dispatch,
         "payload_bytes": payload_bytes,
         "batch_fit_spans": batch_fit,
         "phases": phases,
@@ -295,60 +255,36 @@ def test_parallel_backend_throughput():
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
     lines = [
-        "Parallel backends — batch TD throughput (reports/s), threads vs processes",
+        "Process backend — batch TD throughput (reports/s)",
         f"{len(reports):,} reports, {N_CLAIMS} claims, scale={BENCH_SCALE}, "
         f"cpus={os.cpu_count()} (effective {effective_cpus})",
         f"{'backend':>12}" + "".join(f"{w:>10}w" for w in WORKER_COUNTS),
-    ]
-    for backend in REAL_BACKENDS:
-        lines.append(
-            f"{backend:>12}"
-            + "".join(
-                f"{table[backend][w]['throughput_rps']:>10.1f} "
-                for w in WORKER_COUNTS
-            )
-        )
-    lines.append(
-        f"processes/threads at {max_workers} workers: {speedup:.2f}x"
-    )
-    lines.append(
-        f"dispatch at {max_workers} workers (processes): per-claim "
+        f"{'processes':>12}"
+        + "".join(f"{table[w]['throughput_rps']:>10.1f} " for w in WORKER_COUNTS),
+        f"dispatch at {max_workers} workers: per-claim "
         f"{per_claim['throughput_rps']:.1f} rps ({per_claim['n_tasks']} "
         f"tasks) vs sharded {sharded['throughput_rps']:.1f} rps "
-        f"({sharded['n_tasks']} tasks) = {dispatch_speedup:.2f}x"
-    )
-    lines.append(
+        f"({sharded['n_tasks']} tasks) = {dispatch_speedup:.2f}x",
         f"payload per task: {zero_copy_bytes:.0f} B out, "
-        f"{sharded['result_bytes_per_task']:.0f} B back"
-    )
+        f"{sharded['result_bytes_per_task']:.0f} B back",
+    ]
     report_lines("parallel_backend", lines)
 
     # Sanity: every configuration decoded the full claim set, and the
     # sharded default used strictly fewer tasks than claims.
-    for backend in REAL_BACKENDS:
-        for workers in WORKER_COUNTS:
-            assert table[backend][workers]["n_jobs"] == N_CLAIMS
+    for workers in WORKER_COUNTS:
+        assert table[workers]["n_jobs"] == N_CLAIMS
     assert per_claim["n_tasks"] == N_CLAIMS
     assert sharded["n_tasks"] < N_CLAIMS
 
     # Sharding exists to amortize dispatch overhead; it must never lose
-    # to per-claim dispatch, and the sharded process backend must not
-    # fall below its own single-worker throughput (the PR-4 failure
-    # mode this PR removes).
+    # to per-claim dispatch, and the sharded backend must not fall below
+    # its own single-worker throughput.
     assert dispatch_speedup >= 0.95, (
         f"sharded dispatch {dispatch_speedup:.2f}x vs per-claim at "
         f"{max_workers} workers"
     )
     assert (
-        table["processes"][max_workers]["throughput_rps"]
-        >= 0.9 * table["processes"][1]["throughput_rps"]
+        table[max_workers]["throughput_rps"]
+        >= 0.9 * table[1]["throughput_rps"]
     ), "sharded process backend slower at max workers than at 1 worker"
-
-    # The headline claim only holds where the cores exist to back it:
-    # with >= 4 effectively usable cores, processes must at least double
-    # thread throughput at 4 workers (GIL removal; acceptance criterion).
-    if effective_cpus >= 4:
-        assert speedup >= 2.0, (
-            f"process backend only {speedup:.2f}x over threads at "
-            f"{max_workers} workers on {effective_cpus} effective cores"
-        )

@@ -6,14 +6,13 @@ Compares a fresh ``BENCH_parallel.json`` (written by
 
 Baselines are schema 3: measurements live under ``legs``, keyed by the
 ``effective_cpu_count`` they were recorded at.  (Current-run files are
-schema 5 — they additionally carry a constant ``kernel`` provenance
-key and no longer compare against a pickled payload — but the gate reads
-the same keys from both.)  Legs exist because a 1-core runner
-and a 4-core runner have *different* truths (on one core the process
-backend legitimately trails threads; on many cores it must beat them).
-The gate picks the leg matching the current run's effective cpu count —
-exact match first, else the largest leg that does not exceed it — and
-applies whichever checks that leg defines:
+schema 6 — they additionally carry a constant ``kernel`` provenance
+key and measure the process backend only — but the gate reads the same
+keys from both.)  Legs exist because throughput recorded on
+one core says nothing about a multi-core runner, while a byte count
+holds on any runner.  The gate picks the leg matching the current run's
+effective cpu count — exact match first, else the largest leg that does
+not exceed it — and applies whichever checks that leg defines:
 
 - ``backends.processes.<workers>.throughput_rps`` — throughput floors
   (``baseline / REPRO_PERF_REGRESSION_FACTOR``, default factor 2.0);
@@ -21,10 +20,7 @@ applies whichever checks that leg defines:
   floors for the two dispatch modes;
 - ``payload_bytes_ceiling`` — **hard** byte ceiling on the zero-copy
   ``payload_bytes.zero_copy_per_task``; not scaled by the factor, since
-  serialized bytes are deterministic, not runner-speed dependent;
-- ``process_over_thread_floor`` — minimum
-  ``process_over_thread_speedup_at_max_workers``; the multi-core legs
-  use this to pin the parallelism win itself.
+  serialized bytes are deterministic, not runner-speed dependent.
 
 ``REPRO_PERF_EXPECT_MIN_CPUS`` makes a leg self-verifying: when set, a
 run on fewer effective cpus exits 2 (runner misconfiguration) instead of
@@ -193,25 +189,6 @@ def main(argv: list[str] | None = None) -> int:
             )
             if now > ceiling:
                 failures.append("payload")
-
-    # --- process-over-thread floor ----------------------------------------
-    pvt_floor = leg.get("process_over_thread_floor")
-    if pvt_floor is not None:
-        now = current.get("process_over_thread_speedup_at_max_workers")
-        if now is None:
-            print(
-                "  process/threads: missing speedup measurement",
-                file=sys.stderr,
-            )
-            failures.append("process_over_thread")
-        else:
-            verdict = "ok" if now >= pvt_floor else "BELOW FLOOR"
-            print(
-                f"  process/threads: {now:>6.2f}x  (floor {pvt_floor}) "
-                f" {verdict}"
-            )
-            if now < pvt_floor:
-                failures.append("process_over_thread")
 
     if failures:
         print(

@@ -37,6 +37,7 @@ from repro.core import evaluate_estimates, format_results_table
 from repro.core.types import TruthValue
 from repro.streams import SCENARIOS, StreamReplayer, Trace, generate_trace
 from repro.streams.generator import GeneratorConfig
+from repro.system.sstd_system import BACKENDS
 
 __all__ = [
     "build_parser",
@@ -263,7 +264,7 @@ def _add_trace(subparsers: argparse._SubParsersAction) -> None:
     parser.add_argument("trace", type=Path, help="trace .jsonl path")
     parser.add_argument("output", type=Path,
                         help="Chrome trace-event output (.json)")
-    parser.add_argument("--backend", default="simulated",
+    parser.add_argument("--backend", default="simulated", choices=BACKENDS,
                         help="execution backend (default: simulated)")
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--seed", type=int, default=0)
@@ -274,15 +275,8 @@ def _add_trace(subparsers: argparse._SubParsersAction) -> None:
 
 def _run_trace(args: argparse.Namespace) -> int:
     from repro.obs import stitch_metadata, write_chrome_trace, write_jsonl
-    from repro.system.sstd_system import (
-        BACKENDS,
-        DistributedSSTD,
-        SSTDSystemConfig,
-    )
+    from repro.system.sstd_system import DistributedSSTD, SSTDSystemConfig
 
-    if args.backend not in BACKENDS:
-        print(f"backend must be one of {BACKENDS}", file=sys.stderr)
-        return 1
     trace = Trace.load(args.trace)
     if not trace.reports:
         print("trace has no reports", file=sys.stderr)

@@ -13,7 +13,7 @@ does not re-raise hides faults the paper's recovery path (§IV-C) is
 supposed to observe, so "record and continue" must be an explicit
 decision — a ``# deliberate: <reason>`` comment on the ``except`` line
 or the first line of its body.  The pattern in
-:mod:`repro.workqueue.local`, which records task errors as data, is
+:mod:`repro.workqueue.process`, which records task errors as data, is
 sanctioned that way.
 """
 

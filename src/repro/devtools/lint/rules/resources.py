@@ -90,7 +90,6 @@ RESOURCE_SPECS: tuple[ResourceSpec, ...] = (
         what="work-queue executor",
         acquire=(
             "repro.workqueue.process.ProcessWorkQueue",
-            "repro.workqueue.local.LocalWorkQueue",
         ),
         release=("shutdown",),
         context_manager=False,
@@ -146,7 +145,7 @@ def resource_returners(project) -> dict[str, str]:
     """qualname -> resource kind for functions returning an acquire.
 
     Transitive fixpoint over the call graph's returned-call refs:
-    ``_make_executor`` returns ``LocalWorkQueue(...)`` directly, and a
+    ``_make_executor`` returns ``ProcessWorkQueue(...)`` directly, and a
     wrapper returning ``_make_executor(...)`` inherits the kind.  The
     result is memoized on the project object.
     """

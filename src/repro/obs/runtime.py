@@ -127,7 +127,7 @@ def using(obs: Observability) -> Iterator[Observability]:
     """Scope ``obs`` as the ambient recorder for a ``with`` block.
 
     The ambient recorder is process-global (not thread-local) by
-    design: worker *threads* of a run must see the run's recorder.
+    design: every thread of a run sees the run's recorder.
     Concurrent runs with different recorders in one process would race;
     the system layer runs one deployment at a time.
     """

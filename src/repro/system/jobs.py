@@ -13,7 +13,7 @@ packs the ``(claim_id, times, values)`` observation sequences that
 (:func:`shm_shard_task_spec`) names rows of it and returns compact
 columns, and :func:`expand_shard_result` turns those back into the
 :class:`~repro.core.sstd.ClaimDecodeResult` objects the call returned.
-Simulated, thread and process workers run that one payload, for a
+Simulated and process workers run that one payload, for a
 batch decode and for the refits of the interval replay alike.
 """
 

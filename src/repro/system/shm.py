@@ -6,8 +6,8 @@ serialized again on every retry.  This module gives the master a way to
 ``multiprocessing.shared_memory`` segment — so a task ships only a
 :class:`SegmentHandle` (segment name + per-array dtype/shape/offset
 specs), and workers :func:`attach` zero-copy read-only views onto the
-same physical pages.  Every backend (simulated, threads, processes)
-reads its claim stack through it.
+same physical pages.  Both backends (simulated and processes) read
+their claim stack through it.
 
 Design points:
 

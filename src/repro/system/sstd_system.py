@@ -16,7 +16,7 @@ Two entry points:
   speedup inputs for Figure 7, execution times for Figure 4).
 - :meth:`DistributedSSTD.run_intervals` — replay the trace as N equal
   time intervals (the paper's Figure 6 setup) through one streaming
-  engine, whose refits the real backends run on their workers; returns
+  engine, whose refits the process backend runs on its workers; returns
   per-interval execution times and the deadline hit rate.
 """
 
@@ -54,10 +54,9 @@ from repro.system.jobs import (
     expand_shard_result,
     shm_shard_task_spec,
 )
-from repro.workqueue.local import LocalResult, LocalWorkQueue
 from repro.workqueue.master import WorkQueueMaster
 from repro.workqueue.pool import ElasticWorkerPool
-from repro.workqueue.process import ProcessWorkQueue
+from repro.workqueue.process import LocalResult, ProcessWorkQueue
 from repro.workqueue.task import CostModel, Task
 
 __all__ = [
@@ -68,9 +67,9 @@ __all__ = [
     "SSTDSystemConfig",
 ]
 
-#: Execution substrates: virtual-time simulation, GIL-shared threads,
-#: or real OS processes (one Python interpreter per worker).
-BACKENDS = ("simulated", "threads", "processes")
+#: Execution substrates: virtual-time simulation of the cluster, or
+#: real OS processes (one Python interpreter per worker).
+BACKENDS = ("simulated", "processes")
 
 #: Refit cadence of the interval replay's streaming engine on every
 #: backend, in grid ticks counted from each claim's first, for claims
@@ -116,18 +115,16 @@ class SSTDSystemConfig:
             ``mtbf_seconds`` in their specs, or set ``default_mtbf``);
             the system re-queues lost tasks and replaces dead workers.
         backend: Execution substrate — ``"simulated"`` (virtual-time
-            cluster, default), ``"threads"``
-            (:class:`~repro.workqueue.local.LocalWorkQueue`), or
-            ``"processes"``
+            cluster, default) or ``"processes"``
             (:class:`~repro.workqueue.process.ProcessWorkQueue`, real
-            cores).  Every backend runs one payload: the master
+            cores).  Both backends run one payload: the master
             publishes each claim's ACS sequence in one ``(N, T)`` stack
             (:mod:`repro.system.shm`; inline bytes without shared
             memory) and a task carries claim ids + row offsets + the
             handle (:func:`~repro.system.jobs.shm_shard_task_spec`).
-            The real backends run on wall time; failure injection only
-            applies to the simulated backend.
-        claims_per_shard: How many claims each real-backend Work Queue
+            The process backend runs on wall time; failure injection
+            only applies to the simulated backend.
+        claims_per_shard: How many claims each process-backend Work Queue
             task covers.  One task per claim (``1``) pays pickle +
             dispatch + interpreter overhead per claim; a shard amortizes
             it and lets the claims share one batched HMM kernel
@@ -142,13 +139,13 @@ class SSTDSystemConfig:
             The simulated backend keeps one job per claim: jobs are the
             unit its control loop steers.
         drain_timeout: Wall-clock cap (seconds) on one ``drain`` of the
-            real backends before the run aborts with ``TimeoutError``.
+            process backend before the run aborts with ``TimeoutError``.
         observability: Record spans and metrics for the run (exposed on
             :attr:`DistributedSSTD.obs` afterwards, exportable with
             :func:`repro.obs.write_chrome_trace`).  ``True``/``False``
             force it; ``None`` (default) defers to the ``REPRO_TRACE``
             environment variable.  The simulated backend records on the
-            virtual clock, the real backends on wall time.
+            virtual clock, the process backend on wall time.
     """
 
     n_workers: int = 4
@@ -185,12 +182,12 @@ class SSTDSystemConfig:
 class BatchRunResult:
     """Outcome of a batch run.
 
-    On the real backends claims are dispatched in shards, so ``n_tasks``
-    (shards executed) can be smaller than ``n_jobs`` (claims decoded).
-    ``payload_bytes_per_task`` / ``result_bytes_per_task`` average the
-    serialized bytes each task actually shipped across the process
-    boundary (``None`` on executors that never serialize — simulated and
-    threads).  A task carries ids + row offsets + a handle, so the
+    On the process backend claims are dispatched in shards, so
+    ``n_tasks`` (shards executed) can be smaller than ``n_jobs`` (claims
+    decoded).  ``payload_bytes_per_task`` / ``result_bytes_per_task``
+    average the serialized bytes each task actually shipped across the
+    process boundary (``None`` on the simulated backend, which never
+    serializes).  A task carries ids + row offsets + a handle, so the
     payload number does not move with the report volume; the
     parallel-backend benchmark gates it under a byte ceiling.
     """
@@ -367,12 +364,10 @@ class DistributedSSTD:
         )
 
     # ------------------------------------------------------------------
-    # Real backends (threads / processes)
+    # Process backend
     # ------------------------------------------------------------------
-    def _make_executor(
-        self, n_workers: int | None = None
-    ) -> LocalWorkQueue | ProcessWorkQueue:
-        """The wall-time executor selected by ``config.backend``.
+    def _make_executor(self, n_workers: int | None = None) -> ProcessWorkQueue:
+        """The wall-time executor of the process backend.
 
         ``n_workers`` caps the pool below the configured size when the
         run has fewer tasks than workers — a worker that can never
@@ -381,8 +376,6 @@ class DistributedSSTD:
         self.obs = Observability.resolve(self.config.observability)
         if n_workers is None:
             n_workers = self.config.n_workers
-        if self.config.backend == "threads":
-            return LocalWorkQueue(n_workers=n_workers, obs=self.obs)
         return ProcessWorkQueue(n_workers=n_workers, obs=self.obs)
 
     @staticmethod
@@ -439,7 +432,7 @@ class DistributedSSTD:
 
     def _decode_shards(
         self,
-        executor: LocalWorkQueue | ProcessWorkQueue,
+        executor: ProcessWorkQueue,
         items: Sequence[tuple[str, np.ndarray, np.ndarray]],
         sstd_config: SSTDConfig,
     ) -> list[tuple[LocalResult, list[ClaimDecodeResult]]]:
@@ -581,7 +574,8 @@ class DistributedSSTD:
         if n_intervals < 1:
             raise ValueError("n_intervals must be >= 1")
         config = self.config
-        deadline = deadline or config.deadline
+        if deadline is None:
+            deadline = config.deadline
         span = trace.end - trace.start
         if span <= 0:
             raise ValueError("trace must span a positive duration")

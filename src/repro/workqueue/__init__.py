@@ -1,9 +1,8 @@
-"""Work Queue reproduction: master, workers, elastic pool, real executors."""
+"""Work Queue reproduction: master, workers, elastic pool, process executor."""
 
-from repro.workqueue.local import LocalResult, LocalWorkQueue
 from repro.workqueue.master import JobAccounting, WorkQueueMaster
 from repro.workqueue.pool import ElasticWorkerPool
-from repro.workqueue.process import ProcessWorkQueue
+from repro.workqueue.process import LocalResult, ProcessWorkQueue
 from repro.workqueue.task import CostModel, PayloadSpec, Task, TaskError, TaskResult
 from repro.workqueue.worker import SimulatedWorker
 
@@ -12,7 +11,6 @@ __all__ = [
     "ElasticWorkerPool",
     "JobAccounting",
     "LocalResult",
-    "LocalWorkQueue",
     "PayloadSpec",
     "ProcessWorkQueue",
     "SimulatedWorker",

@@ -1,11 +1,12 @@
 """Process-backed Work Queue executor: real parallelism on real cores.
 
-:class:`repro.workqueue.local.LocalWorkQueue` runs payloads on threads,
-so CPU-bound Truth Discovery work (Baum-Welch, Viterbi) serializes on
-the GIL.  :class:`ProcessWorkQueue` keeps the same submit / drain API
-but executes payloads in worker *processes*, which is what the
-paper's Work Queue deployment actually does (Section IV-A): one master,
-N single-task workers, tasks shipped to whichever worker is free.
+CPU-bound Truth Discovery work (Baum-Welch, Viterbi) holds the GIL, so
+:class:`ProcessWorkQueue` executes payloads in worker *processes*, which
+is what the paper's Work Queue deployment actually does (Section IV-A):
+one master, N single-task workers, tasks shipped to whichever worker is
+free.  It is the one real-core executor; the simulated
+:class:`~repro.workqueue.master.WorkQueueMaster` models the cluster in
+virtual time.
 
 Design points, mirroring Work Queue's fault model:
 
@@ -15,8 +16,8 @@ Design points, mirroring Work Queue's fault model:
   rejected at submit time with a pointed error.
 - **Bounded in-flight dispatch.**  Each worker holds at most one task;
   the master keeps the backlog and feeds workers as they free up, in
-  submission order like the thread backend.  No task data is serialized
-  before a worker is ready for it.
+  submission order.  No task data is serialized before a worker is
+  ready for it.
 - **Per-task timeout.**  A task that exceeds ``task.timeout`` has its
   worker terminated and is retried (Work Queue's straggler defense).
 - **Retry on worker death.**  When a worker process dies mid-task —
@@ -42,10 +43,10 @@ from typing import Any, Optional
 
 from repro.obs import BYTE_BUCKETS, MetricsSnapshot, Observability, WallClock, using
 from repro.obs.stitch import ClockSync, rebase_events
-from repro.workqueue.local import LocalResult
 from repro.workqueue.task import Task, TaskError
 
 __all__ = [
+    "LocalResult",
     "ProcessWorkQueue",
 ]
 
@@ -66,6 +67,38 @@ _WAKE = "__wake__"
 #: timeouts are detected (a submit wakes the supervisor itself, so
 #: dispatch never waits for it).
 POLL_INTERVAL = 0.02
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class LocalResult:
+    """Completion record of a task run on a worker process.
+
+    ``error`` is a picklable :class:`repro.workqueue.task.TaskError`
+    (never a raw exception object).  ``metrics`` carries the worker-side
+    :class:`repro.obs.MetricsSnapshot` for this task, the channel that
+    ships engine metrics back to the master; ``None`` when tracing is
+    off.  ``payload_bytes`` / ``result_bytes`` are the serialized sizes
+    the task actually shipped across the process boundary (payload out,
+    output back): ``payload_bytes`` is ``None`` for a payload that
+    failed to pickle, ``result_bytes`` for a task that never came back.
+    The parallel-backend benchmark and the ``wq.payload_bytes`` /
+    ``wq.result_bytes`` histograms read the same numbers, so the bench
+    and a live operator agree.
+    """
+
+    task_id: int
+    job_id: str
+    worker_name: str
+    output: Any
+    wall_time: float
+    error: Optional[TaskError] = None
+    metrics: Optional[MetricsSnapshot] = None
+    payload_bytes: Optional[int] = None
+    result_bytes: Optional[int] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
 
 
 def _worker_main(
@@ -161,8 +194,7 @@ class _WorkerHandle:
 class ProcessWorkQueue:
     """Multiprocessing executor with first-in, first-out bounded dispatch.
 
-    Drop-in for :class:`~repro.workqueue.local.LocalWorkQueue` wherever
-    payloads are picklable:
+    Payloads must be picklable:
 
         >>> from repro.workqueue.task import PayloadSpec, Task
         >>> wq = ProcessWorkQueue(n_workers=2)        # doctest: +SKIP
@@ -215,7 +247,7 @@ class ProcessWorkQueue:
         self._supervisor.start()
 
     # ------------------------------------------------------------------
-    # Public API (mirrors LocalWorkQueue)
+    # Public API
     # ------------------------------------------------------------------
     def submit(self, task: Task) -> None:
         """Queue ``task`` for the next free worker.
@@ -385,7 +417,17 @@ class ProcessWorkQueue:
                 self._clock_sync[worker_name] = sync
             self.obs.stitch[worker_name] = sync
             return
-        worker_name, task_id, job_id, output_bytes, wall_time, error = item[:6]
+        (
+            worker_name,
+            task_id,
+            job_id,
+            output_bytes,
+            wall_time,
+            error,
+            metrics,
+            payload_nbytes,
+            span_payload,
+        ) = item
         with self._lock:
             if task_id in self._completed:
                 return  # duplicate from a retry whose first attempt landed
@@ -393,9 +435,6 @@ class ProcessWorkQueue:
             for worker in self._workers:
                 if worker.name == worker_name:
                     worker.current = None
-        metrics = item[6] if len(item) > 6 else None
-        payload_nbytes = item[7] if len(item) > 7 else None
-        span_payload = item[8] if len(item) > 8 else None
         result_nbytes = len(output_bytes)
         if self.obs.enabled:
             self.obs.metrics.inc("wq.completed")

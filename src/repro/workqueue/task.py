@@ -6,8 +6,8 @@ Discovery (TD) job — one per claim — is split into one or more tasks
 social sensing data it must process, captured by ``data_size``.
 
 Tasks optionally carry a Python callable so the same object runs on both
-the simulated workers (which only charge virtual time) and the local
-thread-backed executor (which really calls it).
+the simulated workers (on the virtual clock) and the process-backed
+executor (in a worker process).
 """
 
 from __future__ import annotations
@@ -34,10 +34,9 @@ class TaskError:
 
     Executors never ship raw exception objects back to the master: an
     exception can hold arbitrary unpicklable state (locks, sockets, HMM
-    instances), which would make results backend-dependent.  Both the
-    thread and the process executors capture failures as a
-    :class:`TaskError` — type name, message, formatted traceback — so a
-    result round-trips identically through either backend.
+    instances), which could not cross the process boundary.  The process
+    executor captures failures as a :class:`TaskError` — type name,
+    message, formatted traceback — so a result round-trips intact.
 
     Attributes:
         type_name: Qualified exception class name (e.g. ``ValueError``).
@@ -73,7 +72,7 @@ class PayloadSpec:
     instead: ``fn`` must be an importable module-level callable and the
     arguments must themselves be picklable.  The spec is callable with no
     arguments, so it slots into :attr:`Task.fn` and runs unchanged on the
-    simulated and thread backends too.
+    simulated backend too.
     """
 
     fn: Callable[..., Any]
@@ -147,9 +146,9 @@ class Task:
         attempts: Executions started so far (managed by the master).
         tried_workers: Worker names that already attempted this task.
         payload_bytes: Size of the serialized payload actually shipped to
-            a worker, recorded at first dispatch by executors that cross
-            a process boundary (``None`` on in-process executors, which
-            never serialize).  This is the per-task number the
+            a worker, recorded at first dispatch by the process executor
+            (``None`` on the simulated backend, which never
+            serializes).  This is the per-task number the
             ``wq.payload_bytes`` histogram and the perf-smoke
             ``payload_bytes_per_task`` gate aggregate.
     """

@@ -5,7 +5,7 @@ Claims decompose independently (paper Section III-E), so each claim's
 estimates must keep every bit when the input order of reports with
 distinct timestamps changes, when claims are renamed (which can reorder
 them in the table and in the shard stacks), and when an unrelated claim
-joins.  Both the serial engine and the sharded thread backend are held
+joins.  Both the serial engine and the sharded process backend are held
 to it.
 """
 
@@ -18,8 +18,10 @@ from repro.system.sstd_system import DistributedSSTD, SSTDSystemConfig
 
 ENGINES = {
     "discover": lambda reports: SSTD().discover(reports),
-    "threads": lambda reports: DistributedSSTD(
-        SSTDSystemConfig(backend="threads", n_workers=2, control_enabled=False)
+    "processes": lambda reports: DistributedSSTD(
+        SSTDSystemConfig(
+            backend="processes", n_workers=2, control_enabled=False
+        )
     ).run_batch(reports).estimates,
 }
 

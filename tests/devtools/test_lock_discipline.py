@@ -1,7 +1,7 @@
-"""SSTD003 against the real thread-backed executor and synthetic breaks.
+"""SSTD003 against the real process-backed executor and synthetic breaks.
 
 The positive half runs the rule over the actual source of
-:mod:`repro.workqueue.local` — the module whose ``# guarded-by:``
+:mod:`repro.workqueue.process` — the module whose ``# guarded-by:``
 annotations the rule polices — and requires a clean pass.  The negative
 half seeds unguarded mutations and requires them flagged.
 """
@@ -9,7 +9,7 @@ half seeds unguarded mutations and requires them flagged.
 import re
 from pathlib import Path
 
-import repro.workqueue.local as local_module
+import repro.workqueue.process as process_module
 from repro.devtools.lint import all_rules, lint_source
 
 RULES = all_rules(["SSTD003"])
@@ -45,20 +45,21 @@ class Scheduler:
 
 
 class TestRealWorkqueueLocal:
-    def test_local_workqueue_source_is_lock_clean(self):
-        source = Path(local_module.__file__).read_text()
+    def test_process_workqueue_source_is_lock_clean(self):
+        source = Path(process_module.__file__).read_text()
         findings = lint_source(
-            source, path=local_module.__file__, rules=RULES
+            source, path=process_module.__file__, rules=RULES
         )
         assert findings == [], [f.format() for f in findings]
 
     def test_annotations_present_so_pass_is_not_vacuous(self):
-        source = Path(local_module.__file__).read_text()
-        for field in ("_pending", "_outstanding", "_shutdown"):
+        source = Path(process_module.__file__).read_text()
+        for field in (
+            "_pending", "_outstanding", "_shutdown", "_workers", "_completed"
+        ):
             assert re.search(
                 rf"self\.{field}\b[^\n]*# guarded-by: _lock", source
             ), field
-        assert "# lock-alias: _lock" in source
 
 
 class TestSyntheticViolations:

@@ -2,7 +2,7 @@
 
 The gate is CI's last line against perf regressions, so its own logic —
 per-cpu-count leg selection, the hard payload ceiling, the
-process-over-thread floor, the runner-shape guard — gets pinned here
+runner-shape guard — gets pinned here
 with synthetic bench/baseline documents.
 """
 
@@ -13,7 +13,7 @@ import pytest
 from benchmarks.check_perf_smoke import _select_leg, main
 
 
-def _baseline(**leg_overrides):
+def _baseline():
     leg_one = {
         "backends": {
             "processes": {"4": {"throughput_rps": 1000.0}},
@@ -24,10 +24,7 @@ def _baseline(**leg_overrides):
         },
         "payload_bytes_ceiling": 2048,
     }
-    leg_one.update(leg_overrides.pop("one", {}))
-    legs = {"1": leg_one}
-    legs.update(leg_overrides)
-    return {"schema": 3, "scale": 0.01, "legs": legs}
+    return {"schema": 3, "scale": 0.01, "legs": {"1": leg_one}}
 
 
 def _current(**overrides):
@@ -41,7 +38,6 @@ def _current(**overrides):
             "sharded": {"throughput_rps": 950.0},
         },
         "payload_bytes": {"zero_copy_per_task": 900.0},
-        "process_over_thread_speedup_at_max_workers": 1.3,
     }
     doc.update(overrides)
     return doc
@@ -88,26 +84,6 @@ class TestGate:
     def test_missing_payload_measurement_fails(self, tmp_path):
         current = _current(payload_bytes={})
         assert _run(tmp_path, current, _baseline()) == 1
-
-    def test_multicore_leg_checks_process_over_thread_floor(self, tmp_path):
-        baseline = _baseline(
-            **{
-                "2": {
-                    "payload_bytes_ceiling": 2048,
-                    "process_over_thread_floor": 1.0,
-                }
-            }
-        )
-        losing = _current(
-            effective_cpu_count=2,
-            process_over_thread_speedup_at_max_workers=0.8,
-        )
-        assert _run(tmp_path, losing, baseline) == 1
-        winning = _current(
-            effective_cpu_count=2,
-            process_over_thread_speedup_at_max_workers=1.4,
-        )
-        assert _run(tmp_path, winning, baseline) == 0
 
     def test_expect_min_cpus_guards_runner_shape(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_PERF_EXPECT_MIN_CPUS", "2")

@@ -168,14 +168,14 @@ def use(risky):
 
 
 EXECUTOR_FACTORY = '''
-from repro.workqueue.local import LocalWorkQueue
+from repro.workqueue.process import ProcessWorkQueue
 
 __all__ = ["System"]
 
 
 class System:
     def _make_executor(self, n_workers):
-        return LocalWorkQueue(n_workers=n_workers)
+        return ProcessWorkQueue(n_workers=n_workers)
 
     def run(self, shards):
         executor = self._make_executor(2)

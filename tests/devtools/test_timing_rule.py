@@ -5,7 +5,7 @@ from repro.devtools.lint import all_rules, lint_source
 RULES = all_rules(["SSTD011"])
 
 
-def findings(src: str, module: str = "repro.workqueue.local"):
+def findings(src: str, module: str = "repro.workqueue.process"):
     return lint_source(src, path="case.py", rules=RULES, module=module)
 
 

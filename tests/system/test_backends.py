@@ -1,4 +1,4 @@
-"""Backend selection: simulated / threads / processes produce identical TD."""
+"""Backend selection: simulated and processes produce identical TD."""
 
 import dataclasses
 
@@ -42,11 +42,16 @@ def serial_estimates(small_trace):
 
 class TestConfigValidation:
     def test_backends_constant(self):
-        assert BACKENDS == ("simulated", "threads", "processes")
+        assert BACKENDS == ("simulated", "processes")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
             SSTDSystemConfig(backend="mapreduce")
+
+    def test_thread_backend_is_gone(self):
+        retired = "threads"
+        with pytest.raises(ValueError, match="backend"):
+            SSTDSystemConfig(backend=retired)
 
     def test_drain_timeout_validated(self):
         with pytest.raises(ValueError, match="drain_timeout"):
@@ -68,7 +73,7 @@ class TestBatchParity:
 
     def test_real_backend_accounting(self, small_trace):
         config = SSTDSystemConfig(
-            n_workers=2, backend="threads", claims_per_shard=2
+            n_workers=2, backend="processes", claims_per_shard=2
         )
         outcome = DistributedSSTD(config).run_batch(list(small_trace.reports))
         # 6 claims in shards of 2 -> 3 tasks covering all 6 jobs.
@@ -80,15 +85,17 @@ class TestBatchParity:
 
     def test_one_task_per_claim_when_shard_is_one(self, small_trace):
         config = SSTDSystemConfig(
-            n_workers=2, backend="threads", claims_per_shard=1
+            n_workers=2, backend="processes", claims_per_shard=1
         )
         outcome = DistributedSSTD(config).run_batch(list(small_trace.reports))
         assert outcome.n_tasks == outcome.n_jobs == 6
 
 
 class TestIntervalsReal:
-    def test_threads_interval_replay(self, small_trace):
-        config = SSTDSystemConfig(n_workers=2, backend="threads", deadline=30.0)
+    def test_processes_interval_replay(self, small_trace):
+        config = SSTDSystemConfig(
+            n_workers=2, backend="processes", deadline=30.0
+        )
         result = DistributedSSTD(config).run_intervals(
             small_trace, n_intervals=4, compute_estimates=True
         )
@@ -101,13 +108,15 @@ class TestIntervalsReal:
         assert result.estimates
 
     def test_execution_times_positive(self, small_trace):
-        config = SSTDSystemConfig(n_workers=1, backend="threads", deadline=30.0)
+        config = SSTDSystemConfig(
+            n_workers=1, backend="processes", deadline=30.0
+        )
         result = DistributedSSTD(config).run_intervals(small_trace, n_intervals=3)
         assert all(t >= 0 for t in result.execution_times)
 
 
 class TestIntervalBounds:
-    @pytest.mark.parametrize("backend", ["simulated", "threads"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_epoch_scale_trace_replays_its_last_report(
         self, backend, small_trace
     ):

@@ -1,9 +1,9 @@
-"""Acceptance: one observability schema across all three backends.
+"""Acceptance: one observability schema across both backends.
 
-The ISSUE's core criterion: ``run_batch`` with tracing enabled yields at
-least one ``wq.task`` span per task plus merged worker metrics on every
-backend — simulated (virtual clock), threads, and processes (wall
-clock) — and a disabled run records nothing.
+``run_batch`` with tracing enabled yields at least one ``wq.task`` span
+per task plus merged worker metrics on every backend — simulated
+(virtual clock) and processes (wall clock) — and a disabled run records
+nothing.
 """
 
 import pytest
@@ -67,7 +67,7 @@ class TestBatchTracing:
         assert metrics.counter("wq.completed") == float(N_CLAIMS)
         assert metrics.histogram("wq.task_seconds").count == N_CLAIMS
 
-    @pytest.mark.parametrize("backend", ("threads", "processes"))
+    @pytest.mark.parametrize("backend", ("processes",))
     def test_real_backends_count_worker_tasks(self, small_trace, backend):
         system = _run(small_trace, backend)
         metrics = system.obs.metrics.snapshot()
@@ -82,7 +82,7 @@ class TestBatchTracing:
         spans = [e for e in system.obs.tracer.events() if e.name == "wq.task"]
         assert all(e.start >= 0 and e.duration > 0 for e in spans)
 
-    @pytest.mark.parametrize("backend", ("threads", "processes"))
+    @pytest.mark.parametrize("backend", ("processes",))
     def test_real_backends_use_wall_clock(self, small_trace, backend):
         system = _run(small_trace, backend)
         assert system.obs.clock.kind == "wall"

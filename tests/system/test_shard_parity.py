@@ -327,7 +327,7 @@ class TestShardParityAcrossBackends:
     ):
         config = SSTDSystemConfig(
             n_workers=2,
-            backend="threads",
+            backend="processes",
             claims_per_shard=claims_per_shard,
             control_enabled=False,
         )
@@ -336,7 +336,10 @@ class TestShardParityAcrossBackends:
 
     def test_sharded_interval_replay_matches_per_claim(self, trace):
         base = SSTDSystemConfig(
-            n_workers=2, backend="threads", deadline=30.0, control_enabled=False
+            n_workers=2,
+            backend="processes",
+            deadline=30.0,
+            control_enabled=False,
         )
         sharded = DistributedSSTD(base).run_intervals(
             trace, n_intervals=3, compute_estimates=True
@@ -352,7 +355,7 @@ class TestShardParityAcrossBackends:
 class TestZeroCopyParity:
     """The shared-memory data plane is a transport, never a semantics knob."""
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["processes"])
     def test_zero_copy_matches_per_claim_serial(
         self, backend, trace, per_claim_serial
     ):
@@ -480,10 +483,3 @@ class TestZeroCopyParity:
         assert longer[1] > small[1]
         if shm.shm_available():
             assert longer[0] == small[0]
-
-    def test_threads_report_no_payload_bytes(self, trace):
-        outcome = DistributedSSTD(
-            SSTDSystemConfig(n_workers=2, backend="threads")
-        ).run_batch(list(trace.reports))
-        assert outcome.payload_bytes_per_task is None
-        assert outcome.result_bytes_per_task is None

@@ -34,7 +34,7 @@ def make_config(control=None):
     """Open loop without ``control``, the closed loop with it."""
     return SSTDSystemConfig(
         n_workers=2,
-        backend="threads",
+        backend="processes",
         control_enabled=control is not None,
         control=control or ControlConfig(),
         sstd=SSTDConfig(

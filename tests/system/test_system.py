@@ -234,3 +234,12 @@ class TestDistributedSSTD:
             )
         with pytest.raises(ValueError):
             system.run_intervals(Trace(name="empty", reports=[]))
+
+    def test_explicit_nonpositive_deadline_rejected(self):
+        # An explicit 0.0 is a deadline, not "use the config's".
+        from repro.streams import Trace
+
+        trace = Trace(name="t", reports=self._reports())
+        for deadline in (0.0, -1.0):
+            with pytest.raises(ValueError, match="deadline"):
+                DistributedSSTD().run_intervals(trace, 3, deadline=deadline)

@@ -80,8 +80,7 @@ from repro.text import (
     PolarityAnalyzer,
     TweetPipeline,
 )
-from repro.workqueue import LocalWorkQueue, ProcessWorkQueue
-from repro.workqueue.local import LocalResult
+from repro.workqueue import LocalResult, ProcessWorkQueue
 from repro.workqueue.pool import ElasticWorkerPool
 
 CONFIG_FIELDS = {
@@ -198,10 +197,8 @@ KEYWORDS = {
     timeline_strip: (),
     side_by_side: (),
     bar_chart: (),
-    # the real executors
+    # the real executor
     LocalResult: ("error", "metrics", "payload_bytes", "result_bytes"),
-    LocalWorkQueue: ("n_workers", "obs"),
-    LocalWorkQueue.drain: ("timeout",),
     ProcessWorkQueue: ("n_workers", "obs"),
     ProcessWorkQueue.drain: ("timeout",),
 }
@@ -216,7 +213,6 @@ CENSUS_MODULES = (
     "repro.hmm.selection",
     "repro.cluster",
     "repro.report",
-    "repro.workqueue.local",
     "repro.workqueue.process",
 )
 

@@ -2,20 +2,14 @@
 
 The zero-copy data plane's win is only provable if the executor reports
 how many bytes each task actually shipped across the process boundary.
-These tests pin the accounting channel itself: ``LocalResult`` fields,
-the ``wq.payload_bytes`` / ``wq.result_bytes`` histograms, and the
-``None`` contract on executors that never serialize.
+These tests pin the accounting channel itself: ``LocalResult`` fields
+and the ``wq.payload_bytes`` / ``wq.result_bytes`` histograms.
 """
 
 import pickle
 
 from repro.obs import Observability
-from repro.workqueue import (
-    LocalWorkQueue,
-    PayloadSpec,
-    ProcessWorkQueue,
-    Task,
-)
+from repro.workqueue import PayloadSpec, ProcessWorkQueue, Task
 
 from tests.workqueue.test_process import double
 
@@ -71,15 +65,3 @@ class TestProcessByteAccounting:
         assert results["large"].payload_bytes > 100_000
         assert results["small"].payload_bytes < 1_000
 
-
-class TestThreadByteContract:
-    def test_in_process_executor_reports_none(self):
-        wq = LocalWorkQueue(n_workers=1)
-        try:
-            wq.submit(Task(job_id="j", fn=PayloadSpec(double, (2,))))
-            (result,) = wq.drain(timeout=30.0)
-        finally:
-            wq.shutdown()
-        assert result.ok
-        assert result.payload_bytes is None
-        assert result.result_bytes is None

@@ -37,6 +37,18 @@ def sleep_forever():
     time.sleep(60.0)
 
 
+def rendezvous(arrived, peer):
+    """Mark ``arrived``, then wait for ``peer``: True only if both overlap."""
+    with open(arrived, "w", encoding="utf-8"):
+        pass
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        if os.path.exists(peer):
+            return True
+        time.sleep(0.01)
+    return False
+
+
 @pytest.fixture
 def wq():
     queue = ProcessWorkQueue(n_workers=2)
@@ -108,6 +120,14 @@ class TestProcessWorkQueue:
 
     def test_drain_empty(self, wq):
         assert wq.drain(timeout=1.0) == []
+
+    def test_concurrent_execution(self, wq, tmp_path):
+        """Two tasks on two workers overlap in wall time."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        wq.submit(Task(job_id="a", fn=PayloadSpec(rendezvous, (a, b))))
+        wq.submit(Task(job_id="b", fn=PayloadSpec(rendezvous, (b, a))))
+        results = wq.drain(timeout=30.0)
+        assert [r.output for r in results] == [True, True]
 
     def test_dispatches_in_submission_order(self):
         wq = ProcessWorkQueue(n_workers=1)
