@@ -208,7 +208,7 @@ def test_parallel_backend_throughput():
     max_workers = WORKER_COUNTS[-1]
     per_claim = _measure(reports, max_workers, claims_per_shard=1)
     assert per_claim.pop("estimates") == estimates
-    sharded = dict(table[max_workers])
+    sharded = table[max_workers]
     dispatch_speedup = (
         sharded["throughput_rps"] / per_claim["throughput_rps"]
     )
