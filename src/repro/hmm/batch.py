@@ -30,10 +30,12 @@ independent reference in ``tests/hmm/scalar_reference.py``:
   axis of the stack with exact-zero weights on masked cells — missing
   or padded: a non-innermost axis accumulates sequentially in ``t`` and
   ``acc + 0.0 == acc`` (``K >= 2``; at ``K = 1`` time is innermost).
-  They run per row only where numpy's pairwise tree depends on the
-  length: :func:`~repro.hmm.utils.masked_row_sums` and the quantile
-  init.  Nothing inside an iteration loops over rows
-  (``tests/hmm/test_fit_parity.py`` keeps those loops as an oracle).
+  Where numpy's pairwise tree depends on the length they reduce rows
+  of one length together: :func:`~repro.hmm.utils.masked_row_sums` and
+  the variances of the quantile init, which takes its quantiles from
+  one sort of the stack.  Nothing inside an iteration loops over rows
+  (``tests/hmm/test_fit_parity.py`` and ``test_init_emissions.py`` keep
+  the row loops as oracles).
 
 The time recursions themselves (forward, backward, Viterbi, the xi
 accumulation) live in :mod:`repro.hmm.kernels.numpy_ref`: time-major
@@ -382,32 +384,59 @@ class BatchGaussianHMM:
     def _init_emissions(
         self, observations: np.ndarray, lengths: np.ndarray, seed
     ) -> None:
-        """Quantile initialisation, one fresh RNG per row.
+        """Quantile initialisation of the whole stack, in one pass.
 
-        Means spread over the row's observation quantiles (deterministic
+        Means spread over each row's observation quantiles (deterministic
         given the data, and ordered by mean); a row with (near-)zero
         spread gets unit variance and a small jitter from
         ``default_rng(seed)``, re-created per row so a claim's init does
         not depend on the batch it rides in.
+
+        Bit-identical to ``np.quantile`` and ``np.var`` of each row's
+        present values: the quantiles gather from one sort of the stack
+        and interpolate with numpy's own formula, and the variances
+        reduce rows of one present count together, so each row's
+        pairwise sum runs over exactly its values in their order.
         """
+        inside = np.arange(observations.shape[1]) < lengths[:, None]
+        present = inside & ~np.isnan(observations)
+        counts = present.sum(axis=1)
+        if (counts == 0).any():
+            raise ValueError("cannot initialize from all-missing observations")
+
+        # np.quantile's "linear" method: virtual index (n - 1) * q, and
+        # numpy's lerp, which interpolates from the upper neighbour when
+        # the weight is at least one half.
         quantiles = np.linspace(0.0, 1.0, self.n_states + 2)[1:-1]
-        for row in range(self.n_seqs):
-            values = observations[row, : lengths[row]]
-            present = values[~np.isnan(values)]
-            if present.size == 0:
-                raise ValueError(
-                    "cannot initialize from all-missing observations"
-                )
-            means = np.quantile(present, quantiles)
-            spread = float(np.var(present))
-            if spread < MIN_VARIANCE:
-                spread = 1.0
-                rng = np.random.default_rng(seed)
-                means = means + rng.normal(0.0, 0.1, size=self.n_states)
-            self.means[row] = means
-            self.variances[row] = np.full(
-                self.n_states, max(spread, MIN_VARIANCE)
-            )
+        ordered = np.sort(np.where(present, observations, np.nan), axis=1)
+        last = (counts - 1)[:, None]
+        virtual = last * quantiles
+        below = np.floor(virtual)
+        weight = virtual - below
+        lower = np.minimum(below.astype(np.intp), last)
+        upper = np.minimum(lower + 1, last)
+        a = np.take_along_axis(ordered, lower, axis=1)
+        b = np.take_along_axis(ordered, upper, axis=1)
+        step = b - a
+        means = np.where(
+            weight >= 0.5, b - step * (1 - weight), a + step * weight
+        )
+
+        # Present values moved to the front of each row, order kept.
+        compact = np.take_along_axis(
+            observations, np.argsort(~present, axis=1, kind="stable"), axis=1
+        )
+        spread = np.empty(self.n_seqs)
+        for count in np.unique(counts).tolist():
+            group = counts == count
+            spread[group] = np.var(compact[group, :count], axis=1)
+
+        for row in np.flatnonzero(spread < MIN_VARIANCE).tolist():
+            spread[row] = 1.0
+            rng = np.random.default_rng(seed)
+            means[row] += rng.normal(0.0, 0.1, size=self.n_states)
+        self.means[:] = means
+        self.variances[:] = np.maximum(spread, MIN_VARIANCE)[:, None]
 
     def _update_emissions(
         self,
