@@ -447,7 +447,6 @@ class _ClaimStream:
     values: list[float] = field(default_factory=list)
     #: Non-NaN entries of ``values``, kept in step with append and trim.
     informative: int = 0
-    ticks: int = 0
     #: A report arrived since the claim's last refit.
     fresh: bool = False
     #: The last refit round deferred this claim: it is due off schedule.
@@ -470,11 +469,14 @@ class StreamingSSTD:
 
     1. **Append and split.**  Every claim's buffer gets this tick's ACS
        value; the claim is then *due for retrain* (it got a report
-       since its last refit, its own tick count — counted from its
-       first tick — hits a multiple of ``retrain_every`` and the buffer
-       holds ``min_observations`` informative values), *filtering* (it
-       has a model), or on *cold start* (sign rule on the newest
-       informative ACS value).
+       since its last refit, the engine's tick count — one count for
+       every claim, from the engine's first tick — is a multiple of
+       ``retrain_every`` or the claim's last refit was deferred, and
+       the buffer holds ``min_observations`` informative values),
+       *filtering* (it has a model), or on *cold start* (sign rule on
+       the newest informative ACS value).  One count puts claims that
+       joined on different ticks on the same refit ticks, so a
+       scheduled tick pays one refit call for all of them.
     2. **One stacked refit.**  All due claims go through a single
        ``refit(items, config)`` call — :func:`batch_fit_decode`, or a
        callable that returns what it would for each item, or a
@@ -526,6 +528,9 @@ class StreamingSSTD:
         )
         self.retrain_every = retrain_every
         self.max_buffer = max_buffer
+        #: Ticks so far, and the time of the last one.
+        self._ticks = 0
+        self._now = -math.inf
         #: None resolves :func:`batch_fit_decode` at call time.
         self._refit_fn = refit
         self._claims: dict[str, _ClaimStream] = {}
@@ -558,12 +563,27 @@ class StreamingSSTD:
 
         Appends one ACS observation per claim, retrains/decodes as
         scheduled, and returns the current truth estimate of every claim
-        in claim-id order.
+        in claim-id order.  ``now`` must be later than the previous
+        tick: the windows have already evicted reports older than it.
         """
+        if not now > self._now:
+            raise ValueError(
+                f"tick at {now} does not advance past the previous tick "
+                f"at {self._now}"
+            )
+        self._now = now
+        self._ticks += 1
+        scheduled = self._ticks % self.retrain_every == 0
         due: list[_ClaimStream] = []
         waiting: list[_ClaimStream] = []
         for claim in self._ordered:
-            (due if self._append(claim, now) else waiting).append(claim)
+            self._append(claim, now)
+            is_due = (
+                claim.fresh
+                and (scheduled or claim.deferred)
+                and claim.informative >= self.config.min_observations
+            )
+            (due if is_due else waiting).append(claim)
         if due:
             waiting.extend(self._refit(due))
         filtering: list[_ClaimStream] = []
@@ -585,8 +605,8 @@ class StreamingSSTD:
             obs.metrics.inc("sstd.stream.filter_rows", len(filtering))
         return [claim.latest for claim in self._ordered]
 
-    def _append(self, claim: _ClaimStream, now: float) -> bool:
-        """Buffer this tick's ACS value; True when a refit is due."""
+    def _append(self, claim: _ClaimStream, now: float) -> None:
+        """Buffer this tick's ACS value, trimming to ``max_buffer``."""
         value = claim.window.value_at(now)
         claim.times.append(now)
         claim.values.append(value)
@@ -600,12 +620,6 @@ class StreamingSSTD:
             )
             del claim.times[:drop]
             del claim.values[:drop]
-        claim.ticks += 1
-        return (
-            claim.fresh
-            and (claim.deferred or claim.ticks % self.retrain_every == 0)
-            and claim.informative >= self.config.min_observations
-        )
 
     def _cold_start(self, claim: _ClaimStream, now: float) -> TruthEstimate:
         """Sign rule on the newest informative ACS value."""

@@ -72,9 +72,10 @@ __all__ = [
 BACKENDS = ("simulated", "processes")
 
 #: Refit cadence of the interval replay's streaming engine on every
-#: backend, in grid ticks counted from each claim's first, for claims
-#: with a report after their last refit; small values track truth flips
-#: promptly at higher compute cost.
+#: backend, in grid ticks counted from the engine's first: every claim
+#: with a report after its last refit is due on the same ticks, so a
+#: scheduled tick is one round of shard tasks.  Small values track truth
+#: flips promptly at higher compute cost.
 STREAMING_RETRAIN_EVERY = 5
 
 

@@ -84,7 +84,8 @@ class PerClaimReference:
         self.windows: dict[str, SlidingWindowACS] = {}
         self.times: dict[str, list[float]] = {}
         self.values: dict[str, list[float]] = {}
-        self.ticks: dict[str, int] = {}
+        #: One tick count for the engine, not one per claim.
+        self.ticks = 0
         #: Claims that got a report since their last refit.
         self.fresh: set[str] = set()
         self.models: dict[str, ClaimTruthModel] = {}
@@ -101,7 +102,6 @@ class PerClaimReference:
             )
             self.times[report.claim_id] = []
             self.values[report.claim_id] = []
-            self.ticks[report.claim_id] = 0
             self.models[report.claim_id] = ClaimTruthModel(
                 report.claim_id, self.config
             )
@@ -109,6 +109,7 @@ class PerClaimReference:
         self.fresh.add(report.claim_id)
 
     def tick(self, now: float) -> list[TruthEstimate]:
+        self.ticks += 1
         return [self._tick_claim(c, now) for c in sorted(self.windows)]
 
     def _tick_claim(self, claim_id: str, now: float) -> TruthEstimate:
@@ -120,12 +121,11 @@ class PerClaimReference:
             drop = max(1, self.max_buffer // 5)
             del times[:drop]
             del values[:drop]
-        self.ticks[claim_id] += 1
         model = self.models[claim_id]
         informative = sum(1 for v in values if not math.isnan(v))
         if (
             claim_id in self.fresh
-            and self.ticks[claim_id] % self.retrain_every == 0
+            and self.ticks % self.retrain_every == 0
             and informative >= self.config.min_observations
         ):
             self.fresh.discard(claim_id)
@@ -214,6 +214,20 @@ def fit_rows(monkeypatch):
     return rows
 
 
+@pytest.fixture
+def fits(monkeypatch):
+    """``(tick time, claim ids)`` of every ``batch_fit_decode`` call."""
+    calls: list[tuple[float, list[str]]] = []
+    original = sstd_module.batch_fit_decode
+
+    def spy(items, config):
+        calls.append((items[0][1][-1], [claim_id for claim_id, _, _ in items]))
+        return original(items, config)
+
+    monkeypatch.setattr(sstd_module, "batch_fit_decode", spy)
+    return calls
+
+
 class TestOneFitPerTick:
     def test_due_claims_share_one_fit(self, fit_rows):
         streams = {f"c{k}": VARIED[k:] + VARIED[:k] for k in range(4)}
@@ -243,38 +257,42 @@ class TestOneFitPerTick:
             "sstd.stream.filter_rows"
         ) == 4.0
 
-    def test_schedule_counts_from_each_claims_first_tick(self, monkeypatch):
-        fits: list[tuple[float, list[str]]] = []
-        original = sstd_module.batch_fit_decode
-
-        def spy(items, config):
-            fits.append((items[0][1][-1], [claim_id for claim_id, _, _ in items]))
-            return original(items, config)
-
-        monkeypatch.setattr(sstd_module, "batch_fit_decode", spy)
+    def test_schedule_counts_engine_ticks(self, fits):
         cycle = VARIED * 4
-        # "late" is first seen on tick 4, "early" and "b" on tick 1.
+        # "late" is first seen on tick 4, "early" and "b" on tick 1; on
+        # tick 5 "late" holds 2 of the 3 informative values it needs.
         streams = {"early": cycle, "late": [None] * 3 + cycle[:17], "b": cycle}
         run_ticks(StreamingSSTD(CONFIG, retrain_every=5), streams)
         assert fits == [
             (5.0, ["b", "early"]),
-            (8.0, ["late"]),
-            (10.0, ["b", "early"]),
-            (13.0, ["late"]),
-            (15.0, ["b", "early"]),
-            (18.0, ["late"]),
-            (20.0, ["b", "early"]),
+            (10.0, ["b", "early", "late"]),
+            (15.0, ["b", "early", "late"]),
+            (20.0, ["b", "early", "late"]),
         ]
 
-    def test_claim_without_new_reports_keeps_its_model(self, monkeypatch):
-        fits: list[tuple[float, list[str]]] = []
-        original = sstd_module.batch_fit_decode
+    def test_claims_joining_apart_share_one_fit_per_scheduled_tick(
+        self, fits, fit_rows
+    ):
+        # Claim k is first seen on tick 1 + 2k, five different phases of
+        # a 5-tick cadence, and has a new report on every later tick.
+        streams = {
+            f"c{k}": [None] * (2 * k) + (VARIED * 5)[: 25 - 2 * k]
+            for k in range(5)
+        }
+        run_ticks(StreamingSSTD(CONFIG, retrain_every=5), streams)
+        everyone = [f"c{k}" for k in range(5)]
+        # A claim rides the first scheduled tick on which it holds
+        # min_observations (3) informative values.
+        assert fits == [
+            (5.0, ["c0", "c1"]),
+            (10.0, ["c0", "c1", "c2", "c3"]),
+            (15.0, everyone),
+            (20.0, everyone),
+            (25.0, everyone),
+        ]
+        assert fit_rows == [2, 4, 5, 5, 5]
 
-        def spy(items, config):
-            fits.append((items[0][1][-1], [claim_id for claim_id, _, _ in items]))
-            return original(items, config)
-
-        monkeypatch.setattr(sstd_module, "batch_fit_decode", spy)
+    def test_claim_without_new_reports_keeps_its_model(self, fits):
         # "quiet" reports on ticks 1-5 and 12 only.
         streams = {
             "busy": VARIED * 3,
@@ -406,6 +424,17 @@ class TestEdgePaths:
         assert state.values == pytest.approx([0.5] * 5)
         assert state.params is params
         assert state.alpha.tolist() == alpha.tolist()
+
+    @pytest.mark.parametrize("later", [800.0, 1000.0, math.nan])
+    def test_tick_must_advance_time(self, later):
+        engine = StreamingSSTD(CONFIG)
+        engine.push(report_for("c", 1000, 0.5))
+        (estimate,) = engine.tick(1000.0)
+        with pytest.raises(ValueError, match="does not advance"):
+            engine.tick(later)
+        # The refused tick left no grid point behind.
+        assert engine._claims["c"].times == [1000.0]
+        assert engine.latest() == {"c": estimate}
 
     def test_claim_ids_sorted_and_fresh(self):
         engine = StreamingSSTD(CONFIG)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.sstd import SSTD
+from repro.core.sstd import SSTD, batch_fit_decode
 from repro.streams.events import PopulationConfig, ScenarioSpec
 from repro.streams.generator import GeneratorConfig, generate_trace
 from repro.streams.trace import Trace
@@ -15,7 +15,13 @@ from repro.system.jobs import (
     expand_shard_result,
     shm_shard_task_spec,
 )
-from repro.system.sstd_system import BACKENDS, DistributedSSTD, SSTDSystemConfig
+from repro.system.sstd_system import (
+    BACKENDS,
+    STREAMING_RETRAIN_EVERY,
+    DistributedSSTD,
+    SSTDSystemConfig,
+)
+from tests.streaming_replay import serial_stream_replay
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +112,39 @@ class TestIntervalsReal:
         seen = [(e.claim_id, e.timestamp) for e in result.estimates]
         assert len(seen) == len(set(seen))
         assert result.estimates
+
+    def test_one_round_per_scheduled_tick_with_a_due_claim(
+        self, small_trace, monkeypatch
+    ):
+        rounds: list[tuple[float, list[str]]] = []
+        original = DistributedSSTD._decode_shards
+
+        def spy(self, executor, items, sstd_config):
+            rounds.append((items[0][1][-1], [c for c, _, _ in items]))
+            return original(self, executor, items, sstd_config)
+
+        monkeypatch.setattr(DistributedSSTD, "_decode_shards", spy)
+        config = SSTDSystemConfig(
+            n_workers=2, backend="processes", control_enabled=False
+        )
+        DistributedSSTD(config).run_intervals(small_trace, n_intervals=4)
+
+        serial: list[tuple[float, list[str]]] = []
+
+        def refit(items, sstd_config):
+            serial.append((items[0][1][-1], [c for c, _, _ in items]))
+            return batch_fit_decode(items, sstd_config)
+
+        trace = small_trace
+        serial_stream_replay(trace.reports, trace.start, trace.end, refit=refit)
+        grid = config.sstd.acs.grid(trace.start, trace.end)
+        every = STREAMING_RETRAIN_EVERY
+        scheduled = grid[every - 1 :: every]
+        times = [now for now, _ in rounds]
+        assert len(rounds) > 1
+        assert len(set(times)) == len(times)
+        assert set(times) <= set(scheduled.tolist())
+        assert rounds == serial
 
     def test_execution_times_positive(self, small_trace):
         config = SSTDSystemConfig(
