@@ -16,10 +16,10 @@ Batch schemes recompute over all accumulated data at each 5 s poll
 the history); streaming schemes touch each report once.
 
 Scaling note (recorded in EXPERIMENTS.md): our vectorized baselines
-process a report in ~5-10 microseconds, roughly an order of magnitude
+process a report in a few microseconds, more than an order of magnitude
 faster than the paper's 2017 implementations, so the batch-scheme
 blow-up appears at correspondingly higher stream rates.  The sweep
-therefore runs to 20,000 tweets/s; the paper's crossover *shape* —
+therefore runs to 50,000 tweets/s; the paper's crossover *shape* —
 batch schemes' total time grows steeply past the 100 s stream duration
 while streaming schemes stay flat, SSTD flattest — is what reproduces.
 """

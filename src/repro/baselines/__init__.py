@@ -4,8 +4,7 @@ from repro.baselines.base import (
     BatchTruthDiscovery,
     EvaluationGrid,
     TruthDiscoveryAlgorithm,
-    group_by_claim,
-    source_claim_votes,
+    Votes,
 )
 from repro.baselines.catd import CATD
 from repro.baselines.dynatd import DynaTD
@@ -40,8 +39,7 @@ __all__ = [
     "ThreeEstimates",
     "TruthDiscoveryAlgorithm",
     "TruthFinder",
-    "group_by_claim",
+    "Votes",
     "make_algorithm",
     "paper_comparison_set",
-    "source_claim_votes",
 ]

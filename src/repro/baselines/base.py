@@ -1,9 +1,13 @@
 """Shared interface and helpers for truth discovery algorithms.
 
 All algorithms — SSTD and the six baselines of paper Section V-A1 —
-consume a sequence of :class:`~repro.core.types.Report` and emit
+take a sequence of :class:`~repro.core.types.Report` and emit
 :class:`~repro.core.types.TruthEstimate` points on a common evaluation
-grid, so the metrics module can score them identically.
+grid, so the metrics module can score them identically.  The
+source-aware baselines read the reports once into :class:`Votes`, the
+sources x claims vote matrix, and run on its columns; the source-free
+ones read the claim-grouped :class:`~repro.core.acs.ReportTable` that
+SSTD reads.
 
 Batch (static) algorithms such as TruthFinder estimate *one* truth value
 per claim from the whole trace; :class:`BatchTruthDiscovery` replicates
@@ -16,9 +20,8 @@ dynamic-truth experiments measure.
 from __future__ import annotations
 
 import abc
-import collections
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,9 +32,8 @@ __all__ = [
     "BatchTruthDiscovery",
     "EvaluationGrid",
     "TruthDiscoveryAlgorithm",
-    "group_by_claim",
+    "Votes",
     "positive_fraction_decision",
-    "source_claim_votes",
 ]
 
 
@@ -56,46 +58,83 @@ class EvaluationGrid:
         """
         return ACSConfig(step=self.step).grid(self.start, self.end)
 
+
+@dataclass(frozen=True, eq=False)
+class Votes:
+    """The sources x claims vote matrix, as COO columns.
+
+    Vote ``k`` is source ``sources[rows[k]]`` on claim ``claims[cols[k]]``
+    with net value ``values[k]`` and sign ``signs[k]`` (``+1.0`` or
+    ``-1.0``).  Votes are ordered by the first report of their pair,
+    sources are numbered by their first vote and claims are sorted.
+    ``np.bincount`` over these columns adds in vote order, so a
+    per-claim or per-source total has the bits a loop over the pairs
+    would give.
+    """
+
+    sources: tuple[str, ...]
+    claims: tuple[str, ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    signs: np.ndarray
+
     @classmethod
     def from_reports(
-        cls, reports: Sequence[Report], step: float = 60.0
-    ) -> "EvaluationGrid":
-        if not reports:
-            raise ValueError("cannot build a grid from zero reports")
-        timestamps = [report.timestamp for report in reports]
-        return cls(start=min(timestamps), end=max(timestamps), step=step)
+        cls, reports: Sequence[Report], value: np.ndarray
+    ) -> Votes:
+        """Net ``value`` (one entry per report) of each (source, claim) pair.
 
+        A source that reported a claim several times votes once, with
+        its cumulative value; a pair whose values cancel exactly (or
+        are all 0, as neutral reports are) casts no vote.
+        """
+        index: dict[tuple[str, str], int] = {}
+        pair = np.fromiter(
+            (
+                index.setdefault(
+                    (report.source_id, report.claim_id), len(index)
+                )
+                for report in reports
+            ),
+            np.intp,
+            len(value),
+        )
+        net = np.bincount(pair, weights=value)
+        kept = np.flatnonzero(net)
+        keys = list(index)
+        voters = [keys[k] for k in kept.tolist()]
+        source_of: dict[str, int] = {}
+        rows = np.fromiter(
+            (source_of.setdefault(s, len(source_of)) for s, _ in voters),
+            np.intp,
+            len(voters),
+        )
+        claims = tuple(sorted({claim_id for _, claim_id in voters}))
+        claim_of = {claim_id: j for j, claim_id in enumerate(claims)}
+        values = net[kept]
+        return cls(
+            sources=tuple(source_of),
+            claims=claims,
+            rows=rows,
+            cols=np.fromiter(
+                (claim_of[c] for _, c in voters), np.intp, len(voters)
+            ),
+            values=values,
+            signs=np.sign(values),
+        )
 
-def group_by_claim(reports: Iterable[Report]) -> dict[str, list[Report]]:
-    """Reports partitioned by claim, each sorted by time."""
-    grouped: dict[str, list[Report]] = collections.defaultdict(list)
-    for report in reports:
-        grouped[report.claim_id].append(report)
-    for claim_reports in grouped.values():
-        claim_reports.sort(key=lambda report: report.timestamp)
-    return dict(grouped)
+    def __len__(self) -> int:
+        return self.values.size
 
+    @property
+    def facts(self) -> np.ndarray:
+        """Fact of each vote, indexing the two exclusive facts of a claim.
 
-def source_claim_votes(
-    reports: Iterable[Report],
-) -> dict[tuple[str, str], int]:
-    """Net attitude of each (source, claim) pair.
-
-    A source that reported a claim several times votes once, with the
-    sign of its cumulative attitude — the standard reduction from report
-    streams to the source-claim matrix that the classic batch algorithms
-    (TruthFinder, Invest, 3-Estimates, CATD) operate on.
-    """
-    net: dict[tuple[str, str], float] = collections.defaultdict(float)
-    for report in reports:
-        net[(report.source_id, report.claim_id)] += float(report.attitude)
-    votes = {}
-    for key, value in net.items():
-        if value > 0:
-            votes[key] = 1
-        elif value < 0:
-            votes[key] = -1
-    return votes
+        ``2 * claim`` is "the claim is true" (positive votes) and
+        ``2 * claim + 1`` is "the claim is false" (negative votes).
+        """
+        return 2 * self.cols + (self.signs < 0)
 
 
 class TruthDiscoveryAlgorithm(abc.ABC):

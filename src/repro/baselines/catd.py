@@ -20,7 +20,8 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import stats
 
-from repro.baselines.base import BatchTruthDiscovery, source_claim_votes
+from repro.baselines.base import BatchTruthDiscovery, Votes
+from repro.core.scores import ATTITUDE_ONLY
 from repro.core.types import Report, TruthValue
 
 __all__ = [
@@ -46,21 +47,13 @@ class CATD(BatchTruthDiscovery):
     def estimate_claims(
         self, reports: Sequence[Report]
     ) -> Mapping[str, tuple[TruthValue, float]]:
-        votes = source_claim_votes(reports)
-        if not votes:
+        votes = Votes.from_reports(reports, ATTITUDE_ONLY.score_column(reports))
+        if not len(votes):
             return {}
+        rows, cols, signs = votes.rows, votes.cols, votes.signs
 
-        sources = sorted({source for source, _ in votes})
-        claims = sorted({claim for _, claim in votes})
-        source_index = {s: k for k, s in enumerate(sources)}
-        claim_index = {c: k for k, c in enumerate(claims)}
-
-        rows = np.asarray([source_index[s] for (s, _) in votes])
-        cols = np.asarray([claim_index[c] for (_, c) in votes])
-        signs = np.asarray([float(v) for v in votes.values()])
-
-        n_sources = len(sources)
-        n_claims = len(claims)
+        n_sources = len(votes.sources)
+        n_claims = len(votes.claims)
         counts = np.bincount(rows, minlength=n_sources).astype(float)
 
         # Initialize truth with the unweighted vote.
@@ -91,7 +84,7 @@ class CATD(BatchTruthDiscovery):
         margin = np.abs(numer) / np.maximum(denom, _EPS)
 
         decisions: dict[str, tuple[TruthValue, float]] = {}
-        for claim_id, idx in claim_index.items():
+        for idx, claim_id in enumerate(votes.claims):
             value = TruthValue.TRUE if numer[idx] > 0 else TruthValue.FALSE
             decisions[claim_id] = (value, float(min(1.0, margin[idx])))
         return decisions

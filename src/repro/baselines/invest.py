@@ -13,10 +13,12 @@ Binary claims map to two mutually exclusive facts per claim, as in
 
 from __future__ import annotations
 
-import collections
 from typing import Mapping, Sequence
 
-from repro.baselines.base import BatchTruthDiscovery, source_claim_votes
+import numpy as np
+
+from repro.baselines.base import BatchTruthDiscovery, Votes
+from repro.core.scores import ATTITUDE_ONLY
 from repro.core.types import Report, TruthValue
 
 __all__ = [
@@ -46,62 +48,49 @@ class Invest(BatchTruthDiscovery):
     def estimate_claims(
         self, reports: Sequence[Report]
     ) -> Mapping[str, tuple[TruthValue, float]]:
-        votes = source_claim_votes(reports)
-        if not votes:
+        votes = Votes.from_reports(reports, ATTITUDE_ONLY.score_column(reports))
+        if not len(votes):
             return {}
+        # Sources invest in source order, as a loop over sources would.
+        by_source = np.argsort(votes.rows, kind="stable")
+        rows = votes.rows[by_source]
+        facts = votes.facts[by_source]
+        n_facts = 2 * len(votes.claims)
+        provided = np.bincount(rows, minlength=len(votes.sources))
 
-        supporters: dict[tuple[str, int], list[str]] = collections.defaultdict(list)
-        facts_of_source: dict[str, list[tuple[str, int]]] = collections.defaultdict(list)
-        for (source_id, claim_id), vote in votes.items():
-            fact = (claim_id, vote)
-            supporters[fact].append(source_id)
-            facts_of_source[source_id].append(fact)
-
-        trust = {source: 1.0 for source in facts_of_source}
-        belief: dict[tuple[str, int], float] = {}
-
+        trust = np.ones(len(votes.sources))
         for _ in range(MAX_ITER):
-            invested: dict[tuple[str, int], float] = collections.defaultdict(float)
-            allocation: dict[tuple[str, tuple[str, int]], float] = {}
-            for source_id, facts in facts_of_source.items():
-                share = trust[source_id] / len(facts)
-                for fact in facts:
-                    if self._pooled:
-                        grown = share**self._growth
-                        invested[fact] += grown
-                        allocation[(source_id, fact)] = grown
-                    else:
-                        invested[fact] += share
-                        allocation[(source_id, fact)] = share
+            share = trust / provided
             if self._pooled:
-                belief = dict(invested)
+                share = np.array([x**self._growth for x in share.tolist()])
+            invested = np.bincount(facts, weights=share[rows], minlength=n_facts)
+            if self._pooled:
+                belief = invested
             else:
-                belief = {fact: x**self._growth for fact, x in invested.items()}
+                belief = np.array([x**self._growth for x in invested.tolist()])
 
-            delta = 0.0
-            for source_id, facts in facts_of_source.items():
-                returns = 0.0
-                for fact in facts:
-                    pool = invested[fact]
-                    if pool > _EPS:
-                        returns += belief[fact] * (
-                            allocation[(source_id, fact)] / pool
-                        )
-                new_trust = max(returns, _EPS)
-                delta = max(delta, abs(new_trust - trust[source_id]))
-                trust[source_id] = new_trust
+            # Each source's return on a fact is the share of the fact's
+            # belief that its investment bought.
+            paying = invested > _EPS
+            pool = np.where(paying, invested, 1.0)
+            payout = np.where(paying, belief, 0.0)
+            returns = np.bincount(
+                rows,
+                weights=payout[facts] * (share[rows] / pool[facts]),
+                minlength=len(trust),
+            )
+            new_trust = np.maximum(returns, _EPS)
+            delta = float(np.max(np.abs(new_trust - trust)))
             # Normalize trust so the fixed point is scale-free.
-            mean_trust = sum(trust.values()) / len(trust)
-            for source_id in trust:
-                trust[source_id] /= max(mean_trust, _EPS)
+            mean_trust = np.cumsum(new_trust)[-1] / new_trust.size
+            trust = new_trust / max(mean_trust, _EPS)
             if delta < TOL:
                 break
 
         decisions: dict[str, tuple[TruthValue, float]] = {}
-        claims = {claim_id for claim_id, _ in belief}
-        for claim_id in claims:
-            true_belief = belief.get((claim_id, 1), 0.0)
-            false_belief = belief.get((claim_id, -1), 0.0)
+        for claim_id, (true_belief, false_belief) in zip(
+            votes.claims, belief.reshape(-1, 2).tolist()
+        ):
             total = true_belief + false_belief
             if true_belief >= false_belief:
                 conf = true_belief / total if total > _EPS else 0.0

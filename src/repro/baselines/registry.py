@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.baselines.base import EvaluationGrid, TruthDiscoveryAlgorithm
 from repro.baselines.catd import CATD
 from repro.baselines.dynatd import DynaTD
@@ -86,7 +88,10 @@ class SSTDAlgorithm(TruthDiscoveryAlgorithm):
     def _resample(
         decoded: Sequence[TruthEstimate], grid: EvaluationGrid
     ) -> list[TruthEstimate]:
-        """Sample decoded series onto the evaluation grid (carry forward)."""
+        """Sample decoded series onto the evaluation grid (carry forward).
+
+        A grid time before a claim's first estimate takes that estimate.
+        """
         by_claim: dict[str, list[TruthEstimate]] = {}
         for estimate in decoded:
             by_claim.setdefault(estimate.claim_id, []).append(estimate)
@@ -94,21 +99,15 @@ class SSTDAlgorithm(TruthDiscoveryAlgorithm):
         resampled: list[TruthEstimate] = []
         for claim_id in sorted(by_claim):
             series = sorted(by_claim[claim_id], key=lambda e: e.timestamp)
-            cursor = 0
-            current = series[0]
-            for t in times:
-                while (
-                    cursor < len(series)
-                    and series[cursor].timestamp <= t
-                ):
-                    current = series[cursor]
-                    cursor += 1
+            stamps = np.array([e.timestamp for e in series])
+            latest = np.searchsorted(stamps, times, side="right") - 1
+            for t, k in zip(times.tolist(), np.maximum(latest, 0).tolist()):
                 resampled.append(
                     TruthEstimate(
                         claim_id=claim_id,
-                        timestamp=float(t),
-                        value=current.value,
-                        confidence=current.confidence,
+                        timestamp=t,
+                        value=series[k].value,
+                        confidence=series[k].confidence,
                     )
                 )
         return resampled

@@ -20,10 +20,12 @@ long tail of one-report sources).
 
 from __future__ import annotations
 
-import collections
 from typing import Mapping, Sequence
 
-from repro.baselines.base import BatchTruthDiscovery
+import numpy as np
+
+from repro.baselines.base import BatchTruthDiscovery, Votes
+from repro.core.scores import FULL_WEIGHTS
 from repro.core.types import Report, TruthValue
 
 __all__ = [
@@ -51,79 +53,60 @@ class RTD(BatchTruthDiscovery):
     def estimate_claims(
         self, reports: Sequence[Report]
     ) -> Mapping[str, tuple[TruthValue, float]]:
-        # Net independence-weighted attitude per (source, claim).
-        net: dict[tuple[str, str], float] = collections.defaultdict(float)
-        for report in reports:
-            if report.attitude:
-                net[(report.source_id, report.claim_id)] += (
-                    float(report.attitude)
-                    * report.independence
-                    * (1.0 - report.uncertainty)
-                )
-        if not net:
-            return {}
+        # Net independence-weighted attitude per (source, claim).  RTD
+        # ignores neutral reports, so a pair enters at its first
+        # non-neutral one.
+        heard = [report for report in reports if report.attitude]
+        votes = Votes.from_reports(heard, FULL_WEIGHTS.score_column(heard))
+        n_claims = len(votes.claims)
+        rows, cols, weights = votes.rows, votes.cols, votes.values
+        magnitudes = np.abs(weights)
+        counted = np.where(magnitudes < _EPS, 0.0, magnitudes)
 
-        votes_of_claim: dict[str, list[tuple[str, float]]] = collections.defaultdict(list)
-        votes_of_source: dict[str, list[tuple[str, float]]] = collections.defaultdict(list)
-        for (source_id, claim_id), weight in net.items():
-            votes_of_claim[claim_id].append((source_id, weight))
-            votes_of_source[source_id].append((claim_id, weight))
-
-        reliability = {
-            source: PRIOR_RELIABILITY for source in votes_of_source
-        }
-        truth_sign: dict[str, float] = {}
-
+        reliability = np.full(len(votes.sources), PRIOR_RELIABILITY)
+        truth_sign = np.zeros(n_claims)
         for _ in range(MAX_ITER):
             # --- claim truth from reliability-weighted votes -----------
-            new_sign: dict[str, float] = {}
-            for claim_id, claim_votes in votes_of_claim.items():
-                total = sum(
-                    weight * (2.0 * reliability[source] - 1.0)
-                    for source, weight in claim_votes
-                )
-                new_sign[claim_id] = 1.0 if total > 0 else -1.0
+            totals = np.bincount(
+                cols, weights=weights * (2.0 * reliability[rows] - 1.0),
+                minlength=n_claims,
+            )
+            new_sign = np.where(totals > 0, 1.0, -1.0)
 
             # --- source reliability from agreement history -------------
-            delta = 0.0
-            for source_id, source_votes in votes_of_source.items():
-                agree = 0.0
-                weight_total = 0.0
-                for claim_id, weight in source_votes:
-                    sign = new_sign[claim_id]
-                    magnitude = abs(weight)
-                    if magnitude < _EPS:
-                        continue
-                    weight_total += magnitude
-                    if (weight > 0) == (sign > 0):
-                        agree += magnitude
-                # Shrink toward the prior: robust on the long tail.
-                numer = agree + PRIOR_RELIABILITY * PRIOR_STRENGTH
-                denom = weight_total + PRIOR_STRENGTH
-                new_rel = min(max(numer / denom, _EPS), 1.0 - _EPS)
-                delta = max(delta, abs(new_rel - reliability[source_id]))
-                reliability[source_id] = new_rel
-
-            changed = sum(
-                1
-                for claim_id in new_sign
-                if truth_sign.get(claim_id) != new_sign[claim_id]
+            agrees = (weights > 0) == (new_sign[cols] > 0)
+            agree = np.bincount(
+                rows, weights=np.where(agrees, counted, 0.0),
+                minlength=reliability.size,
             )
+            weight_total = np.bincount(rows, weights=counted, minlength=reliability.size)
+            # Shrink toward the prior: robust on the long tail.
+            numer = agree + PRIOR_RELIABILITY * PRIOR_STRENGTH
+            denom = weight_total + PRIOR_STRENGTH
+            new_rel = np.clip(numer / denom, _EPS, 1.0 - _EPS)
+            delta = float(np.max(np.abs(new_rel - reliability), initial=0.0))
+            reliability = new_rel
+
+            changed = bool(np.any(new_sign != truth_sign))
             truth_sign = new_sign
-            if delta < TOL and changed == 0:
+            if delta < TOL and not changed:
                 break
 
+        backing = magnitudes * reliability[rows]
+        agreeing = (weights > 0) == (truth_sign[cols] > 0)
+        support = np.bincount(cols, weights=backing, minlength=n_claims)
+        agree = np.bincount(
+            cols, weights=np.where(agreeing, backing, 0.0), minlength=n_claims
+        )
         decisions: dict[str, tuple[TruthValue, float]] = {}
-        for claim_id, sign in truth_sign.items():
-            support = sum(
-                abs(w) * reliability[s] for s, w in votes_of_claim[claim_id]
-            )
-            agree = sum(
-                abs(w) * reliability[s]
-                for s, w in votes_of_claim[claim_id]
-                if (w > 0) == (sign > 0)
-            )
-            confidence = agree / support if support > _EPS else 0.0
+        for claim_id, sign, total, agreed in zip(
+            votes.claims, truth_sign.tolist(), support.tolist(), agree.tolist()
+        ):
+            confidence = agreed / total if total > _EPS else 0.0
             value = TruthValue.TRUE if sign > 0 else TruthValue.FALSE
             decisions[claim_id] = (value, confidence)
+        # A claim whose every pair nets to exactly zero is heard but
+        # undecided.
+        for report in heard:
+            decisions.setdefault(report.claim_id, (TruthValue.FALSE, 0.0))
         return decisions

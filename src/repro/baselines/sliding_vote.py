@@ -10,10 +10,13 @@ voting adds no value over the trivial approach.
 
 from __future__ import annotations
 
-import collections
 from typing import Sequence
 
+import numpy as np
+
 from repro.baselines.base import EvaluationGrid, TruthDiscoveryAlgorithm
+from repro.core.acs import ReportTable
+from repro.core.scores import ATTITUDE_ONLY
 from repro.core.types import Report, TruthEstimate, TruthValue
 
 __all__ = [
@@ -27,7 +30,8 @@ WINDOW_STEPS = 2.0
 class SlidingVote(TruthDiscoveryAlgorithm):
     """Majority vote over a sliding time window, per claim.
 
-    An empty window keeps the previous verdict.
+    The window at grid time ``t`` holds the reports in
+    ``(t - window, t]``.  An empty window keeps the previous verdict.
     """
 
     name = "SlidingVote"
@@ -35,44 +39,34 @@ class SlidingVote(TruthDiscoveryAlgorithm):
     def discover(
         self, reports: Sequence[Report], grid: EvaluationGrid
     ) -> list[TruthEstimate]:
-        window = WINDOW_STEPS * grid.step
-        by_claim: dict[str, list[Report]] = collections.defaultdict(list)
-        for report in reports:
-            by_claim[report.claim_id].append(report)
-
-        estimates: list[TruthEstimate] = []
+        table = ReportTable.from_reports(reports, ATTITUDE_ONLY)
         times = grid.times()
-        for claim_id in sorted(by_claim):
-            ordered = sorted(
-                by_claim[claim_id], key=lambda report: report.timestamp
+        opens = times - WINDOW_STEPS * grid.step
+        net_prefix = np.concatenate([[0.0], np.cumsum(table.scores)])
+        heard_prefix = np.concatenate([[0.0], np.cumsum(np.abs(table.scores))])
+        estimates: list[TruthEstimate] = []
+        for k, claim_id in enumerate(table.claim_ids):
+            first, last = table.offsets[k], table.offsets[k + 1]
+            claim_times = table.times[first:last]
+            lo = first + np.searchsorted(claim_times, opens, side="right")
+            hi = first + np.searchsorted(claim_times, times, side="right")
+            net = net_prefix[hi] - net_prefix[lo]
+            count = heard_prefix[hi] - heard_prefix[lo]
+            # Carry the verdict of the last non-empty window forward.
+            last_heard = np.maximum.accumulate(
+                np.where(count > 0, np.arange(times.size), -1)
             )
-            queue: collections.deque[tuple[float, int]] = collections.deque()
-            net = 0
-            count = 0
-            cursor = 0
-            current = TruthValue.FALSE
-            for t in times:
-                while cursor < len(ordered) and ordered[cursor].timestamp <= t:
-                    vote = int(ordered[cursor].attitude)
-                    queue.append((ordered[cursor].timestamp, vote))
-                    net += vote
-                    count += abs(vote)
-                    cursor += 1
-                while queue and queue[0][0] <= t - window:
-                    _, vote = queue.popleft()
-                    net -= vote
-                    count -= abs(vote)
-                if count > 0:
-                    current = (
-                        TruthValue.TRUE if net > 0 else TruthValue.FALSE
-                    )
-                confidence = abs(net) / count if count else 0.0
+            says_true = (net > 0)[last_heard] & (last_heard >= 0)
+            confidence = np.abs(net) / np.where(count > 0, count, 1.0)
+            for t, true, conf in zip(
+                times.tolist(), says_true.tolist(), confidence.tolist()
+            ):
                 estimates.append(
                     TruthEstimate(
                         claim_id=claim_id,
-                        timestamp=float(t),
-                        value=current,
-                        confidence=min(confidence, 1.0),
+                        timestamp=t,
+                        value=TruthValue.TRUE if true else TruthValue.FALSE,
+                        confidence=min(conf, 1.0),
                     )
                 )
         return estimates

@@ -22,7 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.baselines.base import BatchTruthDiscovery, source_claim_votes
+from repro.baselines.base import BatchTruthDiscovery, Votes
+from repro.core.scores import ATTITUDE_ONLY
 from repro.core.types import Report, TruthValue
 
 __all__ = [
@@ -45,26 +46,13 @@ class ThreeEstimates(BatchTruthDiscovery):
     def estimate_claims(
         self, reports: Sequence[Report]
     ) -> Mapping[str, tuple[TruthValue, float]]:
-        votes = source_claim_votes(reports)
-        if not votes:
+        votes = Votes.from_reports(reports, ATTITUDE_ONLY.score_column(reports))
+        if not len(votes):
             return {}
+        rows, cols, signs = votes.rows, votes.cols, votes.signs
 
-        sources = sorted({source for source, _ in votes})
-        claims = sorted({claim for _, claim in votes})
-        source_index = {s: k for k, s in enumerate(sources)}
-        claim_index = {c: k for k, c in enumerate(claims)}
-
-        rows, cols, signs = [], [], []
-        for (source_id, claim_id), vote in votes.items():
-            rows.append(source_index[source_id])
-            cols.append(claim_index[claim_id])
-            signs.append(float(vote))
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
-        signs = np.asarray(signs)
-
-        n_sources = len(sources)
-        n_claims = len(claims)
+        n_sources = len(votes.sources)
+        n_claims = len(votes.claims)
         truth = np.zeros(n_claims)  # in [-1, 1]
         error = np.full(n_sources, 0.2)  # in [0, 1]
         hardness = np.full(n_claims, 0.5)  # in [0, 1]
@@ -103,7 +91,7 @@ class ThreeEstimates(BatchTruthDiscovery):
                 break
 
         decisions: dict[str, tuple[TruthValue, float]] = {}
-        for claim_id, idx in claim_index.items():
+        for idx, claim_id in enumerate(votes.claims):
             value = TruthValue.TRUE if truth[idx] > 0 else TruthValue.FALSE
             decisions[claim_id] = (value, float(abs(truth[idx])))
         return decisions

@@ -19,11 +19,13 @@ for the other.
 
 from __future__ import annotations
 
-import collections
 import math
 from typing import Mapping, Sequence
 
-from repro.baselines.base import BatchTruthDiscovery, source_claim_votes
+import numpy as np
+
+from repro.baselines.base import BatchTruthDiscovery, Votes
+from repro.core.scores import ATTITUDE_ONLY
 from repro.core.types import Report, TruthValue
 
 __all__ = [
@@ -52,55 +54,43 @@ class TruthFinder(BatchTruthDiscovery):
     def estimate_claims(
         self, reports: Sequence[Report]
     ) -> Mapping[str, tuple[TruthValue, float]]:
-        votes = source_claim_votes(reports)
-        if not votes:
+        votes = Votes.from_reports(reports, ATTITUDE_ONLY.score_column(reports))
+        if not len(votes):
             return {}
+        facts = votes.facts
+        n_facts = 2 * len(votes.claims)
+        # Facts per source, counted exactly.
+        provided = np.bincount(votes.rows, minlength=len(votes.sources))
 
-        # facts: (claim_id, polarity) with polarity in {+1, -1}
-        supporters: dict[tuple[str, int], list[str]] = collections.defaultdict(list)
-        facts_of_source: dict[str, list[tuple[str, int]]] = collections.defaultdict(list)
-        claims: set[str] = set()
-        for (source_id, claim_id), vote in votes.items():
-            fact = (claim_id, vote)
-            supporters[fact].append(source_id)
-            facts_of_source[source_id].append(fact)
-            claims.add(claim_id)
-
-        trust = {source: INITIAL_TRUST for source in facts_of_source}
-        confidence: dict[tuple[str, int], float] = {}
-
+        trust = np.full(len(votes.sources), INITIAL_TRUST)
         for _ in range(MAX_ITER):
             # fact confidence from source trust
-            raw: dict[tuple[str, int], float] = {}
-            for fact, sources in supporters.items():
-                tau = sum(-math.log(max(1.0 - trust[s], _EPS)) for s in sources)
-                raw[fact] = tau
-            for claim_id in claims:
-                for polarity in (1, -1):
-                    fact = (claim_id, polarity)
-                    if fact not in raw and (claim_id, -polarity) not in raw:
-                        continue
-                    own = raw.get(fact, 0.0)
-                    other = raw.get((claim_id, -polarity), 0.0)
-                    adjusted = own - RHO * other
-                    # Clamp the exponent: thousands of agreeing sources
-                    # would otherwise overflow exp().
-                    exponent = min(max(-GAMMA * adjusted, -500.0), 500.0)
-                    confidence[fact] = 1.0 / (1.0 + math.exp(exponent))
+            evidence = np.array(
+                [-math.log(max(1.0 - t, _EPS)) for t in trust.tolist()]
+            )
+            raw = np.bincount(facts, weights=evidence[votes.rows], minlength=n_facts)
+            # Mutual exclusion: each fact's rival is its pair partner.
+            adjusted = raw - RHO * raw.reshape(-1, 2)[:, ::-1].ravel()
+            # Clamp the exponent: thousands of agreeing sources would
+            # otherwise overflow exp().
+            exponents = np.clip(-GAMMA * adjusted, -500.0, 500.0)
+            confidence = np.array(
+                [1.0 / (1.0 + math.exp(e)) for e in exponents.tolist()]
+            )
             # source trust from fact confidence
-            delta = 0.0
-            for source_id, facts in facts_of_source.items():
-                new_trust = sum(confidence.get(f, 0.5) for f in facts) / len(facts)
-                new_trust = min(max(new_trust, _EPS), 1.0 - _EPS)
-                delta = max(delta, abs(new_trust - trust[source_id]))
-                trust[source_id] = new_trust
+            new_trust = np.bincount(
+                votes.rows, weights=confidence[facts], minlength=len(provided)
+            )
+            new_trust = np.clip(new_trust / provided, _EPS, 1.0 - _EPS)
+            delta = float(np.max(np.abs(new_trust - trust)))
+            trust = new_trust
             if delta < TOL:
                 break
 
         decisions: dict[str, tuple[TruthValue, float]] = {}
-        for claim_id in claims:
-            true_conf = confidence.get((claim_id, 1), 0.0)
-            false_conf = confidence.get((claim_id, -1), 0.0)
+        for claim_id, (true_conf, false_conf) in zip(
+            votes.claims, confidence.reshape(-1, 2).tolist()
+        ):
             if true_conf >= false_conf:
                 decisions[claim_id] = (TruthValue.TRUE, true_conf)
             else:

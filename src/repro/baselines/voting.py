@@ -7,14 +7,17 @@ accuracy comparison and the efficiency figures.
 
 from __future__ import annotations
 
-import collections
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.baselines.base import (
     BatchTruthDiscovery,
+    Votes,
     positive_fraction_decision,
-    source_claim_votes,
 )
+from repro.core.acs import ReportTable
+from repro.core.scores import ATTITUDE_ONLY
 from repro.core.types import Report, TruthValue
 
 __all__ = [
@@ -31,25 +34,16 @@ class MajorityVote(BatchTruthDiscovery):
     def estimate_claims(
         self, reports: Sequence[Report]
     ) -> Mapping[str, tuple[TruthValue, float]]:
-        votes = source_claim_votes(reports)
-        totals: dict[str, int] = collections.defaultdict(int)
-        counts: dict[str, int] = collections.defaultdict(int)
-        for (_, claim_id), vote in votes.items():
-            totals[claim_id] += vote
-            counts[claim_id] += 1
-        decisions = {}
-        for claim_id, total in totals.items():
-            value = positive_fraction_decision(total)
-            confidence = abs(total) / counts[claim_id] if counts[claim_id] else 0.0
-            decisions[claim_id] = (value, confidence)
-        return decisions
+        votes = Votes.from_reports(reports, ATTITUDE_ONLY.score_column(reports))
+        return _sign_decisions(votes.claims, votes.cols, votes.signs)
 
 
 class MedianVote(BatchTruthDiscovery):
     """Median of per-report attitudes (report-weighted, not source-weighted).
 
     Differs from :class:`MajorityVote` on traces where a few prolific
-    sources dominate the report volume.
+    sources dominate the report volume.  The median of ``+1``/``-1``
+    attitudes is the sign of their sum, so its confidence is 1 or 0.
     """
 
     name = "Median"
@@ -57,20 +51,29 @@ class MedianVote(BatchTruthDiscovery):
     def estimate_claims(
         self, reports: Sequence[Report]
     ) -> Mapping[str, tuple[TruthValue, float]]:
-        attitudes: dict[str, list[int]] = collections.defaultdict(list)
-        for report in reports:
-            if report.attitude:
-                attitudes[report.claim_id].append(int(report.attitude))
-        decisions = {}
-        for claim_id, values in attitudes.items():
-            values.sort()
-            mid = len(values) // 2
-            if len(values) % 2:
-                median = float(values[mid])
-            else:
-                median = (values[mid - 1] + values[mid]) / 2.0
-            decisions[claim_id] = (
-                positive_fraction_decision(median),
-                min(1.0, abs(median)),
-            )
-        return decisions
+        table = ReportTable.from_reports(reports, ATTITUDE_ONLY)
+        decisions = _sign_decisions(
+            table.claim_ids, table.claim_index, table.scores
+        )
+        return {
+            claim_id: (value, float(confidence > 0))
+            for claim_id, (value, confidence) in decisions.items()
+        }
+
+
+def _sign_decisions(
+    claim_ids: Sequence[str], claim_index: np.ndarray, attitudes: np.ndarray
+) -> dict[str, tuple[TruthValue, float]]:
+    """Majority sign and margin of each claim with a non-neutral attitude."""
+    n_claims = len(claim_ids)
+    totals = np.bincount(claim_index, weights=attitudes, minlength=n_claims)
+    counts = np.bincount(
+        claim_index, weights=np.abs(attitudes), minlength=n_claims
+    )
+    return {
+        claim_id: (positive_fraction_decision(total), abs(total) / count)
+        for claim_id, total, count in zip(
+            claim_ids, totals.tolist(), counts.tolist()
+        )
+        if count
+    }

@@ -12,8 +12,10 @@ paper's critical-source-selection citation) can rank on.
 
 from __future__ import annotations
 
+import bisect
 import collections
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.types import Attitude, Report, TruthEstimate, TruthValue
@@ -34,6 +36,8 @@ N_BINS = 10
 #: Scored reports a source needs to count in
 #: :func:`evaluate_reliability_estimates`.
 MIN_SCORED = 5
+
+_TIMESTAMP = attrgetter("timestamp")
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,7 +99,7 @@ class ReliabilityEstimator:
         for estimate in estimates:
             series[estimate.claim_id].append(estimate)
         for claim_series in series.values():
-            claim_series.sort(key=lambda e: e.timestamp)
+            claim_series.sort(key=_TIMESTAMP)
 
         scored: dict[str, list[int]] = collections.defaultdict(list)
         for report in reports:
@@ -104,9 +108,13 @@ class ReliabilityEstimator:
             claim_series = series.get(report.claim_id)
             if not claim_series:
                 continue
-            truth = self._truth_at(claim_series, report.timestamp)
-            if truth is None:
+            # The latest estimate at or before the report.
+            k = bisect.bisect_right(
+                claim_series, report.timestamp, key=_TIMESTAMP
+            )
+            if k == 0:
                 continue
+            truth = claim_series[k - 1].value
             says_true = report.attitude is Attitude.AGREE
             scored[report.source_id].append(
                 1 if says_true == (truth is TruthValue.TRUE) else 0
@@ -120,24 +128,6 @@ class ReliabilityEstimator:
             )
             for source_id, marks in scored.items()
         }
-
-    @staticmethod
-    def _truth_at(
-        claim_series: Sequence[TruthEstimate], timestamp: float
-    ) -> TruthValue | None:
-        """Estimated truth at ``timestamp`` (None before first estimate)."""
-        value: TruthValue | None = None
-        for estimate in claim_series:
-            if estimate.timestamp > timestamp:
-                break
-            value = estimate.value
-        if value is None and claim_series:
-            # Report precedes all estimates; the first estimate is the
-            # best available proxy when it is close in time.
-            first = claim_series[0]
-            if first.timestamp - timestamp <= first.timestamp * 0.1 + 1.0:
-                return first.value
-        return value
 
 
 def rank_spreaders(

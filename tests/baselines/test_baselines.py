@@ -14,13 +14,13 @@ from repro.baselines import (
     PooledInvest,
     ThreeEstimates,
     TruthFinder,
-    group_by_claim,
+    Votes,
     make_algorithm,
     paper_comparison_set,
-    source_claim_votes,
 )
 from repro.baselines.dynatd import DECAY
 from repro.baselines.registry import PAPER_TABLE_METHODS, SSTDAlgorithm
+from repro.core.scores import ATTITUDE_ONLY
 from repro.core.types import Attitude, Report, TruthValue
 
 ALL_BATCH = [
@@ -62,32 +62,88 @@ def simple_scenario(seed=0, n_sources=40, n_claims=10, reliability=0.8):
     return reports, truths
 
 
-class TestHelpers:
-    def test_group_by_claim_sorted(self):
-        reports = [
-            Report("a", "c1", 5.0, attitude=Attitude.AGREE),
-            Report("b", "c1", 1.0, attitude=Attitude.AGREE),
-            Report("a", "c2", 3.0, attitude=Attitude.AGREE),
-        ]
-        grouped = group_by_claim(reports)
-        assert set(grouped) == {"c1", "c2"}
-        assert [r.timestamp for r in grouped["c1"]] == [1.0, 5.0]
+def grid_over(reports, step):
+    """The evaluation grid from the first to the last report."""
+    timestamps = [report.timestamp for report in reports]
+    return EvaluationGrid(min(timestamps), max(timestamps), step=step)
 
-    def test_source_claim_votes_nets_attitudes(self):
-        reports = [
-            Report("a", "c1", 1.0, attitude=Attitude.AGREE),
-            Report("a", "c1", 2.0, attitude=Attitude.AGREE),
-            Report("a", "c1", 3.0, attitude=Attitude.DISAGREE),
-        ]
-        votes = source_claim_votes(reports)
-        assert votes[("a", "c1")] == 1
 
-    def test_source_claim_votes_drops_balanced(self):
-        reports = [
-            Report("a", "c1", 1.0, attitude=Attitude.AGREE),
-            Report("a", "c1", 2.0, attitude=Attitude.DISAGREE),
+def attitude_votes(*triples):
+    """:class:`Votes` of ``(source, claim, attitude)`` reports, 1 s apart."""
+    reports = [
+        Report(source, claim, float(k), attitude=attitude)
+        for k, (source, claim, attitude) in enumerate(triples)
+    ]
+    return Votes.from_reports(reports, ATTITUDE_ONLY.score_column(reports))
+
+
+def vote_list(votes):
+    """``(source, claim, value)`` of every vote, in vote order."""
+    return [
+        (votes.sources[row], votes.claims[col], value)
+        for row, col, value in zip(
+            votes.rows.tolist(), votes.cols.tolist(), votes.values.tolist()
+        )
+    ]
+
+
+class TestVotes:
+    def test_nets_attitudes(self):
+        votes = attitude_votes(
+            ("a", "c1", Attitude.AGREE),
+            ("a", "c1", Attitude.AGREE),
+            ("a", "c1", Attitude.DISAGREE),
+        )
+        assert vote_list(votes) == [("a", "c1", 1.0)]
+        assert votes.signs.tolist() == [1.0]
+
+    def test_drops_balanced_pair(self):
+        votes = attitude_votes(
+            ("a", "c1", Attitude.AGREE),
+            ("a", "c1", Attitude.DISAGREE),
+            ("b", "c1", Attitude.DISAGREE),
+        )
+        assert vote_list(votes) == [("b", "c1", -1.0)]
+        assert votes.sources == ("b",)
+
+    def test_neutral_only_pair_absent(self):
+        votes = attitude_votes(
+            ("a", "c1", Attitude.NEUTRAL),
+            ("a", "c2", Attitude.AGREE),
+        )
+        assert vote_list(votes) == [("a", "c2", 1.0)]
+        assert votes.claims == ("c2",)
+
+    def test_pairs_in_first_report_order(self):
+        """A pair takes its place at its first report, neutral or not."""
+        votes = attitude_votes(
+            ("b", "c2", Attitude.NEUTRAL),
+            ("a", "c1", Attitude.AGREE),
+            ("b", "c2", Attitude.DISAGREE),
+            ("a", "c2", Attitude.AGREE),
+        )
+        assert vote_list(votes) == [
+            ("b", "c2", -1.0), ("a", "c1", 1.0), ("a", "c2", 1.0),
         ]
-        assert ("a", "c1") not in source_claim_votes(reports)
+        assert votes.facts.tolist() == [3, 0, 2]
+
+    def test_sources_numbered_by_first_vote_claims_sorted(self):
+        votes = attitude_votes(
+            ("z", "c2", Attitude.AGREE),
+            ("y", "c2", Attitude.AGREE),
+            ("y", "c2", Attitude.DISAGREE),
+            ("a", "c1", Attitude.DISAGREE),
+            ("y", "c1", Attitude.AGREE),
+        )
+        assert votes.sources == ("z", "a", "y")
+        assert votes.claims == ("c1", "c2")
+        assert votes.rows.tolist() == [0, 1, 2]
+        assert votes.cols.tolist() == [1, 0, 0]
+
+    def test_empty(self):
+        votes = attitude_votes()
+        assert len(votes) == 0
+        assert votes.sources == votes.claims == ()
 
 
 class TestEvaluationGrid:
@@ -95,28 +151,18 @@ class TestEvaluationGrid:
         grid = EvaluationGrid(0.0, 100.0, step=25.0)
         assert grid.times().tolist() == [25.0, 50.0, 75.0, 100.0]
 
-    def test_from_reports(self):
-        reports = [
-            Report("a", "c", 10.0, attitude=Attitude.AGREE),
-            Report("a", "c", 90.0, attitude=Attitude.AGREE),
-        ]
-        grid = EvaluationGrid.from_reports(reports, step=40.0)
-        assert grid.start == 10.0 and grid.end == 90.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             EvaluationGrid(0.0, 10.0, step=0.0)
         with pytest.raises(ValueError):
             EvaluationGrid(10.0, 0.0)
-        with pytest.raises(ValueError):
-            EvaluationGrid.from_reports([])
 
 
 class TestBatchAlgorithmsRecoverStaticTruth:
     @pytest.mark.parametrize("algo", ALL_BATCH, ids=lambda a: a.name)
     def test_high_reliability_recovery(self, algo):
         reports, truths = simple_scenario(reliability=0.85)
-        grid = EvaluationGrid.from_reports(reports, step=100.0)
+        grid = grid_over(reports, step=100.0)
         estimates = algo.discover(reports, grid)
         assert estimates, f"{algo.name} returned no estimates"
         per_claim = {}
@@ -130,7 +176,7 @@ class TestBatchAlgorithmsRecoverStaticTruth:
     @pytest.mark.parametrize("algo", ALL_BATCH, ids=lambda a: a.name)
     def test_static_value_replicated_over_grid(self, algo):
         reports, _ = simple_scenario(n_sources=10, n_claims=3)
-        grid = EvaluationGrid.from_reports(reports, step=7.0)
+        grid = grid_over(reports, step=7.0)
         estimates = algo.discover(reports, grid)
         values = {}
         for e in estimates:
@@ -146,7 +192,7 @@ class TestBatchAlgorithmsRecoverStaticTruth:
     @pytest.mark.parametrize("algo", ALL_BATCH, ids=lambda a: a.name)
     def test_confidence_in_unit_interval(self, algo):
         reports, _ = simple_scenario(n_sources=15, n_claims=4)
-        grid = EvaluationGrid.from_reports(reports, step=100.0)
+        grid = grid_over(reports, step=100.0)
         for estimate in algo.discover(reports, grid):
             assert 0.0 <= estimate.confidence <= 1.0
 
@@ -193,7 +239,7 @@ class TestSourceReliabilityModels:
     )
     def test_downweights_prolific_liars(self, algo):
         reports, truths = self._spreader_scenario()
-        grid = EvaluationGrid.from_reports(reports, step=1000.0)
+        grid = grid_over(reports, step=1000.0)
         estimates = algo.discover(reports, grid)
         decided = {e.claim_id: e.value for e in estimates}
         correct = sum(1 for cid, v in decided.items() if v is truths[cid])
@@ -258,7 +304,7 @@ class TestRegistry:
 
     def test_sstd_adapter_emits_grid_estimates(self):
         reports, _ = simple_scenario(n_sources=20, n_claims=2)
-        grid = EvaluationGrid.from_reports(reports, step=20.0)
+        grid = grid_over(reports, step=20.0)
         estimates = SSTDAlgorithm().discover(reports, grid)
         timestamps = {e.timestamp for e in estimates}
         assert timestamps <= set(grid.times().tolist())

@@ -1,7 +1,10 @@
 """Tests for posterior source-reliability estimation."""
 
+import dataclasses
+
 import pytest
 
+from repro.baselines import EvaluationGrid, SSTDAlgorithm
 from repro.core.reliability import (
     N_BINS,
     ReliabilityEstimator,
@@ -11,6 +14,7 @@ from repro.core.reliability import (
     reliability_histogram,
 )
 from repro.core.types import Attitude, Report, TruthEstimate, TruthValue
+from repro.streams import generate_trace, osu_attack
 
 
 def estimates_for(claim_id, pairs):
@@ -73,6 +77,15 @@ class TestReliabilityEstimator:
         reports = [Report("s", "other", 12.0, attitude=Attitude.AGREE)]
         assert ReliabilityEstimator().estimate(reports, estimates) == {}
 
+    def test_reports_before_the_first_estimate_skipped(self):
+        estimates = estimates_for("c", [(100.0, TruthValue.TRUE)])
+        reports = [
+            Report("early", "c", 99.0, attitude=Attitude.AGREE),
+            Report("on_time", "c", 100.0, attitude=Attitude.AGREE),
+        ]
+        result = ReliabilityEstimator().estimate(reports, estimates)
+        assert set(result) == {"on_time"}
+
     def test_truth_tracked_over_time(self):
         """A source agreeing before the flip and disagreeing after is
         scored correct both times."""
@@ -118,6 +131,34 @@ class TestReliabilityEstimator:
         spreaders = rank_spreaders(result, top_k=100)
         assert spreaders
         assert all(s.source_id.startswith("bad") for s in spreaders)
+
+
+@pytest.fixture(scope="module")
+def sstd_run():
+    """Reports and SSTD estimates on a 1 800 s grid, osu x0.05, seed 1."""
+    trace = generate_trace(osu_attack().scaled(0.05), seed=1)
+    grid = EvaluationGrid(trace.start, trace.end, step=1800.0)
+    return trace.reports, SSTDAlgorithm().discover(trace.reports, grid)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.7e9])
+def test_clock_origin_does_not_matter(sstd_run, shift):
+    """Only reports at or after their claim's first estimate are scored,
+    wherever the clock starts."""
+    reports, estimates = sstd_run
+    shifted = ReliabilityEstimator().estimate(
+        [dataclasses.replace(r, timestamp=r.timestamp + shift) for r in reports],
+        [dataclasses.replace(e, timestamp=e.timestamp + shift) for e in estimates],
+    )
+    assert shifted == ReliabilityEstimator().estimate(reports, estimates)
+    first = {}
+    for e in estimates:
+        first[e.claim_id] = min(first.get(e.claim_id, e.timestamp), e.timestamp)
+    scorable = [
+        r for r in reports
+        if r.attitude and r.claim_id in first and r.timestamp >= first[r.claim_id]
+    ]
+    assert sum(record.n_scored for record in shifted.values()) == len(scorable)
 
 
 class TestDiagnostics:

@@ -8,10 +8,14 @@ answer edits a literal here and says why.
 """
 
 import hashlib
+import importlib
+import math
+import pkgutil
 from unittest import mock
 
 import pytest
 
+import repro.baselines
 from benchmarks.e2e import workloads
 from repro.baselines import ALGORITHM_FACTORIES, EvaluationGrid
 from repro.core.estimates_io import estimates_digest
@@ -142,3 +146,65 @@ def test_method_digest(name):
     grid = EvaluationGrid(trace.start, trace.end, step=1800.0)
     estimates = ALGORITHM_FACTORIES[name]().discover(trace.reports, grid)
     assert (estimates_digest(estimates), len(estimates)) == BASELINE_DIGESTS[name]
+
+
+def compensated_sum(iterable, /, start=0):
+    """The builtin ``sum`` as CPython 3.12 computes it.
+
+    Ints add exactly until the total turns float.  Exact floats then
+    add with Neumaier's compensation, ints add as doubles without it,
+    and the compensation joins the total at the end (or before the
+    first item of any other type, which adds plainly from there on).
+    """
+    items = iter(iterable)
+    total = start
+    for item in items:
+        total = total + item
+        if type(total) is float:
+            break
+    if type(total) is not float:
+        return total
+    compensation = 0.0
+    for item in items:
+        if type(item) is float:
+            step = total + item
+            if abs(total) >= abs(item):
+                compensation += (total - step) + item
+            else:
+                compensation += (item - step) + total
+            total = step
+        elif isinstance(item, int):
+            total += float(item)
+        else:
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            total = total + item
+            for rest in items:
+                total = total + rest
+            return total
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def test_compensated_sum_matches_python_3_12():
+    # The two examples of the CPython 3.12 changelog entry.
+    assert compensated_sum([0.1] * 10) == 1.0
+    assert compensated_sum([1e100, 1.0, -1e100, 1.0]) == 2.0
+    assert compensated_sum([1, 2, 3]) == 6
+    assert compensated_sum([]) == 0
+
+
+def baseline_modules():
+    return [
+        importlib.import_module(f"repro.baselines.{info.name}")
+        for info in pkgutil.iter_modules(repro.baselines.__path__)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(BASELINE_DIGESTS))
+def test_method_digest_under_compensated_sum(name, monkeypatch):
+    """The pins hold whichever ``sum`` the interpreter has (3.10-3.12)."""
+    for module in baseline_modules():
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    test_method_digest(name)

@@ -150,7 +150,6 @@ KEYWORDS = {
     validate_trace: (),
     # repro.baselines
     EvaluationGrid: ("step",),
-    EvaluationGrid.from_reports: ("step",),
     SSTDAlgorithm: ("config",),
     TruthFinder: (),
     RTD: (),
