@@ -42,14 +42,13 @@ from repro.core.acs import (
     acs_sequence,
 )
 from repro.core.types import Report, TruthEstimate, TruthValue
-from repro.devtools import contracts
 from repro.hmm.batch import BatchGaussianHMM, HMMParams, stack_ragged
-from repro.hmm.utils import normalize_rows
 from repro.obs import get_obs
 
 __all__ = [
     "ClaimDecodeResult",
     "ClaimTruthModel",
+    "ModelHealth",
     "SSTD",
     "SSTDConfig",
     "SkippedRefit",
@@ -141,6 +140,17 @@ class SSTDConfig:
             )
 
 
+@dataclass(frozen=True, slots=True)
+class ModelHealth:
+    """One claim's Baum-Welch run: EM iterations, whether the
+    log-likelihood plateaued (else it hit ``em_max_iter``), and the
+    log-likelihood the last iteration entered with."""
+
+    iterations: int
+    converged: bool
+    log_likelihood: float
+
+
 @dataclass(frozen=True, eq=False)
 class ClaimDecodeResult:
     """Decoded truth sequence of one claim, stored as columns.
@@ -164,6 +174,8 @@ class ClaimDecodeResult:
     filter_state: np.ndarray | None = field(default=None, repr=False)
     #: The claim's trained parameters (None on the fallback paths).
     params: HMMParams | None = None
+    #: How the claim's Baum-Welch run went (None on the fallback paths).
+    health: ModelHealth | None = None
 
     def estimate(self, index: int) -> TruthEstimate:
         """The estimate at grid point ``index`` alone."""
@@ -277,15 +289,9 @@ def batch_fit_decode(
         transmat_prior=(TRANSITION_PRIOR_STRENGTH * lengths)[:, None, None]
         * transmat,
     )
-    # One emission evaluation feeds the forward-backward pass, the
-    # decode, and the posteriors.
-    emissions = kernel.emission_probabilities(observations)
-    alpha, scales, _ = kernel.forward(emissions, lengths)
-    states_stack, _ = kernel.viterbi(emissions, lengths)
-    beta = kernel.backward(emissions, scales, lengths)
-    posteriors_stack = normalize_rows(alpha * beta)
-    contracts.assert_probability_simplex(
-        posteriors_stack, "batch state posteriors"
+    # One time-major E-step feeds the decode and the posteriors.
+    states_stack, confidences_stack, filter_states = kernel.decode(
+        observations, lengths
     )
     # Whole-stack columns: a state reads as TRUE when its emission mean
     # is positive, and the confidence of a cell is the posterior of the
@@ -293,13 +299,10 @@ def batch_fit_decode(
     codes_stack = np.take_along_axis(
         (kernel.means > 0).astype(np.int8), states_stack, axis=1
     )
-    confidences_stack = np.take_along_axis(
-        posteriors_stack, states_stack[:, :, None], axis=2
-    )[:, :, 0]
     if not ((confidences_stack >= 0.0) & (confidences_stack <= 1.0)).all():
         raise ValueError("confidence must be in [0, 1]")
 
-    for row, source in enumerate(order):
+    for row, (source, fit) in enumerate(zip(order, fit_results)):
         slot, claim_id, times = hmm_items[source]
         length = int(lengths[row])
         results[slot] = ClaimDecodeResult(
@@ -308,8 +311,11 @@ def batch_fit_decode(
             codes=codes_stack[row, :length],
             confidences=confidences_stack[row, :length],
             used_hmm=True,
-            filter_state=alpha[row, length - 1].copy(),
+            filter_state=filter_states[row],
             params=kernel.params(row),
+            health=ModelHealth(
+                fit.iterations, fit.converged, fit.final_log_likelihood
+            ),
         )
     if obs.enabled:
         obs.metrics.inc("sstd.claims_hmm", len(hmm_items))

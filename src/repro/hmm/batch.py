@@ -28,21 +28,23 @@ independent reference in ``tests/hmm/scalar_reference.py``:
   4 and a batch of 32 agree exactly).  The order-sensitive reductions of
   an EM iteration (xi sums, emission statistics) run along the time
   axis of the stack with exact-zero weights on masked cells — missing
-  or padded: a non-innermost axis accumulates sequentially in ``t`` and
-  ``acc + 0.0 == acc`` (``K >= 2``; at ``K = 1`` time is innermost).
-  Where numpy's pairwise tree depends on the length they reduce rows
-  of one length together: :func:`~repro.hmm.utils.masked_row_sums` and
-  the variances of the quantile init, which takes its quantiles from
-  one sort of the stack.  Nothing inside an iteration loops over rows
+  or padded: a reduced axis that is not the innermost one accumulates
+  sequentially in ``t`` and ``acc + 0.0 == acc``.  Where numpy's
+  pairwise tree depends on the length they reduce rows of one length
+  together: :func:`~repro.hmm.utils.masked_row_sums` and the variances
+  of the quantile init, which takes its quantiles from one sort of the
+  stack.  Nothing inside an iteration loops over rows
   (``tests/hmm/test_fit_parity.py`` and ``test_init_emissions.py`` keep
   the row loops as oracles).
 
-The time recursions themselves (forward, backward, Viterbi, the xi
-accumulation) live in :mod:`repro.hmm.kernels.numpy_ref`: time-major
-working copies, a handful of allocation-free ufunc calls per step, and
-on long rows time blocks that cut a forward or backward pass to about
-``2 * CHUNK + T / CHUNK`` Python steps (anchored per row, so they keep
-row-wise determinism).
+``fit`` and :meth:`BatchGaussianHMM.decode` run end to end in the
+time-major layout of the recursions in :mod:`repro.hmm.kernels.numpy_ref`:
+one set of ``(T, K, N)`` stacks per set of active rows, overwritten
+every iteration, and reductions along axis 0 that accumulate in ``t``
+as the old ``(N, T, K)`` ones did along axis 1, so every row keeps its
+bits (``K <= 7``; at ``K = 1`` the old time axis was innermost and
+summed pairwise).  Only the edges transpose: observations in, paths and
+confidences out, and the public ``(N, T, K)`` methods around the ops.
 """
 
 from __future__ import annotations
@@ -168,6 +170,80 @@ def stack_ragged(
     return observations, sizes[order], order
 
 
+def _time_major(stack: np.ndarray) -> np.ndarray:
+    """``(N, T, K)`` / ``(N, T)`` stack as a time-major view."""
+    return np.moveaxis(np.asarray(stack, dtype=float), 0, -1)
+
+
+def _rows_first(stack: np.ndarray) -> np.ndarray:
+    """Time-major stack back to a contiguous ``(N, T, K)`` / ``(N, T)``."""
+    return np.ascontiguousarray(np.moveaxis(stack, -1, 0))
+
+
+def _log_likelihoods(scales: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per-row log-likelihoods of time-major scales (own slices only)."""
+    return masked_row_sums(log_mask_zero(_rows_first(scales)), lengths)
+
+
+class _EStep:
+    """The E-step of one set of rows and its time-major stacks, which
+    span :func:`numpy_ref.work_steps` timesteps and are overwritten by
+    every :meth:`run`; cells past a row's end are masked like missing
+    ones."""
+
+    def __init__(self, observations, lengths, n_states: int) -> None:
+        n_seqs, t_max = observations.shape
+        steps = max(t_max, numpy_ref.work_steps(int(lengths[0])))
+        cells = np.full((steps, n_seqs), np.nan)
+        cells[:t_max] = observations.T
+        self.lengths = lengths
+        self.masked = np.isnan(cells) | (np.arange(steps)[:, None] >= lengths)
+        self.values = np.where(self.masked, 0.0, cells)
+        self.scales = np.empty((steps, n_seqs))
+        self.emissions, self.alpha, self.beta, self.gamma = np.empty(
+            (4, steps, n_states, n_seqs)
+        )
+
+    def run(self, startprob, transmat, means, variances) -> np.ndarray:
+        """Emissions, forward, backward, posteriors; the log-likelihoods."""
+        emissions = self.emissions
+        batch_normal_densities(self.values, means, variances, out=emissions)
+        np.copyto(emissions, 1.0, where=self.masked[:, None, :])
+        out = self.alpha, self.scales
+        self.alpha, self.scales = numpy_ref.forward(
+            startprob, transmat, emissions, self.lengths, out=out
+        )
+        self.beta = numpy_ref.backward(
+            transmat, emissions, self.scales, self.lengths, out=self.beta
+        )
+        np.multiply(self.alpha, self.beta, out=self.gamma)
+        normalize_rows(self.gamma, axis=1, out=self.gamma)
+        return _log_likelihoods(self.scales, self.lengths)
+
+    def update_emissions(self, means, variances):
+        """Emission M-step: posterior-weighted ``(N, K)`` means and
+        variances over the present cells, floored at ``MIN_VARIANCE``.
+        ``gamma`` is zeroed on masked cells (``values`` is 0.0 there) for
+        the axis-0 sums; ``beta``, spent after the xi sums, is scratch."""
+        gamma, scratch = self.gamma, self.beta
+        np.copyto(gamma, 0.0, where=self.masked[:, None, :])
+        weights = gamma.sum(axis=0)
+        safe = np.where(weights > 0, weights, 1.0)
+        cells = self.values[:, None, :]
+        np.multiply(gamma, cells, out=scratch)
+        new_means = scratch.sum(axis=0) / safe
+        np.subtract(cells, new_means, out=scratch)
+        np.square(scratch, out=scratch)
+        np.multiply(gamma, scratch, out=scratch)
+        new_variances = scratch.sum(axis=0) / safe
+        # States with no posterior mass (every state of a row with no
+        # present cell) keep their previous parameters.
+        keep = weights <= 0
+        new_means[keep] = means.T[keep]
+        new_variances[keep] = variances.T[keep]
+        return new_means.T, np.maximum(new_variances, MIN_VARIANCE).T
+
+
 class BatchGaussianHMM:
     """N independent K-state Gaussian HMMs advanced in lockstep.
 
@@ -274,36 +350,30 @@ class BatchGaussianHMM:
         return observations, lengths
 
     def emission_probabilities(self, observations: np.ndarray) -> np.ndarray:
-        """Emission stack ``(N, T, K)``; NaN rows get likelihood 1."""
-        observations = np.asarray(observations, dtype=float)
-        missing = np.isnan(observations)
-        filled = np.where(missing, 0.0, observations)
-        densities = batch_normal_densities(filled, self.means, self.variances)
-        densities[missing] = 1.0
-        return densities
+        """Emission stack ``(N, T, K)``; NaN cells get likelihood 1."""
+        values = _time_major(observations)
+        missing = np.isnan(values)
+        densities = batch_normal_densities(
+            np.where(missing, 0.0, values), self.means, self.variances
+        )
+        np.copyto(densities, 1.0, where=missing[:, None, :])
+        return _rows_first(densities)
 
     # ------------------------------------------------------------------
-    # Inference kernels
+    # Inference kernels (``(N, T, K)`` adapters)
     # ------------------------------------------------------------------
     def forward(
         self,
         emissions: np.ndarray,
         lengths: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Scaled forward pass over the stack.
-
-        Returns ``(alpha, scales, log_likelihoods)``; padded cells hold
-        the neutral values ``1/K`` / ``1.0`` and are never read by the
-        recursions.  Log-likelihoods are summed per row over the row's
-        own slice (:func:`~repro.hmm.utils.masked_row_sums` groups rows
-        of equal length into one vectorized reduction), so a row's value
-        does not depend on the batch it rides in.
-        """
+        """Scaled forward pass: ``(alpha, scales, log_likelihoods)``;
+        padded cells hold the neutral values ``1/K`` / ``1.0``."""
         alpha, scales = numpy_ref.forward(
-            self.startprob, self.transmat, emissions, lengths
+            self.startprob, self.transmat, _time_major(emissions), lengths
         )
-        log_likelihoods = masked_row_sums(log_mask_zero(scales), lengths)
-        return alpha, scales, log_likelihoods
+        log_likelihoods = _log_likelihoods(scales, lengths)
+        return _rows_first(alpha), _rows_first(scales), log_likelihoods
 
     def filter_step(
         self, alpha: np.ndarray, observations: np.ndarray
@@ -334,26 +404,27 @@ class BatchGaussianHMM:
         lengths: np.ndarray,
     ) -> np.ndarray:
         """Scaled backward pass matching :meth:`forward`'s scaling."""
-        return numpy_ref.backward(self.transmat, emissions, scales, lengths)
+        beta = numpy_ref.backward(
+            self.transmat, _time_major(emissions), _time_major(scales), lengths
+        )
+        return _rows_first(beta)
 
     def viterbi(
         self,
         emissions: np.ndarray,
         lengths: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched log-space Viterbi.
-
-        Returns ``(states, log_joints)``: ``states[n, :lengths[n]]`` is
-        row n's most probable hidden path (padding is 0) and
-        ``log_joints[n]`` its joint log-probability.
-
-        The log transforms stay here (``repro.hmm.utils`` is the
-        sanctioned home for them); the kernel sees log-space inputs.
-        """
-        log_emissions = log_mask_zero(np.maximum(emissions, 0.0))
-        log_trans = log_mask_zero(self.transmat)
-        log_start = log_mask_zero(self.startprob)
-        return numpy_ref.viterbi(log_start, log_trans, log_emissions, lengths)
+        """Batched log-space Viterbi: ``(states, log_joints)``, row n's
+        most probable path ``states[n, :lengths[n]]`` (padding is 0) and
+        its joint log-probability.  The log transforms stay here; the
+        kernel sees log-space inputs."""
+        states, log_joints = numpy_ref.viterbi(
+            log_mask_zero(self.startprob),
+            log_mask_zero(self.transmat),
+            log_mask_zero(np.maximum(_time_major(emissions), 0.0)),
+            lengths,
+        )
+        return _rows_first(states), log_joints
 
     def state_posteriors(
         self,
@@ -368,6 +439,31 @@ class BatchGaussianHMM:
         alpha, scales, _ = self.forward(emissions, lengths)
         beta = self.backward(emissions, scales, lengths)
         return normalize_rows(alpha * beta)
+
+    def decode(
+        self, observations: np.ndarray, lengths: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Viterbi paths ``(N, T)``, the posterior of each decoded state
+        ``(N, T)`` and each row's last scaled forward row ``(N, K)``
+        (where a streaming filter resumes), from one time-major E-step.
+        """
+        observations, lengths = self._validate(observations, lengths)
+        t_max = observations.shape[1]
+        estep = _EStep(observations, lengths, self.n_states)
+        estep.run(self.startprob, self.transmat, self.means, self.variances)
+        contracts.assert_probability_simplex(
+            estep.gamma.transpose(0, 2, 1), "batch state posteriors"
+        )
+        states, _ = numpy_ref.viterbi(
+            log_mask_zero(self.startprob),
+            log_mask_zero(self.transmat),
+            log_mask_zero(estep.emissions),
+            lengths,
+        )
+        posterior = np.take_along_axis(estep.gamma, states[:, None], axis=1)
+        filter_states = estep.alpha[lengths - 1, :, np.arange(self.n_seqs)]
+        states, posterior = states[:t_max], posterior[:t_max, 0]
+        return _rows_first(states), _rows_first(posterior), filter_states
 
     def params(self, row: int) -> HMMParams:
         """Row ``row``'s parameters (views into the stack, not copies)."""
@@ -438,39 +534,6 @@ class BatchGaussianHMM:
         self.means[:] = means
         self.variances[:] = np.maximum(spread, MIN_VARIANCE)[:, None]
 
-    def _update_emissions(
-        self,
-        gamma: np.ndarray,
-        values: np.ndarray,
-        masked: np.ndarray,
-        scratch: np.ndarray,
-    ) -> None:
-        """Emission M-step of every row: posterior-weighted means and
-        variances over the present cells, floored at ``MIN_VARIANCE``.
-
-        ``gamma`` is zeroed in place on the ``masked`` (missing or
-        padded) cells, where ``values`` holds 0.0, so the time-axis sums
-        serve every row (module docstring); ``scratch`` is a reusable
-        ``(N, T, K)`` buffer.
-        """
-        gamma[masked] = 0.0
-        weights = gamma.sum(axis=1)
-        safe = np.where(weights > 0, weights, 1.0)
-        cells = values[:, :, None]
-        np.multiply(gamma, cells, out=scratch)
-        means = scratch.sum(axis=1) / safe
-        np.subtract(cells, means[:, None, :], out=scratch)
-        np.square(scratch, out=scratch)
-        np.multiply(gamma, scratch, out=scratch)
-        variances = scratch.sum(axis=1) / safe
-        # States with no posterior mass (every state of a row with no
-        # present cell) keep their previous parameters.
-        keep = weights <= 0
-        means[keep] = self.means[keep]
-        variances[keep] = self.variances[keep]
-        self.means = means
-        self.variances = np.maximum(variances, MIN_VARIANCE)
-
     def _check_contracts(self, where: str) -> None:
         contracts.assert_probability_simplex(
             self.startprob, f"batch startprob ({where})"
@@ -519,54 +582,41 @@ class BatchGaussianHMM:
         iterations = np.zeros(self.n_seqs, dtype=int)
         converged = np.zeros(self.n_seqs, dtype=bool)
         active = np.arange(self.n_seqs)
-        model = None
+        estep = None
         objective = np.full(self.n_seqs, -np.inf)
         for iteration in range(max_iter):
             self._check_contracts("Baum-Welch E-step")
-            if model is None or model.n_seqs != active.size:
-                # Whatever depends only on *which* rows iterate is
-                # rebuilt when rows freeze, not per iteration.
-                model = BatchGaussianHMM(
-                    active.size,
-                    self.n_states,
-                    startprob=self.startprob[active],
-                    transmat=self.transmat[active],
-                    means=self.means[active],
-                    variances=self.variances[active],
-                )
+            if estep is None or estep.lengths.size != active.size:
+                # The stacks are rebuilt when rows freeze, not per iteration.
                 len_a = lengths[active]
-                t_max = int(len_a[0])
-                obs_a = observations[active][:, :t_max]
-                masked = np.isnan(obs_a) | (np.arange(t_max) >= len_a[:, None])
-                values = np.where(masked, 0.0, obs_a)
-                scratch = np.empty((active.size, t_max, self.n_states))
+                estep = _EStep(observations[active, : len_a[0]], len_a, k)
                 prior_a = prior[active]
-            emissions = model.emission_probabilities(obs_a)
-            alpha, scales, log_likelihoods = model.forward(emissions, len_a)
+            params = self.startprob, self.transmat, self.means, self.variances
+            startprob, transmat, means, variances = (p[active] for p in params)
+            log_likelihoods = estep.run(startprob, transmat, means, variances)
             if contracts.contracts_enabled():
                 # (MAP-)EM never lowers the objective a row enters an
                 # iteration with.
                 entered = log_likelihoods + dirichlet_log_prior(
-                    model.transmat, prior_a
+                    transmat, prior_a
                 )
                 contracts.assert_non_decreasing(
                     objective[active], entered, "batch Baum-Welch objective"
                 )
                 objective[active] = entered
-            beta = model.backward(emissions, scales, len_a)
-            gamma = normalize_rows(alpha * beta)
             xi_sum = numpy_ref.estep_xi_sum(
-                model.transmat, emissions, alpha, beta, scales, len_a
-            )
+                transmat, estep.emissions, estep.alpha, estep.beta,
+                estep.scales, len_a,
+            )  # fmt: skip
 
             # M-step, every quantity one operation over the active stack.
-            model.startprob = normalize_rows(gamma[:, 0, :] + PROB_FLOOR)
-            model.transmat = normalize_rows(xi_sum + prior_a + PROB_FLOOR)
-            model._update_emissions(gamma, values, masked, scratch)
-            self.startprob[active] = model.startprob
-            self.transmat[active] = model.transmat
-            self.means[active] = model.means
-            self.variances[active] = model.variances
+            gamma = estep.gamma
+            self.startprob[active] = normalize_rows(gamma[0].T + PROB_FLOOR)
+            counts = xi_sum + prior_a + PROB_FLOOR
+            self.transmat[active] = normalize_rows(counts)
+            self.means[active], self.variances[active] = (
+                estep.update_emissions(means, variances)
+            )
 
             history[iteration, active] = log_likelihoods
             iterations[active] += 1

@@ -12,15 +12,16 @@ lengths.
 
 Working layout
 --------------
-The ops take and return C-contiguous ``(N, T, K)`` / ``(N, T)`` stacks,
-but recurse over a **time-major, state-major** private copy: the stack
-is transposed once to a contiguous ``(T, K, N)`` buffer (``(T, N)`` for
-scales, padded with neutral steps to whole blocks) and the result
-transposed back once.  In that layout one timestep is a leading-axis
+Every stack is time-major and row-last (emissions, ``alpha``, ``beta``
+``(T, K, N)``, scales and Viterbi states ``(T, N)``); only the per-row
+parameters keep the row axis first.  One timestep is a leading-axis
 view, every ufunc inner loop runs over rows rather than over two or
 three states, and each step is a fixed handful of ``out=`` ufunc calls.
-Arguments are only ever read (worker inputs are read-only shared-memory
-views); everything written is a buffer the op allocated itself.
+The blocked passes read up to ``CHUNK - 1`` steps past the longest row,
+so a shorter ``emissions`` than :func:`work_steps` is copied once into a
+padded buffer.  Arguments are only ever read (worker inputs are
+read-only shared-memory views); everything written is an ``out=``
+buffer or one the op allocated.
 
 Blocked time
 ------------
@@ -82,10 +83,12 @@ chain of explicit elementwise adds:
   index order.  Being explicit adds, they stay sequential at any ``K``;
 - compound products keep one association: ``(sum_k alpha*A) * em`` in
   the forward step, ``A * (em * beta)`` in the backward step;
-- time reductions (the xi sums) run along the time axis of the whole
-  C-contiguous stack with exactly 0.0 past each row's end; numpy
-  accumulates a non-innermost axis slice by slice — sequentially in
-  ``t`` — and ``acc + 0.0 == acc``.
+- time reductions (the xi sums, the emission M-step) reduce axis 0 of a
+  time-major stack with exactly 0.0 past each row's end; numpy
+  accumulates a reduced axis that is not the innermost one slice by
+  slice — sequentially in ``t``, as along axis 1 of the old ``(N, T, K)``
+  stacks — and ``acc + 0.0 == acc``.  A sum over up to seven states is
+  sequential in either layout.
 
 The contract is bitwise independence of batch composition.  Bitwise
 equality with the sequential recursion holds for rows of at most
@@ -119,11 +122,11 @@ from repro.hmm.utils import PROB_FLOOR
 __all__ = [
     "CHUNK",
     "ONE_BLOCK_MAX",
-    "active_counts",
     "backward",
     "estep_xi_sum",
     "forward",
     "viterbi",
+    "work_steps",
 ]
 
 #: Steps per time block of :func:`forward` and :func:`backward` ("Blocked
@@ -136,15 +139,6 @@ CHUNK = 8
 ONE_BLOCK_MAX = 4 * CHUNK
 
 
-def active_counts(lengths: np.ndarray, t_max: int) -> np.ndarray:
-    """``counts[t]`` = rows whose sequence extends past timestep ``t``.
-
-    Rows are sorted by length descending, so the active rows at any
-    timestep form a prefix of the stack.
-    """
-    return (lengths[:, None] > np.arange(t_max)[None, :]).sum(axis=0)
-
-
 def _runs(lengths: np.ndarray, t_max: int) -> list[tuple[int, int, int]]:
     """Maximal runs ``(t0, t1, m)`` of timesteps ``1 <= t0 <= t < t1``
     sharing one active-row count ``m = counts[t] > 0``, in time order.
@@ -154,7 +148,9 @@ def _runs(lengths: np.ndarray, t_max: int) -> list[tuple[int, int, int]]:
     """
     if t_max < 2:
         return []
-    counts = active_counts(lengths, t_max)
+    # counts[t]: rows whose sequence extends past timestep t (a prefix,
+    # rows being sorted by length descending).
+    counts = (lengths[:, None] > np.arange(t_max)).sum(axis=0)
     cuts = (np.flatnonzero(counts[2:] != counts[1:-1]) + 2).tolist()
     return [
         (t0, t1, int(counts[t0]))
@@ -163,17 +159,10 @@ def _runs(lengths: np.ndarray, t_max: int) -> list[tuple[int, int, int]]:
     ]
 
 
-def _rows_last(stack: np.ndarray) -> np.ndarray:
-    """Contiguous working copy of a per-row stack with the row axis moved
-    last: ``(N, T, K) -> (T, K, N)``, ``(N, K, K) -> (K, K, N)``."""
-    return np.ascontiguousarray(
-        np.asarray(stack, dtype=float).transpose(1, 2, 0)
-    )
-
-
-def _rows_first(work: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_rows_last`: contiguous ``(N, T, K)``."""
-    return np.ascontiguousarray(work.transpose(2, 0, 1))
+def _rows_last(params: np.ndarray) -> np.ndarray:
+    """Contiguous copy of a per-row parameter stack with the row axis
+    moved last: ``(N, K, K) -> (K, K, N)``."""
+    return np.ascontiguousarray(np.moveaxis(params, 0, -1), dtype=float)
 
 
 def _add_in_order(terms: list[np.ndarray], out: np.ndarray) -> np.ndarray:
@@ -204,14 +193,12 @@ def _by_offset(buffer: np.ndarray, start: int, blocks: int, span: int):
     return chunked.swapaxes(0, 1)
 
 
-def _time_major(emissions: np.ndarray, t_pad: int) -> np.ndarray:
-    """``(N, T, K)`` emissions as a contiguous ``(t_pad, K, N)`` working
-    copy; timesteps past ``T`` hold 1.0 (a missing observation)."""
-    n_seqs, t_max, k = emissions.shape
-    work = np.empty((t_pad, k, n_seqs))
-    work[:t_max] = np.asarray(emissions, dtype=float).transpose(1, 2, 0)
-    work[t_max:] = 1.0
-    return work
+def work_steps(longest: int) -> int:
+    """Timesteps of a working buffer for a stack whose longest row has
+    ``longest`` steps: whole blocks of that row's pass (:func:`_passes`)."""
+    if longest <= ONE_BLOCK_MAX + 1:
+        return longest
+    return 1 + _blocks(longest, CHUNK) * CHUNK
 
 
 def _forward_transfer(
@@ -334,26 +321,25 @@ def _forward_replay(
 def _forward_pass(
     startprob: np.ndarray,
     transmat: np.ndarray,
-    emissions: np.ndarray,
+    work: np.ndarray,
+    alpha: np.ndarray,
+    scales: np.ndarray,
+    length: int,
     span: int,
     rescue: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forward recursion in blocks of ``span`` steps: ``(N, T, K)`` alpha
-    and ``(N, T)`` scales, padded cells unspecified."""
-    n_seqs, t_max, k = emissions.shape
-    blocks = _blocks(t_max, span)
+) -> None:
+    """Forward recursion in blocks of ``span`` steps into ``alpha`` /
+    ``scales``; cells past a row's end are left unspecified."""
+    k = work.shape[1]
+    blocks = _blocks(length, span)
     t_pad = 1 + blocks * span
-    work = _time_major(emissions, t_pad)
     trans = _rows_last(transmat)
-    alpha = np.empty((t_pad, k, n_seqs))
-    scales = np.empty((t_pad, n_seqs))
-    first = startprob * emissions[:, 0, :]
-    total = first.sum(axis=1)
+    first = startprob.T * work[0]
+    total = _add_in_order(list(first), out=np.empty(first.shape[1:]))
     dead = total == 0
-    alpha[0] = np.where(
-        dead[:, None], 1.0 / k, first / np.where(dead, 1.0, total)[:, None]
-    ).T
+    alpha[0] = np.where(dead, 1.0 / k, first / np.where(dead, 1.0, total))
     scales[0] = np.where(dead, PROB_FLOOR, total)
+    alpha, scales, work = alpha[:t_pad], scales[:t_pad], work[:t_pad]
     # A dead step divides 0 by 0 and leaves NaN in its row's later steps;
     # steps past a row's end run on whatever its padding holds.
     with np.errstate(all="ignore"):
@@ -361,7 +347,6 @@ def _forward_pass(
             _forward_carry(alpha, _forward_transfer(work, trans, blocks - 1))
         if blocks:
             _forward_replay(alpha, scales, work, trans, span, rescue)
-    return _rows_first(alpha[:t_max]), np.ascontiguousarray(scales[:t_max].T)
 
 
 def _passes(lengths: np.ndarray) -> list[tuple[slice, int, int]]:
@@ -388,67 +373,57 @@ def forward(
     transmat: np.ndarray,
     emissions: np.ndarray,
     lengths: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scaled forward pass over the stack, in blocks of :data:`CHUNK`.
 
-    Returns ``(alpha, scales)``; a timestep whose total probability
-    underflows to zero is rescued with a uniform ``alpha`` row and a
-    ``PROB_FLOOR`` scale ("Dead timesteps" above).  The per-row
-    log-likelihood is ``log(scales[row, :lengths[row]]).sum()``,
-    computed by the caller (:meth:`BatchGaussianHMM.forward`).
+    Returns ``(alpha, scales)``, written into ``out`` (buffers of at
+    least ``max(T, work_steps(lengths[0]))`` steps) when given.  A dead
+    timestep is rescued with a uniform ``alpha`` row and a
+    ``PROB_FLOOR`` scale ("Dead timesteps" above).  The caller sums
+    ``log(scales[:lengths[n], n])`` into row n's log-likelihood.
     """
-    n_seqs, t_max, k = emissions.shape
-    passes = _passes(lengths)
-    if len(passes) == 1 and passes[0][1] == t_max:
-        alpha, scales = _forward_pass(
-            startprob, transmat, emissions, passes[0][2], rescue=False
-        )
-    else:
-        alpha = np.empty((n_seqs, t_max, k))
-        scales = np.empty((n_seqs, t_max))
-        for rows, length, span in passes:
-            alpha[rows, :length], scales[rows, :length] = _forward_pass(
-                startprob[rows],
-                transmat[rows],
-                emissions[rows, :length],
-                span,
-                rescue=False,
-            )
-    live = scales > 0  # False on a zero and on a NaN
-    ragged = lengths[-1] < t_max
-    if ragged:
-        padded = np.arange(t_max) >= lengths[:, None]
-        live |= padded
+    t_max, k, n_seqs = emissions.shape
+    steps = max(t_max, work_steps(int(lengths[0])))
+    work = np.asarray(emissions, dtype=float)
+    if t_max < steps:  # 1.0 past the end: a missing observation
+        work = np.concatenate([work, np.ones((steps - t_max, k, n_seqs))])
+    if out is None:
+        out = np.empty((steps, k, n_seqs)), np.empty((steps, n_seqs))
+    alpha, scales = out
+    for rows, length, span in _passes(lengths):
+        _forward_pass(
+            startprob[rows], transmat[rows], work[:, :, rows],
+            alpha[:, :, rows], scales[:, rows], length, span, rescue=False,
+        )  # fmt: skip
+    alpha, scales = alpha[:t_max], scales[:t_max]
+    padded = np.arange(t_max)[:, None] >= lengths
+    live = (scales > 0) | padded  # False on a zero and on a NaN
     if not live.all():
-        dead = np.flatnonzero(~live.all(axis=1))
+        dead = np.flatnonzero(~live.all(axis=0))
         length = int(lengths[dead[0]])
-        alpha[dead, :length], scales[dead, :length] = _forward_pass(
-            startprob[dead],
-            transmat[dead],
-            emissions[dead, :length],
-            max(1, length - 1),
-            rescue=True,
-        )
-    if ragged:
-        alpha[padded] = 1.0 / k
-        scales[padded] = 1.0
+        redo = np.empty((length, k, dead.size)), np.empty((length, dead.size))
+        _forward_pass(
+            startprob[dead], transmat[dead], work[:length, :, dead], *redo,
+            length, max(1, length - 1), rescue=True,
+        )  # fmt: skip
+        alpha[:length, :, dead], scales[:length, dead] = redo
+    np.copyto(alpha, 1.0 / k, where=padded[:, None, :])
+    np.copyto(scales, 1.0, where=padded)
     return alpha, scales
 
 
 def _reversed_rows(
     stack: np.ndarray, groups: list[tuple[int, int, int]], t_pad: int
 ) -> np.ndarray:
-    """``(N, T, ...)`` stack as a ``(t_pad, ..., N)`` working copy in each
-    row's reversed time: ``out[s, ..., n] = stack[n, length - s]`` for
-    ``1 <= s < length``, 1.0 everywhere else (``groups`` is
+    """``(T, ..., N)`` stack as a ``(t_pad, ..., N)`` working copy in
+    each row's reversed time: ``out[s, ..., n] = stack[length - s, ...,
+    n]`` for ``1 <= s < length``, 1.0 everywhere else (``groups`` is
     :func:`_length_groups` of the lengths)."""
-    stack = np.asarray(stack, dtype=float)
-    axes = (*range(1, stack.ndim), 0)
-    out = np.empty((t_pad,) + stack.shape[2:] + stack.shape[:1])
+    out = np.empty((t_pad,) + stack.shape[1:])
     out[0] = 1.0
     for n0, n1, length in groups:
-        rows = stack[n0:n1, length - 1 : 0 : -1]
-        out[1:length, ..., n0:n1] = rows.transpose(axes)
+        out[1:length, ..., n0:n1] = stack[length - 1 : 0 : -1, ..., n0:n1]
         out[length:, ..., n0:n1] = 1.0
     return out
 
@@ -562,9 +537,8 @@ def _backward_pass(
     out: np.ndarray,
 ) -> None:
     """Backward recursion in blocks of ``span`` steps anchored at each
-    row's last step, written into the ``(N, T, K)`` ``out`` row by row
-    (cells past a row's end are left alone)."""
-    n_seqs, _, k = emissions.shape
+    row's last step, written into ``out`` (1.0 past a row's end)."""
+    k, n_seqs = emissions.shape[1:]
     blocks = _blocks(int(lengths[0]), span)
     t_pad = 1 + blocks * span
     groups = _length_groups(lengths)
@@ -582,8 +556,8 @@ def _backward_pass(
         if blocks:
             _backward_replay(beta, work, scale_rows, trans, span)
     for n0, n1, length in groups:
-        rows = beta[length - 1 :: -1, :, n0:n1]
-        out[n0:n1, :length] = rows.transpose(2, 0, 1)
+        out[:length, :, n0:n1] = beta[length - 1 :: -1, :, n0:n1]
+        out[length:, :, n0:n1] = 1.0
 
 
 def backward(
@@ -591,21 +565,19 @@ def backward(
     emissions: np.ndarray,
     scales: np.ndarray,
     lengths: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Scaled backward pass matching :func:`forward`'s scaling, cut into
-    blocks as :func:`forward` is."""
-    n_seqs, t_max, k = emissions.shape
-    beta = np.ones((n_seqs, t_max, k))
+    blocks as :func:`forward` is; written into ``out`` when given."""
+    t_max, n_seqs = scales.shape
+    if out is None:
+        out = np.empty((t_max, emissions.shape[1], n_seqs))
     for rows, _, span in _passes(lengths):
         _backward_pass(
-            transmat[rows],
-            emissions[rows],
-            scales[rows],
-            lengths[rows],
-            span,
-            beta[rows],
-        )
-    return beta
+            transmat[rows], emissions[:, :, rows], scales[:, rows],
+            lengths[rows], span, out[:, :, rows],
+        )  # fmt: skip
+    return out
 
 
 def viterbi(
@@ -614,22 +586,22 @@ def viterbi(
     log_emissions: np.ndarray,
     lengths: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched log-space Viterbi with backtrace.
+    """Batched log-space Viterbi with backtrace over the time-major
+    ``(T, K, N)`` log emissions.
 
     Inputs are already in log space (``log_mask_zero`` lives with the
     caller so this module stays free of transcendental math).  Returns
-    ``(states, log_joints)``: ``states[n, :lengths[n]]`` is row n's most
+    ``(states, log_joints)``: ``states[:lengths[n], n]`` is row n's most
     probable hidden path (padding is 0) and ``log_joints[n]`` its joint
     log-probability.  Ties take the lowest state index, matching
     ``np.argmax``.
     """
-    n_seqs, t_max, k = log_emissions.shape
+    t_max, k, n_seqs = log_emissions.shape
     runs = _runs(lengths, t_max)
-    work = _rows_last(log_emissions)
     trans = _rows_last(log_transmat)  # trans[i, j, n] = row n's log A[i, j]
     delta = np.zeros((t_max, k, n_seqs))
     backpointer = np.zeros((t_max, k, n_seqs), dtype=np.intp)
-    delta[0] = (log_startprob + log_emissions[:, 0, :]).T
+    delta[0] = log_startprob.T + log_emissions[0]
     add = np.add
     for t0, t1, m in runs:
         slabs = trans[:, :, :m]
@@ -637,7 +609,7 @@ def viterbi(
         best = np.empty((k, m))
         for prev, em, pointer, out in zip(
             delta[t0 - 1 : t1 - 1, :, None, :m],
-            work[t0:t1, :, :m],
+            log_emissions[t0:t1, :, :m],
             backpointer[t0:t1, :, :m],
             delta[t0:t1, :, :m],
         ):
@@ -660,7 +632,7 @@ def viterbi(
         ):
             out[...] = pointer[nxt, active]
     log_joints = delta[last, states[last, rows], rows]
-    return np.ascontiguousarray(states.T), log_joints
+    return states, log_joints
 
 
 def estep_xi_sum(
@@ -673,32 +645,36 @@ def estep_xi_sum(
 ) -> np.ndarray:
     """Baum-Welch expected transition counts, summed over each row's steps.
 
-    ``xi_sum[n, i, j] = sum_t alpha[n,t,i] * A[n,i,j] * em[n,t+1,j] *
-    beta[n,t+1,j] / scales[n,t+1]`` over ``t in [0, lengths[n] - 1)``.
+    Over the time-major stacks of :func:`forward` and :func:`backward`,
+    ``xi_sum[n, i, j] = sum_t alpha[t,i,n] * A[n,i,j] * em[t+1,j,n] *
+    beta[t+1,j,n] / scales[t+1,n]`` over ``t in [0, lengths[n] - 1)``.
     The ``1 / scales[t+1]`` belongs to this module's scaling:
     :func:`forward` leaves ``alpha[t]`` short of the joint by
     ``c_1..c_t`` and :func:`backward` leaves ``beta[t+1]`` short by
     ``c_{t+2}..c_T``, so their product with ``A * em[t+1]`` is
     ``c_{t+1}`` times the posterior ``xi_t(i, j)``.  With it,
-    ``sum_j xi_sum[n, i, j] == sum_{t < len-1} gamma[n, t, i]`` and the
+    ``sum_j xi_sum[n, i, j] == sum_{t < len-1} gamma[t, i, n]`` and the
     transition M-step is the EM maximiser.  A scale is never 0 (a
     rescued dead step holds ``PROB_FLOOR``, padding holds 1.0).
 
-    The elementwise product is batched and the steps past a row's end
-    are set to exactly 0.0, so one ``.sum`` along the time axis of the
-    whole stack serves every row: a non-innermost axis accumulates slice
-    by slice — sequentially in ``t`` — and ``acc + 0.0 == acc``, which
-    leaves each row the bits of summing its own steps alone.
+    The steps past a row's end get exactly 0.0, so one sum along axis 0
+    of each source state's ``(T - 1, K, N)`` product serves every row:
+    not the innermost axis, so numpy adds it sequentially in ``t``, and
+    ``acc + 0.0 == acc`` leaves each row the bits of its own steps.
     """
-    n_seqs, t_max, k = emissions.shape
-    if t_max < 2:
-        return np.zeros((n_seqs, k, k))
+    t_max, k, n_seqs = alpha.shape
+    xi_sum = np.empty((k, k, n_seqs))
+    trans = _rows_last(transmat)
+    tail = emissions[1:t_max] * beta[1:t_max]
+    tail /= scales[1:t_max, None, :]
+    past_end = (np.arange(1, t_max)[:, None] >= lengths)[:, None, :]
     # Own C-contiguous buffer whatever the arguments' layout: the order
     # the sum below runs in follows the strides of what it reduces.
-    xi = np.empty((n_seqs, t_max - 1, k, k))
-    np.multiply(alpha[:, :-1, :, None], transmat[:, None, :, :], out=xi)
-    tail = emissions[:, 1:, :] * beta[:, 1:, :]
-    tail /= scales[:, 1:, None]
-    np.multiply(xi, tail[:, :, None, :], out=xi)
-    xi[np.arange(1, t_max) >= lengths[:, None]] = 0.0
-    return xi.sum(axis=1)
+    xi = np.empty((t_max - 1, k, n_seqs))
+    for i in range(k):
+        # xi[t, j, n] = alpha[t, i, n] * A[n, i, j] * tail[t, j, n]
+        np.multiply(alpha[:-1, i, None, :], trans[i], out=xi)
+        np.multiply(xi, tail, out=xi)
+        np.copyto(xi, 0.0, where=past_end)
+        xi.sum(axis=0, out=xi_sum[i])
+    return np.ascontiguousarray(np.moveaxis(xi_sum, -1, 0))

@@ -29,17 +29,21 @@ PROB_FLOOR = 1e-12
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def normalize_rows(matrix: np.ndarray) -> np.ndarray:
+def normalize_rows(
+    matrix: np.ndarray, axis: int = -1, out: np.ndarray | None = None
+) -> np.ndarray:
     """Normalize each row of ``matrix`` to sum to 1.
 
-    Rows are taken along the last axis (a 1-D vector is one row).  Rows
-    that sum to zero become uniform distributions (this happens in
-    Baum-Welch when a state receives no expected visits).
+    Rows are taken along ``axis`` (the last by default; a 1-D vector is
+    one row).  Rows that sum to zero become uniform distributions (this
+    happens in Baum-Welch when a state receives no expected visits).
+    With ``out`` (which may be ``matrix``) the result is written there.
     """
     matrix = np.asarray(matrix, dtype=float)
-    sums = matrix.sum(axis=-1, keepdims=True)
-    n = matrix.shape[-1]
-    out = np.where(sums > 0, matrix / np.where(sums > 0, sums, 1.0), 1.0 / n)
+    sums = matrix.sum(axis=axis, keepdims=True)
+    out = np.empty_like(matrix) if out is None else out
+    np.divide(matrix, np.where(sums > 0, sums, 1.0), out=out)
+    np.copyto(out, 1.0 / matrix.shape[axis], where=~(sums > 0))
     return out
 
 
@@ -115,19 +119,20 @@ def dirichlet_log_prior(
 
 
 def batch_normal_densities(
-    values: np.ndarray, means: np.ndarray, variances: np.ndarray
+    values: np.ndarray, means: np.ndarray, variances: np.ndarray, out=None
 ) -> np.ndarray:
-    """Per-sequence Gaussian density stack ``D[n, t, i]``.
+    """Per-sequence Gaussian density stack ``D[t, i, n]``, time-major.
 
-    ``values`` is a ``(N, T)`` stack of observation sequences and
-    ``means`` / ``variances`` hold one ``(N, K)`` parameter set per
-    sequence; the result is ``(N, T, K)`` with
-    ``D[n, t, i] = N(values[n, t]; means[n, i], variances[n, i])``,
-    computed as ``exp(-(log 2 pi + log var + diff**2 / var) / 2)``.
-    Every arithmetic step is elementwise, so a row's densities do not
-    depend on the other rows.  Variances must be strictly positive — EM
-    enforces a variance floor, and a zero/denormal variance here would
-    silently overflow the density, so it raises instead.
+    ``values`` is a ``(T, N)`` stack of observation sequences (one per
+    column) and ``means`` / ``variances`` hold one ``(N, K)`` parameter
+    set per sequence; the result is ``(T, K, N)`` (written into ``out``
+    when given) with ``D[t, i, n] = N(values[t, n]; means[n, i],
+    variances[n, i])``, computed as ``exp(-(log 2 pi + log var +
+    diff**2 / var) / 2)``.  Every arithmetic step is elementwise, so a
+    row's densities do not depend on the other rows.  Variances must be
+    strictly positive — EM enforces a variance floor, and a
+    zero/denormal variance here would silently overflow the density, so
+    it raises instead.
     """
     values = np.asarray(values, dtype=float)
     means = np.asarray(means, dtype=float)
@@ -136,12 +141,11 @@ def batch_normal_densities(
         raise ValueError(
             f"variances must be strictly positive and finite, got {variances!r}"
         )
-    diff = values[:, :, None] - means[:, None, :]
-    return np.exp(
-        -0.5
-        * (
-            LOG_2PI
-            + np.log(variances)[:, None, :]
-            + diff**2 / variances[:, None, :]
-        )
-    )
+    if out is None:
+        out = np.empty((values.shape[0], means.shape[1], values.shape[1]))
+    np.subtract(values[:, None, :], means.T, out=out)
+    np.square(out, out=out)
+    np.divide(out, variances.T, out=out)
+    np.add(LOG_2PI + np.log(variances).T, out, out=out)
+    np.multiply(out, -0.5, out=out)
+    return np.exp(out, out=out)

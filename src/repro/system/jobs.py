@@ -26,7 +26,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.acs import ClaimRows, acs_sequence
-from repro.core.sstd import ClaimDecodeResult, SSTDConfig, batch_fit_decode
+from repro.core.sstd import (
+    ClaimDecodeResult,
+    ModelHealth,
+    SSTDConfig,
+    batch_fit_decode,
+)
 from repro.core.types import Report
 from repro.hmm.batch import HMMParams
 from repro.system import shm
@@ -133,7 +138,7 @@ def decode_shard_shm_payload(
     rows: tuple[int, ...],
     handle: shm.SegmentHandle,
     config: SSTDConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Decode a shard of claims straight out of a published stack.
 
     The worker attaches zero-copy read-only views onto the published
@@ -141,9 +146,11 @@ def decode_shard_shm_payload(
     :func:`repro.core.sstd.batch_fit_decode`, and returns a *compact*
     result in shard claim order: every claim's ``int8`` truth codes and
     ``float64`` confidences, concatenated; a ``bool`` mask of the claims
-    with a model; and per such claim one ``(K + 4, K)`` block — start
+    with a model; per such claim one ``(K + 4, K)`` block — start
     distribution, transition rows, emission means, variances and its
-    filter state.  The master rebuilds the results with
+    filter state; and next to the blocks one ``(n_fitted, 3)`` float64
+    array of model health — EM iterations, converged (0 or 1), final
+    log-likelihood.  The master rebuilds the results with
     :func:`expand_shard_result` — it already owns the timestamps, so
     shipping them back would only re-pickle what the stack holds.
     """
@@ -177,11 +184,15 @@ def decode_shard_shm_payload(
                 if r.used_hmm
             ]
         )
+        health = np.array(
+            [dataclasses.astuple(r.health) for r in results if r.used_hmm],
+            dtype=np.float64,
+        ).reshape(-1, 3)
         # Drop every object that aliases the segment before detaching so
         # the close path can really unmap (kept-alive views only delay
         # reclamation, they never corrupt: the arrays above are copies).
         del items, results, times_stack, values_stack, lengths
-    return codes, confidences, fitted, models
+    return codes, confidences, fitted, models, health
 
 
 def shm_shard_task_spec(
@@ -208,6 +219,7 @@ def expand_shard_result(
     confidences: np.ndarray,
     fitted: np.ndarray,
     models: np.ndarray,
+    health: np.ndarray,
 ) -> list[ClaimDecodeResult]:
     """Rebuild the shard's :class:`ClaimDecodeResult` objects.
 
@@ -218,13 +230,20 @@ def expand_shard_result(
     """
     results: list[ClaimDecodeResult] = []
     cursor = 0
-    blocks = iter(models)
+    fits = zip(models, health.tolist())
     for claim_id, used_hmm in zip(claim_ids, fitted.tolist(), strict=True):
         row = stack.row_of(claim_id)
         length = int(stack.lengths[row])
         cells = slice(cursor, cursor + length)
         cursor += length
-        block = next(blocks) if used_hmm else None
+        params = filter_state = model_health = None
+        if used_hmm:
+            block, (iterations, converged, log_likelihood) = next(fits)
+            params = HMMParams(block[0], block[1:-3], block[-3], block[-2])
+            filter_state = block[-1]
+            model_health = ModelHealth(
+                int(iterations), bool(converged), log_likelihood
+            )
         results.append(
             ClaimDecodeResult(
                 claim_id=claim_id,
@@ -232,10 +251,9 @@ def expand_shard_result(
                 codes=codes[cells],
                 confidences=confidences[cells],
                 used_hmm=used_hmm,
-                filter_state=None if block is None else block[-1],
-                params=None
-                if block is None
-                else HMMParams(block[0], block[1:-3], block[-3], block[-2]),
+                filter_state=filter_state,
+                params=params,
+                health=model_health,
             )
         )
     if cursor != codes.size:

@@ -136,10 +136,15 @@ class TestBatchSSTD:
         # The per-cell check of ``TruthEstimate.__post_init__`` runs once
         # over the whole column, so a caller that never builds estimates
         # (a worker shipping columns) cannot carry a bad posterior out.
-        monkeypatch.setattr(
-            sstd_module, "normalize_rows", lambda stack: 3.0 * stack
-        )
-        # (With runtime contracts on, the simplex contract fires first.)
+        decode = sstd_module.BatchGaussianHMM.decode
+
+        def inflated(model, observations, lengths):
+            states, confidences, filter_states = decode(
+                model, observations, lengths
+            )
+            return states, 3.0 * confidences, filter_states
+
+        monkeypatch.setattr(sstd_module.BatchGaussianHMM, "decode", inflated)
         with contracts.contracts(False), pytest.raises(
             ValueError, match=r"confidence must be in \[0, 1\]"
         ):

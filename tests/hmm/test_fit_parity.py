@@ -23,11 +23,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.devtools import contracts
 from repro.hmm import BatchGaussianHMM, stack_ragged
 from repro.hmm.batch import MIN_VARIANCE, FitResult
 from repro.hmm.kernels import numpy_ref
 from repro.hmm.utils import PROB_FLOOR, normalize_rows
 from tests.hmm.test_batch import make_sequences
+from tests.hmm.test_kernels import time_major
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +394,103 @@ class TestFitEqualsFrozenParent:
         )
 
 
+def regime_rows(seed, lengths, missing=0.2):
+    """Two-regime rows of the given lengths (sorted descending)."""
+    rng = np.random.default_rng(seed)
+    sequences = []
+    for length in lengths:
+        flip = int(rng.integers(1, length)) if length > 1 else 1
+        values = np.where(np.arange(length) < flip, -0.8, 0.9)
+        values = values + rng.normal(0.0, 0.3, size=length)
+        mask = rng.random(length) < missing
+        mask[int(rng.integers(0, length))] = False
+        values[mask] = np.nan
+        sequences.append(values)
+    observations, lengths, _ = stack_ragged(sequences)
+    return observations, lengths
+
+
+class TestTimeMajorLoop:
+    """``fit`` runs every iteration in the kernels' time-major layout,
+    on stacks of ``work_steps`` timesteps allocated once per set of
+    active rows; the frozen per-row loop must not see a bit of it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_short_and_blocked_rows_in_one_fit(self, seed):
+        # Rows up to ONE_BLOCK_MAX + 1 steps run sequentially, longer
+        # ones in blocks: one fit, both passes, every iteration.
+        edge = numpy_ref.ONE_BLOCK_MAX + 1
+        lengths = [
+            edge + 5 * numpy_ref.CHUNK + 3, edge + 7, edge + 1,
+            edge, edge - 1, 12, 3, 1,
+        ]  # fmt: skip
+        assert numpy_ref.work_steps(lengths[0]) > lengths[0]  # padded
+        observations, lengths = regime_rows(seed, lengths)
+        results = assert_fit_parity(
+            observations, lengths, max_iter=12, tol=1e-3, seed=seed
+        )
+        assert len({r.iterations for r in results}) > 1
+
+    @pytest.mark.parametrize("length", [20, 90])
+    def test_underflowing_step_is_redone_inside_fit(self, length):
+        # An outlier no state can emit: its step's total underflows to
+        # 0, and the forward pass redoes the row with the rescue.
+        rng = np.random.default_rng(length)
+        observations = np.where(
+            np.arange(length) < length // 2, -1.0, 1.0
+        ) + rng.normal(0.0, 0.02, size=(3, length))
+        observations[1, length // 3] = 40.0
+        observations[2, length - 5 :] = np.nan
+        lengths = np.array([length, length, length - 2])
+        params = dict(
+            means=np.array([-1.0, 1.0]), variances=np.array([1e-3, 1e-3])
+        )
+        model = BatchGaussianHMM(3, 2, **params)
+        _, scales, _ = model.forward(
+            model.emission_probabilities(observations), lengths
+        )
+        assert (scales[1] == PROB_FLOOR).any() and (scales[0] > 0).all()
+        # The rescued step's uniform posterior drags both means toward
+        # the outlier, so the next iteration's objective drops: EM's
+        # monotone contract does not cover a rescue, here or at the
+        # parent commit.
+        with contracts.contracts(False):
+            assert_fit_parity(
+                observations, lengths, max_iter=6, init=False, **params
+            )
+
+    def test_rows_freeze_on_different_iterations_as_the_stack_shrinks(self):
+        # The longest rows freeze first: every new active set gets new
+        # buffers with fewer rows and fewer timesteps.
+        observations, lengths = regime_rows(
+            5, [160, 150, 120, 90, 60, 40, 25, 9], missing=0.1
+        )
+        observations[:2] = np.where(
+            np.isnan(observations[:2]), np.nan, np.sign(observations[:2])
+        )
+        results = assert_fit_parity(
+            observations, lengths, max_iter=20, tol=1e-3, seed=3
+        )
+        counts = [r.iterations for r in results]
+        assert len(set(counts)) >= 3
+        assert counts[0] < max(counts)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_state_counts_one_to_four(self, k):
+        # At K = 1 the old (N, T, 1) stack summed its innermost time
+        # axis pairwise and the time-major one sums it sequentially;
+        # the two agree while a row has fewer than eight present
+        # values, which is what these rows hold at K = 1.
+        t_hi = 7 if k == 1 else 60
+        for seed in range(3):
+            observations, lengths = random_stack(
+                20 + seed, n=2 + 2 * seed, t_hi=t_hi, missing=0.2
+            )
+            assert_fit_parity(
+                observations, lengths, k=k, max_iter=10, seed=seed
+            )
+
+
 class TestXiSumEqualsPerRowLoop:
     """``estep_xi_sum`` alone, on inputs ``fit`` never produces."""
 
@@ -419,7 +518,9 @@ class TestXiSumEqualsPerRowLoop:
             )
             lengths.setflags(write=False)
         got = numpy_ref.estep_xi_sum(
-            transmat, emissions, alpha, beta, scales, lengths
+            transmat,
+            *(time_major(a) for a in (emissions, alpha, beta, scales)),
+            lengths,
         )
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()

@@ -19,6 +19,12 @@ from hypothesis import given, settings, strategies as st
 from repro.hmm import BatchGaussianHMM, stack_ragged
 from repro.hmm.kernels import numpy_ref
 from repro.hmm.utils import log_mask_zero, masked_row_sums, normalize_rows
+from tests.hmm.test_kernels import (
+    kernel_backward,
+    kernel_forward,
+    kernel_viterbi,
+    time_major,
+)
 
 
 def enumerate_row(startprob, transmat, emissions):
@@ -92,14 +98,16 @@ def test_kernels_match_path_enumeration(seed, k, missing):
     startprob, transmat, emissions, lengths, nan_mask = small_stack(
         seed, k, missing
     )
-    alpha, scales = numpy_ref.forward(startprob, transmat, emissions, lengths)
-    beta = numpy_ref.backward(transmat, emissions, scales, lengths)
+    alpha, scales = kernel_forward(startprob, transmat, emissions, lengths)
+    beta = kernel_backward(transmat, emissions, scales, lengths)
     log_likelihoods = masked_row_sums(log_mask_zero(scales), lengths)
     posteriors = normalize_rows(alpha * beta)
     xi_sum = numpy_ref.estep_xi_sum(
-        transmat, emissions, alpha, beta, scales, lengths
+        transmat,
+        *(time_major(a) for a in (emissions, alpha, beta, scales)),
+        lengths,
     )
-    states, log_joints = numpy_ref.viterbi(
+    states, log_joints = kernel_viterbi(
         log_mask_zero(startprob),
         log_mask_zero(transmat),
         log_mask_zero(emissions),
@@ -168,7 +176,9 @@ def test_xi_rows_sum_to_occupancy_on_a_long_gappy_stack(k):
     beta = model.backward(emissions, scales, lengths)
     gamma = normalize_rows(alpha * beta)
     xi_sum = numpy_ref.estep_xi_sum(
-        transmat, emissions, alpha, beta, scales, lengths
+        transmat,
+        *(time_major(a) for a in (emissions, alpha, beta, scales)),
+        lengths,
     )
     assert (scales[:, 1:] != 1.0).any()  # the factor is not a no-op here
     for row, length in enumerate(lengths.tolist()):

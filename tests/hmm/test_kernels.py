@@ -171,6 +171,40 @@ def hostile_view(rng, array, how):
     return out
 
 
+def time_major(stack):
+    """An ``(N, T, K)`` / ``(N, T)`` stack as the kernels' time-major
+    view: no copy, so the kernels see the caller's strides and flags."""
+    return np.moveaxis(stack, 0, -1)
+
+
+def rows_first(stack):
+    """A kernel's time-major output back to ``(N, T, K)`` / ``(N, T)``;
+    the kernels hand out C-contiguous stacks of their own."""
+    assert stack.flags.c_contiguous
+    return np.ascontiguousarray(np.moveaxis(stack, -1, 0))
+
+
+def kernel_forward(startprob, transmat, emissions, lengths):
+    alpha, scales = numpy_ref.forward(
+        startprob, transmat, time_major(emissions), lengths
+    )
+    return rows_first(alpha), rows_first(scales)
+
+
+def kernel_backward(transmat, emissions, scales, lengths):
+    beta = numpy_ref.backward(
+        transmat, time_major(emissions), time_major(scales), lengths
+    )
+    return rows_first(beta)
+
+
+def kernel_viterbi(log_startprob, log_transmat, log_emissions, lengths):
+    states, log_joints = numpy_ref.viterbi(
+        log_startprob, log_transmat, time_major(log_emissions), lengths
+    )
+    return rows_first(states), log_joints
+
+
 def assert_matches_oracle(startprob, transmat, emissions, lengths):
     """numpy_ref forward / backward / viterbi == the frozen oracle
     (forward and backward as :func:`assert_oracle_equal` says).
@@ -182,18 +216,18 @@ def assert_matches_oracle(startprob, transmat, emissions, lengths):
     """
     plain = [np.array(a, order="C") for a in (startprob, transmat, emissions)]
     alpha_ref, scales_ref = oracle_forward(*plain, lengths)
-    alpha, scales = numpy_ref.forward(startprob, transmat, emissions, lengths)
+    alpha, scales = kernel_forward(startprob, transmat, emissions, lengths)
     assert_oracle_equal(alpha, alpha_ref, lengths)
     assert_oracle_equal(scales, scales_ref, lengths)
 
     beta_ref = oracle_backward(plain[1], plain[2], scales_ref, lengths)
-    beta = numpy_ref.backward(transmat, emissions, scales, lengths)
+    beta = kernel_backward(transmat, emissions, scales, lengths)
     assert_oracle_equal(beta, beta_ref, lengths)
 
     states_ref, joints_ref = oracle_viterbi(
         *(log_mask_zero(a) for a in plain), lengths
     )
-    states, joints = numpy_ref.viterbi(
+    states, joints = kernel_viterbi(
         log_mask_zero(startprob),
         log_mask_zero(transmat),
         log_mask_zero(emissions),
@@ -314,7 +348,7 @@ class TestNumpyRefMatchesFrozenOracle:
             for row, t in cells:
                 emissions[row, t] = 0.0
             assert_matches_oracle(startprob, transmat, emissions, lengths)
-            alpha, scales = numpy_ref.forward(
+            alpha, scales = kernel_forward(
                 startprob, transmat, emissions, lengths
             )
             for row, t in cells:
@@ -346,13 +380,15 @@ class TestNumpyRefMatchesFrozenOracle:
         for a in args:
             a.setflags(write=False)
         alpha, out_scales = numpy_ref.forward(
-            startprob, transmat, emissions, lengths
+            startprob, transmat, time_major(emissions), lengths
         )
-        beta = numpy_ref.backward(transmat, emissions, scales, lengths)
+        beta = numpy_ref.backward(
+            transmat, time_major(emissions), time_major(scales), lengths
+        )
         numpy_ref.viterbi(
             log_mask_zero(startprob),
             log_mask_zero(transmat),
-            log_mask_zero(emissions),
+            time_major(log_mask_zero(emissions)),
             lengths,
         )
         for a, b in zip(args, before):
@@ -388,13 +424,38 @@ class TestNumpyRefMatchesFrozenOracle:
         production = discover()
         oracle_calls = []
 
-        def spied_oracle_forward(*args):
+        # The oracle behind the kernels' time-major signatures; it
+        # allocates its own outputs, so ``out`` buffers go unused.
+        def spied_oracle_forward(
+            startprob, transmat, emissions, lengths, out=None
+        ):
             oracle_calls.append(1)
-            return oracle_forward(*args)
+            alpha, scales = oracle_forward(
+                startprob, transmat, rows_first(emissions), lengths
+            )
+            return time_major(alpha), time_major(scales)
+
+        def oracle_backward_tm(
+            transmat, emissions, scales, lengths, out=None
+        ):
+            return time_major(
+                oracle_backward(
+                    transmat,
+                    rows_first(emissions),
+                    np.ascontiguousarray(scales.T),
+                    lengths,
+                )
+            )
+
+        def oracle_viterbi_tm(log_start, log_trans, log_emissions, lengths):
+            states, log_joints = oracle_viterbi(
+                log_start, log_trans, rows_first(log_emissions), lengths
+            )
+            return time_major(states), log_joints
 
         monkeypatch.setattr(numpy_ref, "forward", spied_oracle_forward)
-        monkeypatch.setattr(numpy_ref, "backward", oracle_backward)
-        monkeypatch.setattr(numpy_ref, "viterbi", oracle_viterbi)
+        monkeypatch.setattr(numpy_ref, "backward", oracle_backward_tm)
+        monkeypatch.setattr(numpy_ref, "viterbi", oracle_viterbi_tm)
         oracle = discover()
         assert oracle_calls  # the model really went through the swap
         assert [(e.claim_id, e.timestamp, e.value) for e in oracle] == [
@@ -447,14 +508,14 @@ class TestBlockedTime:
         for _ in range(n_dead):
             emissions[row, rng.integers(0, length)] = 0.0
 
-        alpha, scales = numpy_ref.forward(startprob, transmat, emissions, lengths)
-        beta = numpy_ref.backward(transmat, emissions, scales, lengths)
+        alpha, scales = kernel_forward(startprob, transmat, emissions, lengths)
+        beta = kernel_backward(transmat, emissions, scales, lengths)
         own = slice(row, row + 1)
         alone_lengths = np.array([length], dtype=np.int64)
-        alone_alpha, alone_scales = numpy_ref.forward(
+        alone_alpha, alone_scales = kernel_forward(
             startprob[own], transmat[own], emissions[own, :length], alone_lengths
         )
-        alone_beta = numpy_ref.backward(
+        alone_beta = kernel_backward(
             transmat[own], emissions[own, :length], alone_scales, alone_lengths
         )
         assert alpha[row, :length].tobytes() == alone_alpha[0].tobytes()
@@ -489,8 +550,8 @@ class TestBlockedTime:
             emissions[row, t] = 0.0
         assert_matches_oracle(startprob, transmat, emissions, lengths)
 
-        alpha, scales = numpy_ref.forward(startprob, transmat, emissions, lengths)
-        beta = numpy_ref.backward(transmat, emissions, scales, lengths)
+        alpha, scales = kernel_forward(startprob, transmat, emissions, lengths)
+        beta = kernel_backward(transmat, emissions, scales, lengths)
         alpha_ref, scales_ref = oracle_forward(
             startprob, transmat, emissions, lengths
         )
@@ -505,7 +566,7 @@ class TestBlockedTime:
             assert (beta[row, :last] == 0.0).all()
             assert (beta[row, last:lengths[row]] > 0.0).all()
         assert np.isfinite(alpha).all() and np.isfinite(beta).all()
-        clean_alpha, clean_scales = numpy_ref.forward(
+        clean_alpha, clean_scales = kernel_forward(
             startprob, transmat, clean, lengths
         )
         live = [row for row in range(5) if row not in dead_rows]

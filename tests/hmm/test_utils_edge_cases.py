@@ -73,29 +73,30 @@ class TestNormalizeDegenerateRows:
 
 
 class TestNormalDensities:
-    """``batch_normal_densities``: ``(N, T)`` values, ``(N, K)`` params."""
+    """``batch_normal_densities``: time-major ``(T, N)`` values, ``(N, K)``
+    params, ``(T, K, N)`` densities."""
 
     def test_matches_manual_gaussian(self):
-        values = np.array([[0.0, 1.0]])
+        values = np.array([[0.0], [1.0]])
         densities = batch_normal_densities(
             values, np.zeros((1, 1)), np.ones((1, 1))
         )
-        assert densities.shape == (1, 2, 1)
+        assert densities.shape == (2, 1, 1)
         assert densities[0, 0, 0] == pytest.approx(np.exp(-0.5 * LOG_2PI))
-        assert densities[0, 1, 0] == pytest.approx(
+        assert densities[1, 0, 0] == pytest.approx(
             np.exp(-0.5 * (LOG_2PI + 1.0))
         )
 
     def test_zero_variance_raises_cleanly(self):
         with pytest.raises(ValueError, match="strictly positive"):
             batch_normal_densities(
-                np.zeros((1, 3)), np.zeros((1, 2)), np.array([[1.0, 0.0]])
+                np.zeros((3, 1)), np.zeros((1, 2)), np.array([[1.0, 0.0]])
             )
 
     def test_nan_variance_raises_cleanly(self):
         with pytest.raises(ValueError, match="positive and finite"):
             batch_normal_densities(
-                np.zeros((1, 3)), np.zeros((1, 1)), np.array([[np.nan]])
+                np.zeros((3, 1)), np.zeros((1, 1)), np.array([[np.nan]])
             )
 
     def test_far_tail_underflows_to_zero_not_nan(self):

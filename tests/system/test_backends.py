@@ -211,6 +211,6 @@ class TestJobSpecs:
         claim_id = min(r.claim_id for r in small_trace.reports)
         _stack, spec, output = self.decode(small_trace, claim_id)
         clone = pickle.loads(pickle.dumps(spec))()
-        assert len(clone) == len(output) == 4
+        assert len(clone) == len(output) == 5
         for cloned, original in zip(clone, output):
             np.testing.assert_array_equal(cloned, original)

@@ -128,7 +128,11 @@ def assert_same_results(actual, expected):
             np.testing.assert_array_equal(column, expected)
         if want.params is None:
             assert got.params is None and got.filter_state is None
+            assert got.health is None
             continue
+        assert got.health == want.health
+        assert type(got.health.iterations) is int
+        assert type(got.health.converged) is bool
         np.testing.assert_array_equal(got.filter_state, want.filter_state)
         for name in ("startprob", "transmat", "means", "variances"):
             np.testing.assert_array_equal(
@@ -238,7 +242,7 @@ class TestColumnarResult:
     def test_shard_columns_are_the_estimates_columns(self):
         stack, config = mixed_stack(), SSTDConfig()
         shard = ["constant", "fit-short", "empty", "sparse", "fit-long"]
-        codes, confidences, fitted, models = decode_from_stack(
+        codes, confidences, fitted, models, health = decode_from_stack(
             stack, shard, config
         )
         results = batch_fit_decode(self.items(stack, shard), config)
@@ -253,6 +257,14 @@ class TestColumnarResult:
         # One (K + 4, K) model block per claim that did not fall back.
         assert fitted.tolist() == [r.used_hmm for r in results]
         assert models.shape == (2, 6, 2) and not np.isnan(models).any()
+        # Next to the blocks, one (iterations, converged, log-likelihood)
+        # row of model health per such claim.
+        assert health.dtype == np.float64 and health.shape == (2, 3)
+        assert health.tolist() == [
+            [r.health.iterations, r.health.converged, r.health.log_likelihood]
+            for r in results
+            if r.used_hmm
+        ]
 
     def test_expand_returns_what_batch_fit_decode_returned(self):
         stack, config = mixed_stack(), SSTDConfig()
@@ -268,12 +280,13 @@ class TestColumnarResult:
     def test_shard_of_nothing_decodes_to_empty_columns(self):
         stack, config = mixed_stack(), SSTDConfig()
         for shard in ([], ["empty"]):
-            codes, confidences, fitted, models = decode_from_stack(
+            codes, confidences, fitted, models, health = decode_from_stack(
                 stack, shard, config
             )
             assert codes.dtype == np.int8 and codes.size == 0
             assert confidences.dtype == np.float64 and confidences.size == 0
             assert fitted.tolist() == [False] * len(shard) and models.size == 0
+            assert health.shape == (0, 3)
 
     def test_object_views_are_built_once(self):
         stack, config = mixed_stack(), SSTDConfig()
@@ -297,12 +310,18 @@ class TestColumnarResult:
     def test_expand_still_rejects_a_result_of_the_wrong_size(self):
         stack, config = mixed_stack(), SSTDConfig()
         shard = ["fit-long", "sparse"]
-        codes, confidences, fitted, models = decode_from_stack(
+        codes, confidences, fitted, models, health = decode_from_stack(
             stack, shard, config
         )
         with pytest.raises(ValueError, match="expected 22"):
             expand_shard_result(
-                stack, shard, codes[:-1], confidences[:-1], fitted, models
+                stack,
+                shard,
+                codes[:-1],
+                confidences[:-1],
+                fitted,
+                models,
+                health,
             )
 
 
