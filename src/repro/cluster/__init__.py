@@ -1,7 +1,6 @@
 """Simulated HTCondor-like cluster substrate."""
 
 from repro.cluster.condor import CondorPool, MatchmakingError, Placement
-from repro.cluster.failures import FailureConfig, FailureInjector, FailureLogEntry
 from repro.cluster.node import (
     ComputeNode,
     NodeSpec,
@@ -20,9 +19,6 @@ __all__ = [
     "ComputeNode",
     "CondorPool",
     "EventHandle",
-    "FailureConfig",
-    "FailureInjector",
-    "FailureLogEntry",
     "MatchmakingError",
     "NodeSpec",
     "PeriodicTask",

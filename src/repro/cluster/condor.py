@@ -40,7 +40,7 @@ class MatchmakingError(RuntimeError):
 class CondorPool:
     """Machines plus best-fit matchmaking.
 
-    Placement policy: among alive nodes that can host the request, pick
+    Placement policy: among the nodes that can host the request, pick
     the one with the most free cores (load spreading), breaking ties by
     highest speed factor then by name for determinism.
     """
@@ -53,27 +53,23 @@ class CondorPool:
         if len(set(names)) != len(names):
             raise ValueError("duplicate node names in pool")
 
-    @property
-    def alive_nodes(self) -> list[ComputeNode]:
-        return [node for node in self.nodes if node.alive]
-
     def total_capacity(self) -> ResourceSpec:
         total = ResourceSpec(cores=0, memory_mb=0, disk_mb=0)
-        for node in self.alive_nodes:
+        for node in self.nodes:
             total = total + node.spec.capacity
         return total
 
     def free_cores(self) -> int:
-        return sum(node.ledger.available.cores for node in self.alive_nodes)
+        return sum(node.ledger.available.cores for node in self.nodes)
 
     def place(self) -> Placement:
         """Claim one :data:`WORKER_FOOTPRINT` on the best matching node.
 
         Raises:
-            MatchmakingError: When no alive node has room.
+            MatchmakingError: When no node has room.
         """
         request = WORKER_FOOTPRINT
-        candidates = [node for node in self.alive_nodes if node.can_host(request)]
+        candidates = [node for node in self.nodes if node.can_host(request)]
         if not candidates:
             raise MatchmakingError(
                 f"no node can host {request}; "
@@ -101,11 +97,3 @@ class CondorPool:
                 placement.release()
             raise
         return placements
-
-    def fail_node(self, name: str) -> ComputeNode:
-        """Fault injection: kill a node by name."""
-        for node in self.nodes:
-            if node.name == name:
-                node.fail()
-                return node
-        raise KeyError(f"no node named {name!r}")

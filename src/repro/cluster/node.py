@@ -4,8 +4,7 @@ The paper's third critique of Hadoop-based truth discovery is its
 homogeneity assumption; the Notre Dame HTCondor pool mixes desktop
 workstations, classroom machines, and server clusters.  A
 :class:`ComputeNode` therefore carries both a resource capacity *and* a
-``speed_factor`` — the relative execution speed of the machine — plus an
-optional failure model for fault-injection tests.
+``speed_factor`` — the relative execution speed of the machine.
 """
 
 from __future__ import annotations
@@ -40,24 +39,20 @@ class NodeSpec:
     name: str
     capacity: ResourceSpec = field(default_factory=ResourceSpec)
     speed_factor: float = 1.0
-    mtbf_seconds: float = 0.0  # 0 disables failures
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("node name must be non-empty")
         if self.speed_factor <= 0:
             raise ValueError(f"speed_factor must be > 0, got {self.speed_factor}")
-        if self.mtbf_seconds < 0:
-            raise ValueError("mtbf_seconds must be >= 0")
 
 
 class ComputeNode:
-    """Runtime state of one machine: a resource ledger plus liveness."""
+    """Runtime state of one machine: its resource ledger."""
 
     def __init__(self, spec: NodeSpec) -> None:
         self.spec = spec
         self.ledger = ResourceLedger(spec.capacity)
-        self.alive = True
 
     @property
     def name(self) -> str:
@@ -68,27 +63,18 @@ class ComputeNode:
         return self.spec.speed_factor
 
     def can_host(self, request: ResourceSpec) -> bool:
-        return self.alive and self.ledger.can_allocate(request)
+        return self.ledger.can_allocate(request)
 
     def claim(self, request: ResourceSpec) -> None:
-        if not self.alive:
-            raise RuntimeError(f"node {self.name} is down")
         self.ledger.allocate(request)
 
     def release(self, request: ResourceSpec) -> None:
         self.ledger.release(request)
 
-    def fail(self) -> None:
-        """Mark the node dead (fault injection)."""
-        self.alive = False
-
-    def recover(self) -> None:
-        self.alive = True
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ComputeNode({self.name!r}, speed={self.speed_factor}, "
-            f"alive={self.alive}, free={self.ledger.available})"
+            f"free={self.ledger.available})"
         )
 
 

@@ -19,8 +19,7 @@ see:
   master lock across ``Thread.join``/``Process.join``, a blocking
   ``Queue.get``/``Queue.put`` (bounded puts), ``time.sleep``,
   ``.drain()``, or a ``Thread``/``Process`` ``start()`` stalls every
-  thread contending for the lock — the exact hang class the Work Queue
-  supervisor is exposed to.  Leaf calls are classified right here from
+  thread contending for the lock.  Leaf calls are classified right here from
   the receiver's inferred type; anything reached *through other
   functions* — same-class helpers, module-level functions, methods of
   other classes in other modules, constructors — is caught via the

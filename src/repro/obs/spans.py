@@ -10,10 +10,11 @@ timestamp.
 The buffer is a fixed-capacity ring: a run that emits more events than
 ``capacity`` keeps the most recent ones and counts the drops, so
 tracing can stay on in long runs without unbounded memory.  Recording
-is thread-safe (the process executor's supervisor thread records next
-to the master); cross-*process* events are recorded on per-process tracers and
-stitched onto the master timeline after a clock-offset handshake (see
-:mod:`repro.obs.stitch` and :mod:`repro.workqueue.process`).
+is thread-safe, so any thread may record next to the master (the
+process executor itself runs on the caller's thread); cross-*process*
+events are recorded on per-process tracers and stitched onto the master
+timeline after a clock-offset handshake (see :mod:`repro.obs.stitch`
+and :mod:`repro.workqueue.process`).
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ timeline.  This module carries the clock-domain translation:
 
 - **Handshake.**  At spawn the master performs an NTP-style exchange
   with each worker: it sends its own time ``t0`` down the worker's
-  inbox, the worker replies with its local reading ``w1``, and the
+  pipe, the worker replies with its local reading ``w1``, and the
   master stamps ``t1`` on receipt.  The worker's reading happened at
   some master time inside ``[t0, t1]``, which bounds the clock offset
   ``theta = worker_clock - master_clock`` to ``[w1 - t1, w1 - t0]``.
@@ -54,7 +54,7 @@ class ClockSync:
 
     Attributes:
         worker: Worker name the sync belongs to (one sync per spawn).
-        master_sent: Master clock when the probe entered the inbox (t0).
+        master_sent: Master clock when the probe entered the pipe (t0).
         worker_reply: Worker clock when it answered the probe (w1).
         master_received: Master clock when the reply surfaced (t1).
         dropped_spans: Spans evicted by the worker's ring buffer across

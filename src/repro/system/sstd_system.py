@@ -32,9 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.cluster.condor import CondorPool
-from repro.cluster.failures import FailureConfig, FailureInjector
 from repro.cluster.node import NodeSpec, uniform_pool
-from repro.cluster.simulation import PeriodicTask, Simulator
+from repro.cluster.simulation import Simulator
 from repro.control.controller import ControlConfig, Controller
 from repro.control.wcet import WCETModel
 from repro.core.acs import ReportTable
@@ -110,11 +109,7 @@ class SSTDSystemConfig:
         max_workers: Elastic-pool ceiling (None = cluster capacity).
             The pool is elastic — the control loop may resize it — iff
             this is ``None`` or above ``n_workers``.
-        seed: Seed of the simulated master's priority-weighted draw and
-            of failure injection.
-        failures: Enable node failure injection (nodes need
-            ``mtbf_seconds`` in their specs, or set ``default_mtbf``);
-            the system re-queues lost tasks and replaces dead workers.
+        seed: Seed of the simulated master's priority-weighted draw.
         backend: Execution substrate — ``"simulated"`` (virtual-time
             cluster, default) or ``"processes"``
             (:class:`~repro.workqueue.process.ProcessWorkQueue`, real
@@ -123,8 +118,7 @@ class SSTDSystemConfig:
             (:mod:`repro.system.shm`; inline bytes without shared
             memory) and a task carries claim ids + row offsets + the
             handle (:func:`~repro.system.jobs.shm_shard_task_spec`).
-            The process backend runs on wall time; failure injection
-            only applies to the simulated backend.
+            The process backend runs on wall time.
         claims_per_shard: How many claims each process-backend Work Queue
             task covers.  One task per claim (``1``) pays pickle +
             dispatch + interpreter overhead per claim; a shard amortizes
@@ -158,7 +152,6 @@ class SSTDSystemConfig:
     deadline: float = 10.0
     max_workers: int | None = None
     seed: int = 0
-    failures: FailureConfig | None = None
     backend: str = "simulated"
     drain_timeout: float = 600.0
     observability: bool | None = None
@@ -265,18 +258,6 @@ class DistributedSSTD:
             max_workers=config.max_workers,
         )
         pool.scale_to(config.n_workers)
-        if config.failures is not None:
-            injector = FailureInjector(
-                simulator, condor, master, config.failures, rng=config.seed
-            )
-            injector.start()
-            # Replace dead workers as machines recover: the elastic pool
-            # tops itself back up to at least the configured size.
-            PeriodicTask(
-                simulator,
-                max(config.failures.mean_repair_time / 4.0, 1.0),
-                lambda: pool.scale_to(max(pool.size, config.n_workers)),
-            )
         if not config.control_enabled:
             return simulator, master, pool, None
         cost = config.cost_model

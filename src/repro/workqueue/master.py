@@ -114,11 +114,7 @@ class WorkQueueMaster:
 
     @property
     def idle_workers(self) -> list[SimulatedWorker]:
-        return [
-            w
-            for w in self.workers
-            if not w.busy and not w.retired and w.placement.node.alive
-        ]
+        return [w for w in self.workers if not w.busy and not w.retired]
 
     @property
     def active_worker_count(self) -> int:
@@ -303,34 +299,6 @@ class WorkQueueMaster:
             self._forget(worker)
         else:
             self._dispatch()
-
-    def requeue_from(self, worker: SimulatedWorker) -> Optional[Task]:
-        """Recover the in-flight task of a failed worker back into the pool.
-
-        The worker itself is removed from the pool — its node is gone.
-        """
-        task = worker.interrupt()
-        worker.retired = True
-        self._forget(worker)
-        if self.obs.enabled:
-            self.obs.metrics.inc("wq.worker_lost")
-            self.obs.tracer.instant(
-                "wq.worker_lost", track="master", worker=worker.name
-            )
-        if task is not None:
-            if self.obs.enabled:
-                self.obs.metrics.inc("wq.requeued")
-                self.obs.tracer.instant(
-                    "wq.requeue",
-                    track="master",
-                    job_id=task.job_id,
-                    task_id=task.task_id,
-                    reason="worker_lost",
-                    worker=worker.name,
-                )
-            self.pending.append(task)
-            self._dispatch()
-        return task
 
     def _update_gauges(self) -> None:
         """Refresh queue-shape gauges; call only when ``obs.enabled``."""

@@ -55,7 +55,7 @@ class ElasticWorkerPool:
     def capacity_limit(self) -> int:
         """Upper bound on workers given cluster resources and config."""
         per_node = []
-        for node in self.condor.alive_nodes:
+        for node in self.condor.nodes:
             count = 0
             available = node.ledger.available
             while WORKER_FOOTPRINT.scaled(count + 1).fits_within(available):

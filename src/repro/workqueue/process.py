@@ -8,6 +8,16 @@ free.  It is the one real-core executor; the simulated
 :class:`~repro.workqueue.master.WorkQueueMaster` models the cluster in
 virtual time.
 
+The master runs on the caller's thread.  Each worker talks to it over
+its own duplex pipe and sends on its own main thread, so no lock is
+shared between processes: a worker that dies mid-send can truncate only
+its own pipe, never wedge a sibling's results.  ``submit`` hands a task
+to an idle worker at once; ``drain`` is the master's loop — it waits on
+every worker's pipe and process sentinel, reads results, reaps dead or
+timed-out workers, and dispatches the backlog.  Nothing needs the
+master between ``submit`` and ``drain`` (workers run on their own), so
+the executor starts no thread.
+
 Design points, mirroring Work Queue's fault model:
 
 - **Picklable payloads.**  Tasks must carry a payload that survives a
@@ -20,10 +30,11 @@ Design points, mirroring Work Queue's fault model:
   ready for it.
 - **Per-task timeout.**  A task that exceeds ``task.timeout`` has its
   worker terminated and is retried (Work Queue's straggler defense).
-- **Retry on worker death.**  When a worker process dies mid-task —
-  injected fault, OOM kill, segfault in native code — the task is
-  re-queued (up to ``task.max_retries``) and a replacement worker is
-  spawned, matching the re-queue semantics of the simulated master.
+- **Retry on worker death.**  Death is read from the process sentinel.
+  The dead worker's pipe is read once more, so a result sent just
+  before death still counts; otherwise the task is re-queued (up to
+  ``task.max_retries``) and a replacement worker is spawned, matching
+  the re-queue semantics of the simulated master.
 
 Failures are always reported as data: a task that exhausts its retries
 yields a result whose ``error`` is a picklable
@@ -36,8 +47,6 @@ import dataclasses
 import multiprocessing
 import os
 import pickle
-import queue
-import threading
 from collections import deque
 from typing import Any, Optional
 
@@ -51,22 +60,12 @@ __all__ = [
 ]
 
 #: Sentinel tag routing clock-offset handshake tuples through the same
-#: inbox/outbox pair as tasks and results.  Probe (master -> worker):
-#: ``(_HANDSHAKE, t0)``; reply (worker -> master): ``(_HANDSHAKE, name,
-#: t0, w1)``.  FIFO queues guarantee the probe precedes every dispatch
-#: and the reply precedes every result, so the master always holds a
+#: pipe as tasks and results.  Probe (master -> worker): ``(_HANDSHAKE,
+#: t0)``; reply (worker -> master): ``(_HANDSHAKE, name, t0, w1)``.  A
+#: pipe is FIFO, so the probe precedes every dispatch and the reply
+#: precedes every result: the master always holds a
 #: :class:`~repro.obs.stitch.ClockSync` before it must rebase.
 _HANDSHAKE = "__clock_sync__"
-
-#: Sentinel tag of the ``(_WAKE,)`` token ``submit`` puts on the outbox
-#: so the supervisor dispatches at once instead of at its next
-#: ``poll_interval`` timeout; it carries nothing and is dropped on read.
-_WAKE = "__wake__"
-
-#: Supervisor wake-up period in seconds; bounds how fast deaths and
-#: timeouts are detected (a submit wakes the supervisor itself, so
-#: dispatch never waits for it).
-POLL_INTERVAL = 0.02
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -101,15 +100,12 @@ class LocalResult:
         return self.error is None
 
 
-def _worker_main(
-    inbox: Any, outbox: Any, worker_name: str, record_metrics: bool = False
-) -> None:
+def _worker_main(conn: Any, worker_name: str, record_metrics: bool = False) -> None:
     """Worker process loop: run pickled payloads, report results.
 
     The payload arrives pre-pickled (the master controls serialization
-    errors explicitly) and the output is pre-pickled on the way back for
-    the same reason: a ``multiprocessing.Queue`` pickles in a background
-    feeder thread, where failures would vanish silently.
+    errors explicitly) and the output is pre-pickled on the way back, so
+    an unpicklable output comes back as a task error, not a dead worker.
 
     With ``record_metrics`` the worker installs a fresh ambient
     :class:`~repro.obs.Observability` per task, so engine code running
@@ -121,12 +117,15 @@ def _worker_main(
     """
     clock = WallClock()
     while True:
-        item = inbox.get()
+        try:
+            item = conn.recv()
+        except EOFError:
+            return
         if item is None:
             return
         if item[0] == _HANDSHAKE:
             _, master_sent = item
-            outbox.put((_HANDSHAKE, worker_name, master_sent, clock.now()))
+            conn.send((_HANDSHAKE, worker_name, master_sent, clock.now()))
             continue
         task_id, job_id, payload_bytes = item
         worker_obs = (
@@ -163,9 +162,8 @@ def _worker_main(
             )
             metrics = worker_obs.metrics.snapshot()
             spans = (tuple(worker_obs.tracer.events()), worker_obs.tracer.dropped)
-        outbox.put(
+        conn.send(
             (
-                worker_name,
                 task_id,
                 job_id,
                 output_bytes,
@@ -179,16 +177,22 @@ def _worker_main(
 
 
 class _WorkerHandle:
-    """Master-side record of one worker process."""
+    """Master-side record of one worker process and its end of the pipe."""
 
-    __slots__ = ("process", "inbox", "name", "current", "dispatched_at")
+    __slots__ = ("process", "conn", "name", "current", "dispatched_at")
 
-    def __init__(self, process: Any, inbox: Any, name: str) -> None:
+    def __init__(self, process: Any, conn: Any, name: str) -> None:
         self.process = process
-        self.inbox = inbox
+        self.conn = conn
         self.name = name
         self.current: Optional[Task] = None
         self.dispatched_at: float = 0.0
+
+    def deadline(self) -> float | None:
+        """Master-clock instant the current task times out, if it can."""
+        if self.current is None or self.current.timeout is None:
+            return None
+        return self.dispatched_at + self.current.timeout
 
 
 class ProcessWorkQueue:
@@ -202,6 +206,11 @@ class ProcessWorkQueue:
         ...                                           # doctest: +SKIP
         >>> [r.output for r in wq.drain()]            # doctest: +SKIP
         [1024]
+
+    Single-threaded: the master's work happens inside :meth:`submit`
+    (dispatch to an idle worker) and :meth:`drain` (the wait/read/reap/
+    dispatch loop), on the caller's thread.  A worker that finishes
+    while nobody drains just waits with its result in its pipe.
 
     The ``multiprocessing`` start method is ``REPRO_MP_START_METHOD``
     when set, else ``fork`` where available (cheap startup), else
@@ -225,32 +234,18 @@ class ProcessWorkQueue:
             available = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in available else "spawn"
         self._ctx = multiprocessing.get_context(start_method)
-        self._poll_interval = POLL_INTERVAL
-        self._outbox = self._ctx.Queue()  # process-safe
-        self._results: "queue.Queue[LocalResult]" = queue.Queue()  # thread-safe
-
-        self._lock = threading.Lock()
-        self._pending: deque[Task] = deque()  # guarded-by: _lock
-        self._outstanding = 0  # guarded-by: _lock
-        self._shutdown = False  # guarded-by: _lock
-        self._workers: list[_WorkerHandle] = []  # guarded-by: _lock
-        self._completed: set[int] = set()  # guarded-by: _lock
-        self._worker_serial = 0  # guarded-by: _lock
-        self._clock_sync: dict[str, ClockSync] = {}  # guarded-by: _lock
-
-        # No other thread exists yet, so the initial spawn runs unlocked;
-        # forking with the master lock held would stall the first submits.
-        self._workers.extend(self._spawn_worker() for _ in range(n_workers))
-        self._supervisor = threading.Thread(
-            target=self._supervise, name="process-wq-supervisor", daemon=True
-        )
-        self._supervisor.start()
+        self._pending: deque[Task] = deque()
+        self._done: list[LocalResult] = []
+        self._completed: set[int] = set()
+        self._shutdown = False
+        self._worker_serial = 0
+        self._workers = [self._spawn_worker() for _ in range(n_workers)]
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def submit(self, task: Task) -> None:
-        """Queue ``task`` for the next free worker.
+        """Queue ``task`` and hand it to an idle worker if there is one.
 
         Raises:
             ValueError: When the task has no payload the backend can run.
@@ -265,110 +260,114 @@ class ProcessWorkQueue:
                 "cross a process boundary; wrap a module-level function in "
                 "repro.workqueue.task.PayloadSpec instead"
             )
-        with self._lock:
-            if self._shutdown:
-                raise RuntimeError("queue is shut down")
-            self._pending.append(task)
-            self._outstanding += 1
-        self._outbox.put((_WAKE,))
+        if self._shutdown:
+            raise RuntimeError("queue is shut down")
+        self._pending.append(task)
+        self._dispatch()
 
     def drain(self, timeout: float = 60.0) -> list[LocalResult]:
-        """Block until every submitted task has finished; return results.
+        """Run the master's loop until every submitted task has finished.
+
+        Each pass waits — until the drain deadline or the earliest task
+        timeout, whichever is nearer — for a worker's pipe or process
+        sentinel, then reads results, reaps dead or timed-out workers
+        and dispatches the backlog.
 
         Raises:
             TimeoutError: When tasks are still outstanding after
                 ``timeout`` seconds.
         """
+        # Imported here, not with the module: every process that imports
+        # repro would otherwise carry multiprocessing.connection's
+        # imports (~0.4 MB), executor or not.
+        from multiprocessing.connection import wait
+
         deadline = self.obs.clock.now() + timeout
-        collected: list[LocalResult] = []
-        while True:
-            with self._lock:
-                outstanding = self._outstanding
-            if outstanding == 0:
-                break
-            remaining = deadline - self.obs.clock.now()
-            if remaining <= 0:
+        while outstanding := len(self._pending) + sum(
+            1 for w in self._workers if w.current is not None
+        ):
+            now = self.obs.clock.now()
+            if now >= deadline:
                 raise TimeoutError(f"{outstanding} tasks still outstanding")
-            try:
-                result = self._results.get(timeout=min(remaining, 0.5))
-            except queue.Empty:
-                continue
-            collected.append(result)
-            with self._lock:
-                self._outstanding -= 1
-        # Pick up any results that raced the counter.
-        while True:
-            try:
-                collected.append(self._results.get_nowait())
-            except queue.Empty:
-                break
-        return collected
+            task_deadlines = [w.deadline() for w in self._workers]
+            wake = min(
+                [deadline, *(d for d in task_deadlines if d is not None)]
+            )
+            ready = wait(
+                [w.conn for w in self._workers]
+                + [w.process.sentinel for w in self._workers],
+                timeout=max(wake - now, 0.0),
+            )
+            for worker in self._workers:
+                if worker.conn in ready:
+                    self._read(worker)
+            self._reap()
+            self._dispatch()
+        results, self._done = self._done, []
+        return results
 
     def shutdown(self) -> None:
-        with self._lock:
-            if self._shutdown:
-                return
-            self._shutdown = True
-            workers = list(self._workers)
-        for worker in workers:
+        if self._shutdown:
+            return
+        self._shutdown = True
+        for worker in self._workers:
             try:
-                worker.inbox.put(None)
-            except (OSError, ValueError):
+                worker.conn.send(None)
+            except OSError:
                 continue  # worker already gone; nothing to signal
             if self.obs.enabled:
                 self.obs.tracer.instant(
                     "wq.poison_pill", track="master", worker=worker.name
                 )
-        self._supervisor.join(timeout=10.0)
-        for worker in workers:
+        for worker in self._workers:
             worker.process.join(timeout=2.0)
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=2.0)
+            worker.conn.close()
 
     # ------------------------------------------------------------------
-    # Supervisor internals
+    # Master internals
     # ------------------------------------------------------------------
     def _spawn_worker(self) -> _WorkerHandle:
-        """Start one worker process; the caller appends the handle.
-
-        Never called with the master lock held: ``process.start()``
-        blocks on the OS fork/spawn, and ``submit()``/``drain()`` must
-        not stall behind it.  Only the serial counter needs the lock.
-        """
-        with self._lock:
-            serial = self._worker_serial
-            self._worker_serial += 1
-        name = f"proc-worker-{serial}"
-        inbox = self._ctx.Queue()
+        """Start one worker process on a fresh duplex pipe."""
+        name = f"proc-worker-{self._worker_serial}"
+        self._worker_serial += 1
+        conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(inbox, self._outbox, name, self.obs.enabled),
+            args=(child_conn, name, self.obs.enabled),
             name=name,
             daemon=True,
         )
         process.start()
+        # Only the worker may hold the child's end: once it exits, that
+        # end is closed everywhere and a read of ours cannot block.
+        child_conn.close()
         if self.obs.enabled:
-            # Clock-offset probe: first item through the inbox, so the
-            # reply reaches the master before any result from this
-            # worker ever needs rebasing.
-            inbox.put((_HANDSHAKE, self.obs.clock.now()))
+            # Clock-offset probe: first item down the pipe, so the reply
+            # reaches the master before any result from this worker
+            # ever needs rebasing.
+            conn.send((_HANDSHAKE, self.obs.clock.now()))
             self.obs.metrics.inc("wq.worker_spawned")
             self.obs.tracer.instant(
                 "wq.worker_spawned", track="master", worker=name
             )
-        return _WorkerHandle(process, inbox, name)
+        return _WorkerHandle(process, conn, name)
 
-    def _dispatch_one(self, worker: _WorkerHandle) -> bool:  # holds-lock: _lock
-        """Feed the oldest pending task to an idle worker; caller holds
-        the lock."""
-        if not self._pending:
-            return False
-        task = self._pending.popleft()
+    def _dispatch(self) -> None:
+        """Feed the oldest pending tasks to idle workers, in order."""
+        for worker in self._workers:
+            if not self._pending:
+                return
+            if worker.current is None:
+                self._dispatch_one(worker, self._pending.popleft())
+
+    def _dispatch_one(self, worker: _WorkerHandle, task: Task) -> None:
         try:
             payload_bytes = pickle.dumps(task.fn)
         except Exception as exc:  # deliberate: unpicklable payload fails the task
-            self._results.put(
+            self._done.append(
                 LocalResult(
                     task_id=task.task_id,
                     job_id=task.job_id,
@@ -378,13 +377,16 @@ class ProcessWorkQueue:
                     error=TaskError.from_exception(exc),
                 )
             )
-            return True
+            return
         task.attempts += 1
         task.tried_workers.add(worker.name)
         task.payload_bytes = len(payload_bytes)
         worker.current = task
         worker.dispatched_at = self.obs.clock.now()
-        worker.inbox.put((task.task_id, task.job_id, payload_bytes))
+        try:
+            worker.conn.send((task.task_id, task.job_id, payload_bytes))
+        except OSError:
+            pass  # the worker is dead: the next reap requeues the task
         if self.obs.enabled:
             self.obs.metrics.inc("wq.dispatched")
             self.obs.metrics.observe(
@@ -400,25 +402,34 @@ class ProcessWorkQueue:
                 job_id=task.job_id,
                 task_id=task.task_id,
             )
-        return True
 
-    def _handle_result(self, item: tuple) -> None:
-        if item[0] == _WAKE:
-            return
+    def _read(self, worker: _WorkerHandle) -> None:
+        """Handle every complete message waiting in ``worker``'s pipe.
+
+        A pipe at end-of-file, or holding a message cut short by its
+        writer's death, just stops the read: the sentinel reports the
+        death.
+        """
+        while True:
+            try:
+                if not worker.conn.poll():
+                    return
+                item = worker.conn.recv()
+            except (EOFError, OSError):
+                return
+            self._handle(worker, item)
+
+    def _handle(self, worker: _WorkerHandle, item: tuple) -> None:
         if item[0] == _HANDSHAKE:
             _, worker_name, master_sent, worker_reply = item
-            sync = ClockSync(
+            self.obs.stitch[worker_name] = ClockSync(
                 worker=worker_name,
                 master_sent=master_sent,
                 worker_reply=worker_reply,
                 master_received=self.obs.clock.now(),
             )
-            with self._lock:
-                self._clock_sync[worker_name] = sync
-            self.obs.stitch[worker_name] = sync
             return
         (
-            worker_name,
             task_id,
             job_id,
             output_bytes,
@@ -428,13 +439,10 @@ class ProcessWorkQueue:
             payload_nbytes,
             span_payload,
         ) = item
-        with self._lock:
-            if task_id in self._completed:
-                return  # duplicate from a retry whose first attempt landed
-            self._completed.add(task_id)
-            for worker in self._workers:
-                if worker.name == worker_name:
-                    worker.current = None
+        worker.current = None
+        if task_id in self._completed:
+            return  # duplicate from a retry whose first attempt landed
+        self._completed.add(task_id)
         result_nbytes = len(output_bytes)
         if self.obs.enabled:
             self.obs.metrics.inc("wq.completed")
@@ -447,7 +455,7 @@ class ProcessWorkQueue:
                 "wq.task",
                 start=end - wall_time,
                 end=end,
-                track=worker_name,
+                track=worker.name,
                 job_id=job_id,
                 task_id=task_id,
                 ok=error is None,
@@ -455,12 +463,12 @@ class ProcessWorkQueue:
             if metrics is not None:
                 self.obs.metrics.merge(metrics)
             if span_payload is not None:
-                self._stitch_spans(worker_name, span_payload)
-        self._results.put(
+                self._stitch_spans(worker.name, span_payload)
+        self._done.append(
             LocalResult(
                 task_id=task_id,
                 job_id=job_id,
-                worker_name=worker_name,
+                worker_name=worker.name,
                 output=pickle.loads(output_bytes),
                 wall_time=wall_time,
                 error=error,
@@ -473,23 +481,20 @@ class ProcessWorkQueue:
     def _stitch_spans(self, worker_name: str, span_payload: tuple) -> None:
         """Rebase one worker's shipped spans onto the master timeline.
 
-        Runs on the supervisor thread after a result lands.  Without a
-        :class:`ClockSync` for the worker (tracing enabled mid-run, or a
-        lost handshake reply) the spans are dropped and counted rather
-        than recorded with meaningless timestamps.
+        Without a :class:`ClockSync` for the worker (tracing enabled
+        mid-run, or a lost handshake reply) the spans are dropped and
+        counted rather than recorded with meaningless timestamps.
         """
         events, worker_dropped = span_payload
-        with self._lock:
-            sync = self._clock_sync.get(worker_name)
-            if sync is not None and worker_dropped:
-                sync = dataclasses.replace(
-                    sync, dropped_spans=sync.dropped_spans + worker_dropped
-                )
-                self._clock_sync[worker_name] = sync
+        sync = self.obs.stitch.get(worker_name)
         if sync is None:
             self.obs.metrics.inc("wq.unstitched_spans", len(events))
             return
-        self.obs.stitch[worker_name] = sync
+        if worker_dropped:
+            sync = dataclasses.replace(
+                sync, dropped_spans=sync.dropped_spans + worker_dropped
+            )
+            self.obs.stitch[worker_name] = sync
         for event in rebase_events(events, sync):
             if event.kind == "instant":
                 self.obs.tracer.record_instant(
@@ -502,8 +507,8 @@ class ProcessWorkQueue:
                     **event.attr_dict(),
                 )
 
-    def _fail_or_requeue(self, task: Task, reason: str) -> None:  # holds-lock: _lock
-        """Retry a task lost to a dead/timed-out worker; caller holds lock."""
+    def _fail_or_requeue(self, task: Task, reason: str) -> None:
+        """Retry a task lost to a dead/timed-out worker, or fail it."""
         if task.task_id in self._completed:
             return  # its result already came back; nothing was lost
         if task.attempts <= task.max_retries:
@@ -530,7 +535,7 @@ class ProcessWorkQueue:
                 reason=reason,
                 attempts=task.attempts,
             )
-        self._results.put(
+        self._done.append(
             LocalResult(
                 task_id=task.task_id,
                 job_id=task.job_id,
@@ -548,99 +553,43 @@ class ProcessWorkQueue:
             )
         )
 
-    def _reap_and_dispatch(self) -> bool:
-        """One supervisor pass; returns True when the loop should exit.
+    def _reap(self) -> None:
+        """Terminate stragglers, then replace every dead worker.
 
-        Straggler termination, death detection, and replacement spawning
-        all block on the OS, so they run with the master lock released:
-        the pass snapshots the worker list under the lock, reaps
-        unlocked, then reacquires the lock to requeue lost tasks,
-        install the new worker list, and dispatch.  ``_workers`` is only
-        reassigned on this (supervisor) thread — ``submit``/``shutdown``
-        just read it — so the snapshot cannot lose a concurrent append,
-        and ``worker.current`` is likewise supervisor-private.
+        A dead worker's pipe is read once more first: a result it sent
+        just before dying counts, and only a task that never came back
+        is requeued or failed.
         """
         now = self.obs.clock.now()
-        with self._lock:
-            workers = list(self._workers)
-            shutting_down = self._shutdown
         survivors: list[_WorkerHandle] = []
-        dead: list[tuple[_WorkerHandle, bool]] = []
-        for worker in workers:
-            timed_out = (
-                worker.current is not None
-                and worker.current.timeout is not None
-                and now - worker.dispatched_at > worker.current.timeout
-            )
+        for worker in self._workers:
+            deadline = worker.deadline()
+            timed_out = deadline is not None and now > deadline
             if timed_out and worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=1.0)
             if worker.process.is_alive():
                 survivors.append(worker)
-            else:
-                dead.append((worker, timed_out))
-        if dead and self.obs.enabled:
-            for worker, timed_out in dead:
-                if timed_out:
-                    self.obs.metrics.inc("wq.timeouts")
-                else:
-                    self.obs.metrics.inc("wq.worker_death")
+                continue
+            self._read(worker)
+            worker.conn.close()
+            if self.obs.enabled:
+                self.obs.metrics.inc("wq.timeouts" if timed_out else "wq.worker_death")
                 self.obs.tracer.instant(
                     "wq.worker_death",
                     track="master",
                     worker=worker.name,
                     reason="timeout" if timed_out else "died",
                 )
-        any_alive = bool(survivors)
-        replacements: list[_WorkerHandle] = []
-        if dead and not shutting_down:
-            replacements = [self._spawn_worker() for _ in dead]
-            any_alive = True
-            if self.obs.enabled:
-                self.obs.metrics.inc("wq.worker_respawn", len(replacements))
-        with self._lock:
-            for worker, timed_out in dead:
-                if worker.current is not None:
-                    reason = (
-                        f"task exceeded timeout={worker.current.timeout}s"
-                        if timed_out
-                        else f"worker {worker.name} died"
-                    )
-                    self._fail_or_requeue(worker.current, reason)
-                    worker.current = None
-            self._workers = survivors + replacements
-            shutting_down = self._shutdown
-            if not shutting_down:
-                for worker in self._workers:
-                    if worker.current is None and not self._dispatch_one(worker):
-                        break
-        if shutting_down:
-            # Replacements spawned while shutdown() was signalling missed
-            # its poison pills; stop them here so the loop can converge.
-            for worker in replacements:
-                try:
-                    worker.inbox.put(None)
-                except (OSError, ValueError):
-                    continue  # queue already closed; worker is exiting anyway
+            if worker.current is not None:
+                reason = (
+                    f"task exceeded timeout={worker.current.timeout}s"
+                    if timed_out
+                    else f"worker {worker.name} died"
+                )
+                self._fail_or_requeue(worker.current, reason)
+            if not self._shutdown:
+                survivors.append(self._spawn_worker())
                 if self.obs.enabled:
-                    self.obs.tracer.instant(
-                        "wq.poison_pill", track="master", worker=worker.name
-                    )
-        return shutting_down and not any_alive
-
-    def _supervise(self) -> None:
-        while True:
-            try:
-                item = self._outbox.get(timeout=self._poll_interval)
-            except queue.Empty:
-                item = None
-            if item is not None:
-                self._handle_result(item)
-                # Drain whatever else is ready before the housekeeping pass.
-                while True:
-                    try:
-                        self._handle_result(self._outbox.get_nowait())
-                    except queue.Empty:
-                        break
-            if self._reap_and_dispatch():
-                return
+                    self.obs.metrics.inc("wq.worker_respawn")
+        self._workers = survivors

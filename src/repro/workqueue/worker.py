@@ -16,7 +16,7 @@ import itertools
 from typing import Callable, Optional
 
 from repro.cluster.condor import Placement
-from repro.cluster.simulation import EventHandle, Simulator
+from repro.cluster.simulation import Simulator
 from repro.workqueue.task import CostModel, Task, TaskResult
 
 __all__ = [
@@ -43,15 +43,10 @@ class SimulatedWorker:
         self.current_task: Optional[Task] = None
         self.retired = False
         self.completed_count = 0
-        self._completion: Optional[EventHandle] = None
 
     @property
     def busy(self) -> bool:
         return self.current_task is not None
-
-    @property
-    def node_name(self) -> str:
-        return self.placement.node.name
 
     def execute(
         self,
@@ -76,8 +71,6 @@ class SimulatedWorker:
             raise RuntimeError(f"{self.name} is already running a task")
         if self.retired:
             raise RuntimeError(f"{self.name} is retired")
-        if not self.placement.node.alive:
-            raise RuntimeError(f"node {self.node_name} is down")
         if start_delay < 0:
             raise ValueError("start_delay must be >= 0")
         self.current_task = task
@@ -94,18 +87,14 @@ class SimulatedWorker:
         ):
             def _abort() -> None:
                 self.current_task = None
-                self._completion = None
                 on_timeout(self, task)
 
-            self._completion = self.simulator.schedule(
-                start_delay + task.timeout, _abort
-            )
+            self.simulator.schedule(start_delay + task.timeout, _abort)
             return
         duration = start_delay + execution
 
         def _complete() -> None:
             self.current_task = None
-            self._completion = None
             self.completed_count += 1
             output = task.run()
             result = TaskResult(
@@ -119,16 +108,7 @@ class SimulatedWorker:
             )
             on_done(self, result)
 
-        self._completion = self.simulator.schedule(duration, _complete)
-
-    def interrupt(self) -> Optional[Task]:
-        """Abort the in-flight task (node failure); returns it for requeue."""
-        task = self.current_task
-        if self._completion is not None:
-            self._completion.cancel()
-            self._completion = None
-        self.current_task = None
-        return task
+        self.simulator.schedule(duration, _complete)
 
     def retire(self) -> None:
         """Stop accepting tasks and release the placement when idle.

@@ -122,17 +122,6 @@ class TestCondorPool:
             pool.place_many(3)
         assert pool.free_cores() == 2  # nothing leaked
 
-    def test_failed_node_excluded(self):
-        pool = CondorPool(uniform_pool(2, cores=1))
-        pool.fail_node("node-0000")
-        placement = pool.place()
-        assert placement.node.name == "node-0001"
-
-    def test_fail_unknown_node(self):
-        pool = CondorPool(uniform_pool(1))
-        with pytest.raises(KeyError):
-            pool.fail_node("nope")
-
     def test_duplicate_names_rejected(self):
         specs = [NodeSpec(name="x"), NodeSpec(name="x")]
         with pytest.raises(ValueError, match="duplicate"):

@@ -213,13 +213,3 @@ class TestRealProcessWorkqueue:
             rules=all_rules(["SSTD007", "SSTD008"]),
         )
         assert findings == [], [f.format() for f in findings]
-
-    def test_spawn_is_outside_the_lock_so_pass_is_not_vacuous(self):
-        # The supervisor restructure moved process start/terminate/join
-        # out of the master critical section; make the shape explicit so
-        # a revert reads as a test failure, not a silent regression.
-        source = Path(process_module.__file__).read_text()
-        assert "workers = list(self._workers)" in source
-        assert "# holds-lock" not in source.split("def _spawn_worker")[1].split(
-            "def "
-        )[0]

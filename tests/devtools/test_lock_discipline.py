@@ -1,16 +1,18 @@
 """SSTD003 against the real process-backed executor and synthetic breaks.
 
 The positive half runs the rule over the actual source of
-:mod:`repro.workqueue.process` — the module whose ``# guarded-by:``
-annotations the rule polices — and requires a clean pass.  The negative
-half seeds unguarded mutations and requires them flagged.
+:mod:`repro.workqueue.process` and requires a clean pass; the executor
+is single-threaded, which a runtime check pins.  The negative half
+seeds unguarded mutations and requires them flagged.
 """
 
-import re
+import threading
 from pathlib import Path
 
 import repro.workqueue.process as process_module
 from repro.devtools.lint import all_rules, lint_source
+from repro.obs import Observability
+from repro.workqueue import PayloadSpec, ProcessWorkQueue, Task
 
 RULES = all_rules(["SSTD003"])
 
@@ -52,14 +54,22 @@ class TestRealWorkqueueLocal:
         )
         assert findings == [], [f.format() for f in findings]
 
-    def test_annotations_present_so_pass_is_not_vacuous(self):
-        source = Path(process_module.__file__).read_text()
-        for field in (
-            "_pending", "_outstanding", "_shutdown", "_workers", "_completed"
-        ):
-            assert re.search(
-                rf"self\.{field}\b[^\n]*# guarded-by: _lock", source
-            ), field
+    def test_executor_starts_no_thread(self):
+        """No lock is needed because no second thread exists: the master
+        runs on the caller's thread, and pipes have no feeder threads."""
+        before = threading.active_count()
+        wq = ProcessWorkQueue(n_workers=2, obs=Observability())
+        try:
+            assert threading.active_count() == before
+            for k in range(4):
+                wq.submit(Task(job_id=f"j{k}", fn=PayloadSpec(abs, (-k,))))
+            assert threading.active_count() == before
+            results = wq.drain(timeout=30.0)
+            assert sorted(r.output for r in results) == [0, 1, 2, 3]
+            assert threading.active_count() == before
+        finally:
+            wq.shutdown()
+        assert threading.active_count() == before
 
 
 class TestSyntheticViolations:

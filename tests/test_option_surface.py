@@ -31,8 +31,6 @@ from repro.baselines import (
 )
 from repro.cluster import (
     CondorPool,
-    FailureConfig,
-    FailureInjector,
     NodeSpec,
     PeriodicTask,
     ResourceSpec,
@@ -40,7 +38,6 @@ from repro.cluster import (
     heterogeneous_pool,
     uniform_pool,
 )
-from repro.cluster.failures import FailureLogEntry
 from repro.control.controller import ControlConfig, Controller, replay_trajectory
 from repro.core.acs import ACSConfig
 from repro.core.dependencies import CorrelatedSSTD, CorrelationConfig
@@ -96,7 +93,6 @@ CONFIG_FIELDS = {
         "deadline",
         "max_workers",
         "seed",
-        "failures",
         "backend",
         "drain_timeout",
         "observability",
@@ -116,7 +112,6 @@ CONFIG_FIELDS = {
         "retweet_propensity_range",
     ),
     CorrelationConfig: ("blend",),
-    FailureConfig: ("mean_repair_time", "default_mtbf"),
 }
 
 #: Parameters with a default, i.e. the ones a caller may leave out.
@@ -183,9 +178,7 @@ KEYWORDS = {
     # repro.cluster
     CondorPool.place: (),
     CondorPool.place_many: (),
-    FailureInjector: ("config", "rng"),
-    FailureLogEntry: ("requeued_tasks",),
-    NodeSpec: ("capacity", "speed_factor", "mtbf_seconds"),
+    NodeSpec: ("capacity", "speed_factor"),
     ResourceSpec: ("cores", "memory_mb", "disk_mb"),
     heterogeneous_pool: ("rng",),
     uniform_pool: ("cores",),

@@ -18,21 +18,6 @@ def make_pool(nodes, **kwargs):
 
 
 class TestCapacityLimit:
-    def test_zero_alive_nodes(self):
-        pool, condor = make_pool(uniform_pool(2, cores=4))
-        for node in condor.nodes:
-            node.fail()
-        assert condor.alive_nodes == []
-        assert pool.capacity_limit() == 0
-        # Growth saturates immediately instead of raising.
-        assert pool.scale_to(3) == 0
-
-    def test_dead_nodes_excluded_from_capacity(self):
-        pool, condor = make_pool(uniform_pool(2, cores=4))
-        full = pool.capacity_limit()
-        condor.nodes[0].fail()
-        assert pool.capacity_limit() == full // 2
-
     def test_footprint_larger_than_any_node(self):
         # Every node has less memory than one WORKER_FOOTPRINT.
         nodes = [

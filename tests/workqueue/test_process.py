@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.workqueue import PayloadSpec, ProcessWorkQueue, Task, TaskError, process
+from repro.workqueue import PayloadSpec, ProcessWorkQueue, Task, TaskError
 
 
 # ---------------------------------------------------------------------------
@@ -27,6 +27,12 @@ def die_unless_marker(path):
             pass
         os._exit(17)
     return "survived"
+
+
+def touch(path):
+    with open(path, "w", encoding="utf-8"):
+        pass
+    return "touched"
 
 
 def die_always():
@@ -154,22 +160,17 @@ class TestProcessWorkQueue:
         (result,) = wq.drain(timeout=30.0)
         assert result.wall_time >= 0.05
 
-    def test_submit_wakes_the_supervisor(self, monkeypatch):
-        """Dispatch never waits out ``POLL_INTERVAL``: a task submitted
-        to an idle queue is picked up at once."""
-        monkeypatch.setattr(process, "POLL_INTERVAL", 5.0)
-        wq = ProcessWorkQueue(n_workers=1)
-        try:
-            # Warm-up: worker up, supervisor back in its 5 s outbox wait.
-            wq.submit(Task(job_id="warm", fn=PayloadSpec(double, (1,))))
-            wq.drain(timeout=30.0)
-            start = time.monotonic()
-            wq.submit(Task(job_id="j", fn=PayloadSpec(double, (21,))))
-            (result,) = wq.drain(timeout=30.0)
-            assert time.monotonic() - start < 1.0
-            assert result.output == 42
-        finally:
-            wq.shutdown()
+    def test_submit_dispatches_to_an_idle_worker(self, wq, tmp_path):
+        """``submit`` hands the task over at once: it runs before anyone
+        calls ``drain``."""
+        marker = tmp_path / "ran"
+        wq.submit(Task(job_id="j", fn=PayloadSpec(touch, (str(marker),))))
+        deadline = time.monotonic() + 10.0
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert marker.exists()
+        (result,) = wq.drain(timeout=30.0)
+        assert result.output == "touched"
 
     def test_results_round_trip_pickle(self, wq):
         """Results (including errors) survive serialization intact."""

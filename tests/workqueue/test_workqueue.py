@@ -164,18 +164,6 @@ class TestMasterDispatch:
 
 
 class TestWorkerFaults:
-    def test_requeue_from_failed_worker(self):
-        simulator, condor, master, _ = make_stack(n_workers=2)
-        master.submit(Task(job_id="a", data_size=100.0, fn=lambda: "ok"))
-        simulator.run(until=2.0)  # task in flight
-        victim = next(w for w in master.workers if w.busy)
-        victim.placement.node.fail()
-        task = master.requeue_from(victim)
-        assert task is not None
-        master.wait_all()
-        outputs = [r.output for r in master.results]
-        assert outputs == ["ok"]
-
     def test_busy_worker_rejects_second_task(self):
         simulator, _, master, _ = make_stack(n_workers=1)
         worker = master.workers[0]
