@@ -5,8 +5,8 @@ stack:
 
 - :mod:`repro.devtools.lint` — a project-specific AST lint engine whose
   SSTD rules enforce invariants that neither the Python runtime nor
-  the test suite checks (lock discipline in the Work Queue layer,
-  blocking under a lock, resources released on exception paths, seeded
+  the test suite checks (lock discipline for the shared state of
+  ``repro.obs``, resources released on exception paths, seeded
   randomness, log-space numerics confined to the sanctioned helpers,
   ...); rules whose bugs a runtime check or a test already catches
   were retired (DESIGN.md §7).  Run it with

@@ -1,20 +1,17 @@
-"""Project-wide call graph and bottom-up function summaries.
+"""Project-wide call resolution for the resource-lifecycle rule (SSTD014).
 
-The flow walker (:mod:`repro.devtools.lint.flow`) is deliberately
-intraprocedural: one class at a time, one level of ``self.<helper>()``.
-That misses the hazards the paper's master/worker runtime grows into —
-a blocking call reached through a module-level helper or a cross-class
-handoff (``workqueue.process`` → ``obs.metrics``), a ``# holds-lock:``
-helper called from another class, a resource handed out by a factory.
-This module closes the gap in three stages:
+SSTD014 must know that ``executor = self._make_executor()`` acquires a
+``ProcessWorkQueue`` and that ``stack.publish()`` returns a
+shared-memory owner, although neither call names the resource.  This
+module resolves such calls across the linted file set in two stages:
 
 1. **Per-module summaries** (:class:`ModuleInfo`).  Each file is
    reduced to a record of every function/method with its calls
    (canonicalized against the file's imports but *unresolved* — no
-   other module's content is consulted), the lockset held at each call,
-   its declared ``# holds-lock:`` entry locks, whether it contains a
-   *leaf* blocking call, and the calls whose result it may return,
-   plus per-class metadata (bases, methods, class-valued attributes).
+   other module's content is consulted) and the calls whose result it
+   may return, plus per-class metadata (bases, methods, class-valued
+   attributes).  Receivers are typed from constructor calls, annotated
+   parameters and annotated assignments (:func:`annotation_class`).
 
 2. **Global resolution** (:class:`ProjectAnalysis`).  Call references
    are resolved across modules: re-exports are followed through
@@ -24,15 +21,10 @@ This module closes the gap in three stages:
    build, and attribute chains (``self.obs.metrics.inc``) walk the
    class-valued attribute tables.
 
-3. **The may-block fixpoint.**  A function blocks if it has a leaf
-   blocking call or calls one that may block; the call chain to the
-   blocking leaf is kept for SSTD008's diagnostic.
-
 Known false-negative limits (see DESIGN.md): dynamic dispatch through
 untyped values, callables stored in containers, monkey-patching, and
-receivers the attribute tables cannot type are all invisible; the
-analysis is deliberately unsound-but-useful, tuned to the annotation
-discipline this repo already enforces.
+receivers the attribute tables cannot type are all invisible; an
+unresolvable call stays unresolved rather than guessed.
 """
 
 from __future__ import annotations
@@ -43,29 +35,179 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
 from repro.devtools.lint.engine import FileContext, module_name_for
-from repro.devtools.lint.flow import (
-    ClassFlow,
-    MethodFlow,
-    analyze_class,
-    analyze_function,
-    blocking_reason,
-)
-from repro.devtools.lint.names import ImportMap, dotted_name
+from repro.devtools.lint.names import ImportMap, dotted_name, self_attr
 
 __all__ = [
-    "BlockSummary",
     "CallRef",
     "ClassInfo",
     "FunctionNode",
     "ModuleInfo",
     "ProjectAnalysis",
     "ResolvedCall",
+    "annotation_class",
     "build_module_info",
     "build_project",
     "build_project_for_context",
 ]
 
 _FOLLOW_LIMIT = 16  # re-export chains are short; bound the walk anyway
+
+_Function = ast.FunctionDef | ast.AsyncFunctionDef
+
+
+# ---------------------------------------------------------------------------
+# Receiver typing
+# ---------------------------------------------------------------------------
+
+
+def annotation_class(ann: Optional[ast.expr]) -> Optional[str]:
+    """Candidate class name carried by a type annotation.
+
+    ``Observability``, ``Observability | None``,
+    ``Optional[Observability]``, and the stringified forms all yield
+    ``"Observability"``; unions of two real classes yield nothing (the
+    choice would be a guess).
+    """
+    if ann is None:
+        return None
+    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+        try:
+            ann = ast.parse(ann.value, mode="eval").body
+        except SyntaxError:
+            return None
+    candidates: list[str] = []
+    for node in ast.walk(ann):
+        name = None
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            # Skip inner parts of an Attribute chain we already took.
+            name = dotted_name(node)
+        if name is None:
+            continue
+        last = name.rsplit(".", 1)[-1]
+        if last in ("None", "Optional", "Union") or not last[:1].isupper():
+            continue
+        if name not in candidates:
+            candidates.append(name)
+        # Only consider the outermost chain once.
+        break
+    return candidates[0] if len(candidates) == 1 else None
+
+
+def _params_of(node: _Function) -> dict[str, str]:
+    """Parameter name -> annotated class text for one signature."""
+    params: dict[str, str] = {}
+    args = node.args
+    for arg in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
+        candidate = annotation_class(arg.annotation)
+        if candidate is not None:
+            params[arg.arg] = candidate
+    return params
+
+
+def _ctor_class_text(expr: ast.expr, params: Mapping[str, str]) -> Optional[str]:
+    """Raw dotted class text a value expression instantiates, if any.
+
+    ``Observability(...)`` yields ``"Observability"``;
+    ``Observability.from_env()`` yields ``"Observability.from_env"``
+    (resolution decides whether that is a classmethod factory); a bare
+    parameter name annotated with a class yields the annotated class;
+    ``a if c else b`` tries both branches.  Library constructors
+    (``threading.Lock()``, ``list()``) yield text too; it simply never
+    resolves to a project class.
+    """
+    if isinstance(expr, ast.Call):
+        return dotted_name(expr.func)
+    if isinstance(expr, ast.Name):
+        return params.get(expr.id)
+    if isinstance(expr, ast.IfExp):
+        return _ctor_class_text(expr.body, params) or _ctor_class_text(
+            expr.orelse, params
+        )
+    return None
+
+
+def _attr_classes(cls: ast.ClassDef) -> dict[str, str]:
+    """Raw dotted class text per class-valued ``self.<attr>``.
+
+    The first typed assignment wins; an annotation beats the value, and
+    parameters are typed from the enclosing method's signature.
+    """
+    out: dict[str, str] = {}
+    for method in cls.body:
+        if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        params = _params_of(method)
+        for node in ast.walk(method):
+            if isinstance(node, ast.Assign):
+                targets, text = node.targets, None
+            elif isinstance(node, ast.AnnAssign):
+                targets, text = [node.target], annotation_class(node.annotation)
+            else:
+                continue
+            attrs = [a for a in map(self_attr, targets) if a is not None]
+            if not attrs:
+                continue
+            if text is None and node.value is not None:
+                text = _ctor_class_text(node.value, params)
+            if text is None:
+                continue
+            for attr in attrs:
+                out.setdefault(attr, text)
+    return out
+
+
+@dataclass(slots=True)
+class _Body:
+    """The calls of one function body and the classes of its locals."""
+
+    calls: list[ast.Call]
+    #: Local name -> raw class text of its last assignment.
+    local_classes: dict[str, str]
+    params: dict[str, str]
+
+
+def _scan_body(func: _Function, attr_classes: Mapping[str, str]) -> _Body:
+    """Collect a body's calls and type its locals, in source order.
+
+    Nested ``def`` bodies are scanned as part of the function (they run
+    in its scope); nested classes are not.  A local keeps the class of
+    its last assignment, so a rebinding to an untyped value forgets it.
+    """
+    body = _Body(calls=[], local_classes={}, params=_params_of(func))
+
+    def assign(target: ast.expr, value: ast.expr) -> None:
+        if not isinstance(target, ast.Name):
+            return
+        body.local_classes.pop(target.id, None)
+        attr = self_attr(value)
+        text = (
+            attr_classes.get(attr)
+            if attr is not None
+            else _ctor_class_text(value, body.params)
+        )
+        if text is not None:
+            body.local_classes[target.id] = text
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, ast.ClassDef):
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for stmt in node.body:
+                visit(stmt)
+            return
+        if isinstance(node, ast.Call):
+            body.calls.append(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                assign(target, node.value)
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            assign(node.target, node.value)
+
+    for stmt in func.body:
+        visit(stmt)
+    return body
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +230,6 @@ class CallRef:
     """
 
     ref: str
-    held: tuple[str, ...]
     line: int
     col: int
 
@@ -100,11 +241,6 @@ class FunctionNode:
     qualname: str
     cls: Optional[str]
     name: str
-    line: int
-    col: int
-    entry_locks: tuple[str, ...]
-    #: (reason, line, col) of the first *leaf* blocking call, if any.
-    block: Optional[tuple[str, int, int]]
     calls: tuple[CallRef, ...]
     #: Canonical refs of calls whose result this function may return
     #: (``return f(...)`` or ``x = f(...) ... return x``); the resource
@@ -139,33 +275,6 @@ class ModuleInfo:
     classes: dict[str, ClassInfo]
 
 
-def _class_effects_fixpoint(
-    ctx: FileContext, cls: ast.ClassDef
-) -> ClassFlow:
-    """Analyze a class, iterating same-class helper lock effects.
-
-    ``self._take()`` / ``self._give()`` helpers change the lockset at
-    their call sites; one ``analyze_class`` pass computes each method's
-    net effects, the next applies them, until stable (bounded — the
-    lattice of (acquired, released) pairs over a class's few locks is
-    tiny).
-    """
-    effects: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
-    flow = analyze_class(ctx, cls)
-    for _ in range(4):
-        new: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
-        for name, method in flow.methods.items():
-            acquired = method.exit_locks - method.entry_locks
-            released = method.entry_locks - method.exit_locks
-            if acquired or released:
-                new[name] = (acquired, released)
-        if new == effects:
-            break
-        effects = new
-        flow = analyze_class(ctx, cls, helper_effects=effects)
-    return flow
-
-
 class _RefBuilder:
     """Canonicalizes call references against one module's namespace."""
 
@@ -196,7 +305,7 @@ class _RefBuilder:
         callee: Optional[str],
         cls_name: Optional[str],
         attr_classes: Mapping[str, str],
-        method: MethodFlow,
+        body: _Body,
     ) -> Optional[str]:
         if not callee:
             return None
@@ -213,7 +322,7 @@ class _RefBuilder:
             if base is None:
                 return None
             return f"attr:{self.canon(base)}.{chain}"
-        local = method.local_classes.get(root) or method.params.get(root)
+        local = body.local_classes.get(root) or body.params.get(root)
         if local is not None:
             if not rest:
                 return None  # bare ``instance()`` — __call__, out of scope
@@ -229,16 +338,8 @@ class _RefBuilder:
         return f"path:{target}.{rest}" if target else None
 
 
-def build_module_info(
-    ctx: FileContext,
-    flows: Optional[dict[str, ClassFlow]] = None,
-) -> ModuleInfo:
-    """Reduce one parsed file to its summary.
-
-    ``flows``, when given, is filled with the (effects-aware) per-class
-    flows computed along the way so callers can reuse them instead of
-    re-walking.
-    """
+def build_module_info(ctx: FileContext) -> ModuleInfo:
+    """Reduce one parsed file to its summary."""
     imports = ImportMap(ctx.tree)
     top_classes = [
         node for node in ctx.tree.body if isinstance(node, ast.ClassDef)
@@ -255,76 +356,41 @@ def build_module_info(
         func_names=frozenset(f.name for f in top_funcs),
     )
 
+    def node_for(
+        func: _Function, cls_name: Optional[str], attr_classes: Mapping[str, str]
+    ) -> FunctionNode:
+        body = _scan_body(func, attr_classes)
+
+        def ref_of(call: ast.Call) -> Optional[str]:
+            return refs.ref_for(
+                dotted_name(call.func), cls_name, attr_classes, body
+            )
+
+        calls = []
+        for call in body.calls:
+            ref = ref_of(call)
+            if ref is not None:
+                calls.append(
+                    CallRef(ref=ref, line=call.lineno, col=call.col_offset)
+                )
+        owner = f"{ctx.module}.{cls_name}" if cls_name else ctx.module
+        return FunctionNode(
+            qualname=f"{owner}.{func.name}",
+            cls=cls_name,
+            name=func.name,
+            calls=tuple(calls),
+            returned_refs=_returned_refs(func, ref_of),
+        )
+
     functions: list[FunctionNode] = []
     classes: dict[str, ClassInfo] = {}
-
-    def globalize(cls_name: str, locks: Iterable[str]) -> tuple[str, ...]:
-        return tuple(
-            sorted(f"{ctx.module}.{cls_name}.{lock}" for lock in locks)
-        )
-
-    def node_for(
-        method: MethodFlow,
-        cls_name: Optional[str],
-        attr_classes: Mapping[str, str],
-        model,
-    ) -> FunctionNode:
-        qual = (
-            f"{ctx.module}.{cls_name}.{method.name}"
-            if cls_name
-            else f"{ctx.module}.{method.name}"
-        )
-        block: Optional[tuple[str, int, int]] = None
-        calls: list[CallRef] = []
-        for event in method.calls:
-            if block is None:
-                reason = blocking_reason(event, model, method, imports)
-                if reason is not None:
-                    # The flow-layer phrasing ends with a splice comma
-                    # ("... blocks until exit,"); summaries store the
-                    # clause standalone.
-                    block = (
-                        reason.rstrip(","),
-                        event.node.lineno,
-                        event.node.col_offset,
-                    )
-            ref = refs.ref_for(event.callee, cls_name, attr_classes, method)
-            if ref is not None:
-                held = (
-                    globalize(cls_name, event.held)
-                    if cls_name
-                    else tuple(sorted(event.held))
-                )
-                calls.append(
-                    CallRef(
-                        ref=ref,
-                        held=held,
-                        line=event.node.lineno,
-                        col=event.node.col_offset,
-                    )
-                )
-        entry = (
-            globalize(cls_name, method.entry_locks) if cls_name else ()
-        )
-        return FunctionNode(
-            qualname=qual,
-            cls=cls_name,
-            name=method.name,
-            line=method.node.lineno,
-            col=method.node.col_offset,
-            entry_locks=entry,
-            block=block,
-            calls=tuple(calls),
-            returned_refs=_returned_refs(
-                method, cls_name, attr_classes, refs
-            ),
-        )
-
     for cls in top_classes:
-        flow = _class_effects_fixpoint(ctx, cls)
-        if flows is not None:
-            flows[cls.name] = flow
-        model = flow.model
+        attr_classes = _attr_classes(cls)
+        methods = [
+            node
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
         classes[cls.name] = ClassInfo(
             name=cls.name,
             module=ctx.module,
@@ -333,20 +399,15 @@ def build_module_info(
                 for text in (dotted_name(base) for base in cls.bases)
                 if text is not None
             ),
-            methods=tuple(flow.methods),
+            methods=tuple(method.name for method in methods),
             attr_classes={
-                attr: refs.canon(text)
-                for attr, text in model.attr_classes.items()
+                attr: refs.canon(text) for attr, text in attr_classes.items()
             },
         )
-        for method in flow.methods.values():
-            functions.append(
-                node_for(method, cls.name, model.attr_classes, model)
-            )
-
-    for func in top_funcs:
-        method = analyze_function(ctx, func)
-        functions.append(node_for(method, None, {}, None))
+        functions.extend(
+            node_for(method, cls.name, attr_classes) for method in methods
+        )
+    functions.extend(node_for(func, None, {}) for func in top_funcs)
 
     return ModuleInfo(
         module=ctx.module,
@@ -357,12 +418,7 @@ def build_module_info(
     )
 
 
-def _returned_refs(
-    method: MethodFlow,
-    cls_name: Optional[str],
-    attr_classes: Mapping[str, str],
-    refs: _RefBuilder,
-) -> tuple[str, ...]:
+def _returned_refs(func: _Function, ref_of) -> tuple[str, ...]:
     """Canonical refs of calls whose result the function may return.
 
     Covers ``return f(...)`` directly and the two-step
@@ -374,11 +430,6 @@ def _returned_refs(
     """
     assigned: dict[str, str] = {}
     out: list[str] = []
-
-    def ref_of(call: ast.Call) -> Optional[str]:
-        return refs.ref_for(
-            dotted_name(call.func), cls_name, attr_classes, method
-        )
 
     def scan(stmts: Iterable[ast.stmt]) -> None:
         for stmt in stmts:
@@ -414,44 +465,26 @@ def _returned_refs(
             for handler in getattr(stmt, "handlers", ()) or ():
                 scan(handler.body)
 
-    scan(method.node.body)
+    scan(func.body)
     return tuple(out)
 
 
 # ---------------------------------------------------------------------------
-# Global resolution and the may-block fixpoint
+# Global resolution
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
-class BlockSummary:
-    """Why (and where, and through whom) a function may block."""
-
-    reason: str
-    chain: tuple[str, ...]
-    path: str
-    line: int
-    col: int
-
-    def describe(self) -> str:
-        if len(self.chain) <= 1:
-            return self.reason
-        return f"{self.reason} via {' -> '.join(self.chain)}"
-
-
-@dataclass(slots=True)
 class ResolvedCall:
-    """A call site with its resolved target qualnames (for rules)."""
+    """A call site with the qualnames it may land on (possibly none)."""
 
-    caller: str
     targets: tuple[str, ...]
-    held: tuple[str, ...]
     line: int
     col: int
 
 
 class ProjectAnalysis:
-    """Resolved call graph plus bottom-up summaries for a file set."""
+    """Resolved call graph over a file set."""
 
     def __init__(
         self,
@@ -463,35 +496,28 @@ class ProjectAnalysis:
         #: module -> (path, source); feeds lazy FileContext creation.
         self._sources = dict(sources)
         self._contexts: dict[str, FileContext] = {}
-        self._flows: dict[str, list[ClassFlow]] = {}
-        self._build_flows: dict[str, dict[str, ClassFlow]] = {}
         #: ``module.Class`` -> ClassInfo
         self.class_index: dict[str, ClassInfo] = {}
-        #: qualname -> (module, FunctionNode)
-        self.functions: dict[str, tuple[str, FunctionNode]] = {}
         self._func_names: dict[str, frozenset[str]] = {}
         for module, info in modules.items():
-            names = set()
-            for fn in info.functions:
-                self.functions[fn.qualname] = (module, fn)
-                if fn.cls is None:
-                    names.add(fn.name)
-            self._func_names[module] = frozenset(names)
+            self._func_names[module] = frozenset(
+                fn.name for fn in info.functions if fn.cls is None
+            )
             for name, cls in info.classes.items():
                 self.class_index[f"{module}.{name}"] = cls
         #: module -> resolved call sites (for the rules).
         self._module_calls: dict[str, list[ResolvedCall]] = {
-            m: [] for m in modules
+            module: [
+                ResolvedCall(
+                    targets=self.resolve_ref(call.ref),
+                    line=call.line,
+                    col=call.col,
+                )
+                for fn in info.functions
+                for call in fn.calls
+            ]
+            for module, info in sorted(modules.items())
         }
-        #: qualname -> declared entry locks (``# holds-lock:``).
-        self.entry_locks: dict[str, frozenset[str]] = {
-            q: frozenset(fn.entry_locks)
-            for q, (_, fn) in self.functions.items()
-        }
-        self._resolved: dict[str, list[tuple[CallRef, tuple[str, ...]]]] = {}
-        self._resolve_all()
-        self.blocking: dict[str, BlockSummary] = {}
-        self._blocking_fixpoint()
         #: qualname -> ((canonical ref, resolved targets), ...) for
         #: calls whose result the function may return.
         self.returned: dict[
@@ -523,32 +549,6 @@ class ProjectAnalysis:
         """Reuse an already-parsed context (build-time parses)."""
         ctx.project = self
         self._contexts.setdefault(ctx.module, ctx)
-
-    def adopt_flows(self, module: str, flows: dict[str, ClassFlow]) -> None:
-        """Seed the flow memo with build-time per-class flows.
-
-        Only top-level classes are built eagerly; nested classes are
-        filled in lazily by :meth:`class_flows`.
-        """
-        self._build_flows[module] = flows
-
-    def class_flows(self, module: str) -> list[ClassFlow]:
-        """Effects-aware flows for every class in the module (memoized)."""
-        cached = self._flows.get(module)
-        if cached is not None:
-            return cached
-        ctx = self.context(module)
-        prebuilt = self._build_flows.get(module, {})
-        flows: list[ClassFlow] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            flow = prebuilt.get(node.name)
-            if flow is None or flow.node is not node:
-                flow = _class_effects_fixpoint(ctx, node)
-            flows.append(flow)
-        self._flows[module] = flows
-        return flows
 
     def resolved_calls(self, module: str) -> list[ResolvedCall]:
         return self._module_calls.get(module, [])
@@ -646,62 +646,6 @@ class ProjectAnalysis:
             return ()
         return ()
 
-    def _resolve_all(self) -> None:
-        for module in sorted(self.modules):
-            for fn in self.modules[module].functions:
-                resolved: list[tuple[CallRef, tuple[str, ...]]] = []
-                for call in fn.calls:
-                    targets = self.resolve_ref(call.ref)
-                    resolved.append((call, targets))
-                    self._module_calls[module].append(
-                        ResolvedCall(
-                            caller=fn.qualname,
-                            targets=targets,
-                            held=call.held,
-                            line=call.line,
-                            col=call.col,
-                        )
-                    )
-                self._resolved[fn.qualname] = resolved
-
-    def _blocking_fixpoint(self) -> None:
-        for qual in sorted(self.functions):
-            module, fn = self.functions[qual]
-            if fn.block is not None:
-                reason, line, col = fn.block
-                self.blocking[qual] = BlockSummary(
-                    reason=reason,
-                    chain=(qual,),
-                    path=self.modules[module].path,
-                    line=line,
-                    col=col,
-                )
-        changed = True
-        while changed:
-            changed = False
-            for qual in sorted(self.functions):
-                if qual in self.blocking:
-                    continue
-                for call, targets in self._resolved.get(qual, ()):
-                    inner = next(
-                        (
-                            self.blocking[t]
-                            for t in targets
-                            if t in self.blocking
-                        ),
-                        None,
-                    )
-                    if inner is not None:
-                        self.blocking[qual] = BlockSummary(
-                            reason=inner.reason,
-                            chain=(qual,) + inner.chain,
-                            path=inner.path,
-                            line=inner.line,
-                            col=inner.col,
-                        )
-                        changed = True
-                        break
-
 
 # ---------------------------------------------------------------------------
 # Project construction
@@ -717,33 +661,26 @@ def build_project(entries: Iterable[tuple[Path, str]]) -> ProjectAnalysis:
     modules: dict[str, ModuleInfo] = {}
     sources: dict[str, tuple[str, str]] = {}
     contexts: list[FileContext] = []
-    built_flows: dict[str, dict[str, ClassFlow]] = {}
     for path, source in entries:
         module = module_name_for(Path(path))
         try:
             ctx = FileContext.from_source(source, path=str(path), module=module)
         except SyntaxError:
             continue
-        flows: dict[str, ClassFlow] = {}
-        modules[module] = build_module_info(ctx, flows=flows)
-        built_flows[module] = flows
+        modules[module] = build_module_info(ctx)
         contexts.append(ctx)
         sources[module] = (str(path), source)
     project = ProjectAnalysis(modules, sources)
     for ctx in contexts:
         project.adopt_context(ctx)
-    for module, flows in built_flows.items():
-        project.adopt_flows(module, flows)
     return project
 
 
 def build_project_for_context(ctx: FileContext) -> ProjectAnalysis:
     """Single-file project for standalone ``lint_source`` runs."""
-    flows: dict[str, ClassFlow] = {}
-    info = build_module_info(ctx, flows=flows)
     project = ProjectAnalysis(
-        {ctx.module: info}, {ctx.module: (ctx.path, ctx.source)}
+        {ctx.module: build_module_info(ctx)},
+        {ctx.module: (ctx.path, ctx.source)},
     )
     project.adopt_context(ctx)
-    project.adopt_flows(ctx.module, flows)
     return project

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.devtools.lint src/repro            # lint the package
     python -m repro.devtools.lint --format github src  # CI annotations
-    python -m repro.devtools.lint --select SSTD003 src/repro/workqueue
+    python -m repro.devtools.lint --select SSTD003 src/repro/obs
     python -m repro.devtools.lint --disable SSTD006,SSTD011 benchmarks
     python -m repro.devtools.lint --explain SSTD014
     python -m repro.devtools.lint --list-rules
@@ -41,9 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "SSTD-specific static analysis: exception and export hygiene, "
             "mutable defaults, seeded randomness, probability-safe "
-            "numerics, lock discipline, guarded-state escapes, "
-            "blocking under a lock, thread lifecycle, clock reads, "
-            "kernel determinism, and resource leaks. Exits 1 when "
+            "numerics, lock discipline, clock reads, and resource "
+            "leaks. Exits 1 when "
             "findings remain, 2 on usage errors."
         ),
     )

@@ -5,10 +5,10 @@ The engine is deliberately small — a file is parsed once into an
 :class:`Finding` records, and ``# noqa: SSTD###`` comments on the
 flagged physical line suppress findings the author has justified.
 
-The runner is whole-program: before any rule runs,
-:mod:`repro.devtools.lint.callgraph` reduces every file to a
-per-module summary and resolves calls across the file set, and rules
-that set ``needs_project`` see the resulting
+When a selected rule sets ``needs_project`` (only SSTD014 does), the
+runner first has :mod:`repro.devtools.lint.callgraph` reduce every
+file to a per-module summary and resolve calls across the file set;
+the rule sees the resulting
 :class:`~repro.devtools.lint.callgraph.ProjectAnalysis` as
 ``ctx.project``.
 

@@ -1,16 +1,15 @@
-"""Name-resolution helpers shared by the engine, flow analysis, and rules.
+"""Name-resolution helpers shared by the call graph and the rules.
 
 Lives at the package level (not under ``rules/``) so that
-:mod:`repro.devtools.lint.flow` can use it without importing the rules
-package — rule modules import ``flow``, and a ``rules/``-level home for
-these helpers would make that a cycle.
+:mod:`repro.devtools.lint.callgraph` can use it without importing the
+rules package.
 """
 
 from __future__ import annotations
 
 import ast
 
-__all__ = ["ImportMap", "dotted_name"]
+__all__ = ["ImportMap", "dotted_name", "self_attr"]
 
 
 def dotted_name(node: ast.expr) -> str | None:
@@ -22,6 +21,17 @@ def dotted_name(node: ast.expr) -> str | None:
     if isinstance(node, ast.Name):
         parts.append(node.id)
         return ".".join(reversed(parts))
+    return None
+
+
+def self_attr(node: ast.AST) -> str | None:
+    """``attr`` for a plain ``self.<attr>`` expression, else None."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
     return None
 
 

@@ -6,13 +6,11 @@ Importing this package registers every rule with the engine registry:
   runtime packages a named broad handler that does not re-raise needs
   a ``# deliberate: <reason>``;
 - ``SSTD002`` — no mutable default arguments;
-- ``SSTD003`` — lock discipline for ``# guarded-by:`` attributes;
+- ``SSTD003`` — a ``# guarded-by:`` attribute is only touched inside
+  ``with self.<lock>:`` (a lexical, per-class check);
 - ``SSTD004`` — determinism: all randomness must be seeded;
 - ``SSTD005`` — log/exp numerics confined to ``repro.hmm.utils``;
 - ``SSTD006`` — public modules must declare ``__all__``;
-- ``SSTD007`` — guarded state must not escape its lock scope;
-- ``SSTD008`` — no blocking calls while holding a lock;
-- ``SSTD010`` — threads/processes joined, daemonized, or handed off;
 - ``SSTD011`` — runtime packages read time through the ``repro.obs``
   ``Clock`` protocol, never ``time.time()``/``monotonic()``/
   ``perf_counter()`` directly;
@@ -21,46 +19,37 @@ Importing this package registers every rule with the engine registry:
   exceptional; ``with``/``finally``-covered releases and ownership
   hand-offs are clean, ``# owns-resource:`` sanctions attribute stores.
 
-SSTD009, SSTD012, SSTD013, SSTD015 and SSTD016 were retired: a
-runtime check, a tier-1 test or the code's structure catches what they
-caught (DESIGN.md §7 has the audit).  Their ids are not reused.
+SSTD007, SSTD008, SSTD009, SSTD010, SSTD012, SSTD013, SSTD015 and
+SSTD016 were retired: a runtime check, a tier-1 test or the code's
+structure catches what they caught (DESIGN.md §7 has the audit).
+Their ids are not reused.
 
 (``SSTD000`` is reserved for engine-level diagnostics — syntax errors
 and stale ``noqa`` suppressions — and is emitted by the engine itself,
 not by a registered rule.)
 
-SSTD003, SSTD007 and SSTD008 share the lockset walker in
-:mod:`repro.devtools.lint.flow`; SSTD007, SSTD008 and SSTD014
-additionally consume the whole-program call graph in
-:mod:`repro.devtools.lint.callgraph` when a file *set* is linted
-(``lint_paths``), and degrade to their per-file behaviour for
-standalone snippets (``lint_source``).
+SSTD014 is the one rule that reads the whole-program call resolution
+in :mod:`repro.devtools.lint.callgraph`: across the linted file set
+with ``lint_paths``, within the one file for standalone snippets
+(``lint_source``).
 """
 
-from repro.devtools.lint.rules.concurrency import (
-    BlockingUnderLockRule,
-    GuardedEscapeRule,
-)
 from repro.devtools.lint.rules.defaults import MutableDefaultRule
 from repro.devtools.lint.rules.determinism import UnseededRandomRule
 from repro.devtools.lint.rules.exceptions import BroadExceptRule
 from repro.devtools.lint.rules.exports import MissingAllRule
-from repro.devtools.lint.rules.lifecycle import ThreadLifecycleRule
 from repro.devtools.lint.rules.locks import LockDisciplineRule
 from repro.devtools.lint.rules.numerics import RawLogExpRule
 from repro.devtools.lint.rules.resources import ResourceLeakRule
 from repro.devtools.lint.rules.timing import DirectClockReadRule
 
 __all__ = [
-    "BlockingUnderLockRule",
     "BroadExceptRule",
     "DirectClockReadRule",
-    "GuardedEscapeRule",
     "LockDisciplineRule",
     "MissingAllRule",
     "MutableDefaultRule",
     "RawLogExpRule",
     "ResourceLeakRule",
-    "ThreadLifecycleRule",
     "UnseededRandomRule",
 ]

@@ -1,35 +1,19 @@
 """SSTD003: lock discipline for annotated shared attributes.
 
-The Work Queue layer (:mod:`repro.workqueue`) and cluster substrate
-(:mod:`repro.cluster`) touch scheduler state from multiple threads.
-Attributes declared lock-guarded may only be read or written while the
-guarding lock is held; the declaration is a comment on the assignment
-that creates the attribute:
+``repro.obs`` is the one package whose state is shared across threads:
+the metric registry and the span tracer are written from whichever
+thread a caller runs on.  An attribute that may only be touched under
+a lock says so on the assignment that creates it:
 
-    self._pending: list[Task] = []   # guarded-by: _lock
+    self._counters: dict[str, float] = {}  # guarded-by: _lock
 
-Three annotations drive the rule:
-
-- ``# guarded-by: <lock>`` — ``self.<attr>`` on this line may only be
-  accessed inside ``with self.<lock>:`` (outside ``__init__``, which
-  runs before any worker thread exists);
-- ``# lock-alias: <lock>`` — entering ``with self.<name>:`` for the
-  object assigned on this line counts as holding ``<lock>`` (the
-  ``threading.Condition(self._lock)`` pattern);
-- ``# holds-lock: <lock>`` on a ``def`` line — the method is documented
-  as called with ``<lock>`` already held, so its whole body passes.
-
-Since PR 3 the rule runs on the shared lockset walker
-(:mod:`repro.devtools.lint.flow`), so it also understands local lock
-aliases (``lock = self._lock`` followed by ``with lock:``) and joins
-branches conservatively.  When the whole-program call graph is
-attached (linting a file set), the class flows come from its
-effects-aware fixpoint: a same-class helper that *net-acquires* or
-*net-releases* a lock (``self._enter()`` / ``self._exit()`` pairs)
-updates the caller's lockset at the call site, so guarded accesses
-after such calls are judged against the real lock state instead of
-the lexical one.  The escape analysis built on the same walker lives
-in SSTD007 (:mod:`repro.devtools.lint.rules.concurrency`).
+Outside ``__init__`` (which runs before any other thread can see the
+object), ``self.<attr>`` may then only appear lexically inside
+``with self.<lock>:`` — in the method itself or in a function nested in
+it.  The check is per class and purely lexical: a local alias of the
+lock, an ``acquire()``/``release()`` pair or a caller that holds the
+lock does not count, so code that needs one is restructured into a
+``with`` block.
 
 The rule is annotation-driven, so it is safe to run repo-wide: files
 without annotations produce no findings.
@@ -37,40 +21,85 @@ without annotations produce no findings.
 
 from __future__ import annotations
 
+import ast
+import re
 from typing import Iterator
 
 from repro.devtools.lint.engine import FileContext, Finding, Rule, register
-from repro.devtools.lint.flow import iter_class_flows
+from repro.devtools.lint.names import self_attr
 
 __all__ = ["LockDisciplineRule"]
+
+_GUARDED_RE = re.compile(r"#\s*guarded-by:\s*(\w+)")
+
+
+def _guards(ctx: FileContext, cls: ast.ClassDef) -> dict[str, str]:
+    """``# guarded-by:`` annotations: attr name -> lock attr name."""
+    guards: dict[str, str] = {}
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        match = _GUARDED_RE.search(ctx.line_text(node.lineno))
+        if match is None:
+            continue
+        for attr in filter(None, map(self_attr, targets)):
+            guards[attr] = match.group(1)
+    return guards
+
+
+def _unguarded(
+    node: ast.AST, guards: dict[str, str], held: frozenset[str]
+) -> Iterator[tuple[ast.Attribute, str]]:
+    """Guarded ``self.<attr>`` accesses under ``node`` outside their lock."""
+    if isinstance(node, ast.ClassDef):
+        return  # a nested class has its own ``self``
+    attr = self_attr(node)
+    if attr is not None and attr in guards and guards[attr] not in held:
+        yield node, guards[attr]
+    if isinstance(node, (ast.With, ast.AsyncWith)):
+        for item in node.items:
+            yield from _unguarded(item, guards, held)
+        inner = held | {
+            lock
+            for lock in (self_attr(item.context_expr) for item in node.items)
+            if lock is not None
+        }
+        for stmt in node.body:
+            yield from _unguarded(stmt, guards, inner)
+        return
+    for child in ast.iter_child_nodes(node):
+        yield from _unguarded(child, guards, held)
 
 
 @register
 class LockDisciplineRule(Rule):
     rule_id = "SSTD003"
-    summary = "guarded attributes only touched while their lock is held"
-    needs_project = True
+    summary = "guarded attributes only touched inside 'with self.<lock>:'"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for flow in iter_class_flows(ctx):
-            guards = flow.model.guards
+        for cls in ast.walk(ctx.tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            guards = _guards(ctx, cls)
             if not guards:
                 continue
-            for method in flow.methods.values():
-                if method.name == "__init__":
-                    # Runs before any other thread can see the object.
+            for method in cls.body:
+                if not isinstance(
+                    method, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ) or method.name == "__init__":
                     continue
-                for access in method.accesses:
-                    lock = guards.get(access.attr)
-                    if lock is None or lock in access.held:
-                        continue
-                    yield self.finding(
-                        ctx,
-                        access.node,
-                        f"self.{access.attr} is declared "
-                        f"'# guarded-by: {lock}' but "
-                        f"{method.name}() accesses it without holding "
-                        f"self.{lock}; wrap the access in "
-                        f"'with self.{lock}:' "
-                        f"or annotate the method '# holds-lock: {lock}'",
-                    )
+                for stmt in method.body:
+                    for access, lock in _unguarded(stmt, guards, frozenset()):
+                        yield self.finding(
+                            ctx,
+                            access,
+                            f"self.{access.attr} is declared "
+                            f"'# guarded-by: {lock}' but "
+                            f"{method.name}() accesses it outside "
+                            f"'with self.{lock}:'; move the access into "
+                            "that block",
+                        )

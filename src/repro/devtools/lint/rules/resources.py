@@ -29,19 +29,25 @@ flagged).  The analysis prefers silence to false alarms.
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.devtools.lint.engine import FileContext, Finding, Rule, register
-from repro.devtools.lint.flow import OWNS_RESOURCE_RE, exception_caught
 from repro.devtools.lint.names import ImportMap, dotted_name
 
 __all__ = [
+    "EXC_BASES",
     "RESOURCE_SPECS",
     "ResourceLeakRule",
     "ResourceSpec",
+    "exception_caught",
     "resource_returners",
 ]
+
+#: ``# owns-resource:`` — sanctions storing an acquired resource on an
+#: attribute, transferring lifecycle ownership to the object.
+OWNS_RESOURCE_RE = re.compile(r"#\s*owns-resource:")
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,6 +186,91 @@ def resource_returners(project) -> dict[str, str]:
                     break
     project._sstd_resource_returners = out
     return out
+
+
+# ---------------------------------------------------------------------------
+# Builtin exception hierarchy (SSTD014's handler model)
+# ---------------------------------------------------------------------------
+
+#: Transitive *builtin* exception bases, so ``except OSError`` is known
+#: to stop a ``FileNotFoundError`` without importing anything.  Project
+#: exception hierarchies are not modeled (documented false negative);
+#: in this repo every raised class is a builtin.
+EXC_BASES: dict[str, frozenset[str]] = {
+    name: frozenset(bases)
+    for name, bases in {
+        "ArithmeticError": ("Exception",),
+        "AssertionError": ("Exception",),
+        "AttributeError": ("Exception",),
+        "BlockingIOError": ("OSError", "Exception"),
+        "BrokenPipeError": ("ConnectionError", "OSError", "Exception"),
+        "BufferError": ("Exception",),
+        "ChildProcessError": ("OSError", "Exception"),
+        "ConnectionAbortedError": ("ConnectionError", "OSError", "Exception"),
+        "ConnectionError": ("OSError", "Exception"),
+        "ConnectionRefusedError": ("ConnectionError", "OSError", "Exception"),
+        "ConnectionResetError": ("ConnectionError", "OSError", "Exception"),
+        "EOFError": ("Exception",),
+        "FileExistsError": ("OSError", "Exception"),
+        "FileNotFoundError": ("OSError", "Exception"),
+        "FloatingPointError": ("ArithmeticError", "Exception"),
+        "GeneratorExit": ("BaseException",),
+        "ImportError": ("Exception",),
+        "IndexError": ("LookupError", "Exception"),
+        "InterruptedError": ("OSError", "Exception"),
+        "IsADirectoryError": ("OSError", "Exception"),
+        "KeyError": ("LookupError", "Exception"),
+        "KeyboardInterrupt": ("BaseException",),
+        "LookupError": ("Exception",),
+        "MemoryError": ("Exception",),
+        "ModuleNotFoundError": ("ImportError", "Exception"),
+        "NotADirectoryError": ("OSError", "Exception"),
+        "NotImplementedError": ("RuntimeError", "Exception"),
+        "OSError": ("Exception",),
+        "OverflowError": ("ArithmeticError", "Exception"),
+        "PermissionError": ("OSError", "Exception"),
+        "ProcessLookupError": ("OSError", "Exception"),
+        "RecursionError": ("RuntimeError", "Exception"),
+        "RuntimeError": ("Exception",),
+        "StopAsyncIteration": ("Exception",),
+        "StopIteration": ("Exception",),
+        "SystemExit": ("BaseException",),
+        "TimeoutError": ("OSError", "Exception"),
+        "TypeError": ("Exception",),
+        "UnicodeDecodeError": ("UnicodeError", "ValueError", "Exception"),
+        "UnicodeEncodeError": ("UnicodeError", "ValueError", "Exception"),
+        "UnicodeError": ("ValueError", "Exception"),
+        "ValueError": ("Exception",),
+        "ZeroDivisionError": ("ArithmeticError", "Exception"),
+    }.items()
+}
+
+#: ``except Exception`` does not stop these (they subclass BaseException).
+_NOT_EXCEPTION = frozenset({"SystemExit", "KeyboardInterrupt", "GeneratorExit"})
+
+
+def exception_caught(name: str, frame: frozenset[str]) -> bool:
+    """Would a handler catching the classes in ``frame`` stop ``name``?
+
+    ``name`` may be dotted (matched by last segment) or ``"*"`` — an
+    exception of statically unknown class, which only ``except
+    Exception``/``BaseException``/bare ``except`` are assumed to stop.
+    Unknown (non-builtin) raised classes are treated as ``Exception``
+    subclasses, the overwhelmingly common case; the rare
+    ``BaseException`` subclass slipping through a broad handler is an
+    accepted false negative.
+    """
+    if "*" in frame or "BaseException" in frame:
+        return True
+    short = name.rsplit(".", 1)[-1]
+    if short == "*":
+        return "Exception" in frame
+    if short in frame or name in frame:
+        return True
+    bases = EXC_BASES.get(short)
+    if bases is not None and any(base in frame for base in bases):
+        return True
+    return "Exception" in frame and short not in _NOT_EXCEPTION
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ clock, and is unmockable in tests.  The sanctioned pattern::
             start = self._obs.clock.now()   # wall or virtual — caller's pick
             ...
 
-``time.sleep`` is not a clock *read* and is governed by SSTD008
-(blocking under a lock) instead; packages outside the runtime trio
-(benchmarks, devtools, obs itself) may read wall time directly.
+``time.sleep`` is not a clock *read* and is not flagged; packages
+outside the runtime trio (benchmarks, devtools, obs itself) may read
+wall time directly.
 Suppress a justified exception with ``# noqa: SSTD011``.
 """
 

@@ -5,10 +5,11 @@ the Work Queue master keeps queue-depth gauges here, workers count
 completed tasks, the control loop records error samples, and the SSTD
 engine tracks Baum-Welch convergence.  Two design constraints shape it:
 
-- **Thread safety with SSTD007/008 discipline.**  All mutable state is
-  guarded by one lock; reads *snapshot under the lock* into fresh plain
-  containers and serialization happens outside it, so no guarded
-  container escapes and nothing blocks while the lock is held.
+- **Thread safety.**  All mutable state is guarded by one lock
+  (``# guarded-by: _lock``, checked by SSTD003); reads *snapshot under
+  the lock* into fresh plain containers and serialization happens
+  outside it, so no guarded container escapes and nothing blocks while
+  the lock is held.
 - **Picklable snapshots.**  :class:`MetricsSnapshot` is a frozen
   dataclass of plain dicts/tuples, so a worker *process* can snapshot
   its local registry, ship it across the pickle boundary in a

@@ -67,6 +67,10 @@ __all__ = [
 #: :class:`~repro.obs.stitch.ClockSync` before it must rebase.
 _HANDSHAKE = "__clock_sync__"
 
+#: Seconds ``shutdown`` gives all workers together to exit on their
+#: own before it terminates the rest.
+_SHUTDOWN_GRACE = 2.0
+
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class LocalResult:
@@ -307,6 +311,8 @@ class ProcessWorkQueue:
         return results
 
     def shutdown(self) -> None:
+        """Stop every worker: idle ones exit on their pill, busy ones
+        are terminated once the shared grace period runs out."""
         if self._shutdown:
             return
         self._shutdown = True
@@ -319,11 +325,20 @@ class ProcessWorkQueue:
                 self.obs.tracer.instant(
                     "wq.poison_pill", track="master", worker=worker.name
                 )
+        # One deadline for all workers: a worker busy in a task never
+        # reads its pill, and a grace period each would add up.
+        from multiprocessing.connection import wait
+
+        deadline = self.obs.clock.now() + _SHUTDOWN_GRACE
+        running = [worker.process.sentinel for worker in self._workers]
+        while running and (left := deadline - self.obs.clock.now()) > 0:
+            exited = wait(running, timeout=left)
+            running = [s for s in running if s not in exited]
         for worker in self._workers:
-            worker.process.join(timeout=2.0)
             if worker.process.is_alive():
                 worker.process.terminate()
-                worker.process.join(timeout=2.0)
+        for worker in self._workers:
+            worker.process.join(timeout=_SHUTDOWN_GRACE)
             worker.conn.close()
 
     # ------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Whole-program call graph: resolution and may-block summaries."""
+"""Whole-program call resolution: resource returners and resolution."""
 
 from pathlib import Path
 
 from repro.devtools.lint import all_rules, lint_paths, lint_source
 from repro.devtools.lint.callgraph import build_project
+from repro.devtools.lint.rules.resources import resource_returners
 
-BLOCKING_RULES = all_rules(["SSTD008"])
+LEAK_RULES = all_rules(["SSTD014"])
 
 
 def project_over(tmp_path: Path, files: dict[str, str]):
@@ -19,61 +20,58 @@ def project_over(tmp_path: Path, files: dict[str, str]):
 
 
 UTIL_SRC = '''
-import time
+import repro.system.shm as shm
 
-__all__ = ["flush"]
+__all__ = ["publish", "publish_all"]
 
 
-def flush():
-    time.sleep(0.01)
+def publish(arrays):
+    return shm.publish_arrays(arrays)
+
+
+def publish_all(arrays):
+    owner = publish(arrays)
+    return owner
 '''
 
 CALLER_SRC = '''
-import threading
-
-from util import flush
+from util import publish_all
 
 __all__ = ["Holder"]
 
 
 class Holder:
-    def __init__(self):
-        self._lock = threading.Lock()
-
-    def tick(self):
-        with self._lock:
-            flush()
+    def tick(self, arrays, risky):
+        owner = publish_all(arrays)
+        risky()
+        owner.close_and_unlink()
 '''
 
 
-class TestBlockingSummaries:
+class TestReturnerSummaries:
     def test_leaf_and_transitive_summaries(self, tmp_path):
         proj = project_over(
             tmp_path, {"util.py": UTIL_SRC, "caller.py": CALLER_SRC}
         )
-        assert "util.flush" in proj.blocking
-        assert "sleep" in proj.blocking["util.flush"].reason
-        tick = proj.blocking.get("caller.Holder.tick")
-        assert tick is not None
-        assert tick.chain[-1] == "util.flush"
+        returners = resource_returners(proj)
+        assert returners["util.publish"] == "shm-segment"
+        assert returners["util.publish_all"] == "shm-segment"
+        assert "caller.Holder.tick" not in returners
 
-    def test_cross_module_finding_with_chain(self, tmp_path):
+    def test_cross_module_finding(self, tmp_path):
         (tmp_path / "util.py").write_text(UTIL_SRC)
         (tmp_path / "caller.py").write_text(CALLER_SRC)
-        findings = lint_paths([tmp_path], rules=BLOCKING_RULES)
-        assert len(findings) == 1
-        assert findings[0].rule_id == "SSTD008"
-        assert "util.flush" in findings[0].message
-        assert "chain" in findings[0].message
+        findings = lint_paths([tmp_path], rules=LEAK_RULES)
+        assert [(Path(f.path).name, f.rule_id) for f in findings] == [
+            ("caller.py", "SSTD014")
+        ]
+        assert "shared-memory segment 'owner'" in findings[0].message
 
     def test_intraprocedural_path_provably_misses_it(self):
-        # Regression anchor for the tentpole: linting the caller alone
-        # (the pre-PR-6 reach of the analysis) cannot resolve the
-        # imported callee, so the blocking-under-lock escape is
-        # invisible without the project layer.
+        # Linting the caller alone cannot resolve the imported factory,
+        # so the leak is invisible without the project layer.
         assert (
-            lint_source(CALLER_SRC, path="caller.py", rules=BLOCKING_RULES)
-            == []
+            lint_source(CALLER_SRC, path="caller.py", rules=LEAK_RULES) == []
         )
 
 
@@ -162,4 +160,3 @@ class User:
             for t in site.targets
         }
         assert "obsmod.Obs.ping" in targets
-        assert "usermod.User.go" in proj.blocking

@@ -1,6 +1,6 @@
 """The builtin exception hierarchy SSTD014 uses to model handlers."""
 
-from repro.devtools.lint.flow import exception_caught
+from repro.devtools.lint.rules.resources import exception_caught
 
 
 class TestExceptionCaught:

@@ -53,9 +53,6 @@ def test_every_registered_rule_ran():
         "SSTD004",
         "SSTD005",
         "SSTD006",
-        "SSTD007",
-        "SSTD008",
-        "SSTD010",
         "SSTD011",
         "SSTD014",
     ]

@@ -1,13 +1,15 @@
 """SSTD014: resource lifecycle, plus the ``--explain`` CLI.
 
-The seeded positive is the bug class the lockset analyzer cannot see:
-a shared-memory segment leaked on an exception path.  The negatives pin
+The seeded positive is a shared-memory segment leaked on an exception
+path.  The negatives pin
 the sanctioned idioms — ``finally`` and ``with`` coverage, ownership
 transfers and ``# owns-resource:``.
 """
 
+import shutil
 from pathlib import Path
 
+import repro
 from repro.devtools.lint import all_rules, lint_paths
 from repro.devtools.lint.cli import explain_rule, main as lint_main
 
@@ -212,6 +214,52 @@ class TestExecutorLeak:
         )
         files = {"system.py": EXECUTOR_FACTORY.format(body=body)}
         assert run_over(tmp_path, files, LEAK_RULES) == []
+
+
+RUN_BATCH_GUARDED = """\
+        executor = self._make_executor(n_workers)
+        try:
+            clock_start = self.obs.clock.now()
+            decoded = self._decode_shards(
+                executor,
+                claim_sequences(table.by_claim(), config.sstd, start, end),
+                config.sstd,
+            )
+        finally:
+            executor.shutdown()
+"""
+
+RUN_BATCH_UNGUARDED = """\
+        executor = self._make_executor(n_workers)
+        clock_start = self.obs.clock.now()
+        decoded = self._decode_shards(
+            executor,
+            claim_sequences(table.by_claim(), config.sstd, start, end),
+            config.sstd,
+        )
+        executor.shutdown()
+"""
+
+
+class TestRealSource:
+    # The rule-audit mutation on the real system: run_batch's executor
+    # comes from ``_make_executor``, whose ``ProcessWorkQueue`` lives in
+    # another package, so the finding needs the cross-module returners.
+    def test_run_batch_without_finally_shutdown_is_flagged(self, tmp_path):
+        source = Path(repro.__file__).parent
+        copy = tmp_path / "repro"
+        for package in ("system", "workqueue"):
+            shutil.copytree(source / package, copy / package)
+        assert lint_paths([copy], rules=LEAK_RULES) == []
+        target = copy / "system" / "sstd_system.py"
+        text = target.read_text()
+        assert text.count(RUN_BATCH_GUARDED) == 1
+        target.write_text(text.replace(RUN_BATCH_GUARDED, RUN_BATCH_UNGUARDED))
+        findings = lint_paths([copy], rules=LEAK_RULES)
+        assert [(Path(f.path).name, f.rule_id) for f in findings] == [
+            ("sstd_system.py", "SSTD014")
+        ]
+        assert "work-queue executor 'executor'" in findings[0].message
 
 
 class TestExplainCli:

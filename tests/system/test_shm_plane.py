@@ -136,9 +136,12 @@ class TestBytesFallback:
     def test_fallback_views_read_only(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHM", "0")
         owner = publish_arrays(_sample_arrays())
-        with attach(owner.handle) as segment:
-            with pytest.raises(ValueError):
-                segment.array("values")[0, 0] = 1.0
+        try:
+            with attach(owner.handle) as segment:
+                with pytest.raises(ValueError):
+                    segment.array("values")[0, 0] = 1.0
+        finally:
+            owner.close_and_unlink()
 
     def test_handle_validation(self):
         with pytest.raises(ValueError, match="segment name"):
@@ -154,8 +157,10 @@ class TestLifecycle:
     def test_unlink_removes_dev_shm_entry(self):
         owner = publish_arrays(_sample_arrays())
         name = owner.handle.name
-        assert _segment_exists(name)
-        owner.close_and_unlink()
+        try:
+            assert _segment_exists(name)
+        finally:
+            owner.close_and_unlink()
         assert not _segment_exists(name)
 
     def test_close_and_unlink_idempotent(self):
@@ -169,26 +174,32 @@ class TestLifecycle:
         # keep reading valid data until they close.
         arrays = _sample_arrays()
         owner = publish_arrays(arrays)
-        segment = attach(owner.handle)
-        owner.close_and_unlink()
-        assert not _segment_exists(owner.handle.name)
-        np.testing.assert_array_equal(segment.array("times"), arrays["times"])
-        segment.close()
+        try:
+            with attach(owner.handle) as segment:
+                owner.close_and_unlink()
+                assert not _segment_exists(owner.handle.name)
+                np.testing.assert_array_equal(
+                    segment.array("times"), arrays["times"]
+                )
+        finally:
+            owner.close_and_unlink()  # idempotent
 
     def test_worker_attachment_round_trip(self):
         arrays = _sample_arrays()
         owner = publish_arrays(arrays)
-        wq = ProcessWorkQueue(n_workers=1)
         try:
-            wq.submit(
-                Task(
-                    job_id="read",
-                    fn=PayloadSpec(read_row_sum, (owner.handle, "times", 1)),
+            wq = ProcessWorkQueue(n_workers=1)
+            try:
+                wq.submit(
+                    Task(
+                        job_id="read",
+                        fn=PayloadSpec(read_row_sum, (owner.handle, "times", 1)),
+                    )
                 )
-            )
-            [result] = wq.drain(timeout=60.0)
+                [result] = wq.drain(timeout=60.0)
+            finally:
+                wq.shutdown()
         finally:
-            wq.shutdown()
             owner.close_and_unlink()
         assert result.ok
         assert result.output == pytest.approx(float(np.nansum(arrays["times"][1])))
@@ -206,25 +217,28 @@ class TestLifecycle:
         segment = shared_memory.SharedMemory(
             name=foreign_name, create=True, size=64
         )
-        handle = shm.SegmentHandle(
-            kind="shm", name=foreign_name, size=64, specs=()
-        )
-        own = publish_arrays(_sample_arrays())
-        registered = []
-        monkeypatch.setattr(
-            resource_tracker,
-            "register",
-            lambda name, rtype: registered.append((name, rtype)),
-        )
         try:
-            attach(handle).close()
-            assert registered == []
-            # Same-process attach keeps the normal (no-op re-)registration.
-            attach(own.handle).close()
-            assert [rtype for _, rtype in registered] == ["shared_memory"]
+            handle = shm.SegmentHandle(
+                kind="shm", name=foreign_name, size=64, specs=()
+            )
+            own = publish_arrays(_sample_arrays())
+            registered = []
+            try:
+                monkeypatch.setattr(
+                    resource_tracker,
+                    "register",
+                    lambda name, rtype: registered.append((name, rtype)),
+                )
+                attach(handle).close()
+                assert registered == []
+                # Same-process attach keeps the normal (no-op
+                # re-)registration.
+                attach(own.handle).close()
+                assert [rtype for _, rtype in registered] == ["shared_memory"]
+            finally:
+                own.close_and_unlink()
+                monkeypatch.undo()
         finally:
-            monkeypatch.undo()
-            own.close_and_unlink()
             segment.close()
             segment.unlink()
 
@@ -234,17 +248,21 @@ class TestLifecycle:
         arrays = _sample_arrays()
         owner = publish_arrays(arrays)
         marker = tmp_path / "attempted"
-        wq = ProcessWorkQueue(n_workers=1)
         try:
-            wq.submit(
-                Task(
-                    job_id="fragile",
-                    fn=PayloadSpec(attach_then_die, (owner.handle, str(marker))),
+            wq = ProcessWorkQueue(n_workers=1)
+            try:
+                wq.submit(
+                    Task(
+                        job_id="fragile",
+                        fn=PayloadSpec(
+                            attach_then_die, (owner.handle, str(marker))
+                        ),
+                    )
                 )
-            )
-            [result] = wq.drain(timeout=60.0)
+                [result] = wq.drain(timeout=60.0)
+            finally:
+                wq.shutdown()
         finally:
-            wq.shutdown()
             owner.close_and_unlink()
         assert marker.exists()
         assert result.ok

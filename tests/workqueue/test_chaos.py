@@ -23,11 +23,16 @@ import pytest
 
 from repro.core import SSTD
 from repro.obs import Observability
-from repro.system import DistributedSSTD, SSTDSystemConfig, shm
+from repro.system import DistributedSSTD, SSTDSystemConfig, jobs, shm
 from repro.workqueue import PayloadSpec, ProcessWorkQueue, Task
 
 from tests.conftest import _repro_segments
-from tests.system.test_fault_tolerant_system import SSTD_CONFIG, reports_for
+from tests.system.test_fault_tolerant_system import (
+    _DECODE,
+    MARKER_DIR_ENV,
+    SSTD_CONFIG,
+    reports_for,
+)
 from tests.workqueue.test_process import double
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -73,6 +78,38 @@ def record_pid_then_sleep(*args):
     with open(pid_file, "w", encoding="utf-8"):
         pass
     time.sleep(60.0)
+
+
+#: The real attach, captured at import so the die-once wrapper can
+#: delegate to it whatever ``shm.attach`` is patched to.
+_ATTACH = shm.attach
+
+
+def die_once_in_attach(handle):
+    """Attach — except that the first attach of the run dies inside it.
+
+    The segment is mapped when the worker is SIGKILLed, so the death
+    holds a live attachment.  The marker file is created exclusively,
+    so exactly one attach in the whole run dies.
+    """
+    segment = _ATTACH(handle)
+    marker = os.path.join(os.environ[MARKER_DIR_ENV], "killed")
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return segment
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def decode_dying_in_attach(*args):
+    """The shard payload, with this worker's ``shm.attach`` dying once.
+
+    The wrapper is patched over ``repro.system.shm.attach`` inside the
+    worker: a patch made in the master does not reach a ``spawn``
+    worker.
+    """
+    shm.attach = die_once_in_attach
+    return _DECODE(*args)
 
 
 def _wait_for(predicate, timeout=10.0):
@@ -192,13 +229,29 @@ class TestWorkerFaults:
             with pytest.raises(TimeoutError, match="1 tasks still outstanding"):
                 wq.drain(timeout=0.5)
             assert time.monotonic() - start < 5.0
-        finally:
             start = time.monotonic()
+        finally:
             wq.shutdown()
-            assert time.monotonic() - start < 10.0
+        assert time.monotonic() - start < 10.0
         assert not any(process.is_alive() for process in workers)
         expected = dict(worker_death=0.0, requeued=0.0, completed=0.0, failed=0.0)
         assert _counters(wq, expected) == expected
+
+    def test_shutdown_gives_busy_workers_one_shared_grace_period(self):
+        wq = ProcessWorkQueue(n_workers=2, obs=Observability())
+        workers = [worker.process for worker in wq._workers]
+        try:
+            for k in range(2):
+                wq.submit(
+                    Task(job_id=f"slow{k}", fn=PayloadSpec(time.sleep, (60.0,)))
+                )
+            start = time.monotonic()
+        finally:
+            wq.shutdown()
+        # Neither worker reads its pill, so both are terminated after the
+        # one 2 s grace period, not after 2 s each.
+        assert time.monotonic() - start < 3.0
+        assert not any(process.is_alive() for process in workers)
 
 
 SIGINT_SCRIPT = textwrap.dedent(
@@ -249,6 +302,52 @@ class TestSystemFaults:
         assert len(worker_pids) == 2
         assert not any(_running(pid) for pid in worker_pids)
         assert _repro_segments() - before == set()
+
+    def test_sigkill_inside_shm_attach(self, monkeypatch, tmp_path):
+        submitted, drained = [], []
+        real_submit, real_drain = ProcessWorkQueue.submit, ProcessWorkQueue.drain
+
+        def submit(wq, task):
+            submitted.append(task)
+            return real_submit(wq, task)
+
+        def drain(wq, timeout=60.0):
+            results = real_drain(wq, timeout)
+            drained.extend(results)
+            return results
+
+        monkeypatch.setattr(ProcessWorkQueue, "submit", submit)
+        monkeypatch.setattr(ProcessWorkQueue, "drain", drain)
+        monkeypatch.setenv(MARKER_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(jobs, "decode_shard_shm_payload", decode_dying_in_attach)
+        before = _repro_segments()
+        reports = reports_for()
+        serial = sorted(
+            SSTD(SSTD_CONFIG).discover(reports, start=0.0, end=500.0),
+            key=lambda e: (e.claim_id, e.timestamp),
+        )
+        system = DistributedSSTD(
+            SSTDSystemConfig(
+                backend="processes",
+                n_workers=2,
+                sstd=SSTD_CONFIG,
+                claims_per_shard=1,
+                observability=True,
+                drain_timeout=60.0,
+            )
+        )
+        result = system.run_batch(reports, start=0.0, end=500.0)
+        # A worker really died inside attach, exactly once.
+        assert (tmp_path / "killed").exists()
+        assert len(submitted) == result.n_tasks == 4
+        assert _result_ids(drained) == _ids(submitted)
+        assert list(result.estimates) == serial
+        assert _repro_segments() - before == set()
+        metrics = system.obs.metrics.snapshot()
+        assert metrics.counter("wq.worker_death") == 1.0
+        assert metrics.counter("wq.requeued") == 1.0
+        assert metrics.counter("wq.completed") == 4.0
+        assert metrics.counter("wq.failed") == 0.0
 
     def test_segment_creation_enospc_degrades_cleanly(self, monkeypatch):
         attempts = []
