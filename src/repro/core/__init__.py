@@ -1,6 +1,7 @@
 """Core truth-discovery layer: data model, scores, ACS, SSTD, metrics."""
 
 from repro.core.acs import ACSConfig, SlidingWindowACS, acs_sequence
+from repro.core.columns import ReportColumns, Reports
 from repro.core.dependencies import (
     ClaimDependencyGraph,
     CorrelatedSSTD,
@@ -52,6 +53,8 @@ __all__ = [
     "FULL_WEIGHTS",
     "ReliabilityEstimator",
     "Report",
+    "ReportColumns",
+    "Reports",
     "SSTD",
     "SSTDConfig",
     "ScoreWeights",

@@ -23,9 +23,13 @@ Two refinements over the literal Eq. (4), both fixed:
 This module turns a claim's report stream into the observation sequence
 ``F(u) = (ACS_u^1 .. ACS_u^T)`` sampled on a regular grid, both in batch
 form (:func:`acs_sequence`) and incrementally for streaming use
-(:class:`SlidingWindowACS`).  Batch callers read their reports once into
-a :class:`ReportTable` (claim, time and score columns, grouped by claim)
+(:class:`SlidingWindowACS`).  Batch callers build one
+:class:`ReportTable` (claim, time and score columns, grouped by claim)
 and hand :func:`acs_sequence` one claim's :class:`ClaimRows` at a time.
+The table is built from the reports' columns
+(:mod:`repro.core.columns`): a trace's reports carry them, so a pass
+over a trace reads no :class:`Report` object, and any other report
+iterable is read into columns on every call.
 """
 
 from __future__ import annotations
@@ -34,11 +38,11 @@ import bisect
 import collections
 import math
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.core.columns import report_columns
 from repro.core.scores import FULL_WEIGHTS, ScoreWeights
 from repro.core.types import Report
 
@@ -49,10 +53,6 @@ __all__ = [
     "SlidingWindowACS",
     "acs_sequence",
 ]
-
-_CLAIM_ID = attrgetter("claim_id")
-_TIMESTAMP = attrgetter("timestamp")
-
 
 @dataclass(frozen=True, slots=True)
 class ACSConfig:
@@ -110,10 +110,11 @@ class ClaimRows:
         cls, reports: Iterable[Report], weights: ScoreWeights = FULL_WEIGHTS
     ) -> ClaimRows:
         """Columns of ``reports`` taken as one claim's, whatever their ids."""
-        reports = _as_sequence(reports)
-        times = _time_column(reports)
-        order = np.argsort(times, kind="stable")
-        return cls(times[order], weights.score_column(reports)[order], weights)
+        columns = report_columns(reports)
+        order = np.argsort(columns.times, kind="stable")
+        return cls(
+            columns.times[order], weights.score_column(columns)[order], weights
+        )
 
     def __len__(self) -> int:
         return self.times.size
@@ -141,22 +142,17 @@ class ReportTable:
     def from_reports(
         cls, reports: Iterable[Report], weights: ScoreWeights = FULL_WEIGHTS
     ) -> ReportTable:
-        """Read ``reports`` (any iterable, consumed once) into a table."""
-        reports = _as_sequence(reports)
-        count = len(reports)
-        claim_column = list(map(_CLAIM_ID, reports))
-        claim_ids = tuple(sorted(set(claim_column)))
-        index_of = {claim_id: k for k, claim_id in enumerate(claim_ids)}
-        # The narrowest unsigned dtype lets the stable sort below run as
-        # a radix sort.
-        claim_index = np.fromiter(
-            map(index_of.__getitem__, claim_column),
-            np.min_scalar_type(len(claim_ids)),
-            count,
-        )
-        del claim_column
-        times = _time_column(reports)
-        scores = weights.score_column(reports)
+        """Read ``reports`` (any iterable, consumed once) into a table.
+
+        A :class:`~repro.core.columns.Reports` (a trace's reports) gives
+        the columns it carries, so no report object is read; any other
+        iterable is read by :meth:`~repro.core.columns.ReportColumns.of`.
+        """
+        columns = report_columns(reports)
+        claim_ids = columns.claim_ids
+        claim_index = columns.claim_index
+        times = columns.times
+        scores = weights.score_column(columns)
         by_time = np.argsort(times, kind="stable")
         order = by_time[np.argsort(claim_index[by_time], kind="stable")]
         del by_time
@@ -196,15 +192,6 @@ class ReportTable:
     def _rows(self, k: int) -> ClaimRows:
         rows = slice(self.offsets[k], self.offsets[k + 1])
         return ClaimRows(self.times[rows], self.scores[rows], self.weights)
-
-
-def _as_sequence(reports: Iterable[Report]) -> Sequence[Report]:
-    """``reports`` itself when it can be read twice, else a list of it."""
-    return reports if isinstance(reports, Sequence) else list(reports)
-
-
-def _time_column(reports: Sequence[Report]) -> np.ndarray:
-    return np.fromiter(map(_TIMESTAMP, reports), np.float64, len(reports))
 
 
 def acs_sequence(

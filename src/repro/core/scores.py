@@ -19,11 +19,11 @@ individual components off (experiment A2 in DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
+from repro.core.columns import ReportColumns, report_columns
 from repro.core.types import Report
 from repro.devtools import contracts
 
@@ -33,11 +33,6 @@ __all__ = [
     "ScoreWeights",
     "contribution_score",
 ]
-
-_ATTITUDE = attrgetter("attitude")
-_UNCERTAINTY = attrgetter("uncertainty")
-_INDEPENDENCE = attrgetter("independence")
-
 
 def contribution_score(report: Report) -> float:
     """Contribution score of a single report, Eq. (1) of the paper."""
@@ -68,23 +63,25 @@ class ScoreWeights:
         contracts.assert_score_range(value, "contribution score (Eq. 1)")
         return value
 
-    def score_column(self, reports: Sequence[Report]) -> np.ndarray:
+    def score_column(
+        self, reports: Iterable[Report] | ReportColumns
+    ) -> np.ndarray:
         """:meth:`score` of every report as one float64 array, input order.
 
-        The factors are multiplied in :meth:`score`'s order, so each
-        entry has the same bits; the range contract runs once on the
-        whole column.
+        ``reports`` may be their columns; a
+        :class:`~repro.core.columns.Reports` gives the columns it
+        carries, and any other iterable is read by
+        :meth:`ReportColumns.of` (attitude, plus the factors these
+        toggles keep).  The factors are multiplied in :meth:`score`'s
+        order, so each entry has the same bits; the range contract runs
+        once on the whole column.
         """
-        count = len(reports)
-        values = np.fromiter(map(_ATTITUDE, reports), np.float64, count)
+        columns = report_columns(reports)
+        values = columns.attitudes.astype(np.float64)
         if self.use_uncertainty:
-            values *= 1.0 - np.fromiter(
-                map(_UNCERTAINTY, reports), np.float64, count
-            )
+            values *= 1.0 - columns.uncertainty
         if self.use_independence:
-            values *= np.fromiter(
-                map(_INDEPENDENCE, reports), np.float64, count
-            )
+            values *= columns.independence
         contracts.assert_score_range(values, "contribution score (Eq. 1)")
         return values
 

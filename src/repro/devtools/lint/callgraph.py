@@ -227,11 +227,14 @@ class CallRef:
     - ``attr:<class path>.<attr chain>.<meth>`` — a method call on a
       typed receiver (``self.<helper>``, ``self.obs.metrics.inc``, a
       local/parameter of a known class).
+
+    ``node`` is the call itself, in the module's parsed tree: a chained
+    call (``attach(h).close()``) starts where its receiver call starts,
+    so a source position names two calls.
     """
 
     ref: str
-    line: int
-    col: int
+    node: ast.Call
 
 
 @dataclass(frozen=True, slots=True)
@@ -370,9 +373,7 @@ def build_module_info(ctx: FileContext) -> ModuleInfo:
         for call in body.calls:
             ref = ref_of(call)
             if ref is not None:
-                calls.append(
-                    CallRef(ref=ref, line=call.lineno, col=call.col_offset)
-                )
+                calls.append(CallRef(ref=ref, node=call))
         owner = f"{ctx.module}.{cls_name}" if cls_name else ctx.module
         return FunctionNode(
             qualname=f"{owner}.{func.name}",
@@ -479,8 +480,7 @@ class ResolvedCall:
     """A call site with the qualnames it may land on (possibly none)."""
 
     targets: tuple[str, ...]
-    line: int
-    col: int
+    node: ast.Call
 
 
 class ProjectAnalysis:
@@ -509,9 +509,7 @@ class ProjectAnalysis:
         self._module_calls: dict[str, list[ResolvedCall]] = {
             module: [
                 ResolvedCall(
-                    targets=self.resolve_ref(call.ref),
-                    line=call.line,
-                    col=call.col,
+                    targets=self.resolve_ref(call.ref), node=call.node
                 )
                 for fn in info.functions
                 for call in fn.calls

@@ -363,7 +363,7 @@ class _LifecycleWalker:
         self,
         ctx: FileContext,
         imports: ImportMap,
-        resolved: dict[tuple[int, int], tuple[str, ...]],
+        resolved: dict[ast.Call, tuple[str, ...]],
         returners: dict[str, str],
     ) -> None:
         self.ctx = ctx
@@ -380,7 +380,7 @@ class _LifecycleWalker:
         return f"{target}.{rest}" if rest else target
 
     def acquire_spec(self, call: ast.Call) -> Optional[ResourceSpec]:
-        targets = self.resolved.get((call.lineno, call.col_offset), ())
+        targets = self.resolved.get(call, ())
         if targets:
             # The call resolved into the project: trust the call graph
             # (a local helper shadowing ``open`` must not match the
@@ -844,13 +844,15 @@ def _iter_functions(
 
 def _run_walker(ctx: FileContext) -> _LifecycleWalker:
     imports = ImportMap(ctx.tree)
-    resolved: dict[tuple[int, int], tuple[str, ...]] = {}
+    resolved: dict[ast.Call, tuple[str, ...]] = {}
     returners: dict[str, str] = {}
     project = getattr(ctx, "project", None)
     if project is not None and project.has_module(ctx.module):
+        # Keyed by the call node of the tree this walker reads (the
+        # project adopted this context's parse).
         for site in project.resolved_calls(ctx.module):
             if site.targets:
-                resolved.setdefault((site.line, site.col), site.targets)
+                resolved[site.node] = site.targets
         returners = resource_returners(project)
     walker = _LifecycleWalker(ctx, imports, resolved, returners)
     for func in _iter_functions(ctx.tree):

@@ -5,15 +5,28 @@ report stream, the source and claim populations, and the ground-truth
 timelines — together with the summary statistics reported in the paper's
 Table II and JSONL (de)serialization so generated traces can be cached on
 disk and shared between benchmarks.
+
+The report stream is a :class:`~repro.core.columns.Reports`: an
+immutable, time-ordered tuple of :class:`Report` objects that also
+carries their claim, time and score columns, so batch passes over a
+trace (``SSTD.discover``, ``DistributedSSTD.run_batch``, the
+source-free baselines) read no report object.  The generator writes
+the columns directly; a trace built from a report list (or loaded, cut
+by :meth:`Trace.subset`, or merged) reads them once.  ``Trace`` sorts a
+copy of the reports it is given, never the caller's list.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
+from repro.core.columns import Reports
 from repro.core.types import (
     Attitude,
     Claim,
@@ -29,6 +42,8 @@ __all__ = [
     "TraceStats",
     "merge_traces",
 ]
+
+_TIMESTAMP = attrgetter("timestamp")
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,28 +76,38 @@ class Trace:
 
     Attributes:
         name: Scenario name (e.g. ``"Boston Bombing"``).
-        reports: All reports, sorted by timestamp.
+        reports: All reports, sorted by timestamp (ties keep their
+            input order).  Any iterable of reports is accepted and
+            stored as :class:`~repro.core.columns.Reports`; one that is
+            already time-ordered ``Reports`` is kept as is.
         sources: Source population keyed by source id.
         claims: Claim set keyed by claim id.
         timelines: Ground-truth timeline per claim id.
     """
 
     name: str
-    reports: list[Report]
+    reports: Reports
     sources: dict[str, Source] = field(default_factory=dict)
     claims: dict[str, Claim] = field(default_factory=dict)
     timelines: dict[str, TruthTimeline] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.reports.sort(key=lambda report: report.timestamp)
+        reports = self.reports
+        if not (
+            isinstance(reports, Reports)
+            and not np.any(np.diff(reports.columns.times) < 0)
+        ):
+            self.reports = Reports.of(sorted(reports, key=_TIMESTAMP))
 
     @property
     def start(self) -> float:
-        return self.reports[0].timestamp if self.reports else 0.0
+        times = self.reports.columns.times
+        return float(times[0]) if times.size else 0.0
 
     @property
     def end(self) -> float:
-        return self.reports[-1].timestamp if self.reports else 0.0
+        times = self.reports.columns.times
+        return float(times[-1]) if times.size else 0.0
 
     def stats(self) -> TraceStats:
         """Table II row for this trace."""
@@ -91,7 +116,7 @@ class Trace:
             duration_seconds=self.end - self.start,
             n_reports=len(self.reports),
             n_sources=len({report.source_id for report in self.reports}),
-            n_claims=len({report.claim_id for report in self.reports}),
+            n_claims=len(self.reports.columns.claim_ids),
         )
 
     def subset(self, max_reports: int) -> "Trace":
@@ -110,9 +135,11 @@ class Trace:
             timelines=self.timelines,
         )
 
-    def reports_between(self, start: float, end: float) -> list[Report]:
-        """Reports with ``start <= timestamp < end``."""
-        return [r for r in self.reports if start <= r.timestamp < end]
+    def reports_between(self, start: float, end: float) -> tuple[Report, ...]:
+        """Reports with ``start <= timestamp < end``, in trace order."""
+        times = self.reports.columns.times
+        first, last = np.searchsorted(times, (start, end))
+        return self.reports[first:last]
 
     # ------------------------------------------------------------------
     # Serialization

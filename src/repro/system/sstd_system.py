@@ -562,7 +562,7 @@ class DistributedSSTD:
         if span <= 0:
             raise ValueError("trace must span a positive duration")
         starts = trace.start + (span / n_intervals) * np.arange(n_intervals)
-        times = np.array([report.timestamp for report in trace.reports])
+        times = trace.reports.columns.times
         grid = config.sstd.acs.grid(trace.start, trace.end)
         report_cuts = [*np.searchsorted(times, starts).tolist(), times.size]
         grid_cuts = [*np.searchsorted(grid, starts).tolist(), grid.size]

@@ -45,9 +45,11 @@ class TestTrajectoryRecording:
         from repro.control import TrajectoryRecorder
 
         recorder = TrajectoryRecorder(tmp_path / "traj.jsonl")
-        pid = PIDController(recorder=recorder)
-        pid.update(1.0, dt=1.0)
-        recorder.close()
+        try:
+            pid = PIDController(recorder=recorder)
+            pid.update(1.0, dt=1.0)
+        finally:
+            recorder.close()
         recorder.close()  # idempotent
         pid.update(2.0, dt=1.0)
         assert recorder.recorded == 1

@@ -169,6 +169,38 @@ def use(risky):
         assert run_over(tmp_path, {"shadow.py": src}, LEAK_RULES) == []
 
 
+CHAINED_RELEASE = '''
+import repro.system.shm as shm
+
+__all__ = ["attach", "peek"]
+
+
+def attach(handle):
+    return shm.attach(handle)
+
+
+def peek(handle):
+{body}
+'''
+
+
+class TestChainedCall:
+    # A chained call starts at its receiver call's position, so targets
+    # keyed by (line, col) gave ``attach(handle).close()``'s ``.close()``
+    # the target of ``attach`` and reported a discarded acquire.
+    def test_acquire_released_by_chained_call_is_clean(self, tmp_path):
+        body = "    attach(handle).close()\n"
+        files = {"chain.py": CHAINED_RELEASE.format(body=body)}
+        assert run_over(tmp_path, files, LEAK_RULES) == []
+
+    def test_discarded_project_acquire_is_still_a_leak(self, tmp_path):
+        body = "    attach(handle)\n"
+        files = {"chain.py": CHAINED_RELEASE.format(body=body)}
+        findings = run_over(tmp_path, files, LEAK_RULES)
+        assert [(f.rule_id, f.line) for f in findings] == [("SSTD014", 12)]
+        assert "discarded" in findings[0].message
+
+
 EXECUTOR_FACTORY = '''
 from repro.workqueue.process import ProcessWorkQueue
 

@@ -153,7 +153,7 @@ class TestProcessWorkQueue:
 
     def test_worker_count_validation(self):
         with pytest.raises(ValueError):
-            ProcessWorkQueue(n_workers=0)
+            ProcessWorkQueue(n_workers=0).shutdown()
 
     def test_wall_time_recorded(self, wq):
         wq.submit(Task(job_id="j", fn=PayloadSpec(time.sleep, (0.05,))))
