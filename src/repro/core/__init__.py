@@ -27,7 +27,7 @@ from repro.core.reliability import (
     rank_spreaders,
     reliability_histogram,
 )
-from repro.core.scores import FULL_WEIGHTS, ScoreWeights, contribution_score
+from repro.core.scores import FULL_WEIGHTS, ScoreWeights
 from repro.core.sstd import SSTD, ClaimTruthModel, SSTDConfig, StreamingSSTD
 from repro.core.types import (
     Attitude,
@@ -67,7 +67,6 @@ __all__ = [
     "TruthTimeline",
     "TruthValue",
     "acs_sequence",
-    "contribution_score",
     "estimates_digest",
     "evaluate_estimates",
     "evaluate_per_claim",

@@ -22,8 +22,8 @@ Two refinements over the literal Eq. (4), both fixed:
 
 This module turns a claim's report stream into the observation sequence
 ``F(u) = (ACS_u^1 .. ACS_u^T)`` sampled on a regular grid, both in batch
-form (:func:`acs_sequence`) and incrementally for streaming use
-(:class:`SlidingWindowACS`).  Batch callers build one
+form (:func:`acs_sequence`) and one grid point at a time for every
+streaming claim at once (:class:`SlidingWindowACS`).  Batch callers build one
 :class:`ReportTable` (claim, time and score columns, grouped by claim)
 and hand :func:`acs_sequence` one claim's :class:`ClaimRows` at a time.
 The table is built from the reports' columns
@@ -35,7 +35,6 @@ iterable is read into columns on every call.
 from __future__ import annotations
 
 import bisect
-import collections
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -250,67 +249,61 @@ def acs_sequence(
 
 
 class SlidingWindowACS:
-    """Incremental ACS for streaming truth discovery.
+    """Every streaming claim's ACS window, held as one stack of report rows.
 
-    Reports are pushed in timestamp order; :meth:`value_at` evicts
-    reports that have slid out of the window and returns the current ACS
-    in O(1) amortized time per report.
+    Row ``i`` is one report: the ``slot`` (a dense claim index the caller
+    assigns), the timestamp and the contribution score.  :meth:`push`
+    appends a batch of rows; :meth:`value_at` returns every slot's ACS
+    over ``(at - window, at]`` from two ``np.bincount`` calls, each
+    window's scores summed in push order.  Rows need no time order: a
+    row counts at ``at`` exactly when ``at - window < t <= at``, so a
+    late report inside the window counts and one stamped after ``at``
+    waits.  Queries move forward in time, so :meth:`value_at` drops the
+    rows at or before ``at - window``: no later window holds them.
 
     Example:
-        >>> from repro.core.types import Report, Attitude
-        >>> acc = SlidingWindowACS(window=10.0)
-        >>> acc.push(Report("s1", "c1", 1.0, Attitude.AGREE))
-        >>> acc.value_at(5.0)
-        1.0
+        >>> import numpy as np
+        >>> acs = SlidingWindowACS(window=10.0)
+        >>> acs.push(np.array([0, 1]), np.array([1.0, 2.0]), np.array([1, -0.5]))
+        >>> acs.value_at(5.0, n_slots=3).tolist()
+        [1.0, -0.5, nan]
     """
 
-    def __init__(
-        self, window: float, weights: ScoreWeights = FULL_WEIGHTS
-    ) -> None:
+    def __init__(self, window: float) -> None:
         if window <= 0:
             raise ValueError(f"window must be > 0, got {window}")
         self.window = window
-        self.weights = weights
-        self._queue: collections.deque[tuple[float, float]] = collections.deque()
-        self._total = 0.0
-        self._last_push = -math.inf
+        self._slots = np.empty(0, dtype=np.intp)
+        self._times = np.empty(0)
+        self._scores = np.empty(0)
 
-    def push(self, report: Report) -> None:
-        """Add one report; reports must arrive in non-decreasing time."""
-        if report.timestamp < self._last_push:
-            raise ValueError(
-                f"out-of-order report at t={report.timestamp} "
-                f"(last push was t={self._last_push})"
-            )
-        self._last_push = report.timestamp
-        score = self.weights.score(report)
-        self._queue.append((report.timestamp, score))
-        self._total += score
+    def push(
+        self, slots: np.ndarray, times: np.ndarray, scores: np.ndarray
+    ) -> None:
+        """Append rows: slot ``slots[i]``'s report at ``times[i]``, scoring
+        ``scores[i]``."""
+        self._slots = np.concatenate((self._slots, slots))
+        self._times = np.concatenate((self._times, times))
+        self._scores = np.concatenate((self._scores, scores))
 
-    def value_at(self, at: float) -> float:
-        """ACS over the window ``(at - window, at]``.
+    def value_at(self, at: float, n_slots: int) -> np.ndarray:
+        """ACS of slots ``0 .. n_slots - 1`` over ``(at - window, at]``.
 
-        Evicts expired reports; queries, like pushes, move forward in
-        time.  Returns NaN for an empty window.
+        The mean score of each slot's rows inside the window, NaN where
+        it holds none.
         """
-        cutoff = at - self.window
-        while self._queue and self._queue[0][0] <= cutoff:
-            _, score = self._queue.popleft()
-            self._total -= score
-        # Reports newer than `at` have not "happened yet" for this query;
-        # exclude them without evicting.
-        pending_total = 0.0
-        pending_count = 0
-        for ts, score in reversed(self._queue):
-            if ts <= at:
-                break
-            pending_total += score
-            pending_count += 1
-        total = self._total - pending_total
-        count = len(self._queue) - pending_count
-        if count == 0:
-            return math.nan
-        return total / count
+        live = self._times > at - self.window
+        if not live.all():
+            self._slots = self._slots[live]
+            self._times = self._times[live]
+            self._scores = self._scores[live]
+        slots, scores = self._slots, self._scores
+        inside = self._times <= at
+        if not inside.all():
+            slots, scores = slots[inside], scores[inside]
+        counts = np.bincount(slots, minlength=n_slots)
+        totals = np.bincount(slots, weights=scores, minlength=n_slots)
+        return totals / np.where(counts > 0, counts, np.nan)
 
     def __len__(self) -> int:
-        return len(self._queue)
+        return self._times.size

@@ -31,13 +31,7 @@ __all__ = [
     "ATTITUDE_ONLY",
     "FULL_WEIGHTS",
     "ScoreWeights",
-    "contribution_score",
 ]
-
-def contribution_score(report: Report) -> float:
-    """Contribution score of a single report, Eq. (1) of the paper."""
-    return report.contribution_score
-
 
 @dataclass(frozen=True, slots=True)
 class ScoreWeights:
@@ -53,28 +47,20 @@ class ScoreWeights:
     use_uncertainty: bool = True
     use_independence: bool = True
 
-    def score(self, report: Report) -> float:
-        """Contribution score of ``report`` under these toggles."""
-        value = float(report.attitude)
-        if self.use_uncertainty:
-            value *= 1.0 - report.uncertainty
-        if self.use_independence:
-            value *= report.independence
-        contracts.assert_score_range(value, "contribution score (Eq. 1)")
-        return value
-
     def score_column(
         self, reports: Iterable[Report] | ReportColumns
     ) -> np.ndarray:
-        """:meth:`score` of every report as one float64 array, input order.
+        """Every report's contribution score under these toggles, as one
+        float64 array in input order.
 
         ``reports`` may be their columns; a
         :class:`~repro.core.columns.Reports` gives the columns it
         carries, and any other iterable is read by
         :meth:`ReportColumns.of` (attitude, plus the factors these
-        toggles keep).  The factors are multiplied in :meth:`score`'s
-        order, so each entry has the same bits; the range contract runs
-        once on the whole column.
+        toggles keep).  The factors are multiplied in Eq. (1)'s order,
+        ``attitude * (1 - uncertainty) * independence``, so an entry has
+        the bits of that product in Python floats; the range contract
+        runs once on the whole column.
         """
         columns = report_columns(reports)
         values = columns.attitudes.astype(np.float64)

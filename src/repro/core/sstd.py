@@ -29,7 +29,6 @@ import dataclasses
 import enum
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -41,6 +40,7 @@ from repro.core.acs import (
     SlidingWindowACS,
     acs_sequence,
 )
+from repro.core.columns import ReportColumns
 from repro.core.types import Report, TruthEstimate, TruthValue
 from repro.hmm.batch import BatchGaussianHMM, HMMParams, stack_ragged
 from repro.obs import get_obs
@@ -443,69 +443,65 @@ class SkippedRefit(enum.Enum):
     SHED = "shed"
 
 
-@dataclass(slots=True)
-class _ClaimStream:
-    """Mutable streaming state of one claim (see :class:`StreamingSSTD`)."""
+#: The per-slot arrays of :class:`StreamingSSTD`, grown together.
+_PER_SLOT = (
+    "_buffer", "_first", "_fresh", "_deferred", "_modelled", "_alpha", "_codes"
+)
+#: Dtypes of the pushed columns: slot, time, attitude and the two factors.
+_PUSHED_DTYPES = (np.intp, np.float64, np.int8, np.float64, np.float64)
 
-    claim_id: str
-    window: SlidingWindowACS
-    times: list[float] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
-    #: Non-NaN entries of ``values``, kept in step with append and trim.
-    informative: int = 0
-    #: A report arrived since the claim's last refit.
-    fresh: bool = False
-    #: The last refit round deferred this claim: it is due off schedule.
-    deferred: bool = False
-    latest: TruthEstimate | None = None
-    #: Parameters of the last successful refit and the forward-filter
-    #: vector they have been advanced to; set together, None before the
-    #: first fit.
-    params: HMMParams | None = None
-    alpha: np.ndarray | None = None
+
+def _widen(array: np.ndarray, size: int) -> np.ndarray:
+    """``array`` grown along its first axis to ``size``, new entries zero."""
+    wider = np.zeros((size, *array.shape[1:]), dtype=array.dtype)
+    wider[: len(array)] = array
+    return wider
 
 
 class StreamingSSTD:
     """Streaming API: push reports, poll truth estimates as time advances.
 
-    Maintains one sliding-window ACS accumulator and one bounded
-    observation buffer per claim.  Claims decompose independently
-    (paper Section III-E), so :meth:`tick` treats them as one stack and
-    runs three phases:
+    A claim gets a *slot*, a dense index in joining order, at its first
+    report; a push only records the report's slot, time and score
+    factors.  Claims decompose independently (paper Section III-E), so
+    :meth:`tick` treats them as one stack in four phases:
 
-    1. **Append and split.**  Every claim's buffer gets this tick's ACS
-       value; the claim is then *due for retrain* (it got a report
+    1. **One window read.**  The reports pushed since the last tick are
+       scored as one column into the engine-wide
+       :class:`SlidingWindowACS`, which returns every claim's ACS at
+       ``now``; the column joins the claims' observation buffers, each
+       trimmed to ``max_buffer``.
+    2. **Split.**  A claim is *due for retrain* when it got a report
        since its last refit, the engine's tick count — one count for
-       every claim, from the engine's first tick — is a multiple of
-       ``retrain_every`` or the claim's last refit was deferred, and
-       the buffer holds ``min_observations`` informative values),
-       *filtering* (it has a model), or on *cold start* (sign rule on
-       the newest informative ACS value).  One count puts claims that
-       joined on different ticks on the same refit ticks, so a
-       scheduled tick pays one refit call for all of them.
-    2. **One stacked refit.**  All due claims go through a single
+       every claim, so claims that joined on different ticks share one
+       refit call — is a multiple of ``retrain_every`` or the claim's
+       last refit was deferred, and its buffer holds
+       ``min_observations`` informative values.  Any other claim is
+       *filtering* (it has a model) or on *cold start* (sign rule on
+       its newest ACS value).
+    3. **One stacked refit.**  All due claims go through a single
        ``refit(items, config)`` call — :func:`batch_fit_decode`, or a
        callable that returns what it would for each item, or a
        :class:`SkippedRefit` (the distributed system ships the call to
        its workers).  The kernel is row-deterministic and freezes rows
        individually, so each claim's fit is bit-identical to fitting it
-       alone; the fit re-initializes
-       emission parameters from the buffer's quantiles (a stale model
-       after a truth transition would otherwise take many EM rounds to
-       drag its means across zero).  The claim's filter is re-seeded
-       from the last row of the forward pass that call already ran.  A
-       claim whose refit takes the sign fallback keeps its previous
-       model and filter state, as does a claim the callable skips.
-    3. **One stacked filter step.**  Every filtering claim advances its
+       alone; the fit re-initializes emission parameters from the
+       buffer's quantiles (a stale model after a truth transition would
+       otherwise take many EM rounds to drag its means across zero).
+       The claim's filter is re-seeded from the last row of the forward
+       pass that call already ran.  A claim whose refit takes the sign
+       fallback keeps its previous model and filter state, as does a
+       claim the callable skips.
+    4. **One stacked filter step.**  Every filtering claim advances its
        normalized forward vector in one ``(N, K)`` step
-       (:meth:`repro.hmm.batch.BatchGaussianHMM.filter_step`).
+       (:meth:`repro.hmm.batch.BatchGaussianHMM.filter_step`) of a
+       filter bank kept until the filtering set or a model changes.
 
-    Cost: a push is O(1) amortized.  A tick without retrains is O(1)
-    per claim — one window read, one append, one estimate — plus a
-    constant number of numpy calls for the whole filter stack.  A tick
-    with M due claims adds *one* fit: at most ``em_max_iter``
-    forward-backward sweeps (it ends when the last row's log-likelihood
-    plateaus, rows leaving as theirs do) over at most ``max_buffer``
+    Cost: a push is a dict lookup and five list appends.  A tick
+    without retrains is a fixed number of numpy calls over its reports,
+    the window's rows and the claim stack, plus one estimate object per
+    claim.  A tick with M due claims adds *one* fit: at most
+    ``em_max_iter`` forward-backward sweeps over at most ``max_buffer``
     time steps, each step one ``(M, K)`` operation, so its interpreter
     cost does not grow with M.
     """
@@ -539,30 +535,69 @@ class StreamingSSTD:
         self._now = -math.inf
         #: None resolves :func:`batch_fit_decode` at call time.
         self._refit_fn = refit
-        self._claims: dict[str, _ClaimStream] = {}
-        #: The values of ``_claims`` sorted by claim id (the tick order).
-        self._ordered: list[_ClaimStream] = []
+        #: Claim id per slot, slot per claim id, slots in claim-id order,
+        #: the ids in that order and each slot's rank in it.
+        self._ids: list[str] = []
+        self._slot_of: dict[str, int] = {}
+        self._order: list[int] = []
+        self._sorted_ids: tuple[str, ...] = ()
+        self._rank = np.zeros(0, dtype=np.uint8)
+        #: The columns of the reports pushed since the last tick.
+        self._pushed: tuple[list, ...] = ([], [], [], [], [])
+        self._window = SlidingWindowACS(self.config.acs.window)
+        #: Slot ``s`` buffers ACS values ``_buffer[s, _first[s]:_rows]``
+        #: of the ticks ``_grid[_first[s]:_rows]``.
+        self._grid = np.empty(2 * max_buffer)
+        self._rows = 0
+        self._buffer = np.empty((0, self._grid.size))
+        self._first = np.zeros(0, dtype=np.intp)
+        #: Per slot: a report since the last refit, a deferred last
+        #: refit, a model and its forward vector (two states, as
+        #: :func:`batch_fit_decode` fits), the latest estimate and its
+        #: truth code.
+        self._fresh = np.zeros(0, dtype=bool)
+        self._deferred = np.zeros(0, dtype=bool)
+        self._modelled = np.zeros(0, dtype=bool)
+        self._alpha = np.zeros((0, 2))
+        self._codes = np.zeros(0, dtype=np.int8)
+        self._params: list[HMMParams | None] = []
+        self._latest: list[TruthEstimate | None] = []
+        #: The slots of the last filter step and its bank.
+        self._bank: tuple[np.ndarray, BatchGaussianHMM] | None = None
 
     @property
     def claim_ids(self) -> list[str]:
-        return [claim.claim_id for claim in self._ordered]
+        return list(self._sorted_ids)
 
     def push(self, report: Report) -> None:
-        """Ingest one report (timestamps non-decreasing per claim)."""
-        claim = self._claims.get(report.claim_id)
-        if claim is None:
-            claim = _ClaimStream(
-                report.claim_id,
-                SlidingWindowACS(
-                    self.config.acs.window, self.config.acs.weights
-                ),
-            )
-            self._claims[report.claim_id] = claim
-            bisect.insort(
-                self._ordered, claim, key=operator.attrgetter("claim_id")
-            )
-        claim.window.push(report)
-        claim.fresh = True
+        """Ingest one report, stamped at any time."""
+        slot = self._slot_of.get(report.claim_id)
+        if slot is None:
+            slot = self._join(report.claim_id)
+        slots, times, attitudes, uncertainty, independence = self._pushed
+        slots.append(slot)
+        times.append(report.timestamp)
+        attitudes.append(report.attitude)
+        uncertainty.append(report.uncertainty)
+        independence.append(report.independence)
+
+    def _join(self, claim_id: str) -> int:
+        """The next slot, for ``claim_id``; it buffers from the next tick."""
+        slot = len(self._ids)
+        if slot == len(self._first):
+            for name in _PER_SLOT:
+                setattr(self, name, _widen(getattr(self, name), 2 * slot or 8))
+        self._first[slot] = self._rows
+        self._ids.append(claim_id)
+        self._slot_of[claim_id] = slot
+        self._params.append(None)
+        self._latest.append(None)
+        bisect.insort(self._order, slot, key=self._ids.__getitem__)
+        self._sorted_ids = tuple(self._ids[s] for s in self._order)
+        self._rank = np.argsort(self._order).astype(
+            np.min_scalar_type(len(self._ids))
+        )
+        return slot
 
     def tick(self, now: float) -> list[TruthEstimate]:
         """Advance the observation grid to ``now`` for every claim.
@@ -570,7 +605,7 @@ class StreamingSSTD:
         Appends one ACS observation per claim, retrains/decodes as
         scheduled, and returns the current truth estimate of every claim
         in claim-id order.  ``now`` must be later than the previous
-        tick: the windows have already evicted reports older than it.
+        tick, whose window start the window has already dropped.
         """
         if not now > self._now:
             raise ValueError(
@@ -579,125 +614,138 @@ class StreamingSSTD:
             )
         self._now = now
         self._ticks += 1
+        n = len(self._ids)
+        self._take_pushed()
+        values = self._window.value_at(now, n)
+        self._append(now, values)
         scheduled = self._ticks % self.retrain_every == 0
-        due: list[_ClaimStream] = []
-        waiting: list[_ClaimStream] = []
-        for claim in self._ordered:
-            self._append(claim, now)
-            is_due = (
-                claim.fresh
-                and (scheduled or claim.deferred)
-                and claim.informative >= self.config.min_observations
+        due = self._fresh[:n] & (scheduled | self._deferred[:n])
+        if due.any():
+            # Only now count the informative values the candidates hold.
+            held = np.arange(self._rows) >= self._first[:n, None]
+            buffered = held & ~np.isnan(self._buffer[:n, : self._rows])
+            due &= buffered.sum(axis=1) >= self.config.min_observations
+        waiting = np.ones(n, dtype=bool)
+        if due.any():
+            waiting[self._refit([s for s in self._order if due[s]])] = False
+        filtering = np.flatnonzero(waiting & self._modelled[:n])
+        if filtering.size:
+            self._filter(filtering, values)
+        cold = np.flatnonzero(waiting & ~self._modelled[:n])
+        if cold.size:
+            # Sign rule on the newest ACS value, else the last decision.
+            acs = values[cold]
+            keep = np.isnan(acs)
+            self._codes[cold] = np.where(keep, self._codes[cold], acs > 0)
+        settled = np.flatnonzero(waiting)
+        for slot, code in zip(settled.tolist(), self._codes[settled].tolist()):
+            self._latest[slot] = TruthEstimate(
+                self._ids[slot], now, _TRUTH_OF_CODE[code]
             )
-            (due if is_due else waiting).append(claim)
-        if due:
-            waiting.extend(self._refit(due))
-        filtering: list[_ClaimStream] = []
-        for claim in waiting:
-            if claim.params is not None:
-                filtering.append(claim)
-            else:
-                claim.latest = self._cold_start(claim, now)
-        if filtering:
-            self._filter(filtering, now)
         obs = get_obs()
         if obs.enabled:
-            if due:
+            if due.any():
                 obs.metrics.observe(
                     "sstd.stream.retrain_rows",
-                    float(len(due)),
+                    float(np.count_nonzero(due)),
                     bounds=RETRAIN_ROW_BUCKETS,
                 )
-            obs.metrics.inc("sstd.stream.filter_rows", len(filtering))
-        return [claim.latest for claim in self._ordered]
+            obs.metrics.inc("sstd.stream.filter_rows", filtering.size)
+        return [self._latest[slot] for slot in self._order]
 
-    def _append(self, claim: _ClaimStream, now: float) -> None:
-        """Buffer this tick's ACS value, trimming to ``max_buffer``."""
-        value = claim.window.value_at(now)
-        claim.times.append(now)
-        claim.values.append(value)
-        if not math.isnan(value):
-            claim.informative += 1
-        if len(claim.times) > self.max_buffer:
-            # Trim in blocks so the amortized cost per tick stays O(1).
-            drop = max(1, self.max_buffer // 5)
-            claim.informative -= sum(
-                1 for v in claim.values[:drop] if not math.isnan(v)
-            )
-            del claim.times[:drop]
-            del claim.values[:drop]
+    def _take_pushed(self) -> None:
+        """Score the reports pushed since the last tick into the window."""
+        count = len(self._pushed[0])
+        if not count:
+            return
+        slots, *rows = (
+            np.fromiter(column, dtype, count)
+            for column, dtype in zip(self._pushed, _PUSHED_DTYPES)
+        )
+        columns = ReportColumns.from_arrays(
+            self._sorted_ids, self._rank[slots], *rows
+        )
+        scores = self.config.acs.weights.score_column(columns)
+        self._window.push(slots, columns.times, scores)
+        self._fresh[slots] = True
+        for column in self._pushed:
+            column.clear()
 
-    def _cold_start(self, claim: _ClaimStream, now: float) -> TruthEstimate:
-        """Sign rule on the newest informative ACS value."""
-        value = claim.values[-1]
-        if not math.isnan(value):
-            truth = TruthValue.TRUE if value > 0 else TruthValue.FALSE
-        elif claim.latest is not None:
-            truth = claim.latest.value
-        else:
-            truth = TruthValue.FALSE
-        return TruthEstimate(
-            claim_id=claim.claim_id, timestamp=now, value=truth
+    def _append(self, now: float, values: np.ndarray) -> None:
+        """Buffer this tick's ACS column; trim in blocks to ``max_buffer``."""
+        n = values.size
+        if self._rows == self._grid.size:
+            # Full: slide the rows some buffer holds to the front; each
+            # buffer holds at most max_buffer rows, half the space.
+            base = int(self._first[:n].min()) if n else self._rows
+            live = slice(base, self._rows)
+            self._rows -= base
+            self._grid[: self._rows] = self._grid[live]
+            self._buffer[:n, : self._rows] = self._buffer[:n, live]
+            self._first[:n] -= base
+        self._grid[self._rows] = now
+        self._buffer[:n, self._rows] = values
+        self._rows += 1
+        over = self._rows - self._first[:n] > self.max_buffer
+        self._first[:n][over] += max(1, self.max_buffer // 5)
+
+    def _buffer_of(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of a claim's buffered ``(times, values)``."""
+        first = self._first[slot]
+        return (
+            self._grid[first : self._rows].copy(),
+            self._buffer[slot, first : self._rows].copy(),
         )
 
-    def _refit(self, due: list[_ClaimStream]) -> list[_ClaimStream]:
+    def _refit(self, due: list[int]) -> list[int]:
         """Refit every due claim on its buffer in one ``refit`` call.
 
-        Returns the claims the call skipped; they filter this tick.
+        Returns the slots refitted; the ones the call skipped filter
+        this tick.
         """
         refit = self._refit_fn or batch_fit_decode
         results = refit(
-            [
-                (
-                    claim.claim_id,
-                    np.asarray(claim.times),
-                    np.asarray(claim.values),
-                )
-                for claim in due
-            ],
+            [(self._ids[slot], *self._buffer_of(slot)) for slot in due],
             self.config,
         )
-        skipped: list[_ClaimStream] = []
-        for claim, result in zip(due, results, strict=True):
-            claim.deferred = result is SkippedRefit.DEFERRED
+        refitted: list[int] = []
+        for slot, result in zip(due, results, strict=True):
+            self._deferred[slot] = result is SkippedRefit.DEFERRED
             if isinstance(result, SkippedRefit):
-                skipped.append(claim)
                 continue
-            claim.fresh = False
-            claim.latest = result.estimate(-1)
+            refitted.append(slot)
+            self._fresh[slot] = False
+            self._latest[slot] = result.estimate(-1)
+            self._codes[slot] = result.codes[-1]
             if result.used_hmm:
-                claim.params = result.params
-                claim.alpha = result.filter_state
-        return skipped
+                self._params[slot] = result.params
+                self._alpha[slot] = result.filter_state
+                self._modelled[slot] = True
+                self._bank = None
+        return refitted
 
-    def _filter(self, filtering: list[_ClaimStream], now: float) -> None:
-        """Advance every modelled claim's forward filter by one step."""
-        params = [claim.params for claim in filtering]
-        bank = BatchGaussianHMM(
-            len(params),
-            n_states=params[0].means.size,
-            transmat=np.stack([p.transmat for p in params]),
-            means=np.stack([p.means for p in params]),
-            variances=np.stack([p.variances for p in params]),
-        )
-        alphas = bank.filter_step(
-            np.stack([claim.alpha for claim in filtering]),
-            np.array([claim.values[-1] for claim in filtering]),
-        )
-        states = np.argmax(alphas, axis=1)
-        asserted = bank.means[np.arange(len(filtering)), states] > 0
-        for claim, alpha, positive in zip(filtering, alphas, asserted):
-            claim.alpha = alpha
-            claim.latest = TruthEstimate(
-                claim_id=claim.claim_id,
-                timestamp=now,
-                value=TruthValue.TRUE if positive else TruthValue.FALSE,
+    def _filter(self, slots: np.ndarray, acs: np.ndarray) -> None:
+        """Advance the filters of ``slots`` by one step on their ``acs``;
+        a slot's code is TRUE when its likeliest state's mean is positive."""
+        if self._bank is None or not np.array_equal(slots, self._bank[0]):
+            params = [self._params[slot] for slot in slots.tolist()]
+            self._bank = slots, BatchGaussianHMM(
+                len(params),
+                n_states=self._alpha.shape[1],
+                transmat=np.stack([p.transmat for p in params]),
+                means=np.stack([p.means for p in params]),
+                variances=np.stack([p.variances for p in params]),
             )
+        bank = self._bank[1]
+        alphas = bank.filter_step(self._alpha[slots], acs[slots])
+        self._alpha[slots] = alphas
+        states = np.argmax(alphas, axis=1)
+        self._codes[slots] = bank.means[np.arange(slots.size), states] > 0
 
     def latest(self) -> Mapping[str, TruthEstimate]:
         """Most recent estimate per claim."""
         return {
-            claim.claim_id: claim.latest
-            for claim in self._ordered
-            if claim.latest is not None
+            self._ids[slot]: self._latest[slot]
+            for slot in self._order
+            if self._latest[slot] is not None
         }

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.acs import ACSConfig, SlidingWindowACS, acs_sequence
-from repro.core.scores import ScoreWeights
+from repro.core.scores import FULL_WEIGHTS, ScoreWeights
 from repro.core.types import Attitude, Report
 
 
@@ -21,13 +21,27 @@ def report(t, attitude=Attitude.AGREE, uncertainty=0.0, independence=1.0):
 CONFIG = ACSConfig(window=10.0, step=5.0)
 
 
+def eq1_score(report, weights=FULL_WEIGHTS):
+    """Eq. (1) written out, ``attitude * (1 - uncertainty) *
+    independence``, with a factor read as 1 when its toggle is off."""
+    value = float(report.attitude)
+    if weights.use_uncertainty:
+        value *= 1.0 - report.uncertainty
+    if weights.use_independence:
+        value *= report.independence
+    return value
+
+
 def brute_force_acs(batch, t, config):
-    """The ACS at grid point ``t``, report by report: the mean score of
-    the reports inside ``(t - window, t]``, NaN when there are none."""
-    inside = [r for r in batch if t - config.window < r.timestamp <= t]
-    if not inside:
-        return math.nan
-    return sum(config.weights.score(r) for r in inside) / len(inside)
+    """The ACS at grid point ``t``, report by report: the scores of the
+    reports inside ``(t - window, t]`` summed one at a time in ``batch``
+    order, over their count; NaN when there are none."""
+    total, count = 0.0, 0
+    for r in batch:
+        if t - config.window < r.timestamp <= t:
+            total += eq1_score(r, config.weights)
+            count += 1
+    return total / count if count else math.nan
 
 
 class TestACSConfig:
@@ -130,7 +144,7 @@ class TestACSSequence:
         # The same (sum, count) pairs acs_sequence finalises: windowed
         # differences of the score prefix sum.
         timestamps = np.array([r.timestamp for r in batch])
-        scores = [config.weights.score(r) for r in batch]
+        scores = [eq1_score(r, config.weights) for r in batch]
         prefix = np.concatenate([[0.0], np.cumsum(scores)])
         lo = np.searchsorted(timestamps, times - config.window, side="right")
         hi = np.searchsorted(timestamps, times, side="right")
@@ -143,6 +157,15 @@ class TestACSSequence:
         assert values.dtype == expected.dtype == np.float64
         assert values.tobytes() == expected.tobytes()
         assert np.isnan(values).any() == bool((hi == lo).any())
+
+
+def push(window, batch, slot=0):
+    """Push ``batch`` into ``window`` as rows of one slot, in list order."""
+    window.push(
+        np.full(len(batch), slot, dtype=np.intp),
+        np.array([r.timestamp for r in batch], dtype=float),
+        np.array([eq1_score(r) for r in batch], dtype=float),
+    )
 
 
 class TestSlidingWindowACS:
@@ -159,35 +182,41 @@ class TestSlidingWindowACS:
         window = SlidingWindowACS(15.0)
         cursor = 0
         for t, exp in zip(times, expected):
-            while cursor < len(batch) and batch[cursor].timestamp <= t:
-                window.push(batch[cursor])
-                cursor += 1
-            got = window.value_at(float(t))
+            arrived = [r for r in batch[cursor:] if r.timestamp <= t]
+            push(window, arrived)
+            cursor += len(arrived)
+            (got,) = window.value_at(float(t), 1)
             if math.isnan(exp):
                 assert math.isnan(got)
             else:
                 assert got == pytest.approx(exp)
 
-    def test_out_of_order_push_rejected(self):
+    def test_late_report_counts_inside_the_window_only(self):
         window = SlidingWindowACS(10.0)
-        window.push(report(5.0))
-        with pytest.raises(ValueError, match="out-of-order"):
-            window.push(report(1.0))
+        push(window, [report(5.0)])
+        assert window.value_at(6.0, 1).tolist() == [1.0]
+        # Late, but inside (2, 12]: it counts.
+        late = report(3.0, Attitude.DISAGREE, independence=0.5)
+        push(window, [late])
+        assert window.value_at(12.0, 1).tolist() == [0.25]
+        # At the last cutoff (12 - 10) and before it: never counted.
+        push(window, [report(2.0), report(1.0)])
+        assert window.value_at(12.5, 1).tolist() == [0.25]
+        assert len(window) == 2
 
     def test_eviction(self):
         window = SlidingWindowACS(10.0)
-        window.push(report(0.0))
-        assert window.value_at(5.0) == 1.0
-        assert math.isnan(window.value_at(11.0))
+        push(window, [report(0.0)])
+        assert window.value_at(5.0, 1).tolist() == [1.0]
+        assert math.isnan(window.value_at(11.0, 1)[0])
         assert len(window) == 0
 
     def test_future_reports_not_counted(self):
         window = SlidingWindowACS(10.0)
-        window.push(report(1.0))
-        window.push(report(8.0, Attitude.DISAGREE))
-        assert window.value_at(5.0) == 1.0
         batch = [report(1.0), report(8.0, Attitude.DISAGREE)]
-        assert window.value_at(9.0) == brute_force_acs(batch, 9.0, CONFIG)
+        push(window, batch)
+        assert window.value_at(5.0, 1).tolist() == [1.0]
+        assert window.value_at(9.0, 1)[0] == brute_force_acs(batch, 9.0, CONFIG)
 
     def test_rejects_nonpositive_window(self):
         with pytest.raises(ValueError):
@@ -209,8 +238,51 @@ class TestSlidingWindowACS:
         window = SlidingWindowACS(7.0)
         cursor = 0
         for t, exp in zip(times, expected):
-            while cursor < len(batch) and batch[cursor].timestamp <= t:
-                window.push(batch[cursor])
-                cursor += 1
-            got = window.value_at(float(t))
+            arrived = [r for r in batch[cursor:] if r.timestamp <= t]
+            push(window, arrived)
+            cursor += len(arrived)
+            (got,) = window.value_at(float(t), 1)
             assert (math.isnan(got) and math.isnan(exp)) or got == pytest.approx(exp)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ticks=st.lists(
+            st.tuples(
+                st.floats(min_value=0.01, max_value=6.0),
+                st.lists(
+                    st.tuples(
+                        st.integers(min_value=0, max_value=3),
+                        st.floats(min_value=-12.0, max_value=4.0),
+                        st.sampled_from(list(Attitude)),
+                        st.floats(min_value=0.0, max_value=0.99),
+                    ),
+                    max_size=8,
+                ),
+            ),
+            min_size=1, max_size=15,
+        )
+    )
+    def test_stack_equals_each_claims_window(self, ticks):
+        """Every slot of the stack reads its own window, bit for bit:
+        reports pushed in any time order, each tick's batch stamped from
+        before the last cutoff to after the tick."""
+        config = ACSConfig(window=7.0, step=3.0)
+        window = SlidingWindowACS(config.window)
+        pushed: list[list[Report]] = [[] for _ in range(4)]
+        now = 20.0
+        for advance, rows in ticks:
+            now += advance
+            batch = [
+                (slot, report(now + offset, attitude, uncertainty))
+                for slot, offset, attitude, uncertainty in rows
+            ]
+            window.push(
+                np.array([slot for slot, _ in batch], dtype=np.intp),
+                np.array([r.timestamp for _, r in batch], dtype=float),
+                np.array([eq1_score(r) for _, r in batch], dtype=float),
+            )
+            for slot, r in batch:
+                pushed[slot].append(r)
+            expected = [brute_force_acs(rs, now, config) for rs in pushed]
+            got = window.value_at(now, 4)
+            np.testing.assert_array_equal(got, expected)

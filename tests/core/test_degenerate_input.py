@@ -141,12 +141,13 @@ def test_streaming_tick(case):
         (estimate,) = engine.tick(now)
         assert estimate.timestamp == now
         assert 0.0 <= estimate.confidence <= 1.0
-    state = engine._claims["c"]
-    assert len(state.values) == grid.size
+    slot = engine._slot_of["c"]
+    _, values = engine._buffer_of(slot)
+    assert len(values) == grid.size
     if case == "all_nan":
-        assert all(math.isnan(v) for v in state.values)
+        assert all(math.isnan(v) for v in values)
     # A model exists only where the due refit could fit one.
-    assert (state.params is not None) is fits
+    assert (engine._params[slot] is not None) is fits
 
 
 #: claim -> (grid length, timesteps holding an outlier), placed against

@@ -10,6 +10,7 @@ from repro.core.acs import ACSConfig, ClaimRows, ReportTable, acs_sequence
 from repro.core.scores import ScoreWeights
 from repro.core.types import Attitude, Report
 from repro.devtools import contracts as ct
+from tests.core.test_acs import eq1_score
 
 TOGGLES = [
     ScoreWeights(use_uncertainty=u, use_independence=i)
@@ -54,7 +55,7 @@ def expected_order(reports):
 @given(reports=reports_strategy)
 def test_score_column_has_the_bits_of_score(weights, reports):
     column = weights.score_column(reports)
-    expected = np.array([weights.score(r) for r in reports], dtype=np.float64)
+    expected = np.array([eq1_score(r, weights) for r in reports], dtype=np.float64)
     assert column.dtype == np.float64
     assert column.tobytes() == expected.tobytes()
 
@@ -72,7 +73,7 @@ def test_rows_are_claim_then_time_ordered_and_stable(weights, reports):
     ]
     assert table.times.tolist() == [reports[i].timestamp for i in order]
     assert table.scores.tobytes() == np.array(
-        [weights.score(reports[i]) for i in order], dtype=np.float64
+        [eq1_score(reports[i], weights) for i in order], dtype=np.float64
     ).tobytes()
     counts = [sum(r.claim_id == c for r in reports) for c in claim_ids]
     assert np.diff(table.offsets).tolist() == counts

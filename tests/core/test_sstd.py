@@ -309,11 +309,12 @@ class TestStreamingSSTD:
             attitude = Attitude.AGREE if now < 7 else Attitude.DISAGREE
             engine.push(Report(f"s{now}", "c1", now - 0.5, attitude=attitude))
             engine.tick(float(now))
-        assert engine._claims["c1"].params is not None
+        assert engine._params[engine._slot_of["c1"]] is not None
 
     def test_buffer_bounded(self):
         engine = StreamingSSTD(FAST_CONFIG, max_buffer=10)
         engine.push(Report("s1", "c1", 0.5, attitude=Attitude.AGREE))
         for now in range(1, 50):
             engine.tick(float(now))
-        assert len(engine._claims["c1"].times) <= 10
+        times, _ = engine._buffer_of(engine._slot_of["c1"])
+        assert len(times) <= 10

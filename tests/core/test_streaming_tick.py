@@ -1,8 +1,11 @@
 """The stacked streaming tick against the per-claim engine it replaced.
 
-``StreamingSSTD.tick`` refits every due claim in one batched call and
-advances every modelled claim's filter in one ``(N, K)`` step.  The
-reference below is the per-claim engine written out in full — an N = 1
+``StreamingSSTD.tick`` reads every claim's ACS from one window stack,
+refits every due claim in one batched call and advances every modelled
+claim's filter in one ``(N, K)`` step.  The reference below is the
+per-claim engine written out in full — each window computed from its
+definition (the reports with ``now - window < t <= now``, their Eq. (1)
+scores summed one at a time in push order), an N = 1
 :meth:`ClaimTruthModel.fit_decode` per due claim, then the fitted
 parameters in the scalar reference HMM (``tests/hmm/scalar_reference.py``)
 for the forward pass that re-seeds the filter and for every filter step
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro.core.sstd as sstd_module
-from repro.core.acs import ACSConfig, SlidingWindowACS
+from repro.core.acs import ACSConfig
 from repro.core.sstd import (
     RETRAIN_MAX_ITER,
     ClaimTruthModel,
@@ -29,6 +32,7 @@ from repro.core.sstd import (
 from repro.core.types import Attitude, Report, TruthEstimate, TruthValue
 from repro.hmm.batch import BatchGaussianHMM
 from repro.obs import Observability, using
+from tests.core.test_acs import brute_force_acs
 from tests.hmm.scalar_reference import ScalarGaussianHMM, normalize
 
 #: Window == step: a tick's ACS value is exactly the one report (if any)
@@ -73,7 +77,8 @@ def scalar_forward_last(hmm, values: list[float]) -> np.ndarray:
 
 
 class PerClaimReference:
-    """One claim at a time: N = 1 refits, scalar re-seed, scalar filter."""
+    """One claim at a time: windows from their definition, N = 1 refits,
+    scalar re-seed, scalar filter."""
 
     def __init__(self, config, retrain_every, max_buffer):
         self.config = dataclasses.replace(
@@ -81,7 +86,8 @@ class PerClaimReference:
         )
         self.retrain_every = retrain_every
         self.max_buffer = max_buffer
-        self.windows: dict[str, SlidingWindowACS] = {}
+        #: Every report of a claim, in push order.
+        self.pushed: dict[str, list[Report]] = {}
         self.times: dict[str, list[float]] = {}
         self.values: dict[str, list[float]] = {}
         #: One tick count for the engine, not one per claim.
@@ -95,25 +101,22 @@ class PerClaimReference:
         self.latest: dict[str, TruthEstimate] = {}
 
     def push(self, report: Report) -> None:
-        if report.claim_id not in self.windows:
-            acs = self.config.acs
-            self.windows[report.claim_id] = SlidingWindowACS(
-                acs.window, acs.weights
-            )
+        if report.claim_id not in self.pushed:
+            self.pushed[report.claim_id] = []
             self.times[report.claim_id] = []
             self.values[report.claim_id] = []
             self.models[report.claim_id] = ClaimTruthModel(
                 report.claim_id, self.config
             )
-        self.windows[report.claim_id].push(report)
+        self.pushed[report.claim_id].append(report)
         self.fresh.add(report.claim_id)
 
     def tick(self, now: float) -> list[TruthEstimate]:
         self.ticks += 1
-        return [self._tick_claim(c, now) for c in sorted(self.windows)]
+        return [self._tick_claim(c, now) for c in sorted(self.pushed)]
 
     def _tick_claim(self, claim_id: str, now: float) -> TruthEstimate:
-        value = self.windows[claim_id].value_at(now)
+        value = brute_force_acs(self.pushed[claim_id], now, self.config.acs)
         times, values = self.times[claim_id], self.values[claim_id]
         times.append(now)
         values.append(value)
@@ -166,6 +169,62 @@ CLAIM_STREAM = st.builds(
 )
 
 
+#: Wider than ``CONFIG``'s window, so a report pushed a few ticks late
+#: still counts; ticks are off any step grid.
+WIDE = SSTDConfig(
+    acs=ACSConfig(window=2.5, step=1.0), min_observations=3, em_max_iter=4
+)
+#: Per tick, ``(advance, pushes)``: the tick comes ``advance`` after the
+#: previous one (the first after 10.0), and each push is ``(claim,
+#: offset of its timestamp from the tick, ACS value of the report)``.
+SCHEDULE = st.lists(
+    st.tuples(
+        st.floats(min_value=0.2, max_value=3.0),
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.floats(min_value=-5.0, max_value=2.0),
+                st.sampled_from([-0.9, -0.4, 0.3, 0.7, 1.0]),
+            ),
+            max_size=4,
+        ),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+#: "c1" joins on tick 10 of 20: when the 14-row buffer store of
+#: ``max_buffer=7`` fills on tick 15, the claims' buffers start on
+#: different rows.
+LATE_JOIN = [
+    (1.0, [(0, -0.5, VARIED[k % 5])] + [(1, -0.5, VARIED[k % 3])] * (k >= 9))
+    for k in range(20)
+]
+
+
+def run_schedule(engine, schedule):
+    """Feed ``schedule`` (see :data:`SCHEDULE`); returns every tick's
+    estimates."""
+    now = 10.0
+    ticks = []
+    for advance, pushes in schedule:
+        now += advance
+        for claim, offset, value in pushes:
+            attitude = Attitude.AGREE if value > 0 else Attitude.DISAGREE
+            engine.push(
+                Report(
+                    "s",
+                    f"c{claim}",
+                    now + offset,
+                    attitude=attitude,
+                    independence=abs(value),
+                )
+            )
+        ticks.append(engine.tick(now))
+    return ticks
+
+
 class TestDifferential:
     # On ticks 15 and 20 the first claim's trimmed buffer is constant:
     # its refit takes the sign fallback inside a batch whose other row
@@ -191,13 +250,73 @@ class TestDifferential:
         engine = StreamingSSTD(config, retrain_every, max_buffer)
         reference = PerClaimReference(config, retrain_every, max_buffer)
         assert run_ticks(engine, named) == run_ticks(reference, named)
-        assert engine.latest() == reference.latest
-        for claim_id, values in reference.values.items():
-            state = engine._claims[claim_id]
-            assert state.values == pytest.approx(values, nan_ok=True)
-            assert state.informative == sum(
-                1 for v in values if not math.isnan(v)
-            )
+        assert_same_state(engine, reference)
+
+    # Ticks at 11.0, 12.0, 13.37, ...: on 12.0 a report at 10.0 arrives
+    # after the tick at 11.0 (late, inside (9.5, 12]) with one at 9.4
+    # (at or before the cutoff, never counted); before 13.37 one for
+    # 14.5 arrives (after the tick, counted from 14.5 on).
+    @example(
+        schedule=[
+            (1.0, [(0, -0.5, 0.7), (1, -0.2, -0.4)]),
+            (1.0, [(0, -2.0, -0.9), (0, -2.6, 1.0), (1, -0.1, 0.3)]),
+            (1.37, [(1, 1.13, 1.0), (0, -0.3, 0.3)]),
+            (0.5, [(0, -0.1, -0.4)]),
+            (2.9, [(0, -1.0, 0.7), (1, -0.5, -0.9)]),
+            (0.25, [(0, 0.0, -0.9), (1, -0.2, 0.7)]),
+            (1.0, [(0, -0.5, 1.0)]),
+        ],
+        retrain_every=3,
+        max_buffer=360,
+    )
+    # "c2" joins on the fifth tick, "c0" goes silent after the third, and
+    # a buffer of 4 trims every claim.
+    @example(
+        schedule=[
+            (1.0, [(0, -0.5, 0.7), (1, -0.5, -0.4)]),
+            (1.0, [(0, -0.5, -0.9), (1, -0.5, 0.3)]),
+            (1.0, [(0, -0.5, 1.0), (1, -0.5, -0.9)]),
+            (1.0, [(1, -0.5, 0.7)]),
+            (1.0, [(2, -0.5, -0.4), (1, -0.5, 0.3)]),
+            (1.0, [(2, -0.5, 0.7), (1, -0.5, -0.9)]),
+            (1.0, [(2, -0.5, -0.9)]),
+            (1.0, [(2, -0.5, 1.0), (1, -0.5, 0.7)]),
+            (1.0, [(2, -0.5, -0.4), (1, -0.5, -0.4)]),
+            (1.0, [(2, -0.5, 0.3)]),
+        ],
+        retrain_every=1,
+        max_buffer=4,
+    )
+    @example(schedule=LATE_JOIN, retrain_every=3, max_buffer=7)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        schedule=SCHEDULE,
+        retrain_every=st.sampled_from([1, 3]),
+        max_buffer=st.sampled_from([4, 7, 360]),
+    )
+    def test_any_push_schedule_equals_per_claim_engine(
+        self, schedule, retrain_every, max_buffer
+    ):
+        """Reports stamped anywhere around the tick (late inside the
+        window, at or before its cutoff, after the tick), ticks off any
+        grid, claims joining late and going silent, buffer trims."""
+        engine = StreamingSSTD(WIDE, retrain_every, max_buffer)
+        reference = PerClaimReference(WIDE, retrain_every, max_buffer)
+        assert run_schedule(engine, schedule) == run_schedule(
+            reference, schedule
+        )
+        assert_same_state(engine, reference)
+
+
+def assert_same_state(engine, reference):
+    """Same latest estimates, and the same buffers bit for bit."""
+    assert engine.latest() == reference.latest
+    assert engine.claim_ids == sorted(reference.values)
+    for claim_id, values in reference.values.items():
+        slot = engine._slot_of[claim_id]
+        times, buffered = engine._buffer_of(slot)
+        assert times.tolist() == reference.times[claim_id]
+        np.testing.assert_array_equal(buffered, values)
 
 
 @pytest.fixture
@@ -330,9 +449,12 @@ class TestRefitSeam:
             offered.append([claim_id for claim_id, _, _ in items])
             results = []
             for item in items:
-                claim = engine._claims[item[0]]
+                slot = engine._slot_of[item[0]]
                 if data.draw(st.booleans()):
-                    deferred[item[0]] = (claim.params, claim.alpha)
+                    deferred[item[0]] = (
+                        engine._params[slot],
+                        engine._alpha[slot].copy(),
+                    )
                     results.append(SkippedRefit.DEFERRED)
                 else:
                     (result,) = sstd_module.batch_fit_decode([item], config)
@@ -345,7 +467,10 @@ class TestRefitSeam:
             for claim_id, values in named.items():
                 if tick <= len(values) and values[tick - 1] is not None:
                     engine.push(report_for(claim_id, tick, values[tick - 1]))
-            waiting = {c for c, s in engine._claims.items() if s.deferred}
+            waiting = {
+                c for c, slot in engine._slot_of.items()
+                if engine._deferred[slot]
+            }
             rounds = len(offered)
             deferred.clear()
             latest = {e.claim_id: e for e in engine.tick(float(tick))}
@@ -355,12 +480,14 @@ class TestRefitSeam:
                 assert len(offered) == rounds + 1
                 assert waiting <= set(offered[-1])
             for claim_id, (params, alpha) in deferred.items():
-                claim = engine._claims[claim_id]
-                assert claim.deferred and claim.params is params
+                slot = engine._slot_of[claim_id]
+                assert engine._deferred[slot]
+                assert engine._params[slot] is params
                 if params is None:
                     continue  # no model yet: the sign rule answers
                 hmm = ScalarGaussianHMM(2, **dataclasses.asdict(params))
-                filtered = scalar_filter_step(hmm, alpha, claim.values[-1])
+                _, values = engine._buffer_of(slot)
+                filtered = scalar_filter_step(hmm, alpha, values[-1])
                 mean = hmm.means[int(np.argmax(filtered))]
                 assert latest[claim_id] == TruthEstimate(
                     claim_id,
@@ -413,17 +540,17 @@ class TestEdgePaths:
     def test_sign_fallback_keeps_model_and_filter(self, fit_rows):
         engine = StreamingSSTD(CONFIG, retrain_every=5, max_buffer=5)
         run_ticks(engine, {"c": VARIED + [0.5] * 4})
-        state = engine._claims["c"]
-        params, alpha = state.params, state.alpha.copy()
+        slot = engine._slot_of["c"]
+        params, alpha = engine._params[slot], engine._alpha[slot].copy()
         assert params is not None
         # Tick 10 is due, and the trimmed buffer is constant by now.
         engine.push(report_for("c", 10, 0.5))
         (estimate,) = engine.tick(10.0)
         assert fit_rows == [1]
         assert estimate == TruthEstimate("c", 10.0, TruthValue.TRUE)
-        assert state.values == pytest.approx([0.5] * 5)
-        assert state.params is params
-        assert state.alpha.tolist() == alpha.tolist()
+        assert engine._buffer_of(slot)[1].tolist() == [0.5] * 5
+        assert engine._params[slot] is params
+        assert engine._alpha[slot].tolist() == alpha.tolist()
 
     @pytest.mark.parametrize("later", [800.0, 1000.0, math.nan])
     def test_tick_must_advance_time(self, later):
@@ -433,7 +560,7 @@ class TestEdgePaths:
         with pytest.raises(ValueError, match="does not advance"):
             engine.tick(later)
         # The refused tick left no grid point behind.
-        assert engine._claims["c"].times == [1000.0]
+        assert engine._buffer_of(engine._slot_of["c"])[0].tolist() == [1000.0]
         assert engine.latest() == {"c": estimate}
 
     def test_claim_ids_sorted_and_fresh(self):

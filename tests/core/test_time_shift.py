@@ -13,10 +13,14 @@ claim ``claim-0000`` read ACS .8438 unshifted and .7880 after a
 +1000.37 s shift, and 1 439 of 23 040 confidences moved.
 
 The streaming engine, which every backend's interval replay now runs,
-still evicts on absolute time (``SlidingWindowACS``), so the same shift
-moves a few of its confidences: pinned as a strict xfail on the serial
-replay of ``tests/streaming_replay.py`` over the ``dist_intervals``
-input.  Its grid and truth values must still shift exactly.
+still decides window membership on absolute time
+(``SlidingWindowACS.value_at`` keeps the rows with
+``now - window < t <= now``), so the same shift moves a few of its
+confidences: pinned as a strict xfail on the serial replay of
+``tests/streaming_replay.py`` over the ``dist_intervals`` input.  Its
+grid and truth values must still shift exactly.  Offsets from a grid
+origin would need ticks anchored to a grid, which ``tick(now)`` does not
+ask for: it takes any increasing time.
 """
 
 import dataclasses
@@ -106,11 +110,12 @@ def test_time_shift_keeps_streaming_grid_and_truth_values(streaming_estimates):
     strict=True,
     raises=AssertionError,
     reason=(
-        "SlidingWindowACS evicts on absolute time (t <= at - window), the "
-        "comparison acs_sequence dropped for offsets from the span start: "
-        "on the full dist_intervals input, seed 1, claim-0023's ACS at its "
-        "fifth tick reads -.3045 unshifted and -.3706 shifted, and its "
-        "later refits move 7 of 1 587 confidences (no truth value)"
+        "SlidingWindowACS.value_at decides membership on absolute time "
+        "(now - window < t <= now, rows at or before now - window dropped), "
+        "the comparison acs_sequence dropped for offsets from the span "
+        "start: on the full dist_intervals input, seed 1, claim-0023's ACS "
+        "at its fifth tick reads -.3045 unshifted and -.3706 shifted, and "
+        "its later refits move 7 of 1 587 confidences (no truth value)"
     ),
 )
 def test_time_shift_keeps_streaming_confidences(streaming_estimates):

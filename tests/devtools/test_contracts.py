@@ -188,7 +188,7 @@ class TestScoreBoundary:
         return Report(**fields)
 
     def test_valid_report_scores_fine(self):
-        assert ScoreWeights().score(self._report()) == 1.0
+        assert ScoreWeights().score_column([self._report()]).tolist() == [1.0]
 
     def test_out_of_range_component_raises(self):
         # Bypass Report's own validation via object.__setattr__ to model
@@ -196,4 +196,4 @@ class TestScoreBoundary:
         report = self._report()
         object.__setattr__(report, "independence", 3.0)
         with pytest.raises(ct.ContractViolation, match="contribution score"):
-            ScoreWeights().score(report)
+            ScoreWeights().score_column([report])
