@@ -9,8 +9,9 @@ process them as they arrive."
 Mechanics (see benchmarks/calibration.py): every scheme's fixed and
 per-report costs are *measured on this machine* — streaming schemes by
 replaying the trace at two rates and solving the two-point cost model,
-batch schemes by timing two batch invocations — then a single-server
-FIFO queue computes when each scheme finishes the 100-second stream.
+batch schemes by fitting the median of nine timings at each of three
+prefix sizes — then a single-server FIFO queue computes when each
+scheme finishes the 100-second stream.
 Batch schemes recompute over all accumulated data at each 5 s poll
 (they are batch precisely because source-reliability estimation needs
 the history); streaming schemes touch each report once.
@@ -47,6 +48,9 @@ SPEEDS = (1_000, 2_000, 5_000, 10_000, 20_000, 50_000)
 DURATION = 100.0
 CALIBRATION_RATES = (100.0, 400.0)
 CALIBRATION_SECONDS = 30.0
+#: Timing rounds in a batch scheme's calibration: the 50 k/s totals
+#: amplify any error in the fitted per-report cost.
+CALIBRATION_REPEATS = 9
 BATCH_SCHEMES = ("TruthFinder", "RTD", "CATD")
 TRACES = ["boston_trace", "paris_trace", "football_trace"]
 
@@ -124,7 +128,7 @@ def test_streaming_speed_sweep(benchmark, request, trace_fixture):
             profiles.append(
                 calibrate(
                     make_algorithm(name), calib_slice, calib_grid,
-                    streaming=False,
+                    streaming=False, repeats=CALIBRATION_REPEATS,
                 )
             )
 

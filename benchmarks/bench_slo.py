@@ -19,25 +19,27 @@ process backend twice:
   execution times, which pins the baseline hit rate near 0.4 by
   construction on any machine — a deadline the open loop mostly misses.
 - **feedback** — ``control_enabled=True`` with a ``ControlConfig``
-  trajectory recorder, so admission runs: the leg the CI gate holds to
-  a hit-rate floor the baseline is *not* required to meet.
+  trajectory recorder, so admission runs.
 
-The feedback leg's PID trajectory is replayed in-process and must be
-bit-identical (the same guarantee ``repro-cli replay-controller``
-checks from the command line).  Results land in ``BENCH_slo.json`` at
-the repo root (consumed by ``benchmarks/check_slo.py``), the stitched
-Chrome trace in ``BENCH_slo_trace.json`` (uploaded by CI), and the
-human-readable table in ``benchmarks/results/slo.txt``.
+The feedback leg must reach :data:`HIT_RATE_FLOOR`, and the open-loop
+leg must stay below it: a workload the open loop already serves within
+the deadline would let the feedback leg pass without the loop doing
+anything.  The feedback leg's PID trajectory is replayed in-process and
+must be bit-identical (the same guarantee ``repro-cli
+replay-controller`` checks from the command line).  The table lands in
+``benchmarks/results/slo.txt`` and the stitched Chrome trace in
+``benchmarks/results/slo_trace.json`` (uploaded by CI).
+
+Run it with ``REPRO_BENCH_SCALE=0.01 python -m pytest
+benchmarks/bench_slo.py``; CI runs it pinned to one and to two cores.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 from repro.control import ControlConfig, load_trajectory, replay_trajectory
-from repro.hmm.kernels import active_kernel_info
 from repro.obs import percentile, stitch_metadata, write_chrome_trace
 from repro.streams.events import PopulationConfig, ScenarioSpec
 from repro.streams.generator import GeneratorConfig, generate_trace
@@ -50,17 +52,11 @@ N_CLAIMS = 24
 N_INTERVALS = 16
 N_WORKERS = 2
 DEADLINE_PERCENTILE = 40.0
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_slo.json"
-BENCH_TRACE = Path(__file__).resolve().parent.parent / "BENCH_slo_trace.json"
-TRAJECTORY_PATH = Path(__file__).resolve().parent / "results" / "slo_trajectory.jsonl"
-
-
-def _effective_cpu_count() -> int:
-    """Cores this process may actually run on (cgroup/affinity aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
+#: Deadline hit rate the feedback leg must reach and the open loop must not.
+HIT_RATE_FLOOR = 0.7
+RESULTS = Path(__file__).resolve().parent / "results"
+TRACE_PATH = RESULTS / "slo_trace.json"
+TRAJECTORY_PATH = RESULTS / "slo_trajectory.jsonl"
 
 
 def _bursty_trace():
@@ -92,19 +88,14 @@ def _bursty_trace():
     )
 
 
-def _leg_stats(result, deadline: float) -> dict:
+def _leg_row(name: str, hit_rate: float, result) -> str:
+    """One table row: hit rate, latency percentiles, admission counts."""
     times = result.execution_times
-    return {
-        "deadline_s": round(deadline, 6),
-        "hit_rate": round(result.hit_rate, 4),
-        "p50_s": round(percentile(times, 50.0), 6),
-        "p95_s": round(percentile(times, 95.0), 6),
-        "p99_s": round(percentile(times, 99.0), 6),
-        "mean_s": round(result.tracker.mean_execution_time, 6),
-        "total_lateness_s": round(result.tracker.total_lateness, 6),
-        "deferred_total": result.tracker.total_deferred,
-        "shed_total": result.tracker.total_shed,
-    }
+    return (
+        f"{name:>10}{hit_rate:>10.3f}"
+        + "".join(f"{percentile(times, q) * 1e3:>9.1f}" for q in (50, 95, 99))
+        + f"{result.tracker.total_deferred:>7}{result.tracker.total_shed:>6}"
+    )
 
 
 def test_slo_feedback_vs_open_loop():
@@ -170,68 +161,44 @@ def test_slo_feedback_vs_open_loop():
     dropped = feedback_system.obs.tracer.dropped
     write_chrome_trace(
         feedback_system.obs.tracer.events(),
-        BENCH_TRACE,
+        TRACE_PATH,
         metrics=feedback_system.obs.metrics.snapshot(),
         clock_kind=feedback_system.obs.clock.kind,
         dropped=dropped,
         stitch=stitch,
     )
 
-    effective_cpus = _effective_cpu_count()
-    baseline_stats = _leg_stats(baseline, deadline)
-    baseline_stats["hit_rate"] = round(baseline_hit_rate, 4)
-    feedback_stats = _leg_stats(feedback, deadline)
-    payload = {
-        "schema": 1,
-        "benchmark": "slo",
-        "scale": BENCH_SCALE,
-        "seed": BENCH_SEED,
-        "cpu_count": os.cpu_count(),
-        "effective_cpu_count": effective_cpus,
-        "kernel": active_kernel_info(),
-        "n_reports": len(trace.reports),
-        "n_claims": N_CLAIMS,
-        "n_intervals": N_INTERVALS,
-        "n_workers": N_WORKERS,
-        "deadline_s": round(deadline, 6),
-        "deadline_percentile": DEADLINE_PERCENTILE,
-        "legs": {"baseline": baseline_stats, "feedback": feedback_stats},
-        "replay_bit_identical": replay_bit_identical,
-        "trajectory_samples": len(samples),
-        "stitched_workers": len(stitch),
-        "trace_dropped_events": dropped,
-    }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
+    usable_cpus = (
+        len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity")
+        else os.cpu_count()
+    )
     lines = [
         "Deadline SLO under bursty load — open loop vs latency feedback",
         f"{len(trace.reports):,} reports, {N_CLAIMS} claims, "
         f"{N_INTERVALS} intervals, {N_WORKERS} workers, scale={BENCH_SCALE}, "
-        f"cpus={os.cpu_count()} (effective {effective_cpus})",
+        f"cpus={os.cpu_count()} (usable {usable_cpus})",
         f"deadline (p{DEADLINE_PERCENTILE:.0f} of baseline): {deadline * 1e3:.1f} ms",
         f"{'leg':>10}{'hit rate':>10}{'p50 ms':>9}{'p95 ms':>9}"
         f"{'p99 ms':>9}{'defer':>7}{'shed':>6}",
-    ]
-    for name, stats in (("baseline", baseline_stats), ("feedback", feedback_stats)):
-        lines.append(
-            f"{name:>10}{stats['hit_rate']:>10.3f}"
-            f"{stats['p50_s'] * 1e3:>9.1f}{stats['p95_s'] * 1e3:>9.1f}"
-            f"{stats['p99_s'] * 1e3:>9.1f}"
-            f"{stats['deferred_total']:>7}{stats['shed_total']:>6}"
-        )
-    lines.append(
+        _leg_row("baseline", baseline_hit_rate, baseline),
+        _leg_row("feedback", feedback.hit_rate, feedback),
         f"replay: {len(samples)} PID updates, bit-identical="
         f"{replay_bit_identical}; stitched workers={len(stitch)}, "
-        f"dropped events={dropped}"
-    )
+        f"dropped events={dropped}",
+    ]
     report_lines("slo", lines)
 
     # The open loop admits everything; the closed loop must actually
     # have exercised admission control on this workload.
-    assert baseline_stats["deferred_total"] == 0
-    assert feedback_stats["deferred_total"] > 0
-    # The hit-rate *floor* is enforced by benchmarks/check_slo.py with
-    # the committed baseline; here we only pin the structural claim that
-    # feedback cannot do worse than open loop by more than one interval
-    # (timing noise on a shared CI box).
-    assert feedback.hit_rate >= baseline_hit_rate - 1.0 / N_INTERVALS
+    assert baseline.tracker.total_deferred == 0
+    assert feedback.tracker.total_deferred > 0
+    # The floor separates the legs: feedback reaches it, and the open
+    # loop misses it, so the feedback leg's pass is not vacuous.
+    assert feedback.hit_rate >= HIT_RATE_FLOOR, (
+        f"feedback hit rate {feedback.hit_rate:.3f} < {HIT_RATE_FLOOR}"
+    )
+    assert baseline_hit_rate < HIT_RATE_FLOOR, (
+        f"open-loop hit rate {baseline_hit_rate:.3f} >= {HIT_RATE_FLOOR}: "
+        "the workload no longer stresses the deadline"
+    )

@@ -51,13 +51,15 @@ def calibrate(
     grid: EvaluationGrid,
     streaming: bool,
     fractions: Sequence[float] = (0.25, 0.5, 1.0),
-    repeats: int = 2,
+    repeats: int = 5,
 ) -> SchemeProfile:
     """Measure an algorithm's (fixed, per-report) cost by linear fit.
 
-    Times the algorithm on several prefix sizes (best of ``repeats``
-    runs each, to shed scheduler noise) and least-squares fits
-    ``time = fixed + per_report * n``.
+    Times the algorithm on several prefix sizes and least-squares fits
+    ``time = fixed + per_report * n`` to each size's median time.  The
+    sizes are timed round-robin, ``repeats`` rounds, so a slow or fast
+    spell of the machine lands on every size rather than on one, and
+    the median drops the first round's warm-up.
     """
     import numpy as np
 
@@ -67,17 +69,14 @@ def calibrate(
     if len(sizes) < 2:
         raise ValueError("calibration needs at least two distinct sizes")
 
-    points = []
-    for size in sizes:
-        prefix = list(reports[:size])
-        best = min(
-            _time_once(algorithm, prefix, grid) for _ in range(repeats)
-        )
-        points.append((size, best))
-
-    ns = np.array([n for n, _ in points], dtype=float)
-    ts = np.array([t for _, t in points])
-    per_report, fixed = np.polyfit(ns, ts, 1)
+    prefixes = [list(reports[:size]) for size in sizes]
+    times = [
+        [_time_once(algorithm, prefix, grid) for prefix in prefixes]
+        for _ in range(repeats)
+    ]
+    per_report, fixed = np.polyfit(
+        np.array(sizes, dtype=float), np.median(times, axis=0), 1
+    )
     return SchemeProfile(
         name=algorithm.name,
         seconds_per_report=max(float(per_report), 1e-9),

@@ -7,8 +7,8 @@ Instrumentation sites guard on that attribute::
     if obs.enabled:
         obs.tracer.instant("worker.death", track=name)
 
-so the disabled path costs one attribute check and a branch (verified
-by the CI perf-smoke gate).  Tracing is enabled explicitly
+so the disabled path costs one attribute check and a branch.  Tracing
+is enabled explicitly
 (``SSTDSystemConfig.observability=True``) or ambiently via the
 ``REPRO_TRACE`` environment variable.
 

@@ -182,8 +182,8 @@ class BatchRunResult:
     average the serialized bytes each task actually shipped across the
     process boundary (``None`` on the simulated backend, which never
     serializes).  A task carries ids + row offsets + a handle, so the
-    payload number does not move with the report volume; the
-    parallel-backend benchmark gates it under a byte ceiling.
+    payload number does not move with the report volume; a tier-1 test
+    holds it under a byte ceiling.
     """
 
     estimates: tuple[TruthEstimate, ...]

@@ -84,9 +84,9 @@ class LocalResult:
     the task actually shipped across the process boundary (payload out,
     output back): ``payload_bytes`` is ``None`` for a payload that
     failed to pickle, ``result_bytes`` for a task that never came back.
-    The parallel-backend benchmark and the ``wq.payload_bytes`` /
-    ``wq.result_bytes`` histograms read the same numbers, so the bench
-    and a live operator agree.
+    A run's ``payload_bytes_per_task`` / ``result_bytes_per_task`` and
+    the ``wq.payload_bytes`` / ``wq.result_bytes`` histograms read the
+    same numbers.
     """
 
     task_id: int

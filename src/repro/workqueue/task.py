@@ -149,8 +149,8 @@ class Task:
             a worker, recorded at first dispatch by the process executor
             (``None`` on the simulated backend, which never
             serializes).  This is the per-task number the
-            ``wq.payload_bytes`` histogram and the perf-smoke
-            ``payload_bytes_per_task`` gate aggregate.
+            ``wq.payload_bytes`` histogram and a run's
+            ``payload_bytes_per_task`` aggregate.
     """
 
     job_id: str

@@ -340,12 +340,17 @@ class TestShardParityAcrossBackends:
         outcome = DistributedSSTD(config).run_batch(list(trace.reports))
         assert list(outcome.estimates) == per_claim_serial
 
-    @pytest.mark.parametrize("claims_per_shard", [2, 100])
+    @pytest.mark.parametrize(
+        "claims_per_shard, n_workers",
+        [(2, 2), (100, 2), (None, 1), (None, 4)],
+        ids=["2", "100", "auto-1-worker", "auto-4-workers"],
+    )
     def test_shard_size_never_changes_estimates(
-        self, claims_per_shard, trace, per_claim_serial
+        self, claims_per_shard, n_workers, trace, per_claim_serial
     ):
+        # Nor does the worker count, which sizes the automatic shards.
         config = SSTDSystemConfig(
-            n_workers=2,
+            n_workers=n_workers,
             backend="processes",
             claims_per_shard=claims_per_shard,
             control_enabled=False,
@@ -501,4 +506,9 @@ class TestZeroCopyParity:
         longer = sizes(list(trace.reports), 7200.0)
         assert longer[1] > small[1]
         if shm.shm_available():
+            # A hard ceiling: over ten hours of grid the stack's values
+            # column alone is 7 claims x 601 points x 8 B ≈ 34 KB, so a
+            # task that ships it breaks the ceiling; the spec itself
+            # pickles to ≈ 550 B.
+            assert sizes(list(trace.reports), 36000.0)[0] <= 16384
             assert longer[0] == small[0]

@@ -21,8 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import SSTD
+from repro.control import AdmissionDecision, Controller
+from repro.core import SSTD, StreamingSSTD
 from repro.obs import Observability
+from repro.streams import Trace
 from repro.system import DistributedSSTD, SSTDSystemConfig, jobs, shm
 from repro.workqueue import PayloadSpec, ProcessWorkQueue, Task
 
@@ -31,6 +33,7 @@ from tests.system.test_fault_tolerant_system import (
     _DECODE,
     MARKER_DIR_ENV,
     SSTD_CONFIG,
+    die_once_decode,
     reports_for,
 )
 from tests.workqueue.test_process import double
@@ -137,6 +140,26 @@ def _ids(tasks):
 
 def _result_ids(results):
     return sorted((result.job_id, result.task_id) for result in results)
+
+
+def _recording_executor(monkeypatch):
+    """Record every task submitted to and result drained from any
+    ``ProcessWorkQueue``; returns the two lists."""
+    submitted, drained = [], []
+    real_submit, real_drain = ProcessWorkQueue.submit, ProcessWorkQueue.drain
+
+    def submit(wq, task):
+        submitted.append(task)
+        return real_submit(wq, task)
+
+    def drain(wq, timeout=60.0):
+        results = real_drain(wq, timeout)
+        drained.extend(results)
+        return results
+
+    monkeypatch.setattr(ProcessWorkQueue, "submit", submit)
+    monkeypatch.setattr(ProcessWorkQueue, "drain", drain)
+    return submitted, drained
 
 
 def _counters(wq, expected):
@@ -304,20 +327,7 @@ class TestSystemFaults:
         assert _repro_segments() - before == set()
 
     def test_sigkill_inside_shm_attach(self, monkeypatch, tmp_path):
-        submitted, drained = [], []
-        real_submit, real_drain = ProcessWorkQueue.submit, ProcessWorkQueue.drain
-
-        def submit(wq, task):
-            submitted.append(task)
-            return real_submit(wq, task)
-
-        def drain(wq, timeout=60.0):
-            results = real_drain(wq, timeout)
-            drained.extend(results)
-            return results
-
-        monkeypatch.setattr(ProcessWorkQueue, "submit", submit)
-        monkeypatch.setattr(ProcessWorkQueue, "drain", drain)
+        submitted, drained = _recording_executor(monkeypatch)
         monkeypatch.setenv(MARKER_DIR_ENV, str(tmp_path))
         monkeypatch.setattr(jobs, "decode_shard_shm_payload", decode_dying_in_attach)
         before = _repro_segments()
@@ -383,3 +393,98 @@ class TestSystemFaults:
         assert metrics.counter("wq.completed") == 2.0
         assert metrics.counter("wq.worker_death") == 0.0
         assert metrics.counter("wq.failed") == 0.0
+
+    def _scripted_interval_run(self, monkeypatch, kill):
+        """A ``processes`` interval replay whose admission is scripted.
+
+        Every due claim is admitted, except that the second refit round
+        defers its first claim; with ``kill``, that round's first shard
+        worker is SIGKILLed (the die-once payload is armed only then).
+        Returns the run, the system, the admission rounds, the deferred
+        claim with the model it held, and each engine refit call's
+        ``(due, refitted)`` claim ids.
+        """
+        rounds, deferral, refits = [], {}, []
+
+        def admit(controller, claim_ids, n_workers):
+            rounds.append(tuple(claim_ids))
+            deferred = ()
+            if len(rounds) == 2:
+                deferred = claim_ids[:1]
+                deferral["claim"] = claim_ids[0]
+                if kill:
+                    monkeypatch.setattr(
+                        jobs, "decode_shard_shm_payload", die_once_decode
+                    )
+            admitted = tuple(c for c in claim_ids if c not in deferred)
+            return AdmissionDecision(
+                admitted, tuple(deferred), (), len(claim_ids), 1.0
+            )
+
+        real_refit = StreamingSSTD._refit
+
+        def engine_refit(engine, due):
+            models = [engine._params[slot] for slot in due]
+            refitted = real_refit(engine, due)
+            if len(rounds) == 2 and "kept" not in deferral:
+                slot = engine._slot_of[deferral["claim"]]
+                deferral["kept"] = models[due.index(slot)]
+                assert engine._params[slot] is deferral["kept"]
+                assert engine._deferred[slot] and engine._modelled[slot]
+            refits.append(
+                (
+                    [engine._ids[slot] for slot in due],
+                    [engine._ids[slot] for slot in refitted],
+                )
+            )
+            return refitted
+
+        monkeypatch.setattr(Controller, "admit", admit)
+        monkeypatch.setattr(StreamingSSTD, "_refit", engine_refit)
+        trace = Trace(name="deferred-under-fault", reports=reports_for())
+        system = DistributedSSTD(
+            SSTDSystemConfig(
+                backend="processes",
+                n_workers=2,
+                sstd=SSTD_CONFIG,
+                claims_per_shard=1,
+                control_enabled=True,
+                observability=True,
+                drain_timeout=60.0,
+            )
+        )
+        result = system.run_intervals(
+            trace, n_intervals=4, deadline=30.0, compute_estimates=True
+        )
+        return result, system, rounds, deferral, refits
+
+    def test_deferred_claim_survives_a_worker_death(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(MARKER_DIR_ENV, str(tmp_path))
+        before = _repro_segments()
+        with monkeypatch.context() as patch:
+            reference, *_ = self._scripted_interval_run(patch, kill=False)
+        assert not (tmp_path / "killed").exists()
+        submitted, drained = _recording_executor(monkeypatch)
+        result, system, rounds, deferral, refits = self._scripted_interval_run(
+            monkeypatch, kill=True
+        )
+        # A worker died, exactly once, in the round that deferred a claim.
+        assert (tmp_path / "killed").exists()
+        assert len(rounds) > 2 and len(rounds[1]) > 1
+        assert _result_ids(drained) == _ids(submitted)
+        assert len(submitted) == sum(len(r) for r in rounds) - 1
+        metrics = system.obs.metrics.snapshot()
+        assert metrics.counter("wq.worker_death") == 1.0
+        assert metrics.counter("wq.requeued") == 1.0
+        assert metrics.counter("wq.completed") == len(submitted)
+        assert metrics.counter("wq.failed") == 0.0
+        assert _repro_segments() - before == set()
+        # The deferred claim kept its model through its round and was
+        # refit on the next one.
+        victim = deferral["claim"]
+        assert deferral["kept"] is not None
+        assert victim in refits[1][0] and victim not in refits[1][1]
+        assert victim in rounds[2] and victim in refits[2][1]
+        assert result.tracker.total_deferred == 1
+        # The death changed nothing the run answers.
+        assert result.estimates == reference.estimates
