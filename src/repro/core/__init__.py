@@ -1,7 +1,7 @@
 """Core truth-discovery layer: data model, scores, ACS, SSTD, metrics."""
 
 from repro.core.acs import ACSConfig, SlidingWindowACS, acs_sequence
-from repro.core.columns import ReportColumns, Reports
+from repro.core.columns import Estimates, ReportColumns, Reports
 from repro.core.dependencies import (
     ClaimDependencyGraph,
     CorrelatedSSTD,
@@ -49,6 +49,7 @@ __all__ = [
     "CorrelatedSSTD",
     "CorrelationConfig",
     "ConfusionMatrix",
+    "Estimates",
     "EvaluationResult",
     "FULL_WEIGHTS",
     "ReliabilityEstimator",

@@ -36,8 +36,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.acs import ReportTable, acs_sequence
+from repro.core.columns import Estimates
 from repro.core.sstd import SSTDConfig, batch_fit_decode
-from repro.core.types import Report, TruthEstimate
+from repro.core.types import Report
 
 __all__ = [
     "ClaimDependencyGraph",
@@ -209,14 +210,14 @@ class CorrelatedSSTD:
             mixed[claim_id] = result
         return mixed
 
-    def discover(self, reports: Sequence[Report]) -> list[TruthEstimate]:
+    def discover(self, reports: Sequence[Report]) -> Estimates:
         """Correlated truth discovery over all claims in ``reports``.
 
         Every claim is decoded on one grid over the span of ``reports``.
         """
         table = ReportTable.from_reports(reports, self.config.acs.weights)
         if not table.claim_ids:
-            return []
+            return Estimates.concat(())
         start = float(table.times.min())
         end = float(table.times.max())
 
@@ -239,4 +240,4 @@ class CorrelatedSSTD:
             ],
             self.config,
         )
-        return [estimate for r in results for estimate in r.estimates]
+        return Estimates.concat(result.estimates for result in results)

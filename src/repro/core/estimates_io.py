@@ -11,6 +11,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from repro.core.columns import Estimates
 from repro.core.types import TruthEstimate, TruthValue
 
 __all__ = [
@@ -21,6 +22,19 @@ __all__ = [
 ]
 
 
+def _records(
+    estimates: Iterable[TruthEstimate],
+) -> Iterable[tuple[str, float, int, float]]:
+    """``(claim_id, timestamp, value code, confidence)`` per estimate; an
+    :class:`Estimates` is read through one ``tolist()`` per column."""
+    if isinstance(estimates, Estimates):
+        return zip(*estimates.lists())
+    return (
+        (e.claim_id, e.timestamp, int(e.value), e.confidence)
+        for e in estimates
+    )
+
+
 def save_estimates(
     estimates: Iterable[TruthEstimate], path: str | Path
 ) -> int:
@@ -28,14 +42,14 @@ def save_estimates(
     path = Path(path)
     count = 0
     with path.open("w", encoding="utf-8") as fh:
-        for estimate in estimates:
+        for claim_id, timestamp, value, confidence in _records(estimates):
             fh.write(
                 json.dumps(
                     {
-                        "claim_id": estimate.claim_id,
-                        "timestamp": estimate.timestamp,
-                        "value": int(estimate.value),
-                        "confidence": estimate.confidence,
+                        "claim_id": claim_id,
+                        "timestamp": timestamp,
+                        "value": value,
+                        "confidence": confidence,
                     }
                 )
                 + "\n"
@@ -79,10 +93,6 @@ def estimates_digest(estimates: Iterable[TruthEstimate]) -> str:
     The formula is the one behind every digest quoted in CHANGES.md.
     """
     h = hashlib.sha256()
-    for e in estimates:
-        h.update(
-            repr(
-                (e.claim_id, e.timestamp, int(e.value), e.confidence.hex())
-            ).encode()
-        )
+    for claim_id, timestamp, value, confidence in _records(estimates):
+        h.update(repr((claim_id, timestamp, value, confidence.hex())).encode())
     return h.hexdigest()[:16]

@@ -5,7 +5,9 @@ The paper scores each method on Accuracy, Precision, Recall and F1 over
 evaluation interval is compared with the ground-truth timeline.  This
 module provides the confusion-matrix arithmetic plus the interval-level
 alignment between a set of :class:`~repro.core.types.TruthEstimate` and
-ground-truth :class:`~repro.core.types.TruthTimeline` objects.
+ground-truth :class:`~repro.core.types.TruthTimeline` objects.  The
+alignment reads the estimates as columns (:class:`Estimates`), one claim
+at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
+from repro.core.columns import Estimates
 from repro.core.types import TruthEstimate, TruthTimeline, TruthValue
 
 __all__ = [
@@ -128,9 +133,32 @@ class EvaluationResult:
         }
 
 
+def _claim_matrices(
+    estimates: Iterable[TruthEstimate],
+    timelines: Mapping[str, TruthTimeline],
+) -> dict[str, ConfusionMatrix]:
+    """Confusion counts of every labelled claim, in order of its first
+    estimate; a claim's truth comes from one
+    :meth:`~repro.core.types.TruthTimeline.codes_at` call."""
+    columns = Estimates.of(estimates)
+    matrices: dict[str, ConfusionMatrix] = {}
+    for k in dict.fromkeys(columns.claim_index.tolist()):
+        timeline = timelines.get(columns.claim_ids[k])
+        if timeline is None:
+            continue
+        rows = columns.claim_index == k
+        truth = timeline.codes_at(columns.times[rows])
+        # Cell 2 * predicted + actual: TN, FN, FP, TP.
+        tn, fn, fp, tp = np.bincount(
+            2 * columns.codes[rows] + truth, minlength=4
+        ).tolist()
+        matrices[timeline.claim_id] = ConfusionMatrix(tp, fp, tn, fn)
+    return matrices
+
+
 def evaluate_estimates(
     method: str,
-    estimates: Sequence[TruthEstimate],
+    estimates: Iterable[TruthEstimate],
     timelines: Mapping[str, TruthTimeline],
 ) -> EvaluationResult:
     """Score point estimates against ground-truth timelines.
@@ -139,18 +167,17 @@ def evaluate_estimates(
     timestamp.  Estimates for claims without a ground-truth timeline are
     skipped (real traces can contain unlabelled claims).
     """
-    pairs = []
-    for estimate in estimates:
-        timeline = timelines.get(estimate.claim_id)
-        if timeline is None:
-            continue
-        pairs.append((estimate.value, timeline.value_at(estimate.timestamp)))
-    return EvaluationResult(method=method, matrix=ConfusionMatrix.from_pairs(pairs))
+    return EvaluationResult(
+        method=method,
+        matrix=sum(
+            _claim_matrices(estimates, timelines).values(), ConfusionMatrix()
+        ),
+    )
 
 
 def evaluate_per_claim(
     method: str,
-    estimates: Sequence[TruthEstimate],
+    estimates: Iterable[TruthEstimate],
     timelines: Mapping[str, TruthTimeline],
 ) -> dict[str, EvaluationResult]:
     """Per-claim breakdown of :func:`evaluate_estimates`.
@@ -158,13 +185,9 @@ def evaluate_per_claim(
     Useful for diagnosing *which* claims an algorithm fails on — e.g.
     fast-flipping claims vs static ones, or sparse vs popular.
     """
-    by_claim: dict[str, list[TruthEstimate]] = {}
-    for estimate in estimates:
-        if estimate.claim_id in timelines:
-            by_claim.setdefault(estimate.claim_id, []).append(estimate)
     return {
-        claim_id: evaluate_estimates(method, claim_estimates, timelines)
-        for claim_id, claim_estimates in by_claim.items()
+        claim_id: EvaluationResult(method=method, matrix=matrix)
+        for claim_id, matrix in _claim_matrices(estimates, timelines).items()
     }
 
 

@@ -40,7 +40,7 @@ from repro.core.acs import (
     SlidingWindowACS,
     acs_sequence,
 )
-from repro.core.columns import ReportColumns
+from repro.core.columns import _TRUTH_OF_CODE, Estimates, ReportColumns
 from repro.core.types import Report, TruthEstimate, TruthValue
 from repro.hmm.batch import BatchGaussianHMM, HMMParams, stack_ragged
 from repro.obs import get_obs
@@ -54,7 +54,6 @@ __all__ = [
     "SkippedRefit",
     "StreamingSSTD",
     "batch_fit_decode",
-    "column_estimates",
 ]
 
 #: Histogram bounds of ``sstd.stream.retrain_rows`` (claims refitted by
@@ -83,25 +82,6 @@ EM_SEED = 7
 #: quantile re-initialization converges in a handful of iterations on
 #: the bounded buffer.
 RETRAIN_MAX_ITER = 15
-
-#: ``_TRUTH_OF_CODE[code]`` is the :class:`TruthValue` of an int8 code.
-_TRUTH_OF_CODE = (TruthValue.FALSE, TruthValue.TRUE)
-
-
-def column_estimates(
-    claim_id: str,
-    times: np.ndarray,
-    codes: np.ndarray,
-    confidences: np.ndarray,
-) -> tuple[TruthEstimate, ...]:
-    """One claim's :class:`TruthEstimate` objects from its columns."""
-    return tuple(
-        TruthEstimate(claim_id, t, _TRUTH_OF_CODE[code], confidence)
-        for t, code, confidence in zip(
-            times.tolist(), codes.tolist(), confidences.tolist()
-        )
-    )
-
 
 @dataclass(frozen=True, slots=True)
 class SSTDConfig:
@@ -158,9 +138,10 @@ class ClaimDecodeResult:
     Grid point ``i`` is ``times[i]``, the int8 truth code ``codes[i]``
     (the ``int`` of a :class:`TruthValue`) and the float64
     ``confidences[i]``, already checked to lie in ``[0, 1]``.  The
-    object views — :attr:`values`, :attr:`estimates` — are built on
-    first read, so a caller that needs only columns (a worker packing a
-    shard result) builds no object per cell.
+    views — :attr:`values`, :attr:`estimates` — are built on first
+    read, and :attr:`estimates` holds columns, so a caller that does not
+    iterate (a worker packing a shard result, :meth:`SSTD.discover`)
+    builds no object per cell.
     """
 
     claim_id: str
@@ -179,12 +160,7 @@ class ClaimDecodeResult:
 
     def estimate(self, index: int) -> TruthEstimate:
         """The estimate at grid point ``index`` alone."""
-        return TruthEstimate(
-            claim_id=self.claim_id,
-            timestamp=float(self.times[index]),
-            value=_TRUTH_OF_CODE[self.codes[index]],
-            confidence=float(self.confidences[index]),
-        )
+        return self.estimates[index]
 
     @functools.cached_property
     def values(self) -> tuple[TruthValue, ...]:
@@ -192,10 +168,14 @@ class ClaimDecodeResult:
         return tuple(map(_TRUTH_OF_CODE.__getitem__, self.codes.tolist()))
 
     @functools.cached_property
-    def estimates(self) -> tuple[TruthEstimate, ...]:
-        """One :class:`TruthEstimate` per grid point."""
-        return column_estimates(
-            self.claim_id, self.times, self.codes, self.confidences
+    def estimates(self) -> Estimates:
+        """One estimate per grid point, as a one-claim :class:`Estimates`."""
+        return Estimates(
+            (self.claim_id,),
+            np.zeros(self.times.size, np.uint8),
+            self.times,
+            self.codes,
+            self.confidences,
         )
 
 
@@ -209,18 +189,14 @@ def _sign_fallback(
     defaulting to FALSE before any evidence arrives — the absence of
     confirmations is treated as the claim not (yet) being true.
     """
-    codes = np.empty(times.size, dtype=np.int8)
-    current = int(TruthValue.FALSE)
-    for index, value in enumerate(acs_values.tolist()):
-        if value > 0:
-            current = int(TruthValue.TRUE)
-        elif value < 0:
-            current = int(TruthValue.FALSE)
-        codes[index] = current
+    # Forward-fill the row of the last nonzero value (-1 before any).
+    signed = (acs_values > 0) | (acs_values < 0)
+    last = np.where(signed, np.arange(times.size), -1)
+    np.maximum.accumulate(last, out=last)
     return ClaimDecodeResult(
         claim_id=claim_id,
         times=times,
-        codes=codes,
+        codes=((last >= 0) & (acs_values[last] > 0)).astype(np.int8),
         confidences=np.ones(times.size),
         used_hmm=False,
     )
@@ -409,29 +385,29 @@ class SSTD:
         reports: Iterable[Report],
         start: float | None = None,
         end: float | None = None,
-    ) -> list[TruthEstimate]:
+    ) -> Estimates:
         """Run SSTD over all claims in ``reports``; returns all estimates.
 
         The reports are read once into a :class:`ReportTable`, each
         claim's ACS sequence is computed on its rows, and every sequence
         goes through one :func:`batch_fit_decode` call — the EM/decode
-        time recursions run once over the whole claim stack.
-        ``self.results`` is cleared first, so it always reflects exactly
-        this run.
+        time recursions run once over the whole claim stack.  The
+        estimates are the decoded columns, claim by claim in claim-id
+        order: no :class:`TruthEstimate` is built until a caller
+        iterates.  ``self.results`` is cleared first, so it always
+        reflects exactly this run.
         """
         table = ReportTable.from_reports(reports, self.config.acs.weights)
         self.results.clear()
-        estimates: list[TruthEstimate] = []
         items = []
         for claim_id, rows in table.by_claim():
             times, values = acs_sequence(
                 rows, self.config.acs, start=start, end=end
             )
             items.append((claim_id, times, values))
-        for result in batch_fit_decode(items, self.config):
-            self.results[result.claim_id] = result
-            estimates.extend(result.estimates)
-        return estimates
+        results = batch_fit_decode(items, self.config)
+        self.results.update((result.claim_id, result) for result in results)
+        return Estimates.concat(result.estimates for result in results)
 
 
 class SkippedRefit(enum.Enum):
@@ -445,7 +421,8 @@ class SkippedRefit(enum.Enum):
 
 #: The per-slot arrays of :class:`StreamingSSTD`, grown together.
 _PER_SLOT = (
-    "_buffer", "_first", "_fresh", "_deferred", "_modelled", "_alpha", "_codes"
+    "_buffer", "_first", "_fresh", "_deferred", "_modelled", "_alpha",
+    "_stamps", "_codes", "_confidences",
 )
 #: Dtypes of the pushed columns: slot, time, attitude and the two factors.
 _PUSHED_DTYPES = (np.intp, np.float64, np.int8, np.float64, np.float64)
@@ -499,8 +476,8 @@ class StreamingSSTD:
 
     Cost: a push is a dict lookup and five list appends.  A tick
     without retrains is a fixed number of numpy calls over its reports,
-    the window's rows and the claim stack, plus one estimate object per
-    claim.  A tick with M due claims adds *one* fit: at most
+    the window's rows and the claim stack, and its estimates are
+    columns.  A tick with M due claims adds *one* fit: at most
     ``em_max_iter`` forward-backward sweeps over at most ``max_buffer``
     time steps, each step one ``(M, K)`` operation, so its interpreter
     cost does not grow with M.
@@ -553,15 +530,18 @@ class StreamingSSTD:
         self._first = np.zeros(0, dtype=np.intp)
         #: Per slot: a report since the last refit, a deferred last
         #: refit, a model and its forward vector (two states, as
-        #: :func:`batch_fit_decode` fits), the latest estimate and its
-        #: truth code.
+        #: :func:`batch_fit_decode` fits), and the latest estimate's
+        #: time, truth code and confidence.
         self._fresh = np.zeros(0, dtype=bool)
         self._deferred = np.zeros(0, dtype=bool)
         self._modelled = np.zeros(0, dtype=bool)
         self._alpha = np.zeros((0, 2))
+        self._stamps = np.zeros(0)
         self._codes = np.zeros(0, dtype=np.int8)
+        self._confidences = np.zeros(0)
         self._params: list[HMMParams | None] = []
-        self._latest: list[TruthEstimate | None] = []
+        #: The last tick's estimates.
+        self._latest = Estimates.concat(())
         #: The slots of the last filter step and its bank.
         self._bank: tuple[np.ndarray, BatchGaussianHMM] | None = None
 
@@ -591,7 +571,6 @@ class StreamingSSTD:
         self._ids.append(claim_id)
         self._slot_of[claim_id] = slot
         self._params.append(None)
-        self._latest.append(None)
         bisect.insort(self._order, slot, key=self._ids.__getitem__)
         self._sorted_ids = tuple(self._ids[s] for s in self._order)
         self._rank = np.argsort(self._order).astype(
@@ -599,13 +578,13 @@ class StreamingSSTD:
         )
         return slot
 
-    def tick(self, now: float) -> list[TruthEstimate]:
+    def tick(self, now: float) -> Estimates:
         """Advance the observation grid to ``now`` for every claim.
 
         Appends one ACS observation per claim, retrains/decodes as
         scheduled, and returns the current truth estimate of every claim
-        in claim-id order.  ``now`` must be later than the previous
-        tick, whose window start the window has already dropped.
+        in claim-id order, as columns.  ``now`` must be later than the
+        previous tick, whose window start the window has already dropped.
         """
         if not now > self._now:
             raise ValueError(
@@ -637,11 +616,8 @@ class StreamingSSTD:
             acs = values[cold]
             keep = np.isnan(acs)
             self._codes[cold] = np.where(keep, self._codes[cold], acs > 0)
-        settled = np.flatnonzero(waiting)
-        for slot, code in zip(settled.tolist(), self._codes[settled].tolist()):
-            self._latest[slot] = TruthEstimate(
-                self._ids[slot], now, _TRUTH_OF_CODE[code]
-            )
+        self._stamps[:n][waiting] = now
+        self._confidences[:n][waiting] = 1.0
         obs = get_obs()
         if obs.enabled:
             if due.any():
@@ -651,7 +627,15 @@ class StreamingSSTD:
                     bounds=RETRAIN_ROW_BUCKETS,
                 )
             obs.metrics.inc("sstd.stream.filter_rows", filtering.size)
-        return [self._latest[slot] for slot in self._order]
+        order = np.array(self._order, dtype=np.intp)
+        self._latest = Estimates(
+            self._sorted_ids,
+            np.arange(n, dtype=self._rank.dtype),
+            self._stamps[order],
+            self._codes[order],
+            self._confidences[order],
+        )
+        return self._latest
 
     def _take_pushed(self) -> None:
         """Score the reports pushed since the last tick into the window."""
@@ -715,8 +699,9 @@ class StreamingSSTD:
                 continue
             refitted.append(slot)
             self._fresh[slot] = False
-            self._latest[slot] = result.estimate(-1)
+            self._stamps[slot] = result.times[-1]
             self._codes[slot] = result.codes[-1]
+            self._confidences[slot] = result.confidences[-1]
             if result.used_hmm:
                 self._params[slot] = result.params
                 self._alpha[slot] = result.filter_state
@@ -743,9 +728,6 @@ class StreamingSSTD:
         self._codes[slots] = bank.means[np.arange(slots.size), states] > 0
 
     def latest(self) -> Mapping[str, TruthEstimate]:
-        """Most recent estimate per claim."""
-        return {
-            self._ids[slot]: self._latest[slot]
-            for slot in self._order
-            if self._latest[slot] is not None
-        }
+        """Most recent estimate per claim: the last tick's, so a claim
+        pushed since then has none yet."""
+        return {estimate.claim_id: estimate for estimate in self._latest}

@@ -17,6 +17,8 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional
 
+import numpy as np
+
 __all__ = [
     "Attitude",
     "Claim",
@@ -250,6 +252,22 @@ class TruthTimeline:
             if label.covers(timestamp):
                 return label.value
         return self._labels[-1].value
+
+    def codes_at(self, timestamps: np.ndarray) -> np.ndarray:
+        """:meth:`value_at` of every timestamp, as int8 truth codes.
+
+        The only label that can cover ``t`` is the last one starting at
+        or before it, so one ``searchsorted`` finds every candidate.
+        """
+        timestamps = np.asarray(timestamps, dtype=np.float64)
+        labels = self._labels
+        starts = np.array([label.start for label in labels])
+        ends = np.array([label.end for label in labels])
+        index = np.searchsorted(starts, timestamps, side="right") - 1
+        before = index < 0
+        index[timestamps >= ends[index]] = -1  # a gap or the tail: the last
+        index[before] = 0
+        return np.array([label.value for label in labels], np.int8)[index]
 
     def transition_times(self) -> list[float]:
         """Times at which the ground truth actually changes value."""

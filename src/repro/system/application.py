@@ -113,7 +113,7 @@ class SocialSensingApplication:
         for report in reports:
             self.engine.push(report)
             self._reports.append(report)
-        estimates = self.engine.tick(now)
+        estimates = list(self.engine.tick(now))
         self._estimates.extend(estimates)
         for estimate in estimates:
             previous = self._verdicts.get(estimate.claim_id)

@@ -37,13 +37,14 @@ from repro.cluster.simulation import Simulator
 from repro.control.controller import ControlConfig, Controller
 from repro.control.wcet import WCETModel
 from repro.core.acs import ReportTable
+from repro.core.columns import Estimates
 from repro.core.sstd import (
     ClaimDecodeResult,
     SkippedRefit,
     SSTDConfig,
     StreamingSSTD,
 )
-from repro.core.types import Report, TruthEstimate
+from repro.core.types import Report
 from repro.obs import Observability, VirtualClock, using
 from repro.streams.trace import Trace
 from repro.system.deadline import DeadlineTracker
@@ -183,10 +184,11 @@ class BatchRunResult:
     process boundary (``None`` on the simulated backend, which never
     serializes).  A task carries ids + row offsets + a handle, so the
     payload number does not move with the report volume; a tier-1 test
-    holds it under a byte ceiling.
+    holds it under a byte ceiling.  ``estimates`` are in
+    ``(claim_id, timestamp)`` order.
     """
 
-    estimates: tuple[TruthEstimate, ...]
+    estimates: Estimates
     makespan: float
     n_jobs: int
     n_tasks: int
@@ -205,10 +207,11 @@ class BatchRunResult:
 
 @dataclass(frozen=True, slots=True)
 class IntervalRunResult:
-    """Outcome of an interval-replay run (Figure 6)."""
+    """Outcome of an interval-replay run (Figure 6); ``estimates`` are
+    in ``(claim_id, timestamp)`` order, empty unless asked for."""
 
     tracker: DeadlineTracker
-    estimates: tuple[TruthEstimate, ...]
+    estimates: Estimates
     final_worker_count: int
 
     @property
@@ -287,7 +290,6 @@ class DistributedSSTD:
         simulator, master, pool, controller = self._build(config.deadline)
         table = ReportTable.from_reports(reports, config.sstd.acs.weights)
         claim_rows = list(table.by_claim())
-        estimates: list[TruthEstimate] = []
 
         run_start = simulator.now
         with using(self.obs), controller or contextlib.nullcontext():
@@ -324,17 +326,18 @@ class DistributedSSTD:
                 n_jobs=len(claim_rows),
                 n_tasks=len(claim_rows),
             )
-        for result in master.results:
-            if result.output is not None:
-                (decoded,) = expand_shard_result(
-                    stack, [result.job_id], *result.output
-                )
-                estimates.extend(decoded.estimates)
-        estimates.sort(key=lambda e: (e.claim_id, e.timestamp))
+        estimates = Estimates.concat(
+            decoded.estimates
+            for result in master.results
+            if result.output is not None
+            for decoded in expand_shard_result(
+                stack, [result.job_id], *result.output
+            )
+        )
         sampled = controller.pool_sizes if controller else []
         peak = max([config.n_workers, pool.size, *sampled])
         return BatchRunResult(
-            estimates=tuple(estimates),
+            estimates=estimates.sorted(),
             makespan=simulator.now,
             n_jobs=len(claim_rows),
             n_tasks=len(claim_rows),
@@ -507,12 +510,11 @@ class DistributedSSTD:
                 n_jobs=len(table.claim_ids),
                 n_tasks=len(results),
             )
-        estimates = sorted(
-            (e for _, claims in decoded for c in claims for e in c.estimates),
-            key=lambda e: (e.claim_id, e.timestamp),
+        estimates = Estimates.concat(
+            claim.estimates for _, claims in decoded for claim in claims
         )
         return BatchRunResult(
-            estimates=tuple(estimates),
+            estimates=estimates.sorted(),
             makespan=makespan,
             n_jobs=len(table.claim_ids),
             n_tasks=len(results),
@@ -568,7 +570,7 @@ class DistributedSSTD:
         grid_cuts = [*np.searchsorted(grid, starts).tolist(), grid.size]
 
         tracker = DeadlineTracker(deadline=deadline)
-        estimates: list[TruthEstimate] = []
+        ticks: list[Estimates] = []
         backend: _SimulatedBackend | _ExecutorBackend = (
             _SimulatedBackend(self, deadline, compute_estimates)
             if config.backend == "simulated"
@@ -580,11 +582,11 @@ class DistributedSSTD:
                 batch = trace.reports[first:last]
                 interval_start = self.obs.clock.now()
                 with using(self.obs):
-                    ticks = backend.run(
+                    interval = backend.run(
                         batch, grid[grid_cuts[index] : grid_cuts[index + 1]]
                     )
                 if compute_estimates:
-                    estimates.extend(ticks)
+                    ticks.extend(interval)
                 execution_time = self.obs.clock.now() - interval_start
                 if self.obs.enabled:
                     self.obs.tracer.record_span(
@@ -599,28 +601,28 @@ class DistributedSSTD:
                 tracker.record(index, len(batch), execution_time, *counts)
         finally:
             backend.close()
-        estimates.sort(key=lambda e: (e.claim_id, e.timestamp))
         return IntervalRunResult(
             tracker=tracker,
-            estimates=tuple(estimates),
+            estimates=Estimates.concat(ticks).sorted(),
             final_worker_count=backend.worker_count,
         )
 
 
 def _replay_interval(
     engine: StreamingSSTD, reports: Sequence[Report], grid: np.ndarray
-) -> list[TruthEstimate]:
-    """Push ``reports`` into ``engine`` and tick it at each grid point."""
-    estimates: list[TruthEstimate] = []
+) -> list[Estimates]:
+    """Push ``reports`` into ``engine`` and tick it at each grid point;
+    returns each tick's estimates."""
+    ticks: list[Estimates] = []
     cursor = 0
     for now in grid.tolist():
         while cursor < len(reports) and reports[cursor].timestamp <= now:
             engine.push(reports[cursor])
             cursor += 1
-        estimates.extend(engine.tick(now))
+        ticks.append(engine.tick(now))
     for report in reports[cursor:]:
         engine.push(report)
-    return estimates
+    return ticks
 
 
 class _SimulatedBackend:
@@ -650,7 +652,7 @@ class _SimulatedBackend:
 
     def run(
         self, reports: Sequence[Report], grid: np.ndarray
-    ) -> list[TruthEstimate]:
+    ) -> list[Estimates]:
         """Drain one interval's TD tasks on the cluster, then replay it."""
         counts = collections.Counter(report.claim_id for report in reports)
         for claim_id in sorted(counts):
@@ -707,7 +709,7 @@ class _ExecutorBackend:
 
     def run(
         self, reports: Sequence[Report], grid: np.ndarray
-    ) -> list[TruthEstimate]:
+    ) -> list[Estimates]:
         """Replay one interval; its ticks' refits run on the executor."""
         return _replay_interval(self.engine, reports, grid)
 

@@ -1,15 +1,22 @@
 """Tests for the evaluation metrics (paper Section V-B1)."""
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.baselines import DynaTD
+from repro.baselines.base import EvaluationGrid
+from repro.core.columns import Estimates
 from repro.core.metrics import (
     ConfusionMatrix,
     EvaluationResult,
     evaluate_estimates,
+    evaluate_per_claim,
     format_results_table,
 )
+from repro.core.sstd import SSTD
 from repro.core.types import TruthEstimate, TruthLabel, TruthTimeline, TruthValue
+from repro.streams import generate_trace, paris_shooting
 
 
 class TestConfusionMatrix:
@@ -164,3 +171,78 @@ class TestPerClaimBreakdown:
         per_claim, timelines = self._setup()
         total = sum(r.matrix.total for r in per_claim.values())
         assert total == 4  # unknown claim excluded
+
+
+def timelines_strategy():
+    """A timeline of 1-5 labels on an integer grid, some with gaps."""
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(1, 5))
+        edges = sorted(
+            draw(st.sets(st.integers(0, 30), min_size=2 * n, max_size=2 * n))
+        )
+        values = draw(
+            st.lists(st.sampled_from(list(TruthValue)), min_size=n, max_size=n)
+        )
+        # Labels [e0, e1), [e2, e3), ...: a gap wherever e(2k+1) < e(2k+2).
+        gapless = draw(st.booleans())
+        labels = []
+        for k in range(n):
+            start, end = edges[2 * k], edges[2 * k + 1]
+            if gapless and k + 1 < n:
+                end = edges[2 * k + 2]
+            labels.append(TruthLabel("c", float(start), float(end), values[k]))
+        return TruthTimeline("c", labels)
+
+    return build()
+
+
+class TestColumnAlignment:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        timeline=timelines_strategy(),
+        # Half-steps hit label edges exactly and every gap; -3 and 33 lie
+        # before the first label and after the last.
+        times=st.lists(st.integers(-6, 66).map(lambda k: k / 2.0), max_size=30),
+    )
+    def test_codes_at_matches_value_at(self, timeline, times):
+        edges = [x for lab in timeline.labels for x in (lab.start, lab.end)]
+        queries = np.array(times + edges + [-3.0, 33.0])
+        expected = [int(timeline.value_at(t)) for t in queries.tolist()]
+        assert timeline.codes_at(queries).tolist() == expected
+
+    @staticmethod
+    def object_counts(estimates, timelines):
+        """The per-estimate alignment: the reference."""
+        pairs = [
+            (e.value, timelines[e.claim_id].value_at(e.timestamp))
+            for e in estimates
+            if e.claim_id in timelines
+        ]
+        return ConfusionMatrix.from_pairs(pairs)
+
+    def test_counts_equal_the_object_path(self):
+        trace = generate_trace(paris_shooting().scaled(0.002), seed=3)
+        grid = EvaluationGrid(trace.start, trace.end, 600.0)
+        for estimates in (
+            SSTD().discover(trace.reports),
+            DynaTD().discover(trace.reports, grid),
+        ):
+            objects = list(estimates)
+            expected = self.object_counts(objects, trace.timelines)
+            assert expected.total > 0
+            for given_as in (estimates, objects, Estimates.of(objects)):
+                result = evaluate_estimates("m", given_as, trace.timelines)
+                assert result.matrix == expected
+            per_claim = evaluate_per_claim("m", objects, trace.timelines)
+            for claim_id, result in per_claim.items():
+                mine = [e for e in objects if e.claim_id == claim_id]
+                assert result.matrix == self.object_counts(
+                    mine, trace.timelines
+                )
+            # Claims come in order of their first estimate.
+            first_seen = list(dict.fromkeys(e.claim_id for e in objects))
+            assert list(per_claim) == [
+                c for c in first_seen if c in trace.timelines
+            ]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import repro.core.sstd as sstd_module
 from repro.core.acs import ACSConfig
@@ -210,6 +211,40 @@ class TestSignFallback:
         model = ClaimTruthModel("c1", FAST_CONFIG)
         with pytest.raises(ValueError, match="differ"):
             model.fit_decode(np.array([1.0]), np.array([1.0, 2.0]))
+
+    @staticmethod
+    def loop_sign_rule(acs_values):
+        """The sign rule one value at a time: the reference."""
+        codes, current = [], int(TruthValue.FALSE)
+        for value in acs_values:
+            if value > 0:
+                current = int(TruthValue.TRUE)
+            elif value < 0:
+                current = int(TruthValue.FALSE)
+            codes.append(current)
+        return codes
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        acs_values=st.lists(
+            st.one_of(
+                st.just(float("nan")),
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300]),
+                st.floats(allow_nan=False),
+            ),
+            max_size=40,
+        )
+    )
+    @example(acs_values=[float("nan")] * 3 + [-0.5, 0.0, 0.7, float("nan")])
+    @example(acs_values=[0.0, 0.0, -0.0])
+    @example(acs_values=[float("nan")] * 5)
+    @example(acs_values=[1.0, -1.0] * 6)
+    @example(acs_values=[])
+    def test_fill_matches_the_loop(self, acs_values):
+        acs = np.array(acs_values, dtype=float)
+        result = sstd_module._sign_fallback("c1", np.arange(acs.size), acs)
+        assert result.codes.dtype == np.int8
+        assert result.codes.tolist() == self.loop_sign_rule(acs_values)
 
 
 class TestTruthCodes:

@@ -14,6 +14,7 @@ import pytest
 
 from benchmarks.e2e.workloads import WORKLOADS, make_trace
 from repro.cli import main
+from repro.core.columns import Estimates
 from repro.core.estimates_io import estimates_digest, save_estimates
 
 SEED = 1
@@ -93,6 +94,9 @@ def test_every_workload_is_pinned():
 def test_smoke_shape_digest(name):
     estimates = smoke_estimates(name)
     assert (estimates_digest(estimates), len(estimates)) == PINNED[name]
+    # The column read and the object walk fingerprint the same stream.
+    columns = Estimates.of(estimates)
+    assert estimates_digest(columns) == estimates_digest(list(columns))
 
 
 def test_digest_sees_one_bit_and_the_order():

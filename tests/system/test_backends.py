@@ -42,8 +42,7 @@ def small_trace():
 @pytest.fixture(scope="module")
 def serial_estimates(small_trace):
     estimates = SSTD().discover(list(small_trace.reports))
-    estimates.sort(key=lambda e: (e.claim_id, e.timestamp))
-    return estimates
+    return sorted(estimates, key=lambda e: (e.claim_id, e.timestamp))
 
 
 class TestConfigValidation:
