@@ -116,7 +116,7 @@ def _run_rto(trace, deadline):
                         data_size=float(share + (1 if k < remainder else 0)),
                     )
                 )
-        master.wait_all()
+        master.drain()
         tracker.record(
             index, sum(counts.values()), simulator.now - started
         )

@@ -65,7 +65,7 @@ def _makespan(total_reports: int, n_workers: int) -> float:
                     data_size=float(share + (1 if k < remainder else 0)),
                 )
             )
-    master.wait_all()
+    master.drain()
     return simulator.now
 
 

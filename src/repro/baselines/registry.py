@@ -22,8 +22,9 @@ from repro.baselines.three_estimates import ThreeEstimates
 from repro.baselines.truthfinder import TruthFinder
 from repro.baselines.voting import MajorityVote, MedianVote
 from repro.core.acs import ACSConfig
+from repro.core.columns import Estimates, report_columns
 from repro.core.sstd import SSTD, SSTDConfig
-from repro.core.types import Report, TruthEstimate
+from repro.core.types import Report
 
 __all__ = [
     "ALGORITHM_FACTORIES",
@@ -49,8 +50,8 @@ class SSTDAlgorithm(TruthDiscoveryAlgorithm):
     a window needs several reports for a meaningful aggregated score.
     The adapter targets :data:`TARGET_REPORTS_PER_WINDOW` on the
     *average* claim (clamped to ``[WINDOW_STEPS x grid.step, span/8]``),
-    decodes on its own grid, and resamples estimates onto the evaluation
-    grid by carrying the latest decoded value forward.  A ``config``
+    decodes on its own grid, and resamples the estimate columns onto the
+    evaluation grid by carrying the latest decoded value forward.  A ``config``
     replaces the adaptive choice.
     """
 
@@ -62,9 +63,9 @@ class SSTDAlgorithm(TruthDiscoveryAlgorithm):
     def _choose_window(
         self, reports: Sequence[Report], grid: EvaluationGrid
     ) -> float:
+        columns = report_columns(reports)
         span = max(grid.end - grid.start, grid.step)
-        n_claims = max(1, len({r.claim_id for r in reports}))
-        per_claim = len(reports) / n_claims
+        per_claim = len(columns) / max(1, len(columns.claim_ids))
         if per_claim <= 0:
             return WINDOW_STEPS * grid.step
         density_window = span * TARGET_REPORTS_PER_WINDOW / per_claim
@@ -74,7 +75,7 @@ class SSTDAlgorithm(TruthDiscoveryAlgorithm):
 
     def discover(
         self, reports: Sequence[Report], grid: EvaluationGrid
-    ) -> list[TruthEstimate]:
+    ) -> Estimates:
         config = self._config_override
         if config is None:
             window = self._choose_window(reports, grid)
@@ -85,32 +86,35 @@ class SSTDAlgorithm(TruthDiscoveryAlgorithm):
         return self._resample(decoded, grid)
 
     @staticmethod
-    def _resample(
-        decoded: Sequence[TruthEstimate], grid: EvaluationGrid
-    ) -> list[TruthEstimate]:
+    def _resample(decoded: Estimates, grid: EvaluationGrid) -> Estimates:
         """Sample decoded series onto the evaluation grid (carry forward).
 
-        A grid time before a claim's first estimate takes that estimate.
+        One ``searchsorted`` per claim over its decoded times picks the
+        row each grid time carries; a grid time before a claim's first
+        estimate takes that estimate.
         """
-        by_claim: dict[str, list[TruthEstimate]] = {}
-        for estimate in decoded:
-            by_claim.setdefault(estimate.claim_id, []).append(estimate)
+        decoded = decoded.sorted()
         times = grid.times()
-        resampled: list[TruthEstimate] = []
-        for claim_id in sorted(by_claim):
-            series = sorted(by_claim[claim_id], key=lambda e: e.timestamp)
-            stamps = np.array([e.timestamp for e in series])
-            latest = np.searchsorted(stamps, times, side="right") - 1
-            for t, k in zip(times.tolist(), np.maximum(latest, 0).tolist()):
-                resampled.append(
-                    TruthEstimate(
-                        claim_id=claim_id,
-                        timestamp=t,
-                        value=series[k].value,
-                        confidence=series[k].confidence,
-                    )
-                )
-        return resampled
+        bounds = np.searchsorted(
+            decoded.claim_index, np.arange(len(decoded.claim_ids) + 1)
+        ).tolist()
+        picks = [
+            lo
+            + np.maximum(
+                np.searchsorted(decoded.times[lo:hi], times, side="right") - 1,
+                0,
+            )
+            for lo, hi in zip(bounds, bounds[1:])
+            if hi > lo
+        ]
+        rows = np.concatenate(picks) if picks else np.zeros(0, np.intp)
+        return Estimates(
+            decoded.claim_ids,
+            decoded.claim_index[rows],
+            np.tile(times, len(picks)),
+            decoded.codes[rows],
+            decoded.confidences[rows],
+        )
 
 
 #: Factories for the full comparison set, keyed by paper name.

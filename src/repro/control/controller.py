@@ -510,12 +510,12 @@ class Controller:
         set before the next job's projection reads the priority shares.
         """
         signals: dict[str, float] = {}
-        for job_id, account in master.jobs.items():
+        for job_id, account in master.tasks.jobs.items():
             if account.pending == 0:
                 continue
             remaining = sum(
                 task.data_size
-                for task in master.pending
+                for task in master.tasks.pending
                 if task.job_id == job_id
             )
             projected = master.job_elapsed(job_id) + wcet.job_wcet_simplified(
@@ -622,5 +622,5 @@ def _priority_share(master: WorkQueueMaster, job_id: str) -> float:
     Priorities are positive and the sum includes the job's own, so the
     share is in (0, 1]; the floor keeps Eq. (12) finite.
     """
-    total = sum(master.priority_of(other) for other in master.jobs)
+    total = sum(master.priority_of(other) for other in master.tasks.jobs)
     return max(master.priority_of(job_id) / total, 1e-6)

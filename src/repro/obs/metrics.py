@@ -13,7 +13,7 @@ engine tracks Baum-Welch convergence.  Two design constraints shape it:
 - **Picklable snapshots.**  :class:`MetricsSnapshot` is a frozen
   dataclass of plain dicts/tuples, so a worker *process* can snapshot
   its local registry, ship it across the pickle boundary in a
-  :class:`repro.workqueue.process.LocalResult`, and the master merges it
+  :class:`repro.workqueue.task.TaskResult`, and the master merges it
   with :meth:`MetricRegistry.merge`.
 
 Histograms use fixed, explicit bucket boundaries (Prometheus-style), so

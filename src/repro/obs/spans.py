@@ -111,9 +111,9 @@ class SpanTracer:
     ) -> None:
         """Record a completed interval with explicit timestamps.
 
-        This is the entry point for the simulated master, which learns a
-        task's ``started_at``/``finished_at`` from the completion
-        callback rather than bracketing the work itself.
+        This is the entry point for the Work Queue task pool, which
+        learns a task's ``started_at``/``finished_at`` from its result
+        record rather than bracketing the work itself.
         """
         if end < start:
             raise ValueError(f"span {name!r} ends ({end}) before it starts ({start})")

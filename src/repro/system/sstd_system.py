@@ -10,10 +10,13 @@ the interval replay's refits.
 
 Two entry points:
 
-- :meth:`DistributedSSTD.run_batch` — process a whole trace once;
-  returns truth estimates (bit-identical to serial
-  :class:`repro.core.sstd.SSTD`) plus timing metrics (makespan,
-  speedup inputs for Figure 7, execution times for Figure 4).
+- :meth:`DistributedSSTD.run_batch` — process a whole trace once, as
+  one round of shard tasks through one path on both backends (both
+  masters drive one :class:`~repro.workqueue.task.TaskPool` and answer
+  ``drain`` with the same result records); returns truth estimates
+  (bit-identical to serial :class:`repro.core.sstd.SSTD`) plus timing
+  metrics (makespan, speedup inputs for Figure 7, execution times for
+  Figure 4).
 - :meth:`DistributedSSTD.run_intervals` — replay the trace as N equal
   time intervals (the paper's Figure 6 setup) through one streaming
   engine, whose refits the process backend runs on its workers; returns
@@ -27,7 +30,7 @@ import contextlib
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -56,8 +59,8 @@ from repro.system.jobs import (
 )
 from repro.workqueue.master import WorkQueueMaster
 from repro.workqueue.pool import ElasticWorkerPool
-from repro.workqueue.process import LocalResult, ProcessWorkQueue
-from repro.workqueue.task import CostModel, Task
+from repro.workqueue.process import ProcessWorkQueue
+from repro.workqueue.task import CostModel, Task, TaskResult
 
 __all__ = [
     "BACKENDS",
@@ -283,69 +286,77 @@ class DistributedSSTD:
         start: float | None = None,
         end: float | None = None,
     ) -> BatchRunResult:
-        """Process a full trace; estimates match the serial engine exactly."""
-        config = self.config
-        if config.backend != "simulated":
-            return self._run_batch_real(reports, start, end)
-        simulator, master, pool, controller = self._build(config.deadline)
-        table = ReportTable.from_reports(reports, config.sstd.acs.weights)
-        claim_rows = list(table.by_claim())
+        """Process a full trace in one round of shard tasks; estimates
+        match the serial engine exactly.
 
-        run_start = simulator.now
-        with using(self.obs), controller or contextlib.nullcontext():
-            stack = build_claim_stack(
-                claim_sequences(claim_rows, config.sstd, start, end)
+        One path on both backends (:meth:`_decode_shards`).  On the
+        simulated cluster each shard is one claim's job, sized by its
+        report count, under the control loop when it is enabled; on
+        processes a shard holds ``claims_per_shard`` claims (auto = one
+        shard per usable execution lane), so its claims share one
+        batched kernel invocation and one round of pickle/dispatch
+        overhead, and the run is never controlled.
+        """
+        config = self.config
+        table = ReportTable.from_reports(reports, config.sstd.acs.weights)
+        sizes = dict(zip(table.claim_ids, np.diff(table.offsets).tolist()))
+        if config.backend == "simulated":
+            _, master, pool, controller = self._build(config.deadline)
+            with controller or contextlib.nullcontext():
+                clock_start = self.obs.clock.now()
+                decoded = self._decode_shards(
+                    master,
+                    claim_sequences(table.by_claim(), config.sstd, start, end),
+                    config.sstd,
+                    sizes,
+                )
+            sampled = controller.pool_sizes if controller else []
+            worker_count = pool.size
+            peak = max([config.n_workers, pool.size, *sampled])
+        else:
+            worker_count = peak = min(
+                config.n_workers, len(self._shards(table.claim_ids)) or 1
             )
-            owner = stack.publish()
+            executor = self._make_executor(worker_count)
             try:
-                for claim_id, rows in claim_rows:
-                    # One task per claim's job, sized by its reports.  It
-                    # carries the decode payload so the truth result
-                    # materializes when the job's data is processed: a
-                    # one-claim shard of the stack, the spec the real
-                    # backends ship.
-                    master.submit(
-                        Task(
-                            job_id=claim_id,
-                            data_size=float(len(rows)),
-                            fn=shm_shard_task_spec(
-                                stack, [claim_id], owner.handle, config.sstd
-                            ),
-                        )
-                    )
-                master.wait_all()
+                clock_start = self.obs.clock.now()
+                decoded = self._decode_shards(
+                    executor,
+                    claim_sequences(table.by_claim(), config.sstd, start, end),
+                    config.sstd,
+                    sizes,
+                )
             finally:
-                owner.close_and_unlink()
+                executor.shutdown()
+        makespan = self.obs.clock.now() - clock_start
+        results = [result for result, _ in decoded]
         if self.obs.enabled:
             self.obs.tracer.record_span(
                 "system.run_batch",
-                start=run_start,
-                end=simulator.now,
+                start=clock_start,
+                end=clock_start + makespan,
                 track="system",
                 backend=config.backend,
-                n_jobs=len(claim_rows),
-                n_tasks=len(claim_rows),
+                n_jobs=len(table.claim_ids),
+                n_tasks=len(results),
             )
         estimates = Estimates.concat(
-            decoded.estimates
-            for result in master.results
-            if result.output is not None
-            for decoded in expand_shard_result(
-                stack, [result.job_id], *result.output
-            )
+            claim.estimates for _, claims in decoded for claim in claims
         )
-        sampled = controller.pool_sizes if controller else []
-        peak = max([config.n_workers, pool.size, *sampled])
         return BatchRunResult(
             estimates=estimates.sorted(),
-            makespan=simulator.now,
-            n_jobs=len(claim_rows),
-            n_tasks=len(claim_rows),
-            total_busy_time=sum(
-                account.busy_time for account in master.jobs.values()
-            ),
-            worker_count=pool.size,
+            makespan=makespan,
+            n_jobs=len(table.claim_ids),
+            n_tasks=len(results),
+            total_busy_time=sum(r.wall_time for r in results),
+            worker_count=worker_count,
             peak_worker_count=peak,
+            payload_bytes_per_task=self._mean_bytes(
+                [r.payload_bytes for r in results]
+            ),
+            result_bytes_per_task=self._mean_bytes(
+                [r.result_bytes for r in results]
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -409,26 +420,36 @@ class DistributedSSTD:
         ]
 
     def _shards(self, claim_ids: Sequence[str]) -> dict[str, list[str]]:
-        """The round's shards of sorted claims, by stable Work Queue job id."""
-        shards = self._make_shards(
-            claim_ids, self._claims_per_shard(len(claim_ids))
+        """The round's shards of sorted claims, by stable Work Queue job id.
+
+        On the simulated cluster a shard is one claim: jobs are the unit
+        its control loop steers.
+        """
+        per_shard = (
+            1
+            if self.config.backend == "simulated"
+            else self._claims_per_shard(len(claim_ids))
         )
+        shards = self._make_shards(claim_ids, per_shard)
         return {s[0] if len(s) == 1 else f"{s[0]}..{s[-1]}": s for s in shards}
 
     def _decode_shards(
         self,
-        executor: ProcessWorkQueue,
+        executor: WorkQueueMaster | ProcessWorkQueue,
         items: Sequence[tuple[str, np.ndarray, np.ndarray]],
         sstd_config: SSTDConfig,
-    ) -> list[tuple[LocalResult, list[ClaimDecodeResult]]]:
+        sizes: Mapping[str, int],
+    ) -> list[tuple[TaskResult, list[ClaimDecodeResult]]]:
         """Decode ``items`` on ``executor`` in one round of shard tasks.
 
         Packs the ``(claim_id, times, values)`` items, sorted by claim,
         into one claim stack and publishes it, submits one task per
-        shard, drains, and releases the segment whether or not the drain
-        was clean; a failed task raises.  Returns each task's result
-        with the :func:`~repro.core.sstd.batch_fit_decode` results of its
-        claims.  A round without claims submits nothing.
+        shard (its ``data_size`` the ``sizes`` of its claims), drains,
+        and releases the segment whether or not the drain was clean; a
+        failed task, a lost one included, raises.  Returns each shard's
+        result, in shard order, with the
+        :func:`~repro.core.sstd.batch_fit_decode` results of its claims.
+        A round without claims submits nothing.
         """
         if not items:
             return []
@@ -439,16 +460,22 @@ class DistributedSSTD:
             owner = stack.publish()
             try:
                 for job_id, shard in shards.items():
+                    size = sum(sizes.get(claim_id, 0) for claim_id in shard)
                     executor.submit(
                         Task(
                             job_id=job_id,
+                            data_size=float(size),
                             fn=shm_shard_task_spec(
                                 stack, shard, owner.handle, sstd_config
                             ),
                         )
                     )
                 submitted_at = self.obs.clock.now()
-                results = executor.drain(timeout=self.config.drain_timeout)
+                results = (
+                    executor.drain(timeout=self.config.drain_timeout)
+                    if isinstance(executor, ProcessWorkQueue)
+                    else executor.drain()
+                )
             finally:
                 owner.close_and_unlink()
         if self.obs.enabled:
@@ -460,74 +487,12 @@ class DistributedSSTD:
                 n_tasks=len(shards),
             )
         self._check_failures(results)
+        by_job = {result.job_id: result for result in results}
+        in_order = [by_job[job_id] for job_id in shards]
         return [
-            (
-                result,
-                expand_shard_result(
-                    stack, shards[result.job_id], *result.output
-                ),
-            )
-            for result in results
+            (result, expand_shard_result(stack, shard, *result.output))
+            for result, shard in zip(in_order, shards.values())
         ]
-
-    def _run_batch_real(
-        self,
-        reports: Sequence[Report],
-        start: float | None,
-        end: float | None,
-    ) -> BatchRunResult:
-        """Batch mode on a real executor: one task per *shard* of claims.
-
-        Claims are grouped into
-        shards of ``claims_per_shard`` (auto = one shard per usable
-        execution lane); each task decodes its shard's rows of the
-        published claim stack, so its claims share one batched kernel
-        invocation and one round of pickle/dispatch overhead.
-        """
-        config = self.config
-        table = ReportTable.from_reports(reports, config.sstd.acs.weights)
-        shards = self._shards(table.claim_ids)
-        n_workers = min(config.n_workers, max(1, len(shards)))
-        executor = self._make_executor(n_workers)
-        try:
-            clock_start = self.obs.clock.now()
-            decoded = self._decode_shards(
-                executor,
-                claim_sequences(table.by_claim(), config.sstd, start, end),
-                config.sstd,
-            )
-        finally:
-            executor.shutdown()
-        makespan = self.obs.clock.now() - clock_start
-        results = [result for result, _ in decoded]
-        if self.obs.enabled:
-            self.obs.tracer.record_span(
-                "system.run_batch",
-                start=clock_start,
-                end=clock_start + makespan,
-                track="system",
-                backend=config.backend,
-                n_jobs=len(table.claim_ids),
-                n_tasks=len(results),
-            )
-        estimates = Estimates.concat(
-            claim.estimates for _, claims in decoded for claim in claims
-        )
-        return BatchRunResult(
-            estimates=estimates.sorted(),
-            makespan=makespan,
-            n_jobs=len(table.claim_ids),
-            n_tasks=len(results),
-            total_busy_time=sum(r.wall_time for r in results),
-            worker_count=n_workers,
-            peak_worker_count=n_workers,
-            payload_bytes_per_task=self._mean_bytes(
-                [r.payload_bytes for r in results]
-            ),
-            result_bytes_per_task=self._mean_bytes(
-                [r.result_bytes for r in results]
-            ),
-        )
 
     # ------------------------------------------------------------------
     # Interval mode (Figure 6)
@@ -659,16 +624,13 @@ class _SimulatedBackend:
             self.master.submit(
                 Task(job_id=claim_id, data_size=float(counts[claim_id]))
             )
-        self.master.wait_all()
+        self.master.drain()
         if self.engine is None:
             return []
         return _replay_interval(self.engine, reports, grid)
 
     def settle(self, execution_time: float) -> tuple[int, int]:
         """End an interval; returns its ``(n_deferred, n_shed)``."""
-        # Reset per-job accounting for the next interval's measurement.
-        for account in self.master.jobs.values():
-            account.first_submit_at = self.simulator.now
         return 0, 0
 
     def close(self) -> None:
@@ -733,6 +695,7 @@ class _ExecutorBackend:
             self.executor,
             [item for item in items if item[0] not in skipped],
             config,
+            {},
         ):
             # Per-claim cost: the shard's wall time over its width.
             self._costs.append(result.wall_time / len(claims))

@@ -36,9 +36,14 @@ Design points, mirroring Work Queue's fault model:
   ``task.max_retries``) and a replacement worker is spawned, matching
   the re-queue semantics of the simulated master.
 
-Failures are always reported as data: a task that exhausts its retries
-yields a result whose ``error`` is a picklable
-:class:`repro.workqueue.task.TaskError`, never a raised exception.
+The pending pool, the retry-or-fail rule, the completion accounting and
+the result record are the :class:`repro.workqueue.task.TaskPool` the
+simulated master drives too; this executor adds FIFO dispatch and
+workers that run behind pipes and process sentinels.  Failures are
+always reported as data: a task that exhausts its retries yields a
+:class:`~repro.workqueue.task.TaskResult` whose ``error`` is a
+picklable ``WorkerLost`` :class:`~repro.workqueue.task.TaskError`,
+never a raised exception.
 """
 
 from __future__ import annotations
@@ -47,15 +52,13 @@ import dataclasses
 import multiprocessing
 import os
 import pickle
-from collections import deque
 from typing import Any, Optional
 
 from repro.obs import BYTE_BUCKETS, MetricsSnapshot, Observability, WallClock, using
 from repro.obs.stitch import ClockSync, rebase_events
-from repro.workqueue.task import Task, TaskError
+from repro.workqueue.task import Task, TaskError, TaskPool, TaskResult
 
 __all__ = [
-    "LocalResult",
     "ProcessWorkQueue",
 ]
 
@@ -70,38 +73,6 @@ _HANDSHAKE = "__clock_sync__"
 #: Seconds ``shutdown`` gives all workers together to exit on their
 #: own before it terminates the rest.
 _SHUTDOWN_GRACE = 2.0
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class LocalResult:
-    """Completion record of a task run on a worker process.
-
-    ``error`` is a picklable :class:`repro.workqueue.task.TaskError`
-    (never a raw exception object).  ``metrics`` carries the worker-side
-    :class:`repro.obs.MetricsSnapshot` for this task, the channel that
-    ships engine metrics back to the master; ``None`` when tracing is
-    off.  ``payload_bytes`` / ``result_bytes`` are the serialized sizes
-    the task actually shipped across the process boundary (payload out,
-    output back): ``payload_bytes`` is ``None`` for a payload that
-    failed to pickle, ``result_bytes`` for a task that never came back.
-    A run's ``payload_bytes_per_task`` / ``result_bytes_per_task`` and
-    the ``wq.payload_bytes`` / ``wq.result_bytes`` histograms read the
-    same numbers.
-    """
-
-    task_id: int
-    job_id: str
-    worker_name: str
-    output: Any
-    wall_time: float
-    error: Optional[TaskError] = None
-    metrics: Optional[MetricsSnapshot] = None
-    payload_bytes: Optional[int] = None
-    result_bytes: Optional[int] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
 
 
 def _worker_main(conn: Any, worker_name: str, record_metrics: bool = False) -> None:
@@ -238,9 +209,7 @@ class ProcessWorkQueue:
             available = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in available else "spawn"
         self._ctx = multiprocessing.get_context(start_method)
-        self._pending: deque[Task] = deque()
-        self._done: list[LocalResult] = []
-        self._completed: set[int] = set()
+        self.tasks = TaskPool(self.obs)
         self._shutdown = False
         self._worker_serial = 0
         self._workers = [self._spawn_worker() for _ in range(n_workers)]
@@ -266,11 +235,12 @@ class ProcessWorkQueue:
             )
         if self._shutdown:
             raise RuntimeError("queue is shut down")
-        self._pending.append(task)
+        self.tasks.add(task, self.obs.clock.now())
         self._dispatch()
 
-    def drain(self, timeout: float = 60.0) -> list[LocalResult]:
-        """Run the master's loop until every submitted task has finished.
+    def drain(self, timeout: float = 60.0) -> list[TaskResult]:
+        """Run the master's loop until every submitted task has finished;
+        returns the results finished since the last drain.
 
         Each pass waits — until the drain deadline or the earliest task
         timeout, whichever is nearer — for a worker's pipe or process
@@ -287,9 +257,7 @@ class ProcessWorkQueue:
         from multiprocessing.connection import wait
 
         deadline = self.obs.clock.now() + timeout
-        while outstanding := len(self._pending) + sum(
-            1 for w in self._workers if w.current is not None
-        ):
+        while outstanding := self.tasks.outstanding:
             now = self.obs.clock.now()
             if now >= deadline:
                 raise TimeoutError(f"{outstanding} tasks still outstanding")
@@ -307,8 +275,7 @@ class ProcessWorkQueue:
                     self._read(worker)
             self._reap()
             self._dispatch()
-        results, self._done = self._done, []
-        return results
+        return self.tasks.collect()
 
     def shutdown(self) -> None:
         """Stop every worker: idle ones exit on their pill, busy ones
@@ -373,28 +340,23 @@ class ProcessWorkQueue:
     def _dispatch(self) -> None:
         """Feed the oldest pending tasks to idle workers, in order."""
         for worker in self._workers:
-            if not self._pending:
+            if not self.tasks.pending:
                 return
             if worker.current is None:
-                self._dispatch_one(worker, self._pending.popleft())
+                self._dispatch_one(worker, self.tasks.dispatch(0, worker.name))
 
     def _dispatch_one(self, worker: _WorkerHandle, task: Task) -> None:
         try:
             payload_bytes = pickle.dumps(task.fn)
         except Exception as exc:  # deliberate: unpicklable payload fails the task
-            self._done.append(
-                LocalResult(
-                    task_id=task.task_id,
-                    job_id=task.job_id,
-                    worker_name=worker.name,
-                    output=None,
-                    wall_time=0.0,
+            now = self.obs.clock.now()
+            self.tasks.complete(
+                TaskResult(
+                    task.task_id, task.job_id, worker.name, None, now, now,
                     error=TaskError.from_exception(exc),
                 )
             )
             return
-        task.attempts += 1
-        task.tried_workers.add(worker.name)
         task.payload_bytes = len(payload_bytes)
         worker.current = task
         worker.dispatched_at = self.obs.clock.now()
@@ -403,19 +365,8 @@ class ProcessWorkQueue:
         except OSError:
             pass  # the worker is dead: the next reap requeues the task
         if self.obs.enabled:
-            self.obs.metrics.inc("wq.dispatched")
             self.obs.metrics.observe(
                 "wq.payload_bytes", len(payload_bytes), bounds=BYTE_BUCKETS
-            )
-            # The master-side anchor of the happens-before relation the
-            # stitch test asserts: every rebased worker span starts at
-            # or after the dispatch instant that caused it.
-            self.obs.tracer.instant(
-                "wq.dispatch",
-                track="master",
-                worker=worker.name,
-                job_id=task.job_id,
-                task_id=task.task_id,
             )
 
     def _read(self, worker: _WorkerHandle) -> None:
@@ -455,43 +406,22 @@ class ProcessWorkQueue:
             span_payload,
         ) = item
         worker.current = None
-        if task_id in self._completed:
+        end = self.obs.clock.now()
+        result = TaskResult(
+            task_id, job_id, worker.name, pickle.loads(output_bytes),
+            end - wall_time, end, error=error, metrics=metrics,
+            payload_bytes=payload_nbytes, result_bytes=len(output_bytes),
+        )
+        if not self.tasks.complete(result):
             return  # duplicate from a retry whose first attempt landed
-        self._completed.add(task_id)
-        result_nbytes = len(output_bytes)
         if self.obs.enabled:
-            self.obs.metrics.inc("wq.completed")
-            self.obs.metrics.observe("wq.task_seconds", wall_time)
             self.obs.metrics.observe(
-                "wq.result_bytes", result_nbytes, bounds=BYTE_BUCKETS
-            )
-            end = self.obs.clock.now()
-            self.obs.tracer.record_span(
-                "wq.task",
-                start=end - wall_time,
-                end=end,
-                track=worker.name,
-                job_id=job_id,
-                task_id=task_id,
-                ok=error is None,
+                "wq.result_bytes", len(output_bytes), bounds=BYTE_BUCKETS
             )
             if metrics is not None:
                 self.obs.metrics.merge(metrics)
             if span_payload is not None:
                 self._stitch_spans(worker.name, span_payload)
-        self._done.append(
-            LocalResult(
-                task_id=task_id,
-                job_id=job_id,
-                worker_name=worker.name,
-                output=pickle.loads(output_bytes),
-                wall_time=wall_time,
-                error=error,
-                metrics=metrics,
-                payload_bytes=payload_nbytes,
-                result_bytes=result_nbytes,
-            )
-        )
 
     def _stitch_spans(self, worker_name: str, span_payload: tuple) -> None:
         """Rebase one worker's shipped spans onto the master timeline.
@@ -521,52 +451,6 @@ class ProcessWorkQueue:
                     event.name, event.start, event.end, track=event.track,
                     **event.attr_dict(),
                 )
-
-    def _fail_or_requeue(self, task: Task, reason: str) -> None:
-        """Retry a task lost to a dead/timed-out worker, or fail it."""
-        if task.task_id in self._completed:
-            return  # its result already came back; nothing was lost
-        if task.attempts <= task.max_retries:
-            self._pending.append(task)
-            if self.obs.enabled:
-                self.obs.metrics.inc("wq.requeued")
-                self.obs.tracer.instant(
-                    "wq.requeue",
-                    track="master",
-                    job_id=task.job_id,
-                    task_id=task.task_id,
-                    reason=reason,
-                    attempt=task.attempts,
-                )
-            return
-        self._completed.add(task.task_id)
-        if self.obs.enabled:
-            self.obs.metrics.inc("wq.failed")
-            self.obs.tracer.instant(
-                "wq.task_failed",
-                track="master",
-                job_id=task.job_id,
-                task_id=task.task_id,
-                reason=reason,
-                attempts=task.attempts,
-            )
-        self._done.append(
-            LocalResult(
-                task_id=task.task_id,
-                job_id=task.job_id,
-                worker_name="<master>",
-                output=None,
-                wall_time=0.0,
-                error=TaskError(
-                    type_name="WorkerLost",
-                    message=(
-                        f"{reason} after {task.attempts} attempt(s) "
-                        f"on workers {sorted(task.tried_workers)}"
-                    ),
-                ),
-                payload_bytes=task.payload_bytes,
-            )
-        )
 
     def _reap(self) -> None:
         """Terminate stragglers, then replace every dead worker.
@@ -602,7 +486,9 @@ class ProcessWorkQueue:
                     if timed_out
                     else f"worker {worker.name} died"
                 )
-                self._fail_or_requeue(worker.current, reason)
+                self.tasks.retry_or_fail(
+                    worker.current, reason, worker.name, self.obs.clock.now()
+                )
             if not self._shutdown:
                 survivors.append(self._spawn_worker())
                 if self.obs.enabled:

@@ -42,7 +42,6 @@ class SimulatedWorker:
         self.name = name or f"worker-{next(_worker_counter):04d}"
         self.current_task: Optional[Task] = None
         self.retired = False
-        self.completed_count = 0
 
     @property
     def busy(self) -> bool:
@@ -74,8 +73,6 @@ class SimulatedWorker:
         if start_delay < 0:
             raise ValueError("start_delay must be >= 0")
         self.current_task = task
-        task.attempts += 1
-        task.tried_workers.add(self.name)
         started = self.simulator.now + start_delay
         execution = self.cost_model.execution_time(
             task.data_size, self.placement.node.speed_factor
@@ -95,16 +92,10 @@ class SimulatedWorker:
 
         def _complete() -> None:
             self.current_task = None
-            self.completed_count += 1
             output = task.run()
             result = TaskResult(
-                task_id=task.task_id,
-                job_id=task.job_id,
-                worker_name=self.name,
-                submitted_at=task.submitted_at,
-                started_at=started,
-                finished_at=self.simulator.now,
-                output=output,
+                task.task_id, task.job_id, self.name, output, started,
+                self.simulator.now,
             )
             on_done(self, result)
 

@@ -249,27 +249,29 @@ class TestExecutorLeak:
 
 
 RUN_BATCH_GUARDED = """\
-        executor = self._make_executor(n_workers)
-        try:
+            executor = self._make_executor(worker_count)
+            try:
+                clock_start = self.obs.clock.now()
+                decoded = self._decode_shards(
+                    executor,
+                    claim_sequences(table.by_claim(), config.sstd, start, end),
+                    config.sstd,
+                    sizes,
+                )
+            finally:
+                executor.shutdown()
+"""
+
+RUN_BATCH_UNGUARDED = """\
+            executor = self._make_executor(worker_count)
             clock_start = self.obs.clock.now()
             decoded = self._decode_shards(
                 executor,
                 claim_sequences(table.by_claim(), config.sstd, start, end),
                 config.sstd,
+                sizes,
             )
-        finally:
             executor.shutdown()
-"""
-
-RUN_BATCH_UNGUARDED = """\
-        executor = self._make_executor(n_workers)
-        clock_start = self.obs.clock.now()
-        decoded = self._decode_shards(
-            executor,
-            claim_sequences(table.by_claim(), config.sstd, start, end),
-            config.sstd,
-        )
-        executor.shutdown()
 """
 
 

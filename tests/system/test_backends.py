@@ -118,9 +118,9 @@ class TestIntervalsReal:
         rounds: list[tuple[float, list[str]]] = []
         original = DistributedSSTD._decode_shards
 
-        def spy(self, executor, items, sstd_config):
+        def spy(self, executor, items, *rest):
             rounds.append((items[0][1][-1], [c for c, _, _ in items]))
-            return original(self, executor, items, sstd_config)
+            return original(self, executor, items, *rest)
 
         monkeypatch.setattr(DistributedSSTD, "_decode_shards", spy)
         config = SSTDSystemConfig(

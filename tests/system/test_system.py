@@ -97,7 +97,7 @@ class TestSimulatedController:
         # Done long before the first sample at t = 1.
         master.submit(Task(job_id="idle", data_size=1.0))
         simulator.run(until=5.0)
-        assert master.jobs["idle"].pending == 0
+        assert master.tasks.jobs["idle"].pending == 0
         assert controller.pool_sizes == []
         assert controller.pids == {}
 

@@ -77,7 +77,7 @@ from repro.text import (
     PolarityAnalyzer,
     TweetPipeline,
 )
-from repro.workqueue import LocalResult, ProcessWorkQueue
+from repro.workqueue import ProcessWorkQueue, TaskResult
 from repro.workqueue.pool import ElasticWorkerPool
 
 CONFIG_FIELDS = {
@@ -190,7 +190,7 @@ KEYWORDS = {
     side_by_side: (),
     bar_chart: (),
     # the real executor
-    LocalResult: ("error", "metrics", "payload_bytes", "result_bytes"),
+    TaskResult: ("error", "metrics", "payload_bytes", "result_bytes"),
     ProcessWorkQueue: ("n_workers", "obs"),
     ProcessWorkQueue.drain: ("timeout",),
 }

@@ -2,7 +2,7 @@
 
 The zero-copy data plane's win is only provable if the executor reports
 how many bytes each task actually shipped across the process boundary.
-These tests pin the accounting channel itself: ``LocalResult`` fields
+These tests pin the accounting channel itself: ``TaskResult`` fields
 and the ``wq.payload_bytes`` / ``wq.result_bytes`` histograms.
 """
 

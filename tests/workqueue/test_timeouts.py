@@ -58,38 +58,36 @@ class TestStragglerRetry:
         task = Task(job_id="j", data_size=1.0, timeout=1.0, fn=lambda: "ok")
         master.submit(task)
         assert slow_worker.busy
-        master.wait_all()
-        assert [r.output for r in master.results if r.job_id == "j"] == ["ok"]
+        assert [(r.output, r.ok) for r in master.drain()] == [("ok", True)]
         assert task.attempts == 2
         assert {w for w in task.tried_workers} >= {slow_worker.name}
-        assert not master.failed
 
     def test_gives_up_after_max_retries(self):
         simulator, master = mixed_speed_stack()
         # Impossible timeout: even the fast node needs 0.5s for 1 unit.
         task = Task(job_id="j", data_size=1.0, timeout=0.1, max_retries=2)
         master.submit(task)
-        master.wait_all()
-        assert task in master.failed
+        (lost,) = master.drain()
+        assert (lost.task_id, lost.ok) == (task.task_id, False)
+        assert lost.error.type_name == "WorkerLost"
         assert task.attempts == task.max_retries + 1
-        assert master.outstanding() == 0
+        assert master.tasks.outstanding == 0
         # Job accounting reaches a terminal state.
-        assert master.jobs["j"].pending == 0
+        assert master.tasks.jobs["j"].pending == 0
 
     def test_no_timeout_behaves_as_before(self):
         simulator, master = mixed_speed_stack()
         master.submit(Task(job_id="j", data_size=1.0, fn=lambda: 1))
-        master.wait_all()
-        assert len(master.results) == 1
-        assert not master.failed
+        (result,) = master.drain()
+        assert result.ok
 
     def test_timeout_generous_enough_completes_normally(self):
         simulator, master = mixed_speed_stack()
         task = Task(job_id="j", data_size=1.0, timeout=10.0, fn=lambda: 1)
         master.submit(task)
-        master.wait_all()
+        (result,) = master.drain()
         assert task.attempts == 1
-        assert not master.failed
+        assert result.ok
 
     def test_aborted_attempt_charges_the_timeout(self):
         """The slow attempt occupies its worker until the cap fires."""

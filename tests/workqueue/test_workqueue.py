@@ -61,18 +61,17 @@ class TestTask:
 class TestTaskResult:
     def test_derived_times(self):
         result = TaskResult(
-            task_id=1, job_id="j", worker_name="w",
-            submitted_at=1.0, started_at=3.0, finished_at=7.0,
+            task_id=1, job_id="j", worker_name="w", output=None,
+            started_at=3.0, finished_at=7.0,
         )
-        assert result.queue_time == 2.0
-        assert result.execution_time == 4.0
-        assert result.turnaround == 6.0
+        assert result.wall_time == 4.0
+        assert result.ok
 
     def test_ordering_validated(self):
         with pytest.raises(ValueError):
             TaskResult(
-                task_id=1, job_id="j", worker_name="w",
-                submitted_at=5.0, started_at=3.0, finished_at=7.0,
+                task_id=1, job_id="j", worker_name="w", output=None,
+                started_at=7.0, finished_at=3.0,
             )
 
 
@@ -80,9 +79,9 @@ class TestMasterDispatch:
     def test_single_task_executes(self):
         simulator, _, master, _ = make_stack(n_workers=1)
         master.submit(Task(job_id="a", data_size=10.0, fn=lambda: "done"))
-        master.wait_all()
-        assert len(master.results) == 1
-        assert master.results[0].output == "done"
+        (result,) = master.drain()
+        assert result.output == "done"
+        assert master.drain() == []  # a drain hands each result over once
         # init 1.0 + 10 * 0.1 = 2.0
         assert simulator.now == pytest.approx(2.0)
 
@@ -92,7 +91,7 @@ class TestMasterDispatch:
         for master in (serial_master, parallel_master):
             for _ in range(8):
                 master.submit(Task(job_id="a", data_size=10.0))
-            master.wait_all()
+            master.drain()
         assert parallel_sim.now == pytest.approx(serial_sim.now / 4)
 
     def test_priority_biases_order(self):
@@ -103,9 +102,8 @@ class TestMasterDispatch:
         for _ in range(20):
             master.submit(Task(job_id="cold", data_size=1.0))
             master.submit(Task(job_id="hot", data_size=1.0))
-        master.wait_all()
         finish = {"hot": [], "cold": []}
-        for result in master.results:
+        for result in master.drain():
             finish[result.job_id].append(result.finished_at)
         mean = lambda xs: sum(xs) / len(xs)
         assert mean(finish["hot"]) < mean(finish["cold"])
@@ -119,8 +117,8 @@ class TestMasterDispatch:
         simulator, _, master, _ = make_stack(n_workers=1)
         master.submit(Task(job_id="a", data_size=10.0))
         master.submit(Task(job_id="a", data_size=10.0))
-        master.wait_all()
-        account = master.jobs["a"]
+        master.drain()
+        account = master.tasks.jobs["a"]
         assert account.submitted == 2
         assert account.completed == 2
         assert account.pending == 0
@@ -132,14 +130,6 @@ class TestMasterDispatch:
         simulator.run(until=5.0)
         assert master.job_elapsed("a") == pytest.approx(5.0)
         assert master.job_elapsed("missing") == 0.0
-
-    def test_result_listener(self):
-        _, _, master, _ = make_stack(n_workers=1)
-        seen = []
-        master.on_result(seen.append)
-        master.submit(Task(job_id="a", data_size=1.0))
-        master.wait_all()
-        assert len(seen) == 1
 
     def test_heterogeneous_speed(self):
         """A task on a 2x node takes half the compute time."""
@@ -159,7 +149,7 @@ class TestMasterDispatch:
         pool = ElasticWorkerPool(simulator, master, condor, COST)
         pool.scale_to(1)
         master.submit(Task(job_id="a", data_size=10.0))
-        master.wait_all()
+        master.drain()
         assert simulator.now == pytest.approx(1.0)  # (1 + 1.0)/2
 
 
@@ -195,8 +185,7 @@ class TestElasticPool:
         pool.scale_to(0)
         # The pool never drops below one worker.
         assert pool.size == 1
-        master.wait_all()
-        assert len(master.results) == 1  # drained, not killed
+        assert len(master.drain()) == 1  # drained, not killed
 
     def test_max_workers_cap(self):
         simulator = Simulator()
