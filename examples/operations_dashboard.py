@@ -38,8 +38,7 @@ def main() -> None:
             ),
             deadline=0.25,
             retrain_every=8,
-        ),
-        pipeline=None,  # reports are pre-scored by the generator
+        )
     )
 
     print(

@@ -15,36 +15,29 @@ Layers (bottom up):
   HTCondor + Work Queue execution substrate.
 - :mod:`repro.control` / :mod:`repro.system` — PID feedback control and
   the integrated distributed deployment.
+
+Package namespaces are lazy (:mod:`repro._lazy`): importing a package
+runs none of its submodules until one of its names is read.
 """
 
-from repro.core import (
-    SSTD,
-    Attitude,
-    Claim,
-    Report,
-    SSTDConfig,
-    Source,
-    StreamingSSTD,
-    TruthEstimate,
-    TruthValue,
-    evaluate_estimates,
-)
-from repro.system import DistributedSSTD, SSTDSystemConfig
+from repro._lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Attitude",
-    "Claim",
-    "DistributedSSTD",
-    "Report",
-    "SSTD",
-    "SSTDConfig",
-    "SSTDSystemConfig",
-    "Source",
-    "StreamingSSTD",
-    "TruthEstimate",
-    "TruthValue",
-    "evaluate_estimates",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.core.sstd": ("SSTD", "SSTDConfig", "StreamingSSTD"),
+        "repro.core.types": (
+            "Attitude",
+            "Claim",
+            "Report",
+            "Source",
+            "TruthEstimate",
+            "TruthValue",
+        ),
+        "repro.core.metrics": ("evaluate_estimates",),
+        "repro.system.sstd_system": ("DistributedSSTD", "SSTDSystemConfig"),
+    },
+)
+__all__ += ["__version__"]

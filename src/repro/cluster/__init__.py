@@ -1,33 +1,23 @@
 """Simulated HTCondor-like cluster substrate."""
 
-from repro.cluster.condor import CondorPool, MatchmakingError, Placement
-from repro.cluster.node import (
-    ComputeNode,
-    NodeSpec,
-    heterogeneous_pool,
-    uniform_pool,
-)
-from repro.cluster.resources import (
-    WORKER_FOOTPRINT,
-    ResourceError,
-    ResourceLedger,
-    ResourceSpec,
-)
-from repro.cluster.simulation import EventHandle, PeriodicTask, Simulator
+from repro._lazy import attach
 
-__all__ = [
-    "ComputeNode",
-    "CondorPool",
-    "EventHandle",
-    "MatchmakingError",
-    "NodeSpec",
-    "PeriodicTask",
-    "Placement",
-    "ResourceError",
-    "ResourceLedger",
-    "ResourceSpec",
-    "Simulator",
-    "WORKER_FOOTPRINT",
-    "heterogeneous_pool",
-    "uniform_pool",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.cluster.condor": ("CondorPool", "MatchmakingError", "Placement"),
+        "repro.cluster.node": (
+            "ComputeNode",
+            "NodeSpec",
+            "heterogeneous_pool",
+            "uniform_pool",
+        ),
+        "repro.cluster.resources": (
+            "WORKER_FOOTPRINT",
+            "ResourceError",
+            "ResourceLedger",
+            "ResourceSpec",
+        ),
+        "repro.cluster.simulation": ("EventHandle", "PeriodicTask", "Simulator"),
+    },
+)

@@ -53,12 +53,6 @@ class CondorPool:
         if len(set(names)) != len(names):
             raise ValueError("duplicate node names in pool")
 
-    def total_capacity(self) -> ResourceSpec:
-        total = ResourceSpec(cores=0, memory_mb=0, disk_mb=0)
-        for node in self.nodes:
-            total = total + node.spec.capacity
-        return total
-
     def free_cores(self) -> int:
         return sum(node.ledger.available.cores for node in self.nodes)
 
@@ -85,15 +79,3 @@ class CondorPool:
         )
         best.claim(request)
         return Placement(node=best, request=request)
-
-    def place_many(self, count: int) -> list[Placement]:
-        """Claim ``count`` placements; rolls back on partial failure."""
-        placements: list[Placement] = []
-        try:
-            for _ in range(count):
-                placements.append(self.place())
-        except MatchmakingError:
-            for placement in placements:
-                placement.release()
-            raise
-        return placements

@@ -54,16 +54,6 @@ class ResourceSpec:
         )
         return result
 
-    def scaled(self, factor: int) -> "ResourceSpec":
-        """This spec multiplied by an integer factor."""
-        if factor < 0:
-            raise ValueError("factor must be >= 0")
-        return ResourceSpec(
-            cores=self.cores * factor,
-            memory_mb=self.memory_mb * factor,
-            disk_mb=self.disk_mb * factor,
-        )
-
 
 #: Default footprint of one Work Queue worker process.
 WORKER_FOOTPRINT = ResourceSpec(cores=1, memory_mb=512, disk_mb=1024)

@@ -70,16 +70,6 @@ class Simulator:
         self.now = 0.0
         self._queue: list[_ScheduledEvent] = []
         self._counter = itertools.count()
-        self._processed = 0
-
-    @property
-    def pending_events(self) -> int:
-        """Number of not-yet-fired, not-cancelled events."""
-        return sum(1 for e in self._queue if not e.cancelled)
-
-    @property
-    def processed_events(self) -> int:
-        return self._processed
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Run ``callback`` ``delay`` seconds from now."""
@@ -106,7 +96,6 @@ class Simulator:
             if event.cancelled:
                 continue
             self.now = event.time
-            self._processed += 1
             event.callback()
             return True
         return False
@@ -133,12 +122,6 @@ class Simulator:
                 )
         if math.isfinite(until) and until > self.now:
             self.now = until
-
-    def run_for(self, duration: float) -> None:
-        """Run for ``duration`` seconds of virtual time."""
-        if duration < 0:
-            raise ValueError("duration must be >= 0")
-        self.run(until=self.now + duration)
 
 
 class PeriodicTask:

@@ -31,14 +31,16 @@ import dataclasses
 import json
 from collections import deque
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
-from repro.cluster.simulation import PeriodicTask
-from repro.control.pid import PAPER_GAINS, PIDController, PIDGains
+from repro.control.pid import ControlConfig, PIDController, PIDGains
 from repro.control.wcet import WCETModel
 from repro.obs import Observability, percentile
-from repro.workqueue.master import WorkQueueMaster
-from repro.workqueue.pool import ElasticWorkerPool
+
+if TYPE_CHECKING:
+    from repro.cluster.simulation import PeriodicTask
+    from repro.workqueue.master import WorkQueueMaster
+    from repro.workqueue.pool import ElasticWorkerPool
 
 __all__ = [
     "Admission",
@@ -97,28 +99,6 @@ SCALE_CEILING = 1.25
 
 #: Recent per-claim cost samples kept for the p95 estimate.
 COST_WINDOW = 256
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class ControlConfig:
-    """Configuration of the control loop, on every backend.
-
-    Attributes:
-        gains: PID coefficients of every controller.
-        sample_period: Controller sampling period in seconds (the paper
-            samples at 1 Hz): the virtual-clock sampler's period and the
-            ``dt`` of every PID update.
-        trajectory_path: When set, every PID update is recorded there
-            for offline replay (``repro-cli replay-controller``).
-    """
-
-    gains: PIDGains = PAPER_GAINS
-    sample_period: float = 1.0
-    trajectory_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.sample_period <= 0:
-            raise ValueError("sample_period must be > 0")
 
 
 def local_knob(priority: float, signal: float, reference: float) -> float:
@@ -485,6 +465,8 @@ class Controller:
         ``elastic`` lets the GCK resize the pool; otherwise only the
         priorities adapt.
         """
+        from repro.cluster.simulation import PeriodicTask
+
         self._sampler = PeriodicTask(
             master.simulator,
             self.config.sample_period,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from repro.obs import Observability
 
 __all__ = [
+    "ControlConfig",
     "INTEGRAL_LIMIT",
     "PAPER_GAINS",
     "PID_BUCKETS",
@@ -48,6 +49,31 @@ class PIDGains:
 
 #: The coefficients the paper reports after its tuning sweep (Section V-A3).
 PAPER_GAINS = PIDGains(kp=1.2, ki=0.3, kd=0.2)
+
+
+@dataclass(frozen=True, slots=True)
+class ControlConfig:
+    """Configuration of the control loop, on every backend.
+
+    It lives here, not with :class:`repro.control.controller.Controller`,
+    so a run with control disabled never loads the controller.
+
+    Attributes:
+        gains: PID coefficients of every controller.
+        sample_period: Controller sampling period in seconds (the paper
+            samples at 1 Hz): the virtual-clock sampler's period and the
+            ``dt`` of every PID update.
+        trajectory_path: When set, every PID update is recorded there
+            for offline replay (``repro-cli replay-controller``).
+    """
+
+    gains: PIDGains = PAPER_GAINS
+    sample_period: float = 1.0
+    trajectory_path: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.sample_period <= 0:
+            raise ValueError("sample_period must be > 0")
 
 
 class PIDController:

@@ -18,18 +18,19 @@ stack:
   corrupted a distribution instead of three modules later.
 """
 
-from repro.devtools.contracts import (
-    ContractViolation,
-    contracts_enabled,
-    set_contracts,
-)
+from repro._lazy import attach
 
-# NOTE: the `contracts` *submodule* is deliberately not shadowed here —
+# The `contracts` *submodule* is deliberately not an export:
 # instrumented modules rely on `from repro.devtools import contracts`
 # resolving to the module; use `contracts.contracts(...)` (or import it
 # from the submodule) for the scoped on/off context manager.
-__all__ = [
-    "ContractViolation",
-    "contracts_enabled",
-    "set_contracts",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.devtools.contracts": (
+            "ContractViolation",
+            "contracts_enabled",
+            "set_contracts",
+        ),
+    },
+)

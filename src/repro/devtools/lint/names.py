@@ -11,6 +11,9 @@ import ast
 
 __all__ = ["ImportMap", "dotted_name", "self_attr"]
 
+#: The lazy-namespace helper whose export declaration is read as imports.
+_LAZY_ATTACH = "repro._lazy.attach"
+
 
 def dotted_name(node: ast.expr) -> str | None:
     """``a.b.c`` for a Name/Attribute chain, else None."""
@@ -41,7 +44,9 @@ class ImportMap:
     Tracks ``import numpy as np`` (``np`` -> ``numpy``), ``import
     numpy.random as nr`` (``nr`` -> ``numpy.random``), and ``from X
     import y as z`` (``z`` -> ``X.y``), so rules can match usage sites
-    regardless of aliasing.
+    regardless of aliasing.  A lazy package's export declaration
+    (:func:`repro._lazy.attach`) counts as ``from X import y`` for
+    each name it lists.
     """
 
     def __init__(self, tree: ast.Module) -> None:
@@ -59,6 +64,23 @@ class ImportMap:
                         continue
                     local = alias.asname or alias.name
                     self.aliases[local] = f"{node.module}.{alias.name}"
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                self._read_lazy_exports(node.value)
+
+    def _read_lazy_exports(self, call: ast.Call) -> None:
+        """``attach(__name__, {"X": ("y", ...), ...})`` binds ``y`` -> ``X.y``."""
+        if self.resolve(call.func) != _LAZY_ATTACH or len(call.args) != 2:
+            return
+        exports = call.args[1]
+        if not isinstance(exports, ast.Dict):
+            return
+        for key, names in zip(exports.keys, exports.values):
+            if not (isinstance(key, ast.Constant) and isinstance(names, ast.Tuple)):
+                continue
+            for name in names.elts:
+                if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                    self.aliases[name.value] = f"{key.value}.{name.value}"
 
     def resolve(self, expr: ast.expr) -> str | None:
         """Canonical dotted path of a Name/Attribute chain, if importable.

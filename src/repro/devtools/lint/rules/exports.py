@@ -22,8 +22,11 @@ __all__ = ["MissingAllRule"]
 def _declares_all(tree: ast.Module) -> bool:
     for node in tree.body:
         if isinstance(node, ast.Assign):
+            # ``__getattr__, __dir__, __all__ = attach(...)`` in a lazy
+            # package ``__init__`` declares it too.
             for target in node.targets:
-                if isinstance(target, ast.Name) and target.id == "__all__":
+                names = target.elts if isinstance(target, ast.Tuple) else [target]
+                if any(isinstance(n, ast.Name) and n.id == "__all__" for n in names):
                     return True
         elif isinstance(node, ast.AnnAssign):
             target = node.target

@@ -14,30 +14,24 @@ Public surface:
   (:mod:`~repro.hmm.kernels.numpy_ref`).
 """
 
-from repro.hmm.batch import (
-    BatchGaussianHMM,
-    FitResult,
-    HMMParams,
-    stack_ragged,
-)
-from repro.hmm.selection import (
-    SelectionEntry,
-    SelectionResult,
-    aic,
-    bic,
-    n_parameters,
-    select_n_states,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "BatchGaussianHMM",
-    "FitResult",
-    "HMMParams",
-    "SelectionEntry",
-    "SelectionResult",
-    "aic",
-    "bic",
-    "n_parameters",
-    "select_n_states",
-    "stack_ragged",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.hmm.batch": (
+            "BatchGaussianHMM",
+            "FitResult",
+            "HMMParams",
+            "stack_ragged",
+        ),
+        "repro.hmm.selection": (
+            "SelectionEntry",
+            "SelectionResult",
+            "aic",
+            "bic",
+            "n_parameters",
+            "select_n_states",
+        ),
+    },
+)

@@ -523,7 +523,8 @@ class BatchGaussianHMM:
             observations, np.argsort(~present, axis=1, kind="stable"), axis=1
         )
         spread = np.empty(self.n_seqs)
-        for count in np.unique(counts).tolist():
+        # Not np.unique: on numpy >= 2.3 it imports numpy.ma on first use.
+        for count in sorted(set(counts.tolist())):
             group = counts == count
             spread[group] = np.var(compact[group, :count], axis=1)
 

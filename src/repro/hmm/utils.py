@@ -77,7 +77,8 @@ def masked_row_sums(matrix: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     if (lengths < 0).any() or (lengths > matrix.shape[1]).any():
         raise ValueError("lengths must be in [0, T]")
     sums = np.zeros(matrix.shape[0])
-    for length in np.unique(lengths):
+    # Not np.unique: on numpy >= 2.3 it imports numpy.ma on first use.
+    for length in sorted(set(lengths.tolist())):
         if length == 0:
             continue
         rows = lengths == length

@@ -20,50 +20,35 @@ Enable via ``SSTDSystemConfig(observability=True)``, ``REPRO_TRACE=1``,
 or ``repro-cli trace``.
 """
 
-from repro.obs.clock import Clock, ManualClock, VirtualClock, WallClock
-from repro.obs.export import (
-    chrome_trace,
-    jsonl_lines,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.metrics import (
-    BYTE_BUCKETS,
-    DEFAULT_BUCKETS,
-    HistogramSnapshot,
-    MetricRegistry,
-    MetricsSnapshot,
-    nearest_rank,
-    percentile,
-)
-from repro.obs.runtime import Observability, env_enabled, get_obs, set_obs, using
-from repro.obs.spans import SpanEvent, SpanTracer
-from repro.obs.stitch import ClockSync, rebase_events, stitch_metadata
+from repro._lazy import attach
 
-__all__ = [
-    "BYTE_BUCKETS",
-    "Clock",
-    "ClockSync",
-    "DEFAULT_BUCKETS",
-    "HistogramSnapshot",
-    "ManualClock",
-    "MetricRegistry",
-    "MetricsSnapshot",
-    "Observability",
-    "SpanEvent",
-    "SpanTracer",
-    "VirtualClock",
-    "WallClock",
-    "chrome_trace",
-    "env_enabled",
-    "get_obs",
-    "jsonl_lines",
-    "nearest_rank",
-    "percentile",
-    "rebase_events",
-    "set_obs",
-    "stitch_metadata",
-    "using",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.obs.clock": ("Clock", "ManualClock", "VirtualClock", "WallClock"),
+        "repro.obs.export": (
+            "chrome_trace",
+            "jsonl_lines",
+            "write_chrome_trace",
+            "write_jsonl",
+        ),
+        "repro.obs.metrics": (
+            "BYTE_BUCKETS",
+            "DEFAULT_BUCKETS",
+            "HistogramSnapshot",
+            "MetricRegistry",
+            "MetricsSnapshot",
+            "nearest_rank",
+            "percentile",
+        ),
+        "repro.obs.runtime": (
+            "Observability",
+            "env_enabled",
+            "get_obs",
+            "set_obs",
+            "using",
+        ),
+        "repro.obs.spans": ("SpanEvent", "SpanTracer"),
+        "repro.obs.stitch": ("ClockSync", "rebase_events", "stitch_metadata"),
+    },
+)

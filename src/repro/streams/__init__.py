@@ -1,49 +1,29 @@
 """Synthetic social sensing streams: scenarios, generator, traffic, replay."""
 
-from repro.streams.crawler import CrawlBatch, SimulatedCrawler
-from repro.streams.events import (
-    SCENARIOS,
-    ScenarioSpec,
-    boston_bombing,
-    college_football,
-    osu_attack,
-    paris_shooting,
-)
-from repro.streams.generator import GeneratorConfig, generate_trace
-from repro.streams.replay import StreamBatch, StreamReplayer
-from repro.streams.sources import PopulationConfig, SourcePopulation
-from repro.streams.trace import Trace, TraceStats, merge_traces
-from repro.streams.traffic import Burst, TrafficModel, bursts_at_transitions
-from repro.streams.validation import (
-    ValidationIssue,
-    ValidationReport,
-    assert_valid,
-    validate_trace,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "Burst",
-    "CrawlBatch",
-    "GeneratorConfig",
-    "PopulationConfig",
-    "SCENARIOS",
-    "ScenarioSpec",
-    "SimulatedCrawler",
-    "SourcePopulation",
-    "StreamBatch",
-    "StreamReplayer",
-    "Trace",
-    "TraceStats",
-    "TrafficModel",
-    "ValidationIssue",
-    "ValidationReport",
-    "assert_valid",
-    "boston_bombing",
-    "bursts_at_transitions",
-    "college_football",
-    "generate_trace",
-    "merge_traces",
-    "osu_attack",
-    "paris_shooting",
-    "validate_trace",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.streams.crawler": ("CrawlBatch", "SimulatedCrawler"),
+        "repro.streams.events": (
+            "SCENARIOS",
+            "ScenarioSpec",
+            "boston_bombing",
+            "college_football",
+            "osu_attack",
+            "paris_shooting",
+        ),
+        "repro.streams.generator": ("GeneratorConfig", "generate_trace"),
+        "repro.streams.replay": ("StreamBatch", "StreamReplayer"),
+        "repro.streams.sources": ("PopulationConfig", "SourcePopulation"),
+        "repro.streams.trace": ("Trace", "TraceStats", "merge_traces"),
+        "repro.streams.traffic": ("Burst", "TrafficModel", "bursts_at_transitions"),
+        "repro.streams.validation": (
+            "ValidationIssue",
+            "ValidationReport",
+            "assert_valid",
+            "validate_trace",
+        ),
+    },
+)

@@ -1,27 +1,25 @@
 """The integrated SSTD system: TD jobs, deadlines, deployment."""
 
-from repro.system.application import (
-    ApplicationConfig,
-    FlipEvent,
-    SocialSensingApplication,
-)
-from repro.system.deadline import DeadlineTracker, IntervalRecord, hit_rate_curve
-from repro.system.sstd_system import (
-    BatchRunResult,
-    DistributedSSTD,
-    IntervalRunResult,
-    SSTDSystemConfig,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "ApplicationConfig",
-    "BatchRunResult",
-    "DeadlineTracker",
-    "DistributedSSTD",
-    "FlipEvent",
-    "IntervalRecord",
-    "IntervalRunResult",
-    "SSTDSystemConfig",
-    "SocialSensingApplication",
-    "hit_rate_curve",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.system.application": (
+            "ApplicationConfig",
+            "FlipEvent",
+            "SocialSensingApplication",
+        ),
+        "repro.system.deadline": (
+            "DeadlineTracker",
+            "IntervalRecord",
+            "hit_rate_curve",
+        ),
+        "repro.system.sstd_system": (
+            "BatchRunResult",
+            "DistributedSSTD",
+            "IntervalRunResult",
+            "SSTDSystemConfig",
+        ),
+    },
+)

@@ -1,15 +1,16 @@
 """End-to-end social sensing application (the paper's Figure 2, runnable).
 
-Wires every layer into one object: raw tweets come in, truth timelines
-and source diagnostics come out.
+Wires the truth layers into one object: scored reports come in, truth
+timelines and source diagnostics come out.
 
-    tweets -> TweetPipeline -> StreamingSSTD engine(s) -> estimates
-                                   |                         |
-                        DeadlineTracker (QoS)        ReliabilityEstimator
+    reports -> StreamingSSTD engine -> estimates
+                      |                     |
+           DeadlineTracker (QoS)    ReliabilityEstimator
 
-The application consumes time-ordered batches (e.g. from a
-:class:`~repro.streams.replay.StreamReplayer` or a live crawler
-adapter), ticks the truth engine once per batch, tracks per-batch
+The application consumes time-ordered batches of reports (e.g. from a
+:class:`~repro.streams.replay.StreamReplayer`, or raw tweets from a
+crawler scored by :class:`repro.text.pipeline.TweetPipeline`), ticks
+the truth engine once per batch, tracks per-batch
 processing time against a soft deadline, and exposes the current state
 — per-claim verdicts, flip history, source reliability, misinformation
 suspects — the way a deployed dashboard would query it.
@@ -18,7 +19,7 @@ suspects — the way a deployed dashboard would query it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from repro.core.acs import ACSConfig
 from repro.obs import Clock, WallClock
@@ -30,7 +31,6 @@ from repro.core.reliability import (
 from repro.core.sstd import SSTDConfig, StreamingSSTD
 from repro.core.types import Report, TruthEstimate, TruthValue
 from repro.system.deadline import DeadlineTracker
-from repro.text.pipeline import RawTweet, TweetPipeline
 
 __all__ = [
     "ApplicationConfig",
@@ -79,11 +79,9 @@ class SocialSensingApplication:
     def __init__(
         self,
         config: ApplicationConfig | None = None,
-        pipeline: Optional[TweetPipeline] = None,
         clock: Clock | None = None,
     ) -> None:
         self.config = config or ApplicationConfig()
-        self.pipeline = pipeline or TweetPipeline()
         self.clock: Clock = clock if clock is not None else WallClock()
         self.engine = StreamingSSTD(
             self.config.sstd, retrain_every=self.config.retrain_every
@@ -98,14 +96,10 @@ class SocialSensingApplication:
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def ingest_tweets(self, tweets: Iterable[RawTweet], now: float) -> int:
-        """Score and ingest raw tweets; returns how many were ingested.
-        ``now`` is the stream time of the batch end."""
-        reports = self.pipeline.process_stream(tweets)
-        return self.ingest_reports(reports, now)
-
     def ingest_reports(self, reports: Sequence[Report], now: float) -> int:
-        """Ingest pre-scored reports and tick the truth engine.
+        """Ingest pre-scored reports and tick the truth engine; returns
+        how many were ingested.  ``now`` is the stream time of the batch
+        end.
 
         Wall-clock processing time is recorded against the deadline.
         """

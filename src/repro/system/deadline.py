@@ -37,11 +37,6 @@ class IntervalRecord:
     def hit(self) -> bool:
         return self.execution_time <= self.deadline
 
-    @property
-    def lateness(self) -> float:
-        """Seconds over deadline (0 when the deadline was met)."""
-        return max(0.0, self.execution_time - self.deadline)
-
 
 @dataclass
 class DeadlineTracker:
@@ -95,10 +90,6 @@ class DeadlineTracker:
         if not self.records:
             return 0.0
         return sum(r.execution_time for r in self.records) / len(self.records)
-
-    @property
-    def total_lateness(self) -> float:
-        return sum(r.lateness for r in self.records)
 
 
 def hit_rate_curve(

@@ -30,15 +30,11 @@ import contextlib
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from repro.cluster.condor import CondorPool
-from repro.cluster.node import NodeSpec, uniform_pool
-from repro.cluster.simulation import Simulator
-from repro.control.controller import ControlConfig, Controller
-from repro.control.wcet import WCETModel
+from repro.control.pid import ControlConfig
 from repro.core.acs import ReportTable
 from repro.core.columns import Estimates
 from repro.core.sstd import (
@@ -57,10 +53,15 @@ from repro.system.jobs import (
     expand_shard_result,
     shm_shard_task_spec,
 )
-from repro.workqueue.master import WorkQueueMaster
-from repro.workqueue.pool import ElasticWorkerPool
 from repro.workqueue.process import ProcessWorkQueue
 from repro.workqueue.task import CostModel, Task, TaskResult
+
+if TYPE_CHECKING:
+    from repro.cluster.node import NodeSpec
+    from repro.control.controller import Controller
+    from repro.cluster.simulation import Simulator
+    from repro.workqueue.master import WorkQueueMaster
+    from repro.workqueue.pool import ElasticWorkerPool
 
 __all__ = [
     "BACKENDS",
@@ -101,7 +102,7 @@ class SSTDSystemConfig:
         cost_model: Virtual-time cost of tasks (init/compute/transfer).
         sstd: Truth-discovery engine configuration.
         control: Gains, sample period and trajectory path of the
-            control loop (:class:`~repro.control.controller.ControlConfig`).
+            control loop (:class:`~repro.control.pid.ControlConfig`).
         control_enabled: Run the control loop, on every backend: job
             priorities and (elastic) pool size on the simulated cluster,
             admission of the interval replay's refits on a real
@@ -243,7 +244,20 @@ class DistributedSSTD:
     def _build(
         self, deadline: float
     ) -> tuple[Simulator, WorkQueueMaster, ElasticWorkerPool, Controller | None]:
-        """The simulated cluster, with its control loop armed when enabled."""
+        """The simulated cluster, with its control loop armed when enabled.
+
+        The simulated substrate and the controller are imported here,
+        not with the module: a process-backend or serial run never loads
+        the one, a run with control disabled never loads the other.
+        """
+        from repro.cluster.condor import CondorPool
+        from repro.cluster.node import uniform_pool
+        from repro.cluster.simulation import Simulator
+        from repro.control.controller import Controller
+        from repro.control.wcet import WCETModel
+        from repro.workqueue.master import WorkQueueMaster
+        from repro.workqueue.pool import ElasticWorkerPool
+
         config = self.config
         simulator = Simulator()
         if config.nodes is not None:
@@ -658,6 +672,8 @@ class _ExecutorBackend:
         self.controller: Controller | None = None
         self.executor = system._make_executor()  # owns-resource: shut down in close()
         if system.config.control_enabled:
+            from repro.control.controller import Controller
+
             try:  # after the executor, which installs the run's recorder
                 self.controller = Controller(
                     deadline, system.config.control, obs=system.obs

@@ -1,44 +1,27 @@
 """Tweet pre-processing: claims, attitudes, uncertainty, independence."""
 
-from repro.text.attitude import AttitudeClassifier
-from repro.text.clustering import Cluster, OnlineClaimClusterer
-from repro.text.independence import IndependenceScorer, is_retweet
-from repro.text.jaccard import (
-    jaccard_distance,
-    jaccard_similarity,
-    text_distance,
-)
-from repro.text.keywords import (
-    BOSTON_KEYWORDS,
-    FOOTBALL_KEYWORDS,
-    PARIS_KEYWORDS,
-    KeywordFilter,
-)
-from repro.text.pipeline import RawTweet, TweetPipeline
-from repro.text.polarity import PolarityAnalyzer, PolarityResult
-from repro.text.tokenize import content_tokens, token_set, tokenize
-from repro.text.uncertainty import HEDGE_CORPUS, NaiveBayesHedgeClassifier
+from repro._lazy import attach
 
-__all__ = [
-    "AttitudeClassifier",
-    "BOSTON_KEYWORDS",
-    "Cluster",
-    "FOOTBALL_KEYWORDS",
-    "HEDGE_CORPUS",
-    "IndependenceScorer",
-    "KeywordFilter",
-    "NaiveBayesHedgeClassifier",
-    "OnlineClaimClusterer",
-    "PARIS_KEYWORDS",
-    "PolarityAnalyzer",
-    "PolarityResult",
-    "RawTweet",
-    "TweetPipeline",
-    "content_tokens",
-    "is_retweet",
-    "jaccard_distance",
-    "jaccard_similarity",
-    "text_distance",
-    "token_set",
-    "tokenize",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.text.attitude": ("AttitudeClassifier",),
+        "repro.text.clustering": ("Cluster", "OnlineClaimClusterer"),
+        "repro.text.independence": ("IndependenceScorer", "is_retweet"),
+        "repro.text.jaccard": (
+            "jaccard_distance",
+            "jaccard_similarity",
+            "text_distance",
+        ),
+        "repro.text.keywords": (
+            "BOSTON_KEYWORDS",
+            "FOOTBALL_KEYWORDS",
+            "PARIS_KEYWORDS",
+            "KeywordFilter",
+        ),
+        "repro.text.pipeline": ("RawTweet", "TweetPipeline"),
+        "repro.text.polarity": ("PolarityAnalyzer", "PolarityResult"),
+        "repro.text.tokenize": ("content_tokens", "token_set", "tokenize"),
+        "repro.text.uncertainty": ("HEDGE_CORPUS", "NaiveBayesHedgeClassifier"),
+    },
+)

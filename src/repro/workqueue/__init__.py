@@ -1,30 +1,23 @@
 """Work Queue reproduction: one task pool under two masters (simulated
 cluster and worker processes), workers, elastic pool."""
 
-from repro.workqueue.master import WorkQueueMaster
-from repro.workqueue.pool import ElasticWorkerPool
-from repro.workqueue.process import ProcessWorkQueue
-from repro.workqueue.task import (
-    CostModel,
-    JobAccounting,
-    PayloadSpec,
-    Task,
-    TaskError,
-    TaskPool,
-    TaskResult,
-)
-from repro.workqueue.worker import SimulatedWorker
+from repro._lazy import attach
 
-__all__ = [
-    "CostModel",
-    "ElasticWorkerPool",
-    "JobAccounting",
-    "PayloadSpec",
-    "ProcessWorkQueue",
-    "SimulatedWorker",
-    "Task",
-    "TaskError",
-    "TaskPool",
-    "TaskResult",
-    "WorkQueueMaster",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "repro.workqueue.master": ("WorkQueueMaster",),
+        "repro.workqueue.pool": ("ElasticWorkerPool",),
+        "repro.workqueue.process": ("ProcessWorkQueue",),
+        "repro.workqueue.task": (
+            "CostModel",
+            "JobAccounting",
+            "PayloadSpec",
+            "Task",
+            "TaskError",
+            "TaskPool",
+            "TaskResult",
+        ),
+        "repro.workqueue.worker": ("SimulatedWorker",),
+    },
+)

@@ -13,7 +13,6 @@ from repro.cluster.condor import CondorPool, MatchmakingError
 from repro.cluster.simulation import Simulator
 from repro.workqueue.master import WorkQueueMaster
 from repro.workqueue.task import CostModel
-from repro.cluster.resources import WORKER_FOOTPRINT
 from repro.workqueue.worker import SimulatedWorker
 
 __all__ = [
@@ -52,20 +51,6 @@ class ElasticWorkerPool:
         """Current number of non-retired workers."""
         return self.master.active_worker_count
 
-    def capacity_limit(self) -> int:
-        """Upper bound on workers given cluster resources and config."""
-        per_node = []
-        for node in self.condor.nodes:
-            count = 0
-            available = node.ledger.available
-            while WORKER_FOOTPRINT.scaled(count + 1).fits_within(available):
-                count += 1
-            per_node.append(count)
-        fit = self.size + sum(per_node)
-        if self.max_workers is not None:
-            return min(fit, self.max_workers)
-        return fit
-
     def scale_to(self, target: int) -> int:
         """Grow or shrink toward ``target`` workers; returns the new size.
 
@@ -96,7 +81,3 @@ class ElasticWorkerPool:
             for worker in (idle + busy)[:excess]:
                 self.master.detach_worker(worker)
         return self.size
-
-    def scale_by(self, delta: int) -> int:
-        """Relative scaling; returns the new size."""
-        return self.scale_to(self.size + delta)

@@ -209,6 +209,11 @@ class ProcessWorkQueue:
             available = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in available else "spawn"
         self._ctx = multiprocessing.get_context(start_method)
+        if start_method == "fork":
+            # Workers attach shared-memory segments: a worker forked
+            # after this import inherits it, instead of paying for it
+            # (and the resource tracker's imports) on its first task.
+            from multiprocessing import shared_memory  # noqa: F401
         self.tasks = TaskPool(self.obs)
         self._shutdown = False
         self._worker_serial = 0

@@ -80,15 +80,6 @@ class TestSimulator:
     def test_step_returns_false_when_empty(self):
         assert not Simulator().step()
 
-    def test_pending_and_processed_counts(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        handle = sim.schedule(2.0, lambda: None)
-        handle.cancel()
-        assert sim.pending_events == 1
-        sim.run()
-        assert sim.processed_events == 1
-
     def test_runaway_guard(self, monkeypatch):
         monkeypatch.setattr(simulation, "MAX_EVENTS", 100)
         sim = Simulator()
@@ -99,13 +90,6 @@ class TestSimulator:
         sim.schedule(0.0, rearm)
         with pytest.raises(RuntimeError, match="runaway"):
             sim.run()
-
-    def test_run_for(self):
-        sim = Simulator()
-        sim.run_for(10.0)
-        assert sim.now == 10.0
-        with pytest.raises(ValueError):
-            sim.run_for(-1.0)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=30))
     def test_firing_order_is_sorted_property(self, delays):

@@ -7,6 +7,7 @@ from repro.core.types import TruthEstimate, TruthValue
 from repro.streams import SimulatedCrawler, Trace, generate_trace, paris_shooting
 from repro.streams.generator import GeneratorConfig
 from repro.system import ApplicationConfig, SocialSensingApplication
+from repro.text import TweetPipeline
 from repro.core.acs import ACSConfig
 from repro.core.sstd import SSTDConfig
 
@@ -51,8 +52,10 @@ class TestSimulatedCrawler:
                 retrain_every=4,
             )
         )
+        pipeline = TweetPipeline()
         for batch in crawler.polls():
-            app.ingest_tweets(batch.tweets, now=batch.poll_time)
+            reports = pipeline.process_stream(batch.tweets)
+            app.ingest_reports(reports, now=batch.poll_time)
         assert app.n_claims > 0
         assert app.n_reports > 0
         assert app.verdicts()

@@ -10,7 +10,7 @@ from repro.system.application import (
     ApplicationConfig,
     SocialSensingApplication,
 )
-from repro.text import RawTweet
+from repro.text import RawTweet, TweetPipeline
 
 FAST = ApplicationConfig(
     sstd=SSTDConfig(acs=ACSConfig(window=40.0, step=20.0), min_observations=4),
@@ -104,14 +104,14 @@ class TestIngestReports:
         assert app.true_claims() == ["yes-claim"]
 
 
-class TestIngestTweets:
+class TestTweetPipelineFeed:
     def test_pipeline_integration(self):
         app = SocialSensingApplication(FAST)
         tweets = [
             RawTweet(f"u{k}", "police confirm the road is closed", float(k))
             for k in range(1, 30)
         ]
-        kept = app.ingest_tweets(tweets, now=30.0)
+        kept = app.ingest_reports(TweetPipeline().process_stream(tweets), now=30.0)
         assert kept == 29
         assert app.n_claims == 1
         (claim_id,) = app.verdicts()

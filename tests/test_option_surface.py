@@ -177,7 +177,6 @@ KEYWORDS = {
     select_n_states: (),
     # repro.cluster
     CondorPool.place: (),
-    CondorPool.place_many: (),
     NodeSpec: ("capacity", "speed_factor"),
     ResourceSpec: ("cores", "memory_mb", "disk_mb"),
     heterogeneous_pool: ("rng",),

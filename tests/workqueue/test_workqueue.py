@@ -197,11 +197,6 @@ class TestElasticPool:
         pool.scale_to(10)
         assert pool.size == 3
 
-    def test_scale_by(self):
-        _, _, _, pool = make_stack(n_workers=2)
-        assert pool.scale_by(2) == 4
-        assert pool.scale_by(-1) == 3
-
     def test_validation(self):
         simulator = Simulator()
         condor = CondorPool(uniform_pool(1))
