@@ -1,0 +1,132 @@
+"""Full-shape estimate digests of the four e2e workloads, seeds 1-3.
+
+The estimate-digest tests pin the workloads' *smoke* shapes; a change
+that moves numerics on purpose also quotes what it does at the *full*
+shapes, where every HMM row runs blocked and the grids are long.  This
+prints one row per (workload, seed) with the estimate count, the digest
+(:func:`repro.core.estimates_io.estimates_digest`) and the accuracy,
+after the numpy version and SIMD dispatch the digests depend on::
+
+    PYTHONPATH=src python -m benchmarks.full_digests --save before.json
+    # ... change the code ...
+    PYTHONPATH=src python -m benchmarks.full_digests --against before.json
+
+``--save FILE`` writes every run's estimates as JSON columns; with
+``--against FILE`` each row also compares the run with the saved one:
+the saved count, the estimates whose truth value differs (matched by
+claim and timestamp; an estimate on one side only counts as differing)
+and the largest ``|Δconfidence|`` over the matched estimates.  The 12
+full runs take a few minutes; ``--workload`` and ``--seed`` narrow them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from benchmarks.e2e.workloads import WORKLOADS, accuracy, make_trace
+from repro.core.columns import Estimates
+from repro.core.estimates_io import estimates_digest
+
+__all__ = ["compare", "main", "numpy_dispatch", "run"]
+
+SEEDS = (1, 2, 3)
+
+
+def numpy_dispatch() -> str:
+    """numpy's version and the SIMD extensions its build dispatches to."""
+    simd = np.show_config(mode="dicts").get("SIMD Extensions", {})
+    baseline = " ".join(simd.get("baseline", [])) or "?"
+    found = " ".join(simd.get("found", [])) or "-"
+    return f"numpy {np.__version__}; SIMD baseline {baseline}; found {found}"
+
+
+def run(name: str, seed: int) -> dict:
+    """One full-shape pass of ``name`` at ``seed``: digest, accuracy and
+    the estimates as columns."""
+    workload = WORKLOADS[name]
+    trace = make_trace(workload.shape, seed)
+    estimates = workload.run_pass(trace, workload.shape, False).estimates
+    claim_ids, timestamps, values, confidences = Estimates.of(estimates).lists()
+    return {
+        "workload": name,
+        "seed": seed,
+        "digest": estimates_digest(estimates),
+        "accuracy": accuracy(trace, estimates),
+        "claim_id": claim_ids,
+        "timestamp": timestamps,
+        "value": values,
+        "confidence": confidences,
+    }
+
+
+def compare(before: dict, after: dict) -> tuple[int, float]:
+    """``(truth values that differ, max |Δconfidence|)`` of two runs; an
+    estimate on one side only counts as differing."""
+    old, new = (
+        {
+            key: (value, confidence)
+            for key, value, confidence in zip(
+                zip(run["claim_id"], run["timestamp"]),
+                run["value"],
+                run["confidence"],
+            )
+        }
+        for run in (before, after)
+    )
+    shared = old.keys() & new.keys()
+    differ = len(old.keys() ^ new.keys())
+    differ += sum(old[key][0] != new[key][0] for key in shared)
+    worst = max(
+        (abs(old[key][1] - new[key][1]) for key in shared), default=0.0
+    )
+    return differ, worst
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", nargs="+", choices=sorted(WORKLOADS))
+    parser.add_argument("--seed", nargs="+", type=int, default=list(SEEDS))
+    parser.add_argument("--save", type=Path, help="write the runs here")
+    parser.add_argument("--against", type=Path, help="compare with a save")
+    args = parser.parse_args(argv)
+
+    saved = {}
+    if args.against is not None:
+        payload = json.loads(args.against.read_text(encoding="utf-8"))
+        print(f"against {args.against}: {payload['numpy']}")
+        saved = {(r["workload"], r["seed"]): r for r in payload["runs"]}
+    print(numpy_dispatch())
+    header = "workload seed count digest accuracy"
+    if saved:
+        header += " | before-count before-digest codes-differ max|dconf|"
+    print(header)
+    runs = []
+    for seed in args.seed:
+        for name in args.workload or list(WORKLOADS):
+            result = run(name, seed)
+            runs.append(result)
+            line = (
+                f"{name} {seed} {len(result['value'])} {result['digest']} "
+                f"{result['accuracy']:.4f}"
+            )
+            before = saved.get((name, seed))
+            if before is not None:
+                differ, worst = compare(before, result)
+                line += (
+                    f" | {len(before['value'])} {before['digest']} "
+                    f"{differ} {worst:.1e}"
+                )
+            print(line, flush=True)
+    if args.save is not None:
+        payload = {"numpy": numpy_dispatch(), "runs": runs}
+        args.save.write_text(json.dumps(payload), encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -152,9 +152,9 @@ class ReportTable:
         claim_index = columns.claim_index
         times = columns.times
         scores = weights.score_column(columns)
-        by_time = np.argsort(times, kind="stable")
-        order = by_time[np.argsort(claim_index[by_time], kind="stable")]
-        del by_time
+        # By claim, then by time; lexsort is stable, so equal timestamps
+        # keep their input order.
+        order = np.lexsort((times, claim_index))
         claim_index = claim_index[order]
         offsets = np.zeros(len(claim_ids) + 1, dtype=np.intp)
         np.cumsum(

@@ -193,11 +193,12 @@ class _EStep:
 
     def __init__(self, observations, lengths, n_states: int) -> None:
         n_seqs, t_max = observations.shape
-        steps = max(t_max, numpy_ref.work_steps(int(lengths[0])))
+        self.lengths = lengths
+        self.layout = numpy_ref.Layout(lengths, t_max)
+        steps = self.layout.steps
         cells = np.full((steps, n_seqs), np.nan)
         cells[:t_max] = observations.T
-        self.lengths = lengths
-        self.masked = np.isnan(cells) | (np.arange(steps)[:, None] >= lengths)
+        self.masked = np.isnan(cells) | self.layout.padded
         self.values = np.where(self.masked, 0.0, cells)
         self.scales = np.empty((steps, n_seqs))
         self.emissions, self.alpha, self.beta, self.gamma = np.empty(
@@ -209,12 +210,9 @@ class _EStep:
         emissions = self.emissions
         batch_normal_densities(self.values, means, variances, out=emissions)
         np.copyto(emissions, 1.0, where=self.masked[:, None, :])
-        out = self.alpha, self.scales
-        self.alpha, self.scales = numpy_ref.forward(
-            startprob, transmat, emissions, self.lengths, out=out
-        )
-        self.beta = numpy_ref.backward(
-            transmat, emissions, self.scales, self.lengths, out=self.beta
+        out = self.alpha, self.scales, self.beta
+        numpy_ref.forward_backward(
+            startprob, transmat, emissions, self.layout, out
         )
         np.multiply(self.alpha, self.beta, out=self.gamma)
         normalize_rows(self.gamma, axis=1, out=self.gamma)
@@ -489,10 +487,10 @@ class BatchGaussianHMM:
         not depend on the batch it rides in.
 
         Bit-identical to ``np.quantile`` and ``np.var`` of each row's
-        present values: the quantiles gather from one sort of the stack
-        and interpolate with numpy's own formula, and the variances
-        reduce rows of one present count together, so each row's
-        pairwise sum runs over exactly its values in their order.
+        present values: rows of one present count reduce together, so
+        each row's pairwise sum runs over exactly its values in their
+        order, and its quantiles come from the partition ``np.quantile``
+        makes (which places a ``-0.0`` and a ``0.0`` as it does).
         """
         inside = np.arange(observations.shape[1]) < lengths[:, None]
         present = inside & ~np.isnan(observations)
@@ -500,33 +498,35 @@ class BatchGaussianHMM:
         if (counts == 0).any():
             raise ValueError("cannot initialize from all-missing observations")
 
-        # np.quantile's "linear" method: virtual index (n - 1) * q, and
-        # numpy's lerp, which interpolates from the upper neighbour when
-        # the weight is at least one half.
         quantiles = np.linspace(0.0, 1.0, self.n_states + 2)[1:-1]
-        ordered = np.sort(np.where(present, observations, np.nan), axis=1)
-        last = (counts - 1)[:, None]
-        virtual = last * quantiles
-        below = np.floor(virtual)
-        weight = virtual - below
-        lower = np.minimum(below.astype(np.intp), last)
-        upper = np.minimum(lower + 1, last)
-        a = np.take_along_axis(ordered, lower, axis=1)
-        b = np.take_along_axis(ordered, upper, axis=1)
-        step = b - a
-        means = np.where(
-            weight >= 0.5, b - step * (1 - weight), a + step * weight
-        )
-
         # Present values moved to the front of each row, order kept.
         compact = np.take_along_axis(
             observations, np.argsort(~present, axis=1, kind="stable"), axis=1
         )
+        means = np.empty((self.n_seqs, self.n_states))
         spread = np.empty(self.n_seqs)
         # Not np.unique: on numpy >= 2.3 it imports numpy.ma on first use.
         for count in sorted(set(counts.tolist())):
             group = counts == count
-            spread[group] = np.var(compact[group, :count], axis=1)
+            values = compact[group, :count]
+            spread[group] = np.var(values, axis=1)
+            # np.quantile's "linear" method: the neighbours of virtual
+            # index (n - 1) * q (the last value, weight 1, for n = 1) and
+            # numpy's lerp, which interpolates from the upper neighbour
+            # when the weight is at least one half.
+            virtual = (count - 1) * quantiles
+            lower = np.floor(virtual).astype(np.intp)
+            upper = lower + 1
+            if count == 1:
+                lower[:] = upper[:] = -1
+            weight = virtual - lower
+            kth = sorted({0, -1, *lower.tolist(), *upper.tolist()})
+            ordered = np.partition(values, kth, axis=1)
+            a, b = ordered[:, lower], ordered[:, upper]
+            step = b - a
+            means[group] = np.where(
+                weight >= 0.5, b - step * (1 - weight), a + step * weight
+            )
 
         for row in np.flatnonzero(spread < MIN_VARIANCE).tolist():
             spread[row] = 1.0
@@ -568,6 +568,8 @@ class BatchGaussianHMM:
         expected transition counts (MAP-EM, which never lowers
         ``log-likelihood + sum prior * log A``).  None is plain EM.
         """
+        if max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
         observations, lengths = self._validate(observations, lengths)
         k = self.n_states
         if transmat_prior is None:

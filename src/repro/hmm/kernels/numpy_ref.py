@@ -28,30 +28,43 @@ Blocked time
 A step costs a few microseconds of interpreter whatever the number of
 rows, so a pass that walks ``T - 1`` steps one by one is bound by the
 interpreter on long grids.  :func:`forward` and :func:`backward`
-instead cut time into fixed blocks of :data:`CHUNK` steps, block ``b``
-holding steps ``b*CHUNK + 1 .. (b+1)*CHUNK``, and run three phases:
+instead cut time into fixed blocks of :data:`CHUNK` steps anchored at
+``t = 0``, block ``b`` holding steps ``b*CHUNK + 1 .. (b+1)*CHUNK``, and
+run three phases:
 
-1. *Transfer products.*  Every block but the last gets the product of
-   its step matrices (``A diag(e_t)`` forward), built one block offset
-   at a time for all blocks and rows at once: ``CHUNK - 1`` Python
-   steps.
+1. *Transfer products.*  Every block gets the product ``P_b`` of its
+   step matrices ``M_t = A diag(e_t / s_t)``, ``s_t`` the step's
+   emission total over states, built one block offset at a time for all
+   blocks and rows at once: ``CHUNK - 1`` Python steps.  On the way it
+   keeps each row's *prefix*: the product of its end block ``q`` (the
+   block holding its last step) up to that step.
 2. *Carry.*  The state vector at each block boundary follows from the
-   previous boundary and that block's product: one small ``(K, N)``
-   step per block, in order.
+   neighbouring boundary and that block's product: one small ``(K, N)``
+   step per block.  Forward, ``alpha[(b+1)*CHUNK]`` is ``alpha[b*CHUNK]
+   P_b`` normalised.  Backward, ``beta[b*CHUNK] = F_b P_b
+   beta[(b+1)*CHUNK]``, ``F_b`` the product of the block's ``s_t /
+   c_t`` (``c_t`` the forward scale): the backward step ``A diag(e_t) /
+   c_t`` is ``M_t`` times ``s_t / c_t``.  A row's backward starts at
+   ``q*CHUNK`` from its prefix times its factors, applied to 1 (from 1
+   when its last step is that boundary).
 3. *Replay.*  The ordinary step function runs inside every block at
    once, from the block's boundary vector, and writes every timestep's
-   ``alpha`` / ``scales`` (or ``beta``) straight into the working
+   ``alpha`` / ``scales`` (or ``beta``, offsets descending, setting each
+   row's last step to exactly 1 as it passes) straight into the working
    buffer: ``CHUNK`` Python steps.
 
 A pass therefore takes about ``2 * CHUNK + T / CHUNK`` Python steps
-instead of ``T - 1``.  A forward step matrix uses the step's emissions
-divided by their total over states, which keeps ``CHUNK`` of them in
-range (only the product's direction matters; the carry renormalises
-the boundary vector).  A backward step divides by the forward scale, as
-the recursion does, so the product carries the scaled ``beta`` exactly.
-Block 0 replays from the exact initial vector; a later block starts from
-a carried vector that differs from the sequential one by rounding only,
-and the filter forgets its initial condition geometrically, so the
+instead of ``T - 1``, and :func:`forward_backward` builds the products
+once for both passes.  Dividing by ``s_t`` keeps ``CHUNK`` step
+matrices in range (only a forward product's direction matters; the
+carry renormalises).  So do the backward's factors: ``c_t = sum_j
+pred_t(j) e_t(j)`` with ``pred_t = alpha[t-1] A`` summing to 1, so
+``s_t / c_t`` lies in ``[1, 1 / min_j pred_t(j)]``, and ``F_b P_b`` is
+the product of the ``A diag(e_t) / c_t`` the backward has always
+carried.  The forward's block 0 and each row's end block in the
+backward replay from exact vectors; other blocks start from carried
+vectors that differ from the sequential ones by rounding, and the
+recursions forget their boundary condition geometrically, so the
 difference does not grow along the row.
 
 Below about four blocks the products and the carry cost more Python
@@ -59,11 +72,7 @@ steps than they save, so a row of at most :data:`ONE_BLOCK_MAX` steps
 runs as a single block: the replay alone, which is the sequential
 recursion.  A stack holding both kinds runs its long rows (a prefix,
 rows being sorted by length) and its short rows as two passes.
-
-Forward blocks are anchored at ``t = 0``.  Backward blocks are anchored
-at each row's own last step: the backward pass runs over per-row
-time-reversed copies, so ``beta[len - 1]`` is exactly 1 and a row sees
-the same blocks in any stack.
+:class:`Layout` holds the passes and where each row ends in them.
 
 Accumulation-order contract
 ---------------------------
@@ -71,18 +80,21 @@ Floating-point addition is not associative, so a claim decodes to the
 same bits in any batch (shard-composition determinism) only if every
 row's arithmetic is independent of the stack it runs in: which rows
 ride along, and how long the longest of them is.  Blocks are anchored
-per row and chosen by the row's own length as above, and no ``einsum``
-and no ``.sum()`` is left inside a time loop; every contraction is a
-chain of explicit elementwise adds:
+at ``t = 0``, a row's backward starts from its own last step, its pass
+is chosen by its own length, and no ``einsum`` and no ``.sum()`` is left
+inside a time loop; every contraction is a chain of explicit elementwise
+adds:
 
 - the forward contraction over the source state ``k`` is
   ``alpha[0]*A[0] + alpha[1]*A[1] (+ ...)`` accumulated left to right in
   ``k`` order, and so is a product's contraction over its inner state;
-- the per-step total over states and the backward contraction over the
+- the per-step total over states and the backward contractions over the
   destination state ``j`` are likewise ``col[0] + col[1] (+ ...)`` in
   index order.  Being explicit adds, they stay sequential at any ``K``;
+  a block's ``s_t / c_t`` multiply in ``t`` order;
 - compound products keep one association: ``(sum_k alpha*A) * em`` in
-  the forward step, ``A * (em * beta)`` in the backward step;
+  the forward step, ``A * (em * beta)`` in the backward step and
+  ``(F_b P_b) beta`` in its carry;
 - time reductions (the xi sums, the emission M-step) reduce axis 0 of a
   time-major stack with exactly 0.0 past each row's end; numpy
   accumulates a reduced axis that is not the innermost one slice by
@@ -92,7 +104,8 @@ chain of explicit elementwise adds:
 
 The contract is bitwise independence of batch composition.  Bitwise
 equality with the sequential recursion holds for rows of at most
-``ONE_BLOCK_MAX + 1`` timesteps, and in the first block of longer rows.
+``ONE_BLOCK_MAX + 1`` timesteps, in the forward's first block of longer
+rows and in their backward's end block.
 
 Dead timesteps
 --------------
@@ -102,10 +115,11 @@ before it.  The forward pass runs without any per-step check: a dead
 step leaves a zero scale and NaN after it (a blocked row also gets a
 zero product and NaN boundary vectors).  Every row whose scales then
 hold a zero or a NaN is redone alone, as a single block, with the rescue
-applied after every step.  Only those rows are redone, so whether a row
-is, and what it gets, depends on the row alone.  The backward pass needs
-no rescue: a dead step's zero emission row zeroes ``beta`` before it,
-and every product that crosses it, exactly.
+applied after every step; so is the backward of every row whose scales
+hold a rescued ``PROB_FLOOR``, since a dead step's ``e_t / s_t`` is
+0 / 0 in the products, while the sequential step's zero emission row
+zeroes ``beta`` before it exactly.  Only those rows are redone, so
+whether a row is, and what it gets, depends on the row alone.
 
 Padded cells come back holding neutral values (``1/K`` in ``alpha``,
 ``1.0`` in ``scales`` / ``beta``, ``0`` states); what a recursion
@@ -122,9 +136,11 @@ from repro.hmm.utils import PROB_FLOOR
 __all__ = [
     "CHUNK",
     "ONE_BLOCK_MAX",
+    "Layout",
     "backward",
     "estep_xi_sum",
     "forward",
+    "forward_backward",
     "viterbi",
     "work_steps",
 ]
@@ -201,35 +217,108 @@ def work_steps(longest: int) -> int:
     return 1 + _blocks(longest, CHUNK) * CHUNK
 
 
+def _passes(lengths: np.ndarray) -> list[tuple[slice, int, int]]:
+    """How a stack's rows are cut into blocks: ``(rows, length, span)``
+    per pass, ``length`` the longest row of the pass.
+
+    Rows with more than :data:`ONE_BLOCK_MAX` steps run in blocks of
+    :data:`CHUNK`; the shorter rows (a suffix: rows are sorted by length
+    descending) run as a single block, which is the sequential
+    recursion.  Which pass a row takes depends on its own length alone.
+    """
+    n_long = int(np.count_nonzero(lengths > ONE_BLOCK_MAX + 1))
+    passes = []
+    if n_long:
+        passes.append((slice(0, n_long), int(lengths[0]), CHUNK))
+    if n_long < len(lengths):
+        longest = int(lengths[n_long])
+        passes.append((slice(n_long, None), longest, max(1, longest - 1)))
+    return passes
+
+
+class _Ends:
+    """Where the rows of a pass end: row n's last step ``lengths[n] - 1``
+    is offset ``o`` of its ``span``-step end block ``q``."""
+
+    def __init__(self, lengths: np.ndarray, span: int) -> None:
+        last = np.asarray(lengths, dtype=np.intp) - 1
+        block, offset = np.divmod(last, span)
+        rows = np.arange(last.size)
+        #: Per offset: ``(q, last step, rows)`` of the rows ending there.
+        self.at: list[tuple[np.ndarray, ...] | None] = [None] * span
+        for o in set(offset.tolist()):
+            hit = offset == o
+            self.at[o] = block[hit], last[hit], rows[hit]
+        #: ``(q, o - 1, rows)`` of the rows whose backward starts from a
+        #: prefix (``o > 0``).
+        inside = offset > 0
+        self.inside = block[inside], offset[inside] - 1, rows[inside]
+        #: ``(q, n0, n1)``: maximal row ranges of one end block, ``q``
+        #: descending.
+        cuts = (np.flatnonzero(np.diff(block)) + 1).tolist()
+        self.starts = [
+            (int(block[n0]), n0, n1)
+            for n0, n1 in zip([0, *cuts], [*cuts, last.size])
+        ]
+
+
+class Layout:
+    """Rows of ``lengths`` in working buffers of ``steps`` timesteps (at
+    least ``t_max``): their passes (:func:`_passes`), where each row ends
+    in them, and the padded cells.  It depends on the lengths alone, so
+    ``BatchGaussianHMM.fit`` builds one per set of active rows."""
+
+    def __init__(self, lengths: np.ndarray, t_max: int) -> None:
+        self.lengths = lengths
+        self.steps = max(t_max, work_steps(int(lengths[0])))
+        #: ``(steps, N)``: True past each row's end.
+        self.padded = np.arange(self.steps)[:, None] >= lengths
+        self.passes = [
+            (rows, length, span, _Ends(lengths[rows], span))
+            for rows, length, span in _passes(lengths)
+        ]
+
+
 def _forward_transfer(
-    work: np.ndarray, trans: np.ndarray, n_full: int
-) -> np.ndarray:
-    """Phase 1: ``(n_full, K, K, N)`` products ``M_{t0} ... M_{t0+CHUNK-1}``
-    of the first ``n_full`` blocks, ``M_t = A diag(e_t)``, all blocks and
-    rows at once.
+    work: np.ndarray, trans: np.ndarray, blocks: int, ends: _Ends
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phase 1: ``(products, totals, prefixes)``.  ``products[b]`` is
+    ``P_b`` (``(blocks, K, K, N)``, ``M_t = A diag(e_t / s_t)``), all
+    blocks and rows at once; ``totals`` the ``s_t`` of timesteps
+    ``1 ..``; ``prefixes[n]`` row n's end-block prefix, ``(N, K, K)``,
+    kept as the loop passes it (unspecified when its last step is a
+    boundary).
 
     Each step's emissions are divided by their total over states first,
     so a step matrix has entries at most 1 and every row of it sums to
     at least an entry of ``A`` over ``K``: ``CHUNK`` of them neither
-    overflow nor underflow.  Only a product's direction matters; the
-    carry renormalises.
+    overflow nor underflow.  Only a forward product's direction matters;
+    the carry renormalises.
     """
     _, k, n_seqs = work.shape
-    region = work[1 : 1 + n_full * CHUNK]
+    region = work[1 : 1 + blocks * CHUNK]
     totals = np.empty((region.shape[0], n_seqs))
     _add_in_order(list(region.swapaxes(0, 1)), out=totals)
     scaled = region / totals[:, None, :]
-    ems = _by_offset(scaled[:, None], 0, n_full, CHUNK)
+    ems = _by_offset(scaled[:, None], 0, blocks, CHUNK)
+    prefixes = np.empty((n_seqs, k, k))
     # product[b, i, j] = A[i, j] * e[j] at the block's first step.
     product = np.multiply(trans, ems[0])
-    scratch = np.empty((n_full, k, k, k, n_seqs))
+    scratch = np.empty((blocks, k, k, k, n_seqs))
     inner = [scratch[:, :, l] for l in range(k)]
-    for em in ems[1:]:
-        # scratch[b, i, l, j] = P[b, i, l] * A[l, j]; summed over l in order.
-        np.multiply(product[:, :, :, None, :], trans, out=scratch)
-        _add_in_order(inner, out=product)
-        np.multiply(product, em, out=product)
-    return product
+    # After offset o the product holds o + 1 steps: the prefix of the
+    # rows whose last step is offset o + 1.
+    for em, ending in zip([None, *ems[1:]], [*ends.at[1:], None]):
+        if em is not None:
+            # scratch[b, i, l, j] = P[b, i, l] * A[l, j]; summed over l
+            # in order.
+            np.multiply(product[:, :, :, None, :], trans, out=scratch)
+            _add_in_order(inner, out=product)
+            np.multiply(product, em, out=product)
+        if ending is not None:
+            block, _, rows = ending
+            prefixes[rows] = product[block, :, :, rows]
+    return product, totals, prefixes
 
 
 def _forward_carry(alpha: np.ndarray, transfer: np.ndarray) -> None:
@@ -327,6 +416,7 @@ def _forward_pass(
     length: int,
     span: int,
     rescue: bool,
+    transfer: tuple | None = None,
 ) -> None:
     """Forward recursion in blocks of ``span`` steps into ``alpha`` /
     ``scales``; cells past a row's end are left unspecified."""
@@ -343,29 +433,66 @@ def _forward_pass(
     # A dead step divides 0 by 0 and leaves NaN in its row's later steps;
     # steps past a row's end run on whatever its padding holds.
     with np.errstate(all="ignore"):
-        if blocks > 1:
-            _forward_carry(alpha, _forward_transfer(work, trans, blocks - 1))
+        if transfer is not None:
+            _forward_carry(alpha, transfer[0][:-1])
         if blocks:
             _forward_replay(alpha, scales, work, trans, span, rescue)
 
 
-def _passes(lengths: np.ndarray) -> list[tuple[slice, int, int]]:
-    """How a stack's rows are cut into blocks: ``(rows, length, span)``
-    per pass, ``length`` the longest row of the pass.
+def _transfers(
+    transmat: np.ndarray, work: np.ndarray, layout: Layout
+) -> list[tuple | None]:
+    """Each pass's :func:`_forward_transfer`; None for a single block."""
+    with np.errstate(all="ignore"):  # a dead step's e_t / s_t is 0 / 0
+        return [
+            _forward_transfer(
+                work[:, :, rows], _rows_last(transmat[rows]),
+                _blocks(length, span), ends,
+            )  # fmt: skip
+            if length > ONE_BLOCK_MAX + 1
+            else None
+            for rows, length, span, ends in layout.passes
+        ]
 
-    Rows with more than :data:`ONE_BLOCK_MAX` steps run in blocks of
-    :data:`CHUNK`; the shorter rows (a suffix: rows are sorted by length
-    descending) run as a single block, which is the sequential
-    recursion.  Which pass a row takes depends on its own length alone.
-    """
-    n_long = int(np.count_nonzero(lengths > ONE_BLOCK_MAX + 1))
-    passes = []
-    if n_long:
-        passes.append((slice(0, n_long), int(lengths[0]), CHUNK))
-    if n_long < len(lengths):
-        longest = int(lengths[n_long])
-        passes.append((slice(n_long, None), longest, max(1, longest - 1)))
-    return passes
+
+def _forward(
+    startprob: np.ndarray,
+    transmat: np.ndarray,
+    work: np.ndarray,
+    layout: Layout,
+    alpha: np.ndarray,
+    scales: np.ndarray,
+    transfers: list[tuple | None],
+) -> None:
+    """:func:`forward` over buffers of ``layout.steps`` timesteps."""
+    k = work.shape[1]
+    for (rows, length, span, _), transfer in zip(layout.passes, transfers):
+        _forward_pass(
+            startprob[rows], transmat[rows], work[:, :, rows],
+            alpha[:, :, rows], scales[:, rows], length, span, False, transfer,
+        )  # fmt: skip
+    live = (scales > 0) | layout.padded  # False on a zero and on a NaN
+    if not live.all():
+        dead = np.flatnonzero(~live.all(axis=0))
+        length = int(layout.lengths[dead[0]])
+        redo = np.empty((length, k, dead.size)), np.empty((length, dead.size))
+        _forward_pass(
+            startprob[dead], transmat[dead], work[:length, :, dead], *redo,
+            length, max(1, length - 1), rescue=True,
+        )  # fmt: skip
+        alpha[:length, :, dead], scales[:length, dead] = redo
+    np.copyto(alpha, 1.0 / k, where=layout.padded[:, None, :])
+    np.copyto(scales, 1.0, where=layout.padded)
+
+
+def _working(emissions: np.ndarray, steps: int) -> np.ndarray:
+    """``emissions`` over ``steps`` timesteps, 1.0 (a missing
+    observation) past its end; copied only when it is shorter."""
+    work = np.asarray(emissions, dtype=float)
+    if work.shape[0] < steps:
+        pad = np.ones((steps - work.shape[0],) + work.shape[1:])
+        work = np.concatenate([work, pad])
+    return work
 
 
 def forward(
@@ -384,122 +511,80 @@ def forward(
     ``log(scales[:lengths[n], n])`` into row n's log-likelihood.
     """
     t_max, k, n_seqs = emissions.shape
-    steps = max(t_max, work_steps(int(lengths[0])))
-    work = np.asarray(emissions, dtype=float)
-    if t_max < steps:  # 1.0 past the end: a missing observation
-        work = np.concatenate([work, np.ones((steps - t_max, k, n_seqs))])
+    layout = Layout(lengths, t_max)
+    steps = layout.steps
+    work = _working(emissions, steps)
     if out is None:
         out = np.empty((steps, k, n_seqs)), np.empty((steps, n_seqs))
-    alpha, scales = out
-    for rows, length, span in _passes(lengths):
-        _forward_pass(
-            startprob[rows], transmat[rows], work[:, :, rows],
-            alpha[:, :, rows], scales[:, rows], length, span, rescue=False,
-        )  # fmt: skip
-    alpha, scales = alpha[:t_max], scales[:t_max]
-    padded = np.arange(t_max)[:, None] >= lengths
-    live = (scales > 0) | padded  # False on a zero and on a NaN
-    if not live.all():
-        dead = np.flatnonzero(~live.all(axis=0))
-        length = int(lengths[dead[0]])
-        redo = np.empty((length, k, dead.size)), np.empty((length, dead.size))
-        _forward_pass(
-            startprob[dead], transmat[dead], work[:length, :, dead], *redo,
-            length, max(1, length - 1), rescue=True,
-        )  # fmt: skip
-        alpha[:length, :, dead], scales[:length, dead] = redo
-    np.copyto(alpha, 1.0 / k, where=padded[:, None, :])
-    np.copyto(scales, 1.0, where=padded)
-    return alpha, scales
+    alpha, scales = out[0][:steps], out[1][:steps]
+    transfers = _transfers(transmat, work, layout)
+    _forward(startprob, transmat, work, layout, alpha, scales, transfers)
+    return alpha[:t_max], scales[:t_max]
 
 
-def _reversed_rows(
-    stack: np.ndarray, groups: list[tuple[int, int, int]], t_pad: int
-) -> np.ndarray:
-    """``(T, ..., N)`` stack as a ``(t_pad, ..., N)`` working copy in
-    each row's reversed time: ``out[s, ..., n] = stack[length - s, ...,
-    n]`` for ``1 <= s < length``, 1.0 everywhere else (``groups`` is
-    :func:`_length_groups` of the lengths)."""
-    out = np.empty((t_pad,) + stack.shape[1:])
-    out[0] = 1.0
-    for n0, n1, length in groups:
-        out[1:length, ..., n0:n1] = stack[length - 1 : 0 : -1, ..., n0:n1]
-        out[length:, ..., n0:n1] = 1.0
-    return out
-
-
-def _length_groups(lengths: np.ndarray) -> list[tuple[int, int, int]]:
-    """Maximal row ranges ``(n0, n1, length)`` of one length, in order."""
-    if lengths[0] == lengths[-1]:
-        return [(0, len(lengths), int(lengths[0]))]
-    cuts = (np.flatnonzero(np.diff(lengths)) + 1).tolist()
-    return [
-        (n0, n1, int(lengths[n0]))
-        for n0, n1 in zip([0, *cuts], [*cuts, len(lengths)])
-    ]
-
-
-def _backward_transfer(
-    work: np.ndarray, scale_rows: np.ndarray, trans: np.ndarray, n_full: int
-) -> np.ndarray:
-    """Phase 1 in reversed time: ``(n_full, K, K, N)`` products of the
-    first ``n_full`` blocks, ``Q[b, a]`` the ``beta`` at the block's end
-    from the unit vector ``a`` at its start.
-
-    Each step divides by its forward scale, as the recursion does, so
-    ``Q`` carries the scaled ``beta`` exactly.
+def _backward_carry(
+    beta: np.ndarray, scales: np.ndarray, transfer: tuple, ends: _Ends
+) -> None:
+    """Phase 2 of the backward: each row's start at its end block's left
+    boundary ``q * CHUNK``, and every earlier boundary ``b * CHUNK`` from
+    the next one and ``F_b P_b``, ``F_b`` the product of the block's
+    ``s_t / c_t``; a boundary is computed for the rows started above it
+    only.  The factors replace ``transfer``'s totals and are folded into
+    its products, in place.
     """
-    _, k, n_seqs = work.shape
-    stop = 1 + n_full * CHUNK
-    scaled = work[1:stop] / scale_rows[1:stop, None, :]
-    columns = _by_offset(scaled[:, :, None], 0, n_full, CHUNK)
-    rows = _by_offset(scaled[:, None], 0, n_full, CHUNK)
-    # product[b, a, i] = A[i, a] * (em[a] / c): the step from unit vector a.
-    product = np.multiply(trans, columns[0])
-    tail = np.empty_like(product)
-    scratch = np.empty((n_full, k, k, k, n_seqs))
-    inner = [scratch[:, :, j] for j in range(k)]
-    for em in rows[1:]:
-        # scratch[b, a, j, i] = A[i, j] * (em[j] / c * Q[b, a, j]);
-        # summed over j in order.
-        np.multiply(em, product, out=tail)
-        np.multiply(trans, tail[:, :, :, None, :], out=scratch)
-        _add_in_order(inner, out=product)
-    return product
-
-
-def _backward_carry(beta: np.ndarray, transfer: np.ndarray) -> None:
-    """Phase 2 in reversed time: ``beta`` at every block boundary, the
-    previous boundary times its block's transfer."""
-    _, k, n_seqs = beta.shape
-    n_full = transfer.shape[0]
-    products = np.empty((k, k, n_seqs))
-    first_product, *more_products = products
+    products, totals, prefixes = transfer
+    blocks, k, _, n_seqs = products.shape
+    totals /= scales[1 : 1 + blocks * CHUNK]
+    # factors[o, b]: s_t / c_t over offsets 0 .. o of block b, in order.
+    factors = _by_offset(totals, 0, blocks, CHUNK)
+    for prev, out in zip(factors, factors[1:]):
+        np.multiply(prev, out, out=out)
+    np.multiply(products, factors[-1][:, None, None, :], out=products)
+    start = np.ones((k, n_seqs))
+    block, offset, rows = ends.inside
+    if rows.size:
+        # start[i] = sum_l F prefix[i, l] * 1; summed over l in order.
+        folded = prefixes[rows] * factors[offset, block, rows][:, None, None]
+        terms = list(np.moveaxis(folded, -1, 0))
+        start[:, rows] = _add_in_order(terms, out=np.empty((rows.size, k))).T
+    boundaries = beta[::CHUNK]
+    pair = np.empty((k, k, n_seqs))
     multiply, add = np.multiply, np.add
-    for prev, block, out in zip(
-        beta[: n_full * CHUNK : CHUNK, :, None, :],
-        transfer,
-        beta[CHUNK : (n_full + 1) * CHUNK : CHUNK],
-    ):
-        # products[a, i] = beta[a] * Q[a, i]; summed over a in order.
-        multiply(prev, block, out=products)
-        if more_products:
-            add(first_product, more_products[0], out=out)
-            for product in more_products[1:]:
-                add(out, product, out=out)
-        else:
-            out[...] = first_product
+    above = ends.starts[0][0]
+    # Rows [:n0] started above block q; a last segment carries all rows
+    # down to block 0.
+    for q, n0, n1 in [*ends.starts, (0, n_seqs, n_seqs)]:
+        window = pair[:, :, :n0]
+        first, *more = (window[:, j] for j in range(k))
+        for block_product, nxt, out in zip(
+            products[q:above, :, :, :n0][::-1],
+            boundaries[q + 1 : above + 1, :, :n0][::-1],
+            boundaries[q:above, :, :n0][::-1],
+        ):
+            # pair[i, j] = F P[i, j] * beta[j]; summed over j in order.
+            multiply(block_product, nxt, out=window)
+            acc = first
+            for column in more:
+                add(acc, column, out=out)
+                acc = out
+            if not more:  # K = 1
+                out[...] = first
+        boundaries[q, :, n0:n1] = start[:, n0:n1]
+        above = q
 
 
 def _backward_replay(
     beta: np.ndarray,
     work: np.ndarray,
-    scale_rows: np.ndarray,
+    scales: np.ndarray,
     trans: np.ndarray,
     span: int,
+    ends: _Ends,
 ) -> None:
-    """Phase 3 in reversed time: the backward step at each offset of
-    every ``span``-step block at once, from the block's boundary vector.
+    """Phase 3 of the backward: the backward step at each offset of
+    every ``span``-step block at once, offsets descending, from the
+    block's right boundary vector; a row's last step is set to 1 as the
+    replay passes it.
 
     ``trans[j, i, n]`` is row n's ``A[i, j]``.
     """
@@ -511,11 +596,12 @@ def _backward_replay(
     first_product, *more_products = (products[..., j, :, :] for j in range(k))
     total = np.empty(lead + (k, n_seqs))
     multiply, add, divide = np.multiply, np.add, np.divide
-    for em, nxt, scale, out in zip(
-        _by_offset(work, 1, blocks, span)[..., :, None, :],
-        _by_offset(beta, 0, blocks, span)[..., :, None, :],
-        _by_offset(scale_rows, 1, blocks, span)[..., None, :],
-        _by_offset(beta, 1, blocks, span),
+    for em, nxt, scale, out, ending in zip(
+        _by_offset(work, 1, blocks, span)[::-1, ..., :, None, :],
+        _by_offset(beta, 1, blocks, span)[::-1, ..., :, None, :],
+        _by_offset(scales, 1, blocks, span)[::-1, ..., None, :],
+        _by_offset(beta, 0, blocks, span)[::-1],
+        ends.at[::-1],
     ):
         # products[b, j, i] = A[i, j] * (em[j] * beta[j]); summed over j
         # in order.
@@ -526,38 +612,65 @@ def _backward_replay(
             add(acc, product, out=total)
             acc = total
         divide(acc, scale, out=out)
+        if ending is not None:
+            _, steps, rows = ending
+            beta[steps, :, rows] = 1.0
 
 
 def _backward_pass(
     transmat: np.ndarray,
-    emissions: np.ndarray,
+    work: np.ndarray,
     scales: np.ndarray,
-    lengths: np.ndarray,
+    beta: np.ndarray,
+    length: int,
     span: int,
-    out: np.ndarray,
+    ends: _Ends,
+    transfer: tuple | None = None,
 ) -> None:
-    """Backward recursion in blocks of ``span`` steps anchored at each
-    row's last step, written into ``out`` (1.0 past a row's end)."""
-    k, n_seqs = emissions.shape[1:]
-    blocks = _blocks(int(lengths[0]), span)
+    """Backward recursion in blocks of ``span`` steps into ``beta``, each
+    row from its own last step; cells past a row's end are left
+    unspecified."""
+    blocks = _blocks(length, span)
     t_pad = 1 + blocks * span
-    groups = _length_groups(lengths)
-    work = _reversed_rows(emissions, groups, t_pad)
-    scale_rows = _reversed_rows(scales, groups, t_pad)
     # trans[j, i, n] is row n's A[i, j]: one (K, N) slab per destination.
     trans = _rows_last(np.swapaxes(transmat, 1, 2))
-    beta = np.empty((t_pad, k, n_seqs))
-    beta[0] = 1.0
-    # Steps past a row's end run on the padding's 1.0s.
+    beta, work, scales = beta[:t_pad], work[:t_pad], scales[:t_pad]
+    beta[-1] = 1.0
+    # Steps past a row's end run on whatever its padding holds.
     with np.errstate(all="ignore"):
-        if blocks > 1:
-            transfer = _backward_transfer(work, scale_rows, trans, blocks - 1)
-            _backward_carry(beta, transfer)
+        if transfer is not None:
+            _backward_carry(beta, scales, transfer, ends)
         if blocks:
-            _backward_replay(beta, work, scale_rows, trans, span)
-    for n0, n1, length in groups:
-        out[:length, :, n0:n1] = beta[length - 1 :: -1, :, n0:n1]
-        out[length:, :, n0:n1] = 1.0
+            _backward_replay(beta, work, scales, trans, span, ends)
+
+
+def _backward(
+    transmat: np.ndarray,
+    work: np.ndarray,
+    scales: np.ndarray,
+    layout: Layout,
+    beta: np.ndarray,
+    transfers: list[tuple | None],
+) -> None:
+    """:func:`backward` over buffers of ``layout.steps`` timesteps."""
+    for (rows, length, span, ends), transfer in zip(layout.passes, transfers):
+        _backward_pass(
+            transmat[rows], work[:, :, rows], scales[:, rows],
+            beta[:, :, rows], length, span, ends, transfer,
+        )  # fmt: skip
+    # A rescued step's scale is PROB_FLOOR; a row that ran as one block
+    # anyway gets its own bits again.
+    rescued = np.flatnonzero((scales == PROB_FLOOR).any(axis=0))
+    if rescued.size:
+        lengths = layout.lengths[rescued]
+        length, span = int(lengths[0]), max(1, int(lengths[0]) - 1)
+        redo = np.empty((length, work.shape[1], rescued.size))
+        _backward_pass(
+            transmat[rescued], work[:length, :, rescued],
+            scales[:length, rescued], redo, length, span, _Ends(lengths, span),
+        )  # fmt: skip
+        beta[:length, :, rescued] = redo
+    np.copyto(beta, 1.0, where=layout.padded[:, None, :])
 
 
 def backward(
@@ -567,17 +680,34 @@ def backward(
     lengths: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Scaled backward pass matching :func:`forward`'s scaling, cut into
-    blocks as :func:`forward` is; written into ``out`` when given."""
+    """Scaled backward pass matching :func:`forward`'s scaling, from the
+    products :func:`forward` builds; written into ``out`` (a buffer of at
+    least ``max(T, work_steps(lengths[0]))`` steps) when given."""
     t_max, n_seqs = scales.shape
+    layout = Layout(lengths, t_max)
+    work = _working(emissions, layout.steps)
+    scales = _working(scales, layout.steps)
     if out is None:
-        out = np.empty((t_max, emissions.shape[1], n_seqs))
-    for rows, _, span in _passes(lengths):
-        _backward_pass(
-            transmat[rows], emissions[:, :, rows], scales[:, rows],
-            lengths[rows], span, out[:, :, rows],
-        )  # fmt: skip
-    return out
+        out = np.empty((layout.steps, work.shape[1], n_seqs))
+    transfers = _transfers(transmat, work, layout)
+    _backward(transmat, work, scales, layout, out[: layout.steps], transfers)
+    return out[:t_max]
+
+
+def forward_backward(
+    startprob: np.ndarray,
+    transmat: np.ndarray,
+    emissions: np.ndarray,
+    layout: Layout,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> None:
+    """:func:`forward` then :func:`backward`, with their bits, into ``out
+    = (alpha, scales, beta)``, building each pass's products once.
+    ``emissions`` and ``out`` span ``layout.steps`` timesteps."""
+    alpha, scales, beta = out
+    transfers = _transfers(transmat, emissions, layout)
+    _forward(startprob, transmat, emissions, layout, alpha, scales, transfers)
+    _backward(transmat, emissions, scales, layout, beta, transfers)
 
 
 def viterbi(

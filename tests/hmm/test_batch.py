@@ -185,6 +185,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="infinite"):
             kernel.state_posteriors(np.full((2, 4), np.inf))
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_fit_needs_an_iteration(self, max_iter):
+        kernel = BatchGaussianHMM(2, 2)
+        before = kernel.means.copy()
+        with pytest.raises(ValueError, match="max_iter"):
+            kernel.fit(np.zeros((2, 4)), max_iter=max_iter)
+        assert (kernel.means == before).all()  # rejected before the init
+
 
 class TestParityVsPerClaim:
     def test_ragged_random_sequences(self):

@@ -73,3 +73,21 @@ def test_all_missing_row_rejected():
     observations, lengths, _ = stack_ragged([[0.5, 0.1], [np.nan]])
     with pytest.raises(ValueError, match="all-missing"):
         BatchGaussianHMM(2)._init_emissions(observations, lengths, seed=0)
+
+
+@pytest.mark.parametrize(
+    "rows, n_states",
+    [
+        ([[0.0] * 9 + [-0.0, 1.0]], 3),
+        ([[-0.0]], 2),
+        ([[-0.0, 0.0, -0.0, 0.0, 1.0], [0.0, -0.0, -1.0]], 3),
+    ],
+)
+def test_signed_zeros_land_where_np_quantile_puts_them(rows, n_states):
+    """``-0.0 == 0.0``, so sorting and np.quantile's partition may order
+    them differently; the init takes its quantiles from the partition."""
+    observations, lengths, order = stack_ragged(rows)
+    hmm = BatchGaussianHMM(len(rows), n_states)
+    hmm._init_emissions(observations, lengths, seed=11)
+    means, _ = per_row([rows[i] for i in order], n_states, seed=11)
+    assert hmm.means.tobytes() == means.tobytes()

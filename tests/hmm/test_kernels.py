@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.sstd import SSTD, SSTDConfig
 from repro.hmm import BatchGaussianHMM
+from repro.hmm.batch import _EStep
 from repro.hmm.kernels import active_kernel_info, numpy_ref
 from repro.hmm.utils import PROB_FLOOR, log_mask_zero, masked_row_sums
 from repro.streams.events import PopulationConfig, ScenarioSpec
@@ -453,8 +454,21 @@ class TestNumpyRefMatchesFrozenOracle:
             )
             return time_major(states), log_joints
 
+        def oracle_forward_backward(startprob, transmat, emissions, layout, out):
+            alpha, scales = spied_oracle_forward(
+                startprob, transmat, emissions, layout.lengths
+            )
+            beta = oracle_backward_tm(
+                transmat, emissions, scales, layout.lengths
+            )
+            for buffer, value in zip(out, (alpha, scales, beta)):
+                buffer[...] = value
+
         monkeypatch.setattr(numpy_ref, "forward", spied_oracle_forward)
         monkeypatch.setattr(numpy_ref, "backward", oracle_backward_tm)
+        monkeypatch.setattr(
+            numpy_ref, "forward_backward", oracle_forward_backward
+        )
         monkeypatch.setattr(numpy_ref, "viterbi", oracle_viterbi_tm)
         oracle = discover()
         assert oracle_calls  # the model really went through the swap
@@ -572,6 +586,179 @@ class TestBlockedTime:
         live = [row for row in range(5) if row not in dead_rows]
         assert alpha[live].tobytes() == clean_alpha[live].tobytes()
         assert scales[live].tobytes() == clean_scales[live].tobytes()
+
+
+CHUNK = numpy_ref.CHUNK
+
+
+def random_stack(seed, lengths, k=2):
+    """Parameters and ``(N, T, K)`` emissions for rows of ``lengths``,
+    30 % of the steps missing (an all-1 emission row)."""
+    rng = np.random.default_rng(seed)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    startprob, transmat = random_params(rng, len(lengths), k)
+    emissions = rng.random((len(lengths), int(lengths[0]), k))
+    emissions[rng.random(emissions.shape[:2]) < 0.3] = 1.0
+    return startprob, transmat, emissions, lengths
+
+
+class TestBackwardAnchoring:
+    """Backward blocks are anchored at ``t = 0``, as forward blocks are:
+    a row's backward starts from its last step, offset ``j`` of its end
+    block ``q``, whatever the rows next to it."""
+
+    @staticmethod
+    def check(startprob, transmat, emissions, lengths):
+        assert_matches_oracle(startprob, transmat, emissions, lengths)
+        _, scales = kernel_forward(startprob, transmat, emissions, lengths)
+        beta = kernel_backward(transmat, emissions, scales, lengths)
+        sequential = oracle_backward(transmat, emissions, scales, lengths)
+        for row, length in enumerate(lengths.tolist()):
+            if length <= numpy_ref.ONE_BLOCK_MAX + 1:
+                start = 0
+            else:
+                start = (length - 1) // CHUNK * CHUNK
+            own = slice(start, length)
+            assert beta[row, own].tobytes() == sequential[row, own].tobytes()
+            assert (beta[row, length - 1] == 1.0).all()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rows_ending_at_every_offset(self, k):
+        base = numpy_ref.ONE_BLOCK_MAX + 2 * CHUNK + 1  # last step 6 * CHUNK
+        lengths = [base + j for j in reversed(range(CHUNK))]
+        assert {(n - 1) % CHUNK for n in lengths} == set(range(CHUNK))
+        self.check(*random_stack(k, lengths, k))
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[6 * CHUNK + 1, 5 * CHUNK + 4], [6 * CHUNK + 3, 6 * CHUNK + 1]],
+        ids=["longest", "shorter"],
+    )
+    def test_a_row_ending_on_a_block_boundary(self, lengths):
+        """``j = 0``: the row starts from 1 at the boundary; as the
+        longest row its end block is one past the stack's last block."""
+        self.check(*random_stack(3, lengths))
+
+    def test_longest_row_ending_mid_block(self):
+        lengths = [7 * CHUNK + 5, 7 * CHUNK + 2, 6 * CHUNK + 7, 5 * CHUNK]
+        self.check(*random_stack(4, lengths))
+
+    def test_short_and_blocked_passes_in_one_stack(self):
+        one_block = numpy_ref.ONE_BLOCK_MAX + 1
+        lengths = [10 * CHUNK + 3, one_block + 1, one_block, 20, 2, 1]
+        self.check(*random_stack(5, lengths))
+
+    def test_rows_ending_in_block_zero(self):
+        """``q = 0``: no pass of a row's own length puts its end in
+        block 0 (short rows run as one block), so this drives the blocked
+        machinery over a hand-built pass holding short rows."""
+        startprob, transmat, emissions, lengths = random_stack(
+            6, [60, 9, 5, 2, 1]
+        )
+        plain = [np.array(a, order="C") for a in (startprob, transmat, emissions)]
+        _, scales_ref = oracle_forward(*plain, lengths)
+        sequential = oracle_backward(plain[1], plain[2], scales_ref, lengths)
+        steps = numpy_ref.work_steps(int(lengths[0]))
+        blocks = numpy_ref._blocks(int(lengths[0]), CHUNK)
+        work = np.ones((steps, 2, len(lengths)))
+        work[: emissions.shape[1]] = time_major(emissions)
+        scales = np.ones((steps, len(lengths)))
+        scales[: emissions.shape[1]] = time_major(scales_ref)
+        ends = numpy_ref._Ends(lengths, CHUNK)
+        transfer = numpy_ref._forward_transfer(
+            work, numpy_ref._rows_last(transmat), blocks, ends
+        )
+        beta = np.empty((steps, 2, len(lengths)))
+        numpy_ref._backward_pass(
+            transmat, work, scales, beta, int(lengths[0]), CHUNK, ends, transfer
+        )
+        beta = rows_first(beta)
+        for row, length in enumerate(lengths.tolist()):
+            start = (length - 1) // CHUNK * CHUNK
+            assert beta[row, start:length].tobytes() == (
+                sequential[row, start:length].tobytes()
+            )
+            np.testing.assert_allclose(
+                beta[row, :length], sequential[row, :length], rtol=1e-13, atol=0
+            )
+
+    @pytest.mark.parametrize("t", [3, CHUNK, 4 * CHUNK + 5, 6 * CHUNK + 1])
+    def test_a_dead_step_inside_a_blocked_row(self, t):
+        """The row with the dead step is redone sequentially in both
+        passes: the oracle's bits, ``beta`` exactly zero before the step."""
+        startprob, transmat, emissions, lengths = random_stack(
+            7, [7 * CHUNK + 3, 7 * CHUNK + 3, 6 * CHUNK + 6, 20]
+        )
+        emissions[1, t] = 0.0
+        self.check(startprob, transmat, emissions, lengths)
+        alpha, scales = kernel_forward(startprob, transmat, emissions, lengths)
+        beta = kernel_backward(transmat, emissions, scales, lengths)
+        alpha_ref, scales_ref = oracle_forward(
+            startprob, transmat, emissions, lengths
+        )
+        beta_ref = oracle_backward(transmat, emissions, scales_ref, lengths)
+        assert scales[1, t] == PROB_FLOOR
+        assert alpha[1].tobytes() == alpha_ref[1].tobytes()
+        assert beta[1].tobytes() == beta_ref[1].tobytes()
+        assert (beta[1, :t] == 0.0).all() and (beta[1, t:] > 0.0).all()
+
+
+class TestOneSetOfProducts:
+    """Fit's E-step shares each blocked pass's products between its
+    forward and backward, and gets the public passes' bits."""
+
+    @staticmethod
+    def estep(seed, lengths, dead=()):
+        rng = np.random.default_rng(seed)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        n, k = len(lengths), 2
+        observations = rng.normal(0.0, 2.0, size=(n, int(lengths[0])))
+        observations[rng.random(observations.shape) < 0.3] = np.nan
+        observations[np.arange(lengths[0]) >= lengths[:, None]] = np.nan
+        for row, t in dead:  # both states' densities underflow to 0
+            observations[row, t] = 1e6
+        startprob, transmat = random_params(rng, n, k)
+        means = np.sort(rng.normal(0.0, 1.0, size=(n, k)), axis=1)
+        variances = rng.random((n, k)) + 0.5
+        estep = _EStep(observations, lengths, k)
+        estep.run(startprob, transmat, means, variances)
+        return estep, startprob, transmat
+
+    @pytest.mark.parametrize(
+        "dead", [(), ((0, 50),), ((2, 5),)], ids=["clean", "blocked", "short"]
+    )
+    def test_estep_is_the_public_forward_and_backward(self, dead):
+        lengths = [12 * CHUNK + 5, 9 * CHUNK, 25, 3]
+        estep, startprob, transmat = self.estep(8, lengths, dead)
+        for row, t in dead:
+            assert estep.scales[t, row] == PROB_FLOOR
+        alpha, scales = numpy_ref.forward(
+            startprob, transmat, estep.emissions, estep.lengths
+        )
+        beta = numpy_ref.backward(
+            transmat, estep.emissions, scales, estep.lengths
+        )
+        assert estep.alpha.tobytes() == alpha.tobytes()
+        assert estep.scales.tobytes() == scales.tobytes()
+        assert estep.beta.tobytes() == beta.tobytes()
+
+    @pytest.mark.parametrize(
+        "lengths, blocked",
+        [([12 * CHUNK + 5, 9 * CHUNK, 25, 3], 2), ([30, 8], 0), ([50], 1)],
+    )
+    def test_one_estep_builds_the_products_once(
+        self, monkeypatch, lengths, blocked
+    ):
+        calls = []
+        transfer = numpy_ref._forward_transfer
+
+        def counted(work, *args):
+            calls.append(work.shape[-1])
+            return transfer(work, *args)
+
+        monkeypatch.setattr(numpy_ref, "_forward_transfer", counted)
+        self.estep(9, lengths)
+        assert calls == ([blocked] if blocked else [])
 
 
 def test_the_backend_switch_is_gone(monkeypatch):
