@@ -15,8 +15,11 @@ after the numpy version and SIMD dispatch the digests depend on::
 ``--against FILE`` each row also compares the run with the saved one:
 the saved count, the estimates whose truth value differs (matched by
 claim and timestamp; an estimate on one side only counts as differing)
-and the largest ``|Δconfidence|`` over the matched estimates.  The 12
-full runs take a few minutes; ``--workload`` and ``--seed`` narrow them.
+and the largest ``|Δconfidence|`` over the matched estimates.  A row
+whose truth values or estimate count differ also prints its first
+differing (claim, timestamp), and the command then exits 1: "no truth
+value differs" is its exit status.  The 12 full runs take a few
+minutes; ``--workload`` and ``--seed`` narrow them.
 """
 
 from __future__ import annotations
@@ -64,9 +67,12 @@ def run(name: str, seed: int) -> dict:
     }
 
 
-def compare(before: dict, after: dict) -> tuple[int, float]:
-    """``(truth values that differ, max |Δconfidence|)`` of two runs; an
-    estimate on one side only counts as differing."""
+def compare(
+    before: dict, after: dict
+) -> tuple[int, float, tuple[str, float] | None]:
+    """``(truth values that differ, max |Δconfidence|, first differing
+    (claim, timestamp))`` of two runs; an estimate on one side only
+    counts as differing."""
     old, new = (
         {
             key: (value, confidence)
@@ -79,12 +85,12 @@ def compare(before: dict, after: dict) -> tuple[int, float]:
         for run in (before, after)
     )
     shared = old.keys() & new.keys()
-    differ = len(old.keys() ^ new.keys())
-    differ += sum(old[key][0] != new[key][0] for key in shared)
+    differ = old.keys() ^ new.keys()
+    differ |= {key for key in shared if old[key][0] != new[key][0]}
     worst = max(
         (abs(old[key][1] - new[key][1]) for key in shared), default=0.0
     )
-    return differ, worst
+    return len(differ), worst, min(differ, default=None)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -105,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     if saved:
         header += " | before-count before-digest codes-differ max|dconf|"
     print(header)
-    runs = []
+    runs, failed = [], False
     for seed in args.seed:
         for name in args.workload or list(WORKLOADS):
             result = run(name, seed)
@@ -115,17 +121,22 @@ def main(argv: list[str] | None = None) -> int:
                 f"{result['accuracy']:.4f}"
             )
             before = saved.get((name, seed))
+            first = None
             if before is not None:
-                differ, worst = compare(before, result)
+                differ, worst, first = compare(before, result)
                 line += (
                     f" | {len(before['value'])} {before['digest']} "
                     f"{differ} {worst:.1e}"
                 )
+                failed |= differ > 0
+                failed |= len(before["value"]) != len(result["value"])
             print(line, flush=True)
+            if first is not None:
+                print(f"  first differing estimate: {first[0]} at {first[1]}")
     if args.save is not None:
         payload = {"numpy": numpy_dispatch(), "runs": runs}
         args.save.write_text(json.dumps(payload), encoding="utf-8")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -44,28 +44,46 @@ run three phases:
    P_b`` normalised.  Backward, ``beta[b*CHUNK] = F_b P_b
    beta[(b+1)*CHUNK]``, ``F_b`` the product of the block's ``s_t /
    c_t`` (``c_t`` the forward scale): the backward step ``A diag(e_t) /
-   c_t`` is ``M_t`` times ``s_t / c_t``.  A row's backward starts at
-   ``q*CHUNK`` from its prefix times its factors, applied to 1 (from 1
-   when its last step is that boundary).
+   c_t`` is ``M_t`` times ``s_t / c_t``.  The backward carry is the same
+   for every row, from 1 at the pass's end: past a row's end block ``q``
+   its product is the identity, and at ``q`` it is the row's prefix
+   times its factors, so ``beta[q*CHUNK]`` is the row's start (1 when
+   its last step is that boundary).
 3. *Replay.*  The ordinary step function runs inside every block at
    once, from the block's boundary vector, and writes every timestep's
    ``alpha`` / ``scales`` (or ``beta``, offsets descending, setting each
    row's last step to exactly 1 as it passes) straight into the working
    buffer: ``CHUNK`` Python steps.
 
+A row of more than :data:`ONE_LEVEL_MAX` blocks carries in two levels,
+over groups of :data:`GROUP` blocks anchored at ``t = 0`` (the pass
+rounded up to whole groups with identity products): every group's
+product, composed pairwise (``log2(GROUP)`` steps), the carry over the
+group boundaries (a step per group), then a carry step at each offset of
+every group at once (``GROUP - 1`` steps): ``3 + 23 + 7`` steps at ``T
+= 1440`` instead of 180.  Shorter rows carry one block at a time.
+
 A pass therefore takes about ``2 * CHUNK + T / CHUNK`` Python steps
-instead of ``T - 1``, and :func:`forward_backward` builds the products
-once for both passes.  Dividing by ``s_t`` keeps ``CHUNK`` step
-matrices in range (only a forward product's direction matters; the
-carry renormalises).  So do the backward's factors: ``c_t = sum_j
-pred_t(j) e_t(j)`` with ``pred_t = alpha[t-1] A`` summing to 1, so
-``s_t / c_t`` lies in ``[1, 1 / min_j pred_t(j)]``, and ``F_b P_b`` is
-the product of the ``A diag(e_t) / c_t`` the backward has always
-carried.  The forward's block 0 and each row's end block in the
-backward replay from exact vectors; other blocks start from carried
-vectors that differ from the sequential ones by rounding, and the
-recursions forget their boundary condition geometrically, so the
-difference does not grow along the row.
+(``T / (CHUNK * GROUP)`` in two levels) instead of ``T - 1``, and
+:func:`forward_backward` builds the block products once for both
+passes.  Dividing by ``s_t`` keeps ``CHUNK`` step matrices in range
+(only a forward product's direction matters; the carry renormalises).
+So do the backward's factors: ``c_t = sum_j pred_t(j) e_t(j)`` with
+``pred_t = alpha[t-1] A`` summing to 1, so ``s_t / c_t`` lies in ``[1,
+1 / min_j pred_t(j)]``, and ``F_b P_b`` is the product of the ``A
+diag(e_t) / c_t`` the backward has always carried.  A group spans
+``GROUP * CHUNK = 64`` steps, too many for a bound on ``A``.  Forward,
+each level of a group's product is divided by its largest entry, so
+none spans more than two block products' range.  Backward, a product
+``Q`` of the backward's steps from boundary ``a`` to ``b`` has
+``alpha[a] Q = alpha[b]``: its entry ``(i, j)`` is at most ``1 /
+alpha[a](i)``, the bound of the scaled ``beta`` itself, and its
+``alpha[a]``-weighted total is 1.
+The forward's block 0 and each row's end block in the backward replay
+from exact vectors; other blocks start from carried vectors that differ
+from the sequential ones by rounding, and the recursions forget their
+boundary condition geometrically, so the difference does not grow along
+the row.
 
 Below about four blocks the products and the carry cost more Python
 steps than they save, so a row of at most :data:`ONE_BLOCK_MAX` steps
@@ -79,11 +97,11 @@ Accumulation-order contract
 Floating-point addition is not associative, so a claim decodes to the
 same bits in any batch (shard-composition determinism) only if every
 row's arithmetic is independent of the stack it runs in: which rows
-ride along, and how long the longest of them is.  Blocks are anchored
-at ``t = 0``, a row's backward starts from its own last step, its pass
-is chosen by its own length, and no ``einsum`` and no ``.sum()`` is left
-inside a time loop; every contraction is a chain of explicit elementwise
-adds:
+ride along, and how long the longest of them is.  Blocks and groups
+are anchored at ``t = 0``, a row's backward starts from its own last
+step, its pass and carry are chosen by its own length, and no
+``einsum`` and no ``.sum()`` is left inside a time loop; every
+contraction is a chain of explicit elementwise adds:
 
 - the forward contraction over the source state ``k`` is
   ``alpha[0]*A[0] + alpha[1]*A[1] (+ ...)`` accumulated left to right in
@@ -95,6 +113,10 @@ adds:
 - compound products keep one association: ``(sum_k alpha*A) * em`` in
   the forward step, ``A * (em * beta)`` in the backward step and
   ``(F_b P_b) beta`` in its carry;
+- the two-level carry has a fixed depth: groups anchored at ``t = 0``,
+  each composed as ``((P0 P1)(P2 P3))((P4 P5)(P6 P7))``, taken or not by
+  a row's own block count, and the identities past a row's end multiply
+  exactly (``x * 1 + y * 0 == x``);
 - time reductions (the xi sums, the emission M-step) reduce axis 0 of a
   time-major stack with exactly 0.0 past each row's end; numpy
   accumulates a reduced axis that is not the innermost one slice by
@@ -135,7 +157,9 @@ from repro.hmm.utils import PROB_FLOOR
 
 __all__ = [
     "CHUNK",
+    "GROUP",
     "ONE_BLOCK_MAX",
+    "ONE_LEVEL_MAX",
     "Layout",
     "backward",
     "estep_xi_sum",
@@ -153,6 +177,14 @@ CHUNK = 8
 #: the transfer products and the carry cost more Python steps than they
 #: save below about four blocks.
 ONE_BLOCK_MAX = 4 * CHUNK
+
+#: Block products per group of the two-level carry ("Blocked time").
+GROUP = 8
+
+#: Rows of at most this many blocks carry their block boundaries one
+#: block at a time, longer rows in two levels; chosen by the sweep in
+#: EXPERIMENTS.md.
+ONE_LEVEL_MAX = 48
 
 
 def _runs(lengths: np.ndarray, t_max: int) -> list[tuple[int, int, int]]:
@@ -253,13 +285,16 @@ class _Ends:
         #: prefix (``o > 0``).
         inside = offset > 0
         self.inside = block[inside], offset[inside] - 1, rows[inside]
-        #: ``(q, n0, n1)``: maximal row ranges of one end block, ``q``
-        #: descending.
-        cuts = (np.flatnonzero(np.diff(block)) + 1).tolist()
-        self.starts = [
-            (int(block[n0]), n0, n1)
-            for n0, n1 in zip([0, *cuts], [*cuts, last.size])
-        ]
+        own = block + inside  # the blocks each row spans
+        #: Rows carried in two levels (a prefix), and the most blocks of
+        #: a row carried one block at a time.
+        self.two_level = n_two = int(np.count_nonzero(own > ONE_LEVEL_MAX))
+        self.one_level = int(own[n_two:].max(initial=0))
+        whole = GROUP if n_two else 1
+        #: ``(blocks, N)``: True past each row's end block, over the
+        #: pass's blocks rounded up to whole groups if it has two levels.
+        blocks = -(-int(own[0]) // whole) * whole
+        self.past = np.arange(blocks)[:, None] >= own
 
 
 class Layout:
@@ -283,11 +318,13 @@ def _forward_transfer(
     work: np.ndarray, trans: np.ndarray, blocks: int, ends: _Ends
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Phase 1: ``(products, totals, prefixes)``.  ``products[b]`` is
-    ``P_b`` (``(blocks, K, K, N)``, ``M_t = A diag(e_t / s_t)``), all
-    blocks and rows at once; ``totals`` the ``s_t`` of timesteps
-    ``1 ..``; ``prefixes[n]`` row n's end-block prefix, ``(N, K, K)``,
-    kept as the loop passes it (unspecified when its last step is a
-    boundary).
+    ``P_b`` (``M_t = A diag(e_t / s_t)``), all blocks and rows at once,
+    and the identity on the blocks that round the pass up to whole
+    groups (``ends.past``): a ``(blocks, K, K, N)`` view of state-major
+    memory, so every inner loop runs over all blocks and rows.
+    ``totals`` are the ``s_t`` of timesteps ``1 ..``; ``prefixes[n]`` is
+    row n's end-block prefix, ``(N, K, K)``, kept as the loop passes it
+    (unspecified when its last step is a boundary).
 
     Each step's emissions are divided by their total over states first,
     so a step matrix has entries at most 1 and every row of it sums to
@@ -300,58 +337,112 @@ def _forward_transfer(
     totals = np.empty((region.shape[0], n_seqs))
     _add_in_order(list(region.swapaxes(0, 1)), out=totals)
     scaled = region / totals[:, None, :]
-    ems = _by_offset(scaled[:, None], 0, blocks, CHUNK)
+    # ems[o][j, b] = e[j] / s at offset o of block b.
+    ems = _by_offset(scaled, 0, blocks, CHUNK).swapaxes(1, 2)
     prefixes = np.empty((n_seqs, k, k))
-    # product[b, i, j] = A[i, j] * e[j] at the block's first step.
-    product = np.multiply(trans, ems[0])
-    scratch = np.empty((blocks, k, k, k, n_seqs))
-    inner = [scratch[:, :, l] for l in range(k)]
+    products = np.empty((k, k, len(ends.past), n_seqs))
+    products[:, :, blocks:] = np.eye(k)[:, :, None, None]
+    trans = np.repeat(trans[:, :, None, :], blocks, axis=2)
+    # product[i, j, b] = A[i, j] * e[j] at the block's first step.
+    product = np.multiply(trans, ems[0], out=products[:, :, :blocks])
+    scratch = np.empty((k, k, k, blocks, n_seqs))
+    inner = [scratch[:, l] for l in range(k)]
     # After offset o the product holds o + 1 steps: the prefix of the
     # rows whose last step is offset o + 1.
     for em, ending in zip([None, *ems[1:]], [*ends.at[1:], None]):
         if em is not None:
-            # scratch[b, i, l, j] = P[b, i, l] * A[l, j]; summed over l
+            # scratch[i, l, j, b] = P[i, l, b] * A[l, j]; summed over l
             # in order.
-            np.multiply(product[:, :, :, None, :], trans, out=scratch)
+            np.multiply(product[:, :, None], trans, out=scratch)
             _add_in_order(inner, out=product)
             np.multiply(product, em, out=product)
         if ending is not None:
             block, _, rows = ending
-            prefixes[rows] = product[block, :, :, rows]
-    return product, totals, prefixes
+            prefixes[rows] = product[:, :, block, rows].transpose(2, 0, 1)
+    return products.transpose(2, 0, 1, 3), totals, prefixes
 
 
-def _forward_carry(alpha: np.ndarray, transfer: np.ndarray) -> None:
-    """Phase 2: ``alpha`` at every block boundary ``b * CHUNK``, the
-    normalised product of the previous boundary and its block's
-    transfer."""
-    _, k, n_seqs = alpha.shape
-    n_full = transfer.shape[0]
-    products = np.empty((k, k, n_seqs))
-    first_product, *more_products = products
-    nxt = np.empty((k, n_seqs))
-    first_state, *more_states = nxt
-    total = np.empty(n_seqs)
+def _carry(
+    prevs: np.ndarray, products: np.ndarray, outs: np.ndarray, normalise: bool
+) -> None:
+    """``out = prev P`` for each ``(prev, P, out)`` along the leading
+    axis in turn, summed over ``P``'s first state in order; with
+    ``normalise`` divided by its total over states.  Further leading axes
+    ride along (every group at once)."""
+    *lead, k, n_seqs = outs.shape[1:]
+    pairs = np.empty((*lead, k, k, n_seqs))
+    first_product, *more_products = (pairs[..., i, :, :] for i in range(k))
+    nxt, total = np.empty((*lead, k, n_seqs)), np.empty((*lead, 1, n_seqs))
+    first_state, *more_states = (nxt[..., j, :] for j in range(k))
+    summed = total[..., 0, :]
     multiply, add, divide = np.multiply, np.add, np.divide
-    for prev, block, out in zip(
-        alpha[: n_full * CHUNK : CHUNK, :, None, :],
-        transfer,
-        alpha[CHUNK : (n_full + 1) * CHUNK : CHUNK],
-    ):
-        # products[i, j] = alpha[i] * P[i, j]; summed over i in order.
-        multiply(prev, block, out=products)
-        if not more_products:  # K = 1
-            divide(first_product, first_product, out=out)
-            continue
+    for prev, block, out in zip(prevs[..., :, None, :], products, outs):
+        # pairs[i, j] = prev[i] * P[i, j]; summed over i in order.
+        multiply(prev, block, out=pairs)
         acc = first_product
+        dest = nxt if normalise else out
         for product in more_products:
-            add(acc, product, out=nxt)
-            acc = nxt
-        acc = first_state
-        for state in more_states:
-            add(acc, state, out=total)
-            acc = total
-        divide(nxt, total, out=out)
+            add(acc, product, out=dest)
+            acc = dest
+        if not more_products:  # K = 1
+            dest[...] = first_product
+        if normalise:
+            acc = first_state
+            for state in more_states:
+                add(acc, state, out=summed)
+                acc = summed
+            if not more_states:
+                summed[...] = first_state
+            divide(nxt, total, out=out)
+
+
+def _group_products(products: np.ndarray, normalise: bool) -> np.ndarray:
+    """The product of every group of :data:`GROUP` block products,
+    composed pairwise; with ``normalise`` each level is divided by its
+    largest entry."""
+    k, groups = products.shape[1], len(products) // GROUP
+    scratch = np.empty((len(products) // 2, k) + products.shape[1:])
+    level = products
+    while len(level) > groups:
+        # pairs[m, i, l, j] = X_2m[i, l] * X_2m+1[l, j]; summed over l.
+        pairs = scratch[: len(level) // 2]
+        np.multiply(level[0::2, :, :, None], level[1::2, None], out=pairs)
+        level = np.empty(pairs.shape[:2] + pairs.shape[3:])
+        _add_in_order([pairs[:, :, l] for l in range(k)], out=level)
+        if normalise:
+            level /= level.max(axis=(1, 2), keepdims=True)
+    return level
+
+
+def _boundaries(
+    bound: np.ndarray, products: np.ndarray, ends: _Ends, forward: bool
+) -> None:
+    """Phase 2, both directions: ``bound[b]``, the vector at the block
+    boundary ``b * CHUNK``, from ``bound[0]`` forward (normalised) and
+    from 1 at the pass's end backward (``v[b + 1] = v[b] P_b`` over the
+    boundaries reversed and the products transposed).  The first
+    ``ends.two_level`` rows carry over whole groups in a buffer of their
+    own, then inside every group at once; the others block by block."""
+    n_two, stop = ends.two_level, ends.one_level + (not forward)
+    groups = np.empty((len(products) + 1, bound.shape[1], n_two))
+    groups[0] = bound[0, :, :n_two]
+    for vectors, mats, span in (
+        (groups, products[..., :n_two], GROUP),
+        (bound[:stop, :, n_two:], products[: stop - 1, ..., n_two:], 1),
+    ):
+        if not vectors.size:
+            continue
+        if not forward:
+            vectors[-1] = 1.0
+            vectors, mats = vectors[::-1], mats.swapaxes(1, 2)[::-1]
+        spans = _group_products(mats, forward) if span > 1 else mats
+        _carry(vectors[:-1:span], spans, vectors[span::span], forward)
+        if span > 1:
+            inside = (_by_offset(a, s, len(spans), span)[:-1] for a, s in
+                      ((vectors, 0), (mats, 0), (vectors, 1)))  # fmt: skip
+            _carry(*inside, forward)
+    if n_two:
+        bound[..., :n_two] = groups[: len(bound)]
 
 
 def _forward_replay(
@@ -416,6 +507,7 @@ def _forward_pass(
     length: int,
     span: int,
     rescue: bool,
+    ends: _Ends | None = None,
     transfer: tuple | None = None,
 ) -> None:
     """Forward recursion in blocks of ``span`` steps into ``alpha`` /
@@ -434,7 +526,7 @@ def _forward_pass(
     # steps past a row's end run on whatever its padding holds.
     with np.errstate(all="ignore"):
         if transfer is not None:
-            _forward_carry(alpha, transfer[0][:-1])
+            _boundaries(alpha[::CHUNK], transfer[0], ends, forward=True)
         if blocks:
             _forward_replay(alpha, scales, work, trans, span, rescue)
 
@@ -466,10 +558,11 @@ def _forward(
 ) -> None:
     """:func:`forward` over buffers of ``layout.steps`` timesteps."""
     k = work.shape[1]
-    for (rows, length, span, _), transfer in zip(layout.passes, transfers):
+    for (rows, length, span, ends), transfer in zip(layout.passes, transfers):
         _forward_pass(
             startprob[rows], transmat[rows], work[:, :, rows],
-            alpha[:, :, rows], scales[:, rows], length, span, False, transfer,
+            alpha[:, :, rows], scales[:, rows], length, span, False, ends,
+            transfer,
         )  # fmt: skip
     live = (scales > 0) | layout.padded  # False on a zero and on a NaN
     if not live.all():
@@ -500,23 +593,19 @@ def forward(
     transmat: np.ndarray,
     emissions: np.ndarray,
     lengths: np.ndarray,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scaled forward pass over the stack, in blocks of :data:`CHUNK`.
 
-    Returns ``(alpha, scales)``, written into ``out`` (buffers of at
-    least ``max(T, work_steps(lengths[0]))`` steps) when given.  A dead
-    timestep is rescued with a uniform ``alpha`` row and a
-    ``PROB_FLOOR`` scale ("Dead timesteps" above).  The caller sums
-    ``log(scales[:lengths[n], n])`` into row n's log-likelihood.
+    Returns ``(alpha, scales)``.  A dead timestep is rescued with a
+    uniform ``alpha`` row and a ``PROB_FLOOR`` scale ("Dead timesteps"
+    above).  The caller sums ``log(scales[:lengths[n], n])`` into row
+    n's log-likelihood.
     """
     t_max, k, n_seqs = emissions.shape
     layout = Layout(lengths, t_max)
     steps = layout.steps
     work = _working(emissions, steps)
-    if out is None:
-        out = np.empty((steps, k, n_seqs)), np.empty((steps, n_seqs))
-    alpha, scales = out[0][:steps], out[1][:steps]
+    alpha, scales = np.empty((steps, k, n_seqs)), np.empty((steps, n_seqs))
     transfers = _transfers(transmat, work, layout)
     _forward(startprob, transmat, work, layout, alpha, scales, transfers)
     return alpha[:t_max], scales[:t_max]
@@ -525,52 +614,24 @@ def forward(
 def _backward_carry(
     beta: np.ndarray, scales: np.ndarray, transfer: tuple, ends: _Ends
 ) -> None:
-    """Phase 2 of the backward: each row's start at its end block's left
-    boundary ``q * CHUNK``, and every earlier boundary ``b * CHUNK`` from
-    the next one and ``F_b P_b``, ``F_b`` the product of the block's
-    ``s_t / c_t``; a boundary is computed for the rows started above it
-    only.  The factors replace ``transfer``'s totals and are folded into
-    its products, in place.
-    """
+    """Phase 2 of the backward over ``F_b P_b``, ``F_b`` the product of
+    block b's ``s_t / c_t``: the identity past each row's end block and
+    its prefix times its factors at that block.  These replace
+    ``transfer``'s totals and products, in place."""
     products, totals, prefixes = transfer
-    blocks, k, _, n_seqs = products.shape
+    blocks, k = totals.shape[0] // CHUNK, products.shape[1]
     totals /= scales[1 : 1 + blocks * CHUNK]
     # factors[o, b]: s_t / c_t over offsets 0 .. o of block b, in order.
     factors = _by_offset(totals, 0, blocks, CHUNK)
     for prev, out in zip(factors, factors[1:]):
         np.multiply(prev, out, out=out)
-    np.multiply(products, factors[-1][:, None, None, :], out=products)
-    start = np.ones((k, n_seqs))
+    real = products[:blocks]
+    np.multiply(real, factors[-1][:, None, None, :], out=real)
+    np.copyto(products, np.eye(k)[:, :, None], where=ends.past[:, None, None])
     block, offset, rows = ends.inside
-    if rows.size:
-        # start[i] = sum_l F prefix[i, l] * 1; summed over l in order.
-        folded = prefixes[rows] * factors[offset, block, rows][:, None, None]
-        terms = list(np.moveaxis(folded, -1, 0))
-        start[:, rows] = _add_in_order(terms, out=np.empty((rows.size, k))).T
-    boundaries = beta[::CHUNK]
-    pair = np.empty((k, k, n_seqs))
-    multiply, add = np.multiply, np.add
-    above = ends.starts[0][0]
-    # Rows [:n0] started above block q; a last segment carries all rows
-    # down to block 0.
-    for q, n0, n1 in [*ends.starts, (0, n_seqs, n_seqs)]:
-        window = pair[:, :, :n0]
-        first, *more = (window[:, j] for j in range(k))
-        for block_product, nxt, out in zip(
-            products[q:above, :, :, :n0][::-1],
-            boundaries[q + 1 : above + 1, :, :n0][::-1],
-            boundaries[q:above, :, :n0][::-1],
-        ):
-            # pair[i, j] = F P[i, j] * beta[j]; summed over j in order.
-            multiply(block_product, nxt, out=window)
-            acc = first
-            for column in more:
-                add(acc, column, out=out)
-                acc = out
-            if not more:  # K = 1
-                out[...] = first
-        boundaries[q, :, n0:n1] = start[:, n0:n1]
-        above = q
+    folded = prefixes[rows] * factors[offset, block, rows][:, None, None]
+    products[block, :, :, rows] = folded
+    _boundaries(beta[::CHUNK], products, ends, forward=False)
 
 
 def _backward_replay(
@@ -678,20 +739,17 @@ def backward(
     emissions: np.ndarray,
     scales: np.ndarray,
     lengths: np.ndarray,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Scaled backward pass matching :func:`forward`'s scaling, from the
-    products :func:`forward` builds; written into ``out`` (a buffer of at
-    least ``max(T, work_steps(lengths[0]))`` steps) when given."""
+    products :func:`forward` builds."""
     t_max, n_seqs = scales.shape
     layout = Layout(lengths, t_max)
     work = _working(emissions, layout.steps)
     scales = _working(scales, layout.steps)
-    if out is None:
-        out = np.empty((layout.steps, work.shape[1], n_seqs))
+    beta = np.empty((layout.steps, work.shape[1], n_seqs))
     transfers = _transfers(transmat, work, layout)
-    _backward(transmat, work, scales, layout, out[: layout.steps], transfers)
-    return out[:t_max]
+    _backward(transmat, work, scales, layout, beta, transfers)
+    return beta[:t_max]
 
 
 def forward_backward(

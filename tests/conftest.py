@@ -9,6 +9,14 @@ loud tier-1 failure rather than something an operator finds weeks later.
 import os
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw their examples afresh on every run, never replaying
+# what an earlier run in the same checkout saved to the git-ignored
+# ``.hypothesis/`` database: two checkouts of one commit then run the
+# same tests.
+settings.register_profile("repro", database=None)
+settings.load_profile("repro")
 
 SHM_DIR = "/dev/shm"
 SHM_PREFIX = "repro_shm_"

@@ -761,6 +761,122 @@ class TestOneSetOfProducts:
         assert calls == ([blocked] if blocked else [])
 
 
+GROUP = numpy_ref.GROUP
+ONE_LEVEL_MAX = numpy_ref.ONE_LEVEL_MAX
+
+
+def spanning(blocks, back=0):
+    """Length of a row that spans ``blocks`` blocks, its last step
+    ``back`` steps before the end of its last block."""
+    return 1 + blocks * CHUNK - back
+
+
+def both_passes(startprob, transmat, emissions, lengths):
+    alpha, scales = kernel_forward(startprob, transmat, emissions, lengths)
+    return alpha, scales, kernel_backward(transmat, emissions, scales, lengths)
+
+
+def assert_rows_alone_have_their_bits(stack, rows):
+    """Each of ``rows`` gets the same ``alpha`` / ``scales`` / ``beta``
+    bytes in ``stack`` as alone."""
+    startprob, transmat, emissions, lengths = stack
+    stacked = both_passes(*stack)
+    for row in rows:
+        length, own = int(lengths[row]), slice(row, row + 1)
+        alone = both_passes(
+            startprob[own], transmat[own], emissions[own, :length],
+            lengths[own],
+        )  # fmt: skip
+        for got, want in zip(stacked, alone):
+            assert got[row, :length].tobytes() == want[0].tobytes()
+
+
+class TestTwoLevelCarry:
+    """Rows of more than ``ONE_LEVEL_MAX`` blocks carry their block
+    boundaries in two levels, over groups of ``GROUP`` blocks anchored
+    at ``t = 0``; shorter rows keep the one-level carry."""
+
+    @pytest.mark.parametrize(
+        "length",
+        [
+            spanning(ONE_LEVEL_MAX - 1, 3),
+            spanning(ONE_LEVEL_MAX),
+            spanning(ONE_LEVEL_MAX + 1, 5),
+            1440,
+            5000,
+        ],
+    )
+    @pytest.mark.parametrize("riders", ["longer", "shorter"])
+    def test_a_row_has_the_same_bits_alone_and_riding_along(
+        self, length, riders
+    ):
+        others = {
+            "longer": [length + 2 * GROUP * CHUNK + 3, length + 1, 9],
+            "shorter": [length - CHUNK, length // 2, 20, 1],
+        }[riders]
+        stack = random_stack(length, sorted([length, *others], reverse=True))
+        row = stack[-1].tolist().index(length)
+        assert_rows_alone_have_their_bits(stack, [row])
+
+    def test_rows_ending_at_every_offset_of_a_group(self):
+        """End blocks at every offset of a group, a row ending on a group
+        boundary, and a longest row ending in a last partial group: each
+        row has its bits alone and the oracle's values."""
+        base = (ONE_LEVEL_MAX // GROUP + 1) * GROUP  # a group boundary
+        lengths = [spanning(base + GROUP + 3, 2), spanning(base)]
+        lengths += [spanning(base + g, g % CHUNK) for g in range(1, GROUP)]
+        lengths += [spanning(base - 1), spanning(ONE_LEVEL_MAX)]
+        stack = random_stack(11, sorted(lengths, reverse=True))
+        lengths = stack[-1]
+        assert numpy_ref._Ends(lengths, CHUNK).two_level == len(lengths) - 1
+        assert {(n - 1) // CHUNK % GROUP for n in lengths[1:-1]} == set(
+            range(GROUP)
+        )
+        assert_matches_oracle(*stack)
+        assert_rows_alone_have_their_bits(stack, range(len(lengths)))
+
+    def test_boundaries_agree_with_the_one_level_carry(self, monkeypatch):
+        lengths = [5000, 1441, 1440, spanning(ONE_LEVEL_MAX + 1), 200]
+        stack = random_stack(12, lengths)
+        ends = numpy_ref._Ends(stack[-1], CHUNK)
+        assert (ends.two_level, ends.one_level) == (4, 25)
+        two_level = both_passes(*stack)
+        monkeypatch.setattr(numpy_ref, "ONE_LEVEL_MAX", 10**9)
+        one_level = both_passes(*stack)
+        for two, one in zip(two_level, one_level):
+            np.testing.assert_allclose(
+                two[:, ::CHUNK], one[:, ::CHUNK], rtol=1e-13, atol=0.0
+            )
+            np.testing.assert_allclose(two, one, rtol=1e-13, atol=0.0)
+            assert two[-1].tobytes() == one[-1].tobytes()
+
+    @pytest.mark.parametrize(
+        "lengths, two_level",
+        [
+            ([1441, 1300, 150, 20], 2),
+            ([spanning(ONE_LEVEL_MAX), 100], 0),
+            ([spanning(ONE_LEVEL_MAX + 1)], 1),
+        ],
+    )
+    def test_one_group_build_per_blocked_pass(
+        self, monkeypatch, lengths, two_level
+    ):
+        """The forward builds its group products once per E-step, from
+        the block products, and the backward once, from the same products
+        with its factors folded in."""
+        calls = []
+        build = numpy_ref._group_products
+
+        def counted(products, normalise):
+            calls.append((products.shape[-1], normalise))
+            return build(products, normalise)
+
+        monkeypatch.setattr(numpy_ref, "_group_products", counted)
+        TestOneSetOfProducts.estep(13, lengths)
+        per_pass = [(two_level, True), (two_level, False)]
+        assert calls == (per_pass if two_level else [])
+
+
 def test_the_backend_switch_is_gone(monkeypatch):
     with pytest.raises(TypeError):
         SSTDConfig(kernel="numpy")
