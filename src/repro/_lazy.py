@@ -20,8 +20,9 @@ A name that is also the name of the submodule defining it
 later would otherwise rebind the package attribute to the module.
 
 The declaration is a literal on purpose: the lint engine's
-:class:`~repro.devtools.lint.names.ImportMap` reads it, so call
-resolution follows these re-exports as it follows ``from X import y``.
+:class:`~repro.devtools.lint.names.ImportMap` reads it as it reads
+``from X import y``, and ``tests/test_imports.py`` reads the declared
+exports through it.
 """
 
 from __future__ import annotations

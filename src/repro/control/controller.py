@@ -128,8 +128,7 @@ class TrajectoryRecorder:
     outputs at the recorded gains — the rounded values in the trace
     instants are for humans, these are for the replayer.
 
-    Use as a context manager, or :meth:`close` explicitly; the handle is
-    covered by the SSTD014 resource-lifecycle lint rule.
+    Use as a context manager, or :meth:`close` explicitly.
     """
 
     def __init__(self, path: Path | str) -> None:
@@ -422,7 +421,7 @@ class Controller:
         self.deadline = deadline
         self.config = config or ControlConfig()
         self.obs = obs if obs is not None else Observability.disabled()
-        self.recorder = (  # owns-resource: closed in close()
+        self.recorder = (  # closed in close()
             TrajectoryRecorder(self.config.trajectory_path)
             if self.config.trajectory_path
             else None

@@ -6,10 +6,9 @@ stack:
 - :mod:`repro.devtools.lint` — a project-specific AST lint engine whose
   SSTD rules enforce invariants that neither the Python runtime nor
   the test suite checks (lock discipline for the shared state of
-  ``repro.obs``, resources released on exception paths, seeded
-  randomness, log-space numerics confined to the sanctioned helpers,
-  ...); rules whose bugs a runtime check or a test already catches
-  were retired (DESIGN.md §7).  Run it with
+  ``repro.obs``, seeded randomness, log-space numerics confined to the
+  sanctioned helpers, ...); rules whose bugs a runtime check or a test
+  already catches were retired (DESIGN.md §7).  Run it with
   ``python -m repro.devtools.lint src/repro`` or ``repro-cli lint``.
 - :mod:`repro.devtools.contracts` — cheap runtime validators for the
   probability-simplex and score-range invariants of the paper

@@ -6,7 +6,7 @@ Usage::
     python -m repro.devtools.lint --format github src  # CI annotations
     python -m repro.devtools.lint --select SSTD003 src/repro/obs
     python -m repro.devtools.lint --disable SSTD006,SSTD011 benchmarks
-    python -m repro.devtools.lint --explain SSTD014
+    python -m repro.devtools.lint --explain SSTD001
     python -m repro.devtools.lint --list-rules
 
 ``repro-cli lint ...`` passes its arguments straight to :func:`main`.
@@ -41,8 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "SSTD-specific static analysis: exception and export hygiene, "
             "mutable defaults, seeded randomness, probability-safe "
-            "numerics, lock discipline, clock reads, and resource "
-            "leaks. Exits 1 when "
+            "numerics, lock discipline and clock reads. Exits 1 when "
             "findings remain, 2 on usage errors."
         ),
     )
@@ -80,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RULE",
         help="print what a rule checks, its sanction syntax, and a "
-        "minimal example, then exit (e.g. --explain SSTD014)",
+        "minimal example, then exit (e.g. --explain SSTD001)",
     )
     parser.add_argument(
         "--no-stale-noqa",

@@ -5,12 +5,8 @@ The engine is deliberately small — a file is parsed once into an
 :class:`Finding` records, and ``# noqa: SSTD###`` comments on the
 flagged physical line suppress findings the author has justified.
 
-When a selected rule sets ``needs_project`` (only SSTD014 does), the
-runner first has :mod:`repro.devtools.lint.callgraph` reduce every
-file to a per-module summary and resolve calls across the file set;
-the rule sees the resulting
-:class:`~repro.devtools.lint.callgraph.ProjectAnalysis` as
-``ctx.project``.
+Every rule reads one file's syntax tree; no rule resolves calls
+across files.
 
 Suppressions are themselves audited: when the full rule set runs, a
 ``# noqa`` comment that silences nothing is reported as ``SSTD000``
@@ -85,9 +81,6 @@ class FileContext:
     tree: ast.Module
     lines: list[str] = field(default_factory=list)
     module: str = ""
-    #: The whole-program analysis when linting a file set
-    #: (:class:`repro.devtools.lint.callgraph.ProjectAnalysis`), else None.
-    project: object | None = None
 
     @classmethod
     def from_source(cls, source: str, path: str, module: str = "") -> "FileContext":
@@ -147,14 +140,11 @@ class Rule:
 
     Subclasses set ``rule_id`` (``SSTD###``) and ``summary`` and
     implement :meth:`check`, yielding findings; helper
-    :meth:`finding` keeps positions consistent.  Rules that read the
-    project call graph (``ctx.project``) set ``needs_project``.
+    :meth:`finding` keeps positions consistent.
     """
 
     rule_id: str = ""
     summary: str = ""
-    #: Per-file rule that reads ``ctx.project`` when available.
-    needs_project: bool = False
     #: Sanction syntax (annotation comment) that silences the rule
     #: without ``noqa``; shown by ``--explain``.  Empty = noqa only.
     sanction: str = ""
@@ -318,10 +308,6 @@ def _check_file(
     return findings
 
 
-def _needs_project(rules: Sequence[Rule]) -> bool:
-    return any(rule.needs_project for rule in rules)
-
-
 def lint_source(
     source: str,
     path: str = "<string>",
@@ -331,12 +317,6 @@ def lint_source(
 ) -> list[Finding]:
     """Lint a source string; returns unsuppressed findings sorted by position.
 
-    A single-file project analysis is built when any selected rule
-    consumes the call graph, so same-module transitive summaries work
-    in standalone runs too; anything imported from *other* modules
-    stays unresolved — whole-program resolution needs
-    :func:`lint_paths`.
-
     ``audit_noqa`` adds the stale-suppression audit (SSTD000).  The
     default (``None``) enables it exactly when the full registered rule
     set runs.
@@ -344,10 +324,6 @@ def lint_source(
     if rules is None:
         rules = all_rules()
     ctx = FileContext.from_source(source, path=path, module=module)
-    if _needs_project(rules):
-        from repro.devtools.lint.callgraph import build_project_for_context
-
-        build_project_for_context(ctx)  # attaches itself as ctx.project
     findings = _check_file(ctx, rules, _audit_flag(rules, audit_noqa))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     return findings
@@ -398,20 +374,14 @@ def lint_paths(
     rules: Sequence[Rule] | None = None,
     audit_noqa: bool | None = None,
 ) -> list[Finding]:
-    """Lint every python file under ``paths`` as one project.
-
-    The project summary layer is built over the *entire* file set
-    first, so cross-module calls resolve; the rules then run file by
-    file.
-    """
+    """Lint every python file under ``paths``, one file at a time."""
     if rules is None:
         rules = all_rules()
     audit = _audit_flag(rules, audit_noqa)
     findings: list[Finding] = []
-    entries: list[tuple[Path, str]] = []
     for file_path in iter_python_files(paths):
         try:
-            source = file_path.read_text(encoding="utf-8")
+            findings.extend(lint_file(file_path, rules=rules, audit_noqa=audit))
         except OSError as exc:
             findings.append(
                 Finding(
@@ -422,30 +392,5 @@ def lint_paths(
                     col=0,
                 )
             )
-            continue
-        entries.append((file_path, source))
-
-    project = None
-    if _needs_project(rules):
-        from repro.devtools.lint.callgraph import build_project
-
-        project = build_project(entries)
-
-    for file_path, source in entries:
-        spath = str(file_path)
-        module = module_name_for(file_path)
-        try:
-            if project is not None and project.has_module(module):
-                ctx = project.context(module)
-            else:
-                ctx = FileContext.from_source(
-                    source, path=spath, module=module
-                )
-                ctx.project = project
-        except SyntaxError as exc:
-            findings.append(_syntax_finding(spath, exc))
-            continue
-        findings.extend(_check_file(ctx, rules, audit))
-
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     return findings

@@ -1,9 +1,4 @@
-"""Name-resolution helpers shared by the call graph and the rules.
-
-Lives at the package level (not under ``rules/``) so that
-:mod:`repro.devtools.lint.callgraph` can use it without importing the
-rules package.
-"""
+"""Name-resolution helpers shared by the rules and the import tests."""
 
 from __future__ import annotations
 

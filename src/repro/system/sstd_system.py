@@ -670,7 +670,7 @@ class _ExecutorBackend:
             system.config.sstd, STREAMING_RETRAIN_EVERY, refit=self.refit
         )
         self.controller: Controller | None = None
-        self.executor = system._make_executor()  # owns-resource: shut down in close()
+        self.executor = system._make_executor()  # shut down in close()
         if system.config.control_enabled:
             from repro.control.controller import Controller
 

@@ -54,7 +54,6 @@ def test_every_registered_rule_ran():
         "SSTD005",
         "SSTD006",
         "SSTD011",
-        "SSTD014",
     ]
 
 

@@ -63,10 +63,16 @@ def nan_gapped_stack(t_max, seed):
 def test_kernels_match_the_log_space_reference(t_max):
     kernel, observations, lengths = nan_gapped_stack(t_max, seed=t_max)
     emissions = kernel.emission_probabilities(observations)
-    _, _, log_likelihoods = kernel.forward(emissions, lengths)
+    alpha, scales, log_likelihoods = kernel.forward(emissions, lengths)
+    # The scaled passes satisfy sum_i alpha[t, i] beta[t, i] = 1 on every
+    # active step: the magnitude of beta, which xi reads and the
+    # per-step normalised posteriors cannot see.
+    beta = kernel.backward(emissions, scales, lengths)
+    totals = (alpha * beta).sum(axis=-1)
     posteriors = kernel.state_posteriors(observations, lengths, emissions)
     states, _ = kernel.viterbi(emissions, lengths)
     for row, length in enumerate(lengths.tolist()):
+        np.testing.assert_allclose(totals[row, :length], 1.0, rtol=1e-10)
         params = kernel.params(row)
         gamma, log_likelihood = log_posteriors(
             params.startprob, params.transmat, emissions[row, :length]

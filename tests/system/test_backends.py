@@ -1,10 +1,12 @@
 """Backend selection: simulated and processes produce identical TD."""
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
 
+from repro.control.pid import ControlConfig
 from repro.core.sstd import SSTD, batch_fit_decode
 from repro.streams.events import PopulationConfig, ScenarioSpec
 from repro.streams.generator import GeneratorConfig, generate_trace
@@ -213,3 +215,56 @@ class TestJobSpecs:
         assert len(clone) == len(output) == 5
         for cloned, original in zip(clone, output):
             np.testing.assert_array_equal(cloned, original)
+
+
+def _fault(*args, **kwargs):
+    raise RuntimeError("injected fault")
+
+
+class TestReleaseOnFault:
+    """A fault right after each acquire that is not a ``with`` block.
+
+    Each test makes the call after an acquire raise; the autouse guard
+    in ``tests/conftest.py`` then fails it if the executor's workers
+    outlive it, and the ``ResourceWarning`` filter if a trajectory file
+    is left for the garbage collector to close.  The published claim
+    stack's release is covered by ``tests/system/test_shm_plane.py``.
+    """
+
+    def test_run_batch_shuts_its_executor_down(self, small_trace, monkeypatch):
+        monkeypatch.setattr(DistributedSSTD, "_decode_shards", _fault)
+        config = SSTDSystemConfig(n_workers=1, backend="processes")
+        with pytest.raises(RuntimeError, match="injected"):
+            DistributedSSTD(config).run_batch(list(small_trace.reports))
+
+    def test_interval_backend_shuts_its_executor_down_if_control_fails(
+        self, small_trace, monkeypatch
+    ):
+        monkeypatch.setattr("repro.control.controller.Controller", _fault)
+        config = SSTDSystemConfig(n_workers=1, backend="processes")
+        with pytest.raises(RuntimeError, match="injected"):
+            DistributedSSTD(config).run_intervals(small_trace, n_intervals=2)
+
+    def test_run_intervals_closes_its_backend(self, small_trace, monkeypatch):
+        monkeypatch.setattr(
+            "repro.system.sstd_system._ExecutorBackend.run", _fault
+        )
+        config = SSTDSystemConfig(
+            n_workers=1, backend="processes", control_enabled=False
+        )
+        with pytest.raises(RuntimeError, match="injected"):
+            DistributedSSTD(config).run_intervals(small_trace, n_intervals=2)
+
+    def test_controller_closes_its_trajectory_file(
+        self, small_trace, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(DistributedSSTD, "_decode_shards", _fault)
+        config = SSTDSystemConfig(
+            n_workers=1,
+            control=ControlConfig(trajectory_path=str(tmp_path / "pid.jsonl")),
+        )
+        with pytest.raises(RuntimeError, match="injected"):
+            DistributedSSTD(config).run_batch(list(small_trace.reports))
+        # The simulated cluster holds the controller in reference cycles:
+        # collect them here, so an unclosed file warns inside this test.
+        gc.collect()
