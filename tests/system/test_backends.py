@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import os
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.system.sstd_system import (
     DistributedSSTD,
     SSTDSystemConfig,
 )
+from tests.conftest import SHM_PREFIX, _repro_segments
 from tests.streaming_replay import serial_stream_replay
 
 
@@ -221,6 +223,11 @@ def _fault(*args, **kwargs):
     raise RuntimeError("injected fault")
 
 
+def _own_segments() -> set[str]:
+    prefix = f"{SHM_PREFIX}{os.getpid()}_"
+    return {name for name in _repro_segments() if name.startswith(prefix)}
+
+
 class TestReleaseOnFault:
     """A fault right after each acquire that is not a ``with`` block.
 
@@ -267,4 +274,59 @@ class TestReleaseOnFault:
             DistributedSSTD(config).run_batch(list(small_trace.reports))
         # The simulated cluster holds the controller in reference cycles:
         # collect them here, so an unclosed file warns inside this test.
+        gc.collect()
+
+    def test_run_batch_releases_stack_and_executor_if_the_drain_fails(
+        self, small_trace, monkeypatch
+    ):
+        monkeypatch.setattr(
+            "repro.workqueue.process.ProcessWorkQueue.drain", _fault
+        )
+        config = SSTDSystemConfig(n_workers=1, backend="processes")
+        with pytest.raises(RuntimeError, match="injected") as info:
+            DistributedSSTD(config).run_batch(list(small_trace.reports))
+        # The traceback keeps the failed frames, and so the stack's
+        # owner, alive: the segment must be unlinked all the same.
+        assert info.tb is not None and not _own_segments()
+
+    def test_interval_refit_releases_stack_and_executor_if_the_drain_fails(
+        self, small_trace, monkeypatch
+    ):
+        monkeypatch.setattr(
+            "repro.workqueue.process.ProcessWorkQueue.drain", _fault
+        )
+        config = SSTDSystemConfig(
+            n_workers=1, backend="processes", control_enabled=False
+        )
+        with pytest.raises(RuntimeError, match="injected") as info:
+            DistributedSSTD(config).run_intervals(small_trace, n_intervals=2)
+        assert info.tb is not None and not _own_segments()
+
+    def test_interval_backend_closes_executor_and_trajectory_file(
+        self, small_trace, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(
+            "repro.system.sstd_system._ExecutorBackend.run", _fault
+        )
+        config = SSTDSystemConfig(
+            n_workers=1,
+            backend="processes",
+            control=ControlConfig(trajectory_path=str(tmp_path / "pid.jsonl")),
+        )
+        with pytest.raises(RuntimeError, match="injected"):
+            DistributedSSTD(config).run_intervals(small_trace, n_intervals=2)
+        gc.collect()
+
+    def test_simulated_intervals_close_their_trajectory_file(
+        self, small_trace, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(
+            "repro.system.sstd_system._SimulatedBackend.run", _fault
+        )
+        config = SSTDSystemConfig(
+            n_workers=1,
+            control=ControlConfig(trajectory_path=str(tmp_path / "pid.jsonl")),
+        )
+        with pytest.raises(RuntimeError, match="injected"):
+            DistributedSSTD(config).run_intervals(small_trace, n_intervals=2)
         gc.collect()
